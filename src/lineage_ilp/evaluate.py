@@ -7,7 +7,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .geometry import Mask, iou_mask, mask_intersection_area
+from .geometry import Mask, iou_mask, label_masks, mask_intersection_area
 from .io import TrackRow, validate_tracks
 from .proposals import Proposal
 
@@ -112,14 +112,7 @@ def gt_cell_masks(gt: GroundTruth) -> dict[int, dict[int, Mask]]:
     """Per frame, track label -> tight mask cut from the reference label grids."""
     if gt.label_grids is None:
         raise ValueError("ground truth has no label grids")
-    out: dict[int, dict[int, Mask]] = {}
-    for t, grid in enumerate(gt.label_grids):
-        cells: dict[int, Mask] = {}
-        for label in np.unique(grid):
-            if label > 0:
-                cells[int(label)] = Mask(0, 0, grid == label).tighten()
-        out[t] = cells
-    return out
+    return {t: label_masks(grid) for t, grid in enumerate(gt.label_grids)}
 
 
 # ---------------------------------------------------------------------------

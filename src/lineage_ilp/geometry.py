@@ -48,9 +48,13 @@ class Mask:
 
     The grid may be loose; ``tighten`` crops it to the minimal bounding box.
     An empty pixel set is not representable on purpose.
+
+    A mask is immutable: ``bits`` is a read-only view, so writing through it
+    raises, and ``area`` and ``centroid`` are computed once on first use.
+    Code that needs other pixels builds a new mask.
     """
 
-    __slots__ = ("x0", "y0", "bits")
+    __slots__ = ("x0", "y0", "bits", "_area", "_centroid")
 
     def __init__(self, x0: int, y0: int, bits: np.ndarray):
         bits = np.asarray(bits, dtype=bool)
@@ -60,11 +64,16 @@ class Mask:
             raise ValueError("mask must contain at least one set pixel")
         self.x0 = int(x0)
         self.y0 = int(y0)
-        self.bits = bits
+        self.bits = bits.view()
+        self.bits.flags.writeable = False
+        self._area: int | None = None
+        self._centroid: tuple[float, float] | None = None
 
     @property
     def area(self) -> int:
-        return int(self.bits.sum())
+        if self._area is None:
+            self._area = int(self.bits.sum())
+        return self._area
 
     @property
     def bbox(self) -> BBox:
@@ -73,8 +82,10 @@ class Mask:
     @property
     def centroid(self) -> tuple[float, float]:
         """(cx, cy) mean of set pixel coordinates, pixels sampling integer points."""
-        rows, cols = np.nonzero(self.bits)
-        return (self.x0 + float(cols.mean()), self.y0 + float(rows.mean()))
+        if self._centroid is None:
+            rows, cols = np.nonzero(self.bits)
+            self._centroid = (self.x0 + float(cols.mean()), self.y0 + float(rows.mean()))
+        return self._centroid
 
     def pixels(self) -> tuple[np.ndarray, np.ndarray]:
         """Absolute (rows, cols) of the set pixels."""
@@ -111,26 +122,6 @@ class Mask:
 
     def __repr__(self) -> str:
         return f"Mask(x0={self.x0}, y0={self.y0}, shape={self.bits.shape}, area={self.area})"
-
-
-@dataclass
-class LabeledGrid:
-    """Dense integer label image; 0 is background."""
-
-    labels: np.ndarray
-
-    def __post_init__(self):
-        self.labels = np.asarray(self.labels)
-        if self.labels.ndim != 2:
-            raise ValueError("label grid must be 2-d")
-
-    @property
-    def height(self) -> int:
-        return self.labels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.labels.shape[1]
 
 
 def iou_box(a: BBox, b: BBox) -> float:
@@ -246,6 +237,25 @@ def connected_components(binary: np.ndarray) -> list[Mask]:
     return [m for _, m in comps]
 
 
+def label_masks(grid: np.ndarray) -> dict[int, Mask]:
+    """Positive label -> tight mask of its pixels, in ascending label order.
+
+    Labels are renumbered densely before one ``find_objects`` pass, so cost
+    and memory follow the number of labels present, not the largest value.
+    Each mask owns a fresh array cropped to its bounding box.
+    """
+    grid = np.asarray(grid)
+    fg = grid > 0
+    values = grid[fg]
+    labels = np.unique(values)
+    dense = np.zeros(grid.shape, dtype=np.int32)
+    dense[fg] = np.searchsorted(labels, values) + 1
+    return {
+        int(label): Mask(sl[1].start, sl[0].start, dense[sl] == idx)
+        for idx, (label, sl) in enumerate(zip(labels, ndimage.find_objects(dense)), start=1)
+    }
+
+
 def disk_offsets(radius: int) -> np.ndarray:
     """Euclidean disk structuring element: offsets (i, j) with i*i + j*j <= r*r."""
     if radius < 1:
@@ -253,6 +263,20 @@ def disk_offsets(radius: int) -> np.ndarray:
     span = np.arange(-radius, radius + 1)
     ii, jj = np.meshgrid(span, span, indexing="ij")
     return (ii * ii + jj * jj) <= radius * radius
+
+
+# Structuring elements by radius, built on first use and read-only, so the
+# shared arrays cannot change under a later caller.
+_DISKS: dict[int, np.ndarray] = {}
+
+
+def _disk(radius: int) -> np.ndarray:
+    disk = _DISKS.get(radius)
+    if disk is None:
+        disk = disk_offsets(radius)
+        disk.flags.writeable = False
+        _DISKS[radius] = disk
+    return disk
 
 
 def boundary_mask(m: Mask) -> Mask:
@@ -272,7 +296,7 @@ def boundary_and_dilations(m: Mask, radii: tuple[int, ...]) -> tuple[Mask, dict[
     for r in radii:
         pad = int(r)
         padded = np.pad(m.bits, pad)
-        grown = ndimage.binary_dilation(padded, structure=disk_offsets(r))
+        grown = ndimage.binary_dilation(padded, structure=_disk(r))
         ring = grown & ~padded
         rings[r] = Mask(m.x0 - pad, m.y0 - pad, ring)
     return boundary_mask(m), rings

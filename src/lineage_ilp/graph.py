@@ -79,16 +79,38 @@ def _dist(a: Proposal, b: Proposal) -> float:
     return math.hypot(bx - ax, by - ay)
 
 
+def _centroids(props: list[Proposal]) -> np.ndarray:
+    """(n, 2) array of proposal centroids in list order."""
+    return np.array([p.centroid for p in props], dtype=np.float64).reshape(-1, 2)
+
+
+def _near(src: np.ndarray, dst: np.ndarray, radius: float) -> np.ndarray:
+    """(n_src, n_dst) prefilter: True for every pair within ``radius`` by
+    ``math.hypot`` and possibly a few just beyond it.
+
+    Squared distances round differently from ``math.hypot``, so the limit
+    carries a relative margin far above that rounding error; callers decide
+    each surviving pair with ``_dist``.
+    """
+    d = dst[None, :, :] - src[:, None, :]
+    return (d * d).sum(axis=2) <= radius * radius * (1.0 + 1e-9)
+
+
 def enumerate_moves(
     props_by_frame: list[list[Proposal]], gating_radius: float
 ) -> list[tuple[Proposal, Proposal]]:
-    """Candidate frame-to-frame links: centroid distance at most the radius."""
+    """Candidate frame-to-frame links: centroid distance at most the radius.
+
+    Pairs come by source id, then destination id.
+    """
     out = []
-    for t in range(len(props_by_frame) - 1):
-        for p_i in sorted(props_by_frame[t], key=lambda p: p.id):
-            for p_j in sorted(props_by_frame[t + 1], key=lambda p: p.id):
-                if _dist(p_i, p_j) <= gating_radius:
-                    out.append((p_i, p_j))
+    frames = [sorted(frame, key=lambda p: p.id) for frame in props_by_frame]
+    xy = [_centroids(frame) for frame in frames]
+    for t in range(len(frames) - 1):
+        src, dst = frames[t], frames[t + 1]
+        for i, j in zip(*np.nonzero(_near(xy[t], xy[t + 1], gating_radius))):
+            if _dist(src[i], dst[j]) <= gating_radius:
+                out.append((src[i], dst[j]))
     return out
 
 
@@ -104,8 +126,11 @@ def enumerate_mitoses(
     out = []
     for t in range(len(props_by_frame) - 1):
         nxt = props_by_frame[t + 1]
-        for parent in sorted(props_by_frame[t], key=lambda p: p.id):
-            near = [(d, _dist(parent, d)) for d in nxt if _dist(parent, d) <= mitosis_radius]
+        parents = sorted(props_by_frame[t], key=lambda p: p.id)
+        gate = _near(_centroids(parents), _centroids(nxt), mitosis_radius)
+        for parent, row in zip(parents, gate):
+            cands = [nxt[j] for j in np.flatnonzero(row)]
+            near = [(d, _dist(parent, d)) for d in cands if _dist(parent, d) <= mitosis_radius]
             near.sort(key=lambda item: (item[1], item[0].id))
             chosen = [d for d, _ in near[:n_neighbors]]
             chosen.sort(key=lambda p: p.id)

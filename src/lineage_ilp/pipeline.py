@@ -48,7 +48,7 @@ from .features import (
     move_features,
     proposal_features,
 )
-from .geometry import Mask
+from .geometry import label_masks
 from .graph import (
     TrackingGraph,
     build_graph,
@@ -523,10 +523,10 @@ def result_from_grids(rows, grids: list[np.ndarray]) -> tuple[list[Proposal], Li
     props: list[Proposal] = []
     pid = 0
     for t, grid in enumerate(grids):
-        for label in sorted(int(v) for v in np.unique(grid) if v > 0):
+        for label, mask in label_masks(grid).items():
             if label not in members:
                 raise FormatError(f"label grid frame {t} uses unknown track {label}")
-            props.append(Proposal(id=pid, t=t, mask=Mask(0, 0, grid == label).tighten(), raw_score=1.0))
+            props.append(Proposal(id=pid, t=t, mask=mask, raw_score=1.0))
             members[label].append(pid)
             pid += 1
     children: dict[int, int] = {}

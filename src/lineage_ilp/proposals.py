@@ -9,8 +9,7 @@ from scipy import ndimage
 
 from .geometry import Mask, connected_components, iou_mask, nms
 
-# Overlap thresholds for candidate pruning.
-BOX_NMS_IOU = 0.8
+# Overlap threshold for candidate pruning.
 MASK_NMS_IOU = 0.7
 
 DEFAULT_AREA_BOUNDS = (9, 10000)

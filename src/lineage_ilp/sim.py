@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .evaluate import GroundTruth
-from .geometry import Mask
+from .geometry import Mask, label_masks
 from .io import TrackRow
 from .proposals import Frame, Proposal
 
@@ -257,14 +257,7 @@ def ideal_proposals(gt: GroundTruth) -> list[list[tuple[int, Mask]]]:
     """Per frame, (track_id, tight mask) for every labelled region."""
     if gt.label_grids is None:
         raise ValueError("ground truth has no label grids")
-    out = []
-    for grid in gt.label_grids:
-        frame_masks = []
-        for label in sorted(int(v) for v in np.unique(grid) if v > 0):
-            bits = grid == label
-            frame_masks.append((label, Mask(0, 0, bits).tighten()))
-        out.append(frame_masks)
-    return out
+    return [list(label_masks(grid).items()) for grid in gt.label_grids]
 
 
 def corrupt(gt: GroundTruth, frames: list[Frame], ccfg: CorruptionConfig) -> list[Proposal]:

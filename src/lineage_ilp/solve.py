@@ -651,7 +651,10 @@ def solve(
     # one dot product over the merged assignment, not the sum of per-component
     # objectives: keeps the reported value independent of the decomposition
     objective = float(instance.costs @ x)
-    gap = max(0.0, objective - bound)
+    # Summing per-component bounds rounds differently from the dot product, so
+    # a proven optimum could read as a bound a few ulps above its objective.
+    bound = min(bound, objective)
+    gap = objective - bound
     status = "optimal" if all_optimal else "feasible"
     return SolveResult(status, x, objective, float(bound), gap, nodes, runtime, timed_out)
 
@@ -709,23 +712,24 @@ def _solve_connected(
     counter = 0
     heap: list[tuple[float, int, np.ndarray]] = []
     heapq.heappush(heap, (node_bound(root), counter, root))
-    best_bound = -np.inf
+    # Least bound of any node cut off against the incumbent.  With a gap
+    # tolerance such a node may still hold a better solution, so the
+    # reported bound cannot exceed it.
+    pruned_bound = np.inf
     timed_out = False
     stopped = False
 
     while heap:
         if time_limit is not None and time.monotonic() - t0 > time_limit:
             timed_out = True
-            best_bound = max(best_bound, heap[0][0])
             break
         if max_nodes is not None and nodes >= max_nodes:
             stopped = True
-            best_bound = max(best_bound, heap[0][0])
             break
         b, _, fixed = heapq.heappop(heap)
-        best_bound = max(best_bound, b)
         nodes += 1
         if b >= incumbent_obj - gap_tolerance:
+            pruned_bound = min(pruned_bound, b)
             stopped = True
             break
         und = fixed == -1
@@ -744,14 +748,17 @@ def _solve_connected(
                 continue
             cb = node_bound(child)
             if cb >= incumbent_obj - gap_tolerance:
+                pruned_bound = min(pruned_bound, cb)
                 continue
             try_candidate(bounder.complete(child))
             counter += 1
             heapq.heappush(heap, (cb, counter, child))
 
     runtime = time.monotonic() - t0
-    if not heap and not timed_out and not stopped:
-        best_bound = incumbent_obj if incumbent_x is not None else np.inf
+    # The optimum lies in an open node, in a pruned node, or is no better than
+    # the incumbent, so the least of the three bounds it from below.
+    open_bound = heap[0][0] if heap else np.inf
+    best_bound = min(incumbent_obj, open_bound, pruned_bound)
 
     if incumbent_x is None:
         if timed_out or stopped:

@@ -109,6 +109,22 @@ class TestIoUMatching:
         assert sorted(cells[0]) == [1, 2]
         assert cells[0][1].area == 100
 
+    def test_cell_masks_label_present_in_one_frame_only(self):
+        first = np.zeros((4, 4), dtype=np.int32)
+        first[0:2, 0:2] = 1
+        first[3, 3] = 7
+        second = np.zeros((4, 4), dtype=np.int32)
+        second[1:3, 1:3] = 1
+        gt = GroundTruth(
+            tracks=[TrackRow(1, 0, 1, 0), TrackRow(7, 0, 0, 0)],
+            markers={},
+            label_grids=[first, second],
+        )
+        cells = gt_cell_masks(gt)
+        assert {t: list(frame) for t, frame in cells.items()} == {0: [1, 7], 1: [1]}
+        assert cells[1][1] == Mask(1, 1, np.ones((2, 2), dtype=bool))
+        assert cells[0][7] == Mask(3, 3, np.ones((1, 1), dtype=bool))
+
     def test_exact_and_claimed(self, gt):
         exact = square(0, 0, 0, 0, size=10)
         shifted = square(1, 0, 2, 0, size=10)  # IoU 2/3 with cell 1, but claimed

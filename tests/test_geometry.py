@@ -16,6 +16,7 @@ from lineage_ilp.geometry import (
     expand_box,
     iou_box,
     iou_mask,
+    label_masks,
     nms,
 )
 
@@ -85,6 +86,23 @@ class TestMask:
     def test_centroid(self):
         m = full_mask(4, 6, 3, 3)
         assert m.centroid == (5.0, 7.0)
+
+    def test_area_and_centroid_computed_once(self):
+        m = Mask(3, 4, np.array([[True, False], [True, True]]))
+        first = m.centroid
+        assert m.centroid is first
+        assert first == pytest.approx((3 + 1 / 3, 4 + 2 / 3))
+        assert m.area == 3 and m.area == 3
+
+    def test_bits_are_read_only(self):
+        source = np.ones((2, 2), dtype=bool)
+        m = Mask(0, 0, source)
+        with pytest.raises(ValueError):
+            m.bits[0, 0] = False
+        with pytest.raises(ValueError):
+            m.translated(1, 1).bits[0, 0] = False
+        # the caller's own array is left writable
+        source[0, 0] = False
 
     def test_contains_point_rounds_to_pixel(self):
         m = full_mask(2, 2, 2, 2)
@@ -217,3 +235,60 @@ class TestBoundaryAndDilations:
     def test_ring_r3_uses_euclidean_disk(self):
         _, rings = boundary_and_dilations(full_mask(10, 10, 1, 1), (3,))
         assert rings[3].area == int(disk_offsets(3).sum()) - 1
+
+
+def reference_label_masks(grid):
+    """Per-label full-frame scan: the definition ``label_masks`` must match."""
+    out = {}
+    for label in np.unique(grid):
+        if label > 0:
+            out[int(label)] = Mask(0, 0, grid == label).tighten()
+    return out
+
+
+class TestLabelMasks:
+    def assert_matches_reference(self, grid):
+        got = label_masks(grid)
+        want = reference_label_masks(grid)
+        assert list(got) == list(want)
+        assert all(type(label) is int for label in got)
+        for label, m in got.items():
+            assert m == want[label]
+            assert m.bits.base.size == m.bits.size  # owns its pixels, not a frame view
+
+    def test_gaps_and_ascending_order(self):
+        grid = np.zeros((12, 14), dtype=np.int32)
+        grid[1:4, 2:5] = 9
+        grid[6:8, 0:3] = 2
+        grid[5, 10:14] = 40
+        grid[9:12, 6] = 5
+        got = label_masks(grid)
+        assert list(got) == [2, 5, 9, 40]
+        assert (got[9].x0, got[9].y0, got[9].bits.shape) == (2, 1, (3, 3))
+        self.assert_matches_reference(grid)
+
+    def test_background_only_frame(self):
+        assert label_masks(np.zeros((5, 7), dtype=np.uint16)) == {}
+
+    def test_largest_16_bit_label(self):
+        grid = np.zeros((6, 6), dtype=np.uint16)
+        grid[0, 0] = 65535
+        grid[2:4, 2:5] = 1
+        grid[5, 1:3] = 300
+        assert list(label_masks(grid)) == [1, 300, 65535]
+        self.assert_matches_reference(grid)
+
+    def test_non_convex_and_disconnected_regions(self):
+        grid = np.zeros((8, 8), dtype=np.int64)
+        grid[0, 0] = 3
+        grid[7, 7] = 3  # one label, two separate pieces
+        grid[2:6, 2] = 4
+        grid[5, 2:6] = 4
+        grid[3, 4] = 4
+        self.assert_matches_reference(grid)
+
+    def test_random_grids(self):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            grid = rng.integers(0, 6, size=(9, 11)) * rng.integers(0, 2, size=(9, 11))
+            self.assert_matches_reference(grid)

@@ -9,6 +9,7 @@ import pytest
 from lineage_ilp.evaluate import GroundTruth
 from lineage_ilp.geometry import Mask
 from lineage_ilp.graph import (
+    _dist,
     build_graph,
     enumerate_mitoses,
     enumerate_moves,
@@ -90,6 +91,95 @@ class TestEnumerateMitoses:
         ]
         triples = enumerate_mitoses(frames, mitosis_radius=30.0, n_neighbors=2)
         assert [(p.id, a.id, b.id) for p, a, b in triples] == [(0, 1, 2)]
+
+
+def reference_moves(props_by_frame, radius):
+    """Every ordered pair of adjacent frames, tested one at a time."""
+    out = []
+    for t in range(len(props_by_frame) - 1):
+        for p_i in sorted(props_by_frame[t], key=lambda p: p.id):
+            for p_j in sorted(props_by_frame[t + 1], key=lambda p: p.id):
+                if _dist(p_i, p_j) <= radius:
+                    out.append((p_i.id, p_j.id))
+    return out
+
+
+def reference_mitoses(props_by_frame, radius, n_neighbors=3):
+    out = []
+    for t in range(len(props_by_frame) - 1):
+        for parent in sorted(props_by_frame[t], key=lambda p: p.id):
+            near = [(d, _dist(parent, d)) for d in props_by_frame[t + 1] if _dist(parent, d) <= radius]
+            near.sort(key=lambda item: (item[1], item[0].id))
+            chosen = sorted(d.id for d, _ in near[:n_neighbors])
+            out.extend(
+                (parent.id, chosen[a], chosen[b])
+                for a in range(len(chosen))
+                for b in range(a + 1, len(chosen))
+            )
+    return out
+
+
+def random_frames(rng, n_frames=4):
+    """Frames of random masks with shuffled ids, so list order is not id order."""
+    frames = []
+    pid = 0
+    for t in range(n_frames):
+        frame = []
+        for _ in range(int(rng.integers(0, 9))):
+            bits = rng.random((int(rng.integers(1, 6)), int(rng.integers(1, 6)))) < 0.6
+            bits[0, 0] = True
+            x, y = (int(v) for v in rng.integers(0, 40, size=2))
+            frame.append(Proposal(id=pid, t=t, mask=Mask(x, y, bits), raw_score=0.5))
+            pid += 1
+        rng.shuffle(frame)
+        frames.append(frame)
+    return frames
+
+
+class TestGatingMatchesPairwiseLoop:
+    def test_random_frames(self):
+        rng = np.random.default_rng(8)
+        for _ in range(60):
+            frames = random_frames(rng)
+            radius = float(rng.uniform(0.0, 30.0))
+            moves = enumerate_moves(frames, radius)
+            assert [(a.id, b.id) for a, b in moves] == reference_moves(frames, radius)
+            n = int(rng.integers(1, 5))
+            triples = enumerate_mitoses(frames, radius, n_neighbors=n)
+            got = [(p.id, a.id, b.id) for p, a, b in triples]
+            assert got == reference_mitoses(frames, radius, n)
+
+    def test_pair_exactly_at_radius(self):
+        frames = [[prop(0, 0, 0, 0, size=1)], [prop(1, 1, 3, 4, size=1), prop(2, 1, 7, 1, size=1)]]
+        radius = _dist(frames[0][0], frames[1][0])
+        assert radius == 5.0
+        assert [(a.id, b.id) for a, b in enumerate_moves(frames, radius)] == [(0, 1)]
+        assert [(a.id, b.id) for a, b in enumerate_moves(frames, math.nextafter(radius, 0.0))] == []
+        # fractional centroids: squared distances round differently from
+        # math.hypot, and a pair at exactly the radius must still be kept
+        rng = np.random.default_rng(2)
+        for _ in range(5):
+            frames = random_frames(rng, n_frames=2)
+            for p_i in frames[0]:
+                for p_j in frames[1]:
+                    r = _dist(p_i, p_j)
+                    got = [(a.id, b.id) for a, b in enumerate_moves(frames, r)]
+                    assert got == reference_moves(frames, r)
+                    assert (p_i.id, p_j.id) in got
+
+    def test_equal_distance_daughters_tie_broken_by_id(self):
+        parent = prop(0, 0, 20, 20, size=1)
+        # four daughters at distance 5; with room for two, ids 3 and 5 win
+        daughters = [
+            prop(7, 1, 25, 20, size=1),
+            prop(5, 1, 20, 25, size=1),
+            prop(9, 1, 15, 20, size=1),
+            prop(3, 1, 20, 15, size=1),
+        ]
+        frames = [[parent], daughters]
+        triples = enumerate_mitoses(frames, mitosis_radius=5.0, n_neighbors=2)
+        assert [(p.id, a.id, b.id) for p, a, b in triples] == [(0, 3, 5)]
+        assert reference_mitoses(frames, 5.0, 2) == [(0, 3, 5)]
 
 
 class TestBuildGraph:

@@ -292,6 +292,33 @@ class TestOnRandomGraphs:
             assert greedy.objective >= brute.objective - 1e-9, f"seed {seed}"
 
 
+class TestBoundIsSound:
+    """The reported bound never exceeds the objective or the true optimum,
+    whether the search completes, stops within a gap tolerance, or runs out
+    of nodes."""
+
+    SETTINGS = ({}, {"gap_tolerance": 0.5}, {"max_nodes": 3})
+
+    def check(self, inst, label):
+        optimum = solve_bruteforce(inst).objective
+        for kwargs in self.SETTINGS:
+            res = solve(inst, **kwargs)
+            assert res.bound <= res.objective, (label, kwargs)
+            assert res.bound <= optimum + 1e-9, (label, kwargs)
+            assert res.gap == pytest.approx(res.objective - res.bound, abs=1e-12)
+            if res.status == "optimal":
+                assert res.objective == pytest.approx(optimum, abs=1e-9)
+
+    def test_random_instances(self):
+        for seed in range(60):
+            self.check(random_instance(np.random.default_rng(seed), max_vars=12), seed)
+
+    def test_random_graphs(self):
+        for seed in range(12):
+            inst, _ = formulate(random_graph(np.random.default_rng(seed)))
+            self.check(inst, seed)
+
+
 class TestStrictGapFixture:
     def test_exact_beats_greedy(self):
         g = strict_gap_graph()
