@@ -6,6 +6,9 @@ typed transitions with log-odds costs (`graph`), exact or greedy selection
 (`solve`), lineage extraction and scoring (`evaluate`), with a simulator
 (`sim`), file formats (`io`), and an end-to-end driver (`pipeline`, `cli`)
 around it.
+
+The exact solver is `lineage_ilp.solve.solve`; the package does not re-export
+it, so `lineage_ilp.solve` stays the submodule.
 """
 
 from .config import ConfigError, PipelineConfig, config_from_dict, config_to_dict, load_config
@@ -33,7 +36,6 @@ from .solve import (
     check_solution,
     extract_lineage,
     formulate,
-    solve,
     solve_bruteforce,
     solve_greedy,
 )
@@ -79,7 +81,6 @@ __all__ = [
     "run_track",
     "run_train",
     "simulate",
-    "solve",
     "solve_bruteforce",
     "solve_greedy",
     "tra_score",

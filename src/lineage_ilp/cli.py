@@ -64,7 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, help_text):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--threads", type=int, default=None, help="override the config thread count")
         return p
 
     p = add("simulate", "generate a synthetic dataset")
@@ -110,29 +109,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run(args) -> int:
-    overrides = dict(seed=args.seed, threads=args.threads)
     if args.command == "simulate":
-        cfg = load_config(args.config, **overrides)
+        cfg = load_config(args.config, seed=args.seed)
         run_simulate(cfg, args.out)
     elif args.command == "propose":
-        cfg = load_config(args.config, **overrides)
+        cfg = load_config(args.config, seed=args.seed)
         run_propose(cfg, args.data, args.out)
     elif args.command == "train":
-        cfg = load_config(args.config, **overrides)
+        cfg = load_config(args.config, seed=args.seed)
         run_train(cfg, args.data, args.proposals, args.out)
     elif args.command == "track":
-        cfg = load_config(args.config, **overrides)
+        cfg = load_config(args.config, seed=args.seed)
         run_track(cfg, args.data, args.proposals, args.model, args.out)
     elif args.command == "eval":
-        cfg = load_config(args.config, **overrides) if args.config else None
+        cfg = load_config(args.config, seed=args.seed) if args.config else None
         report = run_eval(args.data, args.result, args.out, cfg=cfg)
         sys.stdout.write(report_text(report))
     elif args.command == "e2e":
-        cfg = load_config(args.config, **overrides)
+        cfg = load_config(args.config, seed=args.seed)
         report = run_e2e(cfg, args.out)
         sys.stdout.write(report_text(report))
     elif args.command == "dump-graph":
-        cfg = load_config(args.config, **overrides)
+        cfg = load_config(args.config, seed=args.seed)
         run_dump_graph(cfg, args.data, args.proposals, args.model, args.out)
     else:  # pragma: no cover - argparse enforces the choices
         raise ConfigError(f"unknown command {args.command!r}")

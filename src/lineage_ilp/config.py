@@ -57,11 +57,6 @@ class ProposalsConfig:
 
 
 @dataclass
-class FeaturesConfig:
-    """Reserved: feature vectors have a fixed layout with nothing to tune yet."""
-
-
-@dataclass
 class ClassifyConfig:
     n_trees: int = 100
     max_depth: int = 12
@@ -99,9 +94,7 @@ class EvalConfig:
 @dataclass
 class PipelineConfig:
     seed: int = 0
-    threads: int = 0  # 0 = auto; a hint only, results never depend on it
     proposals: ProposalsConfig = field(default_factory=ProposalsConfig)
-    features: FeaturesConfig = field(default_factory=FeaturesConfig)
     classify: ClassifyConfig = field(default_factory=ClassifyConfig)
     graph: GraphConfig = field(default_factory=GraphConfig)
     solve: SolveConfig = field(default_factory=SolveConfig)
@@ -271,11 +264,9 @@ def validate_config(cfg: PipelineConfig) -> None:
     _require(cc.jitter_px >= 0, "sim.corruption.jitter_px: need a non-negative amount")
     _require(cc.score_noise >= 0, "sim.corruption.score_noise: need a non-negative amount")
 
-    _require(cfg.threads >= 0, "threads: need 0 (auto) or a positive count")
 
-
-def load_config(path, *, seed: int | None = None, threads: int | None = None) -> PipelineConfig:
-    """Read and validate a config file; optional seed/threads overrides."""
+def load_config(path, *, seed: int | None = None) -> PipelineConfig:
+    """Read and validate a config file; optional seed override."""
     try:
         with open(path, "r", encoding="ascii", errors="strict") as fh:
             text = fh.read()
@@ -290,9 +281,6 @@ def load_config(path, *, seed: int | None = None, threads: int | None = None) ->
     cfg = config_from_dict(doc)
     if seed is not None:
         cfg.seed = seed
-    if threads is not None:
-        cfg.threads = threads
-    if seed is not None or threads is not None:
         validate_config(cfg)
     return cfg
 

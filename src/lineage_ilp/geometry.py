@@ -210,15 +210,6 @@ def anchor_decode(d: BoxDelta, anchor: BBox) -> BBox:
     )
 
 
-def expand_box(b: BBox, margin: float, frame_w: float, frame_h: float) -> BBox:
-    """Grow a box by ``margin`` on every side, clipped to the frame."""
-    x1 = max(0.0, b.x - margin)
-    y1 = max(0.0, b.y - margin)
-    x2 = min(float(frame_w), b.x2 + margin)
-    y2 = min(float(frame_h), b.y2 + margin)
-    return BBox(x1, y1, x2 - x1, y2 - y1)
-
-
 def connected_components(binary: np.ndarray) -> list[Mask]:
     """8-connected components of a boolean grid as tight masks, ordered by the
     row-major position of each component's first pixel."""

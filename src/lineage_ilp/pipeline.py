@@ -457,6 +457,7 @@ def solve_graph(cfg: PipelineConfig, graph: TrackingGraph) -> tuple[SolveResult,
     else:
         result = solve(
             instance,
+            start=solve_greedy(graph, varmap).x,
             time_limit=cfg.solve.time_limit,
             gap_tolerance=cfg.solve.gap_tolerance,
             max_nodes=cfg.solve.max_nodes,

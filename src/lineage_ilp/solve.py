@@ -5,9 +5,11 @@ additive costs, and linear constraints with unit coefficients keeping the
 selection consistent (no conflicting proposals, every selected proposal
 explained once, flow through time, divisions picked atomically).
 
-solve() is a best-first branch and bound with unit propagation and a group
-decomposition lower bound; it proves optimality.  solve_greedy() repeatedly
-applies the cheapest feasible extension and serves as the fast approximation.
+solve() is a best-first branch and bound with unit propagation and a
+Lagrangian lower bound; it proves optimality, and it starts from a warm-start
+incumbent when given one (the pipeline passes the greedy selection), so it is
+never worse than that start.  solve_greedy() repeatedly applies the cheapest
+feasible extension and serves as the fast approximation.
 solve_bruteforce() enumerates every assignment and anchors the tests.
 """
 from __future__ import annotations
@@ -340,134 +342,6 @@ class _Propagator:
         return True
 
 
-def _derive_implied(constraints: list[LinearConstraint]) -> list[LinearConstraint]:
-    """From sum(S) = x_t and sum(S) = sum(O), conclude sum(O) = x_t.
-
-    The derived equalities are implied by the originals, so adding them
-    changes nothing about the solution set; they sharpen propagation and give
-    the bound groups for outgoing edges.
-    """
-    singles: dict[frozenset[int], list[int]] = {}
-    multis: dict[frozenset[int], list[tuple[int, ...]]] = {}
-    for c in constraints:
-        if c.sense != "==" or c.rhs != 0:
-            continue
-        pos = frozenset(i for i, co in zip(c.indices, c.coeffs) if co == 1)
-        neg = tuple(i for i, co in zip(c.indices, c.coeffs) if co == -1)
-        if not pos or not neg:
-            continue
-        if len(neg) == 1:
-            singles.setdefault(pos, []).append(neg[0])
-        else:
-            multis.setdefault(pos, []).append(neg)
-    derived = []
-    seen = set()
-    for pos, targets in singles.items():
-        for neg in multis.get(pos, []):
-            for t in targets:
-                if t in neg:
-                    continue
-                key = (neg, t)
-                if key in seen:
-                    continue
-                seen.add(key)
-                derived.append(
-                    LinearConstraint(neg + (t,), (1,) * len(neg) + (-1,), "==", 0)
-                )
-    return derived
-
-
-class _GroupBound:
-    """Lower bound from a cost decomposition over single-target equalities.
-
-    Every equality of the form sum(members) - target = 0 becomes a group.
-    Each variable's cost is split evenly over its group roles, so summing the
-    per-group minima never exceeds the cost of any feasible completion.
-    """
-
-    def __init__(self, instance: IlpInstance, extra: list[LinearConstraint]):
-        n = instance.n_vars
-        groups = []
-        for c in list(instance.constraints) + extra:
-            if c.sense != "==" or c.rhs != 0:
-                continue
-            neg = [i for i, co in zip(c.indices, c.coeffs) if co == -1]
-            pos = [i for i, co in zip(c.indices, c.coeffs) if co == 1]
-            if len(neg) == 1 and pos:
-                groups.append((neg[0], pos))
-        roles = np.zeros(n, dtype=np.int64)
-        for target, members in groups:
-            roles[target] += 1
-            for v in members:
-                roles[v] += 1
-        share = np.where(roles > 0, instance.costs / np.maximum(roles, 1), 0.0)
-
-        self.targets = np.array([t for t, _ in groups], dtype=np.intp)
-        self.t_share = share[self.targets] if groups else np.zeros(0)
-        members_flat = []
-        ptr = [0]
-        for _, members in groups:
-            members_flat.extend(members)
-            ptr.append(len(members_flat))
-        self.members_flat = np.array(members_flat, dtype=np.intp)
-        self.starts = np.array(ptr[:-1], dtype=np.intp)
-        self.m_share = share[self.members_flat] if members_flat else np.zeros(0)
-        self.ungrouped = roles == 0
-        self.u_costs = instance.costs[self.ungrouped]
-        # members that sit in exactly one group and are never a target can be
-        # switched on without disturbing any other group; the completion
-        # heuristic uses them to repair half-finished selections
-        member_count = np.zeros(n, dtype=np.int64)
-        target_count = np.zeros(n, dtype=np.int64)
-        for target, members in groups:
-            target_count[target] += 1
-            for v in members:
-                member_count[v] += 1
-        self.private_member = (member_count == 1) & (target_count == 0)
-
-    def bound(self, fixed: np.ndarray) -> float:
-        total = 0.0
-        if len(self.targets):
-            masked = np.where(
-                fixed[self.members_flat] == 0, np.inf, self.m_share
-            )
-            gmin = np.minimum.reduceat(masked, self.starts)
-            val = self.t_share + gmin
-            ts = fixed[self.targets]
-            contrib = np.where(
-                ts == 0, 0.0, np.where(ts == 1, val, np.minimum(0.0, val))
-            )
-            total += float(contrib.sum())
-        if self.ungrouped.any():
-            fu = fixed[self.ungrouped]
-            cu = self.u_costs
-            total += float(
-                np.where(fu == 1, cu, np.where(fu == 0, 0.0, np.minimum(cu, 0.0))).sum()
-            )
-        return total
-
-    def complete(self, fixed: np.ndarray) -> np.ndarray | None:
-        """Feasibility-oriented completion: zeros, then repair needy groups
-        with their cheapest private member.  May fail (returns None)."""
-        x = np.where(fixed == -1, 0, fixed).astype(np.int8)
-        for g in np.flatnonzero(fixed[self.targets] == 1):
-            members = self.members_flat[self.starts[g] : self._end(g)]
-            if x[members].sum() > 0:
-                continue
-            mask = (fixed[members] == -1) & self.private_member[members]
-            usable = members[mask]
-            if len(usable) == 0:
-                return None
-            shares = self.m_share[self.starts[g] : self._end(g)][mask]
-            x[usable[int(np.argmin(shares))]] = 1
-        return x
-
-    def _end(self, g: int) -> int:
-        return (
-            int(self.starts[g + 1]) if g + 1 < len(self.starts) else len(self.members_flat)
-        )
-
-
 class _DualBound:
     """Lower bound from Lagrangian-relaxed constraints.
 
@@ -567,6 +441,7 @@ def _constraint_components(instance: IlpInstance) -> np.ndarray:
 def solve(
     instance: IlpInstance,
     *,
+    start: np.ndarray | None = None,
     time_limit: float | None = None,
     gap_tolerance: float = 0.0,
     max_nodes: int | None = None,
@@ -579,9 +454,20 @@ def solve(
     changing the optimum.  Components split the time and node budgets, and a
     positive gap tolerance is divided between them so the summed gap stays
     within the requested one.
+
+    start is an optional warm start, a 0/1 vector over all variables (the
+    pipeline passes the greedy selection).  Each component takes its slice
+    as a candidate incumbent when that slice is feasible and ignores it
+    otherwise, so the result is never worse than a feasible start at any
+    time or node budget.
     """
     t0 = time.monotonic()
     n = instance.n_vars
+    if start is not None:
+        start = np.asarray(start)
+        if start.shape != (n,) or not np.isin(start, (0, 1)).all():
+            raise ValueError(f"start must be a 0/1 vector of length {n}")
+        start = start.astype(np.int8)
     if n == 0:
         return SolveResult("optimal", np.zeros(0, dtype=np.int8), 0.0, 0.0, 0.0, 0, 0.0)
     labels = _constraint_components(instance)
@@ -589,6 +475,7 @@ def solve(
     if n_comp == 1:
         return _solve_connected(
             instance,
+            start=start,
             time_limit=time_limit,
             gap_tolerance=gap_tolerance,
             max_nodes=max_nodes,
@@ -630,7 +517,13 @@ def solve(
         )
         rem_t = None if time_limit is None else max(0.0, time_limit - (time.monotonic() - t0))
         rem_n = None if max_nodes is None else max(1, max_nodes - nodes)
-        r = _solve_connected(sub, time_limit=rem_t, gap_tolerance=sub_tol, max_nodes=rem_n)
+        r = _solve_connected(
+            sub,
+            start=None if start is None else start[idx],
+            time_limit=rem_t,
+            gap_tolerance=sub_tol,
+            max_nodes=rem_n,
+        )
         nodes += r.nodes
         timed_out = timed_out or r.timed_out
         if r.status == "infeasible":
@@ -662,6 +555,7 @@ def solve(
 def _solve_connected(
     instance: IlpInstance,
     *,
+    start: np.ndarray | None = None,
     time_limit: float | None = None,
     gap_tolerance: float = 0.0,
     max_nodes: int | None = None,
@@ -669,28 +563,27 @@ def _solve_connected(
     """Best-first branch and bound on one connected component.
 
     Branches on the most negative undecided cost (ties to the lowest index),
-    propagates forced assignments, and prunes with the group bound.  The
-    initial incumbent is the all-zeros solution when feasible.  Completing
-    the search proves optimality; hitting the time or node limit reports the
-    incumbent with its remaining gap.
+    propagates forced assignments, and prunes with the Lagrangian bound of
+    _DualBound.  The first incumbent is the better feasible one of the root's
+    propagated values with every undecided variable at zero (the all-zeros
+    selection when that is feasible) and the warm start; later incumbents are
+    the complete assignments the search reaches.  Completing the search
+    proves optimality; hitting the time or node limit reports the incumbent
+    with its remaining gap.
     """
     t0 = time.monotonic()
     n = instance.n_vars
     if n == 0:
         return SolveResult("optimal", np.zeros(0, dtype=np.int8), 0.0, 0.0, 0.0, 0, 0.0)
-    derived = _derive_implied(instance.constraints)
-    prop = _Propagator(list(instance.constraints) + derived, n)
-    bounder = _GroupBound(instance, derived)
+    prop = _Propagator(instance.constraints, n)
     checker = _FastCheck(instance.constraints)
     costs = instance.costs
 
     incumbent_x: np.ndarray | None = None
     incumbent_obj = np.inf
 
-    def try_candidate(x: np.ndarray | None) -> None:
+    def try_candidate(x: np.ndarray) -> None:
         nonlocal incumbent_x, incumbent_obj
-        if x is None:
-            return
         obj = float(costs @ x)
         if obj < incumbent_obj and checker.feasible(x):
             incumbent_x = x.copy()
@@ -702,16 +595,15 @@ def _solve_connected(
         return SolveResult(
             "infeasible", None, None, None, None, 0, time.monotonic() - t0
         )
-    try_candidate(bounder.complete(root))
+    try_candidate(np.maximum(root, 0))
+    if start is not None:
+        try_candidate(start)
 
     dual = _DualBound(instance, incumbent_obj)
 
-    def node_bound(fixed: np.ndarray) -> float:
-        return max(bounder.bound(fixed), dual.bound(fixed))
-
     counter = 0
     heap: list[tuple[float, int, np.ndarray]] = []
-    heapq.heappush(heap, (node_bound(root), counter, root))
+    heapq.heappush(heap, (dual.bound(root), counter, root))
     # Least bound of any node cut off against the incumbent.  With a gap
     # tolerance such a node may still hold a better solution, so the
     # reported bound cannot exceed it.
@@ -746,11 +638,10 @@ def _solve_connected(
             if not (child == -1).any():
                 try_candidate(child.astype(np.int8))
                 continue
-            cb = node_bound(child)
+            cb = dual.bound(child)
             if cb >= incumbent_obj - gap_tolerance:
                 pruned_bound = min(pruned_bound, cb)
                 continue
-            try_candidate(bounder.complete(child))
             counter += 1
             heapq.heappush(heap, (cb, counter, child))
 

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import importlib
 
-# the package re-exports solve() as a top-level function, which shadows the
-# submodule attribute that `import lineage_ilp.solve as ...` would bind
+# the pipeline module is patched below, so bind it (and the solver module)
+# before any test module imports names from them
 pipeline_mod = importlib.import_module("lineage_ilp.pipeline")
 solve_mod = importlib.import_module("lineage_ilp.solve")
 

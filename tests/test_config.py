@@ -28,7 +28,6 @@ class TestFromDict:
         cfg = config_from_dict(
             {
                 "seed": 9,
-                "threads": 2,
                 "proposals": {"generator": "log", "levels": 5},
                 "graph": {"p_enter": 0.2, "gating_radius": 12.5},
                 "solve": {"backend": "greedy", "time_limit": 30.0},
@@ -36,7 +35,6 @@ class TestFromDict:
             }
         )
         assert cfg.seed == 9
-        assert cfg.threads == 2
         assert cfg.proposals.generator == "log"
         assert cfg.proposals.levels == 5
         assert cfg.graph.p_enter == 0.2
@@ -96,7 +94,7 @@ class TestValidation:
         "doc",
         [
             {"seed": -1},
-            {"threads": -2},
+            {"threads": 0},
             {"proposals": {"generator": "magic"}},
             {"proposals": {"levels": 1}},
             {"proposals": {"span": [1.5, 0.5]}},
@@ -155,11 +153,11 @@ class TestRoundTrip:
 class TestLoadConfig:
     def test_load_and_overrides(self, tmp_path):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"seed": 1, "threads": 4}))
+        path.write_text(json.dumps({"seed": 1}))
         cfg = load_config(path)
-        assert (cfg.seed, cfg.threads) == (1, 4)
-        cfg = load_config(path, seed=99, threads=0)
-        assert (cfg.seed, cfg.threads) == (99, 0)
+        assert cfg.seed == 1
+        cfg = load_config(path, seed=99)
+        assert cfg.seed == 99
 
     def test_override_is_validated(self, tmp_path):
         path = tmp_path / "cfg.json"

@@ -13,7 +13,6 @@ from lineage_ilp.geometry import (
     boundary_mask,
     connected_components,
     disk_offsets,
-    expand_box,
     iou_box,
     iou_mask,
     label_masks,
@@ -170,17 +169,6 @@ class TestAnchors:
     def test_degenerate_anchor_rejected(self):
         with pytest.raises(ValueError):
             anchor_encode(BBox(0, 0, 1, 1), BBox(0, 0, 0, 1))
-
-
-class TestExpandBox:
-    def test_interior(self):
-        assert expand_box(BBox(5, 5, 10, 10), 3, 100, 100) == BBox(2, 2, 16, 16)
-
-    def test_clipped_at_origin(self):
-        assert expand_box(BBox(0, 0, 10, 10), 3, 100, 100) == BBox(0, 0, 13, 13)
-
-    def test_clipped_at_far_edge(self):
-        assert expand_box(BBox(95, 90, 5, 10), 3, 100, 100) == BBox(92, 87, 8, 13)
 
 
 class TestConnectedComponents:

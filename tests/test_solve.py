@@ -3,14 +3,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from support import random_graph, random_instance, strict_gap_graph
 
+from lineage_ilp.config import config_from_dict
 from lineage_ilp.io import validate_tracks
+from lineage_ilp.pipeline import solve_graph
 from lineage_ilp.solve import (
     IlpInstance,
     LinearConstraint,
-    _derive_implied,
-    _GroupBound,
+    _DualBound,
     _Propagator,
     check_solution,
     extract_lineage,
@@ -148,35 +151,14 @@ class TestPropagation:
         np.testing.assert_array_equal(fixed, [1, 1, 1])
 
 
-class TestDerivedConstraints:
-    def test_out_equality_derived(self):
-        cons = [
-            LinearConstraint((1, 2, 0), (1, 1, -1), "==", 0),
-            LinearConstraint((1, 2, 3, 4), (1, 1, -1, -1), "==", 0),
-        ]
-        derived = _derive_implied(cons)
-        assert len(derived) == 1
-        d = derived[0]
-        assert set(zip(d.indices, d.coeffs)) == {(3, 1), (4, 1), (0, -1)}
-        assert d.sense == "==" and d.rhs == 0
-
-    def test_no_match_no_derivation(self):
-        cons = [
-            LinearConstraint((1, 2, 0), (1, 1, -1), "==", 0),
-            LinearConstraint((1, 3, 4), (1, -1, -1), "==", 0),
-        ]
-        assert _derive_implied(cons) == []
-
-
-class TestGroupBound:
+class TestDualBound:
     def test_sound_against_bruteforce(self):
         for seed in range(60):
             rng = np.random.default_rng(seed)
             inst = random_instance(rng, max_vars=14)
             n = inst.n_vars
-            derived = _derive_implied(inst.constraints)
-            bounder = _GroupBound(inst, derived)
-            prop = _Propagator(list(inst.constraints) + derived, n)
+            bounder = _DualBound(inst, 0.0)  # all zeros is feasible
+            prop = _Propagator(inst.constraints, n)
             fixed = np.full(n, -1, dtype=np.int8)
             for v in rng.choice(n, size=rng.integers(0, n // 2 + 1), replace=False):
                 fixed[v] = rng.integers(0, 2)
@@ -191,7 +173,7 @@ class TestGroupBound:
     def test_dominates_flat_bound_on_tracking_instance(self):
         g = random_graph(np.random.default_rng(3))
         inst, _ = formulate(g)
-        bounder = _GroupBound(inst, _derive_implied(inst.constraints))
+        bounder = _DualBound(inst, 0.0)
         root = np.full(inst.n_vars, -1, dtype=np.int8)
         flat = float(np.minimum(inst.costs, 0.0).sum())
         assert bounder.bound(root) >= flat - 1e-12
@@ -317,6 +299,57 @@ class TestBoundIsSound:
         for seed in range(12):
             inst, _ = formulate(random_graph(np.random.default_rng(seed)))
             self.check(inst, seed)
+
+
+class TestWarmStart:
+    """The exact solver takes a warm start as its first incumbent when it is
+    feasible and ignores it otherwise; the pipeline passes the greedy
+    selection, so exact is never worse than greedy at any node budget."""
+
+    def test_any_start_keeps_the_optimum(self):
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            inst = random_instance(rng, max_vars=14)
+            start = rng.integers(0, 2, size=inst.n_vars)
+            res = solve(inst, start=start)
+            brute = solve_bruteforce(inst)
+            assert res.status == "optimal", seed
+            assert res.objective == pytest.approx(brute.objective, abs=1e-9), seed
+            assert res.bound <= res.objective, seed
+
+    def test_feasible_start_is_the_first_incumbent(self):
+        for seed in range(30):
+            inst = random_instance(np.random.default_rng(seed), max_vars=14)
+            brute = solve_bruteforce(inst)
+            res = solve(inst, start=brute.x, max_nodes=1)
+            assert res.objective == pytest.approx(brute.objective, abs=1e-9), seed
+
+    def test_malformed_start_is_rejected(self):
+        inst = random_instance(np.random.default_rng(1), max_vars=8)
+        with pytest.raises(ValueError):
+            solve(inst, start=np.zeros(inst.n_vars + 1))
+        with pytest.raises(ValueError):
+            solve(inst, start=np.full(inst.n_vars, 2))
+
+    def test_pipeline_exact_never_worse_than_greedy_at_one_node(self):
+        cfg = config_from_dict({"solve": {"max_nodes": 1}})
+        graphs = [strict_gap_graph()] + [
+            random_graph(np.random.default_rng(seed)) for seed in range(20)
+        ]
+        for k, g in enumerate(graphs):
+            exact, _ = solve_graph(cfg, g)
+            greedy = solve_greedy(g, formulate(g)[1])
+            assert exact.objective <= greedy.objective + 1e-9, k
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), max_nodes=st.integers(1, 200))
+    def test_property_checked_bounded_and_no_worse_than_greedy(self, seed, max_nodes):
+        g = random_graph(np.random.default_rng(seed))
+        inst, vm = formulate(g)
+        exact, _ = solve_graph(config_from_dict({"solve": {"max_nodes": max_nodes}}), g)
+        assert check_solution(inst, exact.x) == []
+        assert exact.bound <= exact.objective
+        assert exact.objective <= solve_greedy(g, vm).objective + 1e-9
 
 
 class TestStrictGapFixture:
