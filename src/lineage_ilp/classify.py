@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .evaluate import GroundTruth, captured_marker, markers_inside
-from .io import FormatError, loads_json, read_json_file, write_json_file
+from .io import FormatError, read_json_file, write_json_file
 from .proposals import Proposal
 
 FOREST_SCHEMA_VERSION = 1
@@ -377,16 +377,6 @@ def forest_from_json(obj: dict) -> RandomForest:
     return forest
 
 
-def save_forest(forest: RandomForest, path) -> None:
-    write_json_file(path, forest_to_json(forest))
-
-
-def load_forest(path) -> RandomForest:
-    return forest_from_json(
-        read_json_file(path, kind="random_forest", supported_versions=(FOREST_SCHEMA_VERSION,))
-    )
-
-
 def model_to_json(model: RandomForest | ConstantModel) -> dict:
     if isinstance(model, ConstantModel):
         return {
@@ -418,22 +408,8 @@ def save_model(model: RandomForest | ConstantModel, path) -> None:
 
 
 def load_model(path) -> RandomForest | ConstantModel:
-    try:
-        with open(path, "r", encoding="ascii", errors="strict") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise FormatError(f"unreadable file: {exc}", path=str(path)) from exc
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"non-ASCII byte: {exc}", path=str(path)) from exc
-    obj = loads_json(text, path=str(path))
-    if not isinstance(obj, dict):
-        raise FormatError("classifier document must be a JSON object", path=str(path))
-    version = obj.get("schema_version")
-    if version not in (FOREST_SCHEMA_VERSION,):
-        raise FormatError(
-            f"unsupported classifier schema_version {version!r}", path=str(path)
-        )
-    return model_from_json(obj)
+    kinds = ("random_forest", "constant_model")
+    return model_from_json(read_json_file(path, kinds, (FOREST_SCHEMA_VERSION,)))
 
 
 def roc_auc(labels: np.ndarray, scores: np.ndarray) -> float:

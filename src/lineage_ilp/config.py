@@ -81,7 +81,6 @@ class GraphConfig:
 class SolveConfig:
     backend: str = "exact"  # "exact" | "greedy"
     time_limit: float | None = None
-    gap_tolerance: float = 0.0
     max_nodes: int | None = None
 
 
@@ -239,7 +238,6 @@ def validate_config(cfg: PipelineConfig) -> None:
     s = cfg.solve
     _require(s.backend in ("exact", "greedy"), f"solve.backend: unknown backend {s.backend!r}")
     _require(s.time_limit is None or s.time_limit > 0, "solve.time_limit: need null or a positive limit")
-    _require(s.gap_tolerance >= 0, "solve.gap_tolerance: need a non-negative tolerance")
     _require(s.max_nodes is None or s.max_nodes >= 1, "solve.max_nodes: need null or at least 1")
 
     for key, value in cfg.eval.weights.items():

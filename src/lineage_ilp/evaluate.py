@@ -365,6 +365,7 @@ def tra_score(
     gt: GroundTruth,
     *,
     weights: dict[str, float] | None = None,
+    cells: dict[int, dict[int, Mask]] | None = None,
 ) -> TraResult:
     """Acyclic-graph edit cost between the result lineage and the reference.
 
@@ -376,7 +377,8 @@ def tra_score(
     through uniquely matched endpoints; reference edges without a counterpart
     cost ea, result edges without one ed2, class mismatches ec.  The score
     normalises the weighted sum by the cost of building the reference from
-    nothing, so 1.0 is perfect and an empty result scores 0.0.
+    nothing, so 1.0 is perfect and an empty result scores 0.0.  ``cells`` is
+    ``gt_cell_masks(gt)`` when the caller already has it.
     """
     by_id = {p.id: p for p in props}
     selected = sorted(
@@ -390,36 +392,35 @@ def tra_score(
         for tid in sorted(tid for tid, _, _ in rows)
     ]
     node_set = set(gt_nodes)
-    cells = gt_cell_masks(gt) if gt.label_grids is not None else None
+    if cells is None and gt.label_grids is not None:
+        cells = gt_cell_masks(gt)
 
-    unmatched = set(gt_nodes)
+    # frame -> reference cells not yet claimed
+    unmatched = {t: {tid for tid, _, _ in rows} for t, rows in gt.markers.items()}
     node_match: dict[int, tuple[int, int] | None] = {}
     fp = ns = 0
     for pid in selected:
         p = by_id[pid]
+        left = unmatched.get(p.t, set())
         if cells is not None:
             hits = []
-            for _, tid in sorted(key for key in unmatched if key[0] == p.t):
+            for tid in sorted(left):
                 cell = cells.get(p.t, {}).get(tid)
                 if cell is not None and 2 * mask_intersection_area(p.mask, cell) > cell.area:
-                    hits.append((p.t, tid))
+                    hits.append(tid)
         else:
-            hits = [
-                (p.t, tid)
-                for tid in markers_inside(p, gt.markers_at(p.t))
-                if (p.t, tid) in unmatched
-            ]
+            hits = [tid for tid in markers_inside(p, gt.markers_at(p.t)) if tid in left]
         if not hits:
             fp += 1
             node_match[pid] = None
         elif len(hits) == 1:
-            unmatched.discard(hits[0])
-            node_match[pid] = hits[0]
+            left.discard(hits[0])
+            node_match[pid] = (p.t, hits[0])
         else:
             ns += len(hits) - 1
-            unmatched -= set(hits)
+            left.difference_update(hits)
             node_match[pid] = None
-    fn = len(unmatched)
+    fn = sum(len(left) for left in unmatched.values())
 
     spans = {row.label: row for row in gt.tracks}
     gt_edges: dict[tuple[tuple[int, int], tuple[int, int]], str] = {}
@@ -471,10 +472,18 @@ def tra_score(
 # SEG: mask agreement of matched cells
 
 
-def seg_score(props: list[Proposal], lineage: Lineage, gt: GroundTruth) -> float:
+def seg_score(
+    props: list[Proposal],
+    lineage: Lineage,
+    gt: GroundTruth,
+    *,
+    cells: dict[int, dict[int, Mask]] | None = None,
+) -> float:
     """Mean overlap between each reference region and the selected proposal that
-    majority-covers it (zero when none does).  Needs label grids."""
-    cells = gt_cell_masks(gt)
+    majority-covers it (zero when none does).  Needs label grids, or their
+    ``gt_cell_masks(gt)`` as ``cells``."""
+    if cells is None:
+        cells = gt_cell_masks(gt)
     by_id = {p.id: p for p in props}
     selected_by_frame: dict[int, list[int]] = {}
     for members in lineage.members.values():
@@ -527,8 +536,9 @@ def evaluate_tracking(
     switched off); graph coverage fractions are included when the candidate
     graph is supplied.
     """
-    tra = tra_score(props, lineage, gt, weights=weights)
-    seg = seg_score(props, lineage, gt) if with_seg and gt.label_grids is not None else None
+    cells = gt_cell_masks(gt) if gt.label_grids is not None else None
+    tra = tra_score(props, lineage, gt, weights=weights, cells=cells)
+    seg = seg_score(props, lineage, gt, cells=cells) if with_seg and cells is not None else None
     dp, dr, df1 = division_metrics(props, lineage, gt)
     recalls = graph_recall(graph, gt) if graph is not None else None
     return EvalReport(

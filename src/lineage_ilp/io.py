@@ -485,8 +485,11 @@ def write_json_file(path, obj) -> None:
         fh.write(dumps_json(obj) + "\n")
 
 
-def read_json_file(path, kind: str, supported_versions: tuple[int, ...]):
-    """Load a versioned JSON document and check its schema_version."""
+def read_json_file(path, kind: str | tuple[str, ...], supported_versions: tuple[int, ...]):
+    """Load a versioned JSON document and check its kind (one name, or a
+    tuple of allowed names) and its schema_version."""
+    kinds = (kind,) if isinstance(kind, str) else kind
+    name = " or ".join(kinds)
     try:
         with open(path, "r", encoding="ascii", errors="strict") as fh:
             text = fh.read()
@@ -496,14 +499,15 @@ def read_json_file(path, kind: str, supported_versions: tuple[int, ...]):
         raise FormatError(f"non-ASCII byte: {exc}", path=str(path)) from exc
     obj = loads_json(text, path=str(path))
     if not isinstance(obj, dict):
-        raise FormatError(f"{kind} document must be a JSON object", path=str(path))
+        raise FormatError(f"{name} document must be a JSON object", path=str(path))
     got = obj.get("kind")
-    if got != kind:
-        raise FormatError(f"expected a {kind!r} document, got kind {got!r}", path=str(path))
+    if got not in kinds:
+        wanted = " or ".join(map(repr, kinds))
+        raise FormatError(f"expected a {wanted} document, got kind {got!r}", path=str(path))
     version = obj.get("schema_version")
     if version not in supported_versions:
         raise FormatError(
-            f"unsupported {kind} schema_version {version!r}; supported: {list(supported_versions)}",
+            f"unsupported {name} schema_version {version!r}; supported: {list(supported_versions)}",
             path=str(path),
         )
     return obj

@@ -459,7 +459,6 @@ def solve_graph(cfg: PipelineConfig, graph: TrackingGraph) -> tuple[SolveResult,
             instance,
             start=solve_greedy(graph, varmap).x,
             time_limit=cfg.solve.time_limit,
-            gap_tolerance=cfg.solve.gap_tolerance,
             max_nodes=cfg.solve.max_nodes,
         )
         if result.timed_out and result.status != "optimal":

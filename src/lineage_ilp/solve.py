@@ -248,52 +248,70 @@ def solve_bruteforce(instance: IlpInstance, chunk_bits: int = 16) -> SolveResult
 # Branch and bound
 
 
-class _FastCheck:
-    """Vectorized feasibility test over complete assignments."""
+@dataclass
+class _Rows:
+    """The constraints as one sparse form, kept in constraint order: per
+    entry its row, column and coefficient; per row its rhs and sense."""
 
-    def __init__(self, constraints: list[LinearConstraint]):
-        idx = []
-        coef = []
-        starts = [0]
-        for c in constraints:
-            idx.extend(c.indices)
-            coef.extend(c.coeffs)
-            starts.append(len(idx))
-        self.idx = np.array(idx, dtype=np.intp)
-        self.coef = np.array(coef, dtype=np.float64)
-        self.starts = np.array(starts[:-1], dtype=np.intp)
-        self.rhs = np.array([c.rhs for c in constraints], dtype=np.float64)
-        self.is_eq = np.array([c.sense == "==" for c in constraints])
+    row: np.ndarray
+    col: np.ndarray
+    coef: np.ndarray
+    rhs: np.ndarray
+    is_eq: np.ndarray
+    n_vars: int
+
+    @classmethod
+    def build(cls, constraints: list[LinearConstraint], n_vars: int) -> _Rows:
+        return cls(
+            row=np.repeat(np.arange(len(constraints)), [len(c.indices) for c in constraints]),
+            col=np.array([i for c in constraints for i in c.indices], dtype=np.intp),
+            coef=np.array([co for c in constraints for co in c.coeffs], dtype=np.float64),
+            rhs=np.array([c.rhs for c in constraints], dtype=np.float64),
+            is_eq=np.array([c.sense == "==" for c in constraints], dtype=bool),
+            n_vars=n_vars,
+        )
+
+    def take(self, cols: np.ndarray) -> _Rows:
+        """The rows over the ascending columns ``cols``, both renumbered from
+        zero; ``cols`` must hold every column of those rows."""
+        entries = np.flatnonzero(np.isin(self.col, cols))
+        rows, row = np.unique(self.row[entries], return_inverse=True)
+        return _Rows(
+            row,
+            np.searchsorted(cols, self.col[entries]),
+            self.coef[entries],
+            self.rhs[rows],
+            self.is_eq[rows],
+            len(cols),
+        )
 
     def feasible(self, x: np.ndarray) -> bool:
-        if len(self.rhs) == 0:
-            return True
-        vals = np.add.reduceat(self.coef * x[self.idx], self.starts)
-        if not (vals[self.is_eq] == self.rhs[self.is_eq]).all():
-            return False
-        return bool((vals[~self.is_eq] <= self.rhs[~self.is_eq]).all())
+        """Whether the complete 0/1 assignment x satisfies every row."""
+        vals = np.bincount(self.row, self.coef * x[self.col], minlength=len(self.rhs))
+        eq = self.is_eq
+        return bool((vals[eq] == self.rhs[eq]).all() and (vals[~eq] <= self.rhs[~eq]).all())
 
 
 class _Propagator:
-    """Worklist unit propagation over the constraints.
+    """Worklist unit propagation over the rows.
 
     fixed[v] is -1 (undecided), 0, or 1.  Propagation fixes a variable only
     when its value is forced, so a fixpoint with everything fixed is feasible.
     """
 
-    def __init__(self, constraints: list[LinearConstraint], n_vars: int):
-        self.idx = [np.array(c.indices, dtype=np.intp) for c in constraints]
-        self.coef = [np.array(c.coeffs, dtype=np.int8) for c in constraints]
-        self.rhs = [c.rhs for c in constraints]
-        self.is_eq = [c.sense == "==" for c in constraints]
-        self.watch: list[list[int]] = [[] for _ in range(n_vars)]
+    def __init__(self, rows: _Rows):
+        cuts = np.searchsorted(rows.row, np.arange(len(rows.rhs) + 1))
+        self.idx = [rows.col[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
+        self.coef = [rows.coef[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
+        self.rhs = rows.rhs.tolist()
+        self.is_eq = rows.is_eq.tolist()
+        self.watch: list[list[int]] = [[] for _ in range(rows.n_vars)]
         for ci, arr in enumerate(self.idx):
             for v in arr:
                 self.watch[v].append(ci)
 
     def run(self, fixed: np.ndarray, seeds) -> bool:
-        m = len(self.idx)
-        in_queue = np.zeros(m, dtype=bool)
+        in_queue = np.zeros(len(self.idx), dtype=bool)
         queue: deque[int] = deque()
         for ci in seeds:
             if not in_queue[ci]:
@@ -327,14 +345,9 @@ class _Propagator:
                     to_zero, to_one = idx[pos_und], idx[neg_und]
             if to_zero is None:
                 continue
-            changed = []
-            for v in to_zero:
-                fixed[v] = 0
-                changed.append(v)
-            for v in to_one:
-                fixed[v] = 1
-                changed.append(v)
-            for v in changed:
+            fixed[to_zero] = 0
+            fixed[to_one] = 1
+            for v in (*to_zero, *to_one):
                 for cj in self.watch[v]:
                     if not in_queue[cj]:
                         in_queue[cj] = True
@@ -357,33 +370,21 @@ class _DualBound:
     ITERATIONS = 1200
     STALL = 60
 
-    def __init__(self, instance: IlpInstance, ub_hint: float):
-        rows_i, rows_v, rows_c = [], [], []
-        for k, c in enumerate(instance.constraints):
-            for i, co in zip(c.indices, c.coeffs):
-                rows_i.append(k)
-                rows_v.append(i)
-                rows_c.append(float(co))
-        self.rows_i = np.array(rows_i, dtype=np.intp)
-        self.rows_v = np.array(rows_v, dtype=np.intp)
-        self.rows_c = np.array(rows_c, dtype=np.float64)
-        self.rhs = np.array([float(c.rhs) for c in instance.constraints])
-        self.is_ineq = np.array([c.sense == "<=" for c in instance.constraints])
-        self.costs = instance.costs
-        self.offset = 0.0
-        self.reduced = instance.costs.copy()
-        if len(instance.constraints):
-            self._ascend(ub_hint)
+    def __init__(self, rows: _Rows, costs: np.ndarray, ub_hint: float):
+        self.rows = rows
+        self.costs = costs
+        self._ascend(ub_hint)  # with no rows the subgradient is empty and it stops at once
 
     def _priced(self, lam: np.ndarray) -> tuple[float, np.ndarray]:
         ctil = self.costs.copy()
-        np.add.at(ctil, self.rows_v, self.rows_c * lam[self.rows_i])
-        value = float(np.minimum(0.0, ctil).sum() - lam @ self.rhs)
+        rows = self.rows
+        np.add.at(ctil, rows.col, rows.coef * lam[rows.row])
+        value = float(np.minimum(0.0, ctil).sum() - lam @ rows.rhs)
         return value, ctil
 
     def _ascend(self, ub_hint: float) -> None:
-        m = len(self.rhs)
-        lam = np.zeros(m)
+        rows = self.rows
+        lam = np.zeros(len(rows.rhs))
         best, best_ctil = self._priced(lam)
         best_lam = lam.copy()
         ub = ub_hint if np.isfinite(ub_hint) else 0.0
@@ -403,14 +404,14 @@ class _DualBound:
                     if mu < 1e-4:
                         break
             x = (ctil < 0.0).astype(np.float64)
-            sg = -self.rhs.copy()
-            np.add.at(sg, self.rows_i, self.rows_c * x[self.rows_v])
+            sg = -rows.rhs
+            np.add.at(sg, rows.row, rows.coef * x[rows.col])
             norm2 = float(sg @ sg)
             if norm2 == 0.0:
                 break
             lam = lam + (mu * max(ub - value, 1e-9) / norm2) * sg
-            np.maximum(lam, 0.0, where=self.is_ineq, out=lam)
-        self.offset = float(-best_lam @ self.rhs)
+            np.maximum(lam, 0.0, where=~rows.is_eq, out=lam)
+        self.offset = float(-best_lam @ rows.rhs)
         self.reduced = best_ctil
 
     def bound(self, fixed: np.ndarray) -> float:
@@ -419,9 +420,10 @@ class _DualBound:
         return self.offset + float(contrib.sum())
 
 
-def _constraint_components(instance: IlpInstance) -> np.ndarray:
-    """Component label per variable; variables tied by a constraint share one."""
-    parent = np.arange(instance.n_vars, dtype=np.intp)
+def _constraint_components(rows: _Rows) -> np.ndarray:
+    """Component label per variable; variables tied by a row share one.
+    Labels follow the ascending union-find root."""
+    parent = np.arange(rows.n_vars, dtype=np.intp)
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -429,11 +431,13 @@ def _constraint_components(instance: IlpInstance) -> np.ndarray:
             i = parent[i]
         return i
 
-    for c in instance.constraints:
-        r = find(c.indices[0])
-        for j in c.indices[1:]:
+    last = -1
+    for ri, j in zip(rows.row.tolist(), rows.col.tolist()):
+        if ri != last:  # the row's first column: its root absorbs the rest
+            last, r = ri, find(j)
+        else:
             parent[find(j)] = r
-    roots = np.array([find(i) for i in range(instance.n_vars)], dtype=np.intp)
+    roots = np.array([find(i) for i in range(rows.n_vars)], dtype=np.intp)
     _, labels = np.unique(roots, return_inverse=True)
     return labels
 
@@ -443,7 +447,6 @@ def solve(
     *,
     start: np.ndarray | None = None,
     time_limit: float | None = None,
-    gap_tolerance: float = 0.0,
     max_nodes: int | None = None,
 ) -> SolveResult:
     """Best-first branch and bound, component by component.
@@ -451,9 +454,10 @@ def solve(
     Constraints never cross connected components of the variable-constraint
     graph and costs are additive, so each component is solved independently
     and the answers summed; this keeps the search spaces small without
-    changing the optimum.  Components split the time and node budgets, and a
-    positive gap tolerance is divided between them so the summed gap stays
-    within the requested one.
+    changing the optimum.  Components are solved in a fixed order and share
+    the time and node budgets: max_nodes caps the nodes summed over all of
+    them.  A variable in no constraint is taken exactly when its cost is
+    negative, without search.
 
     start is an optional warm start, a 0/1 vector over all variables (the
     pipeline passes the greedy selection).  Each component takes its slice
@@ -468,60 +472,32 @@ def solve(
         if start.shape != (n,) or not np.isin(start, (0, 1)).all():
             raise ValueError(f"start must be a 0/1 vector of length {n}")
         start = start.astype(np.int8)
-    if n == 0:
-        return SolveResult("optimal", np.zeros(0, dtype=np.int8), 0.0, 0.0, 0.0, 0, 0.0)
-    labels = _constraint_components(instance)
-    n_comp = int(labels.max()) + 1
-    if n_comp == 1:
-        return _solve_connected(
-            instance,
-            start=start,
-            time_limit=time_limit,
-            gap_tolerance=gap_tolerance,
-            max_nodes=max_nodes,
-        )
-
-    constrained = np.zeros(n, dtype=bool)
-    for c in instance.constraints:
-        for i in c.indices:
-            constrained[i] = True
+    rows = _Rows.build(instance.constraints, n)
+    labels = _constraint_components(rows)
 
     x = np.zeros(n, dtype=np.int8)
-    objective = 0.0
     bound = 0.0
     nodes = 0
     timed_out = False
     all_optimal = True
     have_x = True
-    sub_tol = gap_tolerance / n_comp
-    for comp in range(n_comp):
+    for comp in range(int(labels.max(initial=-1)) + 1):  # none when there are no variables
         idx = np.flatnonzero(labels == comp)
-        if len(idx) == 1 and not constrained[idx[0]]:
-            # unconstrained variable: take it exactly when it pays
+        sub = rows.take(idx)
+        if len(sub.rhs) == 0:
+            # a variable in no constraint: take it exactly when it pays
             c = float(instance.costs[idx[0]])
             if c < 0.0:
                 x[idx[0]] = 1
-                objective += c
                 bound += c
             continue
-        remap = {int(old): new for new, old in enumerate(idx)}
-        sub = IlpInstance(
-            costs=instance.costs[idx],
-            constraints=[
-                LinearConstraint(
-                    tuple(remap[i] for i in c.indices), c.coeffs, c.sense, c.rhs
-                )
-                for c in instance.constraints
-                if c.indices[0] in remap
-            ],
-        )
         rem_t = None if time_limit is None else max(0.0, time_limit - (time.monotonic() - t0))
-        rem_n = None if max_nodes is None else max(1, max_nodes - nodes)
+        rem_n = None if max_nodes is None else max(0, max_nodes - nodes)
         r = _solve_connected(
             sub,
+            instance.costs[idx],
             start=None if start is None else start[idx],
             time_limit=rem_t,
-            gap_tolerance=sub_tol,
             max_nodes=rem_n,
         )
         nodes += r.nodes
@@ -536,7 +512,6 @@ def solve(
             have_x = False
         elif have_x:
             x[idx] = r.x
-            objective += float(r.objective)
 
     runtime = time.monotonic() - t0
     if not have_x:
@@ -553,11 +528,11 @@ def solve(
 
 
 def _solve_connected(
-    instance: IlpInstance,
+    rows: _Rows,
+    costs: np.ndarray,
     *,
     start: np.ndarray | None = None,
     time_limit: float | None = None,
-    gap_tolerance: float = 0.0,
     max_nodes: int | None = None,
 ) -> SolveResult:
     """Best-first branch and bound on one connected component.
@@ -572,12 +547,7 @@ def _solve_connected(
     with its remaining gap.
     """
     t0 = time.monotonic()
-    n = instance.n_vars
-    if n == 0:
-        return SolveResult("optimal", np.zeros(0, dtype=np.int8), 0.0, 0.0, 0.0, 0, 0.0)
-    prop = _Propagator(instance.constraints, n)
-    checker = _FastCheck(instance.constraints)
-    costs = instance.costs
+    prop = _Propagator(rows)
 
     incumbent_x: np.ndarray | None = None
     incumbent_obj = np.inf
@@ -585,11 +555,11 @@ def _solve_connected(
     def try_candidate(x: np.ndarray) -> None:
         nonlocal incumbent_x, incumbent_obj
         obj = float(costs @ x)
-        if obj < incumbent_obj and checker.feasible(x):
+        if obj < incumbent_obj and rows.feasible(x):
             incumbent_x = x.copy()
             incumbent_obj = obj
 
-    root = np.full(n, -1, dtype=np.int8)
+    root = np.full(rows.n_vars, -1, dtype=np.int8)
     nodes = 0
     if not prop.run(root, range(len(prop.idx))):
         return SolveResult(
@@ -599,30 +569,21 @@ def _solve_connected(
     if start is not None:
         try_candidate(start)
 
-    dual = _DualBound(instance, incumbent_obj)
+    dual = _DualBound(rows, costs, incumbent_obj)
 
     counter = 0
-    heap: list[tuple[float, int, np.ndarray]] = []
-    heapq.heappush(heap, (dual.bound(root), counter, root))
-    # Least bound of any node cut off against the incumbent.  With a gap
-    # tolerance such a node may still hold a better solution, so the
-    # reported bound cannot exceed it.
-    pruned_bound = np.inf
+    heap: list[tuple[float, int, np.ndarray]] = [(dual.bound(root), counter, root)]
     timed_out = False
-    stopped = False
 
     while heap:
         if time_limit is not None and time.monotonic() - t0 > time_limit:
             timed_out = True
             break
         if max_nodes is not None and nodes >= max_nodes:
-            stopped = True
             break
         b, _, fixed = heapq.heappop(heap)
         nodes += 1
-        if b >= incumbent_obj - gap_tolerance:
-            pruned_bound = min(pruned_bound, b)
-            stopped = True
+        if b >= incumbent_obj:
             break
         und = fixed == -1
         if not und.any():
@@ -639,20 +600,19 @@ def _solve_connected(
                 try_candidate(child.astype(np.int8))
                 continue
             cb = dual.bound(child)
-            if cb >= incumbent_obj - gap_tolerance:
-                pruned_bound = min(pruned_bound, cb)
+            if cb >= incumbent_obj:
                 continue
             counter += 1
             heapq.heappush(heap, (cb, counter, child))
 
     runtime = time.monotonic() - t0
-    # The optimum lies in an open node, in a pruned node, or is no better than
-    # the incumbent, so the least of the three bounds it from below.
+    # The optimum lies in an open node or is no better than the incumbent:
+    # every pruned node's bound is at least the incumbent.
     open_bound = heap[0][0] if heap else np.inf
-    best_bound = min(incumbent_obj, open_bound, pruned_bound)
+    best_bound = min(incumbent_obj, open_bound)
 
     if incumbent_x is None:
-        if timed_out or stopped:
+        if heap:  # stopped with open nodes left, so nothing is proven
             return SolveResult(
                 "unknown", None, None, float(best_bound), None, nodes, runtime, timed_out
             )

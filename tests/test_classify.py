@@ -10,11 +10,11 @@ from lineage_ilp.classify import (
     label_mitosis_sets,
     label_move_edges,
     label_proposals,
-    load_forest,
+    load_model,
     markers_inside,
     predict_prob,
     roc_auc,
-    save_forest,
+    save_model,
     train_forest,
 )
 from lineage_ilp.evaluate import GroundTruth
@@ -145,8 +145,8 @@ class TestForest:
         ts = separable_set()
         forest = train_forest(ts, n_trees=10, seed=5)
         path = tmp_path / "forest.json"
-        save_forest(forest, path)
-        loaded = load_forest(path)
+        save_model(forest, path)
+        loaded = load_model(path)
         assert forest_to_json(loaded) == forest_to_json(forest)
         np.testing.assert_array_equal(
             predict_prob(loaded, ts.features), predict_prob(forest, ts.features)

@@ -254,6 +254,14 @@ class TestJson:
         assert "schema_version" in str(err.value)
         assert read_json_file(path, "model", (9,))["x"] == 1
 
+    def test_kind_gate_takes_a_tuple_of_kinds(self, tmp_path):
+        path = tmp_path / "m.json"
+        write_json_file(path, {"schema_version": 1, "kind": "b"})
+        assert read_json_file(path, ("a", "b"), (1,))["kind"] == "b"
+        with pytest.raises(FormatError) as err:
+            read_json_file(path, ("a", "c"), (1,))
+        assert "'a' or 'c'" in str(err.value)
+
     def test_kind_gate_fires_before_version(self, tmp_path):
         path = tmp_path / "m.json"
         write_json_file(path, {"schema_version": 9, "kind": "other"})

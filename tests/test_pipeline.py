@@ -208,8 +208,8 @@ class TestEndToEnd:
                 files.append(os.path.relpath(os.path.join(dirpath, n), tmp_path / "a"))
         assert files
         for rel in files:
-            b1 = open(tmp_path / "a" / rel, "rb").read()
-            b2 = open(tmp_path / "b" / rel, "rb").read()
+            b1 = (tmp_path / "a" / rel).read_bytes()
+            b2 = (tmp_path / "b" / rel).read_bytes()
             assert b1 == b2, rel
 
     def test_report_txt_written(self, tmp_path):

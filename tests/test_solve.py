@@ -15,6 +15,7 @@ from lineage_ilp.solve import (
     LinearConstraint,
     _DualBound,
     _Propagator,
+    _Rows,
     check_solution,
     extract_lineage,
     formulate,
@@ -122,21 +123,21 @@ class TestCheckSolution:
 class TestPropagation:
     def test_equality_forces_remaining(self):
         cons = [LinearConstraint((0, 1, 2), (1, 1, -1), "==", 0)]
-        prop = _Propagator(cons, 3)
+        prop = _Propagator(_Rows.build(cons, 3))
         fixed = np.array([0, -1, 1], dtype=np.int8)
         assert prop.run(fixed, [0])
         assert fixed[1] == 1
 
     def test_conflict_pair_propagates(self):
         cons = [LinearConstraint((0, 1), (1, 1), "<=", 1)]
-        prop = _Propagator(cons, 2)
+        prop = _Propagator(_Rows.build(cons, 2))
         fixed = np.array([1, -1], dtype=np.int8)
         assert prop.run(fixed, [0])
         assert fixed[1] == 0
 
     def test_detects_infeasible(self):
         cons = [LinearConstraint((0, 1), (1, 1), "<=", 1)]
-        prop = _Propagator(cons, 2)
+        prop = _Propagator(_Rows.build(cons, 2))
         fixed = np.array([1, 1], dtype=np.int8)
         assert not prop.run(fixed, [0])
 
@@ -145,10 +146,28 @@ class TestPropagation:
             LinearConstraint((0, 1), (1, -1), "==", 0),
             LinearConstraint((1, 2), (1, -1), "==", 0),
         ]
-        prop = _Propagator(cons, 3)
+        prop = _Propagator(_Rows.build(cons, 3))
         fixed = np.array([1, -1, -1], dtype=np.int8)
         assert prop.run(fixed, [0])
         np.testing.assert_array_equal(fixed, [1, 1, 1])
+
+
+class TestRowsFeasible:
+    """The solver's vectorised feasibility test over its sparse rows agrees
+    with the independent checker."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), constrained=st.booleans())
+    def test_agrees_with_check_solution(self, seed, constrained):
+        rng = np.random.default_rng(seed)
+        inst = random_instance(rng, max_vars=12)
+        if not constrained:
+            inst = IlpInstance(inst.costs, [])
+        rows = _Rows.build(inst.constraints, inst.n_vars)
+        xs = [np.zeros(inst.n_vars, dtype=np.int8)]
+        xs += [rng.integers(0, 2, size=inst.n_vars).astype(np.int8) for _ in range(20)]
+        for x in xs:
+            assert rows.feasible(x) == (check_solution(inst, x) == []), x
 
 
 class TestDualBound:
@@ -157,8 +176,9 @@ class TestDualBound:
             rng = np.random.default_rng(seed)
             inst = random_instance(rng, max_vars=14)
             n = inst.n_vars
-            bounder = _DualBound(inst, 0.0)  # all zeros is feasible
-            prop = _Propagator(inst.constraints, n)
+            rows = _Rows.build(inst.constraints, n)
+            bounder = _DualBound(rows, inst.costs, 0.0)  # all zeros is feasible
+            prop = _Propagator(rows)
             fixed = np.full(n, -1, dtype=np.int8)
             for v in rng.choice(n, size=rng.integers(0, n // 2 + 1), replace=False):
                 fixed[v] = rng.integers(0, 2)
@@ -173,7 +193,7 @@ class TestDualBound:
     def test_dominates_flat_bound_on_tracking_instance(self):
         g = random_graph(np.random.default_rng(3))
         inst, _ = formulate(g)
-        bounder = _DualBound(inst, 0.0)
+        bounder = _DualBound(_Rows.build(inst.constraints, inst.n_vars), inst.costs, 0.0)
         root = np.full(inst.n_vars, -1, dtype=np.int8)
         flat = float(np.minimum(inst.costs, 0.0).sum())
         assert bounder.bound(root) >= flat - 1e-12
@@ -237,17 +257,22 @@ class TestSolveMatchesBruteForce:
         assert res.objective == pytest.approx(-2.0)
         np.testing.assert_array_equal(res.x, [1, 1, 1])
 
-    def test_gap_tolerance_stops_early(self):
-        inst = random_instance(np.random.default_rng(5), max_vars=16)
-        exact = solve(inst)
-        loose = solve(inst, gap_tolerance=100.0)
-        assert loose.objective >= exact.objective - 1e-9
-        assert loose.gap is not None
+    def test_no_constraints_takes_negative_costs_without_search(self):
+        for seed in range(20):
+            costs = np.random.default_rng(seed).uniform(-2.0, 2.0, size=seed % 5 + 1)
+            res = solve(IlpInstance(costs, []), max_nodes=1)
+            assert res.status == "optimal" and res.nodes == 0, seed
+            np.testing.assert_array_equal(res.x, costs < 0)
+            assert res.objective == pytest.approx(costs[costs < 0].sum())
+            assert res.bound == pytest.approx(res.objective)
 
     def test_node_limit(self):
-        inst = random_instance(np.random.default_rng(11), max_vars=16)
-        res = solve(inst, max_nodes=1)
-        assert res.status in ("feasible", "optimal", "unknown")
+        # the budget caps the nodes summed over every component
+        for seed in range(12):
+            inst = random_instance(np.random.default_rng(seed), max_vars=16)
+            res = solve(inst, max_nodes=1)
+            assert res.status in ("feasible", "optimal", "unknown")
+            assert res.nodes <= 1, seed
 
     def test_time_limit_zero_returns_quickly(self):
         inst = random_instance(np.random.default_rng(13), max_vars=16)
@@ -276,10 +301,9 @@ class TestOnRandomGraphs:
 
 class TestBoundIsSound:
     """The reported bound never exceeds the objective or the true optimum,
-    whether the search completes, stops within a gap tolerance, or runs out
-    of nodes."""
+    whether the search completes or runs out of nodes."""
 
-    SETTINGS = ({}, {"gap_tolerance": 0.5}, {"max_nodes": 3})
+    SETTINGS = ({}, {"max_nodes": 3})
 
     def check(self, inst, label):
         optimum = solve_bruteforce(inst).objective
@@ -350,6 +374,7 @@ class TestWarmStart:
         assert check_solution(inst, exact.x) == []
         assert exact.bound <= exact.objective
         assert exact.objective <= solve_greedy(g, vm).objective + 1e-9
+        assert exact.nodes <= max_nodes
 
 
 class TestStrictGapFixture:
