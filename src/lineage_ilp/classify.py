@@ -155,16 +155,18 @@ class _TreeBuilder:
 
     def _node(self, idx: np.ndarray, depth: int) -> int:
         y_sub = self.y[idx]
-        mean = float(y_sub.mean())
+        n = len(idx)
+        total = int(y_sub.sum())
+        mean = total / n  # equals y_sub.mean() on 0/1 labels
         if (
             depth >= self.max_depth
-            or len(idx) < 2 * self.min_leaf
-            or mean == 0.0
-            or mean == 1.0
+            or n < 2 * self.min_leaf
+            or total == 0
+            or total == n
         ):
             return self._emit(-1, 0.0, mean)
         feats = self.rng.choice(self.X.shape[1], size=min(self.n_sub, self.X.shape[1]), replace=False)
-        split = self._best_split(idx, y_sub, feats)
+        split = self._best_split(idx, y_sub, total, feats)
         if split is None:
             return self._emit(-1, 0.0, mean)
         f, thr = split
@@ -174,43 +176,36 @@ class _TreeBuilder:
         self.right[i] = self._node(idx[~go_left], depth + 1)
         return i
 
-    def _best_split(self, idx, y_sub, feats) -> tuple[int, float] | None:
+    def _best_split(self, idx, y_sub, total_pos, feats) -> tuple[int, float] | None:
         """Minimum weighted child Gini over sampled features and cut points.
 
-        Ties keep the earliest sampled feature, then the lowest cut.
+        Scores every cut of every sampled feature as one (k, n - 1) matrix;
+        cut c of row i puts the c + 1 smallest values of feature feats[i] on
+        the left.  Ties keep the earliest sampled feature, then the lowest
+        cut, which is the first minimum in row-major order.
         """
         n = len(idx)
-        total_pos = int(y_sub.sum())
-        best: tuple[float, int, float] | None = None
-        positions = np.arange(1, n)
-        for f in feats:
-            v = self.X[idx, f]
-            order = np.argsort(v, kind="stable")
-            vs = v[order]
-            ys = y_sub[order]
-            valid = (
-                (vs[1:] > vs[:-1])
-                & (positions >= self.min_leaf)
-                & (positions <= n - self.min_leaf)
-            )
-            ks = positions[valid]
-            if len(ks) == 0:
-                continue
-            pos_left = np.cumsum(ys)[ks - 1]
-            nl = ks.astype(np.float64)
-            nr = n - nl
-            pl = pos_left
-            pr = total_pos - pos_left
-            gini_l = 1.0 - (pl / nl) ** 2 - ((nl - pl) / nl) ** 2
-            gini_r = 1.0 - (pr / nr) ** 2 - ((nr - pr) / nr) ** 2
-            score = (nl * gini_l + nr * gini_r) / n
-            j = int(np.argmin(score))
-            if best is None or score[j] < best[0]:
-                k = ks[j]
-                best = (float(score[j]), int(f), float((vs[k - 1] + vs[k]) / 2.0))
-        if best is None:
+        v = self.X[np.ix_(idx, feats)].T
+        order = np.argsort(v, axis=1, kind="stable")
+        vs = np.take_along_axis(v, order, axis=1)
+        cuts = np.arange(1, n)
+        nl = cuts.astype(np.float64)
+        nr = n - nl
+        pl = np.cumsum(y_sub[order], axis=1)[:, :-1]
+        pr = total_pos - pl
+        gini_l = 1.0 - (pl / nl) ** 2 - ((nl - pl) / nl) ** 2
+        gini_r = 1.0 - (pr / nr) ** 2 - ((nr - pr) / nr) ** 2
+        score = (nl * gini_l + nr * gini_r) / n
+        valid = (
+            (vs[:, 1:] > vs[:, :-1])
+            & (cuts >= self.min_leaf)
+            & (cuts <= n - self.min_leaf)
+        )
+        score[~valid] = np.inf
+        row, cut = divmod(int(np.argmin(score)), n - 1)
+        if not valid[row, cut]:
             return None
-        return best[1], best[2]
+        return int(feats[row]), float((vs[row, cut] + vs[row, cut + 1]) / 2.0)
 
 
 def _downsample(labels: np.ndarray, ratio: float, rng: np.random.Generator) -> np.ndarray:

@@ -76,7 +76,15 @@ from .io import (
 )
 from .proposals import Frame, Proposal, log_blob_proposals, multi_threshold_proposals
 from .sim import SimResult, corrupt, simulate
-from .solve import Lineage, SolveResult, extract_lineage, formulate, solve, solve_greedy
+from .solve import (
+    Lineage,
+    SolveResult,
+    check_solution,
+    extract_lineage,
+    formulate,
+    solve,
+    solve_greedy,
+)
 
 log = logging.getLogger("lineage_ilp")
 
@@ -266,6 +274,44 @@ def mitosis_feature_matrix(
 
 
 @dataclass
+class CandidateRows:
+    """Classifier inputs of one proposal set, in enumeration order."""
+
+    node_probs: dict[int, float]
+    pairs: list[tuple[Proposal, Proposal]]
+    move_rows: np.ndarray
+    triples: list[tuple[Proposal, Proposal, Proposal]] | None  # None: not enumerated
+    mitosis_rows: np.ndarray | None
+
+
+def candidate_rows(
+    frames: list[Frame],
+    props: list[Proposal],
+    feats: np.ndarray,
+    proposal_model: RandomForest | ConstantModel,
+    *, gating_radius: float, mitosis_radius: float, mitosis_n: int, divisions: bool,
+) -> CandidateRows:
+    """Node probabilities, move pairs and division triples with their rows.
+
+    ``feats`` is the proposal feature matrix of ``props``; the move and
+    division rows take the proposal model's probabilities as features.
+    Division triples are enumerated only when ``divisions`` is set.
+    """
+    by_frame = _group_by_frame(props, len(frames))
+    frames_by_t = {f.t: f for f in frames}
+    node_prob = predict_prob(proposal_model, feats)
+    node_probs = {p.id: float(node_prob[i]) for i, p in enumerate(props)}
+    feats_by_pid = {p.id: feats[i] for i, p in enumerate(props)}
+    pairs = enumerate_moves(by_frame, gating_radius)
+    move_rows = move_feature_matrix(pairs, node_probs, feats_by_pid, frames_by_t)
+    triples = mitosis_rows = None
+    if divisions:
+        triples = enumerate_mitoses(by_frame, mitosis_radius, mitosis_n)
+        mitosis_rows = mitosis_feature_matrix(triples, node_probs, feats_by_pid, frames_by_t)
+    return CandidateRows(node_probs, pairs, move_rows, triples, mitosis_rows)
+
+
+@dataclass
 class Models:
     proposal: RandomForest | ConstantModel
     move: RandomForest | ConstantModel
@@ -275,19 +321,28 @@ class Models:
     mitosis_n: int
 
 
-def run_train(cfg: PipelineConfig, data_dir, proposals_path, model_dir) -> Models:
+@dataclass
+class TrainRun:
+    models: Models
+    rows: CandidateRows
+
+
+def run_train(cfg: PipelineConfig, data_dir, proposals_path, model_dir) -> TrainRun:
     """Fit the three classifiers against an annotated dataset and save them.
 
     The move and division classifiers consume the proposal classifier's
     probabilities as features, so fitting is sequential.  A training set
     without any division example disables the division classifier entirely.
+
+    The returned feature rows are those tracking needs for the same
+    proposals: ``run_e2e`` hands them to ``run_track``, so an end-to-end run
+    computes every feature row once; ``track`` on its own computes them.
     """
     ds = load_dataset(data_dir, need_gt=True)
     props = read_proposals(proposals_path)
-    by_frame = _group_by_frame(props, len(ds.frames))
-    frames_by_t = {f.t: f for f in ds.frames}
+    _group_by_frame(props, len(ds.frames))  # a proposal outside the frames is a FormatError
 
-    feats = proposal_feature_matrix(props, frames_by_t)
+    feats = proposal_feature_matrix(props, {f.t: f for f in ds.frames})
     pset = label_proposals(props, ds.gt, feats)
     fc = cfg.classify
     fit_kw = dict(
@@ -297,9 +352,6 @@ def run_train(cfg: PipelineConfig, data_dir, proposals_path, model_dir) -> Model
         max_negative_ratio=fc.max_negative_ratio,
     )
     node_model = fit_model(pset, seed=stage_seed(cfg.seed, STAGE_PROPOSAL_MODEL), **fit_kw)
-    node_prob = predict_prob(node_model, feats)
-    node_probs = {p.id: float(node_prob[i]) for i, p in enumerate(props)}
-    feats_by_pid = {p.id: feats[i] for i, p in enumerate(props)}
 
     g = cfg.graph
     if g.gating_radius is not None:
@@ -308,12 +360,15 @@ def run_train(cfg: PipelineConfig, data_dir, proposals_path, model_dir) -> Model
         gating = gating_radius_from_truth(ds.gt, g.gating_percentile, g.gating_factor)
     mitosis_radius = g.mitosis_radius if g.mitosis_radius is not None else gating * g.mitosis_factor
 
-    pairs = enumerate_moves(by_frame, gating)
-    mset = label_move_edges(pairs, ds.gt, move_feature_matrix(pairs, node_probs, feats_by_pid, frames_by_t))
+    rows = candidate_rows(
+        ds.frames, props, feats, node_model,
+        gating_radius=gating, mitosis_radius=mitosis_radius, mitosis_n=g.mitosis_n,
+        divisions=True,
+    )
+    mset = label_move_edges(rows.pairs, ds.gt, rows.move_rows)
     move_model = fit_model(mset, seed=stage_seed(cfg.seed, STAGE_MOVE_MODEL), **fit_kw)
 
-    triples = enumerate_mitoses(by_frame, mitosis_radius, g.mitosis_n)
-    tset = label_mitosis_sets(triples, ds.gt, mitosis_feature_matrix(triples, node_probs, feats_by_pid, frames_by_t))
+    tset = label_mitosis_sets(rows.triples, ds.gt, rows.mitosis_rows)
     if tset.n_positive == 0:
         log.warning("training data contains no division example; division scoring disabled")
         mitosis_model = None
@@ -335,7 +390,7 @@ def run_train(cfg: PipelineConfig, data_dir, proposals_path, model_dir) -> Model
         mitosis_n=g.mitosis_n,
     )
     save_models(models, model_dir)
-    return models
+    return TrainRun(models, rows)
 
 
 def save_models(models: Models, model_dir) -> None:
@@ -396,29 +451,40 @@ def load_models(model_dir) -> Models:
 
 
 def build_candidate_graph(
-    cfg: PipelineConfig, ds: Dataset, props: list[Proposal], models: Models
+    cfg: PipelineConfig, ds: Dataset, props: list[Proposal], models: Models,
+    rows: CandidateRows | None = None,
 ) -> TrackingGraph:
-    by_frame = _group_by_frame(props, len(ds.frames))
-    frames_by_t = {f.t: f for f in ds.frames}
-    feats = proposal_feature_matrix(props, frames_by_t)
-    node_prob = predict_prob(models.proposal, feats)
-    node_probs = {p.id: float(node_prob[i]) for i, p in enumerate(props)}
-    feats_by_pid = {p.id: feats[i] for i, p in enumerate(props)}
+    """Score the candidates with the models and build the tracking graph.
 
-    pairs = enumerate_moves(by_frame, models.gating_radius)
+    ``rows`` are feature rows already computed for ``props`` under these
+    models' radii (training's, in ``run_e2e``); without them the rows are
+    computed here.
+    """
+    by_frame = _group_by_frame(props, len(ds.frames))
+    if rows is None:
+        rows = candidate_rows(
+            ds.frames, props,
+            proposal_feature_matrix(props, {f.t: f for f in ds.frames}),
+            models.proposal,
+            gating_radius=models.gating_radius,
+            mitosis_radius=models.mitosis_radius,
+            mitosis_n=models.mitosis_n,
+            divisions=models.mitosis is not None,
+        )
+
     move_probs: dict[tuple[int, int], float] = {}
-    if pairs:
-        mp = predict_prob(models.move, move_feature_matrix(pairs, node_probs, feats_by_pid, frames_by_t))
-        move_probs = {(a.id, b.id): float(mp[i]) for i, (a, b) in enumerate(pairs)}
+    if rows.pairs:
+        mp = predict_prob(models.move, rows.move_rows)
+        move_probs = {(a.id, b.id): float(mp[i]) for i, (a, b) in enumerate(rows.pairs)}
 
     mitosis_probs: dict[tuple[int, int, int], float] = {}
-    if models.mitosis is not None:
-        triples = enumerate_mitoses(by_frame, models.mitosis_radius, models.mitosis_n)
-        if triples:
-            tp = predict_prob(
-                models.mitosis, mitosis_feature_matrix(triples, node_probs, feats_by_pid, frames_by_t)
-            )
-            mitosis_probs = {(p.id, d1.id, d2.id): float(tp[i]) for i, (p, d1, d2) in enumerate(triples)}
+    if models.mitosis is not None and rows.triples:
+        tp = predict_prob(models.mitosis, rows.mitosis_rows)
+        mitosis_probs = {
+            (p.id, d1.id, d2.id): float(tp[i]) for i, (p, d1, d2) in enumerate(rows.triples)
+        }
+    node_probs = rows.node_probs
+    del rows  # the feature rows are not needed past scoring
 
     # Dominance pruning: a move never taken in any optimal selection is one
     # costing more than routing the flow through an exit and an enter; same
@@ -451,6 +517,8 @@ def build_candidate_graph(
 
 
 def solve_graph(cfg: PipelineConfig, graph: TrackingGraph) -> tuple[SolveResult, Lineage]:
+    """Select with the configured backend; every selection is checked
+    against the constraints and a violation raises RuntimeError."""
     instance, varmap = formulate(graph)
     if cfg.solve.backend == "greedy":
         result = solve_greedy(graph, varmap)
@@ -467,6 +535,11 @@ def solve_graph(cfg: PipelineConfig, graph: TrackingGraph) -> tuple[SolveResult,
                 f"solver hit the {cfg.solve.time_limit}s limit with gap {gap:.6g}", gap
             )
         assert result.x is not None  # the empty selection is always feasible
+    problems = check_solution(instance, result.x)
+    if problems:
+        raise RuntimeError(
+            f"{cfg.solve.backend} solver returned an infeasible selection: {'; '.join(problems[:5])}"
+        )
     log.info(
         "solved: status=%s objective=%s nodes=%d time=%.2fs",
         result.status, result.objective, result.nodes, result.runtime,
@@ -505,11 +578,20 @@ class TrackRun:
     lineage: Lineage
 
 
-def run_track(cfg: PipelineConfig, data_dir, proposals_path, model_dir, out_dir) -> TrackRun:
+def run_track(
+    cfg: PipelineConfig, data_dir, proposals_path, model_dir, out_dir,
+    rows: CandidateRows | None = None,
+) -> TrackRun:
+    """Build the candidate graph, select a lineage and write it.
+
+    ``rows`` are training's feature rows for the same proposals (``run_e2e``
+    passes them); without them the graph build computes its own.
+    """
     ds = load_dataset(data_dir)
     props = read_proposals(proposals_path)
     models = load_models(model_dir)
-    graph = build_candidate_graph(cfg, ds, props, models)
+    graph = build_candidate_graph(cfg, ds, props, models, rows)
+    del rows  # training's arrays do not live through the solve
     result, lineage = solve_graph(cfg, graph)
     shape = ds.frames[0].intensity.shape
     write_result(out_dir, lineage, props, shape, len(ds.frames))
@@ -580,7 +662,10 @@ def run_e2e(cfg: PipelineConfig, out_dir) -> EvalReport:
     """simulate, propose, train, track and evaluate under one seed.
 
     Every byte written is a pure function of the config, so re-running into a
-    fresh directory reproduces identical files.
+    fresh directory reproduces identical files, the same files the stages
+    write when run one by one.  Tracking reuses training's feature rows
+    instead of computing them again; the models still go through the model
+    directory.
     """
     os.makedirs(out_dir, exist_ok=True)
     dataset_dir = os.path.join(out_dir, "dataset")
@@ -590,8 +675,11 @@ def run_e2e(cfg: PipelineConfig, out_dir) -> EvalReport:
 
     run_simulate(cfg, dataset_dir)
     run_propose(cfg, dataset_dir, proposals_path)
-    run_train(cfg, dataset_dir, proposals_path, model_dir)
-    tracked = run_track(cfg, dataset_dir, proposals_path, model_dir, result_dir)
+    # passed without a name, so the rows die with the graph build
+    tracked = run_track(
+        cfg, dataset_dir, proposals_path, model_dir, result_dir,
+        rows=run_train(cfg, dataset_dir, proposals_path, model_dir).rows,
+    )
     report = run_eval(
         dataset_dir,
         result_dir,

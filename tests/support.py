@@ -1,7 +1,9 @@
-"""Shared generators for solver tests: random instances, random small graphs,
-and the pinned fixture where the greedy heuristic strictly trails the exact
-solver."""
+"""Shared generators for solver tests: random instances, random small graphs
+(alone or joined side by side), and the pinned fixture where the greedy
+heuristic strictly trails the exact solver."""
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -89,6 +91,45 @@ def random_graph(rng: np.random.Generator) -> TrackingGraph:
         p_enter=float(rng.uniform(0.05, 0.5)),
         p_exit=float(rng.uniform(0.05, 0.5)),
     )
+
+
+def join_graphs(graphs: list[TrackingGraph]) -> TrackingGraph:
+    """The disjoint union of ``graphs``: proposal ids and division set ids of
+    each graph are offset past those of the graphs before it, and no edge or
+    conflict joins two of them, so the instance splits into at least one
+    constraint component per graph."""
+    joined = TrackingGraph([], {}, {}, [], [], [], 0)
+    id_off = set_off = 0
+
+    def shift(pid):
+        return None if pid is None else pid + id_off
+
+    for g in graphs:
+        joined.proposals += [replace(p, id=p.id + id_off) for p in g.proposals]
+        joined.node_prob.update({pid + id_off: v for pid, v in g.node_prob.items()})
+        joined.node_cost.update({pid + id_off: v for pid, v in g.node_cost.items()})
+        joined.edges += [
+            replace(
+                e, src=shift(e.src), dst=shift(e.dst),
+                set_id=e.set_id + set_off if e.set_id >= 0 else e.set_id,
+            )
+            for e in g.edges
+        ]
+        joined.conflicts += [(a + id_off, b + id_off) for a, b in g.conflicts]
+        joined.mitosis_sets += [
+            MitosisSet(m.set_id + set_off, m.parent + id_off, m.d1 + id_off, m.d2 + id_off, m.prob)
+            for m in g.mitosis_sets
+        ]
+        joined.n_frames = max(joined.n_frames, g.n_frames)
+        id_off += max(p.id for p in g.proposals) + 1
+        set_off += len(g.mitosis_sets)
+    return joined
+
+
+def random_joined_graph(rng: np.random.Generator) -> tuple[TrackingGraph, list[TrackingGraph]]:
+    """Two or three ``random_graph``s joined, and the parts."""
+    parts = [random_graph(rng) for _ in range(int(rng.integers(2, 4)))]
+    return join_graphs(parts), parts
 
 
 def strict_gap_graph() -> TrackingGraph:

@@ -1,9 +1,14 @@
 """Labeling rules, the random forest, and AUC."""
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lineage_ilp import classify
 from lineage_ilp.classify import (
     TrainingSet,
     forest_to_json,
@@ -162,6 +167,109 @@ class TestForest:
         assert forest_to_json(a) == forest_to_json(b)
         probs = predict_prob(a, ts.features)
         assert roc_auc(y, probs) >= 0.99
+
+
+class _ReferenceBuilder(classify._TreeBuilder):
+    """The split search as a loop over the sampled features, one sort each."""
+
+    def _best_split(self, idx, y_sub, total_pos, feats):
+        n = len(idx)
+        best = None
+        positions = np.arange(1, n)
+        for f in feats:
+            v = self.X[idx, f]
+            order = np.argsort(v, kind="stable")
+            vs = v[order]
+            ys = y_sub[order]
+            valid = (
+                (vs[1:] > vs[:-1])
+                & (positions >= self.min_leaf)
+                & (positions <= n - self.min_leaf)
+            )
+            ks = positions[valid]
+            if len(ks) == 0:
+                continue
+            pos_left = np.cumsum(ys)[ks - 1]
+            nl = ks.astype(np.float64)
+            nr = n - nl
+            pl = pos_left
+            pr = total_pos - pos_left
+            gini_l = 1.0 - (pl / nl) ** 2 - ((nl - pl) / nl) ** 2
+            gini_r = 1.0 - (pr / nr) ** 2 - ((nr - pr) / nr) ** 2
+            score = (nl * gini_l + nr * gini_r) / n
+            j = int(np.argmin(score))
+            if best is None or score[j] < best[0]:
+                k = ks[j]
+                best = (float(score[j]), int(f), float((vs[k - 1] + vs[k]) / 2.0))
+        if best is None:
+            return None
+        return best[1], best[2]
+
+
+def reference_forest(data, **kwargs):
+    with mock.patch.object(classify, "_TreeBuilder", _ReferenceBuilder):
+        return train_forest(data, **kwargs)
+
+
+def assert_same_trees(a, b):
+    assert len(a.trees) == len(b.trees)
+    for ta, tb in zip(a.trees, b.trees):
+        for name in ("feature", "threshold", "left", "right", "value"):
+            x, y = getattr(ta, name), getattr(tb, name)
+            assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+
+def random_training_set(rng, single_positive=False):
+    """Few distinct values per column (ties), some constant columns."""
+    n = int(rng.integers(4, 60))
+    d = int(rng.integers(1, 12))
+    levels = rng.integers(1, 8, size=d)  # 1 level: a constant column
+    X = rng.integers(0, levels, size=(n, d)) * rng.uniform(0.1, 3.0, size=d)
+    if single_positive:
+        y = np.zeros(n, dtype=int)
+        y[int(rng.integers(0, n))] = 1
+    else:
+        y = (rng.uniform(size=n) < rng.uniform(0.1, 0.9)).astype(int)
+        y[:2] = (0, 1)  # both classes
+    return TrainingSet(X, y)
+
+
+class TestSplitSearchMatchesReference:
+    """The vectorised split search builds the trees the per-feature loop
+    builds, bit for bit, including its tie rule."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        min_leaf=st.integers(1, 4),
+        single_positive=st.booleans(),
+    )
+    def test_random_training_sets(self, seed, min_leaf, single_positive):
+        rng = np.random.default_rng(seed)
+        data = random_training_set(rng, single_positive)
+        kwargs = dict(n_trees=4, max_depth=int(rng.integers(1, 8)), min_leaf=min_leaf, seed=seed)
+        assert_same_trees(train_forest(data, **kwargs), reference_forest(data, **kwargs))
+
+    def test_tied_features_keep_the_first_sampled(self):
+        # both columns separate the classes perfectly, at different cuts
+        X = np.array([[0.0, 10.0], [1.0, 11.0], [2.0, 12.0], [3.0, 13.0]])
+        data = TrainingSet(X, np.array([0, 0, 1, 1]))
+        kwargs = dict(n_trees=6, min_leaf=1, max_negative_ratio=20.0)
+        forest = train_forest(data, **kwargs)
+        assert_same_trees(forest, reference_forest(data, **kwargs))
+        children = np.random.SeedSequence(0).spawn(7)
+        for t, tree in enumerate(forest.trees):
+            rng = np.random.default_rng(children[t + 1])
+            rows = rng.integers(0, 4, size=4)
+            first = int(rng.choice(2, size=2, replace=False)[0])
+            labels = data.labels[rows]
+            if labels.min() == labels.max():
+                assert tree.feature[0] == -1
+                continue
+            assert tree.feature[0] == first
+            below = X[rows[labels == 0], first].max()
+            above = X[rows[labels == 1], first].min()
+            assert tree.threshold[0] == (below + above) / 2.0
 
 
 class TestRocAuc:

@@ -1,7 +1,11 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+
+import lineage_ilp
 
 from lineage_ilp.config import config_from_dict
 from lineage_ilp.evaluate import GroundTruth
@@ -283,6 +287,64 @@ class TestEndToEnd:
         assert text.splitlines()[1].split()[1] == "-"
 
 
+class TestEndToEndMatchesStages:
+    """run_e2e hands training's feature rows to tracking; the stages run one
+    by one (as the CLI runs them) compute them twice.  Both write the same
+    bytes."""
+
+    CONFIGS = {
+        # degraded truth proposals whose training set has division positives,
+        # so tracking reuses division rows
+        "truth": {
+            "seed": 1,
+            "proposals": {"generator": "truth"},
+            "sim": {
+                "frames": 8, "width": 80, "height": 80, "initial_cells": 5,
+                "division_rate": 0.08,
+                "corruption": {"drop_rate": 0.05, "clutter_rate": 0.1, "merge_rate": 0.03},
+            },
+        },
+        "multi_threshold": {
+            "seed": 3,
+            "sim": {"frames": 6, "width": 64, "height": 64, "initial_cells": 4},
+        },
+    }
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_same_bytes_and_one_feature_pass(self, name, tmp_path, monkeypatch):
+        import lineage_ilp.pipeline as pipeline_mod
+
+        cfg = config_from_dict(self.CONFIGS[name])
+        vectors = []
+        matrix = pipeline_mod.proposal_feature_matrix
+
+        def counted(props, frames_by_t):
+            vectors.append(len(props))
+            return matrix(props, frames_by_t)
+
+        monkeypatch.setattr(pipeline_mod, "proposal_feature_matrix", counted)
+        e2e = tmp_path / "e2e"
+        run_e2e(cfg, e2e)
+        assert len(vectors) == 1
+        if name == "truth":
+            assert (e2e / "models" / "mitosis.json").exists()
+
+        st = tmp_path / "stages"
+        run_simulate(cfg, st / "dataset")
+        run_propose(cfg, st / "dataset", st / "proposals.jsonl")
+        run_train(cfg, st / "dataset", st / "proposals.jsonl", st / "models")
+        tracked = run_track(cfg, st / "dataset", st / "proposals.jsonl", st / "models", st / "result")
+        run_eval(st / "dataset", st / "result", st / "report.json", cfg=cfg, graph=tracked.graph)
+        assert len(vectors) == 3
+
+        seg = sorted(os.listdir(e2e / "result" / "seg"))
+        assert seg == sorted(os.listdir(st / "result" / "seg"))
+        rels = ["result/tracks.txt", "report.json", *(f"result/seg/{n}" for n in seg)]
+        rels += [f"models/{n}" for n in sorted(os.listdir(e2e / "models"))]
+        for rel in rels:
+            assert (e2e / rel).read_bytes() == (st / rel).read_bytes(), rel
+
+
 class TestSimulateStage:
     def test_layout(self, tmp_path):
         cfg = tiny_config()
@@ -297,3 +359,20 @@ class TestSimulateStage:
         a = (tmp_path / "a" / "t000.pgm").read_bytes()
         b = (tmp_path / "b" / "t000.pgm").read_bytes()
         assert a != b
+
+
+class TestImportCost:
+    def test_pipeline_and_cli_leave_scipy_optimize_unimported(self):
+        # scipy.optimize alone adds about 19 MiB of peak memory; an LP or MILP
+        # route through it belongs behind an import inside the solver call
+        src = os.path.dirname(os.path.dirname(lineage_ilp.__file__))
+        code = (
+            "import sys, lineage_ilp.pipeline, lineage_ilp.cli; "
+            "print('scipy.optimize' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True, timeout=120,
+        )
+        assert out.stdout.strip() == "False"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from support import random_graph, random_instance, strict_gap_graph
+from support import random_graph, random_instance, random_joined_graph, strict_gap_graph
 
 from lineage_ilp.config import config_from_dict
 from lineage_ilp.io import validate_tracks
@@ -13,9 +13,11 @@ from lineage_ilp.pipeline import solve_graph
 from lineage_ilp.solve import (
     IlpInstance,
     LinearConstraint,
+    SolveResult,
     _DualBound,
     _Propagator,
     _Rows,
+    _constraint_components,
     check_solution,
     extract_lineage,
     formulate,
@@ -299,16 +301,22 @@ class TestOnRandomGraphs:
             assert greedy.objective >= brute.objective - 1e-9, f"seed {seed}"
 
 
+def components(inst: IlpInstance) -> int:
+    return len(np.unique(_constraint_components(_Rows.build(inst.constraints, inst.n_vars))))
+
+
 class TestBoundIsSound:
     """The reported bound never exceeds the objective or the true optimum,
     whether the search completes or runs out of nodes."""
 
     SETTINGS = ({}, {"max_nodes": 3})
 
-    def check(self, inst, label):
-        optimum = solve_bruteforce(inst).objective
+    def check(self, inst, label, optimum=None):
+        if optimum is None:
+            optimum = solve_bruteforce(inst).objective
         for kwargs in self.SETTINGS:
             res = solve(inst, **kwargs)
+            assert res.nodes <= kwargs.get("max_nodes", res.nodes), (label, kwargs)
             assert res.bound <= res.objective, (label, kwargs)
             assert res.bound <= optimum + 1e-9, (label, kwargs)
             assert res.gap == pytest.approx(res.objective - res.bound, abs=1e-12)
@@ -320,9 +328,16 @@ class TestBoundIsSound:
             self.check(random_instance(np.random.default_rng(seed), max_vars=12), seed)
 
     def test_random_graphs(self):
-        for seed in range(12):
-            inst, _ = formulate(random_graph(np.random.default_rng(seed)))
-            self.check(inst, seed)
+        # two or three graphs side by side: the budget and the bound are
+        # split over the components, and the optimum is the sum of the
+        # parts' optima (six joined graphs hold about as many parts to
+        # brute-force as twelve single ones)
+        for seed in range(6):
+            g, parts = random_joined_graph(np.random.default_rng(seed))
+            inst, _ = formulate(g)
+            assert components(inst) >= len(parts)
+            optimum = sum(solve_bruteforce(formulate(p)[0]).objective for p in parts)
+            self.check(inst, seed, optimum)
 
 
 class TestWarmStart:
@@ -368,13 +383,33 @@ class TestWarmStart:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 2**32 - 1), max_nodes=st.integers(1, 200))
     def test_property_checked_bounded_and_no_worse_than_greedy(self, seed, max_nodes):
-        g = random_graph(np.random.default_rng(seed))
+        # joined graphs, so the warm start and the node budget are split
+        # over several components
+        g, parts = random_joined_graph(np.random.default_rng(seed))
         inst, vm = formulate(g)
+        assert components(inst) >= len(parts)
         exact, _ = solve_graph(config_from_dict({"solve": {"max_nodes": max_nodes}}), g)
         assert check_solution(inst, exact.x) == []
         assert exact.bound <= exact.objective
         assert exact.objective <= solve_greedy(g, vm).objective + 1e-9
         assert exact.nodes <= max_nodes
+
+
+class TestSolveGraphChecksSelection:
+    """solve_graph checks the selection of either backend against the
+    constraints before using it, outside the test-suite audit too."""
+
+    @pytest.mark.parametrize("backend", ["exact", "greedy"])
+    def test_infeasible_selection_raises(self, backend, monkeypatch):
+        import lineage_ilp.pipeline as pipeline_mod
+
+        g = strict_gap_graph()
+        everything = np.ones(formulate(g)[0].n_vars, dtype=np.int8)
+        bad = SolveResult("optimal", everything, 0.0, 0.0, 0.0, 0, 0.0)
+        monkeypatch.setattr(pipeline_mod, "solve", lambda instance, **kwargs: bad)
+        monkeypatch.setattr(pipeline_mod, "solve_greedy", lambda graph, varmap: bad)
+        with pytest.raises(RuntimeError, match="infeasible selection"):
+            solve_graph(config_from_dict({"solve": {"backend": backend}}), g)
 
 
 class TestStrictGapFixture:
