@@ -5,18 +5,21 @@ additive costs, and linear constraints with unit coefficients keeping the
 selection consistent (no conflicting proposals, every selected proposal
 explained once, flow through time, divisions picked atomically).
 
-solve() is a best-first branch and bound with unit propagation and a
-Lagrangian lower bound; it proves optimality, and it starts from a warm-start
-incumbent when given one (the pipeline passes the greedy selection), so it is
-never worse than that start.  solve_greedy() repeatedly applies the cheapest
-feasible extension and serves as the fast approximation.
+solve() proves optimality with HiGHS (Huangfu & Hall 2018, shipped with
+scipy): the conflicts enter as one row per maximal clique (Padberg 1973), the
+LP relaxation of that form has been integral on every pipeline graph measured,
+and HiGHS branch and bound runs only when it is not.  A feasible warm start (the
+pipeline passes the greedy selection) is kept when nothing better is found,
+so solve() is never worse than that start.  solve_greedy() repeatedly applies
+the cheapest feasible extension and serves as the fast approximation.
 solve_bruteforce() enumerates every assignment and anchors the tests.
 """
 from __future__ import annotations
 
-import heapq
+import importlib.machinery
+import importlib.util
+import os
 import time
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,11 +99,13 @@ class SolveResult:
 def formulate(graph: TrackingGraph) -> tuple[IlpInstance, VarMap]:
     """Build the selection problem for a tracking graph.
 
-    Constraints, in order: conflicting proposal pairs may not both be chosen;
-    each chosen proposal is explained by exactly one incoming edge; incoming
-    flow equals outgoing flow, where a division counts once (its second
-    daughter edge is excluded from the parent's outgoing sum); both edges of
-    a division set are chosen together.
+    Constraints, in order: at most one proposal of each maximal clique of
+    the conflict graph is chosen, one row per clique in sorted order (the
+    same selections as one row per conflicting pair, with a much tighter LP
+    relaxation); each chosen proposal is explained by exactly one incoming
+    edge; incoming flow equals outgoing flow, where a division counts once
+    (its second daughter edge is excluded from the parent's outgoing sum);
+    both edges of a division set are chosen together.
     """
     node_var = {p.id: i for i, p in enumerate(graph.proposals)}
     n_props = len(graph.proposals)
@@ -129,11 +134,10 @@ def formulate(graph: TrackingGraph) -> tuple[IlpInstance, VarMap]:
         else:
             raise ValueError(f"unknown edge kind {e.kind!r}")
 
-    constraints: list[LinearConstraint] = []
-    for (a, b) in graph.conflicts:
-        constraints.append(
-            LinearConstraint((node_var[a], node_var[b]), (1, 1), "<=", 1)
-        )
+    constraints = [
+        LinearConstraint(clique, (1,) * len(clique), "<=", 1)
+        for clique in _maximal_cliques((node_var[a], node_var[b]) for a, b in graph.conflicts)
+    ]
     for p in graph.proposals:
         ins = in_vars[p.id]
         constraints.append(
@@ -170,6 +174,36 @@ def formulate(graph: TrackingGraph) -> tuple[IlpInstance, VarMap]:
 
     instance = IlpInstance(costs=costs, constraints=constraints, var_names=names)
     return instance, VarMap(node_var=node_var, edge_var=edge_var)
+
+
+def _maximal_cliques(edges) -> list[tuple[int, ...]]:
+    """Every maximal clique of the graph with the given edges, each as a
+    sorted tuple, in sorted order; a vertex without an edge is in none.
+
+    Bron-Kerbosch with a pivot: each call extends the clique r by the
+    candidates p that are not neighbours of the pivot, the vertex of p | x
+    with the most neighbours in p; x holds the vertices already tried.
+    """
+    adj: dict[int, set[int]] = {}
+    for a, b in edges:
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
+    cliques: list[tuple[int, ...]] = []
+
+    def extend(r: list[int], p: set[int], x: set[int]) -> None:
+        if not p:
+            if not x:
+                cliques.append(tuple(sorted(r)))
+            return
+        pivot = max(sorted(p | x), key=lambda u: len(p & adj[u]))
+        for v in sorted(p - adj[pivot]):
+            extend(r + [v], p & adj[v], x & adj[v])
+            p = p - {v}
+            x = x | {v}
+
+    if adj:  # with no edge the empty clique would be the only maximal one
+        extend([], set(adj), set())
+    return sorted(cliques)
 
 
 def objective_value(instance: IlpInstance, x: np.ndarray) -> float:
@@ -238,14 +272,23 @@ def solve_bruteforce(instance: IlpInstance, chunk_bits: int = 16) -> SolveResult
     if best_code < 0:
         return SolveResult("infeasible", None, None, None, None, total, runtime)
     x = ((best_code >> bits) & 1).astype(np.int8)
-    # report the plain dot product so the value is bit-identical to what the
-    # branch and bound reports for the same assignment
+    # report the plain dot product so the value is bit-identical to what
+    # solve() reports for the same assignment
     obj = float(instance.costs @ x)
     return SolveResult("optimal", x, obj, obj, 0.0, total, runtime)
 
 
 # ---------------------------------------------------------------------------
-# Branch and bound
+# Exact selection with HiGHS
+
+# An LP optimum that rounds to a feasible selection whose objective is within
+# this relative distance of the LP value proves that selection optimal.
+LP_CERTIFICATE_RTOL = 1e-9
+# the names the backend reads from scipy's compiled HiGHS module
+_HIGHS_NAMES = (
+    "_Highs", "HighsLp", "HighsModelStatus", "HighsStatus", "MatrixFormat", "HighsVarType"
+)
+_highs_module = None  # the loaded module; False once loading it has failed
 
 
 @dataclass
@@ -271,175 +314,164 @@ class _Rows:
             n_vars=n_vars,
         )
 
-    def take(self, cols: np.ndarray) -> _Rows:
-        """The rows over the ascending columns ``cols``, both renumbered from
-        zero; ``cols`` must hold every column of those rows."""
-        entries = np.flatnonzero(np.isin(self.col, cols))
-        rows, row = np.unique(self.row[entries], return_inverse=True)
-        return _Rows(
-            row,
-            np.searchsorted(cols, self.col[entries]),
-            self.coef[entries],
-            self.rhs[rows],
-            self.is_eq[rows],
-            len(cols),
-        )
-
     def feasible(self, x: np.ndarray) -> bool:
         """Whether the complete 0/1 assignment x satisfies every row."""
         vals = np.bincount(self.row, self.coef * x[self.col], minlength=len(self.rhs))
         eq = self.is_eq
         return bool((vals[eq] == self.rhs[eq]).all() and (vals[~eq] <= self.rhs[~eq]).all())
 
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The matrix column-wise: column starts, row per entry, coefficient
+        per entry."""
+        order = np.argsort(self.col, kind="stable")  # rows stay ascending
+        starts = np.searchsorted(self.col[order], np.arange(self.n_vars + 1))
+        return starts, self.row[order], self.coef[order]
 
-class _Propagator:
-    """Worklist unit propagation over the rows.
+    def row_lower(self) -> np.ndarray:
+        return np.where(self.is_eq, self.rhs, -np.inf)
 
-    fixed[v] is -1 (undecided), 0, or 1.  Propagation fixes a variable only
-    when its value is forced, so a fixpoint with everything fixed is feasible.
+
+@dataclass
+class _Run:
+    """How one HiGHS run ended ("optimal", "infeasible", "time" or
+    "stopped"), its point if it has one, the lower bound it proved, and its
+    branch-and-bound nodes."""
+
+    end: str
+    x: np.ndarray | None
+    bound: float
+    nodes: int
+
+
+def _highs_extension():
+    """scipy's compiled HiGHS module, loaded by file path on first use, or
+    None when this scipy has no usable one.
+
+    Importing scipy.optimize to reach HiGHS costs about 20 MiB of peak
+    memory; the compiled module alone costs about 2 MiB.  It is private scipy
+    API, so the names the backend reads are checked, and the caller falls
+    back to scipy.optimize.milp when this returns None.
     """
+    global _highs_module
+    if _highs_module is None:
+        _highs_module = False
+        import scipy
 
-    def __init__(self, rows: _Rows):
-        cuts = np.searchsorted(rows.row, np.arange(len(rows.rhs) + 1))
-        self.idx = [rows.col[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
-        self.coef = [rows.coef[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
-        self.rhs = rows.rhs.tolist()
-        self.is_eq = rows.is_eq.tolist()
-        self.watch: list[list[int]] = [[] for _ in range(rows.n_vars)]
-        for ci, arr in enumerate(self.idx):
-            for v in arr:
-                self.watch[v].append(ci)
-
-    def run(self, fixed: np.ndarray, seeds) -> bool:
-        in_queue = np.zeros(len(self.idx), dtype=bool)
-        queue: deque[int] = deque()
-        for ci in seeds:
-            if not in_queue[ci]:
-                in_queue[ci] = True
-                queue.append(ci)
-        while queue:
-            ci = queue.popleft()
-            in_queue[ci] = False
-            idx = self.idx[ci]
-            coef = self.coef[ci]
-            vals = fixed[idx]
-            und = vals == -1
-            F = int(coef[vals == 1].sum())
-            pos_und = und & (coef > 0)
-            neg_und = und & (coef < 0)
-            lo = F - int(neg_und.sum())
-            rhs = self.rhs[ci]
-            to_zero = to_one = None
-            if self.is_eq[ci]:
-                hi = F + int(pos_und.sum())
-                if rhs < lo or rhs > hi:
-                    return False
-                if lo == rhs and und.any():
-                    to_zero, to_one = idx[pos_und], idx[neg_und]
-                elif hi == rhs and und.any():
-                    to_zero, to_one = idx[neg_und], idx[pos_und]
-            else:
-                if lo > rhs:
-                    return False
-                if lo == rhs and und.any():
-                    to_zero, to_one = idx[pos_und], idx[neg_und]
-            if to_zero is None:
-                continue
-            fixed[to_zero] = 0
-            fixed[to_one] = 1
-            for v in (*to_zero, *to_one):
-                for cj in self.watch[v]:
-                    if not in_queue[cj]:
-                        in_queue[cj] = True
-                        queue.append(cj)
-        return True
+        stem = os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy", "_core")
+        suffixes = importlib.machinery.EXTENSION_SUFFIXES
+        paths = [stem + s for s in suffixes if os.path.exists(stem + s)]
+        if paths:
+            spec = importlib.util.spec_from_file_location("scipy.optimize._highspy._core", paths[0])
+            try:
+                module = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(module)
+            except ImportError:
+                return None
+            if all(hasattr(module, name) for name in _HIGHS_NAMES):
+                _highs_module = module
+    return _highs_module or None
 
 
-class _DualBound:
-    """Lower bound from Lagrangian-relaxed constraints.
-
-    Every constraint is priced into the costs with a multiplier (free for
-    equalities, non-negative for inequalities), giving reduced costs c̃ and
-    the bound  -λ·rhs + Σ_{fixed 1} c̃ + Σ_{undecided} min(0, c̃), which is
-    sound for any admissible multipliers because feasible selections pay the
-    penalty terms exactly zero (equalities) or non-positively (inequalities).
-    The multipliers are tuned once per instance by projected subgradient
-    ascent and then frozen, so the search stays deterministic.
-    """
-
-    ITERATIONS = 1200
-    STALL = 60
-
-    def __init__(self, rows: _Rows, costs: np.ndarray, ub_hint: float):
-        self.rows = rows
-        self.costs = costs
-        self._ascend(ub_hint)  # with no rows the subgradient is empty and it stops at once
-
-    def _priced(self, lam: np.ndarray) -> tuple[float, np.ndarray]:
-        ctil = self.costs.copy()
-        rows = self.rows
-        np.add.at(ctil, rows.col, rows.coef * lam[rows.row])
-        value = float(np.minimum(0.0, ctil).sum() - lam @ rows.rhs)
-        return value, ctil
-
-    def _ascend(self, ub_hint: float) -> None:
-        rows = self.rows
-        lam = np.zeros(len(rows.rhs))
-        best, best_ctil = self._priced(lam)
-        best_lam = lam.copy()
-        ub = ub_hint if np.isfinite(ub_hint) else 0.0
-        mu = 1.0
-        stalled = 0
-        for _ in range(self.ITERATIONS):
-            value, ctil = self._priced(lam)
-            if value > best + 1e-9:
-                best, best_ctil, best_lam = value, ctil, lam.copy()
-                stalled = 0
-            else:
-                stalled += 1
-                if stalled >= self.STALL:
-                    mu *= 0.5
-                    stalled = 0
-                    lam = best_lam.copy()
-                    if mu < 1e-4:
-                        break
-            x = (ctil < 0.0).astype(np.float64)
-            sg = -rows.rhs
-            np.add.at(sg, rows.row, rows.coef * x[rows.col])
-            norm2 = float(sg @ sg)
-            if norm2 == 0.0:
-                break
-            lam = lam + (mu * max(ub - value, 1e-9) / norm2) * sg
-            np.maximum(lam, 0.0, where=~rows.is_eq, out=lam)
-        self.offset = float(-best_lam @ rows.rhs)
-        self.reduced = best_ctil
-
-    def bound(self, fixed: np.ndarray) -> float:
-        c = self.reduced
-        contrib = np.where(fixed == 1, c, np.where(fixed == 0, 0.0, np.minimum(0.0, c)))
-        return self.offset + float(contrib.sum())
+def _run_extension(h, rows: _Rows, costs: np.ndarray, integral: bool,
+                   time_limit: float | None, max_nodes: int | None) -> _Run:
+    """One run through scipy's compiled HiGHS module ``h``."""
+    n, m = rows.n_vars, len(rows.rhs)
+    starts, index, value = rows.columns()
+    lp = h.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n
+    lp.num_row_ = lp.a_matrix_.num_row_ = m
+    lp.col_cost_ = costs
+    lp.col_lower_ = np.zeros(n)
+    lp.col_upper_ = np.ones(n)
+    lp.row_lower_ = rows.row_lower()
+    lp.row_upper_ = rows.rhs
+    lp.a_matrix_.format_ = h.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = starts.astype(np.int32)
+    lp.a_matrix_.index_ = index.astype(np.int32)
+    lp.a_matrix_.value_ = value
+    if integral:
+        lp.integrality_ = [h.HighsVarType.kInteger] * n
+    highs = h._Highs()
+    # one thread and a fixed seed, so runs are deterministic
+    options = {"output_flag": False, "threads": 1, "random_seed": 0,
+               "mip_rel_gap": 0.0, "mip_abs_gap": 0.0}
+    if time_limit is not None:
+        options["time_limit"] = float(time_limit)
+    if max_nodes is not None:
+        options["mip_max_nodes"] = int(max_nodes)
+    for name, v in options.items():
+        if highs.setOptionValue(name, v) == h.HighsStatus.kError:
+            raise RuntimeError(f"HiGHS rejected the option {name}={v!r}")
+    if highs.passModel(lp) == h.HighsStatus.kError:
+        raise RuntimeError("HiGHS rejected the selection problem")
+    if highs.run() == h.HighsStatus.kError:
+        # HiGHS keeps one thread pool per process, and a pool started with
+        # another thread count (scipy.optimize's default) refuses threads=1
+        # until it is reset
+        h._Highs.resetGlobalScheduler(True)
+        if highs.run() == h.HighsStatus.kError:
+            raise RuntimeError("HiGHS failed to solve the selection problem")
+    status, info, solution = highs.getModelStatus(), highs.getInfo(), highs.getSolution()
+    s = h.HighsModelStatus
+    if status == s.kOptimal:
+        end = "optimal"
+    elif status in (s.kInfeasible, s.kUnboundedOrInfeasible):
+        end = "infeasible"
+    else:
+        end = "time" if status == s.kTimeLimit else "stopped"
+    if integral:
+        bound = info.mip_dual_bound
+    else:
+        bound = info.objective_function_value if end == "optimal" else -np.inf
+    x = np.array(solution.col_value) if solution.value_valid else None
+    return _Run(end, x, float(bound), max(0, info.mip_node_count) if integral else 0)
 
 
-def _constraint_components(rows: _Rows) -> np.ndarray:
-    """Component label per variable; variables tied by a row share one.
-    Labels follow the ascending union-find root."""
-    parent = np.arange(rows.n_vars, dtype=np.intp)
+def _run_milp(rows: _Rows, costs: np.ndarray, integral: bool,
+              time_limit: float | None, max_nodes: int | None) -> _Run:
+    """The same run through the public scipy.optimize.milp, which takes
+    neither the absolute gap nor the thread and seed options."""
+    from scipy.optimize import Bounds, milp
+    from scipy.optimize import LinearConstraint as Constraint
+    from scipy.sparse import csc_array
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    n, m = rows.n_vars, len(rows.rhs)
+    options: dict = {"mip_rel_gap": 0.0}
+    if time_limit is not None:
+        options["time_limit"] = float(time_limit)
+    if max_nodes is not None:
+        options["node_limit"] = int(max_nodes)
+    starts, index, value = rows.columns()
+    matrix = csc_array((value, index, starts), shape=(m, n))
+    res = milp(
+        costs,
+        integrality=np.full(n, int(integral)),
+        bounds=Bounds(0.0, 1.0),
+        constraints=[Constraint(matrix, rows.row_lower(), rows.rhs)] if m else [],
+        options=options,
+    )
+    if res.status == 0:
+        end = "optimal"
+    elif res.status == 2:
+        end = "infeasible"
+    else:
+        end = "time" if res.message.startswith("Time limit") else "stopped"
+    if integral:
+        bound = res.mip_dual_bound if res.mip_dual_bound is not None else -np.inf
+    else:
+        bound = res.fun if end == "optimal" else -np.inf
+    nodes = res.mip_node_count if integral and res.mip_node_count is not None else 0
+    return _Run(end, res.x, float(bound), max(0, nodes))
 
-    last = -1
-    for ri, j in zip(rows.row.tolist(), rows.col.tolist()):
-        if ri != last:  # the row's first column: its root absorbs the rest
-            last, r = ri, find(j)
-        else:
-            parent[find(j)] = r
-    roots = np.array([find(i) for i in range(rows.n_vars)], dtype=np.intp)
-    _, labels = np.unique(roots, return_inverse=True)
-    return labels
+
+def _run_highs(rows: _Rows, costs: np.ndarray, integral: bool,
+               time_limit: float | None = None, max_nodes: int | None = None) -> _Run:
+    """Solve min costs @ x over the rows with 0 <= x <= 1, as an LP or, when
+    ``integral``, as a MILP with zero gap tolerances."""
+    h = _highs_extension()
+    if h is None:
+        return _run_milp(rows, costs, integral, time_limit, max_nodes)
+    return _run_extension(h, rows, costs, integral, time_limit, max_nodes)
 
 
 def solve(
@@ -449,21 +481,22 @@ def solve(
     time_limit: float | None = None,
     max_nodes: int | None = None,
 ) -> SolveResult:
-    """Best-first branch and bound, component by component.
+    """Exact selection with HiGHS over the whole instance in one call.
 
-    Constraints never cross connected components of the variable-constraint
-    graph and costs are additive, so each component is solved independently
-    and the answers summed; this keeps the search spaces small without
-    changing the optimum.  Components are solved in a fixed order and share
-    the time and node budgets: max_nodes caps the nodes summed over all of
-    them.  A variable in no constraint is taken exactly when its cost is
-    negative, without search.
+    The LP relaxation is solved first.  When its optimum rounds to a feasible
+    selection whose objective meets the LP value, that selection is optimal
+    and no branching runs (nodes is 0); with clique rows for the conflicts
+    (see formulate) this has settled every pipeline graph measured.  Otherwise HiGHS
+    branch and bound solves the same model with zero gap tolerances:
+    max_nodes is its node limit, and time_limit (seconds) covers both steps.
+    A run that hits the time limit sets timed_out.
 
     start is an optional warm start, a 0/1 vector over all variables (the
-    pipeline passes the greedy selection).  Each component takes its slice
-    as a candidate incumbent when that slice is feasible and ignores it
-    otherwise, so the result is never worse than a feasible start at any
-    time or node budget.
+    pipeline passes the greedy selection).  It is a candidate incumbent when
+    feasible and is ignored otherwise, so the result is never worse than a
+    feasible start under any budget; on a tie the HiGHS selection is kept.
+    The bound is the best proven lower bound (the sum of the negative costs
+    at worst), clamped to the objective.
     """
     t0 = time.monotonic()
     n = instance.n_vars
@@ -472,164 +505,45 @@ def solve(
         if start.shape != (n,) or not np.isin(start, (0, 1)).all():
             raise ValueError(f"start must be a 0/1 vector of length {n}")
         start = start.astype(np.int8)
+    if n == 0:  # HiGHS reports an empty model as empty, not solved
+        empty = np.zeros(0, dtype=np.int8)
+        return SolveResult("optimal", empty, 0.0, 0.0, 0.0, 0, time.monotonic() - t0)
     rows = _Rows.build(instance.constraints, n)
-    labels = _constraint_components(rows)
+    costs = instance.costs
 
-    x = np.zeros(n, dtype=np.int8)
-    bound = 0.0
+    bound = float(np.minimum(costs, 0.0).sum())  # no 0/1 selection costs less
+    x = None
+    proven = False
     nodes = 0
-    timed_out = False
-    all_optimal = True
-    have_x = True
-    for comp in range(int(labels.max(initial=-1)) + 1):  # none when there are no variables
-        idx = np.flatnonzero(labels == comp)
-        sub = rows.take(idx)
-        if len(sub.rhs) == 0:
-            # a variable in no constraint: take it exactly when it pays
-            c = float(instance.costs[idx[0]])
-            if c < 0.0:
-                x[idx[0]] = 1
-                bound += c
-            continue
-        rem_t = None if time_limit is None else max(0.0, time_limit - (time.monotonic() - t0))
-        rem_n = None if max_nodes is None else max(0, max_nodes - nodes)
-        r = _solve_connected(
-            sub,
-            instance.costs[idx],
-            start=None if start is None else start[idx],
-            time_limit=rem_t,
-            max_nodes=rem_n,
-        )
-        nodes += r.nodes
-        timed_out = timed_out or r.timed_out
-        if r.status == "infeasible":
-            return SolveResult(
-                "infeasible", None, None, None, None, nodes, time.monotonic() - t0
-            )
-        all_optimal = all_optimal and r.status == "optimal"
-        bound += float(r.bound) if r.bound is not None else -np.inf
-        if r.x is None:
-            have_x = False
-        elif have_x:
-            x[idx] = r.x
-
+    run = _run_highs(rows, costs, integral=False, time_limit=time_limit)
+    if run.end == "optimal":
+        bound = max(bound, run.bound)
+        lp_x = np.rint(run.x).astype(np.int8)
+        objective = float(costs @ lp_x)
+        slack = LP_CERTIFICATE_RTOL * max(1.0, abs(objective))
+        if rows.feasible(lp_x) and objective <= run.bound + slack:
+            x, proven = lp_x, True
+    if not proven and run.end in ("optimal", "stopped"):
+        remaining = None if time_limit is None else max(0.0, time_limit - (time.monotonic() - t0))
+        run = _run_highs(rows, costs, integral=True, time_limit=remaining, max_nodes=max_nodes)
+        nodes = run.nodes
+        bound = max(bound, run.bound)
+        if run.x is not None:
+            mip_x = np.rint(run.x).astype(np.int8)
+            if rows.feasible(mip_x):
+                x, proven = mip_x, run.end == "optimal"
     runtime = time.monotonic() - t0
-    if not have_x:
-        return SolveResult("unknown", None, None, float(bound), None, nodes, runtime, timed_out)
-    # one dot product over the merged assignment, not the sum of per-component
-    # objectives: keeps the reported value independent of the decomposition
-    objective = float(instance.costs @ x)
-    # Summing per-component bounds rounds differently from the dot product, so
-    # a proven optimum could read as a bound a few ulps above its objective.
-    bound = min(bound, objective)
-    gap = objective - bound
-    status = "optimal" if all_optimal else "feasible"
-    return SolveResult(status, x, objective, float(bound), gap, nodes, runtime, timed_out)
-
-
-def _solve_connected(
-    rows: _Rows,
-    costs: np.ndarray,
-    *,
-    start: np.ndarray | None = None,
-    time_limit: float | None = None,
-    max_nodes: int | None = None,
-) -> SolveResult:
-    """Best-first branch and bound on one connected component.
-
-    Branches on the most negative undecided cost (ties to the lowest index),
-    propagates forced assignments, and prunes with the Lagrangian bound of
-    _DualBound.  The first incumbent is the better feasible one of the root's
-    propagated values with every undecided variable at zero (the all-zeros
-    selection when that is feasible) and the warm start; later incumbents are
-    the complete assignments the search reaches.  Completing the search
-    proves optimality; hitting the time or node limit reports the incumbent
-    with its remaining gap.
-    """
-    t0 = time.monotonic()
-    prop = _Propagator(rows)
-
-    incumbent_x: np.ndarray | None = None
-    incumbent_obj = np.inf
-
-    def try_candidate(x: np.ndarray) -> None:
-        nonlocal incumbent_x, incumbent_obj
-        obj = float(costs @ x)
-        if obj < incumbent_obj and rows.feasible(x):
-            incumbent_x = x.copy()
-            incumbent_obj = obj
-
-    root = np.full(rows.n_vars, -1, dtype=np.int8)
-    nodes = 0
-    if not prop.run(root, range(len(prop.idx))):
-        return SolveResult(
-            "infeasible", None, None, None, None, 0, time.monotonic() - t0
-        )
-    try_candidate(np.maximum(root, 0))
-    if start is not None:
-        try_candidate(start)
-
-    dual = _DualBound(rows, costs, incumbent_obj)
-
-    counter = 0
-    heap: list[tuple[float, int, np.ndarray]] = [(dual.bound(root), counter, root)]
-    timed_out = False
-
-    while heap:
-        if time_limit is not None and time.monotonic() - t0 > time_limit:
-            timed_out = True
-            break
-        if max_nodes is not None and nodes >= max_nodes:
-            break
-        b, _, fixed = heapq.heappop(heap)
-        nodes += 1
-        if b >= incumbent_obj:
-            break
-        und = fixed == -1
-        if not und.any():
-            try_candidate(fixed.astype(np.int8))
-            continue
-        masked = np.where(und, costs, np.inf)
-        v = int(np.argmin(masked))
-        for val in (1, 0):
-            child = fixed.copy()
-            child[v] = val
-            if not prop.run(child, prop.watch[v]):
-                continue
-            if not (child == -1).any():
-                try_candidate(child.astype(np.int8))
-                continue
-            cb = dual.bound(child)
-            if cb >= incumbent_obj:
-                continue
-            counter += 1
-            heapq.heappush(heap, (cb, counter, child))
-
-    runtime = time.monotonic() - t0
-    # The optimum lies in an open node or is no better than the incumbent:
-    # every pruned node's bound is at least the incumbent.
-    open_bound = heap[0][0] if heap else np.inf
-    best_bound = min(incumbent_obj, open_bound)
-
-    if incumbent_x is None:
-        if heap:  # stopped with open nodes left, so nothing is proven
-            return SolveResult(
-                "unknown", None, None, float(best_bound), None, nodes, runtime, timed_out
-            )
+    if run.end == "infeasible":
         return SolveResult("infeasible", None, None, None, None, nodes, runtime)
-
-    gap = max(0.0, incumbent_obj - float(best_bound))
-    status = "optimal" if gap <= 1e-9 else "feasible"
-    return SolveResult(
-        status,
-        incumbent_x,
-        float(incumbent_obj),
-        float(best_bound),
-        gap,
-        nodes,
-        runtime,
-        timed_out,
-    )
+    if start is not None and rows.feasible(start) and (x is None or costs @ start < costs @ x):
+        x = start
+    timed_out = run.end == "time"
+    if x is None:
+        return SolveResult("unknown", None, None, bound, None, nodes, runtime, timed_out)
+    objective = float(costs @ x)
+    bound = min(bound, objective)
+    status = "optimal" if proven else "feasible"
+    return SolveResult(status, x, objective, bound, objective - bound, nodes, runtime, timed_out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Shared generators for solver tests: random instances, random small graphs
-(alone or joined side by side), and the pinned fixture where the greedy
-heuristic strictly trails the exact solver."""
+(alone or joined side by side), the pinned fixture where the greedy
+heuristic strictly trails the exact solver, and the split of an instance
+into its constraint components."""
 from __future__ import annotations
 
 from dataclasses import replace
@@ -53,6 +54,40 @@ def random_instance(rng: np.random.Generator, max_vars: int = 20) -> IlpInstance
             )
         )
     return IlpInstance(costs=costs, constraints=cons)
+
+
+def constraint_components(instance: IlpInstance) -> list[list[int]]:
+    """The variables of each connected component of the variable-constraint
+    graph, ascending, in order of their smallest variable; a variable in no
+    constraint is a component of its own."""
+    parent = list(range(instance.n_vars))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for c in instance.constraints:
+        root = find(c.indices[0])
+        for i in c.indices[1:]:
+            parent[find(i)] = root
+    groups: dict[int, list[int]] = {}
+    for i in range(instance.n_vars):
+        groups.setdefault(find(i), []).append(i)
+    return sorted(groups.values())
+
+
+def component_instance(instance: IlpInstance, members: list[int]) -> IlpInstance:
+    """The costs and constraints of one constraint component, its variables
+    renumbered in the order of ``members``."""
+    pos = {v: k for k, v in enumerate(members)}
+    cons = [
+        LinearConstraint(tuple(pos[i] for i in c.indices), c.coeffs, c.sense, c.rhs)
+        for c in instance.constraints
+        if c.indices[0] in pos
+    ]
+    return IlpInstance(instance.costs[members], cons)
 
 
 def _square(pid: int, t: int, x: int, y: int, size: int) -> Proposal:

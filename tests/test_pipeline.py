@@ -362,17 +362,51 @@ class TestSimulateStage:
 
 
 class TestImportCost:
+    @staticmethod
+    def run_python(code: str) -> str:
+        """stdout of a fresh interpreter running ``code``, warnings as errors."""
+        src = os.path.dirname(os.path.dirname(lineage_ilp.__file__))
+        out = subprocess.run(
+            [sys.executable, "-W", "error", "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True, timeout=120,
+        )
+        return out.stdout.strip()
+
     def test_pipeline_and_cli_leave_scipy_optimize_unimported(self):
         # scipy.optimize alone adds about 19 MiB of peak memory; an LP or MILP
         # route through it belongs behind an import inside the solver call
-        src = os.path.dirname(os.path.dirname(lineage_ilp.__file__))
         code = (
             "import sys, lineage_ilp.pipeline, lineage_ilp.cli; "
             "print('scipy.optimize' in sys.modules)"
         )
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            env={**os.environ, "PYTHONPATH": src},
-            capture_output=True, text=True, check=True, timeout=120,
+        assert self.run_python(code) == "False"
+
+    SMALL_SOLVE = (
+        "import numpy as np; from lineage_ilp.solve import IlpInstance, LinearConstraint, solve; "
+        "r = solve(IlpInstance(np.array([-1.0, -2.0, -1.5]), "
+        "[LinearConstraint((0, 1, 2), (1, 1, 1), '<=', 1)])); "
+    )
+
+    def test_exact_solve_leaves_scipy_optimize_unimported(self):
+        # the solver loads HiGHS's compiled module alone, which costs about
+        # 2 MiB; scipy.optimize stays out unless that module cannot load
+        code = (
+            "import sys; " + self.SMALL_SOLVE
+            + "import lineage_ilp.solve as s; "
+            "print(r.status, s._highs_extension() is not None, 'scipy.optimize' in sys.modules)"
         )
-        assert out.stdout.strip() == "False"
+        status, loaded, imported = self.run_python(code).split()
+        if loaded == "False":
+            pytest.skip("this scipy has no compiled HiGHS module to load alone")
+        assert (status, imported) == ("optimal", "False")
+
+    @pytest.mark.parametrize("optimize_first", [False, True])
+    def test_solver_and_scipy_optimize_load_in_either_order(self, optimize_first):
+        milp = (
+            "from scipy.optimize import milp; "
+            "m = milp(np.array([-1.0]), integrality=np.ones(1), bounds=(0, 1)); "
+        )
+        first, second = (milp, self.SMALL_SOLVE) if optimize_first else (self.SMALL_SOLVE, milp)
+        code = "import numpy as np; " + first + second
+        assert self.run_python(code + "print(r.status, m.status)") == "optimal 0"

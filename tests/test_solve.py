@@ -1,23 +1,45 @@
-"""Solver tests: brute force oracle, branch and bound, greedy, lineage."""
+"""Solver tests: brute force oracle, clique rows, the HiGHS backend and its
+loader, greedy, lineage."""
 from __future__ import annotations
+
+import importlib.machinery
+import itertools
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from support import random_graph, random_instance, random_joined_graph, strict_gap_graph
+from support import (
+    component_instance,
+    constraint_components,
+    random_graph,
+    random_instance,
+    random_joined_graph,
+    strict_gap_graph,
+)
 
+import lineage_ilp.solve as solve_mod
 from lineage_ilp.config import config_from_dict
 from lineage_ilp.io import validate_tracks
-from lineage_ilp.pipeline import solve_graph
+from lineage_ilp.pipeline import (
+    build_candidate_graph,
+    load_dataset,
+    load_models,
+    read_proposals,
+    run_propose,
+    run_simulate,
+    run_train,
+    solve_graph,
+)
 from lineage_ilp.solve import (
+    BRUTEFORCE_MAX_VARS,
     IlpInstance,
     LinearConstraint,
     SolveResult,
-    _DualBound,
-    _Propagator,
+    _maximal_cliques,
     _Rows,
-    _constraint_components,
     check_solution,
     extract_lineage,
     formulate,
@@ -122,38 +144,6 @@ class TestCheckSolution:
         assert objective_value(inst, np.array([1, 1])) == -0.5
 
 
-class TestPropagation:
-    def test_equality_forces_remaining(self):
-        cons = [LinearConstraint((0, 1, 2), (1, 1, -1), "==", 0)]
-        prop = _Propagator(_Rows.build(cons, 3))
-        fixed = np.array([0, -1, 1], dtype=np.int8)
-        assert prop.run(fixed, [0])
-        assert fixed[1] == 1
-
-    def test_conflict_pair_propagates(self):
-        cons = [LinearConstraint((0, 1), (1, 1), "<=", 1)]
-        prop = _Propagator(_Rows.build(cons, 2))
-        fixed = np.array([1, -1], dtype=np.int8)
-        assert prop.run(fixed, [0])
-        assert fixed[1] == 0
-
-    def test_detects_infeasible(self):
-        cons = [LinearConstraint((0, 1), (1, 1), "<=", 1)]
-        prop = _Propagator(_Rows.build(cons, 2))
-        fixed = np.array([1, 1], dtype=np.int8)
-        assert not prop.run(fixed, [0])
-
-    def test_chain_reaction(self):
-        cons = [
-            LinearConstraint((0, 1), (1, -1), "==", 0),
-            LinearConstraint((1, 2), (1, -1), "==", 0),
-        ]
-        prop = _Propagator(_Rows.build(cons, 3))
-        fixed = np.array([1, -1, -1], dtype=np.int8)
-        assert prop.run(fixed, [0])
-        np.testing.assert_array_equal(fixed, [1, 1, 1])
-
-
 class TestRowsFeasible:
     """The solver's vectorised feasibility test over its sparse rows agrees
     with the independent checker."""
@@ -172,49 +162,56 @@ class TestRowsFeasible:
             assert rows.feasible(x) == (check_solution(inst, x) == []), x
 
 
-class TestDualBound:
-    def test_sound_against_bruteforce(self):
-        for seed in range(60):
+def brute_maximal_cliques(edges) -> list[tuple[int, ...]]:
+    """Maximal cliques by testing every vertex subset of two or more."""
+    adjacent = {frozenset(e) for e in edges}
+    verts = sorted({v for e in edges for v in e})
+    cliques = [
+        s
+        for k in range(2, len(verts) + 1)
+        for s in itertools.combinations(verts, k)
+        if all(frozenset(pair) in adjacent for pair in itertools.combinations(s, 2))
+    ]
+    return sorted(s for s in cliques if not any(set(s) < set(t) for t in cliques))
+
+
+class TestMaximalCliques:
+    def test_matches_brute_force_enumeration(self):
+        for seed in range(200):
             rng = np.random.default_rng(seed)
-            inst = random_instance(rng, max_vars=14)
-            n = inst.n_vars
-            rows = _Rows.build(inst.constraints, n)
-            bounder = _DualBound(rows, inst.costs, 0.0)  # all zeros is feasible
-            prop = _Propagator(rows)
-            fixed = np.full(n, -1, dtype=np.int8)
-            for v in rng.choice(n, size=rng.integers(0, n // 2 + 1), replace=False):
-                fixed[v] = rng.integers(0, 2)
-            if not prop.run(fixed, range(len(prop.idx))):
-                continue
-            bound = bounder.bound(fixed)
-            best = _restricted_optimum(inst, fixed)
-            if best is None:
-                continue
-            assert bound <= best + 1e-9, f"seed {seed}: bound {bound} > best {best}"
+            n = int(rng.integers(0, 10))
+            density = float(rng.uniform(0.0, 1.0))
+            edges = [
+                (i, j) for i, j in itertools.combinations(range(n), 2) if rng.random() < density
+            ]
+            assert _maximal_cliques(edges) == brute_maximal_cliques(edges), seed
 
-    def test_dominates_flat_bound_on_tracking_instance(self):
-        g = random_graph(np.random.default_rng(3))
-        inst, _ = formulate(g)
-        bounder = _DualBound(_Rows.build(inst.constraints, inst.n_vars), inst.costs, 0.0)
-        root = np.full(inst.n_vars, -1, dtype=np.int8)
-        flat = float(np.minimum(inst.costs, 0.0).sum())
-        assert bounder.bound(root) >= flat - 1e-12
+    def test_graph_without_edges_has_no_clique(self):
+        assert _maximal_cliques([]) == []
 
 
-def _restricted_optimum(inst: IlpInstance, fixed: np.ndarray) -> float | None:
-    """Brute-force optimum among completions of a partial assignment."""
-    n = inst.n_vars
-    best = None
-    for code in range(1 << n):
-        x = np.array([(code >> k) & 1 for k in range(n)], dtype=np.int8)
-        if ((fixed != -1) & (x != fixed)).any():
-            continue
-        if check_solution(inst, x):
-            continue
-        val = objective_value(inst, x)
-        if best is None or val < best:
-            best = val
-    return best
+class TestCliqueRows:
+    """formulate emits one <= 1 row per maximal clique of the conflict graph,
+    in sorted order, and none when nothing conflicts."""
+
+    def test_rows_are_the_maximal_conflict_cliques(self):
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            g = random_graph(rng)
+            # random same-frame conflicts in place of the few that overlap
+            same_frame = [
+                (a.id, b.id) for a, b in itertools.combinations(g.proposals, 2) if a.t == b.t
+            ]
+            g = replace(g, conflicts=[pair for pair in same_frame if rng.random() < 0.6])
+            inst, vm = formulate(g)
+            rows = [c for c in inst.constraints if c.sense == "<="]
+            pairs = [(vm.node_var[a], vm.node_var[b]) for a, b in g.conflicts]
+            assert [c.indices for c in rows] == brute_maximal_cliques(pairs), seed
+            assert all(c.coeffs == (1,) * len(c.indices) and c.rhs == 1 for c in rows)
+
+    def test_no_conflicts_no_clique_row(self):
+        inst, _ = formulate(strict_gap_graph())
+        assert inst.constraints and all(c.sense == "==" for c in inst.constraints)
 
 
 class TestSolveMatchesBruteForce:
@@ -269,7 +266,7 @@ class TestSolveMatchesBruteForce:
             assert res.bound == pytest.approx(res.objective)
 
     def test_node_limit(self):
-        # the budget caps the nodes summed over every component
+        # max_nodes is HiGHS's node limit
         for seed in range(12):
             inst = random_instance(np.random.default_rng(seed), max_vars=16)
             res = solve(inst, max_nodes=1)
@@ -301,8 +298,136 @@ class TestOnRandomGraphs:
             assert greedy.objective >= brute.objective - 1e-9, f"seed {seed}"
 
 
-def components(inst: IlpInstance) -> int:
-    return len(np.unique(_constraint_components(_Rows.build(inst.constraints, inst.n_vars))))
+# Small scenes from each proposal generator.  The multi_threshold ladder is
+# the one that yields conflicts; its scene is large enough that a third of
+# the pair cliques left out changes the optimum.
+PIPELINE_SCENES = {
+    "truth": {
+        "frames": 5, "width": 96, "height": 96, "initial_cells": 6,
+        "corruption": {"drop_rate": 0.05, "clutter_rate": 0.1, "merge_rate": 0.05},
+    },
+    "multi_threshold": {"frames": 4, "width": 96, "height": 96, "initial_cells": 6},
+    "log": {"frames": 4, "width": 64, "height": 64, "initial_cells": 5},
+}
+
+
+def pipeline_graph(generator: str, seed: int, root):
+    cfg = config_from_dict(
+        {"seed": seed, "proposals": {"generator": generator}, "sim": PIPELINE_SCENES[generator]}
+    )
+    run_simulate(cfg, root / "ds")
+    run_propose(cfg, root / "ds", root / "p.jsonl")
+    run_train(cfg, root / "ds", root / "p.jsonl", root / "models")
+    return build_candidate_graph(
+        cfg,
+        load_dataset(root / "ds"),
+        read_proposals(root / "p.jsonl"),
+        load_models(root / "models"),
+    )
+
+
+def pairwise_milp_optimum(inst: IlpInstance, graph, varmap) -> np.ndarray:
+    """Optimum by scipy.optimize.milp over one row per conflicting pair and
+    the equality rows of ``inst``."""
+    from scipy.optimize import Bounds, milp
+    from scipy.optimize import LinearConstraint as Rows
+
+    rows = [(c.indices, c.coeffs, c.rhs) for c in inst.constraints if c.sense == "=="]
+    n_eq = len(rows)
+    rows += [((varmap.node_var[a], varmap.node_var[b]), (1, 1), 1) for a, b in graph.conflicts]
+    A = np.zeros((len(rows), inst.n_vars))
+    for r, (indices, coeffs, _) in enumerate(rows):
+        A[r, list(indices)] = coeffs
+    upper = np.array([rhs for _, _, rhs in rows], dtype=np.float64)
+    lower = np.where(np.arange(len(rows)) < n_eq, upper, -np.inf)
+    res = milp(
+        inst.costs,
+        integrality=np.ones(inst.n_vars),
+        bounds=Bounds(0.0, 1.0),
+        constraints=[Rows(A, lower, upper)],
+        options={"mip_rel_gap": 0.0},
+    )
+    assert res.status == 0, res.message
+    return np.rint(res.x).astype(np.int8)
+
+
+class TestDifferentialAtPipelineScale:
+    """solve() against two independent references on graphs the pipeline
+    builds with each proposal generator: brute force on every constraint
+    component small enough for it, and scipy.optimize.milp over pairwise
+    conflict rows built here instead of formulate's clique rows."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("generator", sorted(PIPELINE_SCENES))
+    def test_agrees_with_bruteforce_and_pairwise_milp(self, generator, seed, tmp_path):
+        g = pipeline_graph(generator, seed, tmp_path)
+        inst, vm = formulate(g)
+        exact = solve(inst, start=solve_greedy(g, vm).x)
+        assert exact.status == "optimal"
+        assert check_solution(inst, exact.x) == []
+
+        compared = 0
+        for members in constraint_components(inst):
+            if len(members) > BRUTEFORCE_MAX_VARS:
+                continue
+            brute = solve_bruteforce(component_instance(inst, members))
+            part = float(inst.costs[members] @ exact.x[members])
+            assert part == pytest.approx(brute.objective, rel=1e-9, abs=1e-12), members
+            compared += 1
+        assert compared > 0 or generator == "multi_threshold"
+
+        ref = pairwise_milp_optimum(inst, g, vm)
+        assert check_solution(inst, ref) == []
+        assert exact.objective == pytest.approx(objective_value(inst, ref), rel=1e-9, abs=1e-12)
+
+
+class TestHighsLoader:
+    """The backend loads scipy's compiled HiGHS module by file path; when
+    that fails it solves through the public scipy.optimize.milp with the
+    same results.  Neither path warns."""
+
+    @staticmethod
+    def force_fallback(monkeypatch):
+        # with no extension suffix to try, the loader finds no module
+        monkeypatch.setattr(solve_mod, "_highs_module", None)
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
+
+    def test_fallback_gives_the_same_results(self, monkeypatch):
+        instances = [
+            random_instance(np.random.default_rng(seed), max_vars=16) for seed in range(40)
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            extension = [solve(inst) for inst in instances]
+            self.force_fallback(monkeypatch)
+            public = [solve(inst) for inst in instances]
+            timed = solve(instances[0], time_limit=1e-7)
+        assert solve_mod._highs_module is False
+        for seed, (a, b) in enumerate(zip(extension, public)):
+            assert a.status == b.status == "optimal", seed
+            assert a.objective == b.objective, seed
+        assert timed.timed_out
+
+    def test_thread_pool_of_another_size_is_reset(self):
+        h = solve_mod._highs_extension()
+        if h is None:
+            pytest.skip("this scipy has no compiled HiGHS module")
+        # HiGHS keeps one thread pool per process; start it anew with two
+        # threads, as a caller with other settings would
+        h._Highs.resetGlobalScheduler(True)
+        highs = h._Highs()
+        highs.setOptionValue("output_flag", False)
+        highs.setOptionValue("threads", 2)
+        lp = h.HighsLp()
+        lp.num_col_ = lp.a_matrix_.num_col_ = 1
+        lp.col_cost_ = np.array([-1.0])
+        lp.col_lower_ = np.zeros(1)
+        lp.col_upper_ = np.ones(1)
+        lp.a_matrix_.start_ = np.zeros(2, dtype=np.int32)
+        highs.passModel(lp)
+        assert highs.run() == h.HighsStatus.kOk
+        inst = random_instance(np.random.default_rng(5), max_vars=12)
+        assert solve(inst).objective == solve_bruteforce(inst).objective
 
 
 class TestBoundIsSound:
@@ -328,22 +453,21 @@ class TestBoundIsSound:
             self.check(random_instance(np.random.default_rng(seed), max_vars=12), seed)
 
     def test_random_graphs(self):
-        # two or three graphs side by side: the budget and the bound are
-        # split over the components, and the optimum is the sum of the
-        # parts' optima (six joined graphs hold about as many parts to
-        # brute-force as twelve single ones)
+        # two or three graphs side by side, solved in one call: the optimum
+        # is the sum of the parts' optima (six joined graphs hold about as
+        # many parts to brute-force as twelve single ones)
         for seed in range(6):
             g, parts = random_joined_graph(np.random.default_rng(seed))
             inst, _ = formulate(g)
-            assert components(inst) >= len(parts)
+            assert len(constraint_components(inst)) >= len(parts)
             optimum = sum(solve_bruteforce(formulate(p)[0]).objective for p in parts)
             self.check(inst, seed, optimum)
 
 
 class TestWarmStart:
-    """The exact solver takes a warm start as its first incumbent when it is
-    feasible and ignores it otherwise; the pipeline passes the greedy
-    selection, so exact is never worse than greedy at any node budget."""
+    """The exact solver keeps a feasible warm start as a candidate incumbent
+    and ignores an infeasible one; the pipeline passes the greedy selection,
+    so exact is never worse than greedy at any node budget."""
 
     def test_any_start_keeps_the_optimum(self):
         for seed in range(60):
@@ -383,11 +507,10 @@ class TestWarmStart:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 2**32 - 1), max_nodes=st.integers(1, 200))
     def test_property_checked_bounded_and_no_worse_than_greedy(self, seed, max_nodes):
-        # joined graphs, so the warm start and the node budget are split
-        # over several components
+        # joined graphs: several constraint components in one solve
         g, parts = random_joined_graph(np.random.default_rng(seed))
         inst, vm = formulate(g)
-        assert components(inst) >= len(parts)
+        assert len(constraint_components(inst)) >= len(parts)
         exact, _ = solve_graph(config_from_dict({"solve": {"max_nodes": max_nodes}}), g)
         assert check_solution(inst, exact.x) == []
         assert exact.bound <= exact.objective
