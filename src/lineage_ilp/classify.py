@@ -303,26 +303,14 @@ def predict_prob(model: RandomForest | ConstantModel, features: np.ndarray) -> n
 
 
 def fit_model(
-    data: TrainingSet,
-    *,
-    n_trees: int = 100,
-    max_depth: int = 12,
-    min_leaf: int = 2,
-    seed: int = 0,
-    max_negative_ratio: float = 20.0,
+    data: TrainingSet, *, n_trees: int = 100, seed: int = 0
 ) -> RandomForest | ConstantModel:
-    """train_forest, degrading to a ConstantModel when only one class exists."""
+    """train_forest at its default tree shape, degrading to a ConstantModel
+    when only one class exists."""
     if data.n_positive in (0, data.n_samples):
         p = 1.0 if data.n_positive else 0.0
         return ConstantModel(p=p, n_features=data.features.shape[1])
-    return train_forest(
-        data,
-        n_trees=n_trees,
-        max_depth=max_depth,
-        min_leaf=min_leaf,
-        seed=seed,
-        max_negative_ratio=max_negative_ratio,
-    )
+    return train_forest(data, n_trees=n_trees, seed=seed)
 
 
 def forest_to_json(forest: RandomForest) -> dict:

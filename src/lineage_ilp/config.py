@@ -1,9 +1,12 @@
 """Run configuration: one strict JSON document, one global seed.
 
-Every tunable lives here with its default; unknown keys anywhere in the
-document are rejected so typos cannot silently fall back to defaults.  The
-single ``seed`` is split per stage through ``stage_seed`` so each stage gets
-an independent stream while the whole run stays reproducible from one number.
+Every setting a run varies lives here with its default; the tracker's own
+constants (overlap thresholds, forest internals, the factors deriving the
+radii) live beside the code that uses them.  The document has the shape of
+``PipelineConfig``, and unknown keys anywhere in it are rejected so typos
+cannot silently fall back to defaults.  The single ``seed`` is split per
+stage through ``stage_seed`` so each stage gets an independent stream while
+the whole run stays reproducible from one number.
 """
 from __future__ import annotations
 
@@ -15,13 +18,8 @@ import numpy as np
 
 from .evaluate import TRA_WEIGHTS
 from .io import FormatError, loads_json
-from .proposals import (
-    DEFAULT_AREA_BOUNDS,
-    DEFAULT_CONFLICT_COVER,
-    DEFAULT_CONFLICT_IOU,
-    MASK_NMS_IOU,
-)
-from .sim import CorruptionConfig, SimConfig
+from .proposals import DEFAULT_AREA_BOUNDS
+from .sim import SimConfig
 
 
 class ConfigError(Exception):
@@ -46,31 +44,21 @@ class ProposalsConfig:
     generator: str = "multi_threshold"  # "multi_threshold" | "log" | "truth"
     levels: int = 8
     span: tuple[float, float] = (0.5, 1.5)
-    stability_iou: float = 0.5
     sigmas: tuple[float, ...] = (1.5, 2.0, 3.0, 4.0, 6.0)
     response_threshold: float = 0.02
-    nms_iou: float = MASK_NMS_IOU
     min_area: int = DEFAULT_AREA_BOUNDS[0]
     max_area: int = DEFAULT_AREA_BOUNDS[1]
-    c1: float = DEFAULT_CONFLICT_IOU
-    c2: float = DEFAULT_CONFLICT_COVER
 
 
 @dataclass
 class ClassifyConfig:
     n_trees: int = 100
-    max_depth: int = 12
-    min_leaf: int = 2
-    max_negative_ratio: float = 20.0
 
 
 @dataclass
 class GraphConfig:
     gating_radius: float | None = None  # None: derived from training displacements
-    gating_percentile: float = 99.0
-    gating_factor: float = 1.25
-    mitosis_radius: float | None = None  # None: gating radius times mitosis_factor
-    mitosis_factor: float = 1.5
+    mitosis_radius: float | None = None  # None: gating radius times MITOSIS_RADIUS_FACTOR
     mitosis_n: int = 3
     p_enter: float = 0.01
     p_exit: float = 0.01
@@ -99,7 +87,6 @@ class PipelineConfig:
     solve: SolveConfig = field(default_factory=SolveConfig)
     eval: EvalConfig = field(default_factory=EvalConfig)
     sim: SimConfig = field(default_factory=SimConfig)
-    corruption: CorruptionConfig = field(default_factory=CorruptionConfig)
 
 
 def _coerce(value, hint, where: str):
@@ -160,14 +147,12 @@ def _fill(obj, data, path: str) -> None:
     allowed = {f.name for f in fields(obj)}
     for key, value in data.items():
         where = f"{path}.{key}" if path else key
+        if key == "seed" and path:
+            raise ConfigError(f"{where} is not accepted; the global 'seed' drives every stage")
         if key not in allowed:
             raise ConfigError(f"unknown config key {where!r}")
         current = getattr(obj, key)
         if is_dataclass(current):
-            if key in ("sim", "corruption") and isinstance(value, dict) and "seed" in value:
-                raise ConfigError(
-                    f"{where}.seed is not accepted; the global 'seed' drives every stage"
-                )
             _fill(current, value, where)
         else:
             setattr(obj, key, _coerce(value, hints[key], where))
@@ -177,23 +162,8 @@ def config_from_dict(doc) -> PipelineConfig:
     """Build a config from a parsed JSON document, rejecting unknown keys."""
     if not isinstance(doc, dict):
         raise ConfigError("config: expected a JSON object at top level")
-    doc = dict(doc)
-    if "corruption" in doc:
-        raise ConfigError("unknown config key 'corruption' (it lives under 'sim')")
-    corruption_doc = None
-    sim = doc.get("sim")
-    if isinstance(sim, dict) and "corruption" in sim:
-        sim = dict(sim)
-        corruption_doc = sim.pop("corruption")
-        doc["sim"] = sim
     cfg = PipelineConfig()
     _fill(cfg, doc, "")
-    if corruption_doc is not None:
-        if isinstance(corruption_doc, dict) and "seed" in corruption_doc:
-            raise ConfigError(
-                "sim.corruption.seed is not accepted; the global 'seed' drives every stage"
-            )
-        _fill(cfg.corruption, corruption_doc, "sim.corruption")
     validate_config(cfg)
     return cfg
 
@@ -213,23 +183,13 @@ def validate_config(cfg: PipelineConfig) -> None:
     _require(p.levels >= 2, "proposals.levels: need at least 2")
     _require(len(p.span) == 2 and 0 < p.span[0] < p.span[1], "proposals.span: need 0 < lo < hi")
     _require(len(p.sigmas) >= 1 and all(s > 0 for s in p.sigmas), "proposals.sigmas: need positive values")
-    _require(0.0 < p.stability_iou <= 1.0, "proposals.stability_iou: need a value in (0, 1]")
-    _require(0.0 < p.nms_iou <= 1.0, "proposals.nms_iou: need a value in (0, 1]")
     _require(1 <= p.min_area <= p.max_area, "proposals.min_area/max_area: need 1 <= min <= max")
-    _require(0.0 < p.c1 <= 1.0 and 0.0 < p.c2 <= 1.0, "proposals.c1/c2: need values in (0, 1]")
 
-    c = cfg.classify
-    _require(c.n_trees >= 1, "classify.n_trees: need at least 1")
-    _require(c.max_depth >= 1, "classify.max_depth: need at least 1")
-    _require(c.min_leaf >= 1, "classify.min_leaf: need at least 1")
-    _require(c.max_negative_ratio > 0, "classify.max_negative_ratio: need a positive ratio")
+    _require(cfg.classify.n_trees >= 1, "classify.n_trees: need at least 1")
 
     g = cfg.graph
     _require(g.gating_radius is None or g.gating_radius > 0, "graph.gating_radius: need a positive radius")
-    _require(0 < g.gating_percentile <= 100, "graph.gating_percentile: need a value in (0, 100]")
-    _require(g.gating_factor > 0, "graph.gating_factor: need a positive factor")
     _require(g.mitosis_radius is None or g.mitosis_radius > 0, "graph.mitosis_radius: need a positive radius")
-    _require(g.mitosis_factor > 0, "graph.mitosis_factor: need a positive factor")
     _require(g.mitosis_n >= 2, "graph.mitosis_n: need at least 2 candidate daughters")
     for name, prob in (("p_enter", g.p_enter), ("p_exit", g.p_exit)):
         _require(0.0 < prob < 1.0, f"graph.{name}: need a probability strictly inside (0, 1)")
@@ -256,7 +216,7 @@ def validate_config(cfg: PipelineConfig) -> None:
         _require(0.0 <= getattr(sm, name) <= 1.0, f"sim.{name}: need a rate in [0, 1]")
     _require(sm.border in ("absorb", "reflect"), f"sim.border: unknown mode {sm.border!r}")
 
-    cc = cfg.corruption
+    cc = sm.corruption
     for name in ("drop_rate", "clutter_rate", "merge_rate", "split_rate"):
         _require(0.0 <= getattr(cc, name) <= 1.0, f"sim.corruption.{name}: need a rate in [0, 1]")
     _require(cc.jitter_px >= 0, "sim.corruption.jitter_px: need a non-negative amount")
@@ -286,20 +246,13 @@ def load_config(path, *, seed: int | None = None) -> PipelineConfig:
 def config_to_dict(cfg: PipelineConfig) -> dict:
     """The JSON form of a config, defaults included; inverse of config_from_dict."""
 
-    def plain(obj):
+    def plain(obj):  # stage seeds stay out: the global seed derives them
         if is_dataclass(obj):
-            return {f.name: plain(getattr(obj, f.name)) for f in fields(obj)}
+            return {f.name: plain(getattr(obj, f.name)) for f in fields(obj) if f.name != "seed"}
         if isinstance(obj, tuple):
             return [plain(v) for v in obj]
         if isinstance(obj, dict):
             return {k: plain(v) for k, v in obj.items()}
         return obj
 
-    doc = plain(cfg)
-    corruption = doc.pop("corruption")
-    sim = doc.pop("sim")
-    sim.pop("seed")
-    corruption.pop("seed")
-    sim["corruption"] = corruption
-    doc["sim"] = sim
-    return doc
+    return {"seed": cfg.seed, **plain(cfg)}

@@ -13,12 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .evaluate import GroundTruth
-from .proposals import (
-    DEFAULT_CONFLICT_COVER,
-    DEFAULT_CONFLICT_IOU,
-    Proposal,
-    conflicts,
-)
+from .features import centroid_distance
+from .proposals import Proposal, conflicts
 
 GRAPH_SCHEMA_VERSION = 1
 PROB_CLAMP = 1e-6
@@ -64,6 +60,9 @@ class TrackingGraph:
         return {p.id: p for p in self.proposals}
 
 
+MITOSIS_RADIUS_FACTOR = 1.5  # division search radius per unit of gating radius
+
+
 def gating_radius_from_truth(
     gt: GroundTruth, percentile: float = 99.0, factor: float = 1.25, fallback: float = 15.0
 ) -> float:
@@ -72,11 +71,6 @@ def gating_radius_from_truth(
     if len(d) == 0:
         return fallback
     return float(np.percentile(d, percentile) * factor)
-
-
-def _dist(a: Proposal, b: Proposal) -> float:
-    (ax, ay), (bx, by) = a.centroid, b.centroid
-    return math.hypot(bx - ax, by - ay)
 
 
 def _centroids(props: list[Proposal]) -> np.ndarray:
@@ -90,7 +84,7 @@ def _near(src: np.ndarray, dst: np.ndarray, radius: float) -> np.ndarray:
 
     Squared distances round differently from ``math.hypot``, so the limit
     carries a relative margin far above that rounding error; callers decide
-    each surviving pair with ``_dist``.
+    each surviving pair with ``centroid_distance``.
     """
     d = dst[None, :, :] - src[:, None, :]
     return (d * d).sum(axis=2) <= radius * radius * (1.0 + 1e-9)
@@ -109,7 +103,7 @@ def enumerate_moves(
     for t in range(len(frames) - 1):
         src, dst = frames[t], frames[t + 1]
         for i, j in zip(*np.nonzero(_near(xy[t], xy[t + 1], gating_radius))):
-            if _dist(src[i], dst[j]) <= gating_radius:
+            if centroid_distance(src[i], dst[j]) <= gating_radius:
                 out.append((src[i], dst[j]))
     return out
 
@@ -129,8 +123,8 @@ def enumerate_mitoses(
         parents = sorted(props_by_frame[t], key=lambda p: p.id)
         gate = _near(_centroids(parents), _centroids(nxt), mitosis_radius)
         for parent, row in zip(parents, gate):
-            cands = [nxt[j] for j in np.flatnonzero(row)]
-            near = [(d, _dist(parent, d)) for d in cands if _dist(parent, d) <= mitosis_radius]
+            dists = ((nxt[j], centroid_distance(parent, nxt[j])) for j in np.flatnonzero(row))
+            near = [(d, r) for d, r in dists if r <= mitosis_radius]
             near.sort(key=lambda item: (item[1], item[0].id))
             chosen = [d for d, _ in near[:n_neighbors]]
             chosen.sort(key=lambda p: p.id)
@@ -149,8 +143,6 @@ def build_graph(
     p_enter: float = 0.01,
     p_exit: float = 0.01,
     p_death: float | None = None,
-    conflict_iou: float = DEFAULT_CONFLICT_IOU,
-    conflict_cover: float = DEFAULT_CONFLICT_COVER,
 ) -> TrackingGraph:
     """Assemble the graph from scored proposals and scored candidates.
 
@@ -210,7 +202,7 @@ def build_graph(
 
     pair_list = []
     for frame in props_by_frame:
-        pair_list.extend(conflicts(frame, c1=conflict_iou, c2=conflict_cover))
+        pair_list.extend(conflicts(frame))
 
     return TrackingGraph(
         proposals=flat,

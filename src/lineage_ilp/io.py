@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Mask
+from .proposals import Proposal
 
 
 class FormatError(Exception):
@@ -215,14 +216,20 @@ class TrackRow:
     parent: int
 
 
-def read_tracks(path) -> list[TrackRow]:
+def _read_ascii(path) -> str:
+    """A text file's whole content; a missing file or a byte outside ASCII is
+    a FormatError."""
     try:
         with open(path, "r", encoding="ascii", errors="strict") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
         raise FormatError(f"unreadable file: {exc}", path=str(path)) from exc
     except UnicodeDecodeError as exc:
         raise FormatError(f"non-ASCII byte: {exc}", path=str(path)) from exc
+
+
+def read_tracks(path) -> list[TrackRow]:
+    text = _read_ascii(path)
     rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -281,13 +288,7 @@ def write_markers(path, markers: list[tuple[int, int, float, float]]) -> None:
 
 
 def read_markers(path) -> list[tuple[int, int, float, float]]:
-    try:
-        with open(path, "r", encoding="ascii", errors="strict") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise FormatError(f"unreadable file: {exc}", path=str(path)) from exc
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"non-ASCII byte: {exc}", path=str(path)) from exc
+    lines = _read_ascii(path).splitlines()
     if not lines or lines[0].strip() != "t,track_id,x,y":
         raise FormatError("missing 't,track_id,x,y' header", path=str(path), line=1)
     out = []
@@ -359,16 +360,8 @@ def write_proposals(path, props) -> None:
             fh.write(dumps_json(obj, indent=None) + "\n")
 
 
-def read_proposals(path) -> list:
-    from .proposals import Proposal
-
-    try:
-        with open(path, "r", encoding="ascii", errors="strict") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise FormatError(f"unreadable file: {exc}", path=str(path)) from exc
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"non-ASCII byte: {exc}", path=str(path)) from exc
+def read_proposals(path) -> list[Proposal]:
+    lines = _read_ascii(path).splitlines()
     props = []
     seen = set()
     for lineno, text in enumerate(lines, start=1):
@@ -490,13 +483,7 @@ def read_json_file(path, kind: str | tuple[str, ...], supported_versions: tuple[
     tuple of allowed names) and its schema_version."""
     kinds = (kind,) if isinstance(kind, str) else kind
     name = " or ".join(kinds)
-    try:
-        with open(path, "r", encoding="ascii", errors="strict") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise FormatError(f"unreadable file: {exc}", path=str(path)) from exc
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"non-ASCII byte: {exc}", path=str(path)) from exc
+    text = _read_ascii(path)
     obj = loads_json(text, path=str(path))
     if not isinstance(obj, dict):
         raise FormatError(f"{name} document must be a JSON object", path=str(path))

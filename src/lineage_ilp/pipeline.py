@@ -50,6 +50,7 @@ from .features import (
 )
 from .geometry import label_masks
 from .graph import (
+    MITOSIS_RADIUS_FACTOR,
     TrackingGraph,
     build_graph,
     enumerate_mitoses,
@@ -175,7 +176,7 @@ def generate_proposals(cfg: PipelineConfig, ds: Dataset) -> list[Proposal]:
     if p.generator == "truth":
         if ds.gt is None or ds.gt.label_grids is None:
             raise FormatError("the 'truth' proposal generator needs gt/seg label grids")
-        ccfg = replace(cfg.corruption, seed=stage_seed(cfg.seed, STAGE_CORRUPTION))
+        ccfg = replace(cfg.sim.corruption, seed=stage_seed(cfg.seed, STAGE_CORRUPTION))
         return corrupt(ds.gt, ds.frames, ccfg)
     props: list[Proposal] = []
     next_id = 0
@@ -185,8 +186,6 @@ def generate_proposals(cfg: PipelineConfig, ds: Dataset) -> list[Proposal]:
                 frame,
                 levels=p.levels,
                 span=p.span,
-                stability_iou=p.stability_iou,
-                nms_iou=p.nms_iou,
                 area_bounds=(p.min_area, p.max_area),
                 start_id=next_id,
             )
@@ -195,7 +194,6 @@ def generate_proposals(cfg: PipelineConfig, ds: Dataset) -> list[Proposal]:
                 frame,
                 sigmas=p.sigmas,
                 response_threshold=p.response_threshold,
-                nms_iou=p.nms_iou,
                 area_bounds=(p.min_area, p.max_area),
                 start_id=next_id,
             )
@@ -344,21 +342,14 @@ def run_train(cfg: PipelineConfig, data_dir, proposals_path, model_dir) -> Train
 
     feats = proposal_feature_matrix(props, {f.t: f for f in ds.frames})
     pset = label_proposals(props, ds.gt, feats)
-    fc = cfg.classify
-    fit_kw = dict(
-        n_trees=fc.n_trees,
-        max_depth=fc.max_depth,
-        min_leaf=fc.min_leaf,
-        max_negative_ratio=fc.max_negative_ratio,
-    )
-    node_model = fit_model(pset, seed=stage_seed(cfg.seed, STAGE_PROPOSAL_MODEL), **fit_kw)
+    n_trees = cfg.classify.n_trees
+    node_model = fit_model(pset, n_trees=n_trees, seed=stage_seed(cfg.seed, STAGE_PROPOSAL_MODEL))
 
     g = cfg.graph
-    if g.gating_radius is not None:
-        gating = g.gating_radius
-    else:
-        gating = gating_radius_from_truth(ds.gt, g.gating_percentile, g.gating_factor)
-    mitosis_radius = g.mitosis_radius if g.mitosis_radius is not None else gating * g.mitosis_factor
+    gating = g.gating_radius if g.gating_radius is not None else gating_radius_from_truth(ds.gt)
+    mitosis_radius = (
+        g.mitosis_radius if g.mitosis_radius is not None else gating * MITOSIS_RADIUS_FACTOR
+    )
 
     rows = candidate_rows(
         ds.frames, props, feats, node_model,
@@ -366,14 +357,16 @@ def run_train(cfg: PipelineConfig, data_dir, proposals_path, model_dir) -> Train
         divisions=True,
     )
     mset = label_move_edges(rows.pairs, ds.gt, rows.move_rows)
-    move_model = fit_model(mset, seed=stage_seed(cfg.seed, STAGE_MOVE_MODEL), **fit_kw)
+    move_model = fit_model(mset, n_trees=n_trees, seed=stage_seed(cfg.seed, STAGE_MOVE_MODEL))
 
     tset = label_mitosis_sets(rows.triples, ds.gt, rows.mitosis_rows)
     if tset.n_positive == 0:
         log.warning("training data contains no division example; division scoring disabled")
         mitosis_model = None
     else:
-        mitosis_model = fit_model(tset, seed=stage_seed(cfg.seed, STAGE_MITOSIS_MODEL), **fit_kw)
+        mitosis_model = fit_model(
+            tset, n_trees=n_trees, seed=stage_seed(cfg.seed, STAGE_MITOSIS_MODEL)
+        )
 
     log.info(
         "trained on %d proposals (%d pos), %d move pairs (%d pos), %d division triples (%d pos)",
@@ -509,8 +502,6 @@ def build_candidate_graph(
         p_enter=cfg.graph.p_enter,
         p_exit=cfg.graph.p_exit,
         p_death=cfg.graph.p_death,
-        conflict_iou=cfg.proposals.c1,
-        conflict_cover=cfg.proposals.c2,
     )
     log.info("graph: %s", graph_stats(graph))
     return graph

@@ -7,10 +7,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .geometry import Mask, connected_components, iou_mask, nms
+from .geometry import Mask, connected_components, iou_mask, mask_intersection_area, nms
 
 # Overlap threshold for candidate pruning.
 MASK_NMS_IOU = 0.7
+# IoU above which a component counts as recurring at another threshold level.
+STABILITY_IOU = 0.5
 
 DEFAULT_AREA_BOUNDS = (9, 10000)
 DEFAULT_CONFLICT_IOU = 0.5      # c1
@@ -28,14 +30,6 @@ class Frame:
         self.intensity = np.asarray(self.intensity, dtype=np.float64)
         if self.intensity.ndim != 2:
             raise ValueError("frame intensity must be 2-d")
-
-    @property
-    def height(self) -> int:
-        return self.intensity.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.intensity.shape[1]
 
 
 @dataclass
@@ -83,16 +77,14 @@ def multi_threshold_proposals(
     *,
     levels: int = 8,
     span: tuple[float, float] = (0.5, 1.5),
-    stability_iou: float = 0.5,
-    nms_iou: float = MASK_NMS_IOU,
     area_bounds: tuple[int, int] = DEFAULT_AREA_BOUNDS,
     start_id: int = 0,
 ) -> list[Proposal]:
     """Components over a ladder of thresholds around Otsu's level.
 
     A candidate's raw score is the fraction of threshold levels at which a
-    component recurs with IoU above ``stability_iou``; near-duplicates are
-    removed with mask NMS.
+    component recurs with IoU above ``STABILITY_IOU``; near-duplicates are
+    removed with mask NMS at ``MASK_NMS_IOU``.
     """
     if levels < 2:
         raise ValueError("need at least 2 threshold levels")
@@ -112,12 +104,12 @@ def multi_threshold_proposals(
     for cand in candidates:
         hit_levels = 0
         for comps in per_level:
-            if any(iou_mask(cand, other) > stability_iou for other in comps):
+            if any(iou_mask(cand, other) > STABILITY_IOU for other in comps):
                 hit_levels += 1
         scores.append(hit_levels / len(per_level))
 
     items = [(idx, scores[idx], cand) for idx, cand in enumerate(candidates)]
-    kept = sorted(nms(items, threshold=nms_iou, mode="mask"))
+    kept = sorted(nms(items, threshold=MASK_NMS_IOU, mode="mask"))
     return [
         Proposal(id=start_id + rank, t=frame.t, mask=candidates[idx], raw_score=scores[idx])
         for rank, idx in enumerate(kept)
@@ -129,7 +121,6 @@ def log_blob_proposals(
     *,
     sigmas: tuple[float, ...] = (1.5, 2.0, 3.0, 4.0, 6.0),
     response_threshold: float = 0.02,
-    nms_iou: float = MASK_NMS_IOU,
     area_bounds: tuple[int, int] = DEFAULT_AREA_BOUNDS,
     start_id: int = 0,
 ) -> list[Proposal]:
@@ -174,7 +165,7 @@ def log_blob_proposals(
     if not candidates:
         return []
     items = [(idx, scores[idx], cand) for idx, cand in enumerate(candidates)]
-    kept = sorted(nms(items, threshold=nms_iou, mode="mask"))
+    kept = sorted(nms(items, threshold=MASK_NMS_IOU, mode="mask"))
     return [
         Proposal(id=start_id + rank, t=frame.t, mask=candidates[idx], raw_score=scores[idx])
         for rank, idx in enumerate(kept)
@@ -192,8 +183,6 @@ def conflicts(
     fraction |i & j| / |i| (or / |j|) exceeds c2.  Pairs come back sorted with
     id_i < id_j.
     """
-    from .geometry import mask_intersection_area
-
     by_frame: dict[int, list[Proposal]] = {}
     for p in props:
         by_frame.setdefault(p.t, []).append(p)

@@ -6,13 +6,26 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import ndimage
 
 from .evaluate import GroundTruth
-from .geometry import Mask, label_masks
+from .geometry import Mask, label_masks, mask_intersection_area
 from .io import TrackRow
 from .proposals import Frame, Proposal
 
 HALF_PEAK_FACTOR = math.sqrt(2.0 * math.log(2.0))  # blob owns pixels within r * this
+
+
+@dataclass
+class CorruptionConfig:
+    seed: int = 0
+    drop_rate: float = 0.0
+    clutter_rate: float = 0.0
+    merge_rate: float = 0.0
+    split_rate: float = 0.0
+    jitter_px: float = 0.0
+    score_noise: float = 0.0
+    clutter_radius_range: tuple[float, float] = (2.0, 5.0)
 
 
 @dataclass
@@ -34,18 +47,7 @@ class SimConfig:
     division_refractory: int = 5
     placement_margin: float = 10.0
     initial_min_separation: float = 14.0
-
-
-@dataclass
-class CorruptionConfig:
-    seed: int = 0
-    drop_rate: float = 0.0
-    clutter_rate: float = 0.0
-    merge_rate: float = 0.0
-    split_rate: float = 0.0
-    jitter_px: float = 0.0
-    score_noise: float = 0.0
-    clutter_radius_range: tuple[float, float] = (2.0, 5.0)
+    corruption: CorruptionConfig = field(default_factory=CorruptionConfig)  # read by corrupt()
 
 
 @dataclass
@@ -344,10 +346,6 @@ def corrupt(gt: GroundTruth, frames: list[Frame], ccfg: CorruptionConfig) -> lis
 
 def _touching(a: Mask, b: Mask) -> bool:
     """True when some pixel of a is 8-adjacent to (or overlaps) a pixel of b."""
-    from scipy import ndimage
-
-    from .geometry import mask_intersection_area
-
     grown = Mask(
         a.x0 - 1, a.y0 - 1,
         ndimage.binary_dilation(np.pad(a.bits, 1), structure=np.ones((3, 3), dtype=bool)),

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import os
+import re
 
 import pytest
 
@@ -41,7 +43,7 @@ class TestFromDict:
         assert cfg.graph.gating_radius == 12.5
         assert cfg.solve.backend == "greedy"
         assert cfg.sim.frames == 5
-        assert cfg.corruption.drop_rate == 0.1
+        assert cfg.sim.corruption.drop_rate == 0.1
 
     def test_unknown_key_is_rejected_with_path(self):
         with pytest.raises(ConfigError, match="'nope'"):
@@ -56,6 +58,26 @@ class TestFromDict:
             config_from_dict({"sim": {"seed": 5}})
         with pytest.raises(ConfigError, match="seed"):
             config_from_dict({"sim": {"corruption": {"seed": 5}}})
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            "proposals.stability_iou",
+            "proposals.nms_iou",
+            "proposals.c1",
+            "proposals.c2",
+            "classify.max_depth",
+            "classify.min_leaf",
+            "classify.max_negative_ratio",
+            "graph.gating_percentile",
+            "graph.gating_factor",
+            "graph.mitosis_factor",
+        ],
+    )
+    def test_tracker_constants_are_not_keys(self, path):
+        section, key = path.split(".")
+        with pytest.raises(ConfigError, match=re.escape(f"unknown config key {path!r}")):
+            config_from_dict({section: {key: 1}})
 
     def test_corruption_lives_under_sim(self):
         with pytest.raises(ConfigError, match="corruption"):
@@ -148,6 +170,16 @@ class TestRoundTrip:
         assert "seed" not in doc["sim"]
         assert "seed" not in doc["sim"]["corruption"]
         assert "corruption" not in doc
+
+
+class TestDocumentedDefaults:
+    def test_formats_md_shows_the_default_document(self):
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "formats.md")
+        with open(path, encoding="ascii") as fh:
+            text = fh.read()
+        block = re.search(r"The full default document:\s*```json\n(.*?)```", text, re.S)
+        assert block is not None
+        assert json.loads(block.group(1)) == config_to_dict(PipelineConfig())
 
 
 class TestLoadConfig:

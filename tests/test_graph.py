@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from lineage_ilp.evaluate import GroundTruth
+from lineage_ilp.features import centroid_distance
 from lineage_ilp.geometry import Mask
 from lineage_ilp.graph import (
-    _dist,
     build_graph,
     enumerate_mitoses,
     enumerate_moves,
@@ -99,7 +99,7 @@ def reference_moves(props_by_frame, radius):
     for t in range(len(props_by_frame) - 1):
         for p_i in sorted(props_by_frame[t], key=lambda p: p.id):
             for p_j in sorted(props_by_frame[t + 1], key=lambda p: p.id):
-                if _dist(p_i, p_j) <= radius:
+                if centroid_distance(p_i, p_j) <= radius:
                     out.append((p_i.id, p_j.id))
     return out
 
@@ -108,7 +108,11 @@ def reference_mitoses(props_by_frame, radius, n_neighbors=3):
     out = []
     for t in range(len(props_by_frame) - 1):
         for parent in sorted(props_by_frame[t], key=lambda p: p.id):
-            near = [(d, _dist(parent, d)) for d in props_by_frame[t + 1] if _dist(parent, d) <= radius]
+            near = [
+                (d, centroid_distance(parent, d))
+                for d in props_by_frame[t + 1]
+                if centroid_distance(parent, d) <= radius
+            ]
             near.sort(key=lambda item: (item[1], item[0].id))
             chosen = sorted(d.id for d, _ in near[:n_neighbors])
             out.extend(
@@ -151,7 +155,7 @@ class TestGatingMatchesPairwiseLoop:
 
     def test_pair_exactly_at_radius(self):
         frames = [[prop(0, 0, 0, 0, size=1)], [prop(1, 1, 3, 4, size=1), prop(2, 1, 7, 1, size=1)]]
-        radius = _dist(frames[0][0], frames[1][0])
+        radius = centroid_distance(frames[0][0], frames[1][0])
         assert radius == 5.0
         assert [(a.id, b.id) for a, b in enumerate_moves(frames, radius)] == [(0, 1)]
         assert [(a.id, b.id) for a, b in enumerate_moves(frames, math.nextafter(radius, 0.0))] == []
@@ -162,7 +166,7 @@ class TestGatingMatchesPairwiseLoop:
             frames = random_frames(rng, n_frames=2)
             for p_i in frames[0]:
                 for p_j in frames[1]:
-                    r = _dist(p_i, p_j)
+                    r = centroid_distance(p_i, p_j)
                     got = [(a.id, b.id) for a, b in enumerate_moves(frames, r)]
                     assert got == reference_moves(frames, r)
                     assert (p_i.id, p_j.id) in got

@@ -137,6 +137,30 @@ class TestMarkers:
             read_markers(path)
 
 
+TEXT_READERS = {
+    "tracks": read_tracks,
+    "markers": read_markers,
+    "proposals": read_proposals,
+    "json": lambda path: read_json_file(path, "model", (1,)),
+}
+
+
+@pytest.mark.parametrize("reader", TEXT_READERS.values(), ids=TEXT_READERS.keys())
+class TestTextReaders:
+    def test_missing_file(self, tmp_path, reader):
+        path = tmp_path / "absent.txt"
+        with pytest.raises(FormatError, match="unreadable file") as err:
+            reader(path)
+        assert err.value.path == str(path)
+
+    def test_non_ascii_byte(self, tmp_path, reader):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"t,track_id,x,y\n0,1,2.0,3.0 \xe9\n")
+        with pytest.raises(FormatError, match="non-ASCII byte") as err:
+            reader(path)
+        assert err.value.path == str(path)
+
+
 class TestRle:
     def test_full_box_is_zero_then_all(self):
         bits = np.ones((3, 4), dtype=bool)

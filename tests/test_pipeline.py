@@ -9,6 +9,7 @@ import lineage_ilp
 
 from lineage_ilp.config import config_from_dict
 from lineage_ilp.evaluate import GroundTruth
+from lineage_ilp.graph import MITOSIS_RADIUS_FACTOR
 from lineage_ilp.io import FormatError, read_json_file, read_proposals, read_tracks, TrackRow
 from lineage_ilp.pipeline import (
     Dataset,
@@ -167,6 +168,20 @@ class TestTrainAndTrack:
         _, root = workspace
         with pytest.raises(FormatError):
             load_models(root / "no_such_models")
+
+    @pytest.mark.parametrize(
+        "graph, gating, mitosis",
+        [
+            ({"gating_radius": 12.5}, 12.5, 12.5 * MITOSIS_RADIUS_FACTOR),
+            ({"gating_radius": 12.5, "mitosis_radius": 30.0}, 12.5, 30.0),
+        ],
+    )
+    def test_radius_overrides_reach_meta(self, workspace, tmp_path, graph, gating, mitosis):
+        _, root = workspace
+        cfg = tiny_config(graph=graph, classify={"n_trees": 2})
+        run_train(cfg, root / "ds", root / "p.jsonl", tmp_path / "models")
+        meta = read_json_file(tmp_path / "models" / "meta.json", kind="model_meta", supported_versions=(1,))
+        assert (meta["gating_radius"], meta["mitosis_radius"]) == (gating, mitosis)
 
 
 class TestResultReconstruction:
