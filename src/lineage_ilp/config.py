@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 import numpy as np
 
 from .evaluate import TRA_WEIGHTS
-from .io import FormatError, loads_json
+from .io import FormatError, loads_json, read_ascii
 from .proposals import DEFAULT_AREA_BOUNDS
 from .sim import SimConfig
 
@@ -225,13 +225,7 @@ def validate_config(cfg: PipelineConfig) -> None:
 
 def load_config(path, *, seed: int | None = None) -> PipelineConfig:
     """Read and validate a config file; optional seed override."""
-    try:
-        with open(path, "r", encoding="ascii", errors="strict") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise FormatError(f"unreadable config: {exc}", path=str(path)) from exc
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"non-ASCII byte in config: {exc}", path=str(path)) from exc
+    text = read_ascii(path, "config")
     try:
         doc = loads_json(text, path=str(path))
     except FormatError as exc:

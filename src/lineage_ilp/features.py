@@ -3,6 +3,12 @@
 The proposal vector has 92 entries: 15 intensity histogram bins, two 8-bin
 boundary-contrast histograms (dilation radii 1 and 3), a 12x5 polar boundary
 histogram, and the area fraction.  All histograms are L1-normalized.
+
+Proposal vectors are computed one frame at a time: the frame's intensities
+are binned once, and each histogram block of all the frame's proposals is
+one ``bincount``, counted by numpy's own histogram edge rule so the vectors
+equal per-proposal ``np.histogram`` bit for bit.  Only the boundary, the
+rings and the nearest-ring means are per proposal.
 """
 from __future__ import annotations
 
@@ -29,63 +35,123 @@ _BLOCKS = ((0, 15), (15, 31), (31, 91), (91, 92))
 _EPS = 1e-9
 
 
-def _clip_pixels(mask: Mask, width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
-    rows, cols = mask.pixels()
-    keep = (rows >= 0) & (rows < height) & (cols >= 0) & (cols < width)
-    return rows[keep], cols[keep]
+def _bin_index(values, lo: float, hi: float, n: int) -> np.ndarray:
+    """Bin of each value as ``np.histogram(values, bins=n, range=(lo, hi))``
+    counts it, or ``n`` for a value it leaves out (outside [lo, hi], NaN).
+
+    numpy's rule: the index comes from the scaled offset and is then
+    corrected against the edges, so a value on an edge opens the bin above
+    it, except ``hi``, which the last bin keeps.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    edges = np.linspace(lo, hi, n + 1)
+    keep = (values >= lo) & (values <= hi)
+    v = np.where(keep, values, lo)
+    idx = ((v - lo) / (hi - lo) * n).astype(np.intp)
+    idx[idx == n] -= 1
+    idx[v < edges[idx]] -= 1
+    idx[(v >= edges[idx + 1]) & (idx != n - 1)] += 1
+    idx[~keep] = n
+    return idx
 
 
-def _contrast_hist(
-    intensity: np.ndarray, b_rows, b_cols, r_rows, r_cols
-) -> np.ndarray:
-    """Histogram of (nearest ring sample mean - boundary intensity) in [-0.5, 0.5]."""
-    if len(r_rows) == 0 or len(b_rows) == 0:
-        return np.zeros(N_CONTRAST_BINS)
+def _segment_counts(bins: np.ndarray, counts: np.ndarray, n_bins: int) -> np.ndarray:
+    """Histogram rows of consecutive segments: ``bins`` holds ``counts[k]``
+    bin indices for row k, each in 0..n_bins (n_bins is not counted)."""
+    segment = np.repeat(np.arange(len(counts)), counts)
+    total = np.bincount(segment * (n_bins + 1) + bins, minlength=len(counts) * (n_bins + 1))
+    return total.reshape(len(counts), n_bins + 1)[:, :n_bins]
+
+
+def _nearest_ring_means(intensity: np.ndarray, b_rows, b_cols, ring: Mask) -> np.ndarray | None:
+    """Per boundary pixel, the mean intensity of the nearest in-frame ring
+    pixels (integer squared distances, so ties are exact); None when the
+    frame clips the whole ring away."""
+    height, width = intensity.shape
+    r_rows, r_cols = ring.pixels()
+    keep = (r_rows >= 0) & (r_rows < height) & (r_cols >= 0) & (r_cols < width)
+    r_rows, r_cols = r_rows[keep], r_cols[keep]
+    if len(r_rows) == 0:
+        return None
     d2 = (b_rows[:, None] - r_rows[None, :]) ** 2 + (b_cols[:, None] - r_cols[None, :]) ** 2
-    nearest = d2 == d2.min(axis=1, keepdims=True)  # integer distances: ties are exact
-    ring_vals = intensity[r_rows, r_cols]
-    means = (nearest @ ring_vals) / nearest.sum(axis=1)
-    diffs = np.clip(means - intensity[b_rows, b_cols], -0.5, 0.5)
-    hist, _ = np.histogram(diffs, bins=N_CONTRAST_BINS, range=(-0.5, 0.5))
-    return hist / len(b_rows)
+    nearest = d2 == d2.min(axis=1, keepdims=True)
+    return (nearest @ intensity[r_rows, r_cols]) / nearest.sum(axis=1)
 
 
-def _polar_hist(mask: Mask, b_rows, b_cols) -> np.ndarray:
-    cx, cy = mask.centroid
-    dy = b_rows.astype(np.float64) - cy
-    dx = b_cols.astype(np.float64) - cx
+def proposal_feature_rows(props: list[Proposal], frame: Frame) -> np.ndarray:
+    """``proposal_features`` of each proposal of one frame, one row each.
+
+    The frame is binned once and every histogram of every proposal comes
+    from one ``bincount``; only the boundary, the dilation rings and the
+    nearest-ring means are worked out proposal by proposal.  A mask must
+    lie inside the frame.
+    """
+    n = len(props)
+    out = np.zeros((n, PROPOSAL_DIM))
+    if n == 0:
+        return out
+    intensity = frame.intensity
+    height, width = intensity.shape
+    int_bins = _bin_index(intensity, 0.0, 1.0, N_INTENSITY_BINS)
+    area = np.empty(n, dtype=np.int64)
+    pixel_bins, b_rows, b_cols = [], [], []
+    means: dict[int, list[np.ndarray]] = {r: [] for r in BOUNDARY_RADII}
+    has_ring = {r: np.zeros(n, dtype=bool) for r in BOUNDARY_RADII}
+    for k, p in enumerate(props):
+        m = p.mask
+        h, w = m.bits.shape
+        if m.x0 < 0 or m.y0 < 0 or m.x0 + w > width or m.y0 + h > height:
+            raise ValueError(f"proposal {p.id} extends past its {width}x{height} frame")
+        area[k] = m.area
+        pixel_bins.append(int_bins[m.y0 : m.y0 + h, m.x0 : m.x0 + w][m.bits])
+        boundary, rings = boundary_and_dilations(m, BOUNDARY_RADII)
+        rows, cols = boundary.pixels()
+        b_rows.append(rows)
+        b_cols.append(cols)
+        for r in BOUNDARY_RADII:
+            mean = _nearest_ring_means(intensity, rows, cols, rings[r])
+            if mean is not None:
+                means[r].append(mean)
+                has_ring[r][k] = True
+
+    b_count = np.array([len(rows) for rows in b_rows])
+    out[:, 0:15] = _segment_counts(np.concatenate(pixel_bins), area, N_INTENSITY_BINS) / area[:, None]
+
+    b_rows, b_cols = np.concatenate(b_rows), np.concatenate(b_cols)
+    on_boundary = intensity[b_rows, b_cols]
+    for lo, r in zip((15, 23), BOUNDARY_RADII):
+        if not means[r]:
+            continue  # every ring clipped away: the block stays zero
+        diffs = np.concatenate(means[r]) - on_boundary[np.repeat(has_ring[r], b_count)]
+        bins = _bin_index(np.clip(diffs, -0.5, 0.5), -0.5, 0.5, N_CONTRAST_BINS)
+        hist = _segment_counts(bins, np.where(has_ring[r], b_count, 0), N_CONTRAST_BINS)
+        out[:, lo : lo + N_CONTRAST_BINS] = hist / b_count[:, None]
+
+    out[:, 31:91] = _polar_hist(props, b_rows, b_cols, b_count)
+    out[:, 91] = area / float(width * height)
+    return out
+
+
+def _polar_hist(props: list[Proposal], b_rows, b_cols, b_count) -> np.ndarray:
+    """12x5 histogram of boundary pixels around the centroid, radius scaled
+    by each proposal's largest; one row per proposal."""
+    centroids = np.repeat(np.array([p.mask.centroid for p in props]), b_count, axis=0)
+    dy = b_rows.astype(np.float64) - centroids[:, 1]
+    dx = b_cols.astype(np.float64) - centroids[:, 0]
     radius = np.hypot(dx, dy)
-    r_max = radius.max()
-    unit = radius / r_max if r_max > 0 else np.zeros_like(radius)
+    starts = np.concatenate([[0], np.cumsum(b_count)[:-1]])
+    r_max = np.repeat(np.maximum.reduceat(radius, starts), b_count)
+    unit = np.divide(radius, r_max, out=np.zeros_like(radius), where=r_max > 0)
     ang_bin = np.floor((np.arctan2(dy, dx) + math.pi) / (2.0 * math.pi / N_ANGULAR_BINS))
     ang_bin = np.clip(ang_bin.astype(int), 0, N_ANGULAR_BINS - 1)
     rad_bin = np.minimum((unit * N_RADIAL_BINS).astype(int), N_RADIAL_BINS - 1)
-    hist = np.zeros(N_ANGULAR_BINS * N_RADIAL_BINS)
-    np.add.at(hist, ang_bin * N_RADIAL_BINS + rad_bin, 1.0)
-    return hist / len(b_rows)
+    n_bins = N_ANGULAR_BINS * N_RADIAL_BINS
+    return _segment_counts(ang_bin * N_RADIAL_BINS + rad_bin, b_count, n_bins) / b_count[:, None]
 
 
 def proposal_features(p: Proposal, frame: Frame) -> np.ndarray:
     """92-entry appearance vector; invariant to joint translation of mask and image."""
-    intensity = frame.intensity
-    height, width = intensity.shape
-    rows, cols = p.mask.pixels()
-    vals = intensity[rows, cols]
-    int_hist, _ = np.histogram(vals, bins=N_INTENSITY_BINS, range=(0.0, 1.0))
-    int_hist = int_hist / len(vals)
-
-    boundary, rings = boundary_and_dilations(p.mask, BOUNDARY_RADII)
-    b_rows, b_cols = boundary.pixels()
-    contrast = []
-    for r in BOUNDARY_RADII:
-        r_rows, r_cols = _clip_pixels(rings[r], width, height)
-        contrast.append(_contrast_hist(intensity, b_rows, b_cols, r_rows, r_cols))
-
-    polar = _polar_hist(p.mask, b_rows, b_cols)
-    area = np.array([p.area / float(width * height)])
-    out = np.concatenate([int_hist, contrast[0], contrast[1], polar, area])
-    assert out.shape == (PROPOSAL_DIM,)
-    return out
+    return proposal_feature_rows([p], frame)[0]
 
 
 def centroid_distance(a: Proposal, b: Proposal) -> float:

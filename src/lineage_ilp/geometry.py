@@ -7,9 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-_PLUS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
-_EIGHT = np.ones((3, 3), dtype=bool)
-
 
 @dataclass(frozen=True)
 class BBox:
@@ -210,24 +207,6 @@ def anchor_decode(d: BoxDelta, anchor: BBox) -> BBox:
     )
 
 
-def connected_components(binary: np.ndarray) -> list[Mask]:
-    """8-connected components of a boolean grid as tight masks, ordered by the
-    row-major position of each component's first pixel."""
-    binary = np.asarray(binary, dtype=bool)
-    labels, count = ndimage.label(binary, structure=_EIGHT)
-    if count == 0:
-        return []
-    objects = ndimage.find_objects(labels)
-    comps: list[tuple[int, Mask]] = []
-    for idx, sl in enumerate(objects, start=1):
-        bits = labels[sl] == idx
-        rows, cols = np.nonzero(bits)
-        first = (rows[0] + sl[0].start) * binary.shape[1] + (cols[0] + sl[1].start)
-        comps.append((int(first), Mask(sl[1].start, sl[0].start, bits)))
-    comps.sort(key=lambda rc: rc[0])
-    return [m for _, m in comps]
-
-
 def label_masks(grid: np.ndarray) -> dict[int, Mask]:
     """Positive label -> tight mask of its pixels, in ascending label order.
 
@@ -272,8 +251,7 @@ def _disk(radius: int) -> np.ndarray:
 
 def boundary_mask(m: Mask) -> Mask:
     """Set pixels with at least one unset 4-neighbour (pixels outside count as unset)."""
-    inner = ndimage.binary_erosion(m.bits, structure=_PLUS, border_value=0)
-    return Mask(m.x0, m.y0, m.bits & ~inner)
+    return boundary_and_dilations(m, ())[0]
 
 
 def boundary_and_dilations(m: Mask, radii: tuple[int, ...]) -> tuple[Mask, dict[int, Mask]]:
@@ -281,13 +259,19 @@ def boundary_and_dilations(m: Mask, radii: tuple[int, ...]) -> tuple[Mask, dict[
 
     Rings are returned in plane coordinates and may extend beyond any frame;
     callers clip.  Ring masks are never empty because dilation by a disk of
-    radius >= 1 always adds pixels.
+    radius >= 1 always adds pixels.  All of them come from one padded grid.
     """
-    rings: dict[int, Mask] = {}
-    for r in radii:
-        pad = int(r)
-        padded = np.pad(m.bits, pad)
-        grown = ndimage.binary_dilation(padded, structure=_disk(r))
-        ring = grown & ~padded
-        rings[r] = Mask(m.x0 - pad, m.y0 - pad, ring)
-    return boundary_mask(m), rings
+    pad = max((1, *radii))
+    h, w = m.bits.shape
+    padded = np.zeros((h + 2 * pad, w + 2 * pad), dtype=bool)
+    padded[pad : pad + h, pad : pad + w] = m.bits
+
+    def shifted(dy: int, dx: int) -> np.ndarray:
+        return padded[pad + dy : pad + dy + h, pad + dx : pad + dx + w]
+
+    inner = m.bits & shifted(-1, 0) & shifted(1, 0) & shifted(0, -1) & shifted(0, 1)
+    rings = {
+        r: Mask(m.x0 - pad, m.y0 - pad, ndimage.binary_dilation(padded, structure=_disk(r)) & ~padded)
+        for r in radii
+    }
+    return Mask(m.x0, m.y0, m.bits & ~inner), rings

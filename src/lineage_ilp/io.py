@@ -216,20 +216,20 @@ class TrackRow:
     parent: int
 
 
-def _read_ascii(path) -> str:
+def read_ascii(path, what: str = "file") -> str:
     """A text file's whole content; a missing file or a byte outside ASCII is
-    a FormatError."""
+    a FormatError whose text names the file as ``what``."""
     try:
         with open(path, "r", encoding="ascii", errors="strict") as fh:
             return fh.read()
     except OSError as exc:
-        raise FormatError(f"unreadable file: {exc}", path=str(path)) from exc
+        raise FormatError(f"unreadable {what}: {exc}", path=str(path)) from exc
     except UnicodeDecodeError as exc:
-        raise FormatError(f"non-ASCII byte: {exc}", path=str(path)) from exc
+        raise FormatError(f"non-ASCII byte in {what}: {exc}", path=str(path)) from exc
 
 
 def read_tracks(path) -> list[TrackRow]:
-    text = _read_ascii(path)
+    text = read_ascii(path)
     rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -288,7 +288,7 @@ def write_markers(path, markers: list[tuple[int, int, float, float]]) -> None:
 
 
 def read_markers(path) -> list[tuple[int, int, float, float]]:
-    lines = _read_ascii(path).splitlines()
+    lines = read_ascii(path).splitlines()
     if not lines or lines[0].strip() != "t,track_id,x,y":
         raise FormatError("missing 't,track_id,x,y' header", path=str(path), line=1)
     out = []
@@ -361,7 +361,7 @@ def write_proposals(path, props) -> None:
 
 
 def read_proposals(path) -> list[Proposal]:
-    lines = _read_ascii(path).splitlines()
+    lines = read_ascii(path).splitlines()
     props = []
     seen = set()
     for lineno, text in enumerate(lines, start=1):
@@ -483,7 +483,7 @@ def read_json_file(path, kind: str | tuple[str, ...], supported_versions: tuple[
     tuple of allowed names) and its schema_version."""
     kinds = (kind,) if isinstance(kind, str) else kind
     name = " or ".join(kinds)
-    text = _read_ascii(path)
+    text = read_ascii(path)
     obj = loads_json(text, path=str(path))
     if not isinstance(obj, dict):
         raise FormatError(f"{name} document must be a JSON object", path=str(path))

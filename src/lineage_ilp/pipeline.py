@@ -46,7 +46,7 @@ from .features import (
     PROPOSAL_DIM,
     mitosis_features,
     move_features,
-    proposal_features,
+    proposal_feature_rows,
 )
 from .geometry import label_masks
 from .graph import (
@@ -210,21 +210,34 @@ def run_propose(cfg: PipelineConfig, data_dir, out_path) -> list[Proposal]:
     return props
 
 
-def _group_by_frame(props: list[Proposal], n_frames: int) -> list[list[Proposal]]:
-    out: list[list[Proposal]] = [[] for _ in range(n_frames)]
+def _group_by_frame(props: list[Proposal], frames: list[Frame]) -> list[list[Proposal]]:
+    """Proposals by frame; one outside the frames, or whose mask extends past
+    its frame's right or bottom edge, is a FormatError."""
+    out: list[list[Proposal]] = [[] for _ in frames]
     for p in props:
-        if p.t >= n_frames:
+        if p.t >= len(frames):
             raise FormatError(
-                f"proposal {p.id} references frame {p.t}, dataset has {n_frames} frames"
+                f"proposal {p.id} references frame {p.t}, dataset has {len(frames)} frames"
+            )
+        height, width = frames[p.t].intensity.shape
+        h, w = p.mask.bits.shape
+        if p.mask.x0 + w > width or p.mask.y0 + h > height:
+            raise FormatError(
+                f"proposal {p.id} extends past frame {p.t}, which is {width}x{height} pixels"
             )
         out[p.t].append(p)
     return out
 
 
 def proposal_feature_matrix(props: list[Proposal], frames_by_t: dict[int, Frame]) -> np.ndarray:
-    if not props:
-        return np.zeros((0, PROPOSAL_DIM))
-    return np.stack([proposal_features(p, frames_by_t[p.t]) for p in props])
+    """Proposal feature rows in the order of ``props``, one pass per frame."""
+    by_t: dict[int, list[int]] = {}
+    for i, p in enumerate(props):
+        by_t.setdefault(p.t, []).append(i)
+    out = np.zeros((len(props), PROPOSAL_DIM))
+    for t, idx in by_t.items():
+        out[idx] = proposal_feature_rows([props[i] for i in idx], frames_by_t[t])
+    return out
 
 
 def move_feature_matrix(
@@ -295,7 +308,7 @@ def candidate_rows(
     division rows take the proposal model's probabilities as features.
     Division triples are enumerated only when ``divisions`` is set.
     """
-    by_frame = _group_by_frame(props, len(frames))
+    by_frame = _group_by_frame(props, frames)
     frames_by_t = {f.t: f for f in frames}
     node_prob = predict_prob(proposal_model, feats)
     node_probs = {p.id: float(node_prob[i]) for i, p in enumerate(props)}
@@ -338,7 +351,7 @@ def run_train(cfg: PipelineConfig, data_dir, proposals_path, model_dir) -> Train
     """
     ds = load_dataset(data_dir, need_gt=True)
     props = read_proposals(proposals_path)
-    _group_by_frame(props, len(ds.frames))  # a proposal outside the frames is a FormatError
+    _group_by_frame(props, ds.frames)  # a proposal outside the frames is a FormatError
 
     feats = proposal_feature_matrix(props, {f.t: f for f in ds.frames})
     pset = label_proposals(props, ds.gt, feats)
@@ -453,7 +466,7 @@ def build_candidate_graph(
     models' radii (training's, in ``run_e2e``); without them the rows are
     computed here.
     """
-    by_frame = _group_by_frame(props, len(ds.frames))
+    by_frame = _group_by_frame(props, ds.frames)
     if rows is None:
         rows = candidate_rows(
             ds.frames, props,

@@ -1,13 +1,14 @@
 """Segmentation proposals: multi-threshold and blob generators plus conflict pairs."""
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
-from .geometry import Mask, connected_components, iou_mask, mask_intersection_area, nms
+from .geometry import Mask, mask_intersection_area, nms
 
 # Overlap threshold for candidate pruning.
 MASK_NMS_IOU = 0.7
@@ -15,6 +16,7 @@ MASK_NMS_IOU = 0.7
 STABILITY_IOU = 0.5
 
 DEFAULT_AREA_BOUNDS = (9, 10000)
+_EIGHT = np.ones((3, 3), dtype=bool)
 DEFAULT_CONFLICT_IOU = 0.5      # c1
 DEFAULT_CONFLICT_COVER = 0.8    # c2
 
@@ -85,35 +87,98 @@ def multi_threshold_proposals(
     A candidate's raw score is the fraction of threshold levels at which a
     component recurs with IoU above ``STABILITY_IOU``; near-duplicates are
     removed with mask NMS at ``MASK_NMS_IOU``.
+
+    The level sets of a ladder are nested, so its components form a tree: a
+    component lies inside exactly one component of each level with a lower
+    (or equal) threshold and is disjoint from all the others there.  Two
+    components therefore overlap only when one contains the other, and then
+    their IoU is ``area_small / area_big``.  Scoring and NMS read only the
+    component areas and this containment map, never a pair of masks.
     """
     if levels < 2:
         raise ValueError("need at least 2 threshold levels")
     theta = otsu_threshold(frame.intensity)
     thresholds = np.linspace(span[0] * theta, span[1] * theta, levels)
-    per_level = [connected_components(frame.intensity > thr) for thr in thresholds]
+    ladder = [_Components(frame.intensity > thr) for thr in thresholds]
 
-    candidates: list[Mask] = []
-    for comps in per_level:
-        for m in comps:
-            if area_bounds[0] <= m.area <= area_bounds[1]:
-                candidates.append(m)
-    if not candidates:
+    # candidates are the components within the area bounds, level by level;
+    # index[l] maps each component of level l to its candidate number or -1
+    members, index, n = [], [], 0
+    for lv in ladder:
+        ok = np.flatnonzero((lv.area >= area_bounds[0]) & (lv.area <= area_bounds[1]))
+        index.append(np.full(len(lv.area), -1))
+        index[-1][ok] = np.arange(n, n + len(ok))
+        members.append(ok)
+        n += len(ok)
+    if n == 0:
         return []
 
-    scores = []
-    for cand in candidates:
-        hit_levels = 0
-        for comps in per_level:
-            if any(iou_mask(cand, other) > STABILITY_IOU for other in comps):
-                hit_levels += 1
-        scores.append(hit_levels / len(per_level))
+    hits = [np.ones(len(lv.area), dtype=np.int64) for lv in ladder]  # each recurs at its own level
+    overlapping: list[list[int]] = [[] for _ in range(n)]
+    for l, j in itertools.permutations(range(levels), 2):
+        if thresholds[j] > thresholds[l]:
+            continue
+        fine, coarse = ladder[l], ladder[j]
+        up = coarse.labels.ravel()[fine.pixel] - 1  # the component of level j holding each of level l
+        iou = fine.area / coarse.area[up]
+        hits[l] += iou > STABILITY_IOU
+        if thresholds[j] < thresholds[l]:
+            largest = np.zeros(len(coarse.area), dtype=np.int64)
+            np.maximum.at(largest, up, fine.area)
+            hits[j] += largest / coarse.area > STABILITY_IOU
+        pairs = (index[l] >= 0) & (index[j][up] >= 0) & (iou > MASK_NMS_IOU)
+        for a, b in zip(index[l][pairs].tolist(), index[j][up[pairs]].tolist()):
+            overlapping[a].append(b)
+            overlapping[b].append(a)
+    score = np.concatenate([hit[ok] for hit, ok in zip(hits, members)]) / levels
 
-    items = [(idx, scores[idx], cand) for idx, cand in enumerate(candidates)]
-    kept = sorted(nms(items, threshold=MASK_NMS_IOU, mode="mask"))
-    return [
-        Proposal(id=start_id + rank, t=frame.t, mask=candidates[idx], raw_score=scores[idx])
-        for rank, idx in enumerate(kept)
-    ]
+    # greedy NMS: by descending score, ties to the lower index
+    dropped = [False] * n
+    kept = []
+    for k in np.argsort(-score, kind="stable").tolist():
+        if not dropped[k]:
+            kept.append(k)
+            for other in overlapping[k]:
+                dropped[other] = True
+
+    level_of = np.repeat(np.arange(levels), [len(ok) for ok in members])
+    label_of = np.concatenate(members) + 1
+    objects: dict[int, list] = {}
+    out = []
+    for rank, k in enumerate(sorted(kept)):
+        l, label = int(level_of[k]), int(label_of[k])
+        if l not in objects:
+            objects[l] = ndimage.find_objects(ladder[l].labels)
+        sl = objects[l][label - 1]
+        mask = Mask(sl[1].start, sl[0].start, ladder[l].labels[sl] == label)
+        out.append(Proposal(id=start_id + rank, t=frame.t, mask=mask, raw_score=float(score[k])))
+    return out
+
+
+class _Components:
+    """8-connected components of one threshold level: the label grid, each
+    component's area and one of its pixels (flat index), by label - 1.
+
+    ``ndimage.label`` numbers components in raster order of their first
+    pixel, so label order is the row-major scan order of the components.
+    """
+
+    def __init__(self, binary: np.ndarray):
+        self.labels, count = ndimage.label(binary, structure=_EIGHT)
+        flat = self.labels.ravel()
+        fg = np.flatnonzero(flat)
+        self.area = np.bincount(flat[fg], minlength=count + 1)[1:]
+        self.pixel = np.empty(count, dtype=np.intp)
+        self.pixel[flat[fg] - 1] = fg  # any pixel of a component will do
+
+
+def _max_filter_3(stack: np.ndarray) -> np.ndarray:
+    """``ndimage.maximum_filter(stack, size=3, mode="nearest")`` on a 3-d
+    stack, as three shifted maxima per axis over an edge-padded copy."""
+    p = np.pad(stack, 1, mode="edge")
+    p = np.maximum(np.maximum(p[:-2], p[1:-1]), p[2:])
+    p = np.maximum(np.maximum(p[:, :-2], p[:, 1:-1]), p[:, 2:])
+    return np.maximum(np.maximum(p[:, :, :-2], p[:, :, 1:-1]), p[:, :, 2:])
 
 
 def log_blob_proposals(
@@ -135,9 +200,7 @@ def log_blob_proposals(
     stack = np.stack([
         -(s ** 2) * ndimage.gaussian_laplace(img, sigma=s, mode="nearest") for s in sigmas
     ])
-    local_max = (ndimage.maximum_filter(stack, size=3, mode="nearest") == stack) & (
-        stack > response_threshold
-    )
+    local_max = (_max_filter_3(stack) == stack) & (stack > response_threshold)
     peak_best = stack.max()
     if peak_best <= 0:
         return []
@@ -152,7 +215,7 @@ def log_blob_proposals(
         c0, c1 = max(0, c - window), min(img.shape[1], c + window + 1)
         patch = img[r0:r1, c0:c1]
         grown = patch >= img[r, c] / 2.0
-        labels, count = ndimage.label(grown, structure=np.ones((3, 3), dtype=bool))
+        labels, count = ndimage.label(grown, structure=_EIGHT)
         lab = labels[r - r0, c - c0]
         if lab == 0:
             continue

@@ -282,13 +282,15 @@ def corrupt(gt: GroundTruth, frames: list[Frame], ccfg: CorruptionConfig) -> lis
         if ccfg.merge_rate > 0 and len(masks) > 1:
             merged: list[tuple[Mask, str]] = []
             consumed = [False] * len(masks)
+            grown = [_grown(m) for m, _kind in masks]
             for i in range(len(masks)):
                 if consumed[i]:
                     continue
                 for j in range(i + 1, len(masks)):
                     if consumed[j]:
                         continue
-                    if not _touching(masks[i][0], masks[j][0]):
+                    # disjoint boxes return at once, before any pixel is read
+                    if mask_intersection_area(grown[i], masks[j][0]) == 0:
                         continue
                     if rng.uniform() < ccfg.merge_rate:
                         merged.append((_union(masks[i][0], masks[j][0]), "merged"))
@@ -344,13 +346,13 @@ def corrupt(gt: GroundTruth, frames: list[Frame], ccfg: CorruptionConfig) -> lis
     return props
 
 
-def _touching(a: Mask, b: Mask) -> bool:
-    """True when some pixel of a is 8-adjacent to (or overlaps) a pixel of b."""
-    grown = Mask(
+def _grown(a: Mask) -> Mask:
+    """``a`` dilated by one pixel in all eight directions: it meets exactly
+    the masks that touch ``a`` (8-adjacent or overlapping)."""
+    return Mask(
         a.x0 - 1, a.y0 - 1,
         ndimage.binary_dilation(np.pad(a.bits, 1), structure=np.ones((3, 3), dtype=bool)),
     )
-    return mask_intersection_area(grown, b) > 0
 
 
 def _union(a: Mask, b: Mask) -> Mask:

@@ -1,4 +1,4 @@
-"""Suite-wide solution audit.
+"""Suite-wide solution audit and hypothesis profile.
 
 Every assignment any solver returns during the test run is re-checked by the
 independent feasibility checker before the calling test sees it, and the tally
@@ -9,6 +9,14 @@ solver names.
 from __future__ import annotations
 
 import importlib
+
+from hypothesis import settings
+
+# Property tests are reproducible: the examples derive from the test itself,
+# nothing is stored between runs, and slow examples never fail on time.
+# Each test sets only its own max_examples.
+settings.register_profile("suite", derandomize=True, database=None, deadline=None)
+settings.load_profile("suite")
 
 # the pipeline module is patched below, so bind it (and the solver module)
 # before any test module imports names from them

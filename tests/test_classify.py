@@ -238,7 +238,7 @@ class TestSplitSearchMatchesReference:
     """The vectorised split search builds the trees the per-feature loop
     builds, bit for bit, including its tie rule."""
 
-    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=80)
     @given(
         seed=st.integers(0, 2**32 - 1),
         min_leaf=st.integers(1, 4),

@@ -139,6 +139,29 @@ class TestExitCodes:
         )
         assert rc == EXIT_INPUT
 
+    @pytest.mark.parametrize("command", ["train", "track", "dump-graph"])
+    def test_mask_past_the_frame_edge(self, flow, tmp_path, capsys, command):
+        cfg, root = flow
+        lines = (root / "p.jsonl").read_text().splitlines()
+        doc = json.loads(lines[0])
+        w = doc["bbox"][2]
+        doc["bbox"][0] = 80 - w + 1  # one column past the right edge of the 80x80 frame
+        lines[0] = json.dumps(doc)
+        bad = tmp_path / "p.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        paths = {
+            "train": ["--out", str(tmp_path / "models")],
+            "track": ["--model", str(root / "models"), "--out", str(tmp_path / "res")],
+            "dump-graph": ["--model", str(root / "models"), "--out", str(tmp_path / "g.json")],
+        }[command]
+        rc = main(
+            [command, "--config", str(cfg), "--data", str(root / "ds"), "--proposals", str(bad)]
+            + paths
+        )
+        assert rc == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"proposal {doc['id']} extends past frame {doc['t']}, which is 80x80 pixels" in err
+
     def test_solver_timeout(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(

@@ -198,8 +198,14 @@ class TestLoadConfig:
             load_config(path, seed=-5)
 
     def test_missing_file_is_input_error(self, tmp_path):
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="unreadable config"):
             load_config(tmp_path / "absent.json")
+
+    def test_non_ascii_byte_is_input_error(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_bytes('{"seed": 1} \u00e9'.encode("utf-8"))
+        with pytest.raises(FormatError, match="non-ASCII byte in config"):
+            load_config(path)
 
     def test_bad_json_is_config_error(self, tmp_path):
         path = tmp_path / "cfg.json"

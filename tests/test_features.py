@@ -1,20 +1,32 @@
 """Feature vector oracles and invariance checks."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
 from lineage_ilp.features import (
+    BOUNDARY_RADII,
     MITOSIS_DIM,
     MOVE_DIM,
+    N_ANGULAR_BINS,
+    N_CONTRAST_BINS,
+    N_INTENSITY_BINS,
+    N_RADIAL_BINS,
     PROPOSAL_DIM,
+    _bin_index,
     aligned_iou,
     centroid_distance,
     mitosis_features,
     move_features,
+    proposal_feature_rows,
     proposal_features,
 )
-from lineage_ilp.geometry import Mask
+from lineage_ilp.geometry import Mask, disk_offsets
 from lineage_ilp.proposals import Frame, Proposal
 
 
@@ -105,6 +117,147 @@ class TestProposalFeatures:
         fa = proposal_features(prop_a, frame_a)
         fb = proposal_features(prop_b, frame_b)
         np.testing.assert_allclose(fa, fb, atol=1e-9)
+
+
+def _reference_proposal_features(p: Proposal, frame: Frame) -> np.ndarray:
+    """The proposal vector computed proposal by proposal: ``np.histogram``
+    per block, ``ndimage`` erosion and dilations on padded copies of the
+    mask, the polar histogram by ``np.add.at``."""
+    intensity = frame.intensity
+    height, width = intensity.shape
+    rows, cols = p.mask.pixels()
+    vals = intensity[rows, cols]
+    int_hist, _ = np.histogram(vals, bins=N_INTENSITY_BINS, range=(0.0, 1.0))
+    int_hist = int_hist / len(vals)
+
+    plus = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
+    inner = ndimage.binary_erosion(p.mask.bits, structure=plus, border_value=0)
+    b_rows, b_cols = Mask(p.mask.x0, p.mask.y0, p.mask.bits & ~inner).pixels()
+    contrast = []
+    for r in BOUNDARY_RADII:
+        padded = np.pad(p.mask.bits, r)
+        ring = ndimage.binary_dilation(padded, structure=disk_offsets(r)) & ~padded
+        r_rows, r_cols = Mask(p.mask.x0 - r, p.mask.y0 - r, ring).pixels()
+        keep = (r_rows >= 0) & (r_rows < height) & (r_cols >= 0) & (r_cols < width)
+        r_rows, r_cols = r_rows[keep], r_cols[keep]
+        if len(r_rows) == 0:
+            contrast.append(np.zeros(N_CONTRAST_BINS))
+            continue
+        d2 = (b_rows[:, None] - r_rows[None, :]) ** 2 + (b_cols[:, None] - r_cols[None, :]) ** 2
+        nearest = d2 == d2.min(axis=1, keepdims=True)
+        means = (nearest @ intensity[r_rows, r_cols]) / nearest.sum(axis=1)
+        diffs = np.clip(means - intensity[b_rows, b_cols], -0.5, 0.5)
+        hist, _ = np.histogram(diffs, bins=N_CONTRAST_BINS, range=(-0.5, 0.5))
+        contrast.append(hist / len(b_rows))
+
+    cx, cy = p.mask.centroid
+    dy = b_rows.astype(np.float64) - cy
+    dx = b_cols.astype(np.float64) - cx
+    radius = np.hypot(dx, dy)
+    r_max = radius.max()
+    unit = radius / r_max if r_max > 0 else np.zeros_like(radius)
+    ang_bin = np.floor((np.arctan2(dy, dx) + math.pi) / (2.0 * math.pi / N_ANGULAR_BINS))
+    ang_bin = np.clip(ang_bin.astype(int), 0, N_ANGULAR_BINS - 1)
+    rad_bin = np.minimum((unit * N_RADIAL_BINS).astype(int), N_RADIAL_BINS - 1)
+    polar = np.zeros(N_ANGULAR_BINS * N_RADIAL_BINS)
+    np.add.at(polar, ang_bin * N_RADIAL_BINS + rad_bin, 1.0)
+    polar = polar / len(b_rows)
+
+    area = np.array([p.area / float(width * height)])
+    return np.concatenate([int_hist, contrast[0], contrast[1], polar, area])
+
+
+def assert_rows_match_reference(props, frame):
+    got = proposal_feature_rows(props, frame)
+    want = np.stack([_reference_proposal_features(p, frame) for p in props])
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    for p, row in zip(props, got):
+        assert np.array_equal(proposal_features(p, frame), row)
+
+
+def _random_mask(rng, height, width, kind):
+    if kind == "pixel":
+        y, x = int(rng.integers(0, height)), int(rng.integers(0, width))
+        return Mask(x, y, np.ones((1, 1), dtype=bool))
+    if kind == "frame":
+        return Mask(0, 0, np.ones((height, width), dtype=bool))
+    h, w = int(rng.integers(1, height + 1)), int(rng.integers(1, width + 1))
+    # against the top/left border, the bottom/right border, or anywhere
+    y0 = int(rng.choice([0, height - h, rng.integers(0, height - h + 1)]))
+    x0 = int(rng.choice([0, width - w, rng.integers(0, width - w + 1)]))
+    bits = rng.random((h, w)) < rng.uniform(0.3, 1.0)
+    bits[int(rng.integers(0, h)), int(rng.integers(0, w))] = True
+    m = Mask(x0, y0, bits)
+    return m.tighten() if rng.random() < 0.5 else m
+
+
+class TestFramePassMatchesReference:
+    """The frame pass gives every proposal the vector the per-proposal code
+    gives it, bit for bit."""
+
+    @settings(max_examples=150)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        height=st.integers(1, 16),
+        width=st.integers(1, 16),
+        quantum=st.sampled_from([1, 2, 8, 15, 16, 30, 45, 255, 65535]),
+    )
+    def test_random_frames(self, seed, height, width, quantum):
+        # k / quantum puts pixels on 0.0, 1.0 and the intensity edges
+        # (multiples of 1/15), and contrast differences on theirs (1/8)
+        rng = np.random.default_rng(seed)
+        intensity = rng.integers(0, quantum + 1, size=(height, width)) / quantum
+        frame = Frame(t=0, intensity=intensity)
+        kinds = rng.choice(["pixel", "frame", "box"], size=int(rng.integers(1, 7)), p=[0.25, 0.15, 0.6])
+        props = [
+            Proposal(id=i, t=0, mask=_random_mask(rng, height, width, kind), raw_score=0.5)
+            for i, kind in enumerate(kinds)
+        ]
+        assert_rows_match_reference(props, frame)
+
+    def test_borders_single_pixels_and_the_whole_frame(self):
+        img = np.tile(np.linspace(0.0, 1.0, 16), (9, 1))[:, :12]
+        img[0, 0], img[-1, -1] = 0.0, 1.0
+        frame = Frame(t=0, intensity=img)
+        masks = [
+            Mask(0, 0, np.ones((9, 12), dtype=bool)),  # the whole frame: both rings clipped away
+            Mask(0, 0, np.ones((1, 1), dtype=bool)),
+            Mask(11, 8, np.ones((1, 1), dtype=bool)),
+            Mask(5, 4, np.ones((1, 1), dtype=bool)),
+            Mask(0, 2, np.ones((3, 2), dtype=bool)),  # left edge
+            Mask(10, 2, np.ones((3, 2), dtype=bool)),  # right edge
+            Mask(3, 0, np.ones((2, 4), dtype=bool)),  # top edge
+            Mask(3, 7, np.ones((2, 4), dtype=bool)),  # bottom edge
+        ]
+        props = [Proposal(id=i, t=0, mask=m, raw_score=0.5) for i, m in enumerate(masks)]
+        assert_rows_match_reference(props, frame)
+
+    def test_no_proposals(self):
+        assert proposal_feature_rows([], Frame(t=0, intensity=np.zeros((3, 3)))).shape == (0, PROPOSAL_DIM)
+
+    def test_mask_past_the_frame_is_refused(self):
+        p = Proposal(id=7, t=0, mask=Mask(3, 0, np.ones((1, 2), dtype=bool)), raw_score=0.5)
+        with pytest.raises(ValueError, match="proposal 7 extends past its 4x3 frame"):
+            proposal_feature_rows([p], Frame(t=0, intensity=np.zeros((3, 4))))
+
+
+class TestBinIndex:
+    @pytest.mark.parametrize("lo, hi, n", [(0.0, 1.0, 15), (-0.5, 0.5, 8)])
+    def test_counts_as_np_histogram(self, lo, hi, n):
+        edges = np.linspace(lo, hi, n + 1)
+        values = np.concatenate([
+            edges,
+            np.nextafter(edges, -np.inf),
+            np.nextafter(edges, np.inf),
+            np.arange(0, 61) / 60 * (hi - lo) + lo,
+            [np.nan, -np.inf, np.inf, lo - 1.0, hi + 1.0],
+        ])
+        idx = _bin_index(values, lo, hi, n)
+        for v, i in zip(values, idx):
+            want, _ = np.histogram([v], bins=n, range=(lo, hi))
+            got = np.bincount([i], minlength=n + 1)[:n]
+            assert np.array_equal(got, want), (v, i)
 
 
 class TestMoveFeatures:

@@ -11,7 +11,6 @@ from lineage_ilp.geometry import (
     anchor_encode,
     boundary_and_dilations,
     boundary_mask,
-    connected_components,
     disk_offsets,
     iou_box,
     iou_mask,
@@ -169,27 +168,6 @@ class TestAnchors:
     def test_degenerate_anchor_rejected(self):
         with pytest.raises(ValueError):
             anchor_encode(BBox(0, 0, 1, 1), BBox(0, 0, 0, 1))
-
-
-class TestConnectedComponents:
-    def test_diagonal_pixels_are_one_component(self):
-        grid = np.array([[1, 0], [0, 1]], dtype=bool)
-        comps = connected_components(grid)
-        assert len(comps) == 1
-        assert comps[0].area == 2
-
-    def test_empty_grid(self):
-        assert connected_components(np.zeros((4, 4), dtype=bool)) == []
-
-    def test_scanline_order_and_tight_boxes(self):
-        grid = np.zeros((10, 10), dtype=bool)
-        grid[6:8, 1:3] = True
-        grid[0, 7] = True
-        grid[2:4, 4] = True
-        comps = connected_components(grid)
-        firsts = [(m.y0, m.x0) for m in comps]
-        assert firsts == [(0, 7), (2, 4), (6, 1)]
-        assert comps[2].bits.shape == (2, 2)
 
 
 class TestBoundaryAndDilations:

@@ -101,7 +101,22 @@ class TestProposalStage:
     def test_group_by_frame_checks_range(self):
         p = Proposal(id=0, t=5, mask=_mask(), raw_score=0.5)
         with pytest.raises(FormatError, match="frame 5"):
-            _group_by_frame([p], 3)
+            _group_by_frame([p], _frames(3))
+
+    @pytest.mark.parametrize("x0, y0", [(7, 0), (0, 5), (7, 5)])
+    def test_group_by_frame_checks_right_and_bottom_edges(self, x0, y0):
+        from lineage_ilp.geometry import Mask
+
+        frames = _frames(2, height=6, width=8)
+        inside = Proposal(id=3, t=1, mask=Mask(6, 4, np.ones((2, 2), dtype=bool)), raw_score=0.5)
+        assert _group_by_frame([inside], frames) == [[], [inside]]
+        past = Proposal(id=4, t=1, mask=Mask(x0, y0, np.ones((2, 2), dtype=bool)), raw_score=0.5)
+        with pytest.raises(FormatError, match="proposal 4 extends past frame 1, which is 8x6 pixels"):
+            _group_by_frame([inside, past], frames)
+
+
+def _frames(n, height=4, width=4):
+    return [Frame(t=t, intensity=np.zeros((height, width))) for t in range(n)]
 
 
 def _mask():

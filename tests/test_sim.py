@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from lineage_ilp.evaluate import GroundTruth
+from lineage_ilp.geometry import Mask, mask_intersection_area
 from lineage_ilp.io import TrackRow
 from lineage_ilp.sim import (
     CorruptionConfig,
     SimConfig,
+    _union,
     corrupt,
     ideal_proposals,
     simulate,
@@ -152,3 +155,57 @@ class TestCorrupt:
         assert len(props) > 3
         scores = sorted({round(p.raw_score, 2) for p in props})
         assert scores == [0.35, 0.9]
+
+
+def _reference_touching(a: Mask, b: Mask) -> bool:
+    """True when some pixel of a is 8-adjacent to (or overlaps) a pixel of b."""
+    grown = Mask(
+        a.x0 - 1, a.y0 - 1,
+        ndimage.binary_dilation(np.pad(a.bits, 1), structure=np.ones((3, 3), dtype=bool)),
+    )
+    return mask_intersection_area(grown, b) > 0
+
+
+def _reference_merged(gt, seed, merge_rate):
+    """The merge pass with a dilation per candidate pair: (t, mask, score)
+    of every proposal ``corrupt`` makes when merging is its only pass."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    out = []
+    for t, frame_masks in enumerate(ideal_proposals(gt)):
+        masks = [(m, 0.9) for _label, m in frame_masks]
+        consumed = [False] * len(masks)
+        for i in range(len(masks)):
+            if consumed[i]:
+                continue
+            for j in range(i + 1, len(masks)):
+                if consumed[j] or not _reference_touching(masks[i][0], masks[j][0]):
+                    continue
+                if rng.uniform() < merge_rate:
+                    out.append((t, _union(masks[i][0], masks[j][0]), 0.75))
+                    consumed[i] = consumed[j] = True
+                    break
+            if not consumed[i]:
+                out.append((t, *masks[i]))
+                consumed[i] = True
+    return out
+
+
+class TestMergeMatchesReference:
+    """One dilation per mask merges the pairs, in the order and with the
+    random draws, of one dilation per pair."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("merge_rate", [1.0, 0.5])
+    def test_crowded_scenes(self, seed, merge_rate):
+        cfg = SimConfig(
+            seed=seed, frames=4, width=48, height=48, initial_cells=14,
+            placement_margin=4.0, initial_min_separation=6.0, division_rate=0.1,
+        )
+        gt = simulate(cfg).gt
+        props = corrupt(gt, [], CorruptionConfig(seed=seed + 10, merge_rate=merge_rate))
+        want = _reference_merged(gt, seed + 10, merge_rate)
+        assert sum(score == 0.75 for _t, _m, score in want) >= 2  # the scene has merges
+        assert [(p.id, p.t, p.raw_score) for p in props] == [
+            (i, t, score) for i, (t, _m, score) in enumerate(want)
+        ]
+        assert all(p.mask == m for p, (_t, m, _s) in zip(props, want))

@@ -148,7 +148,7 @@ class TestRowsFeasible:
     """The solver's vectorised feasibility test over its sparse rows agrees
     with the independent checker."""
 
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=200)
     @given(seed=st.integers(0, 2**32 - 1), constrained=st.booleans())
     def test_agrees_with_check_solution(self, seed, constrained):
         rng = np.random.default_rng(seed)
@@ -504,7 +504,7 @@ class TestWarmStart:
             greedy = solve_greedy(g, formulate(g)[1])
             assert exact.objective <= greedy.objective + 1e-9, k
 
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=60)
     @given(seed=st.integers(0, 2**32 - 1), max_nodes=st.integers(1, 200))
     def test_property_checked_bounded_and_no_worse_than_greedy(self, seed, max_nodes):
         # joined graphs: several constraint components in one solve
