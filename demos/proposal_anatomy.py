@@ -14,7 +14,7 @@ from lineage_ilp.sim import SimConfig, simulate
 
 
 def main() -> None:
-    sim = simulate(SimConfig(seed=5, frames=1, width=96, height=96, initial_cells=7))
+    sim = simulate(SimConfig(frames=1, width=96, height=96, initial_cells=7), 5)
     frame = sim.frames[0]
     n_cells = len(sim.gt.markers_at(0))
     print(f"one {frame.intensity.shape[1]}x{frame.intensity.shape[0]} frame, {n_cells} cells")

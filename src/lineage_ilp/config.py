@@ -1,12 +1,13 @@
 """Run configuration: one strict JSON document, one global seed.
 
-Every setting a run varies lives here with its default; the tracker's own
-constants (overlap thresholds, forest internals, the factors deriving the
-radii) live beside the code that uses them.  The document has the shape of
-``PipelineConfig``, and unknown keys anywhere in it are rejected so typos
-cannot silently fall back to defaults.  The single ``seed`` is split per
-stage through ``stage_seed`` so each stage gets an independent stream while
-the whole run stays reproducible from one number.
+Every setting a run varies lives here with its default; the tracker's and
+the simulator's own constants (overlap thresholds, forest internals, the
+radius factors, the LoG response floor, the division rules) live beside the
+code that uses them.  The document has the shape of ``PipelineConfig``, and
+unknown keys anywhere in it are rejected so typos cannot silently fall back
+to defaults.  The single ``seed`` is split per stage through ``stage_seed``
+and passed to each stage as an argument, so each stage gets an independent
+stream while the whole run stays reproducible from one number.
 """
 from __future__ import annotations
 
@@ -45,7 +46,6 @@ class ProposalsConfig:
     levels: int = 8
     span: tuple[float, float] = (0.5, 1.5)
     sigmas: tuple[float, ...] = (1.5, 2.0, 3.0, 4.0, 6.0)
-    response_threshold: float = 0.02
     min_area: int = DEFAULT_AREA_BOUNDS[0]
     max_area: int = DEFAULT_AREA_BOUNDS[1]
 
@@ -147,8 +147,6 @@ def _fill(obj, data, path: str) -> None:
     allowed = {f.name for f in fields(obj)}
     for key, value in data.items():
         where = f"{path}.{key}" if path else key
-        if key == "seed" and path:
-            raise ConfigError(f"{where} is not accepted; the global 'seed' drives every stage")
         if key not in allowed:
             raise ConfigError(f"unknown config key {where!r}")
         current = getattr(obj, key)
@@ -212,6 +210,17 @@ def validate_config(cfg: PipelineConfig) -> None:
         len(sm.radius_range) == 2 and 0 < sm.radius_range[0] <= sm.radius_range[1],
         "sim.radius_range: need 0 < lo <= hi",
     )
+    _require(
+        0 <= sm.amplitude_range[0] <= sm.amplitude_range[1],
+        "sim.amplitude_range: need 0 <= lo <= hi",
+    )
+    _require(sm.motion_sigma >= 0, "sim.motion_sigma: need a non-negative spread")
+    _require(sm.noise_sigma >= 0, "sim.noise_sigma: need a non-negative spread")
+    _require(sm.placement_margin >= 0, "sim.placement_margin: need a non-negative margin")
+    _require(
+        sm.initial_cells == 0 or 2 * sm.placement_margin <= min(sm.width, sm.height),
+        "sim.placement_margin: need twice the margin to fit the frame's shorter side",
+    )
     for name in ("division_rate", "enter_rate", "death_rate"):
         _require(0.0 <= getattr(sm, name) <= 1.0, f"sim.{name}: need a rate in [0, 1]")
     _require(sm.border in ("absorb", "reflect"), f"sim.border: unknown mode {sm.border!r}")
@@ -220,7 +229,6 @@ def validate_config(cfg: PipelineConfig) -> None:
     for name in ("drop_rate", "clutter_rate", "merge_rate", "split_rate"):
         _require(0.0 <= getattr(cc, name) <= 1.0, f"sim.corruption.{name}: need a rate in [0, 1]")
     _require(cc.jitter_px >= 0, "sim.corruption.jitter_px: need a non-negative amount")
-    _require(cc.score_noise >= 0, "sim.corruption.score_noise: need a non-negative amount")
 
 
 def load_config(path, *, seed: int | None = None) -> PipelineConfig:
@@ -240,13 +248,13 @@ def load_config(path, *, seed: int | None = None) -> PipelineConfig:
 def config_to_dict(cfg: PipelineConfig) -> dict:
     """The JSON form of a config, defaults included; inverse of config_from_dict."""
 
-    def plain(obj):  # stage seeds stay out: the global seed derives them
+    def plain(obj):
         if is_dataclass(obj):
-            return {f.name: plain(getattr(obj, f.name)) for f in fields(obj) if f.name != "seed"}
+            return {f.name: plain(getattr(obj, f.name)) for f in fields(obj)}
         if isinstance(obj, tuple):
             return [plain(v) for v in obj]
         if isinstance(obj, dict):
             return {k: plain(v) for k, v in obj.items()}
         return obj
 
-    return {"seed": cfg.seed, **plain(cfg)}
+    return plain(cfg)

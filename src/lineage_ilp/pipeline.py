@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import logging
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -163,8 +163,7 @@ def load_dataset(directory, *, need_gt: bool = False) -> Dataset:
 
 
 def run_simulate(cfg: PipelineConfig, out_dir) -> SimResult:
-    sim_cfg = replace(cfg.sim, seed=stage_seed(cfg.seed, STAGE_SIM))
-    res = simulate(sim_cfg)
+    res = simulate(cfg.sim, stage_seed(cfg.seed, STAGE_SIM))
     write_dataset(out_dir, [f.intensity for f in res.frames], res.gt)
     log.info("simulated %d frames, %d tracks, events %s",
              len(res.frames), len(res.gt.tracks), res.counts)
@@ -176,8 +175,8 @@ def generate_proposals(cfg: PipelineConfig, ds: Dataset) -> list[Proposal]:
     if p.generator == "truth":
         if ds.gt is None or ds.gt.label_grids is None:
             raise FormatError("the 'truth' proposal generator needs gt/seg label grids")
-        ccfg = replace(cfg.sim.corruption, seed=stage_seed(cfg.seed, STAGE_CORRUPTION))
-        return corrupt(ds.gt, ds.frames, ccfg)
+        seed = stage_seed(cfg.seed, STAGE_CORRUPTION)
+        return corrupt(ds.gt, ds.frames, cfg.sim.corruption, seed)
     props: list[Proposal] = []
     next_id = 0
     for frame in ds.frames:
@@ -193,7 +192,6 @@ def generate_proposals(cfg: PipelineConfig, ds: Dataset) -> list[Proposal]:
             new = log_blob_proposals(
                 frame,
                 sigmas=p.sigmas,
-                response_threshold=p.response_threshold,
                 area_bounds=(p.min_area, p.max_area),
                 start_id=next_id,
             )

@@ -15,6 +15,9 @@ MASK_NMS_IOU = 0.7
 # IoU above which a component counts as recurring at another threshold level.
 STABILITY_IOU = 0.5
 
+# Scale-normalized LoG response below which an extremum is not a blob.
+LOG_RESPONSE_THRESHOLD = 0.02
+
 DEFAULT_AREA_BOUNDS = (9, 10000)
 _EIGHT = np.ones((3, 3), dtype=bool)
 DEFAULT_CONFLICT_IOU = 0.5      # c1
@@ -185,7 +188,6 @@ def log_blob_proposals(
     frame: Frame,
     *,
     sigmas: tuple[float, ...] = (1.5, 2.0, 3.0, 4.0, 6.0),
-    response_threshold: float = 0.02,
     area_bounds: tuple[int, int] = DEFAULT_AREA_BOUNDS,
     start_id: int = 0,
 ) -> list[Proposal]:
@@ -200,7 +202,7 @@ def log_blob_proposals(
     stack = np.stack([
         -(s ** 2) * ndimage.gaussian_laplace(img, sigma=s, mode="nearest") for s in sigmas
     ])
-    local_max = (_max_filter_3(stack) == stack) & (stack > response_threshold)
+    local_max = (_max_filter_3(stack) == stack) & (stack > LOG_RESPONSE_THRESHOLD)
     peak_best = stack.max()
     if peak_best <= 0:
         return []

@@ -1,5 +1,6 @@
 """Synthetic sequences of drifting, dividing Gaussian blobs with full ground truth,
-plus a corruption pass that turns ground truth into imperfect proposals."""
+plus a corruption pass that turns ground truth into imperfect proposals.  Both
+take their stage seed as an argument; the simulator's fixed rules are constants."""
 from __future__ import annotations
 
 import math
@@ -14,23 +15,22 @@ from .io import TrackRow
 from .proposals import Frame, Proposal
 
 HALF_PEAK_FACTOR = math.sqrt(2.0 * math.log(2.0))  # blob owns pixels within r * this
+MIN_DIVISION_RADIUS = 2.2  # smaller cells never divide
+DIVISION_REFRACTORY = 5  # frames a cell lives before it may divide
+CLUTTER_RADIUS_RANGE = (2.0, 5.0)  # radii of the clutter disks corrupt() adds
 
 
 @dataclass
 class CorruptionConfig:
-    seed: int = 0
     drop_rate: float = 0.0
     clutter_rate: float = 0.0
     merge_rate: float = 0.0
     split_rate: float = 0.0
     jitter_px: float = 0.0
-    score_noise: float = 0.0
-    clutter_radius_range: tuple[float, float] = (2.0, 5.0)
 
 
 @dataclass
 class SimConfig:
-    seed: int = 0
     frames: int = 20
     width: int = 128
     height: int = 128
@@ -43,8 +43,6 @@ class SimConfig:
     death_rate: float = 0.0
     noise_sigma: float = 0.02
     border: str = "absorb"  # "absorb": crossing cells exit; "reflect": bounce back
-    min_division_radius: float = 2.2
-    division_refractory: int = 5
     placement_margin: float = 10.0
     initial_min_separation: float = 14.0
     corruption: CorruptionConfig = field(default_factory=CorruptionConfig)  # read by corrupt()
@@ -68,8 +66,8 @@ class SimResult:
     counts: dict[str, int] = field(default_factory=dict)
 
 
-def simulate(cfg: SimConfig) -> SimResult:
-    """Generate a sequence plus ground truth; fully determined by cfg.seed.
+def simulate(cfg: SimConfig, seed: int) -> SimResult:
+    """Generate a sequence plus ground truth; fully determined by cfg and seed.
 
     Per step, in fixed order: Brownian moves (ascending track id), border
     exits, deaths, divisions, entries.  Dividing parents are replaced by two
@@ -79,7 +77,7 @@ def simulate(cfg: SimConfig) -> SimResult:
         raise ValueError("need at least one frame")
     if cfg.border not in ("absorb", "reflect"):
         raise ValueError(f"unknown border mode {cfg.border!r}")
-    seq = np.random.SeedSequence(cfg.seed)
+    seq = np.random.SeedSequence(seed)
     dyn_rng, noise_rng = (np.random.default_rng(s) for s in seq.spawn(2))
 
     cells: list[_Cell] = []
@@ -138,8 +136,8 @@ def simulate(cfg: SimConfig) -> SimResult:
         for c in survivors:
             can_divide = (
                 cfg.division_rate > 0
-                and c.radius >= cfg.min_division_radius
-                and (t + 1 - c.birth) >= cfg.division_refractory
+                and c.radius >= MIN_DIVISION_RADIUS
+                and (t + 1 - c.birth) >= DIVISION_REFRACTORY
             )
             if can_divide and dyn_rng.uniform() < cfg.division_rate:
                 counts["divisions"] += 1
@@ -262,15 +260,18 @@ def ideal_proposals(gt: GroundTruth) -> list[list[tuple[int, Mask]]]:
     return [list(label_masks(grid).items()) for grid in gt.label_grids]
 
 
-def corrupt(gt: GroundTruth, frames: list[Frame], ccfg: CorruptionConfig) -> list[Proposal]:
+def corrupt(
+    gt: GroundTruth, frames: list[Frame], ccfg: CorruptionConfig, seed: int
+) -> list[Proposal]:
     """Derive proposals from ground-truth regions and degrade them.
 
-    Pass order, each seeded: merge touching pairs (union replaces both),
-    drop, split (bisection across the longer side), jitter, clutter, score
-    noise.  With all rates zero the output masks equal the ground-truth
-    regions exactly.
+    Pass order, all drawing from one stream seeded by ``seed``: merge
+    touching pairs (union replaces both), drop, split (bisection across the
+    longer side), jitter, clutter.  Each proposal scores by its kind alone.
+    With all rates zero the output masks equal the ground-truth regions
+    exactly.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(ccfg.seed))
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
     per_frame = ideal_proposals(gt)
     height, width = gt.label_grids[0].shape
     props: list[Proposal] = []
@@ -326,7 +327,7 @@ def corrupt(gt: GroundTruth, frames: list[Frame], ccfg: CorruptionConfig) -> lis
         if ccfg.clutter_rate > 0:
             n_clutter = int(rng.binomial(max(len(frame_masks), 1), ccfg.clutter_rate))
             for _ in range(n_clutter):
-                radius = rng.uniform(*ccfg.clutter_radius_range)
+                radius = rng.uniform(*CLUTTER_RADIUS_RANGE)
                 radius = min(radius, (min(width, height) - 5) / 2.0)
                 lo_x, hi_x = radius + 1, width - radius - 2
                 lo_y, hi_y = radius + 1, height - radius - 2
@@ -336,12 +337,7 @@ def corrupt(gt: GroundTruth, frames: list[Frame], ccfg: CorruptionConfig) -> lis
 
         base = {"true": 0.9, "merged": 0.75, "split": 0.6, "clutter": 0.35}
         for m, kind in masks:
-            score = base[kind]
-            if ccfg.score_noise > 0:
-                score += rng.normal(0.0, ccfg.score_noise)
-            props.append(
-                Proposal(id=next_id, t=t, mask=m, raw_score=float(np.clip(score, 0.01, 0.99)))
-            )
+            props.append(Proposal(id=next_id, t=t, mask=m, raw_score=base[kind]))
             next_id += 1
     return props
 

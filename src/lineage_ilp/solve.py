@@ -55,7 +55,6 @@ class LinearConstraint:
 class IlpInstance:
     costs: np.ndarray
     constraints: list[LinearConstraint]
-    var_names: list[str] | None = None
 
     def __post_init__(self) -> None:
         self.costs = np.asarray(self.costs, dtype=np.float64)
@@ -64,8 +63,6 @@ class IlpInstance:
         for c in self.constraints:
             if any(i < 0 or i >= self.n_vars for i in c.indices):
                 raise ValueError("constraint references unknown variable")
-        if self.var_names is not None and len(self.var_names) != self.n_vars:
-            raise ValueError("var_names length mismatch")
 
     @property
     def n_vars(self) -> int:
@@ -111,23 +108,18 @@ def formulate(graph: TrackingGraph) -> tuple[IlpInstance, VarMap]:
     n_props = len(graph.proposals)
     edge_var = [n_props + i for i in range(len(graph.edges))]
 
-    names = [f"p{p.id}" for p in graph.proposals]
     in_vars: dict[int, list[int]] = {pid: [] for pid in node_var}
     out_vars: dict[int, list[int]] = {pid: [] for pid in node_var}
     for i, e in enumerate(graph.edges):
         v = edge_var[i]
         if e.kind == "enter":
-            names.append(f"enter:{e.dst}")
             in_vars[e.dst].append(v)
         elif e.kind == "move":
-            names.append(f"move:{e.src}->{e.dst}")
             in_vars[e.dst].append(v)
             out_vars[e.src].append(v)
         elif e.kind in ("exit", "death"):
-            names.append(f"{e.kind}:{e.src}")
             out_vars[e.src].append(v)
         elif e.kind == "mitosis":
-            names.append(f"div{e.set_id}.k{e.k}:{e.src}->{e.dst}")
             in_vars[e.dst].append(v)
             if e.k == 1:  # the second daughter edge does not count as outflow
                 out_vars[e.src].append(v)
@@ -172,7 +164,7 @@ def formulate(graph: TrackingGraph) -> tuple[IlpInstance, VarMap]:
     for i, e in enumerate(graph.edges):
         costs[edge_var[i]] = e.cost
 
-    instance = IlpInstance(costs=costs, constraints=constraints, var_names=names)
+    instance = IlpInstance(costs=costs, constraints=constraints)
     return instance, VarMap(node_var=node_var, edge_var=edge_var)
 
 
@@ -867,7 +859,6 @@ def instance_to_json(instance: IlpInstance) -> dict:
             }
             for c in instance.constraints
         ],
-        "var_names": instance.var_names,
     }
 
 
@@ -882,7 +873,6 @@ def instance_from_json(obj: dict) -> IlpInstance:
         return IlpInstance(
             costs=np.array(obj["costs"], dtype=np.float64),
             constraints=constraints,
-            var_names=obj.get("var_names"),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed selection_instance document: {exc}") from exc

@@ -289,8 +289,8 @@ class TestRocAuc:
 
 class TestMoveClassifierOnSimulation:
     def test_auc_at_least_090(self):
-        cfg = SimConfig(seed=5, frames=16, initial_cells=7)
-        res = simulate(cfg)
+        cfg = SimConfig(frames=16, initial_cells=7)
+        res = simulate(cfg, 5)
         props_by_t: dict[int, list[Proposal]] = {}
         pid = 0
         for t, regions in enumerate(ideal_proposals(res.gt)):

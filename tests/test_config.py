@@ -54,9 +54,9 @@ class TestFromDict:
             config_from_dict({"sim": {"corruption": {"bad": 0.1}}})
 
     def test_seed_inside_sim_is_rejected(self):
-        with pytest.raises(ConfigError, match="seed"):
+        with pytest.raises(ConfigError, match="unknown config key 'sim.seed'"):
             config_from_dict({"sim": {"seed": 5}})
-        with pytest.raises(ConfigError, match="seed"):
+        with pytest.raises(ConfigError, match="unknown config key 'sim.corruption.seed'"):
             config_from_dict({"sim": {"corruption": {"seed": 5}}})
 
     @pytest.mark.parametrize(
@@ -72,12 +72,19 @@ class TestFromDict:
             "graph.gating_percentile",
             "graph.gating_factor",
             "graph.mitosis_factor",
+            "proposals.response_threshold",
+            "sim.min_division_radius",
+            "sim.division_refractory",
+            "sim.corruption.score_noise",
+            "sim.corruption.clutter_radius_range",
         ],
     )
     def test_tracker_constants_are_not_keys(self, path):
-        section, key = path.split(".")
+        doc = 1
+        for key in reversed(path.split(".")):
+            doc = {key: doc}
         with pytest.raises(ConfigError, match=re.escape(f"unknown config key {path!r}")):
-            config_from_dict({section: {key: 1}})
+            config_from_dict(doc)
 
     def test_corruption_lives_under_sim(self):
         with pytest.raises(ConfigError, match="corruption"):
@@ -141,6 +148,12 @@ class TestValidation:
             {"sim": {"border": "bounce"}},
             {"sim": {"corruption": {"drop_rate": -0.1}}},
             {"sim": {"corruption": {"jitter_px": -1.0}}},
+            {"sim": {"width": 16, "height": 16, "frames": 2, "initial_cells": 2}},
+            {"sim": {"motion_sigma": -1}},
+            {"sim": {"amplitude_range": [0.9, 0.1]}},
+            {"sim": {"amplitude_range": [-0.1, 0.5]}},
+            {"sim": {"noise_sigma": -0.1}},
+            {"sim": {"placement_margin": -1.0}},
         ],
     )
     def test_rejects(self, doc):

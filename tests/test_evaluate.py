@@ -426,14 +426,13 @@ class TestReport:
 class TestOnSimulation:
     def test_perfect_lineage_scores_perfectly(self):
         cfg = SimConfig(
-            seed=4,
             frames=10,
             width=96,
             height=96,
             initial_cells=5,
             division_rate=0.04,
         )
-        res = simulate(cfg)
+        res = simulate(cfg, 4)
         assert res.counts["divisions"] >= 1
         gt = res.gt
         per_frame = ideal_proposals(gt)

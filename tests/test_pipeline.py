@@ -45,7 +45,7 @@ def tiny_config(**overrides):
 
 class TestDatasetIO:
     def test_round_trip(self, tmp_path):
-        res = simulate(SimConfig(seed=1, frames=4, width=64, height=64, initial_cells=3))
+        res = simulate(SimConfig(frames=4, width=64, height=64, initial_cells=3), 1)
         write_dataset(tmp_path, [f.intensity for f in res.frames], res.gt)
         ds = load_dataset(tmp_path, need_gt=True)
         assert len(ds.frames) == 4
@@ -55,7 +55,7 @@ class TestDatasetIO:
             assert (a == b).all()
 
     def test_frames_only_dataset(self, tmp_path):
-        res = simulate(SimConfig(seed=1, frames=3, width=64, height=64, initial_cells=2))
+        res = simulate(SimConfig(frames=3, width=64, height=64, initial_cells=2), 1)
         write_dataset(tmp_path, [f.intensity for f in res.frames], res.gt)
         import shutil
 
@@ -66,7 +66,7 @@ class TestDatasetIO:
             load_dataset(tmp_path, need_gt=True)
 
     def test_grid_count_mismatch(self, tmp_path):
-        res = simulate(SimConfig(seed=1, frames=4, width=64, height=64, initial_cells=3))
+        res = simulate(SimConfig(frames=4, width=64, height=64, initial_cells=3), 1)
         write_dataset(tmp_path, [f.intensity for f in res.frames], res.gt)
         os.remove(tmp_path / "gt" / "seg" / "t003.pgm")
         with pytest.raises(FormatError, match="grids"):

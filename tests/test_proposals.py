@@ -25,7 +25,6 @@ from lineage_ilp.sim import SimConfig, simulate
 def separated_scene():
     """Bright, well separated blobs: separation >= 3x blob diameter."""
     cfg = SimConfig(
-        seed=11,
         frames=1,
         width=160,
         height=160,
@@ -36,7 +35,7 @@ def separated_scene():
         placement_margin=16.0,
         initial_min_separation=26.0,
     )
-    return simulate(cfg)
+    return simulate(cfg, 11)
 
 
 def single_marker_recall(props, markers):
@@ -191,8 +190,8 @@ class TestMultiThresholdMatchesReference:
     @pytest.mark.parametrize("levels", [2, 5, 8, 10])
     @pytest.mark.parametrize("span", SPANS[:4])
     def test_simulated_frames(self, levels, span):
-        cfg = SimConfig(seed=levels, frames=2, width=64, height=64, initial_cells=6, division_rate=0.1)
-        for frame in simulate(cfg).frames:
+        cfg = SimConfig(frames=2, width=64, height=64, initial_cells=6, division_rate=0.1)
+        for frame in simulate(cfg, levels).frames:
             got = multi_threshold_proposals(frame, levels=levels, span=span, start_id=40)
             want = _reference_multi_threshold(frame, levels=levels, span=span)
             assert_same_proposals(got, [
