@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .evaluate import GroundTruth, captured_marker, markers_inside
+from .evaluate import GroundTruth, captured_markers
 from .io import FormatError, read_json_file, write_json_file
 from .proposals import Proposal
 
@@ -43,15 +43,18 @@ class TrainingSet:
         return int(self.labels.sum())
 
 
-def _single_marker(p: Proposal, gt: GroundTruth) -> int | None:
-    return captured_marker(p, gt.markers_at(p.t))
+def _captured_by_identity(props, gt: GroundTruth) -> dict[int, int | None]:
+    """``captured_marker`` of each distinct proposal object, keyed by ``id``;
+    a proposal held by many pairs or triples is looked up once."""
+    distinct = list({id(p): p for p in props}.values())
+    return {id(p): m for p, m in zip(distinct, captured_markers(distinct, gt))}
 
 
 def label_proposals(
     props: list[Proposal], gt: GroundTruth, features: np.ndarray
 ) -> TrainingSet:
     """Positive iff the proposal captures exactly one ground-truth marker."""
-    labels = [1 if _single_marker(p, gt) is not None else 0 for p in props]
+    labels = [1 if m is not None else 0 for m in captured_markers(props, gt)]
     return TrainingSet(features, labels)
 
 
@@ -59,10 +62,11 @@ def label_move_edges(
     pairs: list[tuple[Proposal, Proposal]], gt: GroundTruth, features: np.ndarray
 ) -> TrainingSet:
     """Positive iff both endpoints capture exactly one marker of the same track."""
+    marker = _captured_by_identity([p for pair in pairs for p in pair], gt)
     labels = []
     for p_i, p_j in pairs:
-        a = _single_marker(p_i, gt)
-        b = _single_marker(p_j, gt)
+        a = marker[id(p_i)]
+        b = marker[id(p_j)]
         labels.append(1 if a is not None and a == b else 0)
     return TrainingSet(features, labels)
 
@@ -80,11 +84,12 @@ def label_mitosis_sets(
     by_parent = {
         (parent, t_end): {c1, c2} for parent, c1, c2, t_end in gt.divisions()
     }
+    marker = _captured_by_identity([p for triple in triples for p in triple], gt)
     labels = []
     for p, d1, d2 in triples:
-        mp = _single_marker(p, gt)
-        m1 = _single_marker(d1, gt)
-        m2 = _single_marker(d2, gt)
+        mp = marker[id(p)]
+        m1 = marker[id(d1)]
+        m2 = marker[id(d2)]
         ok = (
             mp is not None
             and m1 is not None
@@ -119,10 +124,32 @@ class RandomForest:
     trees: list[Tree] = field(default_factory=list)
 
 
+# A node of n rows (duplicates counted) takes the count search when
+# n * COUNT_SEARCH_SHARE >= N, with N the rows of the forest's training set;
+# smaller nodes sort.  The count search costs about k * N whatever n is, the
+# sort k * n * log n.  Timed node by node with both searches on the forests
+# of four mt-exact scenes, four truth-degraded scenes and a 40-frame 256x256
+# run (N 159 to 5,434; one core of a shared 2-CPU machine), the count
+# search breaks even at n / N of about 1/12 when N >= 2,000 and about 1/6
+# below, and at n >= N / 2 takes 0.37 and 0.68 of the sort's time.
+COUNT_SEARCH_SHARE = 8
+
+
+def _gini_score(nl, pl, n: int, total_pos: int) -> np.ndarray:
+    """Weighted child Gini of cuts with nl rows (float64) and pl positives
+    (int64) on the left of a node of n rows and total_pos positives."""
+    nr = n - nl
+    pr = total_pos - pl
+    gini_l = 1.0 - (pl / nl) ** 2 - ((nl - pl) / nl) ** 2
+    gini_r = 1.0 - (pr / nr) ** 2 - ((nr - pr) / nr) ** 2
+    return (nl * gini_l + nr * gini_r) / n
+
+
 class _TreeBuilder:
-    def __init__(self, X, y, rng, max_depth, min_leaf):
+    def __init__(self, X, y, order, rng, max_depth, min_leaf):
         self.X = X
         self.y = y
+        self.order = order  # (d, N): each column's stable argsort, see _presort
         self.rng = rng
         self.max_depth = max_depth
         self.min_leaf = min_leaf
@@ -179,33 +206,69 @@ class _TreeBuilder:
     def _best_split(self, idx, y_sub, total_pos, feats) -> tuple[int, float] | None:
         """Minimum weighted child Gini over sampled features and cut points.
 
-        Scores every cut of every sampled feature as one (k, n - 1) matrix;
-        cut c of row i puts the c + 1 smallest values of feature feats[i] on
-        the left.  Ties keep the earliest sampled feature, then the lowest
-        cut, which is the first minimum in row-major order.
+        A cut puts every row whose value is at most the cut's on the left; it
+        must fall between two distinct values and leave at least min_leaf
+        rows on each side.  Ties keep the earliest sampled feature, then the
+        lowest cut.  Both searches below see the same cuts with the same
+        integer counts, so they return the same split bit for bit.
         """
-        n = len(idx)
+        if len(idx) * COUNT_SEARCH_SHARE >= len(self.y):
+            return self._count_split(idx, total_pos, feats)
+        return self._sort_split(idx, y_sub, total_pos, feats)
+
+    def _sort_split(self, idx, y_sub, total_pos, feats) -> tuple[int, float] | None:
+        """Sorts the node's (k, n) block of sampled columns with one stable
+        argsort; cut c of row i puts the c + 1 smallest values of feature
+        feats[i] on the left."""
         v = self.X[np.ix_(idx, feats)].T
         order = np.argsort(v, axis=1, kind="stable")
         vs = np.take_along_axis(v, order, axis=1)
-        cuts = np.arange(1, n)
-        nl = cuts.astype(np.float64)
-        nr = n - nl
         pl = np.cumsum(y_sub[order], axis=1)[:, :-1]
-        pr = total_pos - pl
-        gini_l = 1.0 - (pl / nl) ** 2 - ((nl - pl) / nl) ** 2
-        gini_r = 1.0 - (pr / nr) ** 2 - ((nr - pr) / nr) ** 2
-        score = (nl * gini_l + nr * gini_r) / n
-        valid = (
-            (vs[:, 1:] > vs[:, :-1])
-            & (cuts >= self.min_leaf)
-            & (cuts <= n - self.min_leaf)
-        )
-        score[~valid] = np.inf
-        row, cut = divmod(int(np.argmin(score)), n - 1)
-        if not valid[row, cut]:
+        return self._pick(len(idx), total_pos, feats, vs, np.arange(1, len(idx)), pl)
+
+    def _count_split(self, idx, total_pos, feats) -> tuple[int, float] | None:
+        """Reads the node's row counts in each sampled column's presorted
+        order.  Every row of the node appears once per column with its count,
+        so the cumulative count and positive count after a present row are
+        the left side of the cut that follows it; cuts lie between
+        consecutive present rows."""
+        cnt = np.bincount(idx, minlength=len(self.y))
+        order = self.order[feats]
+        # present rows by value; take and compress gather faster than indexing
+        rows = order.compress(cnt.take(order).ravel() > 0).reshape(len(feats), -1)
+        c = cnt.take(rows)
+        nl = c.cumsum(axis=1)[:, :-1]
+        pl = (cnt * self.y).take(rows).cumsum(axis=1)[:, :-1]
+        vs = self.X.T.take(feats[:, None] * len(self.y) + rows)  # X is column-major
+        return self._pick(len(idx), total_pos, feats, vs, nl, pl)
+
+    def _pick(self, n, total_pos, feats, vs, nl, pl) -> tuple[int, float] | None:
+        """The first minimum, in (sampled feature, cut) order, of the score of
+        the valid cuts, as (feature, midpoint of the values around the cut).
+
+        ``vs`` holds each sampled feature's values in ascending order and
+        ``nl``, ``pl`` the rows and positives left of the cut after each
+        value but the last; ``nl`` may be one row shared by all features.
+        A cut is valid between two distinct values with at least min_leaf
+        rows on each side, and only valid cuts are scored.
+        """
+        valid = (vs[:, 1:] > vs[:, :-1]) & (nl >= self.min_leaf) & (nl <= n - self.min_leaf)
+        row, cut = valid.nonzero()
+        if len(row) == 0:
             return None
+        nl = (nl[cut] if nl.ndim == 1 else nl[row, cut]).astype(np.float64)
+        j = int(_gini_score(nl, pl[row, cut], n, total_pos).argmin())
+        row, cut = row[j], cut[j]
         return int(feats[row]), float((vs[row, cut] + vs[row, cut + 1]) / 2.0)
+
+
+def _presort(X: np.ndarray) -> np.ndarray:
+    """(d, N) stable argsort of every column of X, in the smallest unsigned
+    dtype that holds a row index."""
+    order = np.empty((X.shape[1], X.shape[0]), dtype=np.min_scalar_type(max(X.shape[0] - 1, 0)))
+    for f in range(X.shape[1]):
+        order[f] = np.argsort(X[:, f], kind="stable")
+    return order
 
 
 def _downsample(labels: np.ndarray, ratio: float, rng: np.random.Generator) -> np.ndarray:
@@ -236,16 +299,17 @@ def train_forest(
         raise ValueError("training set must contain both classes")
     children = np.random.SeedSequence(seed).spawn(n_trees + 1)
     keep = _downsample(data.labels, max_negative_ratio, np.random.default_rng(children[0]))
-    X = data.features[keep]
+    X = np.take(data.features.T, keep, axis=1).T  # column-major: each column contiguous
     y = data.labels[keep]
     forest = RandomForest(
         n_features=X.shape[1], max_depth=max_depth, min_leaf=min_leaf, seed=seed
     )
     n = X.shape[0]
+    order = _presort(X)
     for t in range(n_trees):
         rng = np.random.default_rng(children[t + 1])
         rows = rng.integers(0, n, size=n)
-        builder = _TreeBuilder(X, y, rng, max_depth, min_leaf)
+        builder = _TreeBuilder(X, y, order, rng, max_depth, min_leaf)
         forest.trees.append(builder.build(rows))
     return forest
 
@@ -357,7 +421,29 @@ def forest_from_json(obj: dict) -> RandomForest:
         raise FormatError(f"malformed random_forest document: {exc}") from exc
     if not forest.trees or forest.n_features < 1:
         raise FormatError("random_forest document needs trees and a positive n_features")
+    for t, tree in enumerate(forest.trees):
+        _check_tree(t, tree, forest.n_features)
     return forest
+
+
+def _check_tree(t: int, tree: Tree, n_features: int) -> None:
+    """FormatError naming tree t unless prediction walks every row from node
+    0 to a leaf: each internal node i has children i < left < right < len,
+    which train_forest's preorder meets, so no walk can loop or leave the
+    arrays."""
+    arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
+    n = tree.feature.size
+    if n == 0 or any(a.shape != (n,) for a in arrays):
+        raise FormatError(f"tree {t}: node arrays must be non-empty lists of one length")
+    if ((tree.feature < -1) | (tree.feature >= n_features)).any():
+        raise FormatError(f"tree {t}: feature index outside [-1, {n_features})")
+    leaf = tree.feature == -1
+    if ((tree.left[leaf] != -1) | (tree.right[leaf] != -1)).any():
+        raise FormatError(f"tree {t}: a leaf (feature -1) has a child")
+    node = np.flatnonzero(~leaf)
+    left, right = tree.left[node], tree.right[node]
+    if not ((node < left) & (left < right) & (right < n)).all():
+        raise FormatError(f"tree {t}: an internal node i breaks i < left < right < {n}")
 
 
 def model_to_json(model: RandomForest | ConstantModel) -> dict:

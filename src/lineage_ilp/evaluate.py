@@ -108,6 +108,47 @@ def captured_marker(p: Proposal, markers: list[tuple[int, float, float]]) -> int
     return inside[0] if len(inside) == 1 else None
 
 
+def markers_inside_each(props: list[Proposal], gt: GroundTruth) -> list[list[int]]:
+    """``markers_inside(p, gt.markers_at(p.t))`` of every proposal.
+
+    One pass per frame: each marker's pixel is worked out once, by
+    ``Mask.contains_point``'s rule (floor of the coordinate plus 0.5, in
+    float64), and the frame's masks are read at the marker pixels inside
+    their boxes in one lookup.  Ids keep the frame's marker order.
+    """
+    by_t: dict[int, list[int]] = {}
+    for i, p in enumerate(props):
+        by_t.setdefault(p.t, []).append(i)
+    out: list[list[int]] = [[] for _ in props]
+    for t, idx in by_t.items():
+        markers = gt.markers_at(t)
+        if not markers:
+            continue
+        tids = np.array([tid for tid, _, _ in markers])
+        mx = np.floor(np.array([x for _, x, _ in markers], dtype=np.float64) + 0.5)
+        my = np.floor(np.array([y for _, _, y in markers], dtype=np.float64) + 0.5)
+        masks = [props[i].mask for i in idx]
+        x0 = np.array([m.x0 for m in masks])
+        y0 = np.array([m.y0 for m in masks])
+        h = np.array([m.bits.shape[0] for m in masks])
+        w = np.array([m.bits.shape[1] for m in masks])
+        c = mx[None, :] - x0[:, None]  # (mask, marker) column inside the mask's box
+        r = my[None, :] - y0[:, None]
+        k, j = np.nonzero((c >= 0) & (c < w[:, None]) & (r >= 0) & (r < h[:, None]))
+        bits = np.concatenate([m.bits.ravel() for m in masks])
+        start = np.cumsum(h * w) - h * w
+        hit = bits[start[k] + r[k, j].astype(np.intp) * w[k] + c[k, j].astype(np.intp)]
+        k, j = k[hit], j[hit]
+        for kk, ids in zip(np.unique(k), np.split(tids[j], np.flatnonzero(np.diff(k)) + 1)):
+            out[idx[kk]] = ids.tolist()
+    return out
+
+
+def captured_markers(props: list[Proposal], gt: GroundTruth) -> list[int | None]:
+    """``captured_marker`` of every proposal against its frame's markers."""
+    return [inside[0] if len(inside) == 1 else None for inside in markers_inside_each(props, gt)]
+
+
 def gt_cell_masks(gt: GroundTruth) -> dict[int, dict[int, Mask]]:
     """Per frame, track label -> tight mask cut from the reference label grids."""
     if gt.label_grids is None:
@@ -230,8 +271,7 @@ def graph_recall(graph: TrackingGraph, gt: GroundTruth) -> dict[str, float]:
     """
     single: dict[tuple[int, int], set[int]] = {}
     any_hit: set[tuple[int, int]] = set()
-    for p in graph.proposals:
-        inside = markers_inside(p, gt.markers_at(p.t))
+    for p, inside in zip(graph.proposals, markers_inside_each(graph.proposals, gt)):
         for tid in inside:
             any_hit.add((p.t, tid))
         if len(inside) == 1:

@@ -5,18 +5,20 @@ boundary-contrast histograms (dilation radii 1 and 3), a 12x5 polar boundary
 histogram, and the area fraction.  All histograms are L1-normalized.
 
 Proposal vectors are computed one frame at a time: the frame's intensities
-are binned once, and each histogram block of all the frame's proposals is
-one ``bincount``, counted by numpy's own histogram edge rule so the vectors
-equal per-proposal ``np.histogram`` bit for bit.  Only the boundary, the
-rings and the nearest-ring means are per proposal.
+are binned once, the masks' boundaries and dilation rings come from one
+stack of the frame's masks, and each histogram block of all the frame's
+proposals is one ``bincount``, counted by numpy's own histogram edge rule so
+the vectors equal per-proposal ``np.histogram`` bit for bit.  Only the
+nearest-ring means are per proposal.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
+from scipy import ndimage
 
-from .geometry import Mask, boundary_and_dilations, iou_mask
+from .geometry import Mask, disk_offsets, iou_mask
 from .proposals import Frame, Proposal
 
 PROPOSAL_DIM = 92
@@ -63,28 +65,88 @@ def _segment_counts(bins: np.ndarray, counts: np.ndarray, n_bins: int) -> np.nda
     return total.reshape(len(counts), n_bins + 1)[:, :n_bins]
 
 
-def _nearest_ring_means(intensity: np.ndarray, b_rows, b_cols, ring: Mask) -> np.ndarray | None:
-    """Per boundary pixel, the mean intensity of the nearest in-frame ring
-    pixels (integer squared distances, so ties are exact); None when the
-    frame clips the whole ring away."""
-    height, width = intensity.shape
-    r_rows, r_cols = ring.pixels()
-    keep = (r_rows >= 0) & (r_rows < height) & (r_cols >= 0) & (r_cols < width)
-    r_rows, r_cols = r_rows[keep], r_cols[keep]
-    if len(r_rows) == 0:
-        return None
+# Cells of one mask stack (one byte each): a frame's masks go through
+# _stack_pixels in runs whose stack stays within this size, so its few
+# same-sized grids stay within a few MiB when one mask's box is large.  A
+# mask too large for it goes alone.
+STACK_CELLS = 1 << 20
+
+
+def _nearest_ring_means(b_rows, b_cols, r_rows, r_cols, r_values) -> np.ndarray:
+    """Per boundary pixel, the mean of ``r_values`` over the nearest ring
+    pixels (integer squared distances, so ties are exact)."""
     d2 = (b_rows[:, None] - r_rows[None, :]) ** 2 + (b_cols[:, None] - r_cols[None, :]) ** 2
     nearest = d2 == d2.min(axis=1, keepdims=True)
-    return (nearest @ intensity[r_rows, r_cols]) / nearest.sum(axis=1)
+    return (nearest @ r_values) / nearest.sum(axis=1)
+
+
+def _stack_pixels(masks: list[Mask], height: int, width: int):
+    """Mask, boundary and in-frame ring pixels of each mask, from one stack.
+
+    Each mask is placed, padded by the largest ring radius, in one slice of
+    a zero boolean stack; the boundary is the set pixels with an unset
+    4-neighbour, and each ring is one dilation of the stack by a disk minus
+    the stack.  Returns one (slice, rows, cols) triple per grid, in order
+    mask, boundary, then one per radius of ``BOUNDARY_RADII``: absolute
+    coordinates, by slice and then row-major within it, which is each
+    mask's own row-major order whatever padding the stack adds.
+    """
+    pad = max(BOUNDARY_RADII)
+    x0 = np.array([m.x0 for m in masks]) - pad
+    y0 = np.array([m.y0 for m in masks]) - pad
+    stack = np.zeros(
+        (len(masks), max(m.bits.shape[0] for m in masks) + 2 * pad, max(m.bits.shape[1] for m in masks) + 2 * pad),
+        dtype=bool,
+    )
+    for k, m in enumerate(masks):
+        h, w = m.bits.shape
+        stack[k, pad : pad + h, pad : pad + w] = m.bits
+    boundary = stack.copy()
+    boundary[:, 1:-1, 1:-1] &= ~(
+        stack[:, 1:-1, 1:-1] & stack[:, :-2, 1:-1] & stack[:, 2:, 1:-1] & stack[:, 1:-1, :-2] & stack[:, 1:-1, 2:]
+    )
+    grids = [stack, boundary] + [
+        ndimage.binary_dilation(stack, structure=disk_offsets(r)[None]) & ~stack for r in BOUNDARY_RADII
+    ]
+    out = []
+    for i, grid in enumerate(grids):
+        k, rows, cols = np.nonzero(grid)
+        rows, cols = rows + y0[k], cols + x0[k]
+        if i >= 2:  # rings: keep what the frame holds
+            keep = (rows >= 0) & (rows < height) & (cols >= 0) & (cols < width)
+            k, rows, cols = k[keep], rows[keep], cols[keep]
+        out.append((k, rows, cols))
+    return out
+
+
+def _frame_pixels(props: list[Proposal], height: int, width: int):
+    """``_stack_pixels`` of every proposal of one frame, stacked in runs of
+    consecutive proposals of at most ``STACK_CELLS`` cells each, with the
+    slice index counting proposals."""
+    pad2 = 2 * max(BOUNDARY_RADII)
+    runs, start, h, w = [], 0, 0, 0
+    for k, p in enumerate(props):
+        ph, pw = p.mask.bits.shape
+        h2, w2 = max(h, ph + pad2), max(w, pw + pad2)
+        if k > start and (k + 1 - start) * h2 * w2 > STACK_CELLS:
+            runs.append((start, k))
+            start, h2, w2 = k, ph + pad2, pw + pad2
+        h, w = h2, w2
+    runs.append((start, len(props)))
+    parts = [
+        [(k + lo, rows, cols) for k, rows, cols in _stack_pixels([p.mask for p in props[lo:hi]], height, width)]
+        for lo, hi in runs
+    ]
+    return [tuple(np.concatenate(col) for col in zip(*grid)) for grid in zip(*parts)]
 
 
 def proposal_feature_rows(props: list[Proposal], frame: Frame) -> np.ndarray:
     """``proposal_features`` of each proposal of one frame, one row each.
 
-    The frame is binned once and every histogram of every proposal comes
-    from one ``bincount``; only the boundary, the dilation rings and the
-    nearest-ring means are worked out proposal by proposal.  A mask must
-    lie inside the frame.
+    The frame is binned once, the masks' boundaries and rings come from one
+    stack per run of proposals, and every histogram of every proposal comes
+    from one ``bincount``; only the nearest-ring means are worked out
+    proposal by proposal.  A mask must lie inside the frame.
     """
     n = len(props)
     out = np.zeros((n, PROPOSAL_DIM))
@@ -92,39 +154,35 @@ def proposal_feature_rows(props: list[Proposal], frame: Frame) -> np.ndarray:
         return out
     intensity = frame.intensity
     height, width = intensity.shape
-    int_bins = _bin_index(intensity, 0.0, 1.0, N_INTENSITY_BINS)
-    area = np.empty(n, dtype=np.int64)
-    pixel_bins, b_rows, b_cols = [], [], []
-    means: dict[int, list[np.ndarray]] = {r: [] for r in BOUNDARY_RADII}
-    has_ring = {r: np.zeros(n, dtype=bool) for r in BOUNDARY_RADII}
-    for k, p in enumerate(props):
+    for p in props:
         m = p.mask
         h, w = m.bits.shape
         if m.x0 < 0 or m.y0 < 0 or m.x0 + w > width or m.y0 + h > height:
             raise ValueError(f"proposal {p.id} extends past its {width}x{height} frame")
-        area[k] = m.area
-        pixel_bins.append(int_bins[m.y0 : m.y0 + h, m.x0 : m.x0 + w][m.bits])
-        boundary, rings = boundary_and_dilations(m, BOUNDARY_RADII)
-        rows, cols = boundary.pixels()
-        b_rows.append(rows)
-        b_cols.append(cols)
-        for r in BOUNDARY_RADII:
-            mean = _nearest_ring_means(intensity, rows, cols, rings[r])
-            if mean is not None:
-                means[r].append(mean)
-                has_ring[r][k] = True
+    (m_k, m_rows, m_cols), (b_k, b_rows, b_cols), *rings = _frame_pixels(props, height, width)
+    area = np.bincount(m_k, minlength=n)
+    int_bins = _bin_index(intensity, 0.0, 1.0, N_INTENSITY_BINS)
+    out[:, 0:15] = _segment_counts(int_bins[m_rows, m_cols], area, N_INTENSITY_BINS) / area[:, None]
 
-    b_count = np.array([len(rows) for rows in b_rows])
-    out[:, 0:15] = _segment_counts(np.concatenate(pixel_bins), area, N_INTENSITY_BINS) / area[:, None]
-
-    b_rows, b_cols = np.concatenate(b_rows), np.concatenate(b_cols)
+    b_count = np.bincount(b_k, minlength=n)
+    b_split = np.cumsum(b_count)[:-1]
+    b_rows_of, b_cols_of = np.split(b_rows, b_split), np.split(b_cols, b_split)
     on_boundary = intensity[b_rows, b_cols]
-    for lo, r in zip((15, 23), BOUNDARY_RADII):
-        if not means[r]:
-            continue  # every ring clipped away: the block stays zero
-        diffs = np.concatenate(means[r]) - on_boundary[np.repeat(has_ring[r], b_count)]
+    for lo, (r_k, r_rows, r_cols) in zip((15, 23), rings):
+        r_count = np.bincount(r_k, minlength=n)
+        has_ring = r_count > 0  # False: the frame clips the whole ring away
+        if not has_ring.any():
+            continue  # the block stays zero
+        r_split = np.cumsum(r_count)[:-1]
+        r_rows_of, r_cols_of = np.split(r_rows, r_split), np.split(r_cols, r_split)
+        r_values_of = np.split(intensity[r_rows, r_cols], r_split)
+        means = [
+            _nearest_ring_means(b_rows_of[k], b_cols_of[k], r_rows_of[k], r_cols_of[k], r_values_of[k])
+            for k in np.flatnonzero(has_ring)
+        ]
+        diffs = np.concatenate(means) - on_boundary[np.repeat(has_ring, b_count)]
         bins = _bin_index(np.clip(diffs, -0.5, 0.5), -0.5, 0.5, N_CONTRAST_BINS)
-        hist = _segment_counts(bins, np.where(has_ring[r], b_count, 0), N_CONTRAST_BINS)
+        hist = _segment_counts(bins, np.where(has_ring, b_count, 0), N_CONTRAST_BINS)
         out[:, lo : lo + N_CONTRAST_BINS] = hist / b_count[:, None]
 
     out[:, 31:91] = _polar_hist(props, b_rows, b_cols, b_count)

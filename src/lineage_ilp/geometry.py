@@ -233,45 +233,3 @@ def disk_offsets(radius: int) -> np.ndarray:
     span = np.arange(-radius, radius + 1)
     ii, jj = np.meshgrid(span, span, indexing="ij")
     return (ii * ii + jj * jj) <= radius * radius
-
-
-# Structuring elements by radius, built on first use and read-only, so the
-# shared arrays cannot change under a later caller.
-_DISKS: dict[int, np.ndarray] = {}
-
-
-def _disk(radius: int) -> np.ndarray:
-    disk = _DISKS.get(radius)
-    if disk is None:
-        disk = disk_offsets(radius)
-        disk.flags.writeable = False
-        _DISKS[radius] = disk
-    return disk
-
-
-def boundary_mask(m: Mask) -> Mask:
-    """Set pixels with at least one unset 4-neighbour (pixels outside count as unset)."""
-    return boundary_and_dilations(m, ())[0]
-
-
-def boundary_and_dilations(m: Mask, radii: tuple[int, ...]) -> tuple[Mask, dict[int, Mask]]:
-    """Boundary of ``m`` plus, per radius, the dilation ring dilate(m, r) minus m.
-
-    Rings are returned in plane coordinates and may extend beyond any frame;
-    callers clip.  Ring masks are never empty because dilation by a disk of
-    radius >= 1 always adds pixels.  All of them come from one padded grid.
-    """
-    pad = max((1, *radii))
-    h, w = m.bits.shape
-    padded = np.zeros((h + 2 * pad, w + 2 * pad), dtype=bool)
-    padded[pad : pad + h, pad : pad + w] = m.bits
-
-    def shifted(dy: int, dx: int) -> np.ndarray:
-        return padded[pad + dy : pad + dy + h, pad + dx : pad + dx + w]
-
-    inner = m.bits & shifted(-1, 0) & shifted(1, 0) & shifted(0, -1) & shifted(0, 1)
-    rings = {
-        r: Mask(m.x0 - pad, m.y0 - pad, ndimage.binary_dilation(padded, structure=_disk(r)) & ~padded)
-        for r in radii
-    }
-    return Mask(m.x0, m.y0, m.bits & ~inner), rings

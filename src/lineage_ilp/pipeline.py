@@ -176,7 +176,7 @@ def generate_proposals(cfg: PipelineConfig, ds: Dataset) -> list[Proposal]:
         if ds.gt is None or ds.gt.label_grids is None:
             raise FormatError("the 'truth' proposal generator needs gt/seg label grids")
         seed = stage_seed(cfg.seed, STAGE_CORRUPTION)
-        return corrupt(ds.gt, ds.frames, cfg.sim.corruption, seed)
+        return corrupt(ds.gt, cfg.sim.corruption, seed)
     props: list[Proposal] = []
     next_id = 0
     for frame in ds.frames:

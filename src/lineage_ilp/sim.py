@@ -260,9 +260,7 @@ def ideal_proposals(gt: GroundTruth) -> list[list[tuple[int, Mask]]]:
     return [list(label_masks(grid).items()) for grid in gt.label_grids]
 
 
-def corrupt(
-    gt: GroundTruth, frames: list[Frame], ccfg: CorruptionConfig, seed: int
-) -> list[Proposal]:
+def corrupt(gt: GroundTruth, ccfg: CorruptionConfig, seed: int) -> list[Proposal]:
     """Derive proposals from ground-truth regions and degrade them.
 
     Pass order, all drawing from one stream seeded by ``seed``: merge

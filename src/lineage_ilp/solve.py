@@ -229,8 +229,10 @@ def solve_bruteforce(instance: IlpInstance, chunk_bits: int = 16) -> SolveResult
     if n > BRUTEFORCE_MAX_VARS:
         raise ValueError(f"brute force limited to {BRUTEFORCE_MAX_VARS} variables")
     m = len(instance.constraints)
-    A = np.zeros((m, n), dtype=np.int8)
-    rhs = np.zeros(m, dtype=np.int32)
+    # float64, so one BLAS product checks every row: the coefficients are
+    # +-1 and n <= 24, so every row sum is a small integer, exact in float64
+    A = np.zeros((m, n))
+    rhs = np.zeros(m)
     is_eq = np.zeros(m, dtype=bool)
     for ci, c in enumerate(instance.constraints):
         for i, co in zip(c.indices, c.coeffs):
@@ -246,7 +248,7 @@ def solve_bruteforce(instance: IlpInstance, chunk_bits: int = 16) -> SolveResult
     for start in range(0, total, step):
         count = min(step, total - start)
         codes = np.arange(start, start + count, dtype=np.uint32)
-        X = ((codes[:, None] >> bits[None, :]) & 1).astype(np.int8)
+        X = ((codes[:, None] >> bits[None, :]) & 1).astype(np.float64)
         if m:
             vals = X @ A.T
             ok_le = (vals[:, ~is_eq] <= rhs[~is_eq]).all(axis=1)
@@ -254,7 +256,7 @@ def solve_bruteforce(instance: IlpInstance, chunk_bits: int = 16) -> SolveResult
             feasible = ok_le & ok_eq
         else:
             feasible = np.ones(count, dtype=bool)
-        obj = X.astype(np.float64) @ instance.costs
+        obj = X @ instance.costs
         obj[~feasible] = np.inf
         j = int(np.argmin(obj))
         if obj[j] < best_obj:

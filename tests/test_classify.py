@@ -11,21 +11,21 @@ from hypothesis import strategies as st
 from lineage_ilp import classify
 from lineage_ilp.classify import (
     TrainingSet,
+    forest_from_json,
     forest_to_json,
     label_mitosis_sets,
     label_move_edges,
     label_proposals,
     load_model,
-    markers_inside,
     predict_prob,
     roc_auc,
     save_model,
     train_forest,
 )
-from lineage_ilp.evaluate import GroundTruth
+from lineage_ilp.evaluate import GroundTruth, markers_inside, markers_inside_each
 from lineage_ilp.features import move_features, proposal_features
 from lineage_ilp.geometry import Mask
-from lineage_ilp.io import TrackRow
+from lineage_ilp.io import FormatError, TrackRow
 from lineage_ilp.proposals import Proposal
 from lineage_ilp.sim import SimConfig, ideal_proposals, simulate
 
@@ -87,6 +87,51 @@ class TestLabeling:
         ]
         ts = label_mitosis_sets(triples, division_gt, np.zeros((4, 2)))
         np.testing.assert_array_equal(ts.labels, [1, 1, 0, 0])
+
+
+def _reference_captured(p, gt):
+    inside = markers_inside(p, gt.markers_at(p.t))
+    return inside[0] if len(inside) == 1 else None
+
+
+class TestLabelsByLookup:
+    """The per-frame lookup gives every label the per-proposal marker scan
+    gives it."""
+
+    @staticmethod
+    def scene(rng):
+        markers = {}
+        for t in range(3):
+            n = int(rng.integers(0, 12))
+            # half-pixel coordinates sit on the rounding edge
+            xs = rng.integers(-4, 40, size=n) / 2.0 + rng.choice([0.0, 0.25, 0.5], size=n)
+            ys = rng.integers(-4, 40, size=n) / 2.0 + rng.choice([0.0, 0.25, 0.5], size=n)
+            markers[t] = [(int(tid), float(x), float(y)) for tid, x, y in zip(rng.permutation(n) + 1, xs, ys)]
+        tracks = [TrackRow(tid, 0, 2, 0) for tid in range(1, 13)]
+        gt = GroundTruth(tracks=tracks, markers=markers)
+        props = []
+        for pid in range(int(rng.integers(1, 30))):
+            h, w = int(rng.integers(1, 12)), int(rng.integers(1, 12))
+            bits = rng.random((h, w)) < 0.6
+            bits[0, 0] = True
+            mask = Mask(int(rng.integers(-2, 20)), int(rng.integers(-2, 20)), bits)
+            props.append(Proposal(id=pid, t=int(rng.integers(0, 4)), mask=mask, raw_score=0.5))
+        return gt, props
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_random_scenes(self, seed):
+        rng = np.random.default_rng(seed)
+        gt, props = self.scene(rng)
+        assert markers_inside_each(props, gt) == [markers_inside(p, gt.markers_at(p.t)) for p in props]
+        want = [1 if _reference_captured(p, gt) is not None else 0 for p in props]
+        assert label_proposals(props, gt, np.zeros((len(props), 1))).labels.tolist() == want
+        pairs = [(props[i], props[j]) for i, j in rng.integers(0, len(props), size=(20, 2))]
+        want = []
+        for a, b in pairs:
+            ma, mb = _reference_captured(a, gt), _reference_captured(b, gt)
+            want.append(1 if ma is not None and ma == mb else 0)
+        assert label_move_edges(pairs, gt, np.zeros((20, 1))).labels.tolist() == want
 
 
 class TestTrainingSet:
@@ -270,6 +315,64 @@ class TestSplitSearchMatchesReference:
             below = X[rows[labels == 0], first].max()
             above = X[rows[labels == 1], first].min()
             assert tree.threshold[0] == (below + above) / 2.0
+
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_count_and_sort_searches_in_one_forest(self, seed):
+        # a few hundred rows with few distinct values per column and some
+        # constant ones; bootstrap duplicates come from bagging
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(200, 400)), int(rng.integers(4, 30))
+        levels = rng.integers(1, 9, size=d)
+        X = rng.integers(0, levels, size=(n, d)) * rng.uniform(0.1, 3.0, size=d)
+        y = (X[:, 0] + rng.normal(0.0, 1.0, size=n) > X[:, 0].mean()).astype(int)
+        data = TrainingSet(X, y)
+        kwargs = dict(n_trees=3, max_depth=10, min_leaf=1 + seed % 4, seed=seed)
+        builder = classify._TreeBuilder
+        with mock.patch.object(builder, "_count_split", autospec=True, side_effect=builder._count_split) as count, \
+                mock.patch.object(builder, "_sort_split", autospec=True, side_effect=builder._sort_split) as sort:
+            forest = train_forest(data, **kwargs)
+        assert count.call_count > 0 and sort.call_count > 0
+        assert_same_trees(forest, reference_forest(data, **kwargs))
+
+
+def _forest_doc(**tree):
+    doc = {"feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0], "left": [1, -1, -1],
+           "right": [2, -1, -1], "value": [0.5, 0.0, 1.0]}
+    doc.update(tree)
+    return {"kind": "random_forest", "n_features": 2, "max_depth": 3, "min_leaf": 1, "seed": 0,
+            "trees": [_TREE_OK, doc]}
+
+
+_TREE_OK = {"feature": [-1], "threshold": [0.0], "left": [-1], "right": [-1], "value": [0.5]}
+
+
+class TestForestDocumentChecks:
+    """A forest document whose trees prediction could not walk to a leaf is
+    a FormatError that names the tree."""
+
+    def test_trained_forest_passes(self):
+        forest = train_forest(separable_set(), n_trees=5, seed=1)
+        assert_same_trees(forest_from_json(forest_to_json(forest)), forest)
+        forest_from_json(_forest_doc())
+
+    @pytest.mark.parametrize("tree, message", [
+        (dict(value=[0.5, 0.0]), "of one length"),
+        (dict(feature=0), "of one length"),
+        (dict(left=[[1, -1, -1]]), "of one length"),
+        (dict(feature=[], threshold=[], left=[], right=[], value=[]), "non-empty"),
+        (dict(feature=[2, -1, -1]), r"feature index outside \[-1, 2\)"),
+        (dict(feature=[-2, -1, -1]), r"feature index outside \[-1, 2\)"),
+        (dict(left=[1, 2, -1]), "a leaf"),
+        (dict(right=[2, -1, 0]), "a leaf"),
+        (dict(left=[0, -1, -1]), "breaks i < left < right"),   # a self-loop
+        (dict(left=[2, -1, -1], right=[1, -1, -1]), "breaks i < left < right"),
+        (dict(left=[1, -1, -1], right=[3, -1, -1]), "breaks i < left < right"),
+        (dict(left=[1, -1, -1], right=[1, -1, -1]), "breaks i < left < right"),
+    ])
+    def test_bad_tree(self, tree, message):
+        with pytest.raises(FormatError, match=f"tree 1: .*{message}"):
+            forest_from_json(_forest_doc(**tree))
 
 
 class TestRocAuc:

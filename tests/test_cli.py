@@ -1,8 +1,14 @@
 import json
 import os
+import shutil
+import subprocess
+import sys
 
 import pytest
 
+import lineage_ilp
+from lineage_ilp.classify import FOREST_SCHEMA_VERSION
+from lineage_ilp.features import PROPOSAL_DIM
 from lineage_ilp.cli import (
     EXIT_CONFIG,
     EXIT_INPUT,
@@ -168,6 +174,33 @@ class TestExitCodes:
         assert rc == EXIT_INPUT
         err = capsys.readouterr().err
         assert f"proposal {doc['id']} extends past frame {doc['t']}, which is 80x80 pixels" in err
+
+    def test_model_with_a_self_loop_is_refused(self, flow, tmp_path):
+        # prediction would walk node 0 -> node 0 forever; a fresh interpreter
+        # with a timeout turns such a hang into a failure
+        cfg, root = flow
+        models = tmp_path / "models"
+        shutil.copytree(root / "models", models)
+        doc = {
+            "schema_version": FOREST_SCHEMA_VERSION, "kind": "random_forest",
+            "n_features": PROPOSAL_DIM, "max_depth": 2, "min_leaf": 1, "seed": 0,
+            "trees": [{
+                "feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0],
+                "left": [0, -1, -1], "right": [2, -1, -1], "value": [0.5, 0.0, 1.0],
+            }],
+        }
+        (models / "proposal.json").write_text(json.dumps(doc))
+        src = os.path.dirname(os.path.dirname(lineage_ilp.__file__))
+        done = subprocess.run(
+            [
+                sys.executable, "-m", "lineage_ilp.cli", "track", "--config", str(cfg),
+                "--data", str(root / "ds"), "--proposals", str(root / "p.jsonl"),
+                "--model", str(models), "--out", str(tmp_path / "res"),
+            ],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == EXIT_INPUT, done.stderr
+        assert "tree 0:" in done.stderr
 
     def test_solver_timeout(self, tmp_path):
         cfg = tmp_path / "cfg.json"

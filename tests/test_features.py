@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
+from lineage_ilp import features as features_mod
 from lineage_ilp.features import (
     BOUNDARY_RADII,
     MITOSIS_DIM,
@@ -231,6 +232,46 @@ class TestFramePassMatchesReference:
             Mask(3, 7, np.ones((2, 4), dtype=bool)),  # bottom edge
         ]
         props = [Proposal(id=i, t=0, mask=m, raw_score=0.5) for i, m in enumerate(masks)]
+        assert_rows_match_reference(props, frame)
+
+    def test_masks_of_widely_different_sizes(self):
+        # one mask nearly fills the frame and sets the stack's slice size;
+        # the rest are single pixels and small blobs, some at the borders
+        rng = np.random.default_rng(5)
+        frame = Frame(t=0, intensity=rng.integers(0, 16, size=(48, 56)) / 15)
+        big = rng.random((46, 53)) < 0.9
+        big[0, 0] = big[-1, -1] = True
+        masks = [Mask(1, 1, big), Mask(0, 0, np.ones((1, 1), dtype=bool))]
+        masks += [_random_mask(rng, 48, 56, "pixel") for _ in range(10)]
+        for x0, y0 in ((0, 20), (52, 3), (25, 43), (30, 30)):
+            bits = rng.random((5, 4)) < 0.7
+            bits[2, 2] = True
+            masks.append(Mask(x0, y0, bits))
+        masks.append(Mask(0, 0, np.ones((48, 56), dtype=bool)))
+        props = [Proposal(id=i, t=0, mask=m, raw_score=0.5) for i, m in enumerate(masks)]
+        assert_rows_match_reference(props, frame)
+
+    @pytest.mark.parametrize("cells", [1, 400, 3000])
+    def test_more_masks_than_one_stack_holds(self, monkeypatch, cells):
+        # cells=1 puts every mask alone in its stack; the others make runs of
+        # several masks, and a mask whose padded box alone exceeds the limit
+        # goes alone
+        rng = np.random.default_rng(cells)
+        frame = Frame(t=0, intensity=rng.random((40, 40)))
+        kinds = ["pixel", "box", "box", "frame", "box", "pixel", "pixel"] * 5
+        props = [
+            Proposal(id=i, t=0, mask=_random_mask(rng, 40, 40, kind), raw_score=0.5)
+            for i, kind in enumerate(kinds)
+        ]
+        runs = []
+        stack_pixels = features_mod._stack_pixels
+        monkeypatch.setattr(features_mod, "STACK_CELLS", cells)
+        monkeypatch.setattr(
+            features_mod, "_stack_pixels", lambda masks, *args: runs.append(len(masks)) or stack_pixels(masks, *args)
+        )
+        proposal_feature_rows(props, frame)
+        assert sum(runs) == len(props)
+        assert len(runs) == len(props) if cells == 1 else 1 < len(runs) < len(props)
         assert_rows_match_reference(props, frame)
 
     def test_no_proposals(self):

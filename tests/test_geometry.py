@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from lineage_ilp.geometry import (
     BBox,
@@ -9,14 +10,14 @@ from lineage_ilp.geometry import (
     Mask,
     anchor_decode,
     anchor_encode,
-    boundary_and_dilations,
-    boundary_mask,
     disk_offsets,
     iou_box,
     iou_mask,
     label_masks,
     nms,
 )
+from lineage_ilp.features import BOUNDARY_RADII, _frame_pixels
+from lineage_ilp.proposals import Proposal
 
 
 def full_mask(x0, y0, w, h):
@@ -170,6 +171,31 @@ class TestAnchors:
             anchor_encode(BBox(0, 0, 1, 1), BBox(0, 0, 0, 1))
 
 
+def boundary_and_dilations(m: Mask, radii: tuple[int, ...]) -> tuple[Mask, dict[int, Mask]]:
+    """Boundary of ``m`` plus, per radius, the dilation ring dilate(m, r)
+    minus m, in plane coordinates: the per-mask definition the feature
+    pass's stacked boundary and rings must match."""
+    pad = max((1, *radii))
+    h, w = m.bits.shape
+    padded = np.zeros((h + 2 * pad, w + 2 * pad), dtype=bool)
+    padded[pad : pad + h, pad : pad + w] = m.bits
+
+    def shifted(dy: int, dx: int) -> np.ndarray:
+        return padded[pad + dy : pad + dy + h, pad + dx : pad + dx + w]
+
+    inner = m.bits & shifted(-1, 0) & shifted(1, 0) & shifted(0, -1) & shifted(0, 1)
+    rings = {
+        r: Mask(m.x0 - pad, m.y0 - pad, ndimage.binary_dilation(padded, structure=disk_offsets(r)) & ~padded)
+        for r in radii
+    }
+    return Mask(m.x0, m.y0, m.bits & ~inner), rings
+
+
+def boundary_mask(m: Mask) -> Mask:
+    """Set pixels with at least one unset 4-neighbour (pixels outside count as unset)."""
+    return boundary_and_dilations(m, ())[0]
+
+
 class TestBoundaryAndDilations:
     def test_boundary_of_3x3_block(self):
         b = boundary_mask(full_mask(0, 0, 3, 3))
@@ -201,6 +227,31 @@ class TestBoundaryAndDilations:
     def test_ring_r3_uses_euclidean_disk(self):
         _, rings = boundary_and_dilations(full_mask(10, 10, 1, 1), (3,))
         assert rings[3].area == int(disk_offsets(3).sum()) - 1
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_frame_stack_matches_per_mask(self, seed):
+        # the feature pass's stacked boundary and in-frame rings, pixel for
+        # pixel and in each mask's row-major order
+        rng = np.random.default_rng(seed)
+        height, width = 30, 36
+        masks = []
+        for _ in range(12):
+            h, w = int(rng.integers(1, height + 1)), int(rng.integers(1, 12))
+            bits = rng.random((h, w)) < 0.6
+            bits[0, 0] = True
+            masks.append(Mask(int(rng.integers(0, width - w + 1)), int(rng.integers(0, height - h + 1)), bits))
+        props = [Proposal(id=i, t=0, mask=m, raw_score=0.5) for i, m in enumerate(masks)]
+        (m_k, m_rows, m_cols), (b_k, b_rows, b_cols), *rings = _frame_pixels(props, height, width)
+        for k, m in enumerate(masks):
+            boundary, want_rings = boundary_and_dilations(m, BOUNDARY_RADII)
+            for (kk, rows, cols), want in [((m_k, m_rows, m_cols), m), ((b_k, b_rows, b_cols), boundary)]:
+                assert np.array_equal(rows[kk == k], want.pixels()[0])
+                assert np.array_equal(cols[kk == k], want.pixels()[1])
+            for (kk, rows, cols), r in zip(rings, BOUNDARY_RADII):
+                w_rows, w_cols = want_rings[r].pixels()
+                keep = (w_rows >= 0) & (w_rows < height) & (w_cols >= 0) & (w_cols < width)
+                assert np.array_equal(rows[kk == k], w_rows[keep])
+                assert np.array_equal(cols[kk == k], w_cols[keep])
 
 
 def reference_label_masks(grid):

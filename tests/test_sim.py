@@ -99,7 +99,7 @@ def tiny_gt():
 class TestCorrupt:
     def test_zero_rates_reproduce_regions(self):
         res = simulate(busy_config(), 42)
-        props = corrupt(res.gt, res.frames, CorruptionConfig(), 0)
+        props = corrupt(res.gt, CorruptionConfig(), 0)
         per_frame = ideal_proposals(res.gt)
         by_t = {}
         for p in props:
@@ -113,8 +113,8 @@ class TestCorrupt:
     def test_deterministic(self):
         res = simulate(busy_config(), 42)
         ccfg = CorruptionConfig(drop_rate=0.1, clutter_rate=0.1, jitter_px=0.5)
-        a = corrupt(res.gt, res.frames, ccfg, 9)
-        b = corrupt(res.gt, res.frames, ccfg, 9)
+        a = corrupt(res.gt, ccfg, 9)
+        b = corrupt(res.gt, ccfg, 9)
         assert len(a) == len(b)
         for pa, pb in zip(a, b):
             assert pa.id == pb.id and pa.t == pb.t and pa.mask == pb.mask
@@ -122,7 +122,7 @@ class TestCorrupt:
 
     def test_merge_creates_single_two_marker_proposal(self):
         gt = tiny_gt()
-        props = corrupt(gt, [], CorruptionConfig(merge_rate=1.0), 1)
+        props = corrupt(gt, CorruptionConfig(merge_rate=1.0), 1)
         two_marker = [
             p
             for p in props
@@ -133,17 +133,17 @@ class TestCorrupt:
 
     def test_drop_everything(self):
         gt = tiny_gt()
-        assert corrupt(gt, [], CorruptionConfig(drop_rate=1.0), 1) == []
+        assert corrupt(gt, CorruptionConfig(drop_rate=1.0), 1) == []
 
     def test_split_bisects(self):
         gt = tiny_gt()
-        props = corrupt(gt, [], CorruptionConfig(split_rate=1.0), 1)
+        props = corrupt(gt, CorruptionConfig(split_rate=1.0), 1)
         assert len(props) == 6
         assert all(p.mask.area == 2 for p in props)
 
     def test_jitter_stays_in_frame(self):
         res = simulate(busy_config(), 42)
-        props = corrupt(res.gt, res.frames, CorruptionConfig(jitter_px=2.0), 3)
+        props = corrupt(res.gt, CorruptionConfig(jitter_px=2.0), 3)
         h, w = res.gt.label_grids[0].shape
         for p in props:
             assert p.mask.x0 >= 0 and p.mask.y0 >= 0
@@ -152,7 +152,7 @@ class TestCorrupt:
 
     def test_clutter_adds_disks(self):
         gt = tiny_gt()
-        props = corrupt(gt, [], CorruptionConfig(clutter_rate=1.0), 2)
+        props = corrupt(gt, CorruptionConfig(clutter_rate=1.0), 2)
         assert len(props) > 3
         scores = sorted({round(p.raw_score, 2) for p in props})
         assert scores == [0.35, 0.9]
@@ -203,7 +203,7 @@ class TestMergeMatchesReference:
             placement_margin=4.0, initial_min_separation=6.0, division_rate=0.1,
         )
         gt = simulate(cfg, seed).gt
-        props = corrupt(gt, [], CorruptionConfig(merge_rate=merge_rate), seed + 10)
+        props = corrupt(gt, CorruptionConfig(merge_rate=merge_rate), seed + 10)
         want = _reference_merged(gt, seed + 10, merge_rate)
         assert sum(score == 0.75 for _t, _m, score in want) >= 2  # the scene has merges
         assert [(p.id, p.t, p.raw_score) for p in props] == [
@@ -224,7 +224,7 @@ class TestOutputsPinned:
         ccfg = CorruptionConfig(
             drop_rate=0.1, clutter_rate=0.2, merge_rate=0.3, split_rate=0.1, jitter_px=1.0
         )
-        props = corrupt(res.gt, res.frames, ccfg, 42)
+        props = corrupt(res.gt, ccfg, 42)
         assert res.counts["divisions"] >= 1
         assert {p.raw_score for p in props} == {0.9, 0.75, 0.6, 0.35}  # merge, split, clutter
         h = hashlib.sha256()
