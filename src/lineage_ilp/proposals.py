@@ -1,6 +1,7 @@
 """Segmentation proposals: multi-threshold and blob generators plus conflict pairs."""
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -17,6 +18,9 @@ STABILITY_IOU = 0.5
 
 # Scale-normalized LoG response below which an extremum is not a blob.
 LOG_RESPONSE_THRESHOLD = 0.02
+# Responses are snapped to multiples of this (about 1.5e-11), far above FFT
+# rounding (about 1e-15 on [0, 1] frames).
+LOG_RESPONSE_GRID = 2.0 ** -36
 
 DEFAULT_AREA_BOUNDS = (9, 10000)
 _EIGHT = np.ones((3, 3), dtype=bool)
@@ -175,6 +179,63 @@ class _Components:
         self.pixel[flat[fg] - 1] = fg  # any pixel of a component will do
 
 
+def _fft_size(n: int) -> int:
+    """The smallest 5-smooth length >= n (only factors 2, 3 and 5): fast for the FFT."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
+def _log_grid(shape: tuple[int, ...], sigmas: tuple[float, ...]) -> tuple[int, tuple[int, int]]:
+    """Padding radius R of the widest kernel (scipy's ``truncate=4.0``) and
+    the FFT grid, at least H + 2R by W + 2R."""
+    radius = max(int(4.0 * s + 0.5) for s in sigmas)
+    return radius, (_fft_size(shape[0] + 2 * radius), _fft_size(shape[1] + 2 * radius))
+
+
+@functools.lru_cache(maxsize=8)
+def _log_spectra(shape: tuple[int, ...], sigmas: tuple[float, ...]) -> np.ndarray:
+    """Half-spectra of the kernels ``-(s**2) * LoG_s`` for frames of ``shape``.
+
+    Each kernel is scipy's own: its response to a centred delta, rolled so
+    the centre sits at the origin of the FFT grid.  Read-only, because the
+    cache hands the same array to every caller.
+    """
+    radius, size = _log_grid(shape, sigmas)
+    width = 2 * radius + 1
+    delta = np.zeros((width, width))
+    delta[radius, radius] = 1.0
+    kernels = np.zeros((len(sigmas),) + size)
+    for k, s in enumerate(sigmas):
+        kernels[k, :width, :width] = -(s ** 2) * ndimage.gaussian_laplace(delta, sigma=s, mode="constant")
+    spectra = np.fft.rfft2(np.roll(kernels, (-radius, -radius), axis=(1, 2)))
+    spectra.flags.writeable = False
+    return spectra
+
+
+def _log_stack(img: np.ndarray, sigmas: tuple[float, ...]) -> np.ndarray:
+    """``-(s**2) * gaussian_laplace(img, s, mode="nearest")`` for every sigma,
+    as one ``(len(sigmas), H, W)`` stack from one forward FFT and one batched
+    inverse.
+
+    The frame is edge-padded once by the widest kernel radius R.  Edge
+    padding commutes with a separable filter, so the linear convolution of
+    the padded frame equals scipy's nearest-mode passes up to rounding; the
+    FFT grid is at least H + 2R per axis, so the crop reads no wrapped value.
+    """
+    radius, size = _log_grid(img.shape, sigmas)
+    h, w = img.shape
+    spectrum = np.fft.rfft2(np.pad(img, radius, mode="edge"), s=size)
+    # irfft2's two steps, apart, so that the rows outside the crop skip the second
+    rows = np.fft.ifft(_log_spectra(img.shape, sigmas) * spectrum, axis=1)[:, radius : radius + h]
+    return np.fft.irfft(rows, n=size[1], axis=2)[:, :, radius : radius + w]
+
+
 def _max_filter_3(stack: np.ndarray) -> np.ndarray:
     """``ndimage.maximum_filter(stack, size=3, mode="nearest")`` on a 3-d
     stack, as three shifted maxima per axis over an edge-padded copy."""
@@ -198,10 +259,13 @@ def log_blob_proposals(
     """
     if not sigmas:
         raise ValueError("need at least one sigma")
+    if not all(s > 0 for s in sigmas):
+        raise ValueError("sigmas must be positive")
     img = frame.intensity
-    stack = np.stack([
-        -(s ** 2) * ndimage.gaussian_laplace(img, sigma=s, mode="nearest") for s in sigmas
-    ])
+    # Responses equal in exact arithmetic (a quantised frame has many) stay
+    # equal after the snap, whatever order the FFT summed them in, so local
+    # maxima and the strongest-first order break ties by position alone.
+    stack = np.rint(_log_stack(img, tuple(sigmas)) / LOG_RESPONSE_GRID) * LOG_RESPONSE_GRID
     local_max = (_max_filter_3(stack) == stack) & (stack > LOG_RESPONSE_THRESHOLD)
     peak_best = stack.max()
     if peak_best <= 0:

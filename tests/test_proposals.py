@@ -6,12 +6,15 @@ from scipy import ndimage
 
 from lineage_ilp import proposals as proposals_mod
 from lineage_ilp.geometry import Mask, iou_mask, nms
+from lineage_ilp.io import write_proposals
 from lineage_ilp.proposals import (
     DEFAULT_AREA_BOUNDS,
     MASK_NMS_IOU,
     STABILITY_IOU,
     Frame,
     Proposal,
+    _log_spectra,
+    _log_stack,
     _max_filter_3,
     conflicts,
     log_blob_proposals,
@@ -148,6 +151,13 @@ def assert_same_proposals(got, want):
     assert all(a.mask == b.mask for a, b in zip(got, want))
 
 
+def assert_close_proposals(got, want, rel=1e-12):
+    """Same ids, frames and masks; scores equal up to ``rel`` relative."""
+    assert [(p.id, p.t) for p in got] == [(p.id, p.t) for p in want]
+    assert all(a.mask == b.mask for a, b in zip(got, want))
+    assert all(abs(a.raw_score - b.raw_score) <= rel * abs(b.raw_score) for a, b in zip(got, want))
+
+
 def plateau_image(rng, size):
     """Blobs and boxes quantised to a few grey levels: wide plateaus, so
     neighbouring thresholds often cut identical components."""
@@ -240,6 +250,80 @@ class TestLogBlobs:
         a = log_blob_proposals(separated_scene.frames[0])
         b = log_blob_proposals(separated_scene.frames[0])
         assert [(p.id, p.raw_score) for p in a] == [(p.id, p.raw_score) for p in b]
+
+    @pytest.mark.parametrize("sigmas", [(-1.0,), (0.0,), (2.0, -1.0), (float("nan"),)])
+    def test_non_positive_sigma_rejected(self, separated_scene, sigmas):
+        with pytest.raises(ValueError, match="positive"):
+            log_blob_proposals(separated_scene.frames[0], sigmas=sigmas)
+
+
+DEFAULT_SIGMAS = (1.5, 2.0, 3.0, 4.0, 6.0)
+
+
+def _reference_log_stack(img, sigmas):
+    return np.stack([-(s ** 2) * ndimage.gaussian_laplace(img, sigma=s, mode="nearest") for s in sigmas])
+
+
+class TestLogStackMatchesReference:
+    """The FFT scale stack equals scipy's nearest-mode LoG up to rounding, and
+    the generator built on it keeps every id, frame and mask."""
+
+    @pytest.mark.parametrize("sigmas", [(2.0,), DEFAULT_SIGMAS])
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 30), (13, 17), (64, 80), (200, 200)])
+    def test_random_frames(self, sigmas, shape):
+        img = np.random.default_rng(shape[0] * 7 + len(sigmas)).random(shape)
+        got = _log_stack(img, sigmas)
+        assert got.shape == (len(sigmas),) + shape
+        assert np.abs(got - _reference_log_stack(img, sigmas)).max() <= 1e-12
+
+    @pytest.mark.parametrize("sigmas", [(2.0,), DEFAULT_SIGMAS])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_plateau_frames(self, sigmas, seed):
+        img = plateau_image(np.random.default_rng(seed), 12 + 6 * seed)
+        assert np.abs(_log_stack(img, sigmas) - _reference_log_stack(img, sigmas)).max() <= 1e-12
+
+    def test_cached_spectra_match_fresh(self):
+        img = np.random.default_rng(3).random((21, 34))
+        _log_spectra.cache_clear()
+        fresh = _log_stack(img, DEFAULT_SIGMAS)
+        assert np.array_equal(_log_stack(img, DEFAULT_SIGMAS), fresh)
+        assert _log_spectra.cache_info().hits >= 1
+        assert not _log_spectra((21, 34), DEFAULT_SIGMAS).flags.writeable
+
+    @pytest.mark.parametrize("sigmas", [(2.0,), DEFAULT_SIGMAS])
+    def test_generator_on_separated_scene(self, separated_scene, monkeypatch, sigmas):
+        frame = separated_scene.frames[0]
+        got = log_blob_proposals(frame, sigmas=sigmas, start_id=5)
+        monkeypatch.setattr(proposals_mod, "_log_stack", _reference_log_stack)
+        want = log_blob_proposals(frame, sigmas=sigmas, start_id=5)
+        assert len(got) > 0
+        assert_close_proposals(got, want)
+
+    @settings(max_examples=100)
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(8, 72))
+    def test_generator_on_plateau_frames(self, seed, size):
+        """Quantised frames give exactly tied responses, which scipy's
+        passes reproduce bit for bit and the FFT only up to rounding."""
+        frame = Frame(t=3, intensity=plateau_image(np.random.default_rng(seed), size))
+        got = log_blob_proposals(frame, area_bounds=(1, 10000))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(proposals_mod, "_log_stack", _reference_log_stack)
+            want = log_blob_proposals(frame, area_bounds=(1, 10000))
+        assert_close_proposals(got, want)
+
+    def test_written_proposals_repeat_byte_for_byte(self, tmp_path):
+        frames = simulate(SimConfig(frames=3, width=64, height=64, initial_cells=6), 5).frames
+        _log_spectra.cache_clear()  # the first run builds the spectra, the second reads them
+        outputs = []
+        for run in range(2):
+            props = []
+            for frame in frames:
+                props += log_blob_proposals(frame, start_id=len(props))
+            path = tmp_path / f"run{run}.jsonl"
+            write_proposals(path, props)
+            outputs.append(path.read_bytes())
+        assert len(outputs[0]) > 0
+        assert outputs[0] == outputs[1]
 
 
 def _reference_max_filter(stack):
