@@ -44,7 +44,7 @@ class TrainingSet:
 
 
 def _captured_by_identity(props, gt: GroundTruth) -> dict[int, int | None]:
-    """``captured_marker`` of each distinct proposal object, keyed by ``id``;
+    """``captured_markers`` of each distinct proposal object, keyed by ``id``;
     a proposal held by many pairs or triples is looked up once."""
     distinct = list({id(p): p for p in props}.values())
     return {id(p): m for p, m in zip(distinct, captured_markers(distinct, gt))}

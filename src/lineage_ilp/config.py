@@ -75,7 +75,6 @@ class SolveConfig:
 @dataclass
 class EvalConfig:
     weights: dict[str, float] = field(default_factory=dict)  # overrides per error class
-    seg: bool = True
 
 
 @dataclass

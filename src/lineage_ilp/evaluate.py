@@ -3,11 +3,12 @@ an AOGM-style TRA score, and mask SEG."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .geometry import Mask, iou_mask, label_masks, mask_intersection_area
+from .geometry import Mask
 from .io import TrackRow, validate_tracks
 from .proposals import Proposal
 
@@ -43,12 +44,6 @@ class GroundTruth:
                     raise ValueError(
                         f"marker for track {track_id} at frame {t} outside span [{row.birth}, {row.end}]"
                     )
-
-    @property
-    def n_frames(self) -> int:
-        if self.label_grids is not None:
-            return len(self.label_grids)
-        return max(self.markers, default=-1) + 1
 
     def markers_at(self, t: int) -> list[tuple[int, float, float]]:
         return self.markers.get(t, [])
@@ -102,12 +97,6 @@ def markers_inside(p: Proposal, markers: list[tuple[int, float, float]]) -> list
     return [tid for tid, x, y in markers if p.mask.contains_point(x, y)]
 
 
-def captured_marker(p: Proposal, markers: list[tuple[int, float, float]]) -> int | None:
-    """The single marker a proposal captures, or None if it holds zero or several."""
-    inside = markers_inside(p, markers)
-    return inside[0] if len(inside) == 1 else None
-
-
 def markers_inside_each(props: list[Proposal], gt: GroundTruth) -> list[list[int]]:
     """``markers_inside(p, gt.markers_at(p.t))`` of every proposal.
 
@@ -145,15 +134,49 @@ def markers_inside_each(props: list[Proposal], gt: GroundTruth) -> list[list[int
 
 
 def captured_markers(props: list[Proposal], gt: GroundTruth) -> list[int | None]:
-    """``captured_marker`` of every proposal against its frame's markers."""
+    """The single marker each proposal captures in its frame, or None where it
+    holds zero or several."""
     return [inside[0] if len(inside) == 1 else None for inside in markers_inside_each(props, gt)]
 
 
-def gt_cell_masks(gt: GroundTruth) -> dict[int, dict[int, Mask]]:
-    """Per frame, track label -> tight mask cut from the reference label grids."""
+def _cell_overlap(
+    gt: GroundTruth, t: int, masks: list[Mask]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The reference cells of frame ``t`` against ``masks``, in one count.
+
+    Returns the frame's labels in ascending order, each cell's area, the
+    (mask, cell) intersection table and which mask majority-covers which
+    cell (``2 * inter > area``), the one matching rule of TRA and SEG.
+    Grid values are non-negative labels, 0 the background.  Pixels outside
+    the grid count nowhere, and a frame past the last grid has no cells.
+    """
     if gt.label_grids is None:
         raise ValueError("ground truth has no label grids")
-    return {t: label_masks(grid) for t, grid in enumerate(gt.label_grids)}
+    grid = gt.label_grids[t] if 0 <= t < len(gt.label_grids) else np.zeros((0, 0), dtype=np.int64)
+    counts = np.bincount(grid.ravel(), minlength=1)  # pixels per label value
+    labels = np.flatnonzero(counts[1:]) + 1
+    n = len(labels) + 1  # column 0 is background
+    column = np.zeros(len(counts), dtype=np.intp)
+    column[labels] = np.arange(1, n)
+    keys = [np.empty(0, dtype=np.intp)]
+    for k, m in enumerate(masks):
+        y0, x0 = max(m.y0, 0), max(m.x0, 0)  # the mask's box cut to the grid
+        y1 = min(m.y0 + m.bits.shape[0], grid.shape[0])
+        x1 = min(m.x0 + m.bits.shape[1], grid.shape[1])
+        if y0 < y1 and x0 < x1:
+            bits = m.bits[y0 - m.y0 : y1 - m.y0, x0 - m.x0 : x1 - m.x0]
+            keys.append(column[grid[y0:y1, x0:x1][bits]] + k * n)
+    inter = np.bincount(np.concatenate(keys), minlength=len(masks) * n)
+    inter = inter.reshape(len(masks), n)[:, 1:]
+    area = counts[labels]
+    return labels, area, inter, 2 * inter > area
+
+
+def _selected(props: list[Proposal], lineage: Lineage) -> list[Proposal]:
+    """The proposals a lineage selects, in (frame, id) order."""
+    by_id = {p.id: p for p in props}
+    pids = {pid for members in lineage.members.values() for pid in members}
+    return sorted((by_id[pid] for pid in pids), key=lambda p: (p.t, p.id))
 
 
 # ---------------------------------------------------------------------------
@@ -193,21 +216,21 @@ def match_iou(
     overlap, provided that overlap exceeds ``min_iou``; equal overlaps go to
     the lower label.
     """
-    cells = gt_cell_masks(gt)
+    ious: dict[int, np.ndarray] = {}  # proposal index -> IoU with each cell of its frame
+    claimed: dict[int, np.ndarray] = {}
+    frame_order = sorted(range(len(props)), key=lambda i: props[i].t)
+    for t, group in groupby(frame_order, key=lambda i: props[i].t):
+        idx = list(group)
+        _, area, inter, _ = _cell_overlap(gt, t, [props[i].mask for i in idx])
+        union = np.array([props[i].mask.area for i in idx])[:, None] + area - inter
+        ious.update(zip(idx, np.where(inter > 0, inter / union, 0.0)))
+        claimed[t] = np.zeros(len(area), dtype=bool)
     flags = np.zeros(len(props), dtype=bool)
-    used: set[tuple[int, int]] = set()
     for i in _rank_order(props, scores):
-        p = props[i]
-        best_label = 0
-        best_iou = 0.0
-        for label in sorted(cells.get(p.t, {})):
-            if (p.t, label) in used:
-                continue
-            j = iou_mask(p.mask, cells[p.t][label])
-            if j > best_iou:
-                best_iou, best_label = j, label
-        if best_iou > min_iou:
-            used.add((p.t, best_label))
+        used = claimed[props[i].t]
+        iou = np.where(used, 0.0, ious[i])
+        if iou.size and iou.max() > min_iou:
+            used[iou.argmax()] = True
             flags[i] = True
     return flags
 
@@ -360,15 +383,14 @@ def division_metrics(
         gt_divs[(parent, tend)] = (d1, d2)
     used: set[tuple[int, int]] = set()
     reported = lineage_divisions(lineage)
+    pids = [pid for division in reported for pid in division]
+    captured = dict(zip(pids, captured_markers([by_id[pid] for pid in pids], gt)))
     tp = 0
     for parent_pid, a_pid, b_pid in reported:
-        pp, pa, pb = by_id[parent_pid], by_id[a_pid], by_id[b_pid]
-        pm = captured_marker(pp, gt.markers_at(pp.t))
-        am = captured_marker(pa, gt.markers_at(pa.t))
-        bm = captured_marker(pb, gt.markers_at(pb.t))
+        pm, am, bm = (captured[pid] for pid in (parent_pid, a_pid, b_pid))
         if pm is None or am is None or bm is None:
             continue
-        key = (pm, pp.t)
+        key = (pm, by_id[parent_pid].t)
         if key in used or key not in gt_divs:
             continue
         if {am, bm} == set(gt_divs[key]):
@@ -405,7 +427,6 @@ def tra_score(
     gt: GroundTruth,
     *,
     weights: dict[str, float] | None = None,
-    cells: dict[int, dict[int, Mask]] | None = None,
 ) -> TraResult:
     """Acyclic-graph edit cost between the result lineage and the reference.
 
@@ -417,14 +438,16 @@ def tra_score(
     through uniquely matched endpoints; reference edges without a counterpart
     cost ea, result edges without one ed2, class mismatches ec.  The score
     normalises the weighted sum by the cost of building the reference from
-    nothing, so 1.0 is perfect and an empty result scores 0.0.  ``cells`` is
-    ``gt_cell_masks(gt)`` when the caller already has it.
+    nothing, so 1.0 is perfect and an empty result scores 0.0.
     """
-    by_id = {p.id: p for p in props}
-    selected = sorted(
-        {pid for members in lineage.members.values() for pid in members},
-        key=lambda pid: (by_id[pid].t, pid),
-    )
+    selected = _selected(props, lineage)
+    if gt.label_grids is None:
+        claims = markers_inside_each(selected, gt)
+    else:
+        claims = []
+        for t, group in groupby(selected, key=lambda p: p.t):
+            labels, _, _, held = _cell_overlap(gt, t, [p.mask for p in group])
+            claims.extend(labels[row].tolist() for row in held)
 
     gt_nodes = [
         (t, tid)
@@ -432,34 +455,18 @@ def tra_score(
         for tid in sorted(tid for tid, _, _ in rows)
     ]
     node_set = set(gt_nodes)
-    if cells is None and gt.label_grids is not None:
-        cells = gt_cell_masks(gt)
 
     # frame -> reference cells not yet claimed
     unmatched = {t: {tid for tid, _, _ in rows} for t, rows in gt.markers.items()}
     node_match: dict[int, tuple[int, int] | None] = {}
     fp = ns = 0
-    for pid in selected:
-        p = by_id[pid]
+    for p, inside in zip(selected, claims):
         left = unmatched.get(p.t, set())
-        if cells is not None:
-            hits = []
-            for tid in sorted(left):
-                cell = cells.get(p.t, {}).get(tid)
-                if cell is not None and 2 * mask_intersection_area(p.mask, cell) > cell.area:
-                    hits.append(tid)
-        else:
-            hits = [tid for tid in markers_inside(p, gt.markers_at(p.t)) if tid in left]
-        if not hits:
-            fp += 1
-            node_match[pid] = None
-        elif len(hits) == 1:
-            left.discard(hits[0])
-            node_match[pid] = (p.t, hits[0])
-        else:
-            ns += len(hits) - 1
-            left.difference_update(hits)
-            node_match[pid] = None
+        hits = [tid for tid in inside if tid in left]
+        node_match[p.id] = (p.t, hits[0]) if len(hits) == 1 else None
+        fp += not hits
+        ns += max(len(hits) - 1, 0)
+        left.difference_update(hits)
     fn = sum(len(left) for left in unmatched.values())
 
     spans = {row.label: row for row in gt.tracks}
@@ -512,36 +519,26 @@ def tra_score(
 # SEG: mask agreement of matched cells
 
 
-def seg_score(
-    props: list[Proposal],
-    lineage: Lineage,
-    gt: GroundTruth,
-    *,
-    cells: dict[int, dict[int, Mask]] | None = None,
-) -> float:
-    """Mean overlap between each reference region and the selected proposal that
-    majority-covers it (zero when none does).  Needs label grids, or their
-    ``gt_cell_masks(gt)`` as ``cells``."""
-    if cells is None:
-        cells = gt_cell_masks(gt)
-    by_id = {p.id: p for p in props}
-    selected_by_frame: dict[int, list[int]] = {}
-    for members in lineage.members.values():
-        for pid in members:
-            selected_by_frame.setdefault(by_id[pid].t, []).append(pid)
-    scores = []
-    for t in sorted(cells):
-        for label in sorted(cells[t]):
-            cell = cells[t][label]
-            best_cov = 0.0
-            best_pid = None
-            for pid in sorted(selected_by_frame.get(t, [])):
-                inter = mask_intersection_area(by_id[pid].mask, cell)
-                if 2 * inter > cell.area:
-                    cov = inter / cell.area
-                    if cov > best_cov:
-                        best_cov, best_pid = cov, pid
-            scores.append(iou_mask(by_id[best_pid].mask, cell) if best_pid is not None else 0.0)
+def seg_score(props: list[Proposal], lineage: Lineage, gt: GroundTruth) -> float:
+    """Mean IoU, over the reference cells in (frame, label) order, with the
+    selected proposal that majority-covers the cell most (the lowest id among
+    equals); zero when none does.  Needs label grids."""
+    if gt.label_grids is None:
+        raise ValueError("ground truth has no label grids")
+    selected = _selected(props, lineage)
+    by_frame = {t: list(group) for t, group in groupby(selected, key=lambda p: p.t)}
+    scores: list[float] = []
+    for t in range(len(gt.label_grids)):
+        sel = by_frame.get(t, [])
+        labels, area, inter, held = _cell_overlap(gt, t, [p.mask for p in sel])
+        if not sel:
+            scores.extend([0.0] * len(labels))
+            continue
+        best = np.where(held, inter, 0).argmax(axis=0)  # a covering row wins
+        cols = np.arange(len(labels))
+        hit = inter[best, cols]
+        union = np.array([p.mask.area for p in sel])[best] + area - hit
+        scores.extend(np.where(held[best, cols], hit / union, 0.0).tolist())
     return float(np.mean(scores)) if scores else 1.0
 
 
@@ -568,17 +565,14 @@ def evaluate_tracking(
     *,
     graph: TrackingGraph | None = None,
     weights: dict[str, float] | None = None,
-    with_seg: bool = True,
 ) -> EvalReport:
     """Score a tracking result against the reference lineage.
 
-    SEG is only computed when the reference carries label grids (and can be
-    switched off); graph coverage fractions are included when the candidate
-    graph is supplied.
+    SEG is computed when the reference carries label grids; graph coverage
+    fractions are included when the candidate graph is supplied.
     """
-    cells = gt_cell_masks(gt) if gt.label_grids is not None else None
-    tra = tra_score(props, lineage, gt, weights=weights, cells=cells)
-    seg = seg_score(props, lineage, gt, cells=cells) if with_seg and cells is not None else None
+    tra = tra_score(props, lineage, gt, weights=weights)
+    seg = seg_score(props, lineage, gt) if gt.label_grids is not None else None
     dp, dr, df1 = division_metrics(props, lineage, gt)
     recalls = graph_recall(graph, gt) if graph is not None else None
     return EvalReport(

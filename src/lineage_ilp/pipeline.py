@@ -125,6 +125,18 @@ def write_dataset(directory, frames: list[np.ndarray], gt: GroundTruth) -> None:
         write_label_grids(os.path.join(gt_dir, "seg"), gt.label_grids)
 
 
+def _check_label_grids(grids: list[np.ndarray], frames: list[Frame], path) -> None:
+    """Raise ``FormatError`` unless there is one grid per frame, of its shape."""
+    if len(grids) != len(frames):
+        raise FormatError(f"{len(grids)} label grids for {len(frames)} frames", path=str(path))
+    for t, (grid, frame) in enumerate(zip(grids, frames)):
+        if grid.shape != frame.intensity.shape:
+            raise FormatError(
+                f"label grid {t} shape {grid.shape} differs from frame {frame.intensity.shape}",
+                path=str(path),
+            )
+
+
 def load_dataset(directory, *, need_gt: bool = False) -> Dataset:
     arrays = read_intensity_frames(directory)
     frames = [Frame(t, arr) for t, arr in enumerate(arrays)]
@@ -135,20 +147,15 @@ def load_dataset(directory, *, need_gt: bool = False) -> Dataset:
         markers: dict[int, list[tuple[int, float, float]]] = {}
         for t, tid, x, y in read_markers(os.path.join(gt_dir, "markers.csv")):
             markers.setdefault(t, []).append((tid, x, y))
+        last = len(frames) - 1
+        late = [row.label for row in tracks if row.end > last]
+        if late:
+            raise FormatError(f"track {late[0]} ends past the last frame {last}", path=gt_dir)
         grids = None
         seg_dir = os.path.join(gt_dir, "seg")
         if os.path.isdir(seg_dir):
             grids = read_label_grids(seg_dir)
-            if len(grids) != len(frames):
-                raise FormatError(
-                    f"{len(grids)} label grids for {len(frames)} frames", path=seg_dir
-                )
-            for t, (grid, frame) in enumerate(zip(grids, frames)):
-                if grid.shape != frame.intensity.shape:
-                    raise FormatError(
-                        f"label grid {t} shape {grid.shape} differs from frame {frame.intensity.shape}",
-                        path=seg_dir,
-                    )
+            _check_label_grids(grids, frames, seg_dir)
         try:
             gt = GroundTruth(tracks=tracks, markers=markers, label_grids=grids)
         except ValueError as exc:
@@ -634,18 +641,12 @@ def run_eval(
 ) -> EvalReport:
     ds = load_dataset(data_dir, need_gt=True)
     rows = read_tracks(os.path.join(result_dir, "tracks.txt"))
-    grids = read_label_grids(os.path.join(result_dir, "seg"))
-    if len(grids) != len(ds.frames):
-        raise FormatError(
-            f"result has {len(grids)} label grids for {len(ds.frames)} frames",
-            path=str(result_dir),
-        )
+    seg_dir = os.path.join(result_dir, "seg")
+    grids = read_label_grids(seg_dir)
+    _check_label_grids(grids, ds.frames, seg_dir)
     props, lineage = result_from_grids(rows, grids)
     weights = cfg.eval.weights if cfg is not None else None
-    with_seg = cfg.eval.seg if cfg is not None else True
-    report = evaluate_tracking(
-        props, lineage, ds.gt, graph=graph, weights=weights, with_seg=with_seg
-    )
+    report = evaluate_tracking(props, lineage, ds.gt, graph=graph, weights=weights)
     if out_path is not None:
         write_json_file(out_path, report_to_json(report))
     return report

@@ -4,11 +4,13 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import lineage_ilp
 from lineage_ilp.classify import FOREST_SCHEMA_VERSION
 from lineage_ilp.features import PROPOSAL_DIM
+from lineage_ilp.io import read_label_grids, write_label_grids
 from lineage_ilp.cli import (
     EXIT_CONFIG,
     EXIT_INPUT,
@@ -174,6 +176,32 @@ class TestExitCodes:
         assert rc == EXIT_INPUT
         err = capsys.readouterr().err
         assert f"proposal {doc['id']} extends past frame {doc['t']}, which is 80x80 pixels" in err
+
+    def test_eval_refuses_result_grids_of_another_shape(self, flow, tmp_path, capsys):
+        cfg, root = flow
+        res = tmp_path / "res"
+        track = ["track", "--config", str(cfg), "--data", str(root / "ds"),
+                 "--proposals", str(root / "p.jsonl"), "--model", str(root / "models")]
+        assert main(track + ["--out", str(res)]) == EXIT_OK
+        grids = read_label_grids(res / "seg")
+        grids[0] = np.zeros((96, 96), dtype=np.uint16)  # the frames are 80x80
+        grids[1] = np.zeros((20, 20), dtype=np.uint16)
+        write_label_grids(res / "seg", grids)
+        assert main(["eval", str(res), "--data", str(root / "ds")]) == EXIT_INPUT
+        assert "label grid 0 shape (96, 96) differs from frame (80, 80)" in capsys.readouterr().err
+
+    def test_eval_refuses_ground_truth_past_the_last_frame(self, flow, tmp_path):
+        cfg, root = flow
+        data = tmp_path / "ds"
+        shutil.copytree(root / "ds", data)
+        with open(data / "gt" / "tracks.txt", "a") as fh:
+            fh.write("99 0 9 0\n")  # the dataset has 6 frames
+        with open(data / "gt" / "markers.csv", "a") as fh:
+            fh.write("9,99,10.0,10.0\n")
+        track = ["track", "--config", str(cfg), "--data", str(root / "ds"),
+                 "--proposals", str(root / "p.jsonl"), "--model", str(root / "models")]
+        assert main(track + ["--out", str(tmp_path / "res")]) == EXIT_OK
+        assert main(["eval", str(tmp_path / "res"), "--data", str(data)]) == EXIT_INPUT
 
     def test_model_with_a_self_loop_is_refused(self, flow, tmp_path):
         # prediction would walk node 0 -> node 0 forever; a fresh interpreter

@@ -86,6 +86,11 @@ class TestFromDict:
         with pytest.raises(ConfigError, match=re.escape(f"unknown config key {path!r}")):
             config_from_dict(doc)
 
+    def test_seg_switch_is_not_a_key(self):
+        # SEG is computed whenever the reference has label grids
+        with pytest.raises(ConfigError, match="unknown config key 'eval.seg'"):
+            config_from_dict({"eval": {"seg": False}})
+
     def test_corruption_lives_under_sim(self):
         with pytest.raises(ConfigError, match="corruption"):
             config_from_dict({"corruption": {"drop_rate": 0.1}})

@@ -2,16 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lineage_ilp.evaluate import (
     EvalReport,
     GroundTruth,
-    captured_marker,
+    captured_markers,
     detection_pr,
     division_metrics,
     evaluate_tracking,
     graph_recall,
-    gt_cell_masks,
     markers_inside,
     match_iou,
     match_marker,
@@ -69,8 +70,7 @@ class TestMarkerMatching:
         big = square(0, 0, 0, 0, size=14)
         lone = square(1, 0, 1, 1, size=3)
         assert markers_inside(big, gt.markers_at(0)) == [1, 2]
-        assert captured_marker(big, gt.markers_at(0)) is None
-        assert captured_marker(lone, gt.markers_at(0)) == 1
+        assert captured_markers([big, lone], gt) == [None, 1]
 
     def test_double_capture_and_duplicates(self, gt):
         props = [
@@ -103,27 +103,6 @@ class TestIoUMatching:
             markers={0: [(1, 4.0, 4.0), (2, 14.0, 4.0)]},
             label_grids=[grid],
         )
-
-    def test_cell_masks(self, gt):
-        cells = gt_cell_masks(gt)
-        assert sorted(cells[0]) == [1, 2]
-        assert cells[0][1].area == 100
-
-    def test_cell_masks_label_present_in_one_frame_only(self):
-        first = np.zeros((4, 4), dtype=np.int32)
-        first[0:2, 0:2] = 1
-        first[3, 3] = 7
-        second = np.zeros((4, 4), dtype=np.int32)
-        second[1:3, 1:3] = 1
-        gt = GroundTruth(
-            tracks=[TrackRow(1, 0, 1, 0), TrackRow(7, 0, 0, 0)],
-            markers={},
-            label_grids=[first, second],
-        )
-        cells = gt_cell_masks(gt)
-        assert {t: list(frame) for t, frame in cells.items()} == {0: [1, 7], 1: [1]}
-        assert cells[1][1] == Mask(1, 1, np.ones((2, 2), dtype=bool))
-        assert cells[0][7] == Mask(3, 3, np.ones((1, 1), dtype=bool))
 
     def test_exact_and_claimed(self, gt):
         exact = square(0, 0, 0, 0, size=10)
@@ -271,6 +250,174 @@ class TestSeg:
         gt, props, lineage = two_track_fixture()
         with pytest.raises(ValueError):
             seg_score(props, lineage, gt)
+
+    def test_label_present_in_one_frame_only(self):
+        first = np.zeros((4, 4), dtype=np.int32)
+        first[0:2, 0:2] = 1
+        first[3, 3] = 7
+        second = np.zeros((4, 4), dtype=np.int32)
+        second[1:3, 1:3] = 1
+        gt = GroundTruth(
+            tracks=[TrackRow(1, 0, 1, 0), TrackRow(7, 0, 0, 0)],
+            markers={},
+            label_grids=[first, second],
+        )
+        exact = square(0, 0, 0, 0, size=2)  # cell 1 of frame 0
+        loose = square(1, 1, 1, 1, size=3)  # all 4 pixels of cell 1 in frame 1, area 9
+        ln = Lineage(tracks=[TrackRow(1, 0, 1, 0)], members={1: [0, 1]}, end_reason={1: "exit"})
+        # three cells, (0, 1), (0, 7) and (1, 1); label 7 is absent from frame 1
+        assert seg_score([exact, loose], ln, gt) == (1.0 + 0.0 + 4.0 / 9.0) / 3.0
+
+
+def dense_reference_scores(props, lineage, gt):
+    """fn, fp, ns, aogm and SEG with every mask and every cell painted on its
+    own full-frame boolean array and counted there, one pair at a time.
+
+    The lineage has founder tracks only, so every edge is of class "track".
+    """
+    shape = gt.label_grids[0].shape
+
+    def paint(mask):
+        frame = np.zeros(shape, dtype=bool)
+        for r, c in zip(*mask.pixels()):
+            if 0 <= r < shape[0] and 0 <= c < shape[1]:
+                frame[r, c] = True
+        return frame
+
+    def cells(t):
+        if t >= len(gt.label_grids):
+            return []
+        grid = gt.label_grids[t]
+        return [(int(label), grid == label) for label in sorted(set(grid.ravel().tolist()) - {0})]
+
+    by_id = {p.id: p for p in props}
+    chosen = {pid for members in lineage.members.values() for pid in members}
+    unmatched = {t: {tid for tid, _, _ in rows} for t, rows in gt.markers.items()}
+    match = {}
+    fp = ns = 0
+    for pid in sorted(chosen, key=lambda pid: (by_id[pid].t, pid)):
+        p = by_id[pid]
+        left = unmatched.get(p.t, set())
+        frame = paint(p.mask)
+        hits = [
+            label for label, cell in cells(p.t)
+            if label in left and 2 * int((frame & cell).sum()) > int(cell.sum())
+        ]
+        match[pid] = (p.t, hits[0]) if len(hits) == 1 else None
+        fp += not hits
+        ns += max(len(hits) - 1, 0)
+        left.difference_update(hits)
+    fn = sum(len(left) for left in unmatched.values())
+
+    nodes = {(t, tid) for t, rows in gt.markers.items() for tid, _, _ in rows}
+    gt_edges = {((t, tid), (t + 1, tid)) for tid, t in gt.move_edges()
+                if (t, tid) in nodes and (t + 1, tid) in nodes}
+    covered = set()
+    ed2 = 0
+    for members in lineage.members.values():
+        for u, v in zip(members, members[1:]):
+            edge = (match[u], match[v])
+            if edge in gt_edges and edge not in covered:
+                covered.add(edge)
+            else:
+                ed2 += 1
+    aogm = 5.0 * ns + 10.0 * fn + 1.0 * fp + 1.0 * ed2 + 1.5 * (len(gt_edges) - len(covered))
+
+    scores = []
+    for t in range(len(gt.label_grids)):
+        here = sorted(pid for pid in chosen if by_id[pid].t == t)
+        for _label, cell in cells(t):
+            area = int(cell.sum())
+            best, best_inter = None, 0
+            for pid in here:
+                inter = int((paint(by_id[pid].mask) & cell).sum())
+                if 2 * inter > area and inter > best_inter:
+                    best, best_inter = pid, inter
+            if best is None:
+                scores.append(0.0)
+            else:  # the union counts the whole mask, pixels outside the grid included
+                scores.append(best_inter / float(by_id[best].mask.area + area - best_inter))
+    return fn, fp, ns, aogm, float(np.mean(scores)) if scores else 1.0
+
+
+class TestMatchesDenseReference:
+    """TRA's node matching and SEG from the per-frame overlap table agree
+    exactly with painting each mask and cell on its own frame."""
+
+    @settings(max_examples=150)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_grids=st.integers(2, 4),
+        size=st.integers(5, 12),
+    )
+    def test_scene(self, seed, n_grids, size):
+        rng = np.random.default_rng(seed)
+        # rectangles of labels 1-5, drifting by up to a pixel from frame to frame
+        boxes = [
+            (int(label), *rng.integers(0, size, size=2), *rng.integers(1, size // 2 + 2, size=2))
+            for label in rng.integers(1, 6, size=rng.integers(0, 6))
+        ]
+        grids = []
+        for _ in range(n_grids):
+            grid = np.zeros((size, size), dtype=np.int32)
+            for label, y, x, h, w in boxes:
+                y, x = max(y + rng.integers(-1, 2), 0), max(x + rng.integers(-1, 2), 0)
+                grid[y : y + h, x : x + w] = label
+            grids.append(grid)
+        # markers in every frame, including one past the last grid; some
+        # labels have a marker but no region, some a region but no marker
+        frames = n_grids + 1
+        markers = {
+            t: [(tid, float(rng.uniform(0, size)), float(rng.uniform(0, size)))
+                for tid in range(1, 6) if rng.random() < 0.8]
+            for t in range(frames)
+        }
+        gt = GroundTruth(
+            tracks=[TrackRow(tid, 0, frames - 1, 0) for tid in range(1, 6)],
+            markers=markers,
+            label_grids=grids,
+        )
+        # overlapping masks, some past the grid's edges, ids out of frame
+        # order: most are the box around one or two labels give or take a
+        # pixel, the rest lie anywhere; a few pixels of each are holes
+        per_frame = rng.integers(0, 5, size=frames)
+        frame_of = np.repeat(np.arange(frames), per_frame)
+        props, origin = [], {}
+        for pid, t in zip(map(int, rng.permutation(len(frame_of))), frame_of.tolist()):
+            present = np.setdiff1d(grids[t], [0]) if t < n_grids else np.zeros(0)
+            picked = present[rng.permutation(len(present))[: 1 + (rng.random() < 0.3)]]
+            if picked.size and rng.random() < 0.8:
+                rows, cols = np.nonzero(np.isin(grids[t], picked))
+                y, x = rows.min() + rng.integers(-1, 2), cols.min() + rng.integers(-1, 2)
+                h = rows.max() - rows.min() + rng.integers(1, 3)
+                w = cols.max() - cols.min() + rng.integers(1, 3)
+                origin[pid] = tuple(picked)
+            else:
+                y, x = rng.integers(-3, size, size=2)
+                h, w = rng.integers(1, size + 1, size=2)
+            bits = rng.random((h, w)) < 0.9
+            bits[0, 0] = True
+            props.append(Proposal(pid, t, Mask(x, y, bits), 0.5))
+        # founder tracks of most proposals, extended frame to frame, mostly
+        # along the labels the proposals were drawn around
+        by_id = {p.id: p for p in props}
+        members: dict[int, list[int]] = {}
+        for p in sorted(props, key=lambda p: (p.t, p.id)):
+            if rng.random() < 0.2:
+                continue
+            ends = [k for k, m in members.items() if by_id[m[-1]].t == p.t - 1]
+            same = [k for k in ends if origin.get(members[k][-1], 0) == origin.get(p.id)]
+            if same or (ends and rng.random() < 0.5):
+                members[(same or ends)[0]].append(p.id)
+            else:
+                members[len(members) + 1] = [p.id]
+        rows = [TrackRow(k, by_id[m[0]].t, by_id[m[-1]].t, 0) for k, m in members.items()]
+        lineage = Lineage(tracks=rows, members=members, end_reason={})
+
+        fn, fp, ns, aogm, seg = dense_reference_scores(props, lineage, gt)
+        tra = tra_score(props, lineage, gt)
+        assert (tra.fn, tra.fp, tra.ns, tra.aogm) == (fn, fp, ns, aogm)
+        assert seg_score(props, lineage, gt) == seg
 
 
 def division_scene():

@@ -76,6 +76,24 @@ class TestDatasetIO:
         with pytest.raises(FormatError):
             load_dataset(tmp_path / "absent")
 
+    @pytest.mark.parametrize(
+        "track, marker, message",
+        [
+            ("99 0 9 0", "9,99,10.0,10.0", "track 99 ends past the last frame 3"),
+            (None, "4,1,10.0,10.0", "marker for track 1 at frame 4 outside span"),
+        ],
+    )
+    def test_ground_truth_past_the_last_frame(self, tmp_path, track, marker, message):
+        res = simulate(SimConfig(frames=4, width=64, height=64, initial_cells=3), 1)
+        write_dataset(tmp_path, [f.intensity for f in res.frames], res.gt)
+        if track is not None:
+            with open(tmp_path / "gt" / "tracks.txt", "a") as fh:
+                fh.write(track + "\n")
+        with open(tmp_path / "gt" / "markers.csv", "a") as fh:
+            fh.write(marker + "\n")
+        with pytest.raises(FormatError, match=message):
+            load_dataset(tmp_path)
+
 
 class TestProposalStage:
     def test_truth_generator_needs_grids(self):
@@ -308,13 +326,6 @@ class TestEndToEnd:
         )
         hit = run_eval(tmp_path / "ds", tmp_path / "res", cfg=harsher)
         assert hit.tra.aogm > base.tra.aogm
-
-    def test_no_seg_flag_skips_seg(self, tmp_path):
-        cfg = tiny_config(eval={"seg": False})
-        report = run_e2e(cfg, tmp_path)
-        assert report.seg is None
-        text = (tmp_path / "report.txt").read_text()
-        assert text.splitlines()[1].split()[1] == "-"
 
 
 class TestEndToEndMatchesStages:

@@ -49,7 +49,6 @@ class TestSimulate:
         res = simulate(busy_config(), 42)
         # GroundTruth.__post_init__ validates spans and parent links; check grids too.
         assert len(res.gt.label_grids) == len(res.frames)
-        assert res.gt.n_frames == len(res.frames)
 
     def test_markers_inside_own_region(self):
         res = simulate(busy_config(), 42)
