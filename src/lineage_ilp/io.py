@@ -153,12 +153,23 @@ def frame_name(t: int) -> str:
     return f"t{t:03d}.pgm"
 
 
-def write_intensity_frames(directory, frames: list[np.ndarray], maxval: int = 65535) -> None:
-    """Quantize float frames in [0, 1] to ``maxval`` levels and write PGMs."""
+def _intensity(grid: np.ndarray, maxval: int) -> np.ndarray:
+    """Stored levels as the floats in [0, 1] a frame file stands for."""
+    return grid.astype(np.float64) / float(maxval)
+
+
+def write_intensity_frames(directory, frames: list[np.ndarray], maxval: int = 65535) -> list[np.ndarray]:
+    """Quantize float frames in [0, 1] to ``maxval`` levels and write PGMs.
+
+    Returns the frames as ``read_intensity_frames`` reads them back.
+    """
     os.makedirs(directory, exist_ok=True)
+    out = []
     for t, frame in enumerate(frames):
-        grid = np.clip(np.rint(np.asarray(frame, dtype=float) * maxval), 0, maxval)
-        write_pgm(os.path.join(directory, frame_name(t)), grid.astype(np.uint32), maxval)
+        grid = np.clip(np.rint(np.asarray(frame, dtype=float) * maxval), 0, maxval).astype(np.uint32)
+        write_pgm(os.path.join(directory, frame_name(t)), grid, maxval)
+        out.append(_intensity(grid, maxval))
+    return out
 
 
 def list_frame_files(directory) -> list[str]:
@@ -185,7 +196,7 @@ def read_intensity_frames(directory) -> list[np.ndarray]:
     out = []
     for path in list_frame_files(directory):
         grid, maxval = read_pgm(path)
-        out.append(grid.astype(np.float64) / float(maxval))
+        out.append(_intensity(grid, maxval))
     return out
 
 

@@ -1,9 +1,11 @@
 """Pipeline stages gluing the library into dataset-in, lineage-out runs.
 
-Each stage reads and writes the on-disk formats from :mod:`lineage_ilp.io`,
-so stages can be re-run independently or replaced by external tools (any
+Each stage writes the on-disk formats from :mod:`lineage_ilp.io`, and takes
+its inputs either as those files or as the objects their readers return, so
+stages can be re-run independently or replaced by external tools (any
 proposal source producing the JSON-lines format plugs into train/track).
-All randomness is derived from the config's single seed.
+``run_e2e`` chains the stages through the objects: it writes every file and
+reads none back.  All randomness is derived from the config's single seed.
 """
 from __future__ import annotations
 
@@ -62,6 +64,7 @@ from .graph import (
 )
 from .io import (
     FormatError,
+    TrackRow,
     read_intensity_frames,
     read_json_file,
     read_label_grids,
@@ -76,7 +79,7 @@ from .io import (
     write_tracks,
 )
 from .proposals import Frame, Proposal, log_blob_proposals, multi_threshold_proposals
-from .sim import SimResult, corrupt, simulate
+from .sim import corrupt, simulate
 from .solve import (
     Lineage,
     SolveResult,
@@ -110,19 +113,24 @@ class Dataset:
     gt: GroundTruth | None
 
 
-def write_dataset(directory, frames: list[np.ndarray], gt: GroundTruth) -> None:
-    write_intensity_frames(directory, frames)
+def write_dataset(directory, frames: list[np.ndarray], gt: GroundTruth) -> Dataset:
+    """Write a dataset directory; returns the Dataset ``load_dataset`` reads from it."""
+    stored = write_intensity_frames(directory, frames)
     gt_dir = os.path.join(directory, "gt")
     os.makedirs(gt_dir, exist_ok=True)
     write_tracks(os.path.join(gt_dir, "tracks.txt"), gt.tracks)
-    rows = [
-        (t, tid, x, y)
-        for t, markers in sorted(gt.markers.items())
+    rows = sorted(
+        (t, tid, float(x), float(y))
+        for t, markers in gt.markers.items()
         for tid, x, y in markers
-    ]
+    )
     write_markers(os.path.join(gt_dir, "markers.csv"), rows)
+    grids = None
     if gt.label_grids is not None:
         write_label_grids(os.path.join(gt_dir, "seg"), gt.label_grids)
+        grids = [np.asarray(g, dtype=np.int64) for g in gt.label_grids]
+    tracks = sorted(gt.tracks, key=lambda row: row.label)
+    return _dataset_with_gt(stored, tracks, rows, grids, gt_dir)
 
 
 def _check_label_grids(grids: list[np.ndarray], frames: list[Frame], path) -> None:
@@ -137,44 +145,56 @@ def _check_label_grids(grids: list[np.ndarray], frames: list[Frame], path) -> No
             )
 
 
+def _dataset_with_gt(arrays, tracks, marker_rows, grids, gt_dir) -> Dataset:
+    """A dataset with ground truth from the contents of its files, in file
+    order; ground truth that does not fit the frames is a FormatError."""
+    frames = [Frame(t, arr) for t, arr in enumerate(arrays)]
+    markers: dict[int, list[tuple[int, float, float]]] = {}
+    for t, tid, x, y in marker_rows:
+        markers.setdefault(t, []).append((tid, x, y))
+    last = len(frames) - 1
+    late = [row.label for row in tracks if row.end > last]
+    if late:
+        raise FormatError(f"track {late[0]} ends past the last frame {last}", path=gt_dir)
+    if grids is not None:
+        _check_label_grids(grids, frames, os.path.join(gt_dir, "seg"))
+    try:
+        gt = GroundTruth(tracks=tracks, markers=markers, label_grids=grids)
+    except ValueError as exc:
+        raise FormatError(f"inconsistent ground truth: {exc}", path=gt_dir) from exc
+    return Dataset(frames=frames, gt=gt)
+
+
 def load_dataset(directory, *, need_gt: bool = False) -> Dataset:
     arrays = read_intensity_frames(directory)
-    frames = [Frame(t, arr) for t, arr in enumerate(arrays)]
-    gt = None
     gt_dir = os.path.join(directory, "gt")
-    if os.path.isdir(gt_dir):
-        tracks = read_tracks(os.path.join(gt_dir, "tracks.txt"))
-        markers: dict[int, list[tuple[int, float, float]]] = {}
-        for t, tid, x, y in read_markers(os.path.join(gt_dir, "markers.csv")):
-            markers.setdefault(t, []).append((tid, x, y))
-        last = len(frames) - 1
-        late = [row.label for row in tracks if row.end > last]
-        if late:
-            raise FormatError(f"track {late[0]} ends past the last frame {last}", path=gt_dir)
-        grids = None
-        seg_dir = os.path.join(gt_dir, "seg")
-        if os.path.isdir(seg_dir):
-            grids = read_label_grids(seg_dir)
-            _check_label_grids(grids, frames, seg_dir)
-        try:
-            gt = GroundTruth(tracks=tracks, markers=markers, label_grids=grids)
-        except ValueError as exc:
-            raise FormatError(f"inconsistent ground truth: {exc}", path=gt_dir) from exc
-    if need_gt and gt is None:
-        raise FormatError("dataset has no gt/ directory", path=str(directory))
-    return Dataset(frames=frames, gt=gt)
+    if not os.path.isdir(gt_dir):
+        if need_gt:
+            raise FormatError("dataset has no gt/ directory", path=str(directory))
+        return Dataset(frames=[Frame(t, arr) for t, arr in enumerate(arrays)], gt=None)
+    tracks = read_tracks(os.path.join(gt_dir, "tracks.txt"))
+    marker_rows = read_markers(os.path.join(gt_dir, "markers.csv"))
+    seg_dir = os.path.join(gt_dir, "seg")
+    grids = read_label_grids(seg_dir) if os.path.isdir(seg_dir) else None
+    return _dataset_with_gt(arrays, tracks, marker_rows, grids, gt_dir)
+
+
+def _dataset(data, *, need_gt: bool = False) -> Dataset:
+    """``data`` itself when it is a Dataset, else the dataset directory it names, read."""
+    return data if isinstance(data, Dataset) else load_dataset(data, need_gt=need_gt)
 
 
 # ---------------------------------------------------------------------------
 # Stages
 
 
-def run_simulate(cfg: PipelineConfig, out_dir) -> SimResult:
+def run_simulate(cfg: PipelineConfig, out_dir) -> Dataset:
+    """Simulate a sequence and write it; returns the Dataset as written."""
     res = simulate(cfg.sim, stage_seed(cfg.seed, STAGE_SIM))
-    write_dataset(out_dir, [f.intensity for f in res.frames], res.gt)
+    ds = write_dataset(out_dir, [f.intensity for f in res.frames], res.gt)
     log.info("simulated %d frames, %d tracks, events %s",
              len(res.frames), len(res.gt.tracks), res.counts)
-    return res
+    return ds
 
 
 def generate_proposals(cfg: PipelineConfig, ds: Dataset) -> list[Proposal]:
@@ -208,11 +228,19 @@ def generate_proposals(cfg: PipelineConfig, ds: Dataset) -> list[Proposal]:
 
 
 def run_propose(cfg: PipelineConfig, data_dir, out_path) -> list[Proposal]:
-    ds = load_dataset(data_dir, need_gt=(cfg.proposals.generator == "truth"))
+    """Generate proposals and write them; returns them in ``(t, id)`` order,
+    as ``read_proposals`` reads them back."""
+    ds = _dataset(data_dir, need_gt=(cfg.proposals.generator == "truth"))
     props = generate_proposals(cfg, ds)
+    props.sort(key=lambda p: (p.t, p.id))
     write_proposals(out_path, props)
     log.info("wrote %d proposals from %d frames", len(props), len(ds.frames))
     return props
+
+
+def _proposals(props) -> list[Proposal]:
+    """``props`` itself when it is a list of proposals, else the proposal file it names, read."""
+    return props if isinstance(props, list) else read_proposals(props)
 
 
 def _group_by_frame(props: list[Proposal], frames: list[Frame]) -> list[list[Proposal]]:
@@ -350,12 +378,14 @@ def run_train(cfg: PipelineConfig, data_dir, proposals_path, model_dir) -> Train
     probabilities as features, so fitting is sequential.  A training set
     without any division example disables the division classifier entirely.
 
-    The returned feature rows are those tracking needs for the same
-    proposals: ``run_e2e`` hands them to ``run_track``, so an end-to-end run
-    computes every feature row once; ``track`` on its own computes them.
+    ``data_dir`` and ``proposals_path`` may also be the Dataset and the
+    proposal list themselves.  The models are saved to ``model_dir`` and
+    returned; so are the feature rows tracking needs for the same proposals:
+    ``run_e2e`` hands both to ``run_track``, so an end-to-end run computes
+    every feature row once; ``track`` on its own computes them.
     """
-    ds = load_dataset(data_dir, need_gt=True)
-    props = read_proposals(proposals_path)
+    ds = _dataset(data_dir, need_gt=True)
+    props = _proposals(proposals_path)
     _group_by_frame(props, ds.frames)  # a proposal outside the frames is a FormatError
 
     feats = proposal_feature_matrix(props, {f.t: f for f in ds.frames})
@@ -459,6 +489,11 @@ def load_models(model_dir) -> Models:
         mitosis_radius=float(mitosis_radius),
         mitosis_n=mitosis_n,
     )
+
+
+def _models(models) -> Models:
+    """``models`` itself when it is a Models, else the model directory it names, read."""
+    return models if isinstance(models, Models) else load_models(models)
 
 
 def build_candidate_graph(
@@ -593,12 +628,14 @@ def run_track(
 ) -> TrackRun:
     """Build the candidate graph, select a lineage and write it.
 
-    ``rows`` are training's feature rows for the same proposals (``run_e2e``
-    passes them); without them the graph build computes its own.
+    ``data_dir``, ``proposals_path`` and ``model_dir`` may also be the
+    Dataset, the proposal list and the Models themselves.  ``rows`` are
+    training's feature rows for the same proposals (``run_e2e`` passes
+    them); without them the graph build computes its own.
     """
-    ds = load_dataset(data_dir)
-    props = read_proposals(proposals_path)
-    models = load_models(model_dir)
+    ds = _dataset(data_dir)
+    props = _proposals(proposals_path)
+    models = _models(model_dir)
     graph = build_candidate_graph(cfg, ds, props, models, rows)
     del rows  # training's arrays do not live through the solve
     result, lineage = solve_graph(cfg, graph)
@@ -631,6 +668,19 @@ def result_from_grids(rows, grids: list[np.ndarray]) -> tuple[list[Proposal], Li
     return props, lineage
 
 
+def _result_grids(result) -> tuple[list[TrackRow], list[np.ndarray], str]:
+    """Track rows and label grids of a tracking result, and where they come
+    from: a TrackRun's repainted as ``write_result`` paints them, else the
+    result directory's, read."""
+    if isinstance(result, TrackRun):
+        frames = result.dataset.frames
+        by_id = {p.id: p for p in result.props}
+        grids = paint_lineage(result.lineage, by_id, frames[0].intensity.shape, len(frames))
+        return sorted(result.lineage.tracks, key=lambda row: row.label), grids, "tracking result"
+    seg_dir = os.path.join(result, "seg")
+    return read_tracks(os.path.join(result, "tracks.txt")), read_label_grids(seg_dir), seg_dir
+
+
 def run_eval(
     data_dir,
     result_dir,
@@ -639,11 +689,14 @@ def run_eval(
     cfg: PipelineConfig | None = None,
     graph: TrackingGraph | None = None,
 ) -> EvalReport:
-    ds = load_dataset(data_dir, need_gt=True)
-    rows = read_tracks(os.path.join(result_dir, "tracks.txt"))
-    seg_dir = os.path.join(result_dir, "seg")
-    grids = read_label_grids(seg_dir)
-    _check_label_grids(grids, ds.frames, seg_dir)
+    """Score a tracking result against the dataset's ground truth.
+
+    ``data_dir`` may also be the Dataset and ``result_dir`` the TrackRun;
+    either way the result is scored as its written files give it.
+    """
+    ds = _dataset(data_dir, need_gt=True)
+    rows, grids, where = _result_grids(result_dir)
+    _check_label_grids(grids, ds.frames, where)
     props, lineage = result_from_grids(rows, grids)
     weights = cfg.eval.weights if cfg is not None else None
     report = evaluate_tracking(props, lineage, ds.gt, graph=graph, weights=weights)
@@ -653,10 +706,9 @@ def run_eval(
 
 
 def run_dump_graph(cfg: PipelineConfig, data_dir, proposals_path, model_dir, out_path) -> TrackingGraph:
-    ds = load_dataset(data_dir)
-    props = read_proposals(proposals_path)
-    models = load_models(model_dir)
-    graph = build_candidate_graph(cfg, ds, props, models)
+    graph = build_candidate_graph(
+        cfg, _dataset(data_dir), _proposals(proposals_path), _models(model_dir)
+    )
     write_json_file(out_path, graph_to_json(graph))
     return graph
 
@@ -666,29 +718,23 @@ def run_e2e(cfg: PipelineConfig, out_dir) -> EvalReport:
 
     Every byte written is a pure function of the config, so re-running into a
     fresh directory reproduces identical files, the same files the stages
-    write when run one by one.  Tracking reuses training's feature rows
-    instead of computing them again; the models still go through the model
-    directory.
+    write when run one by one.  Each stage still writes its files, but the
+    next stage takes the objects instead of reading them back: the dataset
+    as written, the proposals, training's models and feature rows (so every
+    feature row is computed once), and the TrackRun to evaluate.
     """
     os.makedirs(out_dir, exist_ok=True)
-    dataset_dir = os.path.join(out_dir, "dataset")
-    proposals_path = os.path.join(out_dir, "proposals.jsonl")
-    model_dir = os.path.join(out_dir, "models")
-    result_dir = os.path.join(out_dir, "result")
-
-    run_simulate(cfg, dataset_dir)
-    run_propose(cfg, dataset_dir, proposals_path)
-    # passed without a name, so the rows die with the graph build
+    ds = run_simulate(cfg, os.path.join(out_dir, "dataset"))
+    props = run_propose(cfg, ds, os.path.join(out_dir, "proposals.jsonl"))
+    trained = [run_train(cfg, ds, props, os.path.join(out_dir, "models"))]
+    # popped inside the call, so the rows go over without a name and die
+    # with the graph build
     tracked = run_track(
-        cfg, dataset_dir, proposals_path, model_dir, result_dir,
-        rows=run_train(cfg, dataset_dir, proposals_path, model_dir).rows,
+        cfg, ds, props, trained[0].models, os.path.join(out_dir, "result"),
+        rows=trained.pop().rows,
     )
     report = run_eval(
-        dataset_dir,
-        result_dir,
-        os.path.join(out_dir, "report.json"),
-        cfg=cfg,
-        graph=tracked.graph,
+        ds, tracked, os.path.join(out_dir, "report.json"), cfg=cfg, graph=tracked.graph
     )
     with open(os.path.join(out_dir, "report.txt"), "w", encoding="ascii") as fh:
         fh.write(report_text(report))

@@ -86,11 +86,18 @@ class TestPgm:
         assert "byte" in str(err.value)
 
     def test_frame_dir_roundtrip(self, tmp_path):
-        frames = [np.linspace(0, 1, 12).reshape(3, 4), np.zeros((3, 4))]
-        write_intensity_frames(tmp_path, frames, maxval=65535)
+        frames = [
+            np.linspace(0, 1, 12).reshape(3, 4),
+            np.zeros((3, 4)),
+            np.array([[-0.0, -1e-7, -0.2, 1.3], [0.5, 1.0, 2e-6, 1 - 1e-9], [0.1] * 4]),
+        ]
+        written = write_intensity_frames(tmp_path, frames, maxval=65535)
         back = read_intensity_frames(tmp_path)
-        assert len(back) == 2
+        assert len(back) == 3
         assert np.allclose(back[0], frames[0], atol=1.0 / 65535)
+        # what the writer returns is what the reader gives, bit for bit
+        for w, b in zip(written, back, strict=True):
+            assert w.dtype == b.dtype and w.tobytes() == b.tobytes()
 
     def test_noncontiguous_frames_rejected(self, tmp_path):
         write_pgm(tmp_path / "t000.pgm", np.zeros((2, 2), dtype=np.uint8), 255)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from lineage_ilp.io import FormatError, read_json_file, read_proposals, read_tra
 from lineage_ilp.pipeline import (
     Dataset,
     SolverTimeout,
+    TrackRun,
     _group_by_frame,
     build_candidate_graph,
     generate_proposals,
@@ -328,10 +330,21 @@ class TestEndToEnd:
         assert hit.tra.aogm > base.tra.aogm
 
 
+def _tree_bytes(root) -> dict[str, bytes]:
+    out = {}
+    for dirpath, _, names in os.walk(root):
+        for n in names:
+            full = os.path.join(dirpath, n)
+            with open(full, "rb") as fh:
+                out[os.path.relpath(full, root)] = fh.read()
+    return out
+
+
 class TestEndToEndMatchesStages:
-    """run_e2e hands training's feature rows to tracking; the stages run one
-    by one (as the CLI runs them) compute them twice.  Both write the same
-    bytes."""
+    """run_e2e hands each stage's results to the next in memory, training's
+    feature rows included; the stages run one by one (as the CLI runs them)
+    read every input from the files and compute the rows twice.  Both write
+    the same bytes, so the files alone reproduce the result."""
 
     CONFIGS = {
         # degraded truth proposals whose training set has division positives,
@@ -348,6 +361,11 @@ class TestEndToEndMatchesStages:
         "multi_threshold": {
             "seed": 3,
             "sim": {"frames": 6, "width": 64, "height": 64, "initial_cells": 4},
+        },
+        "log": {
+            "seed": 4,
+            "proposals": {"generator": "log"},
+            "sim": {"frames": 6, "width": 72, "height": 72, "initial_cells": 5},
         },
     }
 
@@ -378,12 +396,118 @@ class TestEndToEndMatchesStages:
         run_eval(st / "dataset", st / "result", st / "report.json", cfg=cfg, graph=tracked.graph)
         assert len(vectors) == 3
 
-        seg = sorted(os.listdir(e2e / "result" / "seg"))
-        assert seg == sorted(os.listdir(st / "result" / "seg"))
-        rels = ["result/tracks.txt", "report.json", *(f"result/seg/{n}" for n in seg)]
-        rels += [f"models/{n}" for n in sorted(os.listdir(e2e / "models"))]
-        for rel in rels:
-            assert (e2e / rel).read_bytes() == (st / rel).read_bytes(), rel
+        e2e_files, st_files = _tree_bytes(e2e), _tree_bytes(st)
+        assert sorted(e2e_files) == sorted([*st_files, "report.txt"])
+        assert "result/tracks.txt" in st_files and "models/meta.json" in st_files
+        assert [rel for rel in st_files if st_files[rel] != e2e_files[rel]] == []
+        assert read_tracks(st / "result" / "tracks.txt") != []
+
+
+# the names the pipeline reads its files through
+READERS = (
+    "read_intensity_frames", "read_label_grids", "read_tracks", "read_markers",
+    "read_proposals", "read_json_file", "load_model",
+)
+
+
+class TestEndToEndReadsNothingBack:
+    CONFIG = TestEndToEndMatchesStages.CONFIGS["truth"]
+
+    def test_handed_over_objects_equal_the_files(self, tmp_path, monkeypatch):
+        import lineage_ilp.pipeline as pipeline_mod
+
+        reads = []
+        for name in READERS:
+            def counted(*args, _name=name, _real=getattr(pipeline_mod, name), **kwargs):
+                reads.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(pipeline_mod, name, counted)
+        handed = {}
+        for stage in ("run_simulate", "run_propose", "run_train"):
+            def kept(*args, _stage=stage, _real=getattr(pipeline_mod, stage), **kwargs):
+                out = _real(*args, **kwargs)
+                handed[_stage] = out.models if _stage == "run_train" else out
+                return out
+
+            monkeypatch.setattr(pipeline_mod, stage, kept)
+        run_e2e(config_from_dict(self.CONFIG), tmp_path)
+        assert reads == []
+        monkeypatch.undo()
+
+        ds, loaded = handed["run_simulate"], load_dataset(tmp_path / "dataset", need_gt=True)
+        assert [f.t for f in ds.frames] == [f.t for f in loaded.frames]
+        for a, b in zip(ds.frames, loaded.frames, strict=True):
+            assert a.intensity.dtype == b.intensity.dtype and np.array_equal(a.intensity, b.intensity)
+        for a, b in zip(ds.gt.label_grids, loaded.gt.label_grids, strict=True):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert ds.gt.tracks == loaded.gt.tracks
+        assert ds.gt.markers == loaded.gt.markers
+        assert [type(v) for rows in ds.gt.markers.values() for row in rows for v in row] == [
+            type(v) for rows in loaded.gt.markers.values() for row in rows for v in row
+        ]
+
+        assert handed["run_propose"] == read_proposals(tmp_path / "proposals.jsonl")
+
+        models, read = handed["run_train"], load_models(tmp_path / "models")
+        assert models.mitosis is not None
+        assert (models.gating_radius, models.mitosis_radius, models.mitosis_n) == (
+            read.gating_radius, read.mitosis_radius, read.mitosis_n
+        )
+        for a, b in ((models.proposal, read.proposal), (models.move, read.move),
+                     (models.mitosis, read.mitosis)):
+            assert type(a) is type(b)
+            if not hasattr(a, "trees"):
+                assert a == b
+                continue
+            assert (a.n_features, a.max_depth, a.min_leaf, a.seed) == (
+                b.n_features, b.max_depth, b.min_leaf, b.seed
+            )
+            for ta, tb in zip(a.trees, b.trees, strict=True):
+                for field in ("feature", "threshold", "left", "right", "value"):
+                    x, y = getattr(ta, field), getattr(tb, field)
+                    assert x.dtype == y.dtype and np.array_equal(x, y), field
+
+
+class TestBenchContracts:
+    """What the benchmark relies on: it sees a broken contract only as
+    failed ops or a higher peak RSS."""
+
+    def test_run_track_is_called_once_through_the_module(self, tmp_path, monkeypatch):
+        import lineage_ilp.pipeline as pipeline_mod
+
+        box = []
+        real = pipeline_mod.run_track
+
+        def capture(*args, **kwargs):  # as the bench keeps the TrackRun for its gate
+            box.append(real(*args, **kwargs))
+            return box[-1]
+
+        monkeypatch.setattr(pipeline_mod, "run_track", capture)
+        run_e2e(tiny_config(), tmp_path)
+        assert len(box) == 1
+        assert isinstance(box[0], TrackRun)
+        assert box[0].graph.edges and box[0].result.x is not None
+
+    def test_training_rows_die_before_the_solve(self, tmp_path, monkeypatch):
+        import lineage_ilp.pipeline as pipeline_mod
+
+        refs, alive = [], []
+        real_train, real_solve = pipeline_mod.run_train, pipeline_mod.solve_graph
+
+        def train(*args, **kwargs):
+            trained = real_train(*args, **kwargs)
+            refs.append(weakref.ref(trained.rows))
+            return trained
+
+        def solve(cfg, graph):
+            alive.append(refs[0]() is not None)
+            return real_solve(cfg, graph)
+
+        monkeypatch.setattr(pipeline_mod, "run_train", train)
+        monkeypatch.setattr(pipeline_mod, "solve_graph", solve)
+        run_e2e(tiny_config(), tmp_path)
+        assert alive == [False]
 
 
 class TestSimulateStage:
