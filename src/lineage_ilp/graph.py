@@ -66,11 +66,11 @@ MITOSIS_RADIUS_FACTOR = 1.5  # division search radius per unit of gating radius
 def gating_radius_from_truth(
     gt: GroundTruth, percentile: float = 99.0, factor: float = 1.25, fallback: float = 15.0
 ) -> float:
-    """Candidate-link search radius from observed displacements."""
+    """Candidate-link search radius from observed displacements; ``fallback``
+    when no displacement is observed or none is above zero (no cell moves)."""
     d = gt.displacements()
-    if len(d) == 0:
-        return fallback
-    return float(np.percentile(d, percentile) * factor)
+    radius = float(np.percentile(d, percentile) * factor) if len(d) else 0.0
+    return radius if radius > 0 else fallback
 
 
 def _centroids(props: list[Proposal]) -> np.ndarray:

@@ -378,10 +378,7 @@ def read_proposals(path) -> list[Proposal]:
     for lineno, text in enumerate(lines, start=1):
         if not text.strip():
             continue
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"bad JSON: {exc.msg}", path=str(path), line=lineno) from None
+        obj = loads_json(text, path=str(path), line=lineno)
         if not isinstance(obj, dict):
             raise FormatError("proposal line is not an object", path=str(path), line=lineno)
         keys = set(obj)
@@ -422,66 +419,42 @@ def read_proposals(path) -> list[Proposal]:
 
 
 # ---------------------------------------------------------------------------
-# JSON with exact floats
+# JSON: every float in the shortest text that reads back as the same float
 
 def format_float(x: float) -> str:
-    """Serialize a float with 17 significant digits; round-trips bit-exactly."""
+    """A finite float as Python's ``repr``: the shortest text that reads back
+    bit-exactly, so ``0.1`` stays ``0.1`` and ``1.0`` and ``-0.0`` stay floats."""
     if not math.isfinite(x):
         raise ValueError(f"non-finite value {x!r} cannot be serialized")
-    return format(float(x), ".17g")
+    return repr(float(x))
+
+
+def _plain(obj):
+    """numpy arrays and scalars as the Python values ``json`` writes."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def dumps_json(obj, indent: int | None = 2) -> str:
-    """JSON text with floats at 17 significant digits and keys in insertion order."""
-    pieces: list[str] = []
-    _emit(obj, pieces, indent, 0)
-    return "".join(pieces)
+    """JSON text with keys in insertion order, indented by ``indent`` or, with
+    None, on one line with no spaces; NaN and infinities raise ValueError."""
+    separators = (",", ": ") if indent is not None else (",", ":")
+    return json.dumps(obj, indent=indent, separators=separators, allow_nan=False, default=_plain)
 
 
-def _emit(obj, out: list[str], indent, depth) -> None:
-    nl = "" if indent is None else "\n" + " " * (indent * (depth + 1))
-    nl_close = "" if indent is None else "\n" + " " * (indent * depth)
-    if obj is None or obj is True or obj is False:
-        out.append("null" if obj is None else ("true" if obj else "false"))
-    elif isinstance(obj, (np.bool_,)):
-        out.append("true" if bool(obj) else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(format_float(float(obj)))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{")
-        for i, (key, value) in enumerate(obj.items()):
-            if not isinstance(key, str):
-                raise ValueError(f"JSON object keys must be strings, got {key!r}")
-            out.append(("," if i else "") + nl)
-            out.append(json.dumps(key) + (": " if indent is not None else ":"))
-            _emit(value, out, indent, depth + 1)
-        out.append(nl_close + "}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        seq = obj.tolist() if isinstance(obj, np.ndarray) else list(obj)
-        if not seq:
-            out.append("[]")
-            return
-        out.append("[")
-        for i, value in enumerate(seq):
-            out.append(("," if i else "") + nl)
-            _emit(value, out, indent, depth + 1)
-        out.append(nl_close + "]")
-    else:
-        raise ValueError(f"cannot serialize {type(obj).__name__}")
+def _non_finite(name: str):
+    raise ValueError(f"non-finite number {name}")
 
 
-def loads_json(text: str, path: str | None = None):
+def loads_json(text: str, path: str | None = None, line: int | None = None):
+    """Parse JSON text; bad syntax and ``NaN``/``Infinity`` are FormatErrors."""
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=_non_finite)
     except json.JSONDecodeError as exc:
-        raise FormatError(f"bad JSON: {exc.msg}", path=path, offset=exc.pos) from None
+        raise FormatError(f"bad JSON: {exc.msg}", path=path, line=line, offset=exc.pos) from None
+    except ValueError as exc:
+        raise FormatError(f"bad JSON: {exc}", path=path, line=line) from None
 
 
 def write_json_file(path, obj) -> None:

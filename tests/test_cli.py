@@ -96,6 +96,29 @@ class TestHappyPath:
         assert "TRA" in capsys.readouterr().out
         assert os.path.exists(tmp_path / "run" / "report.json")
 
+    def test_stationary_scene_trains_models_that_track_reads(self, tmp_path):
+        # no cell moves, so no displacement sets the gating radius
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "seed": 4,
+                    "proposals": {"generator": "truth"},
+                    "sim": {"frames": 5, "width": 72, "height": 72, "initial_cells": 3, "motion_sigma": 0},
+                }
+            )
+        )
+        ds, props, models, res = (str(tmp_path / n) for n in ("ds", "p.jsonl", "models", "res"))
+        for argv in (
+            ["simulate", "--config", str(cfg), "--out", ds],
+            ["propose", "--config", str(cfg), "--data", ds, "--out", props],
+            ["train", "--config", str(cfg), "--data", ds, "--proposals", props, "--out", models],
+            ["track", "--config", str(cfg), "--data", ds, "--proposals", props, "--model", models,
+             "--out", res],
+            ["eval", res, "--data", ds],
+        ):
+            assert main(argv) == EXIT_OK, argv[0]
+
     def test_seed_override_changes_simulation(self, flow, tmp_path):
         cfg, _ = flow
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "a")]) == EXIT_OK
@@ -122,6 +145,12 @@ class TestExitCodes:
         bad = tmp_path / "bad.json"
         bad.write_text("{oops")
         assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+
+    def test_nan_in_config(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"sim": {"noise_sigma": NaN}}')
+        assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+        assert "NaN" in capsys.readouterr().err
 
     def test_missing_required_flag(self, flow):
         cfg, _ = flow

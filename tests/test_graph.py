@@ -281,3 +281,10 @@ class TestGatingRadius:
     def test_fallback_without_moves(self):
         gt = GroundTruth(tracks=[TrackRow(1, 0, 0, 0)], markers={0: [(1, 1.0, 1.0)]})
         assert gating_radius_from_truth(gt, fallback=12.5) == 12.5
+
+    def test_fallback_when_no_cell_moves(self):
+        # a radius of 0 would be written to meta.json, which load_models refuses
+        tracks = [TrackRow(1, 0, 2, 0)]
+        markers = {t: [(1, 4.0, 6.0)] for t in range(3)}
+        gt = GroundTruth(tracks=tracks, markers=markers)
+        assert gating_radius_from_truth(gt, fallback=12.5) == 12.5

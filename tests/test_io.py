@@ -1,9 +1,16 @@
 import json
 import math
+import os
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lineage_ilp.classify import ConstantModel, load_model
+from lineage_ilp.config import config_from_dict
+from lineage_ilp.features import MOVE_DIM, PROPOSAL_DIM
 from lineage_ilp.geometry import Mask
 from lineage_ilp.io import (
     FormatError,
@@ -27,7 +34,9 @@ from lineage_ilp.io import (
     write_proposals,
     write_tracks,
 )
+from lineage_ilp.pipeline import Models, load_models, run_e2e, save_models
 from lineage_ilp.proposals import Proposal
+from lineage_ilp.solve import IlpInstance, LinearConstraint, load_instance, save_instance
 
 
 class TestPgm:
@@ -262,8 +271,8 @@ class TestJson:
         for v in values:
             assert float(format_float(v)) == v
 
-    def test_17_digits(self):
-        assert format_float(0.1) == "0.10000000000000001"
+    def test_shortest_form(self):
+        assert format_float(0.1) == "0.1"
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
@@ -299,3 +308,217 @@ class TestJson:
         with pytest.raises(FormatError) as err:
             read_json_file(path, "model", (1,))
         assert "kind" in str(err.value)
+
+
+# Floats at the edges of the format: signed zeros, the smallest subnormal,
+# integral values (which a 17-significant-digit writer printed as integers)
+# and huge magnitudes.
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1.0, -1.0, 2.0**53, 1e300, -1e300, 0.1]
+FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+FLOATS32 = st.one_of(
+    st.sampled_from([-0.0, 1.0, 2.0**-149]), st.floats(width=32, allow_nan=False, allow_infinity=False)
+)
+INTS = st.integers(-(2**63), 2**63 - 1)
+
+
+def _pair(values, write, want=lambda v: v):
+    """Draws of (value handed to the writer, Python value expected back)."""
+    return values.map(lambda v: (write(v), want(v)))
+
+
+LEAVES = st.one_of(
+    _pair(FLOATS, float),
+    _pair(INTS, int),
+    _pair(st.booleans(), bool),
+    _pair(st.none(), lambda v: v),
+    _pair(st.text(max_size=4), str),
+    _pair(FLOATS, np.float64, float),
+    _pair(FLOATS32, np.float32, float),
+    _pair(INTS, np.int64, int),
+    _pair(st.booleans(), np.bool_, bool),
+    _pair(st.lists(FLOATS, max_size=4), lambda v: np.array(v, dtype=np.float64), list),
+    _pair(st.lists(FLOATS32, max_size=4), lambda v: np.array(v, dtype=np.float32), list),
+    _pair(st.lists(INTS, max_size=4), lambda v: np.array(v, dtype=np.int64), list),
+    _pair(st.lists(st.booleans(), max_size=4), lambda v: np.array(v, dtype=np.bool_), list),
+)
+
+
+def _nest(children):
+    return st.one_of(
+        st.lists(children, max_size=4).map(lambda kids: ([w for w, _ in kids], [v for _, v in kids])),
+        st.dictionaries(st.text(max_size=4), children, max_size=4).map(
+            lambda kids: ({k: w for k, (w, _) in kids.items()}, {k: v for k, (_, v) in kids.items()})
+        ),
+    )
+
+
+DOCUMENTS = st.recursive(LEAVES, _nest, max_leaves=24)
+
+
+def _same(got, want) -> bool:
+    """Equal with every float bit-identical and of type float, and no int
+    standing in for a float or the reverse."""
+    if type(got) is not type(want):
+        return False
+    if isinstance(want, float):
+        return struct.pack("<d", got) == struct.pack("<d", want)
+    if isinstance(want, list):
+        return len(got) == len(want) and all(map(_same, got, want))
+    if isinstance(want, dict):
+        return list(got) == list(want) and all(_same(got[k], want[k]) for k in want)
+    return got == want
+
+
+def _is_fixed_point(text: str, indent) -> bool:
+    return dumps_json(json.loads(text), indent=indent) == text
+
+
+class TestJsonRoundTrip:
+    @settings(max_examples=300)
+    @given(doc=DOCUMENTS, indent=st.sampled_from([2, None]))
+    def test_values_read_back_bit_for_bit(self, doc, indent):
+        written, want = doc
+        text = dumps_json(written, indent=indent)
+        assert text.isascii()
+        assert _same(json.loads(text), want)
+        assert _is_fixed_point(text, indent)
+
+    @pytest.mark.parametrize("x", EDGE_FLOATS)
+    def test_edge_floats_stay_floats(self, x):
+        for indent in (2, None):
+            back = json.loads(dumps_json({"x": x, "a": [x]}, indent=indent))
+            assert _same(back, {"x": x, "a": [x]})
+
+    def test_layout(self):
+        doc = {"b": [1, 2.5], "a": {}}
+        assert dumps_json(doc) == '{\n  "b": [\n    1,\n    2.5\n  ],\n  "a": {}\n}'
+        assert dumps_json(doc, indent=None) == '{"b":[1,2.5],"a":{}}'
+        assert dumps_json({"s": "é"}, indent=None) == '{"s":"\\u00e9"}'
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), np.float32("-inf"), [np.nan]])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError):
+            dumps_json({"x": bad})
+
+    def test_every_file_of_a_run_is_a_fixed_point(self, tmp_path):
+        # degraded proposals and divisions, so all three models are forests
+        cfg = config_from_dict({
+            "seed": 1,
+            "proposals": {"generator": "truth"},
+            "sim": {
+                "frames": 8, "width": 80, "height": 80, "initial_cells": 5, "division_rate": 0.08,
+                "corruption": {"drop_rate": 0.05, "clutter_rate": 0.1, "merge_rate": 0.03},
+            },
+        })
+        run_e2e(cfg, tmp_path)
+        checked = []
+        for dirpath, _, names in os.walk(tmp_path):
+            for name in names:
+                path = os.path.join(dirpath, name)
+                if not name.endswith((".json", ".jsonl", ".csv")):
+                    continue
+                with open(path, encoding="ascii") as fh:
+                    text = fh.read()
+                if name.endswith(".json"):
+                    assert text.endswith("\n") and _is_fixed_point(text[:-1], 2), path
+                elif name.endswith(".jsonl"):
+                    assert all(_is_fixed_point(line, None) for line in text.splitlines()), path
+                else:  # markers: t,track_id,x,y
+                    for line in text.splitlines()[1:]:
+                        assert all(format_float(float(v)) == v for v in line.split(",")[2:]), path
+                checked.append(os.path.relpath(path, tmp_path))
+        assert {"proposals.jsonl", "report.json", "models/meta.json", "models/mitosis.json",
+                "dataset/gt/markers.csv"} <= set(checked)
+
+
+class TestFilesInTheOldNumberForm:
+    """Files written with 17 significant digits, where 0.1 reads
+    0.10000000000000001 and a float -0.0 or 1.0 reads -0 or 1, load as the
+    same objects as the same content written now."""
+
+    def test_models(self, tmp_path):
+        old = tmp_path / "old"
+        old.mkdir()
+        (old / "meta.json").write_text(
+            '{\n  "schema_version": 1,\n  "kind": "model_meta",\n  "gating_radius": 1,\n'
+            '  "mitosis_radius": 0.10000000000000001,\n  "mitosis_n": 3,\n'
+            '  "mitosis_enabled": false,\n'
+            '  "feature_dims": {\n    "proposal": 92,\n    "move": 195,\n    "mitosis": 290\n  }\n}\n'
+        )
+        for name, p, dim in (("proposal", "-0", PROPOSAL_DIM), ("move", "1", MOVE_DIM)):
+            (old / f"{name}.json").write_text(
+                '{\n  "schema_version": 1,\n  "kind": "constant_model",\n'
+                f'  "p": {p},\n  "n_features": {dim}\n}}\n'
+            )
+        models = Models(
+            proposal=ConstantModel(p=-0.0, n_features=PROPOSAL_DIM),
+            move=ConstantModel(p=1.0, n_features=MOVE_DIM),
+            mitosis=None, gating_radius=1.0, mitosis_radius=0.1, mitosis_n=3,
+        )
+        save_models(models, tmp_path / "new")
+        assert load_models(old) == load_models(tmp_path / "new") == models
+        loaded = load_models(old)
+        assert [type(v) for v in (loaded.gating_radius, loaded.mitosis_radius, loaded.proposal.p)] == [
+            float, float, float
+        ]
+
+    def test_proposals(self, tmp_path):
+        old = tmp_path / "old.jsonl"
+        old.write_text(
+            '{"id":0,"t":0,"bbox":[0,0,1,1],"score":0.10000000000000001,"mask_rle":[0,1]}\n'
+            '{"id":1,"t":0,"bbox":[2,0,1,1],"score":-0,"mask_rle":[0,1]}\n'
+            '{"id":2,"t":1,"bbox":[0,3,1,1],"score":1,"mask_rle":[0,1]}\n'
+        )
+        props = [prop(0, 0, 0, 0, [[1]], 0.1), prop(1, 0, 2, 0, [[1]], -0.0), prop(2, 1, 0, 3, [[1]], 1.0)]
+        write_proposals(tmp_path / "new.jsonl", props)
+        loaded = read_proposals(old)
+        assert loaded == read_proposals(tmp_path / "new.jsonl") == props
+        assert all(type(p.raw_score) is float for p in loaded)
+
+    def test_markers(self, tmp_path):
+        old = tmp_path / "old.csv"
+        old.write_text("t,track_id,x,y\n0,1,0.10000000000000001,-0\n1,1,1,2.5\n")
+        markers = [(0, 1, 0.1, -0.0), (1, 1, 1.0, 2.5)]
+        write_markers(tmp_path / "new.csv", markers)
+        loaded = read_markers(old)
+        assert loaded == read_markers(tmp_path / "new.csv") == markers
+        assert _same([list(m) for m in loaded], [list(m) for m in markers])
+
+
+class TestNonFiniteNumbersRefused:
+    """JSON has no NaN or Infinity; Python's json module reads them unless told not to."""
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_forest_threshold(self, tmp_path, literal):
+        (tmp_path / "m.json").write_text(
+            '{"schema_version": 1, "kind": "random_forest", "n_features": 2, "max_depth": 1,'
+            ' "min_leaf": 1, "seed": 0, "trees": [{"feature": [0, -1, -1],'
+            f' "threshold": [{literal}, 0.0, 0.0], "left": [1, -1, -1], "right": [2, -1, -1],'
+            ' "value": [0.5, 0.0, 1.0]}]}'
+        )
+        with pytest.raises(FormatError, match=literal):
+            load_model(tmp_path / "m.json")
+
+    def test_meta_radius(self, tmp_path):
+        (tmp_path / "meta.json").write_text(
+            '{"schema_version": 1, "kind": "model_meta", "gating_radius": NaN,'
+            ' "mitosis_radius": 20.0, "mitosis_n": 3, "mitosis_enabled": false}'
+        )
+        with pytest.raises(FormatError, match="NaN") as err:
+            load_models(tmp_path)
+        assert err.value.path == str(tmp_path / "meta.json")
+
+    def test_instance_cost(self, tmp_path):
+        path = tmp_path / "i.json"
+        save_instance(IlpInstance(np.array([-1.5, 2.0]), [LinearConstraint((0, 1), (1, 1), "<=", 1)]), path)
+        path.write_text(path.read_text().replace("-1.5", "NaN"))
+        with pytest.raises(FormatError, match="NaN"):
+            load_instance(path)
+
+    def test_proposal_line(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        good = '{"id":0,"t":0,"bbox":[0,0,1,1],"score":0.5,"mask_rle":[0,1]}'
+        path.write_text(good + "\n" + good.replace('"id":0', '"id":1').replace("0.5", "Infinity") + "\n")
+        with pytest.raises(FormatError, match="Infinity") as err:
+            read_proposals(path)
+        assert err.value.line == 2
