@@ -172,6 +172,23 @@ def _cell_overlap(
     return labels, area, inter, 2 * inter > area
 
 
+Overlaps = dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
+
+
+def frame_overlaps(props: list[Proposal], lineage: Lineage, gt: GroundTruth) -> Overlaps:
+    """``_cell_overlap`` of each frame against the proposals the lineage
+    selects in it (in id order), for every frame of the label grids and
+    every frame a selected proposal lies in: the one count TRA and SEG
+    both match cells by."""
+    if gt.label_grids is None:
+        raise ValueError("ground truth has no label grids")
+    by_frame = {
+        t: [p.mask for p in group] for t, group in groupby(_selected(props, lineage), key=lambda p: p.t)
+    }
+    frames = sorted(set(range(len(gt.label_grids))) | set(by_frame))
+    return {t: _cell_overlap(gt, t, by_frame.get(t, [])) for t in frames}
+
+
 def _selected(props: list[Proposal], lineage: Lineage) -> list[Proposal]:
     """The proposals a lineage selects, in (frame, id) order."""
     by_id = {p.id: p for p in props}
@@ -427,6 +444,7 @@ def tra_score(
     gt: GroundTruth,
     *,
     weights: dict[str, float] | None = None,
+    overlaps: Overlaps | None = None,
 ) -> TraResult:
     """Acyclic-graph edit cost between the result lineage and the reference.
 
@@ -439,14 +457,19 @@ def tra_score(
     cost ea, result edges without one ed2, class mismatches ec.  The score
     normalises the weighted sum by the cost of building the reference from
     nothing, so 1.0 is perfect and an empty result scores 0.0.
+
+    ``overlaps`` is ``frame_overlaps`` of the same arguments, when the
+    caller has it already.
     """
     selected = _selected(props, lineage)
     if gt.label_grids is None:
         claims = markers_inside_each(selected, gt)
     else:
+        if overlaps is None:
+            overlaps = frame_overlaps(props, lineage, gt)
         claims = []
-        for t, group in groupby(selected, key=lambda p: p.t):
-            labels, _, _, held = _cell_overlap(gt, t, [p.mask for p in group])
+        for t in dict.fromkeys(p.t for p in selected):
+            labels, _, _, held = overlaps[t]
             claims.extend(labels[row].tolist() for row in held)
 
     gt_nodes = [
@@ -519,18 +542,21 @@ def tra_score(
 # SEG: mask agreement of matched cells
 
 
-def seg_score(props: list[Proposal], lineage: Lineage, gt: GroundTruth) -> float:
+def seg_score(
+    props: list[Proposal], lineage: Lineage, gt: GroundTruth, *, overlaps: Overlaps | None = None
+) -> float:
     """Mean IoU, over the reference cells in (frame, label) order, with the
     selected proposal that majority-covers the cell most (the lowest id among
-    equals); zero when none does.  Needs label grids."""
-    if gt.label_grids is None:
-        raise ValueError("ground truth has no label grids")
+    equals); zero when none does.  Needs label grids.  ``overlaps`` as for
+    ``tra_score``."""
+    if overlaps is None:
+        overlaps = frame_overlaps(props, lineage, gt)
     selected = _selected(props, lineage)
     by_frame = {t: list(group) for t, group in groupby(selected, key=lambda p: p.t)}
     scores: list[float] = []
     for t in range(len(gt.label_grids)):
         sel = by_frame.get(t, [])
-        labels, area, inter, held = _cell_overlap(gt, t, [p.mask for p in sel])
+        labels, area, inter, held = overlaps[t]
         if not sel:
             scores.extend([0.0] * len(labels))
             continue
@@ -571,8 +597,9 @@ def evaluate_tracking(
     SEG is computed when the reference carries label grids; graph coverage
     fractions are included when the candidate graph is supplied.
     """
-    tra = tra_score(props, lineage, gt, weights=weights)
-    seg = seg_score(props, lineage, gt) if gt.label_grids is not None else None
+    overlaps = frame_overlaps(props, lineage, gt) if gt.label_grids is not None else None
+    tra = tra_score(props, lineage, gt, weights=weights, overlaps=overlaps)
+    seg = seg_score(props, lineage, gt, overlaps=overlaps) if overlaps is not None else None
     dp, dr, df1 = division_metrics(props, lineage, gt)
     recalls = graph_recall(graph, gt) if graph is not None else None
     return EvalReport(

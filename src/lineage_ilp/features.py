@@ -6,19 +6,27 @@ histogram, and the area fraction.  All histograms are L1-normalized.
 
 Proposal vectors are computed one frame at a time: the frame's intensities
 are binned once, the masks' boundaries and dilation rings come from one
-stack of the frame's masks, and each histogram block of all the frame's
+stack of the frame's masks (each ring a disk dilation built from shifted
+ORs, ``geometry.dilate_disk``), and each histogram block of all the frame's
 proposals is one ``bincount``, counted by numpy's own histogram edge rule so
 the vectors equal per-proposal ``np.histogram`` bit for bit.  Only the
 nearest-ring means are per proposal.
+
+Move and division rows are built for all links at once: the member vectors
+are gathered by index, the difference statistics are axis reductions, and
+the plain and centroid-aligned mask IoUs of every pair come from one call
+of ``geometry.mask_intersections``.  Only centroid distances, alignment
+shifts and the parent's distance to the daughters' line are worked out link
+by link, as Python floats.  ``move_features`` and ``mitosis_features`` are
+one-row calls of the same code.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
-from scipy import ndimage
 
-from .geometry import Mask, disk_offsets, iou_mask
+from .geometry import Mask, dilate_disk, mask_intersections
 from .proposals import Frame, Proposal
 
 PROPOSAL_DIM = 92
@@ -85,11 +93,12 @@ def _stack_pixels(masks: list[Mask], height: int, width: int):
 
     Each mask is placed, padded by the largest ring radius, in one slice of
     a zero boolean stack; the boundary is the set pixels with an unset
-    4-neighbour, and each ring is one dilation of the stack by a disk minus
-    the stack.  Returns one (slice, rows, cols) triple per grid, in order
-    mask, boundary, then one per radius of ``BOUNDARY_RADII``: absolute
-    coordinates, by slice and then row-major within it, which is each
-    mask's own row-major order whatever padding the stack adds.
+    4-neighbour, and each ring is the stack's disk dilation
+    (``dilate_disk``) minus the stack.  Returns one (slice, rows, cols)
+    triple per grid, in order mask, boundary, then one per radius of
+    ``BOUNDARY_RADII``: absolute coordinates, by slice and then row-major
+    within it, which is each mask's own row-major order whatever padding
+    the stack adds.
     """
     pad = max(BOUNDARY_RADII)
     x0 = np.array([m.x0 for m in masks]) - pad
@@ -105,9 +114,7 @@ def _stack_pixels(masks: list[Mask], height: int, width: int):
     boundary[:, 1:-1, 1:-1] &= ~(
         stack[:, 1:-1, 1:-1] & stack[:, :-2, 1:-1] & stack[:, 2:, 1:-1] & stack[:, 1:-1, :-2] & stack[:, 1:-1, 2:]
     )
-    grids = [stack, boundary] + [
-        ndimage.binary_dilation(stack, structure=disk_offsets(r)[None]) & ~stack for r in BOUNDARY_RADII
-    ]
+    grids = [stack, boundary] + [dilate_disk(stack, r) & ~stack for r in BOUNDARY_RADII]
     out = []
     for i, grid in enumerate(grids):
         k, rows, cols = np.nonzero(grid)
@@ -217,16 +224,83 @@ def centroid_distance(a: Proposal, b: Proposal) -> float:
     return float(math.hypot(bx - ax, by - ay))
 
 
-def aligned_iou(a: Mask, b: Mask) -> float:
-    """Mask IoU after translating b so the centroids coincide (rounded to pixels)."""
-    (ax, ay), (bx, by) = a.centroid, b.centroid
-    return iou_mask(a, b.translated(int(round(ax - bx)), int(round(ay - by))))
-
-
 def _diff_stats(f_i: np.ndarray, f_j: np.ndarray) -> np.ndarray:
+    """Per row pair: the mean and max of the relative differences, then
+    their mean over each block of ``_BLOCKS``."""
     diff = np.abs(f_i - f_j) / (np.abs(f_i) + np.abs(f_j) + _EPS)
-    blocks = [diff[a:b].mean() for a, b in _BLOCKS]
-    return np.array([diff.mean(), diff.max(), *blocks])
+    blocks = [diff[:, a:b].mean(axis=1) for a, b in _BLOCKS]
+    return np.column_stack([diff.mean(axis=1), diff.max(axis=1), *blocks])
+
+
+def _link_geometry(props: list[Proposal], a: np.ndarray, b: np.ndarray):
+    """Centroid distance, mask IoU and aligned mask IoU of each pair
+    ``(props[a[k]], props[b[k]])``.  The aligned IoU first moves b's mask by
+    the centroid offset rounded to pixels, so the centroids coincide."""
+    centroids = [p.centroid for p in props]
+    dist, move_x, move_y = [], [], []
+    for i, j in zip(a.tolist(), b.tolist()):
+        (ax, ay), (bx, by) = centroids[i], centroids[j]
+        dist.append(math.hypot(bx - ax, by - ay))
+        move_x.append(int(round(ax - bx)))
+        move_y.append(int(round(ay - by)))
+    n = len(a)
+    still = np.zeros(n, dtype=np.intp)
+    inter = mask_intersections(
+        [p.mask for p in props],
+        np.tile(a, 2),
+        np.tile(b, 2),
+        np.concatenate([still, np.array(move_x, dtype=np.intp)]),
+        np.concatenate([still, np.array(move_y, dtype=np.intp)]),
+    )
+    area = np.array([p.mask.area for p in props], dtype=np.int64)
+    union = np.tile(area[a] + area[b], 2) - inter  # never 0: masks are not empty
+    iou = np.where(inter > 0, inter / union, 0.0)
+    return np.array(dist, dtype=np.float64), iou[:n], iou[n:]
+
+
+def move_feature_rows(props: list[Proposal], feats: np.ndarray, probs: np.ndarray, src, dst) -> np.ndarray:
+    """``move_features`` of each pair ``(props[src[k]], props[dst[k]])``, one
+    row each; ``feats`` and ``probs`` hold each proposal's vector and
+    probability, in the order of ``props``."""
+    src, dst = np.asarray(src, dtype=np.intp), np.asarray(dst, dtype=np.intp)
+    f_i, f_j = feats[src], feats[dst]
+    out = np.empty((len(src), MOVE_DIM))
+    out[:, 0:92] = f_i
+    out[:, 92:184] = f_j
+    out[:, 184], out[:, 185], out[:, 186] = _link_geometry(props, src, dst)
+    out[:, 187:193] = _diff_stats(f_i, f_j)
+    out[:, 193] = probs[src]
+    out[:, 194] = probs[dst]
+    return out
+
+
+def mitosis_feature_rows(props: list[Proposal], feats: np.ndarray, probs: np.ndarray, parent, d1, d2) -> np.ndarray:
+    """``mitosis_features`` of each triple ``(props[parent[k]], props[d1[k]],
+    props[d2[k]])``, one row each; ``feats`` and ``probs`` as for
+    ``move_feature_rows``.  Each triple's daughters go in ascending id."""
+    parent, d1, d2 = (np.asarray(v, dtype=np.intp) for v in (parent, d1, d2))
+    ids = np.array([p.id for p in props])
+    swap = ids[d1] > ids[d2]
+    d1, d2 = np.where(swap, d2, d1), np.where(swap, d1, d2)
+    n = len(parent)
+    dist, iou, aligned = _link_geometry(props, np.concatenate([parent, parent, d1]), np.concatenate([d1, d2, d2]))
+    d_pd1, d_pd2, d_dd = dist.reshape(3, n)
+    out = np.empty((n, MITOSIS_DIM))
+    out[:, 0:92] = feats[parent]
+    out[:, 92:184] = feats[d1]
+    out[:, 184:276] = feats[d2]
+    out[:, 276:279] = np.sort(np.column_stack([d_pd1, d_pd2, d_dd]), axis=1)
+    out[:, 279:282] = iou.reshape(3, n).T
+    out[:, 282:285] = aligned.reshape(3, n).T
+    out[:, 285] = [
+        _point_to_line(props[i].centroid, props[j].centroid, props[k].centroid)
+        for i, j, k in zip(parent.tolist(), d1.tolist(), d2.tolist())
+    ]
+    out[:, 286] = np.abs(d_dd - (d_pd1 + d_pd2))
+    out[:, 287] = probs[parent]
+    out[:, 288] = probs[d1]
+    out[:, 289] = probs[d2]
+    return out
 
 
 def move_features(
@@ -244,20 +318,8 @@ def move_features(
         feat_i = proposal_features(p_i, frame_i)
     if feat_j is None:
         feat_j = proposal_features(p_j, frame_j)
-    rel = np.array([
-        centroid_distance(p_i, p_j),
-        iou_mask(p_i.mask, p_j.mask),
-        aligned_iou(p_i.mask, p_j.mask),
-    ])
-    out = np.concatenate([
-        feat_i,
-        feat_j,
-        rel,
-        _diff_stats(feat_i, feat_j),
-        [prob_i, prob_j],
-    ])
-    assert out.shape == (MOVE_DIM,)
-    return out
+    feats = np.stack([feat_i, feat_j])
+    return move_feature_rows([p_i, p_j], feats, np.array([prob_i, prob_j], dtype=np.float64), [0], [1])[0]
 
 
 def mitosis_features(
@@ -278,45 +340,15 @@ def mitosis_features(
     Daughters are canonicalized to ascending id, and the pairwise-distance
     block is sorted.
     """
-    if d1.id > d2.id:
-        d1, d2 = d2, d1
-        prob_d1, prob_d2 = prob_d2, prob_d1
-        feat_d1, feat_d2 = feat_d2, feat_d1
     if feat_p is None:
         feat_p = proposal_features(p, frame_parent)
     if feat_d1 is None:
         feat_d1 = proposal_features(d1, frame_daughters)
     if feat_d2 is None:
         feat_d2 = proposal_features(d2, frame_daughters)
-
-    d_pd1 = centroid_distance(p, d1)
-    d_pd2 = centroid_distance(p, d2)
-    d_dd = centroid_distance(d1, d2)
-    dists = np.sort([d_pd1, d_pd2, d_dd])
-
-    ious = np.array([
-        iou_mask(p.mask, d1.mask),
-        iou_mask(p.mask, d2.mask),
-        iou_mask(d1.mask, d2.mask),
-    ])
-    aligned = np.array([
-        aligned_iou(p.mask, d1.mask),
-        aligned_iou(p.mask, d2.mask),
-        aligned_iou(d1.mask, d2.mask),
-    ])
-    out = np.concatenate([
-        feat_p,
-        feat_d1,
-        feat_d2,
-        dists,
-        ious,
-        aligned,
-        [_point_to_line(p.centroid, d1.centroid, d2.centroid)],
-        [abs(d_dd - (d_pd1 + d_pd2))],
-        [prob_p, prob_d1, prob_d2],
-    ])
-    assert out.shape == (MITOSIS_DIM,)
-    return out
+    feats = np.stack([feat_p, feat_d1, feat_d2])
+    probs = np.array([prob_p, prob_d1, prob_d2], dtype=np.float64)
+    return mitosis_feature_rows([p, d1, d2], feats, probs, [0], [1], [2])[0]
 
 
 def _point_to_line(pt, a, b) -> float:

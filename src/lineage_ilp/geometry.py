@@ -154,6 +154,95 @@ def mask_intersection_area(a: Mask, b: Mask) -> int:
     return int((a.bits[sa] & b.bits[sb]).sum())
 
 
+# set bits of each byte value; a word's are the sum over its eight bytes
+_BYTE_BITS = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
+_BYTE_SUM = np.uint64(0x0101010101010101)
+_STRIP = 64  # columns per packed word
+
+
+def _expand(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For ``counts[k]`` entries per k: each entry's k and its rank within k."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    return owner, np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def _pack_strips(masks: list[Mask]):
+    """Every mask as column strips of at most 64 px, one uint64 word per row.
+
+    Bit j of a strip's word is the pixel j columns right of the strip's left
+    edge.  A mask's words go row by row and, within a row, strip by strip;
+    masks of one width are packed together by one ``packbits``.  Returns the
+    words; per strip its left column, top row, height, first word and the
+    step between its rows' words; per mask its first strip and strip count.
+    """
+    x0 = np.array([m.x0 for m in masks], dtype=np.intp)
+    y0 = np.array([m.y0 for m in masks], dtype=np.intp)
+    h, w = np.array([m.bits.shape for m in masks], dtype=np.intp).reshape(-1, 2).T
+    count = -(-w // _STRIP)
+    by_width: dict[int, list[int]] = {}
+    for i, width in enumerate(w.tolist()):
+        by_width.setdefault(width, []).append(i)
+    base = np.zeros(len(masks), dtype=np.intp)  # each mask's first word
+    words, size = [], 0
+    for width, members in by_width.items():
+        grid = np.concatenate([masks[i].bits for i in members])
+        n = -(-width // _STRIP)
+        packed = np.zeros((len(grid), n * 8), dtype=np.uint8)
+        packed[:, : -(-width // 8)] = np.packbits(grid, axis=1, bitorder="little")
+        words.append(packed.view("<u8").ravel())
+        rows = h[members]
+        base[members] = size + (np.cumsum(rows) - rows) * n
+        size += len(grid) * n
+    strip_of, k = _expand(count)
+    return (
+        np.concatenate(words).astype(np.uint64),
+        x0[strip_of] + k * _STRIP,
+        y0[strip_of],
+        h[strip_of],
+        base[strip_of] + k,
+        count[strip_of],
+        np.cumsum(count) - count,
+        count,
+    )
+
+
+def mask_intersections(masks: list[Mask], a, b, dx, dy) -> np.ndarray:
+    """``mask_intersection_area`` of ``masks[a[k]]`` and ``masks[b[k]]``
+    translated by ``(dx[k], dy[k])``, for every k at once.
+
+    The masks are packed into 64-px column strips of one uint64 word per row
+    (``_pack_strips``).  Two strips share pixels only in shared rows and
+    where less than 64 columns part their left edges; per shared row, the
+    pair's count grows by the set bits of a's word AND b's word shifted onto
+    a's columns.
+    """
+    a, b, dx, dy = (np.asarray(v, dtype=np.intp) for v in (a, b, dx, dy))
+    if len(a) == 0:
+        return np.zeros(0, dtype=np.int64)
+    words, sx, sy, sh, start, step, first, count = _pack_strips(masks)
+    # every strip of a's mask against every strip of b's mask
+    pair, rank = _expand(count[a] * count[b])
+    per_b = count[b][pair]
+    sa, sb = first[a][pair] + rank // per_b, first[b][pair] + rank % per_b
+    yb = sy[sb] + dy[pair]
+    shift = sx[sb] + dx[pair] - sx[sa]  # b's bit j lands on a's bit j + shift
+    top = np.maximum(sy[sa], yb)
+    rows = np.minimum(sy[sa] + sh[sa], yb + sh[sb]) - top
+    rows = np.where(np.abs(shift) < _STRIP, np.maximum(rows, 0), 0)
+    # one entry per shared row of a strip pair, from the pair's first words
+    first_a = start[sa] + (top - sy[sa]) * step[sa]
+    first_b = start[sb] + (top - yb) * step[sb]
+    sp, r = _expand(rows)
+    wa = words[first_a[sp] + r * step[sa][sp]]
+    wb = words[first_b[sp] + r * step[sb][sp]]
+    left = np.maximum(shift, 0).astype(np.uint64)[sp]
+    right = np.maximum(-shift, 0).astype(np.uint64)[sp]
+    both = wa & ((wb << left) >> right)
+    # the byte counts of a word summed into its top byte
+    bits = (_BYTE_BITS.take(both.view(np.uint8)).view(np.uint64) * _BYTE_SUM) >> np.uint64(56)
+    return np.bincount(pair[sp], weights=bits, minlength=len(a)).astype(np.int64)
+
+
 def iou_mask(a: Mask, b: Mask) -> float:
     """Pixel-set intersection over union; 0.0 for disjoint grids."""
     inter = mask_intersection_area(a, b)
@@ -233,3 +322,41 @@ def disk_offsets(radius: int) -> np.ndarray:
     span = np.arange(-radius, radius + 1)
     ii, jj = np.meshgrid(span, span, indexing="ij")
     return (ii * ii + jj * jj) <= radius * radius
+
+
+def _or_shifted(acc: np.ndarray, src: np.ndarray, d: int, axis: int) -> None:
+    """``acc |= src`` moved ``d`` places forward and ``d`` back along ``axis``;
+    what moves past either end is dropped."""
+    if d >= src.shape[axis]:
+        return
+    acc, src = np.moveaxis(acc, axis, 0), np.moveaxis(src, axis, 0)
+    acc[d:] |= src[:-d]
+    acc[:-d] |= src[d:]
+
+
+def dilate_disk(grid: np.ndarray, radius: int) -> np.ndarray:
+    """``ndimage.binary_dilation`` of a boolean grid, or of each grid of a
+    stack along its last two axes, by ``disk_offsets(radius)``; pixels past
+    the edges count as unset.
+
+    The disk is a union of horizontal segments: row offset i holds columns
+    -h..h for h = isqrt(r*r - i*i).  Each segment's dilation grows from a
+    shorter one g by two shifted ORs (a step of up to 2g + 1 keeps the
+    segment whole), and the result ORs each one shifted by its rows: 12 ORs
+    for radius 3.
+    """
+    if radius < 1:
+        raise ValueError("radius must be >= 1")
+    half = [math.isqrt(radius * radius - i * i) for i in range(radius + 1)]
+    segment = {0: grid}
+    for h in sorted(set(half) - {0}):
+        g = max(segment)
+        while g < h:
+            step = min(h, 3 * g + 1)
+            grown = segment[g].copy()
+            _or_shifted(grown, segment[g], step - g, axis=-1)
+            segment[step], g = grown, step
+    out = segment[half[0]].copy()
+    for i in range(1, radius + 1):
+        _or_shifted(out, segment[half[i]], i, axis=-2)
+    return out

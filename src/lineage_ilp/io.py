@@ -448,13 +448,16 @@ def _non_finite(name: str):
 
 
 def loads_json(text: str, path: str | None = None, line: int | None = None):
-    """Parse JSON text; bad syntax and ``NaN``/``Infinity`` are FormatErrors."""
+    """Parse JSON text; bad syntax, ``NaN``/``Infinity`` and nesting too deep
+    for the parser are FormatErrors."""
     try:
         return json.loads(text, parse_constant=_non_finite)
     except json.JSONDecodeError as exc:
         raise FormatError(f"bad JSON: {exc.msg}", path=path, line=line, offset=exc.pos) from None
     except ValueError as exc:
         raise FormatError(f"bad JSON: {exc}", path=path, line=line) from None
+    except RecursionError:
+        raise FormatError("bad JSON: nested too deeply", path=path, line=line) from None
 
 
 def write_json_file(path, obj) -> None:

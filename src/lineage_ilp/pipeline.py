@@ -46,8 +46,8 @@ from .features import (
     MITOSIS_DIM,
     MOVE_DIM,
     PROPOSAL_DIM,
-    mitosis_features,
-    move_features,
+    mitosis_feature_rows,
+    move_feature_rows,
     proposal_feature_rows,
 )
 from .geometry import label_masks
@@ -273,25 +273,29 @@ def proposal_feature_matrix(props: list[Proposal], frames_by_t: dict[int, Frame]
     return out
 
 
+def _link_members(links, node_probs: dict[int, float], feats_by_pid: dict[int, np.ndarray]):
+    """The distinct proposals of ``links`` with their vectors and
+    probabilities, and one index array per link position into them."""
+    index: dict[int, int] = {}
+    members = [index.setdefault(p.id, len(index)) for link in links for p in link]
+    props = list({p.id: p for link in links for p in link}.values())
+    feats = np.stack([feats_by_pid[p.id] for p in props])
+    probs = np.array([node_probs[p.id] for p in props], dtype=np.float64)
+    return props, feats, probs, np.array(members, dtype=np.intp).reshape(len(links), -1).T
+
+
 def move_feature_matrix(
     pairs: list[tuple[Proposal, Proposal]],
     node_probs: dict[int, float],
     feats_by_pid: dict[int, np.ndarray],
     frames_by_t: dict[int, Frame],
 ) -> np.ndarray:
+    """Move rows of ``pairs`` from their members' vectors in ``feats_by_pid``
+    (``frames_by_t`` is not read: every vector is given)."""
     if not pairs:
         return np.zeros((0, MOVE_DIM))
-    rows = []
-    for a, b in pairs:
-        rows.append(
-            move_features(
-                a, b,
-                node_probs[a.id], node_probs[b.id],
-                frames_by_t[a.t], frames_by_t[b.t],
-                feat_i=feats_by_pid[a.id], feat_j=feats_by_pid[b.id],
-            )
-        )
-    return np.stack(rows)
+    props, feats, probs, (src, dst) = _link_members(pairs, node_probs, feats_by_pid)
+    return move_feature_rows(props, feats, probs, src, dst)
 
 
 def mitosis_feature_matrix(
@@ -300,21 +304,11 @@ def mitosis_feature_matrix(
     feats_by_pid: dict[int, np.ndarray],
     frames_by_t: dict[int, Frame],
 ) -> np.ndarray:
+    """Division rows of ``triples``, as ``move_feature_matrix`` builds moves."""
     if not triples:
         return np.zeros((0, MITOSIS_DIM))
-    rows = []
-    for p, d1, d2 in triples:
-        rows.append(
-            mitosis_features(
-                p, d1, d2,
-                node_probs[p.id], node_probs[d1.id], node_probs[d2.id],
-                frames_by_t[p.t], frames_by_t[d1.t],
-                feat_p=feats_by_pid[p.id],
-                feat_d1=feats_by_pid[d1.id],
-                feat_d2=feats_by_pid[d2.id],
-            )
-        )
-    return np.stack(rows)
+    props, feats, probs, (parent, d1, d2) = _link_members(triples, node_probs, feats_by_pid)
+    return mitosis_feature_rows(props, feats, probs, parent, d1, d2)
 
 
 @dataclass

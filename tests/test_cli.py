@@ -152,6 +152,29 @@ class TestExitCodes:
         assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "x")]) == EXIT_CONFIG
         assert "NaN" in capsys.readouterr().err
 
+    def test_deeply_nested_config(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("[" * 100_000)
+        assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+        assert "nested too deeply" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("which", ["model", "proposals"])
+    def test_deeply_nested_input_file(self, flow, tmp_path, capsys, which):
+        cfg, root = flow
+        models, props = tmp_path / "models", tmp_path / "p.jsonl"
+        shutil.copytree(root / "models", models)
+        shutil.copy(root / "p.jsonl", props)
+        bad = models / "proposal.json" if which == "model" else props
+        bad.write_text("[" * 100_000 + "\n")
+        rc = main(
+            [
+                "track", "--config", str(cfg), "--data", str(root / "ds"),
+                "--proposals", str(props), "--model", str(models), "--out", str(tmp_path / "res"),
+            ]
+        )
+        assert rc == EXIT_INPUT
+        assert "nested too deeply" in capsys.readouterr().err
+
     def test_missing_required_flag(self, flow):
         cfg, _ = flow
         assert main(["simulate", "--config", str(cfg)]) == EXIT_CONFIG

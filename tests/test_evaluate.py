@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lineage_ilp import evaluate as evaluate_mod
 from lineage_ilp.evaluate import (
     EvalReport,
     GroundTruth,
@@ -418,6 +419,10 @@ class TestMatchesDenseReference:
         tra = tra_score(props, lineage, gt)
         assert (tra.fn, tra.fp, tra.ns, tra.aogm) == (fn, fp, ns, aogm)
         assert seg_score(props, lineage, gt) == seg
+        # the same scores from the overlap table evaluate_tracking shares
+        report = evaluate_tracking(props, lineage, gt)
+        assert report.tra == tra
+        assert report.seg == seg
 
 
 def division_scene():
@@ -605,6 +610,29 @@ class TestOnSimulation:
         assert report.seg == pytest.approx(1.0)
         assert report.division_f1 == 1.0
         assert report.n_tracks == report.n_gt_tracks
+
+
+class TestOneOverlapCountPerFrame:
+    def test_tra_and_seg_share_each_frames_table(self, monkeypatch):
+        res = simulate(SimConfig(frames=6, width=64, height=64, initial_cells=4), 2)
+        props, members = [], {}
+        for t, frame_masks in enumerate(ideal_proposals(res.gt)):
+            for label, mask in frame_masks[1:]:  # one cell per frame left out
+                members.setdefault(label, []).append(len(props))
+                props.append(Proposal(id=len(props), t=t, mask=mask, raw_score=0.9))
+        rows = [TrackRow(k, props[m[0]].t, props[m[-1]].t, 0) for k, m in members.items()]
+        lineage = Lineage(tracks=rows, members=members, end_reason={})
+        alone = (tra_score(props, lineage, res.gt), seg_score(props, lineage, res.gt))
+
+        counted = []
+        cell_overlap = evaluate_mod._cell_overlap
+        monkeypatch.setattr(
+            evaluate_mod, "_cell_overlap", lambda gt, t, masks: counted.append(t) or cell_overlap(gt, t, masks)
+        )
+        report = evaluate_tracking(props, lineage, res.gt)
+        assert counted == list(range(6))
+        assert (report.tra, report.seg) == alone
+        assert alone[0].fn > 0 and 0.0 < alone[1] < 1.0
 
 
 class TestMatchingDependsOnScoreOrder:

@@ -20,15 +20,18 @@ from lineage_ilp.features import (
     N_RADIAL_BINS,
     PROPOSAL_DIM,
     _bin_index,
-    aligned_iou,
     centroid_distance,
+    mitosis_feature_rows,
     mitosis_features,
+    move_feature_rows,
     move_features,
     proposal_feature_rows,
     proposal_features,
 )
 from lineage_ilp.geometry import Mask, disk_offsets
 from lineage_ilp.proposals import Frame, Proposal
+from link_reference import aligned_iou, mitosis_row, move_row
+from lineage_ilp.pipeline import mitosis_feature_matrix, move_feature_matrix
 
 
 def blob_frame(width=40, height=40, seed=3):
@@ -342,6 +345,86 @@ class TestMoveFeatures:
         assert f[185] == 1.0
         assert f[186] == 1.0
         np.testing.assert_allclose(f[187:193], np.zeros(6), atol=1e-12)
+
+
+def _link_scene(rng, n_props):
+    """Proposals of distinct, unordered ids with masks that overlap, nest,
+    touch or lie apart, some wider than 64 px, and vectors holding zeros and
+    repeated values."""
+    ids = rng.permutation(1000)[:n_props]
+    props = []
+    for pid in ids.tolist():
+        if props and rng.random() < 0.5:
+            base = props[int(rng.integers(0, len(props)))].mask
+            h, w = base.bits.shape
+            r0, c0 = int(rng.integers(0, h)), int(rng.integers(0, w))
+            bits = base.bits[r0:, c0:].copy()
+            bits[0, 0] = True
+            mask = Mask(base.x0 + c0 + int(rng.integers(-3, 4)), base.y0 + r0 + int(rng.integers(-3, 4)), bits)
+        else:
+            h, w = int(rng.integers(1, 15)), int(rng.choice([int(rng.integers(1, 15)), int(rng.integers(60, 140))]))
+            bits = rng.random((h, w)) < rng.uniform(0.3, 1.0)
+            bits[int(rng.integers(0, h)), int(rng.integers(0, w))] = True
+            mask = Mask(int(rng.integers(0, 60)), int(rng.integers(0, 30)), bits)
+        props.append(Proposal(id=pid, t=int(rng.integers(0, 2)), mask=mask, raw_score=0.5))
+    feats = rng.integers(0, 4, size=(n_props, PROPOSAL_DIM)) / rng.choice([1.0, 3.0, 7.0])
+    feats[rng.random(n_props) < 0.2] = 0.0
+    probs = rng.integers(0, 9, size=n_props) / 8.0
+    return props, feats, probs
+
+
+class TestLinkRowsMatchReference:
+    """The matrix rows are the per-link reference rows, byte for byte."""
+
+    @settings(max_examples=100)
+    @given(seed=st.integers(0, 2**32 - 1), n_props=st.integers(1, 9), n_links=st.integers(1, 25))
+    def test_random_links(self, seed, n_props, n_links):
+        rng = np.random.default_rng(seed)
+        props, feats, probs = _link_scene(rng, n_props)
+        node_probs = {p.id: float(probs[k]) for k, p in enumerate(props)}
+        feats_by_pid = {p.id: feats[k] for k, p in enumerate(props)}
+
+        src, dst = rng.integers(0, n_props, size=(2, n_links))
+        want = np.stack([
+            move_row(props[i], props[j], probs[i], probs[j], feats[i], feats[j])
+            for i, j in zip(src.tolist(), dst.tolist())
+        ])
+        assert move_feature_rows(props, feats, probs, src, dst).tobytes() == want.tobytes()
+        pairs = [(props[i], props[j]) for i, j in zip(src.tolist(), dst.tolist())]
+        assert move_feature_matrix(pairs, node_probs, feats_by_pid, {}).tobytes() == want.tobytes()
+        i, j = int(src[0]), int(dst[0])
+        one = move_features(props[i], props[j], probs[i], probs[j], None, None, feat_i=feats[i], feat_j=feats[j])
+        assert one.tobytes() == want[0].tobytes()
+
+        # daughters in either order, a parent may be one of them
+        parent, d1, d2 = rng.integers(0, n_props, size=(3, n_links))
+        want = np.stack([
+            mitosis_row(props[i], props[j], props[k], probs[i], probs[j], probs[k], feats[i], feats[j], feats[k])
+            for i, j, k in zip(parent.tolist(), d1.tolist(), d2.tolist())
+        ])
+        assert mitosis_feature_rows(props, feats, probs, parent, d1, d2).tobytes() == want.tobytes()
+        triples = [(props[i], props[j], props[k]) for i, j, k in zip(parent.tolist(), d1.tolist(), d2.tolist())]
+        assert mitosis_feature_matrix(triples, node_probs, feats_by_pid, {}).tobytes() == want.tobytes()
+        i, j, k = int(parent[0]), int(d1[0]), int(d2[0])
+        one = mitosis_features(
+            props[i], props[j], props[k], probs[i], probs[j], probs[k], None, None,
+            feat_p=feats[i], feat_d1=feats[j], feat_d2=feats[k],
+        )
+        assert one.tobytes() == want[0].tobytes()
+
+    def test_daughters_in_descending_id_order(self):
+        rng = np.random.default_rng(11)
+        props, feats, probs = _link_scene(rng, 6)
+        order = np.argsort([p.id for p in props])
+        lo, hi, parent = int(order[0]), int(order[-1]), int(order[2])
+        rows = mitosis_feature_rows(props, feats, probs, [parent, parent], [hi, lo], [lo, hi])
+        want = mitosis_row(props[parent], props[lo], props[hi], *probs[[parent, lo, hi]], *feats[[parent, lo, hi]])
+        assert rows[0].tobytes() == rows[1].tobytes() == want.tobytes()
+        assert np.array_equal(rows[0, 92:184], feats[lo])
+
+    def test_no_links(self):
+        assert move_feature_matrix([], {}, {}, {}).shape == (0, MOVE_DIM)
+        assert mitosis_feature_matrix([], {}, {}, {}).shape == (0, MITOSIS_DIM)
 
 
 class TestAlignedIou:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 
 from lineage_ilp.geometry import (
@@ -10,10 +12,13 @@ from lineage_ilp.geometry import (
     Mask,
     anchor_decode,
     anchor_encode,
+    dilate_disk,
     disk_offsets,
     iou_box,
     iou_mask,
     label_masks,
+    mask_intersection_area,
+    mask_intersections,
     nms,
 )
 from lineage_ilp.features import BOUNDARY_RADII, _frame_pixels
@@ -68,6 +73,135 @@ class TestMaskIoU:
         a = Mask(2, 3, np.ones((2, 2), dtype=bool))
         b = Mask(1, 2, np.pad(np.ones((2, 2), dtype=bool), ((1, 0), (1, 0))))
         assert iou_mask(a, b) == pytest.approx(1.0)
+
+
+def _random_bits(rng, h, w):
+    bits = rng.random((h, w)) < rng.uniform(0.2, 1.0)
+    bits[int(rng.integers(0, h)), int(rng.integers(0, w))] = True
+    return bits
+
+
+def _related_mask(rng, a: Mask, kind: str) -> Mask:
+    """A mask placed against ``a``: inside it, clear of its box, against one
+    of its box's edges (touching from outside or overlapping one column or
+    row), or anywhere near it; widths run past 64 px."""
+    h, w = a.bits.shape
+    if kind == "nested":
+        r0, c0 = int(rng.integers(0, h)), int(rng.integers(0, w))
+        r1, c1 = int(rng.integers(r0, h)) + 1, int(rng.integers(c0, w)) + 1
+        bits = a.bits[r0:r1, c0:c1] & (rng.random((r1 - r0, c1 - c0)) < 0.8)
+        if not bits.any():
+            bits = a.bits[r0:r1, c0:c1] | ~a.bits[r0:r1, c0:c1]
+        return Mask(a.x0 + c0, a.y0 + r0, bits)
+    bh, bw = int(rng.integers(1, 12)), int(rng.integers(1, 140))
+    bits = _random_bits(rng, bh, bw)
+    if kind == "disjoint":
+        return Mask(a.x0 + w + int(rng.integers(0, 70)), a.y0 - bh - int(rng.integers(0, 5)), bits)
+    if kind == "edge":
+        side = int(rng.integers(0, 4))
+        inset = int(rng.integers(0, 2))  # 0: touching from outside, 1: one px over
+        y = a.y0 + int(rng.integers(-bh, h))
+        x = a.x0 + int(rng.integers(-bw, w))
+        if side == 0:
+            x = a.x0 - bw + inset
+        elif side == 1:
+            x = a.x0 + w - inset
+        elif side == 2:
+            y = a.y0 - bh + inset
+        else:
+            y = a.y0 + h - inset
+        return Mask(x, y, bits)
+    return Mask(a.x0 + int(rng.integers(-bw, w)), a.y0 + int(rng.integers(-bh, h)), bits)
+
+
+class TestMaskIntersections:
+    """The bit-row kernel counts what ``mask_intersection_area`` counts."""
+
+    @settings(max_examples=150)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_masks=st.integers(1, 8),
+        n_pairs=st.integers(1, 40),
+        max_shift=st.sampled_from([0, 3, 70]),
+    )
+    def test_random_pairs(self, seed, n_masks, n_pairs, max_shift):
+        rng = np.random.default_rng(seed)
+        masks = []
+        for _ in range(n_masks):
+            if masks and rng.random() < 0.7:
+                kind = str(rng.choice(["nested", "disjoint", "edge", "near"]))
+                masks.append(_related_mask(rng, masks[int(rng.integers(0, len(masks)))], kind))
+            else:
+                h, w = int(rng.integers(1, 20)), int(rng.integers(1, 200))
+                m = Mask(int(rng.integers(-80, 80)), int(rng.integers(-30, 30)), _random_bits(rng, h, w))
+                masks.append(m.tighten() if rng.random() < 0.5 else m)
+        a = rng.integers(0, n_masks, size=n_pairs)
+        b = rng.integers(0, n_masks, size=n_pairs)
+        dx = rng.integers(-max_shift, max_shift + 1, size=n_pairs)
+        dy = rng.integers(-max_shift // 3, max_shift // 3 + 1, size=n_pairs)
+        got = mask_intersections(masks, a, b, dx, dy)
+        want = [
+            mask_intersection_area(masks[i], masks[j].translated(x, y))
+            for i, j, x, y in zip(a.tolist(), b.tolist(), dx.tolist(), dy.tolist())
+        ]
+        assert got.dtype == np.int64
+        assert got.tolist() == want
+
+    @pytest.mark.parametrize("shift", [-130, -65, -64, -63, -1, 0, 1, 63, 64, 65, 130])
+    def test_wide_masks_across_strip_edges(self, shift):
+        # 130 px wide: three strips, the last of 2 px
+        full = Mask(-7, 2, np.ones((3, 130), dtype=bool))
+        holes = Mask(-7, 3, np.arange(130)[None, :] % 3 == 0)
+        masks = [full, holes]
+        got = mask_intersections(masks, [0, 0, 1, 1], [0, 1, 0, 1], [shift] * 4, [0, 0, 1, -1])
+        want = [
+            mask_intersection_area(masks[i], masks[j].translated(shift, y))
+            for i, j, y in ((0, 0, 0), (0, 1, 0), (1, 0, 1), (1, 1, -1))
+        ]
+        assert got.tolist() == want
+
+    def test_no_pairs(self):
+        assert mask_intersections([full_mask(0, 0, 2, 2)], [], [], [], []).shape == (0,)
+
+
+class TestDilateDisk:
+    """The shifted-OR disk dilation is ``ndimage.binary_dilation`` by the
+    same disk, pixel for pixel, up to and past the grid's edges."""
+
+    @settings(max_examples=100)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        radius=st.integers(1, 4),
+        shape=st.tuples(st.integers(1, 4), st.integers(1, 14), st.integers(1, 14)),
+        density=st.sampled_from([0.02, 0.2, 0.7]),
+    )
+    def test_stack_against_ndimage(self, seed, radius, shape, density):
+        rng = np.random.default_rng(seed)
+        stack = rng.random(shape) < density
+        stack[:, 0, rng.integers(0, shape[2])] = True  # set pixels on every edge
+        stack[:, -1, rng.integers(0, shape[2])] = True
+        stack[:, rng.integers(0, shape[1]), 0] = True
+        stack[:, rng.integers(0, shape[1]), -1] = True
+        want = ndimage.binary_dilation(stack, structure=disk_offsets(radius)[None])
+        assert np.array_equal(dilate_disk(stack, radius), want)
+        assert np.array_equal(dilate_disk(stack[0], radius), want[0])
+
+    @pytest.mark.parametrize("radius", [1, 2, 3, 4])
+    def test_single_pixel_is_the_disk(self, radius):
+        grid = np.zeros((2 * radius + 1, 2 * radius + 1), dtype=bool)
+        grid[radius, radius] = True
+        assert np.array_equal(dilate_disk(grid, radius), disk_offsets(radius))
+
+    def test_corner_pixel_keeps_the_in_grid_quarter(self):
+        grid = np.zeros((5, 5), dtype=bool)
+        grid[0, 0] = True
+        want = np.zeros((5, 5), dtype=bool)
+        want[:4, :4] = disk_offsets(3)[3:, 3:]
+        assert np.array_equal(dilate_disk(grid, 3), want)
+
+    def test_radius_below_one_refused(self):
+        with pytest.raises(ValueError):
+            dilate_disk(np.ones((2, 2), dtype=bool), 0)
 
 
 class TestMask:

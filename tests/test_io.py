@@ -522,3 +522,41 @@ class TestNonFiniteNumbersRefused:
         with pytest.raises(FormatError, match="Infinity") as err:
             read_proposals(path)
         assert err.value.line == 2
+
+
+class TestDeeplyNestedJsonRefused:
+    """Nesting deeper than the parser's recursion limit is malformed input,
+    not an internal error, in every JSON reader."""
+
+    DEEP = "[" * 100_000
+
+    def test_config(self, tmp_path):
+        from lineage_ilp.config import ConfigError, load_config
+
+        (tmp_path / "cfg.json").write_text(self.DEEP)
+        with pytest.raises(ConfigError, match="nested too deeply"):
+            load_config(tmp_path / "cfg.json")
+
+    def test_model(self, tmp_path):
+        (tmp_path / "m.json").write_text('{"trees": ' + self.DEEP)
+        with pytest.raises(FormatError, match="nested too deeply") as err:
+            load_model(tmp_path / "m.json")
+        assert err.value.path == str(tmp_path / "m.json")
+
+    def test_meta(self, tmp_path):
+        (tmp_path / "meta.json").write_text(self.DEEP)
+        with pytest.raises(FormatError, match="nested too deeply"):
+            load_models(tmp_path)
+
+    def test_instance(self, tmp_path):
+        (tmp_path / "i.json").write_text(self.DEEP)
+        with pytest.raises(FormatError, match="nested too deeply"):
+            load_instance(tmp_path / "i.json")
+
+    def test_proposal_line(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        good = '{"id":0,"t":0,"bbox":[0,0,1,1],"score":0.5,"mask_rle":[0,1]}'
+        path.write_text(good + "\n" + self.DEEP + "\n")
+        with pytest.raises(FormatError, match="nested too deeply") as err:
+            read_proposals(path)
+        assert err.value.line == 2
