@@ -150,7 +150,7 @@ def _frame_pixels(props: list[Proposal], height: int, width: int):
 def proposal_feature_rows(props: list[Proposal], frame: Frame) -> np.ndarray:
     """``proposal_features`` of each proposal of one frame, one row each.
 
-    The frame is binned once, the masks' boundaries and rings come from one
+    Only the masks' pixels are binned; their boundaries and rings come from one
     stack per run of proposals, and every histogram of every proposal comes
     from one ``bincount``; only the nearest-ring means are worked out
     proposal by proposal.  A mask must lie inside the frame.
@@ -168,8 +168,8 @@ def proposal_feature_rows(props: list[Proposal], frame: Frame) -> np.ndarray:
             raise ValueError(f"proposal {p.id} extends past its {width}x{height} frame")
     (m_k, m_rows, m_cols), (b_k, b_rows, b_cols), *rings = _frame_pixels(props, height, width)
     area = np.bincount(m_k, minlength=n)
-    int_bins = _bin_index(intensity, 0.0, 1.0, N_INTENSITY_BINS)
-    out[:, 0:15] = _segment_counts(int_bins[m_rows, m_cols], area, N_INTENSITY_BINS) / area[:, None]
+    int_bins = _bin_index(intensity[m_rows, m_cols], 0.0, 1.0, N_INTENSITY_BINS)
+    out[:, 0:15] = _segment_counts(int_bins, area, N_INTENSITY_BINS) / area[:, None]
 
     b_count = np.bincount(b_k, minlength=n)
     b_split = np.cumsum(b_count)[:-1]

@@ -236,13 +236,41 @@ def _log_stack(img: np.ndarray, sigmas: tuple[float, ...]) -> np.ndarray:
     return np.fft.irfft(rows, n=size[1], axis=2)[:, :, radius : radius + w]
 
 
-def _max_filter_3(stack: np.ndarray) -> np.ndarray:
-    """``ndimage.maximum_filter(stack, size=3, mode="nearest")`` on a 3-d
-    stack, as three shifted maxima per axis over an edge-padded copy."""
-    p = np.pad(stack, 1, mode="edge")
-    p = np.maximum(np.maximum(p[:-2], p[1:-1]), p[2:])
-    p = np.maximum(np.maximum(p[:, :-2], p[:, 1:-1]), p[:, 2:])
-    return np.maximum(np.maximum(p[:, :, :-2], p[:, :, 1:-1]), p[:, :, 2:])
+# (scale, row, col) offsets of the 24 neighbours beyond the row pair (0, 0, +-1):
+# in-plane first, fewer axes moved first, opposite offsets together
+_NEIGHBOURS = sorted(
+    (o for o in itertools.product((-1, 0, 1), repeat=3) if o[:2] != (0, 0)),
+    key=lambda o: (o[0] != 0, sum(map(abs, o)), tuple(map(abs, o)), o),
+)
+
+
+def _local_maxima(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Scale, row, col and snapped value of every response of the stack
+    ``raw`` whose snap is above ``LOG_RESPONSE_THRESHOLD`` and at least the
+    snap of each of its 26 neighbours (indices clamped to the stack, as
+    ``mode="nearest"``), in C order: ``maximum_filter(snap(raw)) == snap(raw)``.
+
+    Only the support is read: the responses not at or below the threshold
+    less one grid step (NaN too).  The others snap below any snap above the
+    threshold and reject nothing, so the row pair is compared among adjacent
+    support entries; each other neighbour is gathered, and snapped, per survivor.
+    """
+    g = LOG_RESPONSE_GRID
+    support = ~(raw <= LOG_RESPONSE_THRESHOLD - g)
+    flat = np.flatnonzero(support)
+    q = np.rint(raw[support] / g)  # snaps, in grid steps
+    pair = (np.diff(flat) == 1) & (flat[1:] % raw.shape[2] != 0)  # entry k + 1 is right of entry k
+    keep = q * g > LOG_RESPONSE_THRESHOLD
+    keep[1:] &= ~pair | (q[:-1] <= q[1:])
+    keep[:-1] &= ~pair | (q[1:] <= q[:-1])
+    (s, r, c), q = np.unravel_index(flat[keep], raw.shape), q[keep]
+    # per axis, the index one step down and one step up, clamped to the stack
+    step = [(np.maximum(np.arange(n) - 1, 0), None, np.minimum(np.arange(n) + 1, n - 1)) for n in raw.shape]
+    for offset in _NEIGHBOURS:
+        at = [x if d == 0 else step[axis][d + 1][x] for axis, (x, d) in enumerate(zip((s, r, c), offset))]
+        keep = np.rint(raw[tuple(at)] / g) <= q
+        s, r, c, q = s[keep], r[keep], c[keep], q[keep]
+    return s, r, c, q * g
 
 
 def log_blob_proposals(
@@ -254,8 +282,11 @@ def log_blob_proposals(
 ) -> list[Proposal]:
     """Scale-normalized Laplacian-of-Gaussian extrema grown to the half-peak level.
 
-    A blob of radius r responds strongest near sigma = r / sqrt(2).  Scores are
-    responses normalized by the frame's strongest response.
+    A blob of radius r responds strongest near sigma = r / sqrt(2).  An
+    extremum is a snapped response above ``LOG_RESPONSE_THRESHOLD`` that is at
+    least each of its 26 (scale, row, col) neighbours, edges nearest; only the
+    responses that can clear the threshold are tested.  Scores are responses
+    normalized by the frame's strongest response.
     """
     if not sigmas:
         raise ValueError("need at least one sigma")
@@ -265,13 +296,12 @@ def log_blob_proposals(
     # Responses equal in exact arithmetic (a quantised frame has many) stay
     # equal after the snap, whatever order the FFT summed them in, so local
     # maxima and the strongest-first order break ties by position alone.
-    stack = np.rint(_log_stack(img, tuple(sigmas)) / LOG_RESPONSE_GRID) * LOG_RESPONSE_GRID
-    local_max = (_max_filter_3(stack) == stack) & (stack > LOG_RESPONSE_THRESHOLD)
-    peak_best = stack.max()
+    raw = _log_stack(img, tuple(sigmas))
+    peak_best = np.rint(raw.max() / LOG_RESPONSE_GRID) * LOG_RESPONSE_GRID  # the snap is monotone
     if peak_best <= 0:
         return []
-    sidx, rows, cols = np.nonzero(local_max)
-    order = np.lexsort((cols, rows, -stack[sidx, rows, cols]))  # strongest first, stable
+    sidx, rows, cols, value = _local_maxima(raw)
+    order = np.lexsort((cols, rows, -value))  # strongest first, stable
     candidates: list[Mask] = []
     scores: list[float] = []
     for k in order:
@@ -290,7 +320,7 @@ def log_blob_proposals(
         if not area_bounds[0] <= m.area <= area_bounds[1]:
             continue
         candidates.append(m)
-        scores.append(min(1.0, float(stack[si, r, c] / peak_best)))
+        scores.append(min(1.0, float(value[k] / peak_best)))
     if not candidates:
         return []
     items = [(idx, scores[idx], cand) for idx, cand in enumerate(candidates)]

@@ -9,13 +9,15 @@ from lineage_ilp.geometry import Mask, iou_mask, nms
 from lineage_ilp.io import write_proposals
 from lineage_ilp.proposals import (
     DEFAULT_AREA_BOUNDS,
+    LOG_RESPONSE_GRID,
+    LOG_RESPONSE_THRESHOLD,
     MASK_NMS_IOU,
     STABILITY_IOU,
     Frame,
     Proposal,
     _log_spectra,
+    _local_maxima,
     _log_stack,
-    _max_filter_3,
     conflicts,
     log_blob_proposals,
     multi_threshold_proposals,
@@ -299,17 +301,20 @@ class TestLogStackMatchesReference:
         assert len(got) > 0
         assert_close_proposals(got, want)
 
-    @settings(max_examples=100)
-    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(8, 72))
-    def test_generator_on_plateau_frames(self, seed, size):
+    def test_generator_on_plateau_frames(self):
         """Quantised frames give exactly tied responses, which scipy's
-        passes reproduce bit for bit and the FFT only up to rounding."""
-        frame = Frame(t=3, intensity=plateau_image(np.random.default_rng(seed), size))
-        got = log_blob_proposals(frame, area_bounds=(1, 10000))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(proposals_mod, "_log_stack", _reference_log_stack)
-            want = log_blob_proposals(frame, area_bounds=(1, 10000))
-        assert_close_proposals(got, want)
+        passes reproduce bit for bit and the FFT only up to rounding.
+        100 distinct frames, every size from 8 to 72."""
+        seen = set()
+        for seed in range(100):
+            frame = Frame(t=3, intensity=plateau_image(np.random.default_rng(seed), 8 + seed * 37 % 65))
+            seen.add(frame.intensity.tobytes())
+            got = log_blob_proposals(frame, area_bounds=(1, 10000))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(proposals_mod, "_log_stack", _reference_log_stack)
+                want = log_blob_proposals(frame, area_bounds=(1, 10000))
+            assert_close_proposals(got, want)
+        assert len(seen) == 100
 
     def test_written_proposals_repeat_byte_for_byte(self, tmp_path):
         frames = simulate(SimConfig(frames=3, width=64, height=64, initial_cells=6), 5).frames
@@ -326,11 +331,44 @@ class TestLogStackMatchesReference:
         assert outputs[0] == outputs[1]
 
 
+def _max_filter_3(stack):
+    """``ndimage.maximum_filter(stack, size=3, mode="nearest")`` on a 3-d
+    stack, as three shifted maxima per axis over an edge-padded copy; unlike
+    scipy's filter, a NaN in a window makes its maximum NaN."""
+    p = np.pad(stack, 1, mode="edge")
+    p = np.maximum(np.maximum(p[:-2], p[1:-1]), p[2:])
+    p = np.maximum(np.maximum(p[:, :-2], p[:, 1:-1]), p[:, 2:])
+    return np.maximum(np.maximum(p[:, :, :-2], p[:, :, 1:-1]), p[:, :, 2:])
+
+
 def _reference_max_filter(stack):
     return ndimage.maximum_filter(stack, size=3, mode="nearest")
 
 
+def _dense_local_maxima(raw, max_filter=_max_filter_3):
+    """The dense form of ``_local_maxima``: snap the whole stack and keep the
+    responses above the threshold that equal their 3x3x3 maximum."""
+    stack = np.rint(raw / LOG_RESPONSE_GRID) * LOG_RESPONSE_GRID
+    s, r, c = np.nonzero((max_filter(stack) == stack) & (stack > LOG_RESPONSE_THRESHOLD))
+    return s, r, c, stack[s, r, c]
+
+
+def assert_same_maxima(raw, filters=(_max_filter_3, _reference_max_filter)):
+    """``_local_maxima`` equals the dense test over each filter; returns it."""
+    got = _local_maxima(raw)
+    for max_filter in filters:
+        want = _dense_local_maxima(raw, max_filter)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+    return got
+
+
 class TestLogMaxFilterMatchesReference:
+    """The support-only local-maximum test finds exactly the peaks, values
+    and order of the dense 3x3x3 maximum filter over the snapped stack."""
+
     @pytest.mark.parametrize("depth", [1, 2, 5])
     @pytest.mark.parametrize("quantum", [2, 7, None])
     def test_stacks_with_ties(self, depth, quantum):
@@ -340,12 +378,96 @@ class TestLogMaxFilterMatchesReference:
             if quantum is not None:  # many equal neighbours
                 stack = np.round(stack * quantum) / quantum
             assert np.array_equal(_max_filter_3(stack), _reference_max_filter(stack))
+            assert_same_maxima(stack)
+            # every scale the same plane: each response ties its neighbours across scales
+            assert_same_maxima(np.broadcast_to(stack[:1], shape))
+
+    def test_plateau_stacks(self):
+        """The scale stacks of 100 distinct quantised frames, every size from 8 to 72."""
+        seen, peaks = set(), 0
+        for seed in range(100):
+            img = plateau_image(np.random.default_rng(seed), 8 + seed * 37 % 65)
+            seen.add(img.tobytes())
+            peaks += len(assert_same_maxima(_log_stack(img, DEFAULT_SIGMAS))[0])
+        assert len(seen) == 100
+        assert peaks > 100
+
+    @pytest.mark.parametrize(
+        "shape", [(1, 1, 1), (1, 1, 6), (1, 6, 1), (4, 1, 1), (1, 4, 5), (3, 1, 5), (3, 4, 1), (3, 4, 5)]
+    )
+    def test_peak_on_every_face(self, shape):
+        """A single peak at every position of the box, corners and faces
+        included, over a blank stack and over an above-threshold plateau
+        (where every response ties its neighbours and is a maximum)."""
+        for pos in np.ndindex(*shape):
+            for ground in (0.0, 0.5):
+                stack = np.full(shape, ground)
+                stack[pos] = 1.0
+                s, r, c, value = assert_same_maxima(stack)
+                if ground == 0.0:
+                    assert list(zip(s, r, c)) == [pos]
+                    assert value.tolist() == [1.0]
+                else:
+                    assert pos in set(zip(s, r, c))
+                    assert value.max() == 1.0
+
+    def test_responses_at_the_threshold(self):
+        """Responses within a few grid steps either side of the threshold:
+        the support keeps every one whose snap clears it, and snap midpoints
+        round as in the dense stack."""
+        g, step = LOG_RESPONSE_GRID, np.floor(LOG_RESPONSE_THRESHOLD / LOG_RESPONSE_GRID)
+        band = np.concatenate([
+            (step + np.arange(-4, 7) / 2) * g,  # grid points and the midpoints between them
+            LOG_RESPONSE_THRESHOLD + np.arange(-4, 5) * g / 4,
+            [np.nextafter(LOG_RESPONSE_THRESHOLD - g, 1.0), LOG_RESPONSE_THRESHOLD],
+        ])
+        assert np.abs(band - LOG_RESPONSE_THRESHOLD).max() < 3 * g
+        above = below = 0
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            stack = rng.choice(band, size=(3, 6, 7))
+            _, _, _, value = assert_same_maxima(stack)
+            above += len(value)
+            below += int((np.rint(stack / g) * g <= LOG_RESPONSE_THRESHOLD).sum())
+        assert above > 0 and below > 0
+        for ground in (band.min(), band.max()):  # one flat stack: every response a maximum or none
+            assert_same_maxima(np.full((2, 3, 4), ground))
+
+    def test_blank_and_negative_frames(self):
+        rng = np.random.default_rng(5)
+        for stack in (np.zeros((5, 9, 8)), -rng.random((5, 9, 8)), np.full((1, 1, 1), -1.0)):
+            s, r, c, value = assert_same_maxima(stack)
+            assert len(s) == len(r) == len(c) == len(value) == 0
+        for level in (0.0, 0.7, 1.0):  # flat frames: every response rounds to about 0
+            frame = Frame(t=0, intensity=np.full((20, 20), level))
+            assert _local_maxima(_log_stack(frame.intensity, DEFAULT_SIGMAS))[0].size == 0
+            assert log_blob_proposals(frame) == []
+
+    def test_nan_responses(self):
+        """A NaN is no maximum and keeps every neighbour from being one, as
+        in the dense filter built from ``np.maximum``."""
+        rng = np.random.default_rng(11)
+        peaks = 0
+        for _ in range(10):
+            stack = np.round(rng.normal(size=(3, 8, 9)) * 4) / 4
+            stack[tuple(rng.integers(0, (3, 8, 9), size=(4, 3)).T)] = np.nan
+            peaks += len(assert_same_maxima(stack, filters=(_max_filter_3,))[0])
+        for pos in [(0, 0, 0), (1, 2, 3), (2, 7, 8), (1, 4, 0)]:  # in a plateau, every neighbour is hit
+            plateau = np.full((3, 8, 9), 0.5)
+            plateau[pos] = np.nan
+            peaks += len(assert_same_maxima(plateau, filters=(_max_filter_3,))[0])
+        assert peaks > 0
+
+    def test_cropped_view(self):
+        """The stack ``_log_stack`` returns is a strided view; so is this one."""
+        full = np.round(np.random.default_rng(2).normal(size=(4, 15, 24)) * 3) / 3
+        assert_same_maxima(full[:, 2:-3, 5:-6])
 
     @pytest.mark.parametrize("sigmas", [(2.0,), (1.5, 2.0, 3.0, 4.0, 6.0)])
     def test_generator_unchanged(self, separated_scene, monkeypatch, sigmas):
         frame = separated_scene.frames[0]
         got = log_blob_proposals(frame, sigmas=sigmas)
-        monkeypatch.setattr(proposals_mod, "_max_filter_3", _reference_max_filter)
+        monkeypatch.setattr(proposals_mod, "_local_maxima", _dense_local_maxima)
         want = log_blob_proposals(frame, sigmas=sigmas)
         assert len(got) > 0
         assert_same_proposals(got, want)
