@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -314,26 +315,6 @@ def train_forest(
     return forest
 
 
-def _tree_predict(tree: Tree, X: np.ndarray) -> np.ndarray:
-    n = X.shape[0]
-    node = np.zeros(n, dtype=np.int64)
-    out = np.empty(n, dtype=np.float64)
-    active = np.arange(n)
-    while len(active) > 0:
-        cur = node[active]
-        feat = tree.feature[cur]
-        at_leaf = feat < 0
-        leaves = active[at_leaf]
-        out[leaves] = tree.value[node[leaves]]
-        active = active[~at_leaf]
-        if len(active) == 0:
-            break
-        cur = node[active]
-        go_left = X[active, tree.feature[cur]] <= tree.threshold[cur]
-        node[active] = np.where(go_left, tree.left[cur], tree.right[cur])
-    return out
-
-
 @dataclass
 class ConstantModel:
     """Stand-in for a forest when training saw a single class.
@@ -360,10 +341,56 @@ def predict_prob(model: RandomForest | ConstantModel, features: np.ndarray) -> n
         acc = np.full(X.shape[0], model.p)
         return acc[0] if single else acc
     acc = np.zeros(X.shape[0])
-    for tree in model.trees:
-        acc += _tree_predict(tree, X)
+    step = max(1, PAIRS_PER_WALK // max(X.shape[0], 1))
+    for lo in range(0, len(model.trees), step):
+        for leaf_values in _forest_leaf_values(model.trees[lo : lo + step], X):
+            acc += leaf_values  # in tree order, as a tree-by-tree sum adds them
     acc /= len(model.trees)
     return acc[0] if single else acc
+
+
+# (tree, row) pairs walked at once: the whole forest on a few hundred rows,
+# a block of trees on more, so the walk's arrays stay a few MiB
+PAIRS_PER_WALK = 1 << 16
+
+
+def _forest_leaf_values(trees: list[Tree], X: np.ndarray) -> np.ndarray:
+    """(trees, rows) leaf value each tree gives each row of X.
+
+    The trees' node arrays are concatenated, children shifted to absolute
+    indices, and every (tree, row) pair moves down one level per step, so a
+    step is a few numpy calls over all pairs still above a leaf; pairs that
+    reach a leaf leave the walk.  A row goes left when its feature value is
+    at most the threshold (a NaN goes right).
+    """
+    n, d = X.shape
+    sizes = [t.feature.size for t in trees]
+    root = np.zeros(len(trees), dtype=np.intp)
+    np.cumsum(sizes[:-1], out=root[1:])
+    feature = np.concatenate([t.feature for t in trees])
+    threshold = np.concatenate([t.threshold for t in trees])
+    value = np.concatenate([t.value for t in trees])
+    shift = np.repeat(root, sizes)
+    # node i's children at 2i (taken when the row goes right) and 2i + 1
+    child = np.stack(
+        [np.concatenate([t.right for t in trees]) + shift, np.concatenate([t.left for t in trees]) + shift],
+        axis=1,
+    ).ravel()
+    out = np.empty(len(trees) * n)
+    pair = np.arange(out.size)  # pair k is tree k // n, row k % n
+    node = np.repeat(root, n)
+    at = np.tile(np.arange(0, n * d, d), len(trees))  # offset of the pair's row in X
+    x = np.ascontiguousarray(X).ravel()
+    while node.size:
+        f = feature.take(node)
+        leaf = f < 0
+        if leaf.any():
+            out[pair[leaf]] = value.take(node[leaf])
+            keep = np.flatnonzero(~leaf)
+            pair, node, f, at = pair.take(keep), node.take(keep), f.take(keep), at.take(keep)
+        go_left = x.take(at + f) <= threshold.take(node)
+        node = child.take(2 * node + go_left)
+    return out.reshape(len(trees), n)
 
 
 def fit_model(
@@ -398,52 +425,91 @@ def forest_to_json(forest: RandomForest) -> dict:
     }
 
 
+_NODE_FIELDS = (
+    ("feature", np.int32), ("threshold", np.float64), ("left", np.int32),
+    ("right", np.int32), ("value", np.float64),
+)
+
+
 def forest_from_json(obj: dict) -> RandomForest:
+    """The forest of a ``random_forest`` document.  Each node field of all
+    trees is read with one ``np.array`` call and checked at once
+    (``_check_trees``); the trees are views into those arrays."""
     try:
-        trees = [
-            Tree(
-                feature=np.array(t["feature"], dtype=np.int32),
-                threshold=np.array(t["threshold"], dtype=np.float64),
-                left=np.array(t["left"], dtype=np.int32),
-                right=np.array(t["right"], dtype=np.int32),
-                value=np.array(t["value"], dtype=np.float64),
-            )
-            for t in obj["trees"]
-        ]
-        forest = RandomForest(
-            n_features=int(obj["n_features"]),
-            max_depth=int(obj["max_depth"]),
-            min_leaf=int(obj["min_leaf"]),
-            seed=int(obj["seed"]),
-            trees=trees,
-        )
+        docs = obj["trees"]
+        columns = [[t[name] for t in docs] for name, _ in _NODE_FIELDS]
+        fields = [_node_field(col, dtype) for col, (_, dtype) in zip(columns, _NODE_FIELDS)]
+        meta = {key: int(obj[key]) for key in ("n_features", "max_depth", "min_leaf", "seed")}
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed random_forest document: {exc}") from exc
-    if not forest.trees or forest.n_features < 1:
+    if not docs or meta["n_features"] < 1:
         raise FormatError("random_forest document needs trees and a positive n_features")
-    for t, tree in enumerate(forest.trees):
-        _check_tree(t, tree, forest.n_features)
-    return forest
+    sizes = _check_trees(fields, meta["n_features"])
+    feature, threshold, left, right, value = (flat for flat, _ in fields)
+    ends = np.cumsum(sizes).tolist()
+    trees = [
+        Tree(feature[a:b], threshold[a:b], left[a:b], right[a:b], value[a:b])
+        for a, b in zip([0] + ends[:-1], ends)
+    ]
+    return RandomForest(trees=trees, **meta)
 
 
-def _check_tree(t: int, tree: Tree, n_features: int) -> None:
-    """FormatError naming tree t unless prediction walks every row from node
-    0 to a leaf: each internal node i has children i < left < right < len,
-    which train_forest's preorder meets, so no walk can loop or leave the
-    arrays."""
-    arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
-    n = tree.feature.size
-    if n == 0 or any(a.shape != (n,) for a in arrays):
-        raise FormatError(f"tree {t}: node arrays must be non-empty lists of one length")
-    if ((tree.feature < -1) | (tree.feature >= n_features)).any():
-        raise FormatError(f"tree {t}: feature index outside [-1, {n_features})")
-    leaf = tree.feature == -1
-    if ((tree.left[leaf] != -1) | (tree.right[leaf] != -1)).any():
-        raise FormatError(f"tree {t}: a leaf (feature -1) has a child")
-    node = np.flatnonzero(~leaf)
-    left, right = tree.left[node], tree.right[node]
-    if not ((node < left) & (left < right) & (right < n)).all():
-        raise FormatError(f"tree {t}: an internal node i breaks i < left < right < {n}")
+def _node_field(column: list, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """One node field of every tree as one flat array over the trees where it
+    is a flat list, and each tree's length of it (-1: not a flat list).
+    Element conversion errors propagate, as a tree-by-tree read raises them."""
+    sizes = np.array([len(c) if type(c) is list else -1 for c in column], dtype=np.intp)
+    try:
+        flat = np.array(list(chain.from_iterable(c for c in column if type(c) is list)), dtype=dtype)
+        if flat.ndim == 1:
+            return flat, sizes
+    except ValueError:
+        pass  # a list that holds lists, or a bad element: find which, tree by tree
+    arrays = [np.array(c, dtype=dtype) if n >= 0 else None for c, n in zip(column, sizes)]
+    sizes = np.array([-1 if a is None or a.ndim != 1 else a.size for a in arrays], dtype=np.intp)
+    flat = np.concatenate([np.zeros(0, dtype)] + [a for a, n in zip(arrays, sizes) if n >= 0])
+    return flat, sizes
+
+
+def _check_trees(fields, n_features: int) -> np.ndarray:
+    """Each tree's node count, or a FormatError naming the first tree that
+    prediction could not walk from node 0 to a leaf, with the first of these
+    rules it breaks:
+
+    1. its five node fields are non-empty lists of one length;
+    2. every feature lies in [-1, n_features);
+    3. a leaf (feature -1) has no child;
+    4. each internal node i has children i < left < right < len, which
+       train_forest's preorder meets, so no walk can loop or leave the arrays.
+
+    Trees that break rule 1 drop out of ``fields`` before rules 2-4 are
+    checked over all remaining nodes at once.
+    """
+    sizes = np.stack([n for _, n in fields])  # (field, tree)
+    ok = (sizes[0] > 0) & (sizes == sizes[0]).all(axis=0)
+    n_nodes = sizes[0][ok]
+    feature, left, right = (flat[np.repeat(ok[n >= 0], n[n >= 0])] for flat, n in (fields[0], *fields[2:4]))
+    tree = np.repeat(np.flatnonzero(ok), n_nodes)
+    node = np.arange(feature.size) - np.repeat(np.cumsum(n_nodes) - n_nodes, n_nodes)
+    leaf = feature == -1
+    bad_trees = {
+        1: np.flatnonzero(~ok),
+        2: tree[(feature < -1) | (feature >= n_features)],
+        3: tree[leaf & ((left != -1) | (right != -1))],
+        4: tree[~leaf & ~((node < left) & (left < right) & (right < np.repeat(n_nodes, n_nodes)))],
+    }
+    first = {rule: int(bad.min(initial=len(ok))) for rule, bad in bad_trees.items()}
+    rule = min(first, key=first.get)  # the lowest rule among those the first bad tree breaks
+    t = first[rule]
+    if t == len(ok):
+        return n_nodes
+    message = {
+        1: "node arrays must be non-empty lists of one length",
+        2: f"feature index outside [-1, {n_features})",
+        3: "a leaf (feature -1) has a child",
+        4: f"an internal node i breaks i < left < right < {int(sizes[0][t])}",
+    }
+    raise FormatError(f"tree {t}: {message[rule]}")
 
 
 def model_to_json(model: RandomForest | ConstantModel) -> dict:

@@ -172,21 +172,19 @@ def proposal_feature_rows(props: list[Proposal], frame: Frame) -> np.ndarray:
     out[:, 0:15] = _segment_counts(int_bins, area, N_INTENSITY_BINS) / area[:, None]
 
     b_count = np.bincount(b_k, minlength=n)
-    b_split = np.cumsum(b_count)[:-1]
-    b_rows_of, b_cols_of = np.split(b_rows, b_split), np.split(b_cols, b_split)
+    b_at = [0] + np.cumsum(b_count).tolist()  # proposal k's pixels are [at[k], at[k + 1])
     on_boundary = intensity[b_rows, b_cols]
     for lo, (r_k, r_rows, r_cols) in zip((15, 23), rings):
         r_count = np.bincount(r_k, minlength=n)
         has_ring = r_count > 0  # False: the frame clips the whole ring away
         if not has_ring.any():
             continue  # the block stays zero
-        r_split = np.cumsum(r_count)[:-1]
-        r_rows_of, r_cols_of = np.split(r_rows, r_split), np.split(r_cols, r_split)
-        r_values_of = np.split(intensity[r_rows, r_cols], r_split)
-        means = [
-            _nearest_ring_means(b_rows_of[k], b_cols_of[k], r_rows_of[k], r_cols_of[k], r_values_of[k])
-            for k in np.flatnonzero(has_ring)
-        ]
+        r_at = [0] + np.cumsum(r_count).tolist()
+        r_values = intensity[r_rows, r_cols]
+        means = []
+        for k in np.flatnonzero(has_ring).tolist():
+            b, r = slice(b_at[k], b_at[k + 1]), slice(r_at[k], r_at[k + 1])
+            means.append(_nearest_ring_means(b_rows[b], b_cols[b], r_rows[r], r_cols[r], r_values[r]))
         diffs = np.concatenate(means) - on_boundary[np.repeat(has_ring, b_count)]
         bins = _bin_index(np.clip(diffs, -0.5, 0.5), -0.5, 0.5, N_CONTRAST_BINS)
         hist = _segment_counts(bins, np.where(has_ring, b_count, 0), N_CONTRAST_BINS)

@@ -356,19 +356,43 @@ def decode_rle(runs: list[int], w: int, h: int, *, path=None, line=None) -> np.n
 _PROPOSAL_KEYS = {"id", "t", "bbox", "score", "mask_rle"}
 
 
+def _encode_rles(masks: list[np.ndarray]) -> list[list[int]]:
+    """``encode_rle`` of each non-empty mask, from one pass over all their
+    bits laid end to end: a run ends where the bit changes or a mask ends."""
+    if not masks:
+        return []
+    flat = np.concatenate([np.asarray(bits, dtype=bool).ravel() for bits in masks])
+    starts = np.cumsum([0] + [np.size(bits) for bits in masks[:-1]])
+    cut = np.ones(flat.size + 1, dtype=bool)
+    np.not_equal(flat[1:], flat[:-1], out=cut[1:-1])
+    cut[starts] = True
+    bounds = np.flatnonzero(cut)
+    runs = np.diff(bounds).tolist()
+    first = np.searchsorted(bounds, starts).tolist()  # each mask's first run
+    return [
+        [0] + runs[a:b] if lead else runs[a:b]
+        for a, b, lead in zip(first, first[1:] + [len(runs)], flat[starts].tolist())
+    ]
+
+
 def write_proposals(path, props) -> None:
     """Write proposals (objects with id, t, mask, raw_score) as JSON lines."""
-    with open(path, "w", encoding="ascii") as fh:
-        for p in sorted(props, key=lambda p: (p.t, p.id)):
-            m = p.mask
-            obj = {
+    props = sorted(props, key=lambda p: (p.t, p.id))
+    lines = [
+        dumps_json(
+            {
                 "id": p.id,
                 "t": p.t,
-                "bbox": [m.x0, m.y0, m.bits.shape[1], m.bits.shape[0]],
+                "bbox": [p.mask.x0, p.mask.y0, p.mask.bits.shape[1], p.mask.bits.shape[0]],
                 "score": p.raw_score,
-                "mask_rle": encode_rle(m.bits),
-            }
-            fh.write(dumps_json(obj, indent=None) + "\n")
+                "mask_rle": runs,
+            },
+            indent=None,
+        ) + "\n"
+        for p, runs in zip(props, _encode_rles([p.mask.bits for p in props]))
+    ]
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("".join(lines))
 
 
 def read_proposals(path) -> list[Proposal]:

@@ -93,6 +93,8 @@ from .solve import (
 log = logging.getLogger("lineage_ilp")
 
 MODEL_META_VERSION = 1
+# the feature vector lengths a model directory's meta.json must name
+FEATURE_DIMS = {"proposal": PROPOSAL_DIM, "move": MOVE_DIM, "mitosis": MITOSIS_DIM}
 
 
 class SolverTimeout(Exception):
@@ -184,6 +186,15 @@ def _dataset(data, *, need_gt: bool = False) -> Dataset:
     return data if isinstance(data, Dataset) else load_dataset(data, need_gt=need_gt)
 
 
+def _frames(data) -> Dataset:
+    """``data`` itself when it is a Dataset, else the frames of the dataset
+    directory it names, read without its ground truth (``gt`` None): for
+    the stages that never use ``gt/``."""
+    if isinstance(data, Dataset):
+        return data
+    return Dataset(frames=[Frame(t, arr) for t, arr in enumerate(read_intensity_frames(data))], gt=None)
+
+
 # ---------------------------------------------------------------------------
 # Stages
 
@@ -230,7 +241,7 @@ def generate_proposals(cfg: PipelineConfig, ds: Dataset) -> list[Proposal]:
 def run_propose(cfg: PipelineConfig, data_dir, out_path) -> list[Proposal]:
     """Generate proposals and write them; returns them in ``(t, id)`` order,
     as ``read_proposals`` reads them back."""
-    ds = _dataset(data_dir, need_gt=(cfg.proposals.generator == "truth"))
+    ds = _dataset(data_dir, need_gt=True) if cfg.proposals.generator == "truth" else _frames(data_dir)
     props = generate_proposals(cfg, ds)
     props.sort(key=lambda p: (p.t, p.id))
     write_proposals(out_path, props)
@@ -441,7 +452,7 @@ def save_models(models: Models, model_dir) -> None:
         "mitosis_radius": models.mitosis_radius,
         "mitosis_n": models.mitosis_n,
         "mitosis_enabled": models.mitosis is not None,
-        "feature_dims": {"proposal": PROPOSAL_DIM, "move": MOVE_DIM, "mitosis": MITOSIS_DIM},
+        "feature_dims": FEATURE_DIMS,
     }
     write_json_file(os.path.join(model_dir, "meta.json"), meta)
 
@@ -456,6 +467,7 @@ def load_models(model_dir) -> Models:
     mitosis_radius = meta.get("mitosis_radius")
     enabled = meta.get("mitosis_enabled")
     mitosis_n = meta.get("mitosis_n")
+    meta_path = os.path.join(model_dir, "meta.json")
     if (
         not isinstance(gating, (int, float)) or isinstance(gating, bool) or gating <= 0
         or not isinstance(mitosis_radius, (int, float)) or isinstance(mitosis_radius, bool)
@@ -463,7 +475,12 @@ def load_models(model_dir) -> Models:
         or not isinstance(enabled, bool)
         or isinstance(mitosis_n, bool) or not isinstance(mitosis_n, int) or mitosis_n < 2
     ):
-        raise FormatError("malformed model_meta document", path=os.path.join(model_dir, "meta.json"))
+        raise FormatError("malformed model_meta document", path=meta_path)
+    dims = meta.get("feature_dims")
+    if dims != FEATURE_DIMS:
+        raise FormatError(
+            f"feature_dims {dims!r} differ from this build's {FEATURE_DIMS}", path=meta_path
+        )
     proposal = load_model(os.path.join(model_dir, "proposal.json"))
     move = load_model(os.path.join(model_dir, "move.json"))
     if proposal.n_features != PROPOSAL_DIM:
@@ -627,7 +644,7 @@ def run_track(
     training's feature rows for the same proposals (``run_e2e`` passes
     them); without them the graph build computes its own.
     """
-    ds = _dataset(data_dir)
+    ds = _frames(data_dir)
     props = _proposals(proposals_path)
     models = _models(model_dir)
     graph = build_candidate_graph(cfg, ds, props, models, rows)
@@ -701,7 +718,7 @@ def run_eval(
 
 def run_dump_graph(cfg: PipelineConfig, data_dir, proposals_path, model_dir, out_path) -> TrackingGraph:
     graph = build_candidate_graph(
-        cfg, _dataset(data_dir), _proposals(proposals_path), _models(model_dir)
+        cfg, _frames(data_dir), _proposals(proposals_path), _models(model_dir)
     )
     write_json_file(out_path, graph_to_json(graph))
     return graph

@@ -5,9 +5,6 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 from lineage_ilp import classify
 from lineage_ilp.classify import (
     TrainingSet,
@@ -118,20 +115,23 @@ class TestLabelsByLookup:
             props.append(Proposal(id=pid, t=int(rng.integers(0, 4)), mask=mask, raw_score=0.5))
         return gt, props
 
-    @settings(max_examples=60)
-    @given(seed=st.integers(0, 2**32 - 1))
-    def test_random_scenes(self, seed):
-        rng = np.random.default_rng(seed)
-        gt, props = self.scene(rng)
-        assert markers_inside_each(props, gt) == [markers_inside(p, gt.markers_at(p.t)) for p in props]
-        want = [1 if _reference_captured(p, gt) is not None else 0 for p in props]
-        assert label_proposals(props, gt, np.zeros((len(props), 1))).labels.tolist() == want
-        pairs = [(props[i], props[j]) for i, j in rng.integers(0, len(props), size=(20, 2))]
-        want = []
-        for a, b in pairs:
-            ma, mb = _reference_captured(a, gt), _reference_captured(b, gt)
-            want.append(1 if ma is not None and ma == mb else 0)
-        assert label_move_edges(pairs, gt, np.zeros((20, 1))).labels.tolist() == want
+    def test_random_scenes(self):
+        """60 distinct scenes."""
+        seen = set()
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            gt, props = self.scene(rng)
+            seen.add(repr(gt.markers) + repr([(p.t, p.mask.x0, p.mask.y0, p.mask.bits.tolist()) for p in props]))
+            assert markers_inside_each(props, gt) == [markers_inside(p, gt.markers_at(p.t)) for p in props]
+            want = [1 if _reference_captured(p, gt) is not None else 0 for p in props]
+            assert label_proposals(props, gt, np.zeros((len(props), 1))).labels.tolist() == want
+            pairs = [(props[i], props[j]) for i, j in rng.integers(0, len(props), size=(20, 2))]
+            want = []
+            for a, b in pairs:
+                ma, mb = _reference_captured(a, gt), _reference_captured(b, gt)
+                want.append(1 if ma is not None and ma == mb else 0)
+            assert label_move_edges(pairs, gt, np.zeros((20, 1))).labels.tolist() == want
+        assert len(seen) == 60
 
 
 class TestTrainingSet:
@@ -214,6 +214,113 @@ class TestForest:
         assert roc_auc(y, probs) >= 0.99
 
 
+def _tree_predict(tree, X):
+    """One tree's leaf value for each row of X, walking the rows still above
+    a leaf down one level per step."""
+    n = X.shape[0]
+    node = np.zeros(n, dtype=np.int64)
+    out = np.empty(n, dtype=np.float64)
+    active = np.arange(n)
+    while len(active) > 0:
+        cur = node[active]
+        at_leaf = tree.feature[cur] < 0
+        leaves = active[at_leaf]
+        out[leaves] = tree.value[node[leaves]]
+        active = active[~at_leaf]
+        if len(active) == 0:
+            break
+        cur = node[active]
+        go_left = X[active, tree.feature[cur]] <= tree.threshold[cur]
+        node[active] = np.where(go_left, tree.left[cur], tree.right[cur])
+    return out
+
+
+def reference_predict(forest, X):
+    """predict_prob as the sum of the trees' walks, one tree at a time."""
+    acc = np.zeros(X.shape[0])
+    for tree in forest.trees:
+        acc += _tree_predict(tree, X)
+    acc /= len(forest.trees)
+    return acc
+
+
+def tree_depth(tree):
+    depth = np.zeros(tree.feature.size, dtype=int)
+    for i in np.flatnonzero(tree.feature >= 0):  # preorder: a parent before its children
+        depth[[tree.left[i], tree.right[i]]] = depth[i] + 1
+    return int(depth.max())
+
+
+def on_thresholds(forest, rng, n):
+    """n rows whose every value is a threshold the forest compares that
+    column with (0.0 for a column it never splits on)."""
+    feature = np.concatenate([t.feature for t in forest.trees])
+    threshold = np.concatenate([t.threshold for t in forest.trees])
+    X = np.zeros((n, forest.n_features))
+    for f in range(forest.n_features):
+        cuts = threshold[feature == f]
+        if cuts.size:
+            X[:, f] = rng.choice(cuts, size=n)
+    return X
+
+
+class TestForestWidePrediction:
+    """predict_prob walks every tree of a forest at once; it equals the sum
+    of the tree-by-tree walks bit for bit."""
+
+    SHAPES = {"one-node": dict(max_depth=0), "shallow": dict(max_depth=2), "deep": dict(max_depth=12, min_leaf=1)}
+
+    @staticmethod
+    def training_set(rng):
+        n, d = int(rng.integers(300, 600)), int(rng.integers(3, 20))
+        X = rng.normal(size=(n, d))
+        X[:, 0] = np.round(X[:, 0], 1)  # a tied column
+        y = (X[:, 1] + rng.normal(scale=1.5, size=n) > 0).astype(int)
+        return TrainingSet(X, y)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_matches_the_tree_by_tree_walk(self, shape):
+        """12 distinct forests: fresh rows, rows on thresholds, rows with NaN,
+        no rows, and single (d,) rows."""
+        seen, depths = set(), set()
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            data = self.training_set(rng)
+            seen.add(data.features.tobytes())
+            forest = train_forest(data, n_trees=int(rng.integers(1, 40)), seed=seed, **self.SHAPES[shape])
+            depths.add(max(tree_depth(t) for t in forest.trees))
+            fresh = np.round(rng.normal(size=(200, forest.n_features)), 2)
+            nan = fresh[:50].copy()
+            nan[rng.uniform(size=nan.shape) < 0.2] = np.nan
+            for X in (fresh, on_thresholds(forest, rng, 200), nan, fresh[:0], data.features):
+                got = predict_prob(forest, X)
+                assert got.dtype == np.float64 and np.array_equal(got, reference_predict(forest, X))
+            for row in fresh[:5]:
+                got = predict_prob(forest, row)
+                assert np.ndim(got) == 0 and got == reference_predict(forest, row[None, :])[0]
+        assert len(seen) == 12
+        assert max(depths) == self.SHAPES[shape]["max_depth"]
+
+    def test_blocks_of_trees_add_up_in_tree_order(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        forest = train_forest(self.training_set(rng), n_trees=25, seed=5, min_leaf=1)
+        X = rng.normal(size=(40, forest.n_features))
+        want = reference_predict(forest, X)
+        for pairs in (1, 40, 41, 130, 1 << 30):  # one tree a walk up to the whole forest
+            monkeypatch.setattr(classify, "PAIRS_PER_WALK", pairs)
+            assert np.array_equal(predict_prob(forest, X), want)
+
+    def test_a_value_on_the_threshold_goes_left_and_nan_goes_right(self):
+        tree = classify.Tree(
+            feature=np.array([0, -1, -1], np.int32), threshold=np.array([0.5, 0.0, 0.0]),
+            left=np.array([1, -1, -1], np.int32), right=np.array([2, -1, -1], np.int32),
+            value=np.array([0.5, 0.25, 1.0]),
+        )
+        forest = classify.RandomForest(n_features=1, max_depth=1, min_leaf=1, seed=0, trees=[tree])
+        got = predict_prob(forest, np.array([[0.5], [np.nextafter(0.5, 1.0)], [np.nan], [-np.inf]]))
+        assert got.tolist() == [0.25, 1.0, 1.0, 0.25]
+
+
 class _ReferenceBuilder(classify._TreeBuilder):
     """The split search as a loop over the sampled features, one sort each."""
 
@@ -283,17 +390,17 @@ class TestSplitSearchMatchesReference:
     """The vectorised split search builds the trees the per-feature loop
     builds, bit for bit, including its tie rule."""
 
-    @settings(max_examples=80)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        min_leaf=st.integers(1, 4),
-        single_positive=st.booleans(),
-    )
-    def test_random_training_sets(self, seed, min_leaf, single_positive):
-        rng = np.random.default_rng(seed)
-        data = random_training_set(rng, single_positive)
-        kwargs = dict(n_trees=4, max_depth=int(rng.integers(1, 8)), min_leaf=min_leaf, seed=seed)
-        assert_same_trees(train_forest(data, **kwargs), reference_forest(data, **kwargs))
+    def test_random_training_sets(self):
+        """80 distinct training sets; every min_leaf from 1 to 4 with and
+        without a single positive."""
+        seen = set()
+        for seed in range(80):
+            rng = np.random.default_rng(seed)
+            data = random_training_set(rng, single_positive=seed // 4 % 2 == 1)
+            seen.add(data.features.tobytes() + data.labels.tobytes())
+            kwargs = dict(n_trees=4, max_depth=int(rng.integers(1, 8)), min_leaf=1 + seed % 4, seed=seed)
+            assert_same_trees(train_forest(data, **kwargs), reference_forest(data, **kwargs))
+        assert len(seen) == 80
 
     def test_tied_features_keep_the_first_sampled(self):
         # both columns separate the classes perfectly, at different cuts
@@ -373,6 +480,47 @@ class TestForestDocumentChecks:
     def test_bad_tree(self, tree, message):
         with pytest.raises(FormatError, match=f"tree 1: .*{message}"):
             forest_from_json(_forest_doc(**tree))
+
+
+_TREE_5 = {"feature": [0, -1, 1, -1, -1], "threshold": [0.5, 0.0, 0.25, 0.0, 0.0],
+           "left": [1, -1, 3, -1, -1], "right": [2, -1, 4, -1, -1], "value": [0.5, 0.0, 0.5, 1.0, 0.0]}
+
+# per rule, a way to break it in the 3-node tree of _forest_doc and in _TREE_5
+_BREAKS = {
+    "1-length": ("of one length", dict(value=[0.5, 0.0]), dict(value=[0.5] * 4)),
+    "1-nested": ("of one length", dict(left=[[1, -1, -1]]), dict(right=[[2, -1, 4, -1, -1]])),
+    "1-scalar": ("of one length", dict(feature=0), dict(threshold=0.5)),
+    "2": (r"feature index outside \[-1, 2\)", dict(feature=[2, -1, -1]), dict(feature=[0, -1, -3, -1, -1])),
+    "3": ("a leaf", dict(left=[1, 2, -1]), dict(right=[2, -1, 4, 2, -1])),
+    "3-and-4": ("a leaf", dict(left=[0, 2, -1]), dict(left=[1, 4, 2, -1, -1])),
+    "4": ("breaks i < left < right < 3", dict(left=[0, -1, -1]), dict(right=[2, -1, 2, -1, -1])),
+}
+
+
+class TestFirstBadTreeIsNamed:
+    """Two bad trees after a good one: the first is named, with the first
+    rule it breaks, whichever rules the two break."""
+
+    @pytest.mark.parametrize("first", _BREAKS)
+    @pytest.mark.parametrize("second", _BREAKS)
+    def test_two_bad_trees(self, first, second):
+        message, breaks_3, _ = _BREAKS[first]
+        doc = _forest_doc(**breaks_3)
+        doc["trees"].append({**_TREE_5, **_BREAKS[second][2]})
+        with pytest.raises(FormatError, match=f"^tree 1: .*{message}"):
+            forest_from_json(doc)
+        doc["trees"][1] = _forest_doc()["trees"][1]  # tree 1 mended: tree 2 is named
+        message = _BREAKS[second][0].replace("< 3", "< 5")
+        with pytest.raises(FormatError, match=f"^tree 2: .*{message}"):
+            forest_from_json(doc)
+
+    def test_the_good_forest_of_these_trees_loads_as_views(self):
+        doc = _forest_doc()
+        doc["trees"].append(dict(_TREE_5))
+        forest = forest_from_json(doc)
+        assert [t.feature.size for t in forest.trees] == [1, 3, 5]
+        assert forest.trees[2].left.base is forest.trees[0].left.base
+        assert forest_to_json(forest)["trees"] == doc["trees"]
 
 
 class TestRocAuc:

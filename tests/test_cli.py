@@ -255,6 +255,47 @@ class TestExitCodes:
         assert main(track + ["--out", str(tmp_path / "res")]) == EXIT_OK
         assert main(["eval", str(tmp_path / "res"), "--data", str(data)]) == EXIT_INPUT
 
+    def test_malformed_ground_truth_stops_only_the_stages_that_read_it(self, flow, tmp_path, capsys):
+        cfg, root = flow
+        data = tmp_path / "ds"
+        shutil.copytree(root / "ds", data)
+        (data / "gt" / "tracks.txt").write_text("1 0 one 0\n")
+        log_cfg = tmp_path / "log.json"
+        log_cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "proposals": {"generator": "log"}}))
+        data_args = ["--config", str(cfg), "--data", str(data), "--proposals", str(root / "p.jsonl")]
+        model_args = data_args + ["--model", str(root / "models")]
+        assert main(["track", *model_args, "--out", str(tmp_path / "res")]) == EXIT_OK
+        assert main(["dump-graph", *model_args, "--out", str(tmp_path / "g.json")]) == EXIT_OK
+        propose = ["propose", "--data", str(data), "--out", str(tmp_path / "p.jsonl")]
+        assert main(propose + ["--config", str(log_cfg)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(propose + ["--config", str(cfg)]) == EXIT_INPUT  # the truth generator
+        assert main(["train", *data_args, "--out", str(tmp_path / "models")]) == EXIT_INPUT
+        assert main(["eval", str(tmp_path / "res"), "--data", str(data)]) == EXIT_INPUT
+        assert capsys.readouterr().err.count("tracks.txt, line 1: non-integer field") == 3
+
+    @pytest.mark.parametrize("dims", [
+        None,
+        {"proposal": PROPOSAL_DIM, "move": 195},
+        {"proposal": PROPOSAL_DIM, "move": 196, "mitosis": 290},
+        [PROPOSAL_DIM, 195, 290],
+    ])
+    def test_model_meta_with_other_feature_dims_is_refused(self, flow, tmp_path, capsys, dims):
+        cfg, root = flow
+        models = tmp_path / "models"
+        shutil.copytree(root / "models", models)
+        meta = json.loads((models / "meta.json").read_text())
+        assert meta.pop("feature_dims") == {"proposal": PROPOSAL_DIM, "move": 195, "mitosis": 290}
+        if dims is not None:
+            meta["feature_dims"] = dims
+        (models / "meta.json").write_text(json.dumps(meta))
+        rc = main([
+            "track", "--config", str(cfg), "--data", str(root / "ds"), "--proposals",
+            str(root / "p.jsonl"), "--model", str(models), "--out", str(tmp_path / "res"),
+        ])
+        assert rc == EXIT_INPUT
+        assert "meta.json: feature_dims" in capsys.readouterr().err
+
     def test_model_with_a_self_loop_is_refused(self, flow, tmp_path):
         # prediction would walk node 0 -> node 0 forever; a fresh interpreter
         # with a timeout turns such a hang into a failure

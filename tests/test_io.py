@@ -14,6 +14,7 @@ from lineage_ilp.features import MOVE_DIM, PROPOSAL_DIM
 from lineage_ilp.geometry import Mask
 from lineage_ilp.io import (
     FormatError,
+    _encode_rles,
     TrackRow,
     decode_rle,
     dumps_json,
@@ -35,7 +36,8 @@ from lineage_ilp.io import (
     write_tracks,
 )
 from lineage_ilp.pipeline import Models, load_models, run_e2e, save_models
-from lineage_ilp.proposals import Proposal
+from lineage_ilp.proposals import Proposal, log_blob_proposals
+from lineage_ilp.sim import SimConfig, simulate
 from lineage_ilp.solve import IlpInstance, LinearConstraint, load_instance, save_instance
 
 
@@ -211,6 +213,57 @@ class TestRle:
             decode_rle(runs, w, h)
 
 
+class TestRlesInOnePass:
+    """``_encode_rles`` over all masks at once gives each mask the runs
+    ``encode_rle`` gives it alone, whatever its neighbours in the pass."""
+
+    SHAPES = [
+        np.ones((1, 1), bool),  # 1x1 set
+        np.ones((4, 7), bool),  # full box
+        np.array([[1, 0, 1, 1, 0, 1]], bool),  # one row
+        np.array([[1], [1], [0], [1]], bool),  # one column
+        np.indices((5, 6)).sum(axis=0) % 2 == 0,  # checkerboard, top-left set
+        np.indices((5, 6)).sum(axis=0) % 2 == 1,  # checkerboard, top-left clear
+        np.array([[0, 1], [1, 1]], bool),
+    ]
+
+    def test_each_shape_alone_and_in_every_pair(self):
+        for bits in self.SHAPES:
+            assert _encode_rles([bits]) == [encode_rle(bits)]
+        for a in self.SHAPES:
+            for b in self.SHAPES:
+                assert _encode_rles([a, b]) == [encode_rle(a), encode_rle(b)]
+        assert _encode_rles(self.SHAPES) == [encode_rle(b) for b in self.SHAPES]
+        assert _encode_rles([]) == []
+
+    def test_random_mask_lists(self):
+        seen = set()
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            masks = [
+                rng.uniform(size=tuple(rng.integers(1, 9, size=2))) < rng.uniform()
+                for _ in range(int(rng.integers(1, 12)))
+            ]
+            seen.add(b"".join(m.tobytes() + bytes(m.shape) for m in masks))
+            assert _encode_rles(masks) == [encode_rle(m) for m in masks]
+        assert len(seen) == 100
+
+
+def _reference_write_proposals(path, props):
+    """The proposal writer line by line, one ``encode_rle`` per mask."""
+    with open(path, "w", encoding="ascii") as fh:
+        for p in sorted(props, key=lambda p: (p.t, p.id)):
+            m = p.mask
+            obj = {
+                "id": p.id,
+                "t": p.t,
+                "bbox": [m.x0, m.y0, m.bits.shape[1], m.bits.shape[0]],
+                "score": p.raw_score,
+                "mask_rle": encode_rle(m.bits),
+            }
+            fh.write(dumps_json(obj, indent=None) + "\n")
+
+
 def prop(id, t, x0, y0, bits, score=0.5):
     return Proposal(id=id, t=t, mask=Mask(x0, y0, np.asarray(bits, dtype=bool)), raw_score=score)
 
@@ -262,6 +315,27 @@ class TestProposalFile:
         with pytest.raises(FormatError) as err:
             read_proposals(path)
         assert "line 1" in str(err.value)
+
+    def test_bytes_match_the_mask_by_mask_writer(self, tmp_path):
+        """Random masks in shuffled order, LoG proposals of a simulated
+        frame, and no proposals at all."""
+        frame = simulate(SimConfig(frames=1, width=64, height=64, initial_cells=6), 2).frames[0]
+        cases = [log_blob_proposals(frame), []]
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            props = []
+            for pid in rng.permutation(int(rng.integers(1, 30))).tolist():
+                bits = rng.uniform(size=tuple(rng.integers(1, 10, size=2))) < 0.6
+                bits.flat[int(rng.integers(0, bits.size))] = True  # a mask is never empty
+                x0, y0, t = (int(v) for v in rng.integers(0, 50, size=3))
+                props.append(prop(pid, t % 4, x0, y0, bits, float(rng.uniform())))
+            cases.append(props)
+        assert len(cases[0]) > 0
+        for k, props in enumerate(cases):
+            got, want = tmp_path / f"got{k}.jsonl", tmp_path / f"want{k}.jsonl"
+            write_proposals(got, props)
+            _reference_write_proposals(want, props)
+            assert got.read_bytes() == want.read_bytes()
 
 
 class TestJson:

@@ -22,6 +22,7 @@ from lineage_ilp.pipeline import (
     load_dataset,
     load_models,
     result_from_grids,
+    run_dump_graph,
     run_e2e,
     run_eval,
     run_propose,
@@ -217,6 +218,40 @@ class TestTrainAndTrack:
         run_train(cfg, root / "ds", root / "p.jsonl", tmp_path / "models")
         meta = read_json_file(tmp_path / "models" / "meta.json", kind="model_meta", supported_versions=(1,))
         assert (meta["gating_radius"], meta["mitosis_radius"]) == (gating, mitosis)
+
+
+class TestStagesReadOnlyTheirInputs:
+    """``track``, ``dump-graph`` and ``propose`` with a generator other than
+    ``truth`` read the frames alone, never ``gt/``."""
+
+    GT_READERS = ("read_label_grids", "read_markers", "read_tracks")
+
+    @pytest.fixture()
+    def gt_reads(self, monkeypatch):
+        import lineage_ilp.pipeline as pipeline_mod
+
+        calls = []
+        for name in self.GT_READERS:
+            real = getattr(pipeline_mod, name)
+
+            def spy(*args, _name=name, _real=real, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(pipeline_mod, name, spy)
+        return calls
+
+    def test_no_ground_truth_read(self, workspace, tmp_path, gt_reads):
+        cfg, root = workspace
+        inputs = (root / "ds", root / "p.jsonl", root / "models")
+        run = run_track(cfg, *inputs, tmp_path / "res")
+        run_dump_graph(cfg, *inputs, tmp_path / "graph.json")
+        props = run_propose(tiny_config(proposals={"generator": "log"}), root / "ds", tmp_path / "log.jsonl")
+        assert gt_reads == []
+        assert run.dataset.gt is None and len(run.dataset.frames) == 6 and props
+        # the spies see the stages that do read gt/
+        run_propose(cfg, root / "ds", tmp_path / "truth.jsonl")
+        assert sorted(set(gt_reads)) == sorted(self.GT_READERS)
 
 
 class TestResultReconstruction:
