@@ -539,7 +539,9 @@ def model_from_json(obj: dict) -> RandomForest | ConstantModel:
 
 
 def save_model(model: RandomForest | ConstantModel, path) -> None:
-    write_json_file(path, model_to_json(model))
+    """One line of compact JSON, which the C encoder writes: a forest's node
+    arrays are most of a model directory."""
+    write_json_file(path, model_to_json(model), indent=None)
 
 
 def load_model(path) -> RandomForest | ConstantModel:

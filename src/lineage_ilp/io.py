@@ -5,6 +5,7 @@ FormatError (never an uncaught low-level exception) on malformed input.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -324,17 +325,10 @@ def read_markers(path) -> list[tuple[int, int, float, float]]:
 # Run-length encoding: flat row-major bits over the bbox, alternating run
 # lengths beginning with background (first run may be 0, later runs may not).
 
-def encode_rle(bits: np.ndarray) -> list[int]:
-    flat = np.asarray(bits, dtype=bool).ravel()
-    change = np.flatnonzero(np.diff(flat)) + 1
-    bounds = np.concatenate([[0], change, [flat.size]])
-    runs = np.diff(bounds).tolist()
-    if flat[0]:
-        runs = [0] + runs
-    return [int(r) for r in runs]
-
-
-def decode_rle(runs: list[int], w: int, h: int, *, path=None, line=None) -> np.ndarray:
+def _check_runs(runs, w: int, h: int, *, path=None, line=None) -> None:
+    """Raise the FormatError of the first fault of ``runs`` as the runs of a
+    ``w`` by ``h`` box: not a non-empty list, a run that is not an integer
+    or not a valid length, or lengths that do not sum to ``w * h``."""
     if not isinstance(runs, list) or not runs:
         raise FormatError("mask_rle must be a non-empty list", path=path, line=line)
     for i, r in enumerate(runs):
@@ -345,9 +339,6 @@ def decode_rle(runs: list[int], w: int, h: int, *, path=None, line=None) -> np.n
     total = sum(runs)
     if total != w * h:
         raise FormatError(f"runs sum to {total}, bbox holds {w * h} pixels", path=path, line=line)
-    values = np.arange(len(runs)) % 2 == 1  # background first, then alternating
-    flat = np.repeat(values, runs)
-    return flat.reshape(h, w)
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +348,8 @@ _PROPOSAL_KEYS = {"id", "t", "bbox", "score", "mask_rle"}
 
 
 def _encode_rles(masks: list[np.ndarray]) -> list[list[int]]:
-    """``encode_rle`` of each non-empty mask, from one pass over all their
-    bits laid end to end: a run ends where the bit changes or a mask ends."""
+    """The runs of each non-empty mask, from one pass over all their bits
+    laid end to end: a run ends where the bit changes or a mask ends."""
     if not masks:
         return []
     flat = np.concatenate([np.asarray(bits, dtype=bool).ravel() for bits in masks])
@@ -395,49 +386,111 @@ def write_proposals(path, props) -> None:
         fh.write("".join(lines))
 
 
+def _decode_rles(rles: list[list[int]], shapes: list[tuple[int, int]]) -> tuple[list[np.ndarray], np.ndarray]:
+    """The ``(h, w)`` bits of each valid run list, from one ``np.repeat``
+    over all their runs laid end to end; and whether each mask's box is
+    tight: its set pixels reach every edge.
+
+    Tightness is read from the foreground runs: a run's first and last pixel
+    give its rows, and a run that crosses a row end holds both end columns.
+    A mask of one run has no set pixel and is not tight.
+    """
+    counts = np.array([len(r) for r in rles], dtype=np.int64)
+    h, w = np.array(shapes, dtype=np.int64).reshape(-1, 2).T
+    runs = np.fromiter(itertools.chain.from_iterable(rles), dtype=np.int64, count=int(counts.sum()))
+    owner = np.repeat(np.arange(len(rles)), counts)
+    fg = (np.arange(runs.size) - (np.cumsum(counts) - counts)[owner]) % 2 == 1
+    flat = np.repeat(fg, runs)
+    ends = np.cumsum(h * w)
+    masks = [
+        flat[end - hh * ww : end].reshape(hh, ww)
+        for end, hh, ww in zip(ends.tolist(), h.tolist(), w.tolist())
+    ]
+    # first and last pixel of every foreground run, within its own mask
+    last = np.cumsum(runs)[fg] - 1 - (ends - h * w)[owner[fg]]
+    first = last + 1 - runs[fg]
+    width = w[owner[fg]]
+    r0, r1 = first // width, last // width
+    one_row = r0 == r1
+    c0 = np.where(one_row, first % width, 0)
+    c1 = np.where(one_row, last % width, width - 1)
+    tight = counts > 1
+    if tight.any():  # each such mask's foreground runs are one block, in order
+        per_mask = counts[tight] // 2
+        at = np.cumsum(per_mask) - per_mask
+        tight[tight] = (
+            (r0[at] == 0)
+            & (r1[at + per_mask - 1] == h[tight] - 1)
+            & (np.minimum.reduceat(c0, at) == 0)
+            & (np.maximum.reduceat(c1, at) == w[tight] - 1)
+        )
+    return masks, tight
+
+
 def read_proposals(path) -> list[Proposal]:
+    """Proposals in ``(t, id)`` order.  Lines are checked in order and the
+    first bad line raises; masks are decoded and checked all at once."""
     lines = read_ascii(path).splitlines()
-    props = []
+    fields, rles, shapes, linenos = [], [], [], []
     seen = set()
-    for lineno, text in enumerate(lines, start=1):
-        if not text.strip():
-            continue
-        obj = loads_json(text, path=str(path), line=lineno)
-        if not isinstance(obj, dict):
-            raise FormatError("proposal line is not an object", path=str(path), line=lineno)
-        keys = set(obj)
-        if keys != _PROPOSAL_KEYS:
-            extra = keys - _PROPOSAL_KEYS
-            missing = _PROPOSAL_KEYS - keys
-            raise FormatError(
-                f"bad keys (extra {sorted(extra)}, missing {sorted(missing)})",
-                path=str(path), line=lineno,
-            )
-        ident, t, bbox, score = obj["id"], obj["t"], obj["bbox"], obj["score"]
-        if not isinstance(ident, int) or isinstance(ident, bool) or ident < 0:
-            raise FormatError(f"bad id {ident!r}", path=str(path), line=lineno)
-        if ident in seen:
-            raise FormatError(f"duplicate proposal id {ident}", path=str(path), line=lineno)
-        if not isinstance(t, int) or isinstance(t, bool) or t < 0:
-            raise FormatError(f"bad frame index {t!r}", path=str(path), line=lineno)
-        if (
-            not isinstance(bbox, list) or len(bbox) != 4
-            or any(isinstance(v, bool) or not isinstance(v, int) for v in bbox)
-        ):
-            raise FormatError(f"bad bbox {bbox!r}", path=str(path), line=lineno)
-        x0, y0, w, h = bbox
-        if w < 1 or h < 1 or x0 < 0 or y0 < 0 or w > _MAX_PGM_DIM or h > _MAX_PGM_DIM:
-            raise FormatError(f"bbox {bbox!r} out of range", path=str(path), line=lineno)
-        if isinstance(score, bool) or not isinstance(score, (int, float)) or not math.isfinite(score):
-            raise FormatError(f"bad score {score!r}", path=str(path), line=lineno)
-        bits = decode_rle(obj["mask_rle"], w, h, path=str(path), line=lineno)
-        if not bits.any():
-            raise FormatError("mask has no set pixels", path=str(path), line=lineno)
-        rows, cols = np.nonzero(bits)
-        if rows.min() != 0 or cols.min() != 0 or rows.max() != h - 1 or cols.max() != w - 1:
-            raise FormatError("bbox is not tight around the mask", path=str(path), line=lineno)
-        seen.add(ident)
-        props.append(Proposal(id=ident, t=t, mask=Mask(x0, y0, bits), raw_score=float(score)))
+    try:
+        for lineno, text in enumerate(lines, start=1):
+            if not text.strip():
+                continue
+            obj = loads_json(text, path=str(path), line=lineno)
+            if not isinstance(obj, dict):
+                raise FormatError("proposal line is not an object", path=str(path), line=lineno)
+            keys = set(obj)
+            if keys != _PROPOSAL_KEYS:
+                extra = keys - _PROPOSAL_KEYS
+                missing = _PROPOSAL_KEYS - keys
+                raise FormatError(
+                    f"bad keys (extra {sorted(extra)}, missing {sorted(missing)})",
+                    path=str(path), line=lineno,
+                )
+            ident, t, bbox, score = obj["id"], obj["t"], obj["bbox"], obj["score"]
+            if not isinstance(ident, int) or isinstance(ident, bool) or ident < 0:
+                raise FormatError(f"bad id {ident!r}", path=str(path), line=lineno)
+            if ident in seen:
+                raise FormatError(f"duplicate proposal id {ident}", path=str(path), line=lineno)
+            if not isinstance(t, int) or isinstance(t, bool) or t < 0:
+                raise FormatError(f"bad frame index {t!r}", path=str(path), line=lineno)
+            if (
+                not isinstance(bbox, list) or len(bbox) != 4
+                or any(isinstance(v, bool) or not isinstance(v, int) for v in bbox)
+            ):
+                raise FormatError(f"bad bbox {bbox!r}", path=str(path), line=lineno)
+            x0, y0, w, h = bbox
+            if w < 1 or h < 1 or x0 < 0 or y0 < 0 or w > _MAX_PGM_DIM or h > _MAX_PGM_DIM:
+                raise FormatError(f"bbox {bbox!r} out of range", path=str(path), line=lineno)
+            if isinstance(score, bool) or not isinstance(score, (int, float)) or not math.isfinite(score):
+                raise FormatError(f"bad score {score!r}", path=str(path), line=lineno)
+            runs = obj["mask_rle"]
+            if (  # not plain runs that fill the box: _check_runs raises the first fault
+                not isinstance(runs, list) or not runs or set(map(type, runs)) != {int}
+                or min(runs) < 0 or 0 in runs[1:] or sum(runs) != w * h
+            ):
+                _check_runs(runs, w, h, path=str(path), line=lineno)
+            seen.add(ident)
+            fields.append((ident, t, x0, y0, float(score)))
+            rles.append(runs)
+            shapes.append((h, w))
+            linenos.append(lineno)
+    except FormatError as exc:
+        failure = exc  # raised after the masks of the lines before it
+    else:
+        failure = None
+    masks, tight = _decode_rles(rles, shapes)
+    if not tight.all():
+        k = int(np.argmin(tight))
+        message = "mask has no set pixels" if len(rles[k]) == 1 else "bbox is not tight around the mask"
+        raise FormatError(message, path=str(path), line=linenos[k])
+    if failure is not None:
+        raise failure
+    props = [
+        Proposal(id=ident, t=t, mask=Mask(x0, y0, bits), raw_score=score)
+        for (ident, t, x0, y0, score), bits in zip(fields, masks)
+    ]
     props.sort(key=lambda p: (p.t, p.id))
     return props
 
@@ -484,9 +537,10 @@ def loads_json(text: str, path: str | None = None, line: int | None = None):
         raise FormatError("bad JSON: nested too deeply", path=path, line=line) from None
 
 
-def write_json_file(path, obj) -> None:
+def write_json_file(path, obj, indent: int | None = 2) -> None:
+    """``dumps_json(obj, indent)`` and a newline."""
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(dumps_json(obj) + "\n")
+        fh.write(dumps_json(obj, indent) + "\n")
 
 
 def read_json_file(path, kind: str | tuple[str, ...], supported_versions: tuple[int, ...]):

@@ -5,8 +5,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy import ndimage
 
 from lineage_ilp import features as features_mod
@@ -200,25 +198,25 @@ class TestFramePassMatchesReference:
     """The frame pass gives every proposal the vector the per-proposal code
     gives it, bit for bit."""
 
-    @settings(max_examples=150)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        height=st.integers(1, 16),
-        width=st.integers(1, 16),
-        quantum=st.sampled_from([1, 2, 8, 15, 16, 30, 45, 255, 65535]),
-    )
-    def test_random_frames(self, seed, height, width, quantum):
-        # k / quantum puts pixels on 0.0, 1.0 and the intensity edges
-        # (multiples of 1/15), and contrast differences on theirs (1/8)
-        rng = np.random.default_rng(seed)
-        intensity = rng.integers(0, quantum + 1, size=(height, width)) / quantum
-        frame = Frame(t=0, intensity=intensity)
-        kinds = rng.choice(["pixel", "frame", "box"], size=int(rng.integers(1, 7)), p=[0.25, 0.15, 0.6])
-        props = [
-            Proposal(id=i, t=0, mask=_random_mask(rng, height, width, kind), raw_score=0.5)
-            for i, kind in enumerate(kinds)
-        ]
-        assert_rows_match_reference(props, frame)
+    def test_random_frames(self):
+        """150 distinct frames of 1 to 16 px a side, every quantum alike often."""
+        seen = set()
+        for seed in range(150):
+            # k / quantum puts pixels on 0.0, 1.0 and the intensity edges
+            # (multiples of 1/15), and contrast differences on theirs (1/8)
+            quantum = [1, 2, 8, 15, 16, 30, 45, 255, 65535][seed % 9]
+            rng = np.random.default_rng(seed)
+            height, width = (int(n) for n in rng.integers(1, 17, size=2))
+            intensity = rng.integers(0, quantum + 1, size=(height, width)) / quantum
+            frame = Frame(t=0, intensity=intensity)
+            kinds = rng.choice(["pixel", "frame", "box"], size=int(rng.integers(1, 7)), p=[0.25, 0.15, 0.6])
+            props = [
+                Proposal(id=i, t=0, mask=_random_mask(rng, height, width, kind), raw_score=0.5)
+                for i, kind in enumerate(kinds)
+            ]
+            seen.add(repr((intensity.tolist(), [(p.mask.x0, p.mask.y0, p.mask.bits.tolist()) for p in props])))
+            assert_rows_match_reference(props, frame)
+        assert len(seen) == 150
 
     def test_borders_single_pixels_and_the_whole_frame(self):
         img = np.tile(np.linspace(0.0, 1.0, 16), (9, 1))[:, :12]
@@ -376,10 +374,16 @@ def _link_scene(rng, n_props):
 class TestLinkRowsMatchReference:
     """The matrix rows are the per-link reference rows, byte for byte."""
 
-    @settings(max_examples=100)
-    @given(seed=st.integers(0, 2**32 - 1), n_props=st.integers(1, 9), n_links=st.integers(1, 25))
-    def test_random_links(self, seed, n_props, n_links):
-        rng = np.random.default_rng(seed)
+    def test_random_links(self):
+        """100 distinct scenes of 1 to 9 proposals and 1 to 25 links of each kind."""
+        seen = set()
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            seen.add(self.check_links(rng, int(rng.integers(1, 10)), int(rng.integers(1, 26))))
+        assert len(seen) == 100
+
+    def check_links(self, rng, n_props, n_links) -> bytes:
+        """Check one scene; returns its masks, vectors and links as bytes."""
         props, feats, probs = _link_scene(rng, n_props)
         node_probs = {p.id: float(probs[k]) for k, p in enumerate(props)}
         feats_by_pid = {p.id: feats[k] for k, p in enumerate(props)}
@@ -411,6 +415,8 @@ class TestLinkRowsMatchReference:
             feat_p=feats[i], feat_d1=feats[j], feat_d2=feats[k],
         )
         assert one.tobytes() == want[0].tobytes()
+        masks = b"".join(p.mask.bits.tobytes() + bytes(p.mask.bits.shape) for p in props)
+        return masks + feats.tobytes() + probs.tobytes() + np.stack([src, dst, parent, d1, d2]).tobytes()
 
     def test_daughters_in_descending_id_order(self):
         rng = np.random.default_rng(11)

@@ -14,11 +14,10 @@ from lineage_ilp.features import MOVE_DIM, PROPOSAL_DIM
 from lineage_ilp.geometry import Mask
 from lineage_ilp.io import (
     FormatError,
+    _decode_rles,
     _encode_rles,
     TrackRow,
-    decode_rle,
     dumps_json,
-    encode_rle,
     format_float,
     list_frame_files,
     parse_pgm,
@@ -39,6 +38,9 @@ from lineage_ilp.pipeline import Models, load_models, run_e2e, save_models
 from lineage_ilp.proposals import Proposal, log_blob_proposals
 from lineage_ilp.sim import SimConfig, simulate
 from lineage_ilp.solve import IlpInstance, LinearConstraint, load_instance, save_instance
+
+import io_reference
+from io_reference import decode_rle, encode_rle
 
 
 class TestPgm:
@@ -215,7 +217,8 @@ class TestRle:
 
 class TestRlesInOnePass:
     """``_encode_rles`` over all masks at once gives each mask the runs
-    ``encode_rle`` gives it alone, whatever its neighbours in the pass."""
+    ``encode_rle`` gives it alone, whatever its neighbours in the pass, and
+    ``_decode_rles`` gives the bits back."""
 
     SHAPES = [
         np.ones((1, 1), bool),  # 1x1 set
@@ -246,7 +249,14 @@ class TestRlesInOnePass:
             ]
             seen.add(b"".join(m.tobytes() + bytes(m.shape) for m in masks))
             assert _encode_rles(masks) == [encode_rle(m) for m in masks]
+            # and back: the bits, and whether the box is tight around them
+            got, tight = _decode_rles([encode_rle(m) for m in masks], [m.shape for m in masks])
+            assert [g.tolist() for g in got] == [m.tolist() for m in masks]
+            assert tight.tolist() == [
+                bool(m.any(axis=1)[[0, -1]].all() and m.any(axis=0)[[0, -1]].all()) for m in masks
+            ]
         assert len(seen) == 100
+        assert _decode_rles([], [])[0] == []
 
 
 def _reference_write_proposals(path, props):
@@ -266,6 +276,123 @@ def _reference_write_proposals(path, props):
 
 def prop(id, t, x0, y0, bits, score=0.5):
     return Proposal(id=id, t=t, mask=Mask(x0, y0, np.asarray(bits, dtype=bool)), raw_score=score)
+
+
+def proposal_line(ident=0, t=0, bbox=(0, 0, 2, 2), score=0.5, runs=(0, 1, 2, 1), **extra):
+    obj = {"id": ident, "t": t, "bbox": list(bbox), "score": score, "mask_rle": list(runs), **extra}
+    return json.dumps(obj)
+
+
+class TestReadProposalsMatchesLineByLine:
+    """``read_proposals`` decodes and checks every mask at once; the
+    line-by-line reader in ``io_reference`` is the reference.  Both return
+    equal proposals, or both raise the same message on the same line."""
+
+    # one malformed line per rule of the reader, in the reader's order:
+    # first the faults found line by line, then those of the decoded masks
+    LINE_FAULTS = [
+        "{not json}",
+        "[1, 2]",
+        json.dumps({"id": 0, "t": 0, "bbox": [0, 0, 1, 1], "score": 0.5}),
+        proposal_line(zz=1),
+        proposal_line(ident=-1),
+        proposal_line(ident=True),
+        proposal_line(ident="7"),
+        proposal_line(ident=1),  # the first line's id again
+        proposal_line(t=-2),
+        proposal_line(t=1.0),
+        proposal_line(bbox=(0, 0, 2)),
+        proposal_line(bbox=(0, 0, 2, False)),
+        proposal_line(bbox=(0, -1, 2, 2)),
+        proposal_line(bbox=(0, 0, 2, 70000)),
+        proposal_line(score=True),
+        proposal_line(score="0.5"),
+        proposal_line(score=1e999),
+        json.dumps({"id": 0, "t": 0, "bbox": [0, 0, 2, 2], "score": 0.5, "mask_rle": 3}),
+        proposal_line(runs=()),
+        proposal_line(runs=(0, 1.0, 3)),
+        proposal_line(runs=(0, True, 3)),
+        proposal_line(runs=(0, 2, -1, 3)),
+        proposal_line(runs=(0, 2, 0, 2)),
+        proposal_line(runs=(0, 2, 1)),
+        proposal_line(runs=(0, 2**70, 1 - 2**70, 3)),
+        proposal_line(runs=(2**70,)),
+    ]
+    MASK_FAULTS = [
+        proposal_line(runs=(4,)),  # no set pixel
+        proposal_line(runs=(0, 2, 2)),  # bottom row clear
+        proposal_line(runs=(2, 2)),  # top row clear
+        proposal_line(runs=(0, 1, 1, 1, 1)),  # right column clear
+        proposal_line(runs=(1, 1, 1, 1)),  # left column clear
+        proposal_line(bbox=(0, 0, 3, 3), runs=(2, 2, 5)),  # a run across a row end, bottom row clear
+    ]
+
+    @staticmethod
+    def outcome(reader, path):
+        try:
+            props = reader(path)
+        except FormatError as exc:
+            return ("error", str(exc), exc.line)
+        return [(p.id, p.t, p.mask.x0, p.mask.y0, p.mask.bits.tolist(), p.raw_score) for p in props]
+
+    def check(self, path):
+        want = self.outcome(io_reference.read_proposals, path)
+        assert self.outcome(read_proposals, path) == want
+        return want
+
+    @staticmethod
+    def valid_lines(rng, first_id):
+        lines = []
+        for k in range(int(rng.integers(1, 9))):
+            bits = rng.uniform(size=tuple(rng.integers(1, 7, size=2))) < rng.uniform(0.2, 1.0)
+            bits.flat[int(rng.integers(0, bits.size))] = True
+            m = Mask(*(int(v) for v in rng.integers(0, 40, size=2)), bits).tighten()
+            lines.append(json.dumps({
+                "id": first_id + k, "t": int(rng.integers(0, 3)),
+                "bbox": [m.x0, m.y0, m.bits.shape[1], m.bits.shape[0]],
+                "score": float(rng.uniform()), "mask_rle": encode_rle(m.bits),
+            }))
+        return lines
+
+    def test_valid_files(self, tmp_path):
+        frame = simulate(SimConfig(frames=1, width=64, height=64, initial_cells=6), 2).frames[0]
+        path = tmp_path / "props.jsonl"
+        write_proposals(path, log_blob_proposals(frame))
+        assert len(self.check(path)) > 0
+        path.write_text("")
+        assert self.check(path) == []
+        seen = set()
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            lines = self.valid_lines(rng, 2)
+            for k in rng.permutation(len(lines) + 1)[: int(rng.integers(0, 3))].tolist():
+                lines.insert(k, " " * int(rng.integers(0, 3)))  # blank lines are skipped
+            text = "\n".join(lines) + "\n" * int(rng.integers(0, 2))
+            seen.add(text)
+            path.write_text(text)
+            assert isinstance(self.check(path), list)
+        assert len(seen) == 60
+
+    def test_one_malformed_line_per_rule(self, tmp_path):
+        path = tmp_path / "props.jsonl"
+        for rule, bad in enumerate(self.LINE_FAULTS + self.MASK_FAULTS):
+            rng = np.random.default_rng(rule)
+            before = [proposal_line(ident=1)] + self.valid_lines(rng, 2)
+            after = self.valid_lines(rng, 20)
+            path.write_text("\n".join(before + [bad] + after) + "\n")
+            want = self.check(path)
+            assert want[0] == "error" and want[2] == len(before) + 1, (bad, want)
+
+    def test_first_bad_line_wins_whatever_its_rule(self, tmp_path):
+        """A mask fault is found after the line loop, so it must still beat a
+        later line's fault of any kind, and lose to an earlier one."""
+        path = tmp_path / "props.jsonl"
+        for a in self.LINE_FAULTS + self.MASK_FAULTS:
+            for b in self.MASK_FAULTS:
+                for first, second in ((a, b), (b, a)):
+                    lines = [proposal_line(ident=1), first, proposal_line(ident=2), second]
+                    path.write_text("\n".join(lines) + "\n")
+                    assert self.check(path)[2] == 2
 
 
 class TestProposalFile:
@@ -494,7 +621,9 @@ class TestJsonRoundTrip:
                 with open(path, encoding="ascii") as fh:
                     text = fh.read()
                 if name.endswith(".json"):
-                    assert text.endswith("\n") and _is_fixed_point(text[:-1], 2), path
+                    # classifier documents are compact, every other one indented
+                    compact = json.loads(text)["kind"] in ("random_forest", "constant_model")
+                    assert text.endswith("\n") and _is_fixed_point(text[:-1], None if compact else 2), path
                 elif name.endswith(".jsonl"):
                     assert all(_is_fixed_point(line, None) for line in text.splitlines()), path
                 else:  # markers: t,track_id,x,y
@@ -503,6 +632,7 @@ class TestJsonRoundTrip:
                 checked.append(os.path.relpath(path, tmp_path))
         assert {"proposals.jsonl", "report.json", "models/meta.json", "models/mitosis.json",
                 "dataset/gt/markers.csv"} <= set(checked)
+        assert "\n" not in (tmp_path / "models" / "move.json").read_text()[:-1]
 
 
 class TestFilesInTheOldNumberForm:

@@ -1,12 +1,16 @@
+import dataclasses
 import os
 import subprocess
 import sys
+import threading
+import time
 import weakref
 
 import numpy as np
 import pytest
 
 import lineage_ilp
+import lineage_ilp.pipeline as pipeline_mod
 
 from lineage_ilp.config import config_from_dict
 from lineage_ilp.evaluate import GroundTruth
@@ -32,7 +36,7 @@ from lineage_ilp.pipeline import (
     solve_graph,
     write_dataset,
 )
-from lineage_ilp.proposals import Frame, Proposal
+from lineage_ilp.proposals import Frame, Proposal, _log_spectra, log_blob_proposals, multi_threshold_proposals
 from lineage_ilp.sim import SimConfig, simulate
 
 
@@ -154,6 +158,95 @@ def workspace(tmp_path_factory):
     run_propose(cfg, root / "ds", root / "p.jsonl")
     run_train(cfg, root / "ds", root / "p.jsonl", root / "models")
     return cfg, root
+
+
+class TestProposalThreads:
+    """Frames go to a pool of threads; the proposals are those of one frame
+    after another, whatever the thread count."""
+
+    @staticmethod
+    def scene(generator):
+        cfg = config_from_dict({
+            "seed": 4,
+            "proposals": {"generator": generator},
+            "sim": {"frames": 7, "width": 64, "height": 64, "initial_cells": 5},
+        })
+        return cfg, Dataset(frames=simulate(cfg.sim, 4).frames, gt=None)
+
+    @staticmethod
+    def serial(cfg, frames):
+        """The proposals of one frame after another, ids running on."""
+        p, bounds = cfg.proposals, (cfg.proposals.min_area, cfg.proposals.max_area)
+        props = []
+        for frame in frames:
+            if p.generator == "log":
+                props += log_blob_proposals(frame, sigmas=p.sigmas, area_bounds=bounds, start_id=len(props))
+            else:
+                props += multi_threshold_proposals(
+                    frame, levels=p.levels, span=p.span, area_bounds=bounds, start_id=len(props)
+                )
+        return props
+
+    @staticmethod
+    def key(props):
+        return [(p.id, p.t, p.mask.x0, p.mask.y0, p.mask.bits.tolist(), p.raw_score) for p in props]
+
+    @pytest.mark.parametrize("generator", ["log", "multi_threshold"])
+    def test_any_thread_count_gives_the_serial_proposals(self, generator, monkeypatch):
+        """Up to a thread per frame, more than there are CPUs, switching
+        often, with the shared spectra cache emptied before each call."""
+        cfg, ds = self.scene(generator)
+        want = self.key(self.serial(cfg, ds.frames))
+        assert len({t for _, t, *_ in want}) == len(ds.frames) > 1  # every frame has proposals
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for threads in (1, 2, 3, 4, 7):
+                _log_spectra.cache_clear()
+                monkeypatch.setattr(pipeline_mod, "_proposal_threads", lambda n_frames: threads)
+                assert self.key(generate_proposals(cfg, ds)) == want, threads
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_results_are_taken_in_frame_order(self, monkeypatch):
+        """Earlier frames finish last here, so results taken as they finish
+        would come out of frame order."""
+        cfg, ds = self.scene("log")
+        want = self.key(self.serial(cfg, ds.frames))
+        generate = pipeline_mod.log_blob_proposals
+
+        def slow_first(frame, **kwargs):
+            time.sleep(0.02 * (len(ds.frames) - frame.t))
+            return generate(frame, **kwargs)
+
+        monkeypatch.setattr(pipeline_mod, "log_blob_proposals", slow_first)
+        monkeypatch.setattr(pipeline_mod, "_proposal_threads", lambda n_frames: 4)
+        assert self.key(generate_proposals(cfg, ds)) == want
+
+    @pytest.mark.parametrize("sigmas", [(2.0, -1.0), (0.0,)])
+    def test_invalid_sigma_raises_through_the_pool(self, sigmas):
+        cfg, ds = self.scene("log")
+        cfg = dataclasses.replace(cfg, proposals=dataclasses.replace(cfg.proposals, sigmas=sigmas))
+        with pytest.raises(ValueError, match="positive"):
+            generate_proposals(cfg, ds)
+
+    @pytest.mark.parametrize("generator", ["log", "multi_threshold"])
+    def test_no_thread_outlives_the_call(self, generator):
+        cfg, ds = self.scene(generator)
+        before = set(threading.enumerate())
+        generate_proposals(cfg, ds)
+        assert set(threading.enumerate()) == before
+
+    def test_thread_count_is_derived(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        assert [pipeline_mod._proposal_threads(n) for n in (0, 1, 3, 4, 25)] == [1, 1, 3, 4, 4]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5}, raising=False)
+        assert pipeline_mod._proposal_threads(25) == 1
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert pipeline_mod._proposal_threads(25) == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert pipeline_mod._proposal_threads(25) == 1
 
 
 class TestTrainAndTrack:

@@ -9,8 +9,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from support import (
     component_instance,
     constraint_components,
@@ -148,18 +146,21 @@ class TestRowsFeasible:
     """The solver's vectorised feasibility test over its sparse rows agrees
     with the independent checker."""
 
-    @settings(max_examples=200)
-    @given(seed=st.integers(0, 2**32 - 1), constrained=st.booleans())
-    def test_agrees_with_check_solution(self, seed, constrained):
-        rng = np.random.default_rng(seed)
-        inst = random_instance(rng, max_vars=12)
-        if not constrained:
-            inst = IlpInstance(inst.costs, [])
-        rows = _Rows.build(inst.constraints, inst.n_vars)
-        xs = [np.zeros(inst.n_vars, dtype=np.int8)]
-        xs += [rng.integers(0, 2, size=inst.n_vars).astype(np.int8) for _ in range(20)]
-        for x in xs:
-            assert rows.feasible(x) == (check_solution(inst, x) == []), x
+    def test_agrees_with_check_solution(self):
+        """200 distinct instances, every other one without constraints."""
+        seen = set()
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            inst = random_instance(rng, max_vars=12)
+            if seed % 2:
+                inst = IlpInstance(inst.costs, [])
+            seen.add(repr((inst.costs.tolist(), inst.constraints)))
+            rows = _Rows.build(inst.constraints, inst.n_vars)
+            xs = [np.zeros(inst.n_vars, dtype=np.int8)]
+            xs += [rng.integers(0, 2, size=inst.n_vars).astype(np.int8) for _ in range(20)]
+            for x in xs:
+                assert rows.feasible(x) == (check_solution(inst, x) == []), x
+        assert len(seen) == 200
 
 
 def brute_maximal_cliques(edges) -> list[tuple[int, ...]]:
@@ -504,18 +505,22 @@ class TestWarmStart:
             greedy = solve_greedy(g, formulate(g)[1])
             assert exact.objective <= greedy.objective + 1e-9, k
 
-    @settings(max_examples=60)
-    @given(seed=st.integers(0, 2**32 - 1), max_nodes=st.integers(1, 200))
-    def test_property_checked_bounded_and_no_worse_than_greedy(self, seed, max_nodes):
-        # joined graphs: several constraint components in one solve
-        g, parts = random_joined_graph(np.random.default_rng(seed))
-        inst, vm = formulate(g)
-        assert len(constraint_components(inst)) >= len(parts)
-        exact, _ = solve_graph(config_from_dict({"solve": {"max_nodes": max_nodes}}), g)
-        assert check_solution(inst, exact.x) == []
-        assert exact.bound <= exact.objective
-        assert exact.objective <= solve_greedy(g, vm).objective + 1e-9
-        assert exact.nodes <= max_nodes
+    def test_property_checked_bounded_and_no_worse_than_greedy(self):
+        """60 distinct joined graphs, several constraint components in one
+        solve, under node budgets from 1 to 200."""
+        seen = set()
+        for seed in range(60):
+            max_nodes = 1 + seed * 67 % 200
+            g, parts = random_joined_graph(np.random.default_rng(seed))
+            inst, vm = formulate(g)
+            seen.add(repr((inst.costs.tolist(), inst.constraints)))
+            assert len(constraint_components(inst)) >= len(parts)
+            exact, _ = solve_graph(config_from_dict({"solve": {"max_nodes": max_nodes}}), g)
+            assert check_solution(inst, exact.x) == []
+            assert exact.bound <= exact.objective
+            assert exact.objective <= solve_greedy(g, vm).objective + 1e-9
+            assert exact.nodes <= max_nodes
+        assert len(seen) == 60
 
 
 class TestSolveGraphChecksSelection:
