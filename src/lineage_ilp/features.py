@@ -4,13 +4,24 @@ The proposal vector has 92 entries: 15 intensity histogram bins, two 8-bin
 boundary-contrast histograms (dilation radii 1 and 3), a 12x5 polar boundary
 histogram, and the area fraction.  All histograms are L1-normalized.
 
+A boundary-contrast histogram bins, per boundary pixel p, the mean intensity
+of p's nearest pixels in the mask's in-frame dilation ring of radius r,
+minus p's own.  The two blocks are equal on every proposal, so 8 of the 92
+entries carry no information.  Let U be the in-frame pixels outside the
+mask and q a pixel of U nearest to p.  One step from q toward p, along an
+axis where they differ, lands in the frame and strictly nearer to p, so in
+the mask: q is 4-adjacent to the mask, so it lies in the radius-1 ring and
+hence in the radius-3 ring.  Both rings therefore have exactly U's nearest
+pixels as their own.  They are empty only when the mask is the whole frame,
+and then both blocks stay zero.
+
 Proposal vectors are computed one frame at a time: the frame's intensities
-are binned once, the masks' boundaries and dilation rings come from one
-stack of the frame's masks (each ring a disk dilation built from shifted
-ORs, ``geometry.dilate_disk``), and each histogram block of all the frame's
-proposals is one ``bincount``, counted by numpy's own histogram edge rule so
-the vectors equal per-proposal ``np.histogram`` bit for bit.  Only the
-nearest-ring means are per proposal.
+are binned once, the masks' boundaries come from one stack of the frame's
+masks, and each histogram block of all the frame's proposals is one
+``bincount``, counted by numpy's own histogram edge rule so the vectors
+equal per-proposal ``np.histogram`` bit for bit.  The nearest pixels of U
+are p's unset in-frame 4-neighbours when it has any, and otherwise the
+nearest of the radius-1 ring; their means add the terms in row-major order.
 
 Move and division rows are built for all links at once: the member vectors
 are gathered by index, the difference statistics are axis reductions, and
@@ -26,14 +37,13 @@ import math
 
 import numpy as np
 
-from .geometry import Mask, dilate_disk, mask_intersections
+from .geometry import Mask, mask_intersections
 from .proposals import Frame, Proposal
 
 PROPOSAL_DIM = 92
 MOVE_DIM = 195
 MITOSIS_DIM = 290
 
-BOUNDARY_RADII = (1, 3)
 N_INTENSITY_BINS = 15
 N_CONTRAST_BINS = 8
 N_ANGULAR_BINS = 12
@@ -80,80 +90,110 @@ def _segment_counts(bins: np.ndarray, counts: np.ndarray, n_bins: int) -> np.nda
 STACK_CELLS = 1 << 20
 
 
-def _nearest_ring_means(b_rows, b_cols, r_rows, r_cols, r_values) -> np.ndarray:
-    """Per boundary pixel, the mean of ``r_values`` over the nearest ring
-    pixels (integer squared distances, so ties are exact)."""
-    d2 = (b_rows[:, None] - r_rows[None, :]) ** 2 + (b_cols[:, None] - r_cols[None, :]) ** 2
-    nearest = d2 == d2.min(axis=1, keepdims=True)
-    return (nearest @ r_values) / nearest.sum(axis=1)
+def _stack_pixels(masks: list[Mask], intensity: np.ndarray):
+    """Mask and boundary pixels of each mask, from one stack, and the mean
+    intensity of each boundary pixel's nearest in-frame pixels outside its
+    mask.
 
+    Each mask is placed, padded by 1, in one slice of a zero boolean stack;
+    the boundary is the set pixels with an unset 4-neighbour.  Returns the
+    mask's and the boundary's (slice, rows, cols), in absolute coordinates,
+    by slice and then row-major within it, which is each mask's own
+    row-major order whatever padding the stack adds; then the means, one per
+    boundary pixel, 0 on a mask that fills the frame.
 
-def _stack_pixels(masks: list[Mask], height: int, width: int):
-    """Mask, boundary and in-frame ring pixels of each mask, from one stack.
-
-    Each mask is placed, padded by the largest ring radius, in one slice of
-    a zero boolean stack; the boundary is the set pixels with an unset
-    4-neighbour, and each ring is the stack's disk dilation
-    (``dilate_disk``) minus the stack.  Returns one (slice, rows, cols)
-    triple per grid, in order mask, boundary, then one per radius of
-    ``BOUNDARY_RADII``: absolute coordinates, by slice and then row-major
-    within it, which is each mask's own row-major order whatever padding
-    the stack adds.
+    A boundary pixel's unset in-frame 4-neighbours are its nearest pixels
+    outside the mask when it has any: four gathers over the stack.  A pixel
+    whose unset 4-neighbours all lie off the frame finds its nearest among
+    its mask's in-frame radius-1 ring, which holds them (module docstring),
+    all such pixels of the stack at once.
     """
-    pad = max(BOUNDARY_RADII)
-    x0 = np.array([m.x0 for m in masks]) - pad
-    y0 = np.array([m.y0 for m in masks]) - pad
+    height, width = intensity.shape
+    x0 = np.array([m.x0 for m in masks]) - 1
+    y0 = np.array([m.y0 for m in masks]) - 1
     stack = np.zeros(
-        (len(masks), max(m.bits.shape[0] for m in masks) + 2 * pad, max(m.bits.shape[1] for m in masks) + 2 * pad),
+        (len(masks), max(m.bits.shape[0] for m in masks) + 2, max(m.bits.shape[1] for m in masks) + 2),
         dtype=bool,
     )
     for k, m in enumerate(masks):
         h, w = m.bits.shape
-        stack[k, pad : pad + h, pad : pad + w] = m.bits
+        stack[k, 1 : 1 + h, 1 : 1 + w] = m.bits
     boundary = stack.copy()
     boundary[:, 1:-1, 1:-1] &= ~(
         stack[:, 1:-1, 1:-1] & stack[:, :-2, 1:-1] & stack[:, 2:, 1:-1] & stack[:, 1:-1, :-2] & stack[:, 1:-1, 2:]
     )
-    grids = [stack, boundary] + [dilate_disk(stack, r) & ~stack for r in BOUNDARY_RADII]
-    out = []
-    for i, grid in enumerate(grids):
-        k, rows, cols = np.nonzero(grid)
-        rows, cols = rows + y0[k], cols + x0[k]
-        if i >= 2:  # rings: keep what the frame holds
-            keep = (rows >= 0) & (rows < height) & (cols >= 0) & (cols < width)
-            k, rows, cols = k[keep], rows[keep], cols[keep]
-        out.append((k, rows, cols))
-    return out
+    m_k, rows, cols = np.nonzero(stack)
+    b_k, b_i, b_j = np.nonzero(boundary)
+    b_rows, b_cols = b_i + y0[b_k], b_j + x0[b_k]
+
+    flat = intensity.ravel()
+    at = b_rows * width + b_cols
+    total = np.zeros(len(at))
+    count = np.zeros(len(at), dtype=np.intp)
+    steps = ((-1, 0, b_rows > 0), (0, -1, b_cols > 0), (0, 1, b_cols < width - 1), (1, 0, b_rows < height - 1))
+    for di, dj, in_frame in steps:  # the 4-neighbours in row-major order
+        take = in_frame & ~stack[b_k, b_i + di, b_j + dj]
+        total += np.where(take, flat.take(at + di * width + dj, mode="clip"), 0.0)
+        count += take
+
+    edge = np.flatnonzero(count == 0)
+    if len(edge):
+        owners = np.unique(b_k[edge])
+        grid = stack[owners]
+        ring = grid.copy()
+        ring[:, 1:] |= grid[:, :-1]
+        ring[:, :-1] |= grid[:, 1:]
+        ring[:, :, 1:] |= grid[:, :, :-1]
+        ring[:, :, :-1] |= grid[:, :, 1:]
+        r_k, r_rows, r_cols = np.nonzero(ring & ~grid)
+        r_k = owners[r_k]
+        r_rows, r_cols = r_rows + y0[r_k], r_cols + x0[r_k]
+        keep = (r_rows >= 0) & (r_rows < height) & (r_cols >= 0) & (r_cols < width)
+        r_at = r_rows[keep] * width + r_cols[keep]
+        r_count = np.bincount(r_k[keep], minlength=len(masks))
+        edge = edge[r_count[b_k[edge]] > 0]  # a mask that fills the frame has no ring
+        # each such pixel against every ring pixel of its mask, in ring order
+        per = r_count[b_k[edge]]
+        pixel = np.repeat(np.arange(len(edge)), per)
+        first = np.cumsum(per) - per
+        r_first = np.cumsum(r_count) - r_count
+        q = r_at[np.arange(len(pixel)) + np.repeat(r_first[b_k[edge]] - first, per)]
+        d2 = (b_rows[edge][pixel] - q // width) ** 2 + (b_cols[edge][pixel] - q % width) ** 2
+        nearest = d2 == np.repeat(np.minimum.reduceat(d2, first), per)
+        total[edge] = np.bincount(pixel[nearest], weights=flat[q[nearest]], minlength=len(edge))
+        count[edge] = np.bincount(pixel[nearest], minlength=len(edge))
+    near = np.divide(total, count, out=np.zeros(len(at)), where=count > 0)
+    return (m_k, rows + y0[m_k], cols + x0[m_k]), (b_k, b_rows, b_cols), near
 
 
-def _frame_pixels(props: list[Proposal], height: int, width: int):
+def _frame_pixels(props: list[Proposal], intensity: np.ndarray):
     """``_stack_pixels`` of every proposal of one frame, stacked in runs of
     consecutive proposals of at most ``STACK_CELLS`` cells each, with the
     slice index counting proposals."""
-    pad2 = 2 * max(BOUNDARY_RADII)
     runs, start, h, w = [], 0, 0, 0
     for k, p in enumerate(props):
         ph, pw = p.mask.bits.shape
-        h2, w2 = max(h, ph + pad2), max(w, pw + pad2)
+        h2, w2 = max(h, ph + 2), max(w, pw + 2)
         if k > start and (k + 1 - start) * h2 * w2 > STACK_CELLS:
             runs.append((start, k))
-            start, h2, w2 = k, ph + pad2, pw + pad2
+            start, h2, w2 = k, ph + 2, pw + 2
         h, w = h2, w2
     runs.append((start, len(props)))
-    parts = [
-        [(k + lo, rows, cols) for k, rows, cols in _stack_pixels([p.mask for p in props[lo:hi]], height, width)]
-        for lo, hi in runs
-    ]
-    return [tuple(np.concatenate(col) for col in zip(*grid)) for grid in zip(*parts)]
+    parts = []
+    for lo, hi in runs:
+        (m_k, m_rows, m_cols), (b_k, b_rows, b_cols), near = _stack_pixels([p.mask for p in props[lo:hi]], intensity)
+        parts.append((m_k + lo, m_rows, m_cols, b_k + lo, b_rows, b_cols, near))
+    m_k, m_rows, m_cols, b_k, b_rows, b_cols, near = (np.concatenate(col) for col in zip(*parts))
+    return (m_k, m_rows, m_cols), (b_k, b_rows, b_cols), near
 
 
 def proposal_feature_rows(props: list[Proposal], frame: Frame) -> np.ndarray:
     """``proposal_features`` of each proposal of one frame, one row each.
 
-    Only the masks' pixels are binned; their boundaries and rings come from one
-    stack per run of proposals, and every histogram of every proposal comes
-    from one ``bincount``; only the nearest-ring means are worked out
-    proposal by proposal.  A mask must lie inside the frame.
+    Only the masks' pixels are binned; their boundaries and the nearest
+    outside means come from one stack per run of proposals, and every
+    histogram of every proposal comes from one ``bincount``.  A mask must
+    lie inside the frame.
     """
     n = len(props)
     out = np.zeros((n, PROPOSAL_DIM))
@@ -166,29 +206,19 @@ def proposal_feature_rows(props: list[Proposal], frame: Frame) -> np.ndarray:
         h, w = m.bits.shape
         if m.x0 < 0 or m.y0 < 0 or m.x0 + w > width or m.y0 + h > height:
             raise ValueError(f"proposal {p.id} extends past its {width}x{height} frame")
-    (m_k, m_rows, m_cols), (b_k, b_rows, b_cols), *rings = _frame_pixels(props, height, width)
+    (m_k, m_rows, m_cols), (b_k, b_rows, b_cols), near = _frame_pixels(props, intensity)
     area = np.bincount(m_k, minlength=n)
     int_bins = _bin_index(intensity[m_rows, m_cols], 0.0, 1.0, N_INTENSITY_BINS)
     out[:, 0:15] = _segment_counts(int_bins, area, N_INTENSITY_BINS) / area[:, None]
 
     b_count = np.bincount(b_k, minlength=n)
-    b_at = [0] + np.cumsum(b_count).tolist()  # proposal k's pixels are [at[k], at[k + 1])
-    on_boundary = intensity[b_rows, b_cols]
-    for lo, (r_k, r_rows, r_cols) in zip((15, 23), rings):
-        r_count = np.bincount(r_k, minlength=n)
-        has_ring = r_count > 0  # False: the frame clips the whole ring away
-        if not has_ring.any():
-            continue  # the block stays zero
-        r_at = [0] + np.cumsum(r_count).tolist()
-        r_values = intensity[r_rows, r_cols]
-        means = []
-        for k in np.flatnonzero(has_ring).tolist():
-            b, r = slice(b_at[k], b_at[k + 1]), slice(r_at[k], r_at[k + 1])
-            means.append(_nearest_ring_means(b_rows[b], b_cols[b], r_rows[r], r_cols[r], r_values[r]))
-        diffs = np.concatenate(means) - on_boundary[np.repeat(has_ring, b_count)]
-        bins = _bin_index(np.clip(diffs, -0.5, 0.5), -0.5, 0.5, N_CONTRAST_BINS)
-        hist = _segment_counts(bins, np.where(has_ring, b_count, 0), N_CONTRAST_BINS)
-        out[:, lo : lo + N_CONTRAST_BINS] = hist / b_count[:, None]
+    has_ring = area < height * width  # False: the mask is the whole frame, and the blocks stay zero
+    on_ring = np.repeat(has_ring, b_count)
+    diffs = near[on_ring] - intensity[b_rows[on_ring], b_cols[on_ring]]
+    bins = _bin_index(np.clip(diffs, -0.5, 0.5), -0.5, 0.5, N_CONTRAST_BINS)
+    contrast = _segment_counts(bins, np.where(has_ring, b_count, 0), N_CONTRAST_BINS) / b_count[:, None]
+    out[:, 15:23] = contrast
+    out[:, 23:31] = contrast
 
     out[:, 31:91] = _polar_hist(props, b_rows, b_cols, b_count)
     out[:, 91] = area / float(width * height)

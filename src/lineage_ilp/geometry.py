@@ -314,49 +314,3 @@ def label_masks(grid: np.ndarray) -> dict[int, Mask]:
         for idx, (label, sl) in enumerate(zip(labels, ndimage.find_objects(dense)), start=1)
     }
 
-
-def disk_offsets(radius: int) -> np.ndarray:
-    """Euclidean disk structuring element: offsets (i, j) with i*i + j*j <= r*r."""
-    if radius < 1:
-        raise ValueError("radius must be >= 1")
-    span = np.arange(-radius, radius + 1)
-    ii, jj = np.meshgrid(span, span, indexing="ij")
-    return (ii * ii + jj * jj) <= radius * radius
-
-
-def _or_shifted(acc: np.ndarray, src: np.ndarray, d: int, axis: int) -> None:
-    """``acc |= src`` moved ``d`` places forward and ``d`` back along ``axis``;
-    what moves past either end is dropped."""
-    if d >= src.shape[axis]:
-        return
-    acc, src = np.moveaxis(acc, axis, 0), np.moveaxis(src, axis, 0)
-    acc[d:] |= src[:-d]
-    acc[:-d] |= src[d:]
-
-
-def dilate_disk(grid: np.ndarray, radius: int) -> np.ndarray:
-    """``ndimage.binary_dilation`` of a boolean grid, or of each grid of a
-    stack along its last two axes, by ``disk_offsets(radius)``; pixels past
-    the edges count as unset.
-
-    The disk is a union of horizontal segments: row offset i holds columns
-    -h..h for h = isqrt(r*r - i*i).  Each segment's dilation grows from a
-    shorter one g by two shifted ORs (a step of up to 2g + 1 keeps the
-    segment whole), and the result ORs each one shifted by its rows: 12 ORs
-    for radius 3.
-    """
-    if radius < 1:
-        raise ValueError("radius must be >= 1")
-    half = [math.isqrt(radius * radius - i * i) for i in range(radius + 1)]
-    segment = {0: grid}
-    for h in sorted(set(half) - {0}):
-        g = max(segment)
-        while g < h:
-            step = min(h, 3 * g + 1)
-            grown = segment[g].copy()
-            _or_shifted(grown, segment[g], step - g, axis=-1)
-            segment[step], g = grown, step
-    out = segment[half[0]].copy()
-    for i in range(1, radius + 1):
-        _or_shifted(out, segment[half[i]], i, axis=-2)
-    return out

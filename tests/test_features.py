@@ -9,7 +9,6 @@ from scipy import ndimage
 
 from lineage_ilp import features as features_mod
 from lineage_ilp.features import (
-    BOUNDARY_RADII,
     MITOSIS_DIM,
     MOVE_DIM,
     N_ANGULAR_BINS,
@@ -26,9 +25,10 @@ from lineage_ilp.features import (
     proposal_feature_rows,
     proposal_features,
 )
-from lineage_ilp.geometry import Mask, disk_offsets
+from lineage_ilp.geometry import Mask
 from lineage_ilp.proposals import Frame, Proposal
 from link_reference import aligned_iou, mitosis_row, move_row
+from test_geometry import disk_offsets
 from lineage_ilp.pipeline import mitosis_feature_matrix, move_feature_matrix
 
 
@@ -121,10 +121,17 @@ class TestProposalFeatures:
         np.testing.assert_allclose(fa, fb, atol=1e-9)
 
 
+# dilation radii of the two boundary-contrast blocks, entries 15:23 and 23:31
+BOUNDARY_RADII = (1, 3)
+
+
 def _reference_proposal_features(p: Proposal, frame: Frame) -> np.ndarray:
     """The proposal vector computed proposal by proposal: ``np.histogram``
     per block, ``ndimage`` erosion and dilations on padded copies of the
-    mask, the polar histogram by ``np.add.at``."""
+    mask, each contrast block from its own ring, the polar histogram by
+    ``np.add.at``.  A nearest-ring mean adds its terms left to right in the
+    ring's row-major order, as the frame pass does, so the two agree bit for
+    bit on every machine (a BLAS product sums in an order of its own)."""
     intensity = frame.intensity
     height, width = intensity.shape
     rows, cols = p.mask.pixels()
@@ -147,7 +154,14 @@ def _reference_proposal_features(p: Proposal, frame: Frame) -> np.ndarray:
             continue
         d2 = (b_rows[:, None] - r_rows[None, :]) ** 2 + (b_cols[:, None] - r_cols[None, :]) ** 2
         nearest = d2 == d2.min(axis=1, keepdims=True)
-        means = (nearest @ intensity[r_rows, r_cols]) / nearest.sum(axis=1)
+        r_values = intensity[r_rows, r_cols]
+        means = []
+        for row in nearest:
+            total = 0.0
+            for v in r_values[row].tolist():
+                total += v
+            means.append(total / int(row.sum()))
+        means = np.array(means)
         diffs = np.clip(means - intensity[b_rows, b_cols], -0.5, 0.5)
         hist, _ = np.histogram(diffs, bins=N_CONTRAST_BINS, range=(-0.5, 0.5))
         contrast.append(hist / len(b_rows))
@@ -174,6 +188,7 @@ def assert_rows_match_reference(props, frame):
     want = np.stack([_reference_proposal_features(p, frame) for p in props])
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
+    assert np.array_equal(want[:, 15:23], want[:, 23:31])  # the two rings' blocks agree
     for p, row in zip(props, got):
         assert np.array_equal(proposal_features(p, frame), row)
 
@@ -282,6 +297,168 @@ class TestFramePassMatchesReference:
         p = Proposal(id=7, t=0, mask=Mask(3, 0, np.ones((1, 2), dtype=bool)), raw_score=0.5)
         with pytest.raises(ValueError, match="proposal 7 extends past its 4x3 frame"):
             proposal_feature_rows([p], Frame(t=0, intensity=np.zeros((3, 4))))
+
+
+def _stored_frame(rng, height, width) -> Frame:
+    """Intensities k / 65535, as the pipeline stores frames, from a few
+    levels, so equal pixels and equal sums of them are common."""
+    levels = rng.integers(0, 65536, size=int(rng.integers(2, 6)))
+    return Frame(t=0, intensity=rng.choice(levels, size=(height, width)) / 65535)
+
+
+def _scene_key(frame: Frame, masks: list[Mask]) -> bytes:
+    key = frame.intensity.tobytes() + bytes(frame.intensity.shape)
+    return key + b"".join(m.bits.tobytes() + bytes(m.bits.shape) + bytes((m.x0, m.y0)) for m in masks)
+
+
+def _proposals(masks: list[Mask]) -> list[Proposal]:
+    return [Proposal(id=i, t=0, mask=m, raw_score=0.5) for i, m in enumerate(masks)]
+
+
+def _check_scene(frame: Frame, masks: list[Mask]) -> bytes:
+    """Check every mask's row against the reference; returns the scene as bytes."""
+    assert_rows_match_reference(_proposals(masks), frame)
+    return _scene_key(frame, masks)
+
+
+def _outside_d2(frame: Frame, mask: Mask) -> np.ndarray:
+    """Per boundary pixel whose unset 4-neighbours all lie off the frame,
+    the squared distance to the nearest in-frame pixel outside the mask, by
+    ``ndimage``'s exact distance transform."""
+    inside = np.zeros(frame.intensity.shape, dtype=bool)
+    h, w = mask.bits.shape
+    inside[mask.y0 : mask.y0 + h, mask.x0 : mask.x0 + w] = mask.bits
+    d2 = np.rint(ndimage.distance_transform_edt(inside) ** 2).astype(int)
+    interior = ndimage.binary_erosion(inside, structure=ndimage.generate_binary_structure(2, 1), border_value=0)
+    return d2[inside & ~interior & (d2 > 1)]
+
+
+class TestNearestOutsidePixels:
+    """Where a boundary pixel's nearest pixels outside its mask lie: the
+    unset in-frame 4-neighbours, or, on the frame's edge, farther away; on
+    frames quantised as the pipeline stores them."""
+
+    def test_masks_against_every_edge_and_corner(self):
+        """60 distinct frames of 2 to 12 px a side, each with one mask against
+        each edge and one in each corner."""
+        seen = set()
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            height, width = (int(n) for n in rng.integers(2, 13, size=2))
+            frame = _stored_frame(rng, height, width)
+            masks = []
+            # 0: against the top (left) edge, 1: the bottom (right) edge, None: anywhere
+            for vert, horiz in [(0, None), (1, None), (None, 0), (None, 1), (0, 0), (0, 1), (1, 0), (1, 1)]:
+                h, w = int(rng.integers(1, height + 1)), int(rng.integers(1, width + 1))
+                y0 = {0: 0, 1: height - h, None: int(rng.integers(0, height - h + 1))}[vert]
+                x0 = {0: 0, 1: width - w, None: int(rng.integers(0, width - w + 1))}[horiz]
+                bits = rng.random((h, w)) < rng.uniform(0.4, 1.0)
+                r = {0: 0, 1: h - 1, None: int(rng.integers(0, h))}[vert]
+                c = {0: 0, 1: w - 1, None: int(rng.integers(0, w))}[horiz]
+                bits[r, c] = True  # the mask touches the edges it is against
+                masks.append(Mask(x0, y0, bits))
+            seen.add(_check_scene(frame, masks))
+        assert len(seen) == 60
+
+    def test_masks_thick_along_an_edge(self):
+        """80 distinct frames of 3 to 9 px a side whose masks leave only a
+        few pixels out, or fill a band along an edge, so that edge pixels'
+        nearest outside pixels lie at squared distances 2, 4, 5 and beyond."""
+        seen, d2_seen = set(), set()
+        for seed in range(80):
+            rng = np.random.default_rng(seed)
+            height, width = (int(n) for n in rng.integers(3, 10, size=2))
+            frame = _stored_frame(rng, height, width)
+            masks = []
+            for _ in range(3):
+                bits = np.ones((height, width), dtype=bool)
+                if rng.random() < 0.5:  # the frame less a few pixels
+                    n_out = int(rng.integers(1, 4))
+                    bits[rng.integers(0, height, size=n_out), rng.integers(0, width, size=n_out)] = False
+                else:  # a band along one edge, of random depth
+                    depth = int(rng.integers(1, max(height, width)))
+                    edge = int(rng.integers(0, 4))
+                    if edge == 0:
+                        bits[depth:] = False
+                    elif edge == 1:
+                        bits[: height - depth] = False
+                    elif edge == 2:
+                        bits[:, depth:] = False
+                    else:
+                        bits[:, : width - depth] = False
+                if bits.all() or not bits.any():
+                    bits[int(rng.integers(0, height)), int(rng.integers(0, width))] ^= True
+                mask = Mask(0, 0, bits).tighten()
+                masks.append(mask)
+                d2_seen.update(_outside_d2(frame, mask).tolist())
+            seen.add(_check_scene(frame, masks))
+        assert len(seen) == 80
+        assert {2, 4, 5} <= d2_seen and max(d2_seen) >= 8
+
+    def test_masks_with_holes(self):
+        """60 distinct frames of 4 to 14 px a side holding solid boxes with
+        holes punched in, some against the frame's edges."""
+        seen = set()
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            height, width = (int(n) for n in rng.integers(4, 15, size=2))
+            frame = _stored_frame(rng, height, width)
+            masks = []
+            for _ in range(4):
+                h, w = int(rng.integers(3, height + 1)), int(rng.integers(3, width + 1))
+                bits = np.ones((h, w), dtype=bool)
+                n_holes = int(rng.integers(1, 4))
+                bits[rng.integers(1, h - 1, size=n_holes), rng.integers(1, w - 1, size=n_holes)] = False
+                y0 = int(rng.choice([0, height - h, rng.integers(0, height - h + 1)]))
+                x0 = int(rng.choice([0, width - w, rng.integers(0, width - w + 1)]))
+                masks.append(Mask(x0, y0, bits))
+            seen.add(_check_scene(frame, masks))
+        assert len(seen) == 60
+
+    def test_one_row_and_one_column_frames(self):
+        """60 distinct frames of one row or one column, 1 to 16 px long."""
+        seen = set()
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            length = int(rng.integers(1, 17))
+            height, width = (1, length) if seed % 2 == 0 else (length, 1)
+            frame = _stored_frame(rng, height, width)
+            kinds = rng.choice(["pixel", "frame", "box"], size=int(rng.integers(1, 6)), p=[0.3, 0.2, 0.5])
+            seen.add(_check_scene(frame, [_random_mask(rng, height, width, kind) for kind in kinds]))
+        assert len(seen) == 60
+
+    def test_single_pixels_in_the_corners(self):
+        """36 distinct frames of 1 to 6 px a side, a one-pixel mask in each
+        corner (one mask, the whole frame, on a 1x1 frame)."""
+        seen = set()
+        for height in range(1, 7):
+            for width in range(1, 7):
+                rng = np.random.default_rng(10 * height + width)
+                frame = _stored_frame(rng, height, width)
+                corners = {(0, 0), (width - 1, 0), (0, height - 1), (width - 1, height - 1)}
+                seen.add(_check_scene(frame, [Mask(x, y, np.ones((1, 1), dtype=bool)) for x, y in sorted(corners)]))
+        assert len(seen) == 36
+
+    def test_whole_frame_mask(self):
+        """40 distinct frames of 1 to 10 px a side: the whole frame's mask
+        has no pixel outside it and zero contrast blocks; the frame less one
+        pixel has one."""
+        seen = set()
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            height, width = (int(n) for n in rng.integers(1, 11, size=2))
+            frame = _stored_frame(rng, height, width)
+            masks = [Mask(0, 0, np.ones((height, width), dtype=bool))]
+            if height * width > 1:
+                bits = np.ones((height, width), dtype=bool)
+                bits[int(rng.integers(0, height)), int(rng.integers(0, width))] = False
+                masks.append(Mask(0, 0, bits))
+            seen.add(_check_scene(frame, masks))
+            rows = proposal_feature_rows(_proposals(masks), frame)
+            assert not rows[0, 15:31].any()
+            if len(masks) > 1:
+                assert rows[1, 15:23].sum() == pytest.approx(1.0)
+        assert len(seen) == 40
 
 
 class TestBinIndex:

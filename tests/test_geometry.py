@@ -10,8 +10,6 @@ from lineage_ilp.geometry import (
     Mask,
     anchor_decode,
     anchor_encode,
-    dilate_disk,
-    disk_offsets,
     iou_box,
     iou_mask,
     label_masks,
@@ -19,7 +17,7 @@ from lineage_ilp.geometry import (
     mask_intersections,
     nms,
 )
-from lineage_ilp.features import BOUNDARY_RADII, _frame_pixels
+from lineage_ilp.features import _frame_pixels
 from lineage_ilp.proposals import Proposal
 
 
@@ -166,47 +164,6 @@ class TestMaskIntersections:
         assert mask_intersections([full_mask(0, 0, 2, 2)], [], [], [], []).shape == (0,)
 
 
-class TestDilateDisk:
-    """The shifted-OR disk dilation is ``ndimage.binary_dilation`` by the
-    same disk, pixel for pixel, up to and past the grid's edges."""
-
-    def test_stack_against_ndimage(self):
-        """100 distinct stacks of 1 to 4 grids of 1 to 14 px a side, every
-        radius and density alike often."""
-        seen = set()
-        for seed in range(100):
-            radius, density = 1 + seed % 4, [0.02, 0.2, 0.7][seed % 3]
-            rng = np.random.default_rng(seed)
-            shape = (int(rng.integers(1, 5)), int(rng.integers(1, 15)), int(rng.integers(1, 15)))
-            stack = rng.random(shape) < density
-            stack[:, 0, rng.integers(0, shape[2])] = True  # set pixels on every edge
-            stack[:, -1, rng.integers(0, shape[2])] = True
-            stack[:, rng.integers(0, shape[1]), 0] = True
-            stack[:, rng.integers(0, shape[1]), -1] = True
-            seen.add((radius, shape, stack.tobytes()))
-            want = ndimage.binary_dilation(stack, structure=disk_offsets(radius)[None])
-            assert np.array_equal(dilate_disk(stack, radius), want)
-            assert np.array_equal(dilate_disk(stack[0], radius), want[0])
-        assert len(seen) == 100
-
-    @pytest.mark.parametrize("radius", [1, 2, 3, 4])
-    def test_single_pixel_is_the_disk(self, radius):
-        grid = np.zeros((2 * radius + 1, 2 * radius + 1), dtype=bool)
-        grid[radius, radius] = True
-        assert np.array_equal(dilate_disk(grid, radius), disk_offsets(radius))
-
-    def test_corner_pixel_keeps_the_in_grid_quarter(self):
-        grid = np.zeros((5, 5), dtype=bool)
-        grid[0, 0] = True
-        want = np.zeros((5, 5), dtype=bool)
-        want[:4, :4] = disk_offsets(3)[3:, 3:]
-        assert np.array_equal(dilate_disk(grid, 3), want)
-
-    def test_radius_below_one_refused(self):
-        with pytest.raises(ValueError):
-            dilate_disk(np.ones((2, 2), dtype=bool), 0)
-
-
 class TestMask:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -308,6 +265,13 @@ class TestAnchors:
             anchor_encode(BBox(0, 0, 1, 1), BBox(0, 0, 0, 1))
 
 
+def disk_offsets(radius: int) -> np.ndarray:
+    """Euclidean disk structuring element: offsets (i, j) with i*i + j*j <= r*r."""
+    span = np.arange(-radius, radius + 1)
+    ii, jj = np.meshgrid(span, span, indexing="ij")
+    return (ii * ii + jj * jj) <= radius * radius
+
+
 def boundary_and_dilations(m: Mask, radii: tuple[int, ...]) -> tuple[Mask, dict[int, Mask]]:
     """Boundary of ``m`` plus, per radius, the dilation ring dilate(m, r)
     minus m, in plane coordinates: the per-mask definition the feature
@@ -367,8 +331,8 @@ class TestBoundaryAndDilations:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_frame_stack_matches_per_mask(self, seed):
-        # the feature pass's stacked boundary and in-frame rings, pixel for
-        # pixel and in each mask's row-major order
+        # the feature pass's stacked masks and boundaries, pixel for pixel
+        # and in each mask's row-major order
         rng = np.random.default_rng(seed)
         height, width = 30, 36
         masks = []
@@ -378,17 +342,11 @@ class TestBoundaryAndDilations:
             bits[0, 0] = True
             masks.append(Mask(int(rng.integers(0, width - w + 1)), int(rng.integers(0, height - h + 1)), bits))
         props = [Proposal(id=i, t=0, mask=m, raw_score=0.5) for i, m in enumerate(masks)]
-        (m_k, m_rows, m_cols), (b_k, b_rows, b_cols), *rings = _frame_pixels(props, height, width)
+        (m_k, m_rows, m_cols), (b_k, b_rows, b_cols), _ = _frame_pixels(props, np.zeros((height, width)))
         for k, m in enumerate(masks):
-            boundary, want_rings = boundary_and_dilations(m, BOUNDARY_RADII)
-            for (kk, rows, cols), want in [((m_k, m_rows, m_cols), m), ((b_k, b_rows, b_cols), boundary)]:
+            for (kk, rows, cols), want in [((m_k, m_rows, m_cols), m), ((b_k, b_rows, b_cols), boundary_mask(m))]:
                 assert np.array_equal(rows[kk == k], want.pixels()[0])
                 assert np.array_equal(cols[kk == k], want.pixels()[1])
-            for (kk, rows, cols), r in zip(rings, BOUNDARY_RADII):
-                w_rows, w_cols = want_rings[r].pixels()
-                keep = (w_rows >= 0) & (w_rows < height) & (w_cols >= 0) & (w_cols < width)
-                assert np.array_equal(rows[kk == k], w_rows[keep])
-                assert np.array_equal(cols[kk == k], w_cols[keep])
 
 
 def reference_label_masks(grid):
