@@ -62,7 +62,6 @@ class GraphConfig:
     mitosis_n: int = 3
     p_enter: float = 0.01
     p_exit: float = 0.01
-    p_death: float | None = None  # None disables death edges
 
 
 @dataclass
@@ -190,7 +189,6 @@ def validate_config(cfg: PipelineConfig) -> None:
     _require(g.mitosis_n >= 2, "graph.mitosis_n: need at least 2 candidate daughters")
     for name, prob in (("p_enter", g.p_enter), ("p_exit", g.p_exit)):
         _require(0.0 < prob < 1.0, f"graph.{name}: need a probability strictly inside (0, 1)")
-    _require(g.p_death is None or 0.0 < g.p_death < 1.0, "graph.p_death: need null or a probability in (0, 1)")
 
     s = cfg.solve
     _require(s.backend in ("exact", "greedy"), f"solve.backend: unknown backend {s.backend!r}")

@@ -134,26 +134,6 @@ def iou_box(a: BBox, b: BBox) -> float:
     return inter / union
 
 
-def _overlap_slices(a: Mask, b: Mask):
-    x0 = max(a.x0, b.x0)
-    y0 = max(a.y0, b.y0)
-    x1 = min(a.x0 + a.bits.shape[1], b.x0 + b.bits.shape[1])
-    y1 = min(a.y0 + a.bits.shape[0], b.y0 + b.bits.shape[0])
-    if x0 >= x1 or y0 >= y1:
-        return None
-    sa = (slice(y0 - a.y0, y1 - a.y0), slice(x0 - a.x0, x1 - a.x0))
-    sb = (slice(y0 - b.y0, y1 - b.y0), slice(x0 - b.x0, x1 - b.x0))
-    return sa, sb
-
-
-def mask_intersection_area(a: Mask, b: Mask) -> int:
-    sl = _overlap_slices(a, b)
-    if sl is None:
-        return 0
-    sa, sb = sl
-    return int((a.bits[sa] & b.bits[sb]).sum())
-
-
 # set bits of each byte value; a word's are the sum over its eight bytes
 _BYTE_BITS = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
 _BYTE_SUM = np.uint64(0x0101010101010101)
@@ -207,7 +187,7 @@ def _pack_strips(masks: list[Mask]):
 
 
 def mask_intersections(masks: list[Mask], a, b, dx, dy) -> np.ndarray:
-    """``mask_intersection_area`` of ``masks[a[k]]`` and ``masks[b[k]]``
+    """The number of pixels that ``masks[a[k]]`` shares with ``masks[b[k]]``
     translated by ``(dx[k], dy[k])``, for every k at once.
 
     The masks are packed into 64-px column strips of one uint64 word per row
@@ -244,32 +224,26 @@ def mask_intersections(masks: list[Mask], a, b, dx, dy) -> np.ndarray:
 
 
 def iou_mask(a: Mask, b: Mask) -> float:
-    """Pixel-set intersection over union; 0.0 for disjoint grids."""
-    inter = mask_intersection_area(a, b)
+    """Pixel-set intersection over union; 0.0 for disjoint masks."""
+    inter = int(mask_intersections([a, b], [0], [1], [0], [0])[0])
     if inter == 0:
         return 0.0
     return inter / float(a.area + b.area - inter)
 
 
-def nms(items: list[tuple[int, float, object]], threshold: float, mode: str = "box") -> list[int]:
-    """Greedy non-maximum suppression.
+def nms(items: list[tuple[int, float, BBox]], threshold: float) -> list[int]:
+    """Greedy non-maximum suppression over boxes.
 
-    ``items`` holds (id, score, shape) with shape a BBox (mode="box") or Mask
-    (mode="mask").  Candidates are visited by descending score, ties broken by
-    lower id; a candidate is dropped when its IoU with an already kept item is
-    strictly above ``threshold``.  Returns kept ids in keep order.
+    ``items`` holds (id, score, box).  Candidates are visited by descending
+    score, ties broken by lower id; a candidate is dropped when its IoU with
+    an already kept box is strictly above ``threshold``.  Returns kept ids in
+    keep order.
     """
-    if mode == "box":
-        overlap = iou_box
-    elif mode == "mask":
-        overlap = iou_mask
-    else:
-        raise ValueError(f"unknown nms mode {mode!r}")
     order = sorted(items, key=lambda it: (-it[1], it[0]))
-    kept: list[tuple[int, object]] = []
-    for ident, _score, shape in order:
-        if all(overlap(shape, k_shape) <= threshold for _, k_shape in kept):
-            kept.append((ident, shape))
+    kept: list[tuple[int, BBox]] = []
+    for ident, _score, box in order:
+        if all(iou_box(box, k_box) <= threshold for _, k_box in kept):
+            kept.append((ident, box))
     return [ident for ident, _ in kept]
 
 

@@ -28,7 +28,7 @@ def log_odds_cost(p: float) -> float:
 
 @dataclass(frozen=True)
 class Edge:
-    kind: str  # "move" | "enter" | "exit" | "death" | "mitosis"
+    kind: str  # "move" | "enter" | "exit" | "mitosis"
     src: int | None  # None means the virtual source
     dst: int | None  # None means the virtual sink
     prob: float
@@ -142,13 +142,12 @@ def build_graph(
     *,
     p_enter: float = 0.01,
     p_exit: float = 0.01,
-    p_death: float | None = None,
 ) -> TrackingGraph:
     """Assemble the graph from scored proposals and scored candidates.
 
     move_probs is keyed by (src id, dst id) with dst one frame after src;
     mitosis_probs by (parent id, d1 id, d2 id) with d1 < d2.  Enter and exit
-    edges are attached to every proposal.  p_death None disables death edges.
+    edges are attached to every proposal.
     """
     flat = [p for frame in props_by_frame for p in frame]
     flat.sort(key=lambda p: (p.t, p.id))
@@ -177,10 +176,6 @@ def build_graph(
 
     for p in flat:
         edges.append(Edge("exit", p.id, None, p_exit, exit_cost))
-    if p_death is not None:
-        death_cost = log_odds_cost(p_death)
-        for p in flat:
-            edges.append(Edge("death", p.id, None, p_death, death_cost))
 
     sets: list[MitosisSet] = []
     for (parent, d1, d2) in sorted(mitosis_probs):

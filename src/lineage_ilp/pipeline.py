@@ -309,10 +309,8 @@ def move_feature_matrix(
     pairs: list[tuple[Proposal, Proposal]],
     node_probs: dict[int, float],
     feats_by_pid: dict[int, np.ndarray],
-    frames_by_t: dict[int, Frame],
 ) -> np.ndarray:
-    """Move rows of ``pairs`` from their members' vectors in ``feats_by_pid``
-    (``frames_by_t`` is not read: every vector is given)."""
+    """Move rows of ``pairs`` from their members' vectors in ``feats_by_pid``."""
     if not pairs:
         return np.zeros((0, MOVE_DIM))
     props, feats, probs, (src, dst) = _link_members(pairs, node_probs, feats_by_pid)
@@ -323,7 +321,6 @@ def mitosis_feature_matrix(
     triples: list[tuple[Proposal, Proposal, Proposal]],
     node_probs: dict[int, float],
     feats_by_pid: dict[int, np.ndarray],
-    frames_by_t: dict[int, Frame],
 ) -> np.ndarray:
     """Division rows of ``triples``, as ``move_feature_matrix`` builds moves."""
     if not triples:
@@ -357,16 +354,15 @@ def candidate_rows(
     Division triples are enumerated only when ``divisions`` is set.
     """
     by_frame = _group_by_frame(props, frames)
-    frames_by_t = {f.t: f for f in frames}
     node_prob = predict_prob(proposal_model, feats)
     node_probs = {p.id: float(node_prob[i]) for i, p in enumerate(props)}
     feats_by_pid = {p.id: feats[i] for i, p in enumerate(props)}
     pairs = enumerate_moves(by_frame, gating_radius)
-    move_rows = move_feature_matrix(pairs, node_probs, feats_by_pid, frames_by_t)
+    move_rows = move_feature_matrix(pairs, node_probs, feats_by_pid)
     triples = mitosis_rows = None
     if divisions:
         triples = enumerate_mitoses(by_frame, mitosis_radius, mitosis_n)
-        mitosis_rows = mitosis_feature_matrix(triples, node_probs, feats_by_pid, frames_by_t)
+        mitosis_rows = mitosis_feature_matrix(triples, node_probs, feats_by_pid)
     return CandidateRows(node_probs, pairs, move_rows, triples, mitosis_rows)
 
 
@@ -575,7 +571,6 @@ def build_candidate_graph(
         mitosis_probs,
         p_enter=cfg.graph.p_enter,
         p_exit=cfg.graph.p_exit,
-        p_death=cfg.graph.p_death,
     )
     log.info("graph: %s", graph_stats(graph))
     return graph

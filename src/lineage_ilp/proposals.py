@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .geometry import Mask, mask_intersection_area, nms
+from .geometry import Mask, mask_intersections
 
 # Overlap threshold for candidate pruning.
 MASK_NMS_IOU = 0.7
@@ -24,8 +24,9 @@ LOG_RESPONSE_GRID = 2.0 ** -36
 
 DEFAULT_AREA_BOUNDS = (9, 10000)
 _EIGHT = np.ones((3, 3), dtype=bool)
-DEFAULT_CONFLICT_IOU = 0.5      # c1
-DEFAULT_CONFLICT_COVER = 0.8    # c2
+# Same-frame pairs above either limit may not both be selected (strictly above).
+CONFLICT_IOU = 0.5
+CONFLICT_COVER = 0.8
 
 
 @dataclass
@@ -121,7 +122,7 @@ def multi_threshold_proposals(
         return []
 
     hits = [np.ones(len(lv.area), dtype=np.int64) for lv in ladder]  # each recurs at its own level
-    overlapping: list[list[int]] = [[] for _ in range(n)]
+    near_a, near_b = [], []  # candidate pairs above the NMS IoU
     for l, j in itertools.permutations(range(levels), 2):
         if thresholds[j] > thresholds[l]:
             continue
@@ -134,25 +135,16 @@ def multi_threshold_proposals(
             np.maximum.at(largest, up, fine.area)
             hits[j] += largest / coarse.area > STABILITY_IOU
         pairs = (index[l] >= 0) & (index[j][up] >= 0) & (iou > MASK_NMS_IOU)
-        for a, b in zip(index[l][pairs].tolist(), index[j][up[pairs]].tolist()):
-            overlapping[a].append(b)
-            overlapping[b].append(a)
+        near_a.append(index[l][pairs])
+        near_b.append(index[j][up[pairs]])
     score = np.concatenate([hit[ok] for hit, ok in zip(hits, members)]) / levels
-
-    # greedy NMS: by descending score, ties to the lower index
-    dropped = [False] * n
-    kept = []
-    for k in np.argsort(-score, kind="stable").tolist():
-        if not dropped[k]:
-            kept.append(k)
-            for other in overlapping[k]:
-                dropped[other] = True
+    kept = _suppress(score, np.concatenate(near_a), np.concatenate(near_b))
 
     level_of = np.repeat(np.arange(levels), [len(ok) for ok in members])
     label_of = np.concatenate(members) + 1
     objects: dict[int, list] = {}
     out = []
-    for rank, k in enumerate(sorted(kept)):
+    for rank, k in enumerate(kept):
         l, label = int(level_of[k]), int(label_of[k])
         if l not in objects:
             objects[l] = ndimage.find_objects(ladder[l].labels)
@@ -160,6 +152,27 @@ def multi_threshold_proposals(
         mask = Mask(sl[1].start, sl[0].start, ladder[l].labels[sl] == label)
         out.append(Proposal(id=start_id + rank, t=frame.t, mask=mask, raw_score=float(score[k])))
     return out
+
+
+def _suppress(score: np.ndarray, a: np.ndarray, b: np.ndarray) -> list[int]:
+    """Greedy NMS over candidates ``0 .. len(score) - 1`` whose pairs
+    ``(a[k], b[k])`` overlap above the threshold: by descending score, ties
+    to the lower index, each kept candidate drops its partners.  So one is
+    dropped exactly when an earlier kept one overlaps it, as in
+    ``geometry.nms``.  Returns the kept indices in ascending order.
+    """
+    partners: list[list[int]] = [[] for _ in range(len(score))]
+    for i, j in zip(a.tolist(), b.tolist()):
+        partners[i].append(j)
+        partners[j].append(i)
+    dropped = [False] * len(score)
+    kept = []
+    for k in np.argsort(-score, kind="stable").tolist():
+        if not dropped[k]:
+            kept.append(k)
+            for other in partners[k]:
+                dropped[other] = True
+    return sorted(kept)
 
 
 class _Components:
@@ -323,38 +336,40 @@ def log_blob_proposals(
         scores.append(min(1.0, float(value[k] / peak_best)))
     if not candidates:
         return []
-    items = [(idx, scores[idx], cand) for idx, cand in enumerate(candidates)]
-    kept = sorted(nms(items, threshold=MASK_NMS_IOU, mode="mask"))
+    i, j = np.triu_indices(len(candidates), 1)
+    inter = mask_intersections(candidates, i, j, np.zeros_like(i), np.zeros_like(i))
+    area = np.array([m.area for m in candidates])
+    over = inter / (area[i] + area[j] - inter) > MASK_NMS_IOU
+    kept = _suppress(np.array(scores), i[over], j[over])
     return [
         Proposal(id=start_id + rank, t=frame.t, mask=candidates[idx], raw_score=scores[idx])
         for rank, idx in enumerate(kept)
     ]
 
 
-def conflicts(
-    props: list[Proposal],
-    c1: float = DEFAULT_CONFLICT_IOU,
-    c2: float = DEFAULT_CONFLICT_COVER,
-) -> list[tuple[int, int]]:
+def conflicts(props: list[Proposal]) -> list[tuple[int, int]]:
     """Same-frame pairs that may not coexist in a solution.
 
-    A pair conflicts when mask IoU exceeds c1 or when either mask's covered
-    fraction |i & j| / |i| (or / |j|) exceeds c2.  Pairs come back sorted with
-    id_i < id_j.
+    A pair conflicts when mask IoU exceeds ``CONFLICT_IOU`` or when either
+    mask's covered fraction |i & j| / |i| (or / |j|) exceeds
+    ``CONFLICT_COVER``.  Each frame's pairs are counted by one
+    ``mask_intersections`` call.  Pairs come back sorted with id_i < id_j.
     """
     by_frame: dict[int, list[Proposal]] = {}
     for p in props:
         by_frame.setdefault(p.t, []).append(p)
     pairs: list[tuple[int, int]] = []
-    for t in sorted(by_frame):
-        group = sorted(by_frame[t], key=lambda p: p.id)
-        for i in range(len(group)):
-            for j in range(i + 1, len(group)):
-                a, b = group[i], group[j]
-                inter = mask_intersection_area(a.mask, b.mask)
-                if inter == 0:
-                    continue
-                iou = inter / float(a.area + b.area - inter)
-                if iou > c1 or inter / a.area > c2 or inter / b.area > c2:
-                    pairs.append((a.id, b.id))
+    for group in by_frame.values():
+        group.sort(key=lambda p: p.id)
+        i, j = np.triu_indices(len(group), 1)
+        inter = mask_intersections([p.mask for p in group], i, j, np.zeros_like(i), np.zeros_like(i))
+        area = np.array([p.area for p in group])
+        a_i, a_j = area[i], area[j]
+        hit = (
+            (inter / (a_i + a_j - inter) > CONFLICT_IOU)
+            | (inter / a_i > CONFLICT_COVER)
+            | (inter / a_j > CONFLICT_COVER)
+        )
+        ids = np.array([p.id for p in group])
+        pairs.extend(zip(ids[i[hit]].tolist(), ids[j[hit]].tolist()))
     return sorted(pairs)

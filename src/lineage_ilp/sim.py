@@ -7,10 +7,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .evaluate import GroundTruth
-from .geometry import Mask, label_masks, mask_intersection_area
+from .geometry import Mask, label_masks
 from .io import TrackRow
 from .proposals import Frame, Proposal
 
@@ -275,21 +274,18 @@ def corrupt(gt: GroundTruth, ccfg: CorruptionConfig, seed: int) -> list[Proposal
     props: list[Proposal] = []
     next_id = 0
 
-    for t, frame_masks in enumerate(per_frame):
+    for t, (grid, frame_masks) in enumerate(zip(gt.label_grids, per_frame)):
         masks: list[tuple[Mask, str]] = [(m, "true") for _label, m in frame_masks]
 
         if ccfg.merge_rate > 0 and len(masks) > 1:
             merged: list[tuple[Mask, str]] = []
             consumed = [False] * len(masks)
-            grown = [_grown(m) for m, _kind in masks]
+            touching = _touching(grid)
             for i in range(len(masks)):
                 if consumed[i]:
                     continue
                 for j in range(i + 1, len(masks)):
-                    if consumed[j]:
-                        continue
-                    # disjoint boxes return at once, before any pixel is read
-                    if mask_intersection_area(grown[i], masks[j][0]) == 0:
+                    if consumed[j] or (i, j) not in touching:
                         continue
                     if rng.uniform() < ccfg.merge_rate:
                         merged.append((_union(masks[i][0], masks[j][0]), "merged"))
@@ -340,13 +336,21 @@ def corrupt(gt: GroundTruth, ccfg: CorruptionConfig, seed: int) -> list[Proposal
     return props
 
 
-def _grown(a: Mask) -> Mask:
-    """``a`` dilated by one pixel in all eight directions: it meets exactly
-    the masks that touch ``a`` (8-adjacent or overlapping)."""
-    return Mask(
-        a.x0 - 1, a.y0 - 1,
-        ndimage.binary_dilation(np.pad(a.bits, 1), structure=np.ones((3, 3), dtype=bool)),
-    )
+def _touching(grid: np.ndarray) -> set[tuple[int, int]]:
+    """Pairs (i, j), i < j, of the regions of a label grid, numbered in
+    ascending label order as ``label_masks`` returns them, that have two
+    8-adjacent pixels.  Regions of one grid never overlap, so these are
+    exactly the pairs where the one-pixel dilation of one meets the other.
+    """
+    labels = np.unique(grid[grid > 0])
+    pairs: set[tuple[int, int]] = set()
+    # each pixel against its neighbour right, below, below right and below left
+    for a, b in ((grid[:, :-1], grid[:, 1:]), (grid[:-1], grid[1:]),
+                 (grid[:-1, :-1], grid[1:, 1:]), (grid[:-1, 1:], grid[1:, :-1])):
+        edge = (a != b) & (a > 0) & (b > 0)
+        i, j = np.searchsorted(labels, a[edge]), np.searchsorted(labels, b[edge])
+        pairs.update(zip(np.minimum(i, j).tolist(), np.maximum(i, j).tolist()))
+    return pairs
 
 
 def _union(a: Mask, b: Mask) -> Mask:

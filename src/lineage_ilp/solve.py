@@ -117,7 +117,7 @@ def formulate(graph: TrackingGraph) -> tuple[IlpInstance, VarMap]:
         elif e.kind == "move":
             in_vars[e.dst].append(v)
             out_vars[e.src].append(v)
-        elif e.kind in ("exit", "death"):
+        elif e.kind == "exit":
             out_vars[e.src].append(v)
         elif e.kind == "mitosis":
             in_vars[e.dst].append(v)
@@ -564,16 +564,14 @@ def solve_greedy(graph: TrackingGraph, varmap: VarMap) -> SolveResult:
     node_cost = graph.node_cost
 
     enter_edge: dict[int, tuple[float, int]] = {}
-    term_edge: dict[int, tuple[float, int]] = {}
+    exit_edge: dict[int, tuple[float, int]] = {}
     in_moves: dict[int, list[tuple[int, float, int]]] = {pid: [] for pid in node_cost}
     out_moves: dict[int, list[tuple[int, float, int]]] = {pid: [] for pid in node_cost}
     for i, e in enumerate(graph.edges):
         if e.kind == "enter":
             enter_edge[e.dst] = (e.cost, i)
-        elif e.kind in ("exit", "death"):
-            cur = term_edge.get(e.src)
-            if cur is None or e.cost < cur[0]:
-                term_edge[e.src] = (e.cost, i)
+        elif e.kind == "exit":
+            exit_edge[e.src] = (e.cost, i)
         elif e.kind == "move":
             in_moves[e.dst].append((e.src, e.cost, i))
             out_moves[e.src].append((e.dst, e.cost, i))
@@ -625,7 +623,7 @@ def solve_greedy(graph: TrackingGraph, varmap: VarMap) -> SolveResult:
                         how = ("move", src, eidx)
                 dist[pid] = cost
                 pred[pid] = how
-                total = cost + term_edge[pid][0]
+                total = cost + exit_edge[pid][0]
                 if total < best[0]:
                     best = (total, pid)
         if best[1] is None:
@@ -647,7 +645,7 @@ def solve_greedy(graph: TrackingGraph, varmap: VarMap) -> SolveResult:
             for pid in by_frame[t]:
                 if not available[pid]:
                     continue
-                best = term_edge[pid][0]
+                best = exit_edge[pid][0]
                 for dst, mcost, eidx in out_moves[pid]:
                     d = tail.get(dst)
                     if d is not None and mcost + d < best:
@@ -662,7 +660,7 @@ def solve_greedy(graph: TrackingGraph, varmap: VarMap) -> SolveResult:
         claim(cur)
         while True:
             tail = tail_costs()
-            best_cost = term_edge[cur][0]
+            best_cost = exit_edge[cur][0]
             best_next = None
             for dst, mcost, eidx in out_moves[cur]:
                 d = tail.get(dst)
@@ -670,8 +668,8 @@ def solve_greedy(graph: TrackingGraph, varmap: VarMap) -> SolveResult:
                     best_cost = mcost + d
                     best_next = (dst, eidx)
             if best_next is None:
-                chosen_edges.add(term_edge[cur][1])
-                chain_end_term[cur] = term_edge[cur][1]
+                chosen_edges.add(exit_edge[cur][1])
+                chain_end_term[cur] = exit_edge[cur][1]
                 return
             dst, eidx = best_next
             chosen_edges.add(eidx)
@@ -712,8 +710,8 @@ def solve_greedy(graph: TrackingGraph, varmap: VarMap) -> SolveResult:
                 chosen_edges.add(eidx)
                 claim(pid)
                 prev = pid
-            chosen_edges.add(term_edge[prev][1])
-            chain_end_term[prev] = term_edge[prev][1]
+            chosen_edges.add(exit_edge[prev][1])
+            chain_end_term[prev] = exit_edge[prev][1]
         else:
             s = best_div[1]
             parent_term = chain_end_term.pop(s.parent)
@@ -752,7 +750,7 @@ def extract_lineage(graph: TrackingGraph, varmap: VarMap, x: np.ndarray) -> Line
     """Turn a feasible selection into tracks with parent links.
 
     Track ids are assigned in order of (birth frame, first proposal id).
-    End reasons are "exit", "death", or "division".
+    End reasons are "exit" or "division".
     """
     x = np.asarray(x)
     selected = {pid for pid, vi in varmap.node_var.items() if x[vi] == 1}
@@ -760,7 +758,7 @@ def extract_lineage(graph: TrackingGraph, varmap: VarMap, x: np.ndarray) -> Line
 
     in_kind: dict[int, str] = {}
     move_next: dict[int, tuple[int, int]] = {}
-    term_kind: dict[int, str] = {}
+    exits: set[int] = set()
     div_out: dict[int, list[int | None]] = {}  # parent pid -> [d1, d2]
     for i, e in enumerate(graph.edges):
         if x[varmap.edge_var[i]] != 1:
@@ -777,10 +775,10 @@ def extract_lineage(graph: TrackingGraph, varmap: VarMap, x: np.ndarray) -> Line
             if e.src in move_next:
                 raise ValueError(f"proposal {e.src} has two outgoing moves")
             move_next[e.src] = (e.dst, i)
-        elif e.kind in ("exit", "death"):
-            if e.src in term_kind:
-                raise ValueError(f"proposal {e.src} has two terminal edges")
-            term_kind[e.src] = e.kind
+        elif e.kind == "exit":
+            if e.src in exits:
+                raise ValueError(f"proposal {e.src} has two exit edges")
+            exits.add(e.src)
         elif e.kind == "mitosis":
             _set_once(in_kind, e.dst, "mitosis")
             pair = div_out.setdefault(e.src, [None, None])
@@ -814,8 +812,8 @@ def extract_lineage(graph: TrackingGraph, varmap: VarMap, x: np.ndarray) -> Line
             track_of_pid[pid] = track_id
         if cur in div_out:
             reason = "division"
-        elif cur in term_kind:
-            reason = term_kind[cur]
+        elif cur in exits:
+            reason = "exit"
         else:
             raise ValueError(f"track ending at {cur} has no terminal edge")
         lineage.members[track_id] = members

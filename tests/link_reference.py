@@ -1,19 +1,21 @@
 """The move and division vectors computed link by link, as references for
 the matrix code in ``lineage_ilp.features``: every entry from scalar
-expressions on one pair or triple, every IoU from ``iou_mask``."""
+expressions on one pair or triple, every IoU counted pair by pair
+(``overlap_reference``), not by the bit-row kernel the matrix code uses."""
 from __future__ import annotations
 
 import numpy as np
 
 from lineage_ilp.features import MITOSIS_DIM, MOVE_DIM, _BLOCKS, _EPS, _point_to_line, centroid_distance
-from lineage_ilp.geometry import Mask, iou_mask
+from lineage_ilp.geometry import Mask
 from lineage_ilp.proposals import Proposal
+from overlap_reference import iou
 
 
 def aligned_iou(a: Mask, b: Mask) -> float:
     """Mask IoU after translating b so the centroids coincide (rounded to pixels)."""
     (ax, ay), (bx, by) = a.centroid, b.centroid
-    return iou_mask(a, b.translated(int(round(ax - bx)), int(round(ay - by))))
+    return iou(a, b.translated(int(round(ax - bx)), int(round(ay - by))))
 
 
 def diff_stats(f_i: np.ndarray, f_j: np.ndarray) -> np.ndarray:
@@ -25,7 +27,7 @@ def diff_stats(f_i: np.ndarray, f_j: np.ndarray) -> np.ndarray:
 def move_row(p_i: Proposal, p_j: Proposal, prob_i: float, prob_j: float, feat_i, feat_j) -> np.ndarray:
     rel = np.array([
         centroid_distance(p_i, p_j),
-        iou_mask(p_i.mask, p_j.mask),
+        iou(p_i.mask, p_j.mask),
         aligned_iou(p_i.mask, p_j.mask),
     ])
     out = np.concatenate([feat_i, feat_j, rel, diff_stats(feat_i, feat_j), [prob_i, prob_j]])
@@ -46,7 +48,7 @@ def mitosis_row(p, d1, d2, prob_p, prob_d1, prob_d2, feat_p, feat_d1, feat_d2) -
         feat_d1,
         feat_d2,
         np.sort([d_pd1, d_pd2, d_dd]),
-        [iou_mask(p.mask, d1.mask), iou_mask(p.mask, d2.mask), iou_mask(d1.mask, d2.mask)],
+        [iou(p.mask, d1.mask), iou(p.mask, d2.mask), iou(d1.mask, d2.mask)],
         [aligned_iou(p.mask, d1.mask), aligned_iou(p.mask, d2.mask), aligned_iou(d1.mask, d2.mask)],
         [_point_to_line(p.centroid, d1.centroid, d2.centroid)],
         [abs(d_dd - (d_pd1 + d_pd2))],

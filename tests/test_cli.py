@@ -134,6 +134,13 @@ class TestExitCodes:
         bad.write_text('{"nope": 1}')
         assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "x")]) == EXIT_CONFIG
 
+    def test_death_prior_is_not_a_key(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"graph": {"p_death": 0.05}}')
+        assert main(["e2e", "--config", str(bad), "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+        assert "unknown config key 'graph.p_death'" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "x")
+
     def test_frame_too_small_for_placement_margin(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"sim": {"width": 16, "height": 16, "frames": 2, "initial_cells": 2}}')

@@ -137,7 +137,7 @@ class TestValidation:
             {"proposals": {"min_area": 50, "max_area": 10}},
             {"graph": {"p_enter": 0.0}},
             {"graph": {"p_exit": 1.0}},
-            {"graph": {"p_death": 1.5}},
+            {"graph": {"p_death": 0.05}},  # no death prior: an exit prior of the same cost
             {"graph": {"gating_radius": -3.0}},
             {"graph": {"mitosis_n": 1}},
             {"solve": {"backend": "simplex"}},

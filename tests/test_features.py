@@ -572,7 +572,7 @@ class TestLinkRowsMatchReference:
         ])
         assert move_feature_rows(props, feats, probs, src, dst).tobytes() == want.tobytes()
         pairs = [(props[i], props[j]) for i, j in zip(src.tolist(), dst.tolist())]
-        assert move_feature_matrix(pairs, node_probs, feats_by_pid, {}).tobytes() == want.tobytes()
+        assert move_feature_matrix(pairs, node_probs, feats_by_pid).tobytes() == want.tobytes()
         i, j = int(src[0]), int(dst[0])
         one = move_features(props[i], props[j], probs[i], probs[j], None, None, feat_i=feats[i], feat_j=feats[j])
         assert one.tobytes() == want[0].tobytes()
@@ -585,7 +585,7 @@ class TestLinkRowsMatchReference:
         ])
         assert mitosis_feature_rows(props, feats, probs, parent, d1, d2).tobytes() == want.tobytes()
         triples = [(props[i], props[j], props[k]) for i, j, k in zip(parent.tolist(), d1.tolist(), d2.tolist())]
-        assert mitosis_feature_matrix(triples, node_probs, feats_by_pid, {}).tobytes() == want.tobytes()
+        assert mitosis_feature_matrix(triples, node_probs, feats_by_pid).tobytes() == want.tobytes()
         i, j, k = int(parent[0]), int(d1[0]), int(d2[0])
         one = mitosis_features(
             props[i], props[j], props[k], probs[i], probs[j], probs[k], None, None,
@@ -606,8 +606,8 @@ class TestLinkRowsMatchReference:
         assert np.array_equal(rows[0, 92:184], feats[lo])
 
     def test_no_links(self):
-        assert move_feature_matrix([], {}, {}, {}).shape == (0, MOVE_DIM)
-        assert mitosis_feature_matrix([], {}, {}, {}).shape == (0, MITOSIS_DIM)
+        assert move_feature_matrix([], {}, {}).shape == (0, MOVE_DIM)
+        assert mitosis_feature_matrix([], {}, {}).shape == (0, MITOSIS_DIM)
 
 
 class TestAlignedIou:

@@ -13,12 +13,12 @@ from lineage_ilp.geometry import (
     iou_box,
     iou_mask,
     label_masks,
-    mask_intersection_area,
     mask_intersections,
     nms,
 )
 from lineage_ilp.features import _frame_pixels
 from lineage_ilp.proposals import Proposal
+from overlap_reference import mask_intersection_area
 
 
 def full_mask(x0, y0, w, h):
@@ -111,7 +111,8 @@ def _related_mask(rng, a: Mask, kind: str) -> Mask:
 
 
 class TestMaskIntersections:
-    """The bit-row kernel counts what ``mask_intersection_area`` counts."""
+    """The bit-row kernel counts what the pairwise ``mask_intersection_area``
+    of ``overlap_reference`` counts."""
 
     def test_random_pairs(self):
         """150 distinct scenes of 1 to 8 masks and 1 to 40 pairs, every shift range alike often."""
@@ -146,6 +147,33 @@ class TestMaskIntersections:
         assert got.tolist() == want
         placed = b"".join(m.bits.tobytes() + np.array([m.x0, m.y0, *m.bits.shape]).tobytes() for m in masks)
         return placed + np.stack([a, b, dx, dy]).tobytes()
+
+    def test_every_pair_both_ways(self):
+        """40 distinct scenes of 2 to 12 masks, every pair i < j counted at
+        a shift d and again as (j, i) at -d: both counts equal and equal the
+        reference, so a shift applied to the wrong mask or with the wrong
+        sign shows."""
+        seen, nonzero = set(), 0
+        for seed in range(40):
+            rng = np.random.default_rng(1000 + seed)
+            masks = [Mask(int(rng.integers(-20, 20)), 0, _random_bits(rng, 6, int(rng.integers(1, 130))))]
+            for _ in range(int(rng.integers(1, 12))):
+                kind = str(rng.choice(["nested", "edge", "near"]))
+                masks.append(_related_mask(rng, masks[int(rng.integers(0, len(masks)))], kind))
+            i, j = np.triu_indices(len(masks), 1)
+            dx = rng.integers(-4, 5, size=len(i)) * rng.choice([1, 1, 1, 20], size=len(i))
+            dy = rng.integers(-2, 3, size=len(i))
+            got = mask_intersections(masks, np.r_[i, j], np.r_[j, i], np.r_[dx, -dx], np.r_[dy, -dy])
+            want = [
+                mask_intersection_area(masks[a], masks[b].translated(x, y))
+                for a, b, x, y in zip(i.tolist(), j.tolist(), dx.tolist(), dy.tolist())
+            ]
+            assert got.tolist() == want + want
+            placed = b"".join(m.bits.tobytes() + np.array([m.x0, m.y0]).tobytes() for m in masks)
+            seen.add(placed + dx.tobytes())
+            nonzero += int(np.count_nonzero(want))
+        assert len(seen) == 40
+        assert nonzero > 100
 
     @pytest.mark.parametrize("shift", [-130, -65, -64, -63, -1, 0, 1, 63, 64, 65, 130])
     def test_wide_masks_across_strip_edges(self, shift):
@@ -222,11 +250,6 @@ class TestNms:
         a = (7, 0.5, BBox(0, 0, 10, 10))
         b = (3, 0.5, BBox(0, 1, 10, 10))
         assert nms([a, b], threshold=0.5) == [3]
-
-    def test_mask_mode(self):
-        a = (1, 0.9, full_mask(0, 0, 4, 4))
-        b = (2, 0.5, full_mask(0, 0, 4, 4))
-        assert nms([a, b], threshold=0.99, mode="mask") == [1]
 
     def test_idempotent(self):
         rng = np.random.default_rng(11)

@@ -187,7 +187,7 @@ class TestGatingMatchesPairwiseLoop:
 
 
 class TestBuildGraph:
-    def simple_graph(self, p_death=None):
+    def simple_graph(self):
         frames = [
             [prop(0, 0, 10, 10)],
             [prop(1, 1, 12, 10), prop(2, 1, 13, 11)],
@@ -197,7 +197,7 @@ class TestBuildGraph:
         mitosis_probs = {(0, 1, 2): 0.3}
         return build_graph(
             frames, node_probs, move_probs, mitosis_probs,
-            p_enter=0.01, p_exit=0.02, p_death=p_death,
+            p_enter=0.01, p_exit=0.02,
         )
 
     def test_node_costs_are_log_odds(self):
@@ -212,13 +212,6 @@ class TestBuildGraph:
         assert enters == exits == {0, 1, 2}
         assert all(e.src is None for e in g.edges if e.kind == "enter")
         assert all(e.dst is None for e in g.edges if e.kind == "exit")
-
-    def test_death_edges_disabled_by_default(self):
-        g = self.simple_graph()
-        assert not any(e.kind == "death" for e in g.edges)
-        g2 = self.simple_graph(p_death=0.05)
-        deaths = [e for e in g2.edges if e.kind == "death"]
-        assert {e.src for e in deaths} == {0, 1, 2}
 
     def test_mitosis_set_cost_split(self):
         g = self.simple_graph()

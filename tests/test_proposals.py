@@ -3,9 +3,11 @@ import pytest
 from scipy import ndimage
 
 from lineage_ilp import proposals as proposals_mod
-from lineage_ilp.geometry import Mask, iou_mask, nms
+from lineage_ilp.geometry import Mask
 from lineage_ilp.io import write_proposals
 from lineage_ilp.proposals import (
+    CONFLICT_COVER,
+    CONFLICT_IOU,
     DEFAULT_AREA_BOUNDS,
     LOG_RESPONSE_GRID,
     LOG_RESPONSE_THRESHOLD,
@@ -22,6 +24,7 @@ from lineage_ilp.proposals import (
     otsu_threshold,
 )
 from lineage_ilp.sim import SimConfig, simulate
+import overlap_reference
 
 
 @pytest.fixture(scope="module")
@@ -108,7 +111,7 @@ class TestMultiThreshold:
             for b in props:
                 if a.id >= b.id or a.t != b.t:
                     continue
-                inter = _inter(by_id[a.id].mask, by_id[b.id].mask)
+                inter = overlap_reference.mask_intersection_area(by_id[a.id].mask, by_id[b.id].mask)
                 if inter == min(a.area, b.area):  # strict nesting or equality
                     assert (a.id, b.id) in pairs
 
@@ -135,11 +138,11 @@ def _reference_multi_threshold(frame, *, levels=8, span=(0.5, 1.5), area_bounds=
     per_level = [_reference_components(frame.intensity > thr) for thr in thresholds]
     candidates = [m for comps in per_level for m in comps if area_bounds[0] <= m.area <= area_bounds[1]]
     scores = [
-        sum(any(iou_mask(c, o) > STABILITY_IOU for o in comps) for comps in per_level) / levels
+        sum(any(overlap_reference.iou(c, o) > STABILITY_IOU for o in comps) for comps in per_level) / levels
         for c in candidates
     ]
     items = [(idx, scores[idx], c) for idx, c in enumerate(candidates)]
-    kept = sorted(nms(items, threshold=MASK_NMS_IOU, mode="mask"))
+    kept = sorted(overlap_reference.mask_nms(items, MASK_NMS_IOU))
     return [
         Proposal(id=rank, t=frame.t, mask=candidates[idx], raw_score=scores[idx])
         for rank, idx in enumerate(kept)
@@ -227,12 +230,6 @@ class TestReferenceComponents:
         firsts = [(m.y0, m.x0) for m in comps]
         assert firsts == [(0, 7), (2, 4), (6, 1)]
         assert comps[2].bits.shape == (2, 2)
-
-
-def _inter(a, b):
-    from lineage_ilp.geometry import mask_intersection_area
-
-    return mask_intersection_area(a, b)
 
 
 class TestLogBlobs:
@@ -326,6 +323,62 @@ class TestLogStackMatchesReference:
             outputs.append(path.read_bytes())
         assert len(outputs[0]) > 0
         assert outputs[0] == outputs[1]
+
+
+def _reference_log_blobs(frame, start_id=0, **kwargs):
+    """``log_blob_proposals`` with its suppression left out, then the
+    candidates suppressed by the pairwise mask NMS of ``overlap_reference``;
+    also returns the number of candidates."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(proposals_mod, "_suppress", lambda score, a, b: list(range(len(score))))
+        candidates = log_blob_proposals(frame, **kwargs)
+    items = [(k, p.raw_score, p.mask) for k, p in enumerate(candidates)]
+    kept = sorted(overlap_reference.mask_nms(items, MASK_NMS_IOU))
+    out = [
+        Proposal(id=start_id + rank, t=frame.t, mask=candidates[k].mask, raw_score=candidates[k].raw_score)
+        for rank, k in enumerate(kept)
+    ]
+    return out, len(candidates)
+
+
+class TestLogNmsMatchesReference:
+    """The LoG suppression, one kernel call and the shared greedy loop, keeps
+    every id, score and mask that the pairwise mask NMS keeps."""
+
+    @pytest.mark.parametrize("sigmas", [(2.0,), DEFAULT_SIGMAS])
+    def test_separated_scene(self, separated_scene, sigmas):
+        frame = separated_scene.frames[0]
+        want, _ = _reference_log_blobs(frame, sigmas=sigmas, start_id=5)
+        assert len(want) > 0
+        assert_same_proposals(log_blob_proposals(frame, sigmas=sigmas, start_id=5), want)
+
+    def test_plateau_frames(self):
+        """60 distinct quantised frames, every size from 8 to 72."""
+        seen, dropped = set(), 0
+        for seed in range(60):
+            frame = Frame(t=1, intensity=plateau_image(np.random.default_rng(seed), 8 + seed * 37 % 65))
+            seen.add(frame.intensity.tobytes())
+            want, n = _reference_log_blobs(frame, area_bounds=(1, 10000))
+            assert_same_proposals(log_blob_proposals(frame, area_bounds=(1, 10000)), want)
+            dropped += n - len(want)
+        assert len(seen) == 60
+        assert dropped > 0
+
+    def test_simulated_frames(self):
+        """Crowded, dividing scenes: many candidates grow into each other."""
+        seen, dropped = set(), 0
+        for seed in range(4):
+            cfg = SimConfig(
+                frames=3, width=80, height=80, initial_cells=14, initial_min_separation=7.0,
+                placement_margin=6.0, division_rate=0.2, noise_sigma=0.04,
+            )
+            for frame in simulate(cfg, seed).frames:
+                seen.add(frame.intensity.tobytes())
+                want, n = _reference_log_blobs(frame, start_id=3)
+                assert_same_proposals(log_blob_proposals(frame, start_id=3), want)
+                dropped += n - len(want)
+        assert len(seen) == 12
+        assert dropped > 0
 
 
 def _max_filter_3(stack):
@@ -496,6 +549,74 @@ class TestConflicts:
         assert conflicts([a, b]) == []
 
     def test_thresholds_are_strict(self):
-        a = box_prop(1, 0, 0, 0, 10, 10)
-        b = box_prop(2, 0, 0, 5, 10, 10)  # cover exactly 0.5 each, IoU 1/3
-        assert conflicts([a, b], c1=1.0 / 3.0, c2=0.5) == []
+        assert (CONFLICT_IOU, CONFLICT_COVER) == (0.5, 0.8)
+        # two 3x10 boxes one column apart: IoU exactly 0.5, cover 2/3
+        a = box_prop(1, 0, 0, 0, 3, 10)
+        assert conflicts([a, box_prop(2, 0, 1, 0, 3, 10)]) == []
+        assert conflicts([a, box_prop(2, 0, 0, 0, 3, 10)]) == [(1, 2)]
+        # a 5x10 box hanging one column outside a 10x10 box: cover exactly 0.8, IoU 40/110
+        outer = box_prop(1, 0, 0, 0, 10, 10)
+        assert conflicts([outer, box_prop(2, 0, 6, 0, 5, 10)]) == []
+        assert conflicts([outer, box_prop(2, 0, 5, 0, 5, 10)]) == [(1, 2)]
+
+
+def _random_bits(rng, h, w):
+    bits = rng.random((h, w)) < rng.uniform(0.3, 1.0)
+    bits[int(rng.integers(0, h)), int(rng.integers(0, w))] = True
+    return bits
+
+
+def _placed_mask(rng, masks):
+    """A new mask: on its own, or nested in, shifted from, clear of or
+    against an edge of one of ``masks``; widths run past 64 px."""
+    kind = str(rng.choice(["own", "nested", "shifted", "disjoint", "edge"])) if masks else "own"
+    if kind == "own":
+        h, w = int(rng.integers(1, 16)), int(rng.integers(1, 150))
+        return Mask(int(rng.integers(-40, 40)), int(rng.integers(-20, 20)), _random_bits(rng, h, w))
+    a = masks[int(rng.integers(0, len(masks)))]
+    h, w = a.bits.shape
+    if kind == "nested":
+        r0, c0 = int(rng.integers(0, h)), int(rng.integers(0, w))
+        r1, c1 = int(rng.integers(r0, h)) + 1, int(rng.integers(c0, w)) + 1
+        bits = a.bits[r0:r1, c0:c1] & (rng.random((r1 - r0, c1 - c0)) < 0.9)
+        if not bits.any():
+            bits = a.bits[r0:r1, c0:c1] | ~a.bits[r0:r1, c0:c1]
+        return Mask(a.x0 + c0, a.y0 + r0, bits)
+    if kind == "shifted":
+        return Mask(a.x0 + int(rng.integers(-3, 4)), a.y0 + int(rng.integers(-3, 4)), a.bits)
+    bh, bw = int(rng.integers(1, 10)), int(rng.integers(1, 100))
+    bits = _random_bits(rng, bh, bw)
+    if kind == "disjoint":
+        return Mask(a.x0 + w + int(rng.integers(0, 40)), a.y0 + int(rng.integers(-bh, h)), bits)
+    inset = int(rng.integers(0, 2))  # 0: touching from outside, 1: one px over
+    if rng.random() < 0.5:
+        return Mask(a.x0 + w - inset, a.y0 + int(rng.integers(-bh + 1, h)), bits)
+    return Mask(a.x0 + int(rng.integers(-bw + 1, w)), a.y0 - bh + inset, bits)
+
+
+class TestConflictsMatchReference:
+    """One kernel call per frame flags exactly the pairs that the pairwise
+    IoU and cover tests of ``overlap_reference`` flag."""
+
+    def test_random_multi_frame_lists(self):
+        """80 distinct lists of 1 to 40 proposals over up to 4 frames, with
+        ids out of frame order and the list shuffled."""
+        seen, flagged, overlapping = set(), 0, 0
+        for seed in range(80):
+            rng = np.random.default_rng(seed)
+            frames = sorted(rng.choice(10, size=int(rng.integers(1, 5)), replace=False).tolist())
+            per_frame = {t: [] for t in frames}
+            n = int(rng.integers(1, 41))
+            for t in rng.choice(frames, size=n).tolist():
+                per_frame[t].append(_placed_mask(rng, per_frame[t]))
+            ids = rng.permutation(np.arange(n) * 3 + 7).tolist()
+            props = [Proposal(id=ids.pop(), t=t, mask=m, raw_score=0.5) for t in frames for m in per_frame[t]]
+            rng.shuffle(props)
+            seen.add(repr([(p.id, p.t, p.mask.x0, p.mask.y0, p.mask.bits.tobytes()) for p in props]))
+            want = overlap_reference.conflicts(props, CONFLICT_IOU, CONFLICT_COVER)
+            assert conflicts(props) == want
+            flagged += len(want)
+            overlapping += len(overlap_reference.conflicts(props, 0.0, 0.0))
+        assert len(seen) == 80
+        assert 100 < flagged < overlapping - 100  # pairs both flagged and overlapping unflagged
+        assert conflicts([]) == []

@@ -5,7 +5,7 @@ import pytest
 from scipy import ndimage
 
 from lineage_ilp.evaluate import GroundTruth
-from lineage_ilp.geometry import Mask, mask_intersection_area
+from lineage_ilp.geometry import Mask
 from lineage_ilp.io import TrackRow
 from lineage_ilp.sim import (
     CorruptionConfig,
@@ -15,6 +15,7 @@ from lineage_ilp.sim import (
     ideal_proposals,
     simulate,
 )
+from overlap_reference import mask_intersection_area
 
 
 def busy_config():
@@ -190,9 +191,71 @@ def _reference_merged(gt, seed, merge_rate):
     return out
 
 
+def box_scene(rng):
+    """Label grids of small boxes with labels far above their count, in no
+    order of position; many pairs meet only corner to corner."""
+    frames, size = int(rng.integers(1, 4)), int(rng.integers(10, 40))
+    n = int(rng.integers(2, 40))
+    labels = (10**6 + rng.permutation(n) * int(rng.integers(1000, 10**5))).tolist()
+    grids = []
+    for _ in range(frames):
+        grid = np.zeros((size, size), dtype=np.int64)
+        boxes = []
+        for label in labels:
+            h, w = (int(v) for v in rng.integers(1, 4, size=2))
+            if boxes and rng.random() < 0.6:  # at a corner of an earlier box
+                r, c, bh, bw = boxes[int(rng.integers(0, len(boxes)))]
+                r = r + bh if rng.random() < 0.5 else r - h
+                c = c + bw if rng.random() < 0.5 else c - w
+            else:
+                r, c = (int(v) for v in rng.integers(0, size, size=2))
+            if r < 0 or c < 0 or r + h > size or c + w > size or grid[r : r + h, c : c + w].any():
+                continue
+            grid[r : r + h, c : c + w] = label
+            boxes.append((r, c, h, w))
+        grids.append(grid)
+    tracks = [TrackRow(label, 0, frames - 1, 0) for label in sorted(labels)]
+    return GroundTruth(tracks=tracks, markers={}, label_grids=grids)
+
+
+def _diagonal_only_pairs(gt) -> int:
+    """Region pairs that touch 8-adjacently but share no 4-adjacent pixels."""
+    cross = ndimage.generate_binary_structure(2, 1)
+    count = 0
+    for per_frame in ideal_proposals(gt):
+        masks = [m for _label, m in per_frame]
+        for i, a in enumerate(masks):
+            plus = Mask(a.x0 - 1, a.y0 - 1, ndimage.binary_dilation(np.pad(a.bits, 1), structure=cross))
+            for b in masks[i + 1 :]:
+                count += _reference_touching(a, b) and mask_intersection_area(plus, b) == 0
+    return count
+
+
 class TestMergeMatchesReference:
-    """One dilation per mask merges the pairs, in the order and with the
-    random draws, of one dilation per pair."""
+    """Adjacency read off the label grid merges the pairs, in the order and
+    with the random draws, of one dilation per pair."""
+
+    @staticmethod
+    def assert_same_merges(gt, seed, merge_rate):
+        """``corrupt`` with merging alone equals the reference; returns the merges."""
+        props = corrupt(gt, CorruptionConfig(merge_rate=merge_rate), seed)
+        want = _reference_merged(gt, seed, merge_rate)
+        assert [(p.id, p.t, p.raw_score) for p in props] == [
+            (i, t, score) for i, (t, _m, score) in enumerate(want)
+        ]
+        assert all(p.mask == m for p, (_t, m, _s) in zip(props, want))
+        return sum(score == 0.75 for _t, _m, score in want)
+
+    def test_corner_contacts_and_large_labels(self):
+        """60 distinct box scenes; corner-only contacts merge as edge contacts do."""
+        seen, merges, diagonal = set(), 0, 0
+        for seed in range(60):
+            gt = box_scene(np.random.default_rng(seed))
+            seen.add(b"".join(grid.tobytes() for grid in gt.label_grids))
+            merges += self.assert_same_merges(gt, seed, [1.0, 0.5][seed % 2])
+            diagonal += _diagonal_only_pairs(gt)
+        assert len(seen) == 60
+        assert merges > 100 and diagonal > 50
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     @pytest.mark.parametrize("merge_rate", [1.0, 0.5])
@@ -201,14 +264,8 @@ class TestMergeMatchesReference:
             frames=4, width=48, height=48, initial_cells=14,
             placement_margin=4.0, initial_min_separation=6.0, division_rate=0.1,
         )
-        gt = simulate(cfg, seed).gt
-        props = corrupt(gt, CorruptionConfig(merge_rate=merge_rate), seed + 10)
-        want = _reference_merged(gt, seed + 10, merge_rate)
-        assert sum(score == 0.75 for _t, _m, score in want) >= 2  # the scene has merges
-        assert [(p.id, p.t, p.raw_score) for p in props] == [
-            (i, t, score) for i, (t, _m, score) in enumerate(want)
-        ]
-        assert all(p.mask == m for p, (_t, m, _s) in zip(props, want))
+        merges = self.assert_same_merges(simulate(cfg, seed).gt, seed + 10, merge_rate)
+        assert merges >= 2  # the scene has merges
 
 
 # sha256 of simulate + corrupt on busy_config() with every corruption pass on
