@@ -3,13 +3,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
-from .geometry import Mask, mask_intersections
+from .geometry import Mask, _expand, mask_intersections
 
 # Overlap threshold for candidate pruning.
 MASK_NMS_IOU = 0.7
@@ -24,6 +23,11 @@ LOG_RESPONSE_GRID = 2.0 ** -36
 
 DEFAULT_AREA_BOUNDS = (9, 10000)
 _EIGHT = np.ones((3, 3), dtype=bool)
+# 8-connectivity within each plane of a 3-d block, and none across planes
+_PLANES = np.zeros((3, 3, 3), dtype=bool)
+_PLANES[1] = True
+# Frame cells of the peak windows grown per ndimage.label call.
+_GROW_BLOCK_CELLS = 1 << 18
 # Same-frame pairs above either limit may not both be selected (strictly above).
 CONFLICT_IOU = 0.5
 CONFLICT_COVER = 0.8
@@ -233,20 +237,26 @@ def _log_spectra(shape: tuple[int, ...], sigmas: tuple[float, ...]) -> np.ndarra
 
 def _log_stack(img: np.ndarray, sigmas: tuple[float, ...]) -> np.ndarray:
     """``-(s**2) * gaussian_laplace(img, s, mode="nearest")`` for every sigma,
-    as one ``(len(sigmas), H, W)`` stack from one forward FFT and one batched
-    inverse.
+    as one C-contiguous ``(len(sigmas), H, W)`` stack from one forward FFT
+    and one inverse per sigma.
 
     The frame is edge-padded once by the widest kernel radius R.  Edge
     padding commutes with a separable filter, so the linear convolution of
     the padded frame equals scipy's nearest-mode passes up to rounding; the
     FFT grid is at least H + 2R per axis, so the crop reads no wrapped value.
+    Each sigma's inverse is irfft2's two steps apart, so that the rows
+    outside the crop skip the second, and its temporaries stay one grid in
+    size whatever the number of sigmas.
     """
     radius, size = _log_grid(img.shape, sigmas)
     h, w = img.shape
     spectrum = np.fft.rfft2(np.pad(img, radius, mode="edge"), s=size)
-    # irfft2's two steps, apart, so that the rows outside the crop skip the second
-    rows = np.fft.ifft(_log_spectra(img.shape, sigmas) * spectrum, axis=1)[:, radius : radius + h]
-    return np.fft.irfft(rows, n=size[1], axis=2)[:, :, radius : radius + w]
+    spectra = _log_spectra(img.shape, sigmas)
+    stack = np.empty((len(sigmas), h, w))
+    for k, kernel in enumerate(spectra):
+        rows = np.fft.ifft(kernel * spectrum, axis=0)[radius : radius + h]
+        stack[k] = np.fft.irfft(rows, n=size[1], axis=1)[:, radius : radius + w]
+    return stack
 
 
 # (scale, row, col) offsets of the 24 neighbours beyond the row pair (0, 0, +-1):
@@ -299,7 +309,9 @@ def log_blob_proposals(
     extremum is a snapped response above ``LOG_RESPONSE_THRESHOLD`` that is at
     least each of its 26 (scale, row, col) neighbours, edges nearest; only the
     responses that can clear the threshold are tested.  Scores are responses
-    normalized by the frame's strongest response.
+    normalized by the frame's strongest response.  Peaks are grown strongest
+    first, a block of a few hundred per ``ndimage.label`` call, and only the
+    candidates whose boxes overlap are compared for suppression.
     """
     if not sigmas:
         raise ValueError("need at least one sigma")
@@ -314,31 +326,28 @@ def log_blob_proposals(
     if peak_best <= 0:
         return []
     sidx, rows, cols, value = _local_maxima(raw)
+    if len(value) == 0:
+        return []
     order = np.lexsort((cols, rows, -value))  # strongest first, stable
+    windows = np.ceil(3.0 * np.asarray(sigmas, dtype=np.float64)).astype(np.intp)
     candidates: list[Mask] = []
+    areas: list[int] = []
     scores: list[float] = []
-    for k in order:
-        si, r, c = int(sidx[k]), int(rows[k]), int(cols[k])
-        window = int(math.ceil(3.0 * sigmas[si]))
-        r0, r1 = max(0, r - window), min(img.shape[0], r + window + 1)
-        c0, c1 = max(0, c - window), min(img.shape[1], c + window + 1)
-        patch = img[r0:r1, c0:c1]
-        grown = patch >= img[r, c] / 2.0
-        labels, count = ndimage.label(grown, structure=_EIGHT)
-        lab = labels[r - r0, c - c0]
-        if lab == 0:
-            continue
-        bits = labels == lab
-        m = Mask(c0, r0, bits).tighten()
-        if not area_bounds[0] <= m.area <= area_bounds[1]:
-            continue
-        candidates.append(m)
-        scores.append(min(1.0, float(value[k] / peak_best)))
+    side = 2 * int(windows.max()) + 1
+    per_block = max(1, _GROW_BLOCK_CELLS // (side * side))
+    for start in range(0, len(order), per_block):
+        k = order[start : start + per_block]
+        grown = _grow_peaks(img, rows[k], cols[k], windows[sidx[k]], side)
+        for p, (x0, y0, bits, area) in zip(k.tolist(), grown):
+            if area_bounds[0] <= area <= area_bounds[1]:
+                candidates.append(Mask(x0, y0, bits))
+                areas.append(area)
+                scores.append(min(1.0, float(value[p] / peak_best)))
     if not candidates:
         return []
-    i, j = np.triu_indices(len(candidates), 1)
+    i, j = _box_pairs(candidates)
     inter = mask_intersections(candidates, i, j, np.zeros_like(i), np.zeros_like(i))
-    area = np.array([m.area for m in candidates])
+    area = np.array(areas)
     over = inter / (area[i] + area[j] - inter) > MASK_NMS_IOU
     kept = _suppress(np.array(scores), i[over], j[over])
     return [
@@ -347,13 +356,72 @@ def log_blob_proposals(
     ]
 
 
+def _grow_peaks(
+    img: np.ndarray, rows: np.ndarray, cols: np.ndarray, windows: np.ndarray, side: int
+) -> list[tuple[int, int, np.ndarray, int]]:
+    """The 8-connected region of pixels at least half the peak's intensity
+    around each peak ``(rows[p], cols[p])``, within ``windows[p]`` pixels of
+    it and inside the frame: its tight box's left column and top row, bits
+    and area; peaks whose own pixel is not in it are left out.
+
+    Each peak's clipped window is cut from the frame into one plane of a
+    ``(P, side, side)`` block, centred on the plane, with False outside the
+    window; one ``ndimage.label`` call, whose structure joins no two planes,
+    labels every plane at once.
+    """
+    h, w = img.shape
+    half = side // 2
+    offset = np.arange(-half, half + 1)
+    near = np.abs(offset) <= windows[:, None]
+    r = rows[:, None] + offset
+    c = cols[:, None] + offset
+    in_r = near & (r >= 0) & (r < h)
+    in_c = near & (c >= 0) & (c < w)
+    patch = img[np.clip(r, 0, h - 1)[:, :, None], np.clip(c, 0, w - 1)[:, None, :]]
+    block = patch >= (img[rows, cols] / 2.0)[:, None, None]
+    block &= in_r[:, :, None] & in_c[:, None, :]
+    labels, count = ndimage.label(block, structure=_PLANES)
+    centre = labels[:, half, half]
+    area = np.bincount(labels.ravel(), minlength=count + 1)
+    objects = ndimage.find_objects(labels)
+    out = []
+    for p, lab in enumerate(centre.tolist()):
+        if lab == 0:
+            continue
+        _, sr, sc = objects[lab - 1]
+        bits = labels[p, sr, sc] == lab
+        out.append((int(cols[p]) - half + sc.start, int(rows[p]) - half + sr.start, bits, int(area[lab])))
+    return out
+
+
+def _box_pairs(masks: list[Mask]) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs i < j of the masks whose grids share a pixel: the only
+    pairs whose masks can.
+
+    A sweep over the grids sorted by left column pairs each grid with the
+    ones after it that start left of its right edge, so only the pairs that
+    share columns are ever listed.
+    """
+    x0 = np.array([m.x0 for m in masks], dtype=np.intp)
+    y0 = np.array([m.y0 for m in masks], dtype=np.intp)
+    h, w = np.array([m.bits.shape for m in masks], dtype=np.intp).reshape(-1, 2).T
+    by_x = np.argsort(x0, kind="stable")
+    left = x0[by_x]
+    end = np.searchsorted(left, left + w[by_x], side="left")
+    a, rank = _expand(end - np.arange(len(masks)) - 1)
+    i, j = by_x[a], by_x[a + 1 + rank]
+    near = (y0[i] < y0[j] + h[j]) & (y0[j] < y0[i] + h[i])
+    return np.minimum(i, j)[near], np.maximum(i, j)[near]
+
+
 def conflicts(props: list[Proposal]) -> list[tuple[int, int]]:
     """Same-frame pairs that may not coexist in a solution.
 
     A pair conflicts when mask IoU exceeds ``CONFLICT_IOU`` or when either
     mask's covered fraction |i & j| / |i| (or / |j|) exceeds
-    ``CONFLICT_COVER``.  Each frame's pairs are counted by one
-    ``mask_intersections`` call.  Pairs come back sorted with id_i < id_j.
+    ``CONFLICT_COVER``.  Each frame's pairs whose boxes overlap are counted
+    by one ``mask_intersections`` call, and a frame with none makes no call.
+    Pairs come back sorted with id_i < id_j.
     """
     by_frame: dict[int, list[Proposal]] = {}
     for p in props:
@@ -361,8 +429,11 @@ def conflicts(props: list[Proposal]) -> list[tuple[int, int]]:
     pairs: list[tuple[int, int]] = []
     for group in by_frame.values():
         group.sort(key=lambda p: p.id)
-        i, j = np.triu_indices(len(group), 1)
-        inter = mask_intersections([p.mask for p in group], i, j, np.zeros_like(i), np.zeros_like(i))
+        masks = [p.mask for p in group]
+        i, j = _box_pairs(masks)
+        if len(i) == 0:
+            continue
+        inter = mask_intersections(masks, i, j, np.zeros_like(i), np.zeros_like(i))
         area = np.array([p.area for p in group])
         a_i, a_j = area[i], area[j]
         hit = (
