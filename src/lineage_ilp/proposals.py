@@ -333,15 +333,13 @@ def log_blob_proposals(
     candidates: list[Mask] = []
     areas: list[int] = []
     scores: list[float] = []
-    side = 2 * int(windows.max()) + 1
-    per_block = max(1, _GROW_BLOCK_CELLS // (side * side))
+    per_block = max(1, _GROW_BLOCK_CELLS // (2 * int(windows.max()) + 1) ** 2)
     for start in range(0, len(order), per_block):
         k = order[start : start + per_block]
-        grown = _grow_peaks(img, rows[k], cols[k], windows[sidx[k]], side)
-        for p, (x0, y0, bits, area) in zip(k.tolist(), grown):
-            if area_bounds[0] <= area <= area_bounds[1]:
-                candidates.append(Mask(x0, y0, bits))
-                areas.append(area)
+        for p, grown in zip(k.tolist(), _grow_peaks(img, rows[k], cols[k], windows[sidx[k]])):
+            if grown is not None and area_bounds[0] <= grown[1] <= area_bounds[1]:
+                candidates.append(grown[0])
+                areas.append(grown[1])
                 scores.append(min(1.0, float(value[p] / peak_best)))
     if not candidates:
         return []
@@ -357,20 +355,20 @@ def log_blob_proposals(
 
 
 def _grow_peaks(
-    img: np.ndarray, rows: np.ndarray, cols: np.ndarray, windows: np.ndarray, side: int
-) -> list[tuple[int, int, np.ndarray, int]]:
-    """The 8-connected region of pixels at least half the peak's intensity
-    around each peak ``(rows[p], cols[p])``, within ``windows[p]`` pixels of
-    it and inside the frame: its tight box's left column and top row, bits
-    and area; peaks whose own pixel is not in it are left out.
+    img: np.ndarray, rows: np.ndarray, cols: np.ndarray, windows: np.ndarray
+) -> list[tuple[Mask, int] | None]:
+    """Per peak ``(rows[p], cols[p])``, the 8-connected region around it of
+    pixels at least half its intensity, within ``windows[p]`` pixels of it
+    and inside the frame: its tight mask and area, or None when the peak's
+    own pixel is not in it.
 
     Each peak's clipped window is cut from the frame into one plane of a
-    ``(P, side, side)`` block, centred on the plane, with False outside the
-    window; one ``ndimage.label`` call, whose structure joins no two planes,
-    labels every plane at once.
+    ``(P, 2R+1, 2R+1)`` block, R the widest window, centred on the plane,
+    with False outside the window; one ``ndimage.label`` call, whose
+    structure joins no two planes, labels every plane at once.
     """
     h, w = img.shape
-    half = side // 2
+    half = int(windows.max())
     offset = np.arange(-half, half + 1)
     near = np.abs(offset) <= windows[:, None]
     r = rows[:, None] + offset
@@ -381,16 +379,16 @@ def _grow_peaks(
     block = patch >= (img[rows, cols] / 2.0)[:, None, None]
     block &= in_r[:, :, None] & in_c[:, None, :]
     labels, count = ndimage.label(block, structure=_PLANES)
-    centre = labels[:, half, half]
     area = np.bincount(labels.ravel(), minlength=count + 1)
     objects = ndimage.find_objects(labels)
-    out = []
-    for p, lab in enumerate(centre.tolist()):
+    out: list[tuple[Mask, int] | None] = []
+    for p, lab in enumerate(labels[:, half, half].tolist()):
         if lab == 0:
+            out.append(None)
             continue
         _, sr, sc = objects[lab - 1]
-        bits = labels[p, sr, sc] == lab
-        out.append((int(cols[p]) - half + sc.start, int(rows[p]) - half + sr.start, bits, int(area[lab])))
+        x0, y0 = int(cols[p]) - half + sc.start, int(rows[p]) - half + sr.start
+        out.append((Mask(x0, y0, labels[p, sr, sc] == lab), int(area[lab])))
     return out
 
 

@@ -18,6 +18,7 @@ from lineage_ilp.proposals import (
     Frame,
     Proposal,
     _box_pairs,
+    _grow_peaks,
     _log_spectra,
     _local_maxima,
     _log_stack,
@@ -508,6 +509,22 @@ class TestLogGrowthMatchesReference:
         assert len(_local_maxima(_log_stack(noise, DEFAULT_SIGMAS))[0]) > 0
         assert self.assert_same_as_reference(Frame(t=0, intensity=noise), area_bounds=(1, 10000)) == []
 
+    def test_signed_noise_frames(self):
+        """Frames of signed noise, where many peaks lie on negative pixels
+        and grow nothing, between peaks that grow: 20 frames, 1 to 60 px a side."""
+        skipped_between = 0
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            img = rng.normal(size=(int(rng.integers(1, 61)), int(rng.integers(1, 61))))
+            self.assert_same_as_reference(Frame(t=0, intensity=img), area_bounds=(1, 10000))
+            s, r, c, value = _local_maxima(_log_stack(img, DEFAULT_SIGMAS))
+            grown = [
+                log_reference.grow_peak(img, int(r[k]), int(c[k]), int(np.ceil(3.0 * DEFAULT_SIGMAS[s[k]]))) is not None
+                for k in np.lexsort((c, r, -value))
+            ]
+            skipped_between += sum(not g and any(grown[n + 1 :]) for n, g in enumerate(grown))
+        assert skipped_between > 20
+
     def test_frames_with_no_maximum(self):
         faint = _blob((30, 30), 15, 15, 3.0, amplitude=0.03)  # responses above 0, all below the threshold
         raw = _log_stack(faint, DEFAULT_SIGMAS)
@@ -525,6 +542,30 @@ class TestLogGrowthMatchesReference:
         for cells in (1, 5 * 37 * 37, 1 << 30):
             monkeypatch.setattr(proposals_mod, "_GROW_BLOCK_CELLS", cells)
             assert_same_proposals(log_blob_proposals(frame), want)
+
+
+class TestGrowPeaks:
+    def test_each_peak_as_grown_alone(self):
+        """Peaks in any order, anywhere on signed frames (corners and edges
+        too), each with its own window: entry p is ``grow_peak``'s mask for
+        peak p, or None, and its area."""
+        nones = 0
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            h, w = int(rng.integers(1, 50)), int(rng.integers(1, 50))
+            img = rng.normal(size=(h, w)) + rng.uniform(-1.0, 1.0)
+            n = int(rng.integers(1, 40))
+            rows = np.concatenate([[0, h - 1], rng.integers(0, h, n)])
+            cols = np.concatenate([[w - 1, 0], rng.integers(0, w, n)])
+            windows = rng.integers(0, 12, len(rows))
+            for (r, c, win), got in zip(zip(rows, cols, windows), _grow_peaks(img, rows, cols, windows)):
+                want = log_reference.grow_peak(img, int(r), int(c), int(win))
+                if want is None:
+                    assert got is None
+                    nones += 1
+                else:
+                    assert got[0] == want and got[1] == want.area
+        assert nones > 50
 
 
 def _traced_peak(fn, *args, **kwargs):
