@@ -396,7 +396,8 @@ def _edge_blobs(shape, b=2.0):
     """Blobs on the four corners and the middle of each edge of a frame."""
     h, w = shape
     img = np.zeros(shape)
-    for y, x in [(0, 0), (0, w - 1), (h - 1, 0), (h - 1, w - 1), (0, w // 2), (h - 1, w // 2), (h // 2, 0), (h // 2, w - 1)]:
+    corners = [(0, 0), (0, w - 1), (h - 1, 0), (h - 1, w - 1)]
+    for y, x in corners + [(0, w // 2), (h - 1, w // 2), (h // 2, 0), (h // 2, w - 1)]:
         img = np.maximum(img, _blob(shape, y, x, b))
     return img
 
