@@ -54,10 +54,9 @@ def toy_graph() -> TrackingGraph:
 
 def describe(name: str, graph: TrackingGraph, result, varmap) -> None:
     lineage = extract_lineage(graph, varmap, result.x)
+    edge_x = result.x[len(graph.proposals):]
     chosen = [
-        f"{e.kind}({e.src}->{e.dst})"
-        for i, e in enumerate(graph.edges)
-        if result.x[varmap.edge_var[i]] == 1
+        f"{e.kind}({e.src}->{e.dst})" for e, on in zip(graph.edges, edge_x) if on == 1
     ]
     print(f"  {name}: objective {result.objective:.1f}")
     print(f"    edges: {', '.join(chosen)}")

@@ -31,54 +31,110 @@ INSTANCE_SCHEMA_VERSION = 1
 BRUTEFORCE_MAX_VARS = 24
 
 
-@dataclass(frozen=True)
-class LinearConstraint:
-    """sum(coeffs[k] * x[indices[k]]) sense rhs, coefficients all +1 or -1."""
+@dataclass
+class Rows:
+    """The constraints as one sparse form.  Per entry: its row, its variable
+    and its coefficient (+1 or -1), the entries grouped by row in row order;
+    per row: its rhs and whether it is an equality (else <=)."""
 
-    indices: tuple[int, ...]
-    coeffs: tuple[int, ...]
-    sense: str  # "<=" or "=="
-    rhs: int
+    row: np.ndarray
+    col: np.ndarray
+    coef: np.ndarray
+    rhs: np.ndarray
+    is_eq: np.ndarray
 
-    def __post_init__(self) -> None:
-        if self.sense not in ("<=", "=="):
-            raise ValueError(f"unknown sense {self.sense!r}")
-        if not self.indices or len(self.indices) != len(self.coeffs):
-            raise ValueError("indices and coeffs must be non-empty and equal length")
-        if any(c not in (-1, 1) for c in self.coeffs):
-            raise ValueError("coefficients must be -1 or +1")
-        if len(set(self.indices)) != len(self.indices):
-            raise ValueError("repeated variable in constraint")
+    def __len__(self) -> int:
+        return len(self.rhs)
+
+    def tuples(self):
+        """Each row as (indices, coeffs, sense, rhs) of plain ints, in row
+        order: the form IlpInstance.from_rows takes."""
+        starts = np.searchsorted(self.row, np.arange(len(self) + 1)).tolist()
+        col, coef = self.col.tolist(), self.coef.tolist()
+        for r, (rhs, eq) in enumerate(zip(self.rhs.tolist(), self.is_eq.tolist())):
+            a, b = starts[r], starts[r + 1]
+            yield col[a:b], coef[a:b], "==" if eq else "<=", rhs
+
+    def feasible(self, x: np.ndarray) -> bool:
+        """Whether the complete 0/1 assignment x satisfies every row."""
+        vals = np.bincount(self.row, self.coef * x[self.col], minlength=len(self))
+        eq = self.is_eq
+        return bool((vals[eq] == self.rhs[eq]).all() and (vals[~eq] <= self.rhs[~eq]).all())
+
+    def columns(self, n_vars: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The matrix column-wise: column starts, row per entry, coefficient
+        per entry."""
+        order = np.argsort(self.col, kind="stable")  # rows stay ascending
+        starts = np.searchsorted(self.col[order], np.arange(n_vars + 1))
+        return starts, self.row[order], self.coef[order].astype(np.float64)
+
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per row its lower and upper bound as floats."""
+        upper = self.rhs.astype(np.float64)
+        return np.where(self.is_eq, upper, -np.inf), upper
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 @dataclass
 class IlpInstance:
+    """min costs @ x over 0/1 vectors x that satisfy the constraint rows."""
+
     costs: np.ndarray
-    constraints: list[LinearConstraint]
+    constraints: Rows
 
     def __post_init__(self) -> None:
         self.costs = np.asarray(self.costs, dtype=np.float64)
         if self.costs.ndim != 1:
             raise ValueError("costs must be a 1-d array")
-        for c in self.constraints:
-            if any(i < 0 or i >= self.n_vars for i in c.indices):
-                raise ValueError("constraint references unknown variable")
 
     @property
     def n_vars(self) -> int:
         return self.costs.shape[0]
 
+    @classmethod
+    def from_rows(cls, costs, rows) -> IlpInstance:
+        """An instance from rows given as (indices, coeffs, sense, rhs), each
+        checked: sense "<=" or "==", indices distinct integers naming
+        variables, one coefficient per index, each +1 or -1, and an integer
+        rhs.  Raises ValueError."""
+        n = np.size(costs)
+        row, col, coef, rhs, is_eq = [], [], [], [], []
+        for r, (indices, coeffs, sense, b) in enumerate(rows):
+            indices, coeffs = list(indices), list(coeffs)
+            if sense not in ("<=", "=="):
+                raise ValueError(f"unknown sense {sense!r}")
+            if not indices or len(indices) != len(coeffs):
+                raise ValueError("indices and coeffs must be non-empty and equal length")
+            if not all(map(_is_int, [*indices, *coeffs, b])):
+                raise ValueError("indices, coefficients and rhs must be integers")
+            if any(c not in (-1, 1) for c in coeffs):
+                raise ValueError("coefficients must be -1 or +1")
+            if len(set(indices)) != len(indices):
+                raise ValueError("repeated variable in constraint")
+            if any(i < 0 or i >= n for i in indices):
+                raise ValueError("constraint references unknown variable")
+            row += [r] * len(indices)
+            col += indices
+            coef += coeffs
+            rhs.append(b)
+            is_eq.append(sense == "==")
+        return cls(costs, Rows(
+            np.array(row, dtype=np.intp), np.array(col, dtype=np.intp),
+            np.array(coef, dtype=np.int8), np.array(rhs, dtype=np.int64),
+            np.array(is_eq, dtype=bool),
+        ))
+
 
 @dataclass
 class VarMap:
-    """Variable layout: proposals first in (t, id) order, then edges."""
+    """Variable layout: proposals first in (t, id) order, then the edges in
+    graph order, so the edge block of a selection x is
+    x[len(graph.proposals):]."""
 
     node_var: dict[int, int]
-    edge_var: list[int]
-
-    @property
-    def n_vars(self) -> int:
-        return len(self.node_var) + len(self.edge_var)
 
 
 @dataclass
@@ -102,70 +158,61 @@ def formulate(graph: TrackingGraph) -> tuple[IlpInstance, VarMap]:
     relaxation); each chosen proposal is explained by exactly one incoming
     edge; incoming flow equals outgoing flow, where a division counts once
     (its second daughter edge is excluded from the parent's outgoing sum);
-    both edges of a division set are chosen together.
+    both edges of a division set are chosen together.  Within a row the
+    incoming edges come first, in edge order, then the proposal or its
+    outgoing edges.
     """
     node_var = {p.id: i for i, p in enumerate(graph.proposals)}
     n_props = len(graph.proposals)
-    edge_var = [n_props + i for i in range(len(graph.edges))]
-
-    in_vars: dict[int, list[int]] = {pid: [] for pid in node_var}
-    out_vars: dict[int, list[int]] = {pid: [] for pid in node_var}
-    for i, e in enumerate(graph.edges):
-        v = edge_var[i]
-        if e.kind == "enter":
-            in_vars[e.dst].append(v)
-        elif e.kind == "move":
-            in_vars[e.dst].append(v)
-            out_vars[e.src].append(v)
-        elif e.kind == "exit":
-            out_vars[e.src].append(v)
-        elif e.kind == "mitosis":
-            in_vars[e.dst].append(v)
-            if e.k == 1:  # the second daughter edge does not count as outflow
-                out_vars[e.src].append(v)
-        else:
-            raise ValueError(f"unknown edge kind {e.kind!r}")
-
-    constraints = [
-        LinearConstraint(clique, (1,) * len(clique), "<=", 1)
-        for clique in _maximal_cliques((node_var[a], node_var[b]) for a, b in graph.conflicts)
-    ]
-    for p in graph.proposals:
-        ins = in_vars[p.id]
-        constraints.append(
-            LinearConstraint(
-                tuple(ins) + (node_var[p.id],), (1,) * len(ins) + (-1,), "==", 0
-            )
-        )
-    for p in graph.proposals:
-        ins = in_vars[p.id]
-        outs = out_vars[p.id]
-        constraints.append(
-            LinearConstraint(
-                tuple(ins) + tuple(outs),
-                (1,) * len(ins) + (-1,) * len(outs),
-                "==",
-                0,
-            )
-        )
+    ins: list[tuple[int, int]] = []  # (proposal, edge variable) per edge into a proposal
+    outs: list[tuple[int, int]] = []  # the same per edge out of a proposal
     set_edges: dict[int, dict[int, int]] = {}
-    for i, e in enumerate(graph.edges):
+    for v, e in enumerate(graph.edges, start=n_props):
+        if e.kind not in ("enter", "move", "exit", "mitosis"):
+            raise ValueError(f"unknown edge kind {e.kind!r}")
+        if e.kind != "exit":
+            ins.append((node_var[e.dst], v))
+        # the second daughter edge does not count as outflow
+        if e.kind in ("move", "exit") or (e.kind == "mitosis" and e.k == 1):
+            outs.append((node_var[e.src], v))
         if e.kind == "mitosis":
-            set_edges.setdefault(e.set_id, {})[e.k] = edge_var[i]
-    for set_id in sorted(set_edges):
-        pair = set_edges[set_id]
-        constraints.append(
-            LinearConstraint((pair[1], pair[2]), (1, -1), "==", 0)
-        )
+            set_edges.setdefault(e.set_id, {})[e.k] = v
 
-    costs = np.zeros(n_props + len(graph.edges))
-    for p in graph.proposals:
-        costs[node_var[p.id]] = graph.node_cost[p.id]
-    for i, e in enumerate(graph.edges):
-        costs[edge_var[i]] = e.cost
+    cliques = _maximal_cliques((node_var[a], node_var[b]) for a, b in graph.conflicts)
+    pairs = np.array([(s[1], s[2]) for s in map(set_edges.get, sorted(set_edges))], dtype=np.intp)
+    in_at, in_var = np.array(ins, dtype=np.intp).reshape(-1, 2).T
+    out_at, out_var = np.array(outs, dtype=np.intp).reshape(-1, 2).T
+    bare = np.bincount(np.concatenate([in_at, out_at]), minlength=n_props) == 0
+    if bare.any():  # its flow row would be empty
+        raise ValueError(f"proposal {graph.proposals[int(np.argmax(bare))].id} has no edge")
+    nodes = np.arange(n_props)
+    # the first rows of the explanation, flow and division blocks
+    explain = len(cliques)
+    flow = explain + n_props
+    divide = flow + n_props
+    clique_rows = np.repeat(np.arange(explain), [len(c) for c in cliques])
+    # (rows, variables, coefficient) per block; a stable sort by row keeps
+    # each row's entries in block order
+    blocks = [
+        (clique_rows, [v for c in cliques for v in c], 1),
+        (explain + in_at, in_var, 1),
+        (explain + nodes, nodes, -1),
+        (flow + in_at, in_var, 1),
+        (flow + out_at, out_var, -1),
+        (np.repeat(divide + np.arange(len(pairs)), 2), pairs.ravel(), np.tile([1, -1], len(pairs))),
+    ]
+    row = np.concatenate([np.asarray(r, dtype=np.intp) for r, _, _ in blocks])
+    order = np.argsort(row, kind="stable")
+    col = np.concatenate([np.asarray(c, dtype=np.intp) for _, c, _ in blocks])
+    coef = np.concatenate([np.broadcast_to(k, np.shape(r)) for r, _, k in blocks]).astype(np.int8)
+    is_eq = np.arange(divide + len(pairs)) >= explain  # clique rows are <= 1, the rest == 0
+    rows = Rows(row[order], col[order], coef[order], (~is_eq).astype(np.int64), is_eq)
 
-    instance = IlpInstance(costs=costs, constraints=constraints)
-    return instance, VarMap(node_var=node_var, edge_var=edge_var)
+    costs = np.array(
+        [graph.node_cost[p.id] for p in graph.proposals] + [e.cost for e in graph.edges],
+        dtype=np.float64,
+    )
+    return IlpInstance(costs, rows), VarMap(node_var=node_var)
 
 
 def _maximal_cliques(edges) -> list[tuple[int, ...]]:
@@ -211,13 +258,11 @@ def check_solution(instance: IlpInstance, x: np.ndarray) -> list[str]:
     if not np.isin(x, (0, 1)).all():
         out.append("solution contains non-binary entries")
         return out
-    for ci, c in enumerate(instance.constraints):
-        val = sum(co * int(x[i]) for i, co in zip(c.indices, c.coeffs))
-        ok = val <= c.rhs if c.sense == "<=" else val == c.rhs
+    for ci, (indices, coeffs, sense, rhs) in enumerate(instance.constraints.tuples()):
+        val = sum(co * int(x[i]) for i, co in zip(indices, coeffs))
+        ok = val <= rhs if sense == "<=" else val == rhs
         if not ok:
-            out.append(
-                f"constraint {ci}: value {val} violates {c.sense} {c.rhs}"
-            )
+            out.append(f"constraint {ci}: value {val} violates {sense} {rhs}")
     return out
 
 
@@ -228,17 +273,13 @@ def solve_bruteforce(instance: IlpInstance, chunk_bits: int = 16) -> SolveResult
     n = instance.n_vars
     if n > BRUTEFORCE_MAX_VARS:
         raise ValueError(f"brute force limited to {BRUTEFORCE_MAX_VARS} variables")
-    m = len(instance.constraints)
+    rows = instance.constraints
+    m = len(rows)
     # float64, so one BLAS product checks every row: the coefficients are
     # +-1 and n <= 24, so every row sum is a small integer, exact in float64
     A = np.zeros((m, n))
-    rhs = np.zeros(m)
-    is_eq = np.zeros(m, dtype=bool)
-    for ci, c in enumerate(instance.constraints):
-        for i, co in zip(c.indices, c.coeffs):
-            A[ci, i] = co
-        rhs[ci] = c.rhs
-        is_eq[ci] = c.sense == "=="
+    A[rows.row, rows.col] = rows.coef
+    rhs, is_eq = rows.rhs, rows.is_eq
 
     best_obj = np.inf
     best_code = -1
@@ -286,46 +327,6 @@ _highs_module = None  # the loaded module; False once loading it has failed
 
 
 @dataclass
-class _Rows:
-    """The constraints as one sparse form, kept in constraint order: per
-    entry its row, column and coefficient; per row its rhs and sense."""
-
-    row: np.ndarray
-    col: np.ndarray
-    coef: np.ndarray
-    rhs: np.ndarray
-    is_eq: np.ndarray
-    n_vars: int
-
-    @classmethod
-    def build(cls, constraints: list[LinearConstraint], n_vars: int) -> _Rows:
-        return cls(
-            row=np.repeat(np.arange(len(constraints)), [len(c.indices) for c in constraints]),
-            col=np.array([i for c in constraints for i in c.indices], dtype=np.intp),
-            coef=np.array([co for c in constraints for co in c.coeffs], dtype=np.float64),
-            rhs=np.array([c.rhs for c in constraints], dtype=np.float64),
-            is_eq=np.array([c.sense == "==" for c in constraints], dtype=bool),
-            n_vars=n_vars,
-        )
-
-    def feasible(self, x: np.ndarray) -> bool:
-        """Whether the complete 0/1 assignment x satisfies every row."""
-        vals = np.bincount(self.row, self.coef * x[self.col], minlength=len(self.rhs))
-        eq = self.is_eq
-        return bool((vals[eq] == self.rhs[eq]).all() and (vals[~eq] <= self.rhs[~eq]).all())
-
-    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The matrix column-wise: column starts, row per entry, coefficient
-        per entry."""
-        order = np.argsort(self.col, kind="stable")  # rows stay ascending
-        starts = np.searchsorted(self.col[order], np.arange(self.n_vars + 1))
-        return starts, self.row[order], self.coef[order]
-
-    def row_lower(self) -> np.ndarray:
-        return np.where(self.is_eq, self.rhs, -np.inf)
-
-
-@dataclass
 class _Run:
     """How one HiGHS run ended ("optimal", "infeasible", "time" or
     "stopped"), its point if it has one, the lower bound it proved, and its
@@ -366,19 +367,18 @@ def _highs_extension():
     return _highs_module or None
 
 
-def _run_extension(h, rows: _Rows, costs: np.ndarray, integral: bool,
+def _run_extension(h, rows: Rows, costs: np.ndarray, integral: bool,
                    time_limit: float | None, max_nodes: int | None) -> _Run:
     """One run through scipy's compiled HiGHS module ``h``."""
-    n, m = rows.n_vars, len(rows.rhs)
-    starts, index, value = rows.columns()
+    n, m = len(costs), len(rows)
+    starts, index, value = rows.columns(n)
     lp = h.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = n
     lp.num_row_ = lp.a_matrix_.num_row_ = m
     lp.col_cost_ = costs
     lp.col_lower_ = np.zeros(n)
     lp.col_upper_ = np.ones(n)
-    lp.row_lower_ = rows.row_lower()
-    lp.row_upper_ = rows.rhs
+    lp.row_lower_, lp.row_upper_ = rows.bounds()
     lp.a_matrix_.format_ = h.MatrixFormat.kColwise
     lp.a_matrix_.start_ = starts.astype(np.int32)
     lp.a_matrix_.index_ = index.astype(np.int32)
@@ -421,7 +421,7 @@ def _run_extension(h, rows: _Rows, costs: np.ndarray, integral: bool,
     return _Run(end, x, float(bound), max(0, info.mip_node_count) if integral else 0)
 
 
-def _run_milp(rows: _Rows, costs: np.ndarray, integral: bool,
+def _run_milp(rows: Rows, costs: np.ndarray, integral: bool,
               time_limit: float | None, max_nodes: int | None) -> _Run:
     """The same run through the public scipy.optimize.milp, which takes
     neither the absolute gap nor the thread and seed options."""
@@ -429,19 +429,19 @@ def _run_milp(rows: _Rows, costs: np.ndarray, integral: bool,
     from scipy.optimize import LinearConstraint as Constraint
     from scipy.sparse import csc_array
 
-    n, m = rows.n_vars, len(rows.rhs)
+    n, m = len(costs), len(rows)
     options: dict = {"mip_rel_gap": 0.0}
     if time_limit is not None:
         options["time_limit"] = float(time_limit)
     if max_nodes is not None:
         options["node_limit"] = int(max_nodes)
-    starts, index, value = rows.columns()
+    starts, index, value = rows.columns(n)
     matrix = csc_array((value, index, starts), shape=(m, n))
     res = milp(
         costs,
         integrality=np.full(n, int(integral)),
         bounds=Bounds(0.0, 1.0),
-        constraints=[Constraint(matrix, rows.row_lower(), rows.rhs)] if m else [],
+        constraints=[Constraint(matrix, *rows.bounds())] if m else [],
         options=options,
     )
     if res.status == 0:
@@ -458,7 +458,7 @@ def _run_milp(rows: _Rows, costs: np.ndarray, integral: bool,
     return _Run(end, res.x, float(bound), max(0, nodes))
 
 
-def _run_highs(rows: _Rows, costs: np.ndarray, integral: bool,
+def _run_highs(rows: Rows, costs: np.ndarray, integral: bool,
                time_limit: float | None = None, max_nodes: int | None = None) -> _Run:
     """Solve min costs @ x over the rows with 0 <= x <= 1, as an LP or, when
     ``integral``, as a MILP with zero gap tolerances."""
@@ -502,7 +502,7 @@ def solve(
     if n == 0:  # HiGHS reports an empty model as empty, not solved
         empty = np.zeros(0, dtype=np.int8)
         return SolveResult("optimal", empty, 0.0, 0.0, 0.0, 0, time.monotonic() - t0)
-    rows = _Rows.build(instance.constraints, n)
+    rows = instance.constraints
     costs = instance.costs
 
     bound = float(np.minimum(costs, 0.0).sum())  # no 0/1 selection costs less
@@ -722,11 +722,11 @@ def solve_greedy(graph: TrackingGraph, varmap: VarMap) -> SolveResult:
             walk_tail(s.d1)
             walk_tail(s.d2)
 
-    x = np.zeros(varmap.n_vars, dtype=np.int8)
+    x = np.zeros(len(props) + len(graph.edges), dtype=np.int8)
     for pid in used:
         x[varmap.node_var[pid]] = 1
-    for eidx in chosen_edges:
-        x[varmap.edge_var[eidx]] = 1
+    edge_x = x[len(props):]
+    edge_x[list(chosen_edges)] = 1
     objective = float(sum(node_cost[pid] for pid in used)) + float(
         sum(graph.edges[i].cost for i in chosen_edges)
     )
@@ -754,6 +754,7 @@ def extract_lineage(graph: TrackingGraph, varmap: VarMap, x: np.ndarray) -> Line
     """
     x = np.asarray(x)
     selected = {pid for pid, vi in varmap.node_var.items() if x[vi] == 1}
+    edge_x = x[len(graph.proposals):]
     by_id = graph.proposal_by_id()
 
     in_kind: dict[int, str] = {}
@@ -761,7 +762,7 @@ def extract_lineage(graph: TrackingGraph, varmap: VarMap, x: np.ndarray) -> Line
     exits: set[int] = set()
     div_out: dict[int, list[int | None]] = {}  # parent pid -> [d1, d2]
     for i, e in enumerate(graph.edges):
-        if x[varmap.edge_var[i]] != 1:
+        if edge_x[i] != 1:
             continue
         for endpoint in (e.src, e.dst):
             if endpoint is not None and endpoint not in selected:
@@ -851,29 +852,24 @@ def instance_to_json(instance: IlpInstance) -> dict:
         "kind": "selection_instance",
         "costs": instance.costs.tolist(),
         "constraints": [
-            {
-                "indices": list(c.indices),
-                "coeffs": list(c.coeffs),
-                "sense": c.sense,
-                "rhs": c.rhs,
-            }
-            for c in instance.constraints
+            {"indices": indices, "coeffs": coeffs, "sense": sense, "rhs": rhs}
+            for indices, coeffs, sense, rhs in instance.constraints.tuples()
         ],
     }
 
 
 def instance_from_json(obj: dict) -> IlpInstance:
+    """The instance a document describes.  Costs must be JSON numbers and
+    indices, coefficients and rhs JSON integers; anything else, like every
+    other malformed part, raises FormatError."""
     try:
-        constraints = [
-            LinearConstraint(
-                tuple(c["indices"]), tuple(c["coeffs"]), c["sense"], int(c["rhs"])
-            )
-            for c in obj["constraints"]
-        ]
-        return IlpInstance(
-            costs=np.array(obj["costs"], dtype=np.float64),
-            constraints=constraints,
-        )
+        costs = obj["costs"]
+        if not isinstance(costs, list) or not all(
+            isinstance(c, (int, float)) and not isinstance(c, bool) for c in costs
+        ):
+            raise ValueError("costs must be a list of numbers")
+        rows = [(c["indices"], c["coeffs"], c["sense"], c["rhs"]) for c in obj["constraints"]]
+        return IlpInstance.from_rows(np.array(costs, dtype=np.float64), rows)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed selection_instance document: {exc}") from exc
 

@@ -18,42 +18,30 @@ from lineage_ilp.graph import (
     enumerate_moves,
 )
 from lineage_ilp.proposals import Proposal
-from lineage_ilp.solve import IlpInstance, LinearConstraint
+from lineage_ilp.solve import IlpInstance
 
 
 def random_instance(rng: np.random.Generator, max_vars: int = 20) -> IlpInstance:
     """Random selection problem; the all-zeros point is always feasible."""
     n = int(rng.integers(4, max_vars + 1))
     costs = rng.uniform(-2.0, 2.0, size=n)
-    cons: list[LinearConstraint] = []
+    cons: list[tuple] = []  # (indices, coeffs, sense, rhs) per row
     for _ in range(int(rng.integers(0, n))):
         i, j = rng.choice(n, size=2, replace=False)
-        cons.append(LinearConstraint((int(min(i, j)), int(max(i, j))), (1, 1), "<=", 1))
+        cons.append(((int(min(i, j)), int(max(i, j))), (1, 1), "<=", 1))
     for _ in range(int(rng.integers(0, max(2, n // 3)))):
         size = int(rng.integers(1, 4))
         chosen = rng.choice(n, size=size + 1, replace=False)
         members, target = chosen[:-1], int(chosen[-1])
-        cons.append(
-            LinearConstraint(
-                tuple(int(v) for v in members) + (target,),
-                (1,) * size + (-1,),
-                "==",
-                0,
-            )
-        )
+        cons.append((tuple(int(v) for v in members) + (target,), (1,) * size + (-1,), "==", 0))
     for _ in range(int(rng.integers(0, 3))):
         k = int(rng.integers(2, 5))
         chosen = rng.choice(n, size=k, replace=False)
         split = int(rng.integers(1, k))
         cons.append(
-            LinearConstraint(
-                tuple(int(v) for v in chosen),
-                (1,) * split + (-1,) * (k - split),
-                "==",
-                0,
-            )
+            (tuple(int(v) for v in chosen), (1,) * split + (-1,) * (k - split), "==", 0)
         )
-    return IlpInstance(costs=costs, constraints=cons)
+    return IlpInstance.from_rows(costs, cons)
 
 
 def constraint_components(instance: IlpInstance) -> list[list[int]]:
@@ -68,9 +56,9 @@ def constraint_components(instance: IlpInstance) -> list[list[int]]:
             i = parent[i]
         return i
 
-    for c in instance.constraints:
-        root = find(c.indices[0])
-        for i in c.indices[1:]:
+    for indices, _, _, _ in instance.constraints.tuples():
+        root = find(indices[0])
+        for i in indices[1:]:
             parent[find(i)] = root
     groups: dict[int, list[int]] = {}
     for i in range(instance.n_vars):
@@ -83,11 +71,11 @@ def component_instance(instance: IlpInstance, members: list[int]) -> IlpInstance
     renumbered in the order of ``members``."""
     pos = {v: k for k, v in enumerate(members)}
     cons = [
-        LinearConstraint(tuple(pos[i] for i in c.indices), c.coeffs, c.sense, c.rhs)
-        for c in instance.constraints
-        if c.indices[0] in pos
+        ([pos[i] for i in indices], coeffs, sense, rhs)
+        for indices, coeffs, sense, rhs in instance.constraints.tuples()
+        if indices[0] in pos
     ]
-    return IlpInstance(instance.costs[members], cons)
+    return IlpInstance.from_rows(instance.costs[members], cons)
 
 
 def _square(pid: int, t: int, x: int, y: int, size: int) -> Proposal:

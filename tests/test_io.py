@@ -37,7 +37,7 @@ from lineage_ilp.io import (
 from lineage_ilp.pipeline import Models, load_models, run_e2e, save_models
 from lineage_ilp.proposals import Proposal, log_blob_proposals
 from lineage_ilp.sim import SimConfig, simulate
-from lineage_ilp.solve import IlpInstance, LinearConstraint, load_instance, save_instance
+from lineage_ilp.solve import IlpInstance, load_instance, save_instance
 
 import io_reference
 from io_reference import decode_rle, encode_rle
@@ -714,7 +714,7 @@ class TestNonFiniteNumbersRefused:
 
     def test_instance_cost(self, tmp_path):
         path = tmp_path / "i.json"
-        save_instance(IlpInstance(np.array([-1.5, 2.0]), [LinearConstraint((0, 1), (1, 1), "<=", 1)]), path)
+        save_instance(IlpInstance.from_rows(np.array([-1.5, 2.0]), [((0, 1), (1, 1), "<=", 1)]), path)
         path.write_text(path.read_text().replace("-1.5", "NaN"))
         with pytest.raises(FormatError, match="NaN"):
             load_instance(path)

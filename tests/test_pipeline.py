@@ -676,9 +676,9 @@ class TestImportCost:
         assert self.run_python(code) == "False"
 
     SMALL_SOLVE = (
-        "import numpy as np; from lineage_ilp.solve import IlpInstance, LinearConstraint, solve; "
-        "r = solve(IlpInstance(np.array([-1.0, -2.0, -1.5]), "
-        "[LinearConstraint((0, 1, 2), (1, 1, 1), '<=', 1)])); "
+        "import numpy as np; from lineage_ilp.solve import IlpInstance, solve; "
+        "r = solve(IlpInstance.from_rows(np.array([-1.0, -2.0, -1.5]), "
+        "[((0, 1, 2), (1, 1, 1), '<=', 1)])); "
     )
 
     def test_exact_solve_leaves_scipy_optimize_unimported(self):

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import importlib.machinery
 import itertools
+import json
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from formulate_reference import formulate_rows
 from support import (
     component_instance,
     constraint_components,
@@ -20,7 +22,8 @@ from support import (
 
 import lineage_ilp.solve as solve_mod
 from lineage_ilp.config import config_from_dict
-from lineage_ilp.io import validate_tracks
+from lineage_ilp.graph import TrackingGraph
+from lineage_ilp.io import FormatError, dumps_json, validate_tracks
 from lineage_ilp.pipeline import (
     build_candidate_graph,
     load_dataset,
@@ -34,10 +37,8 @@ from lineage_ilp.pipeline import (
 from lineage_ilp.solve import (
     BRUTEFORCE_MAX_VARS,
     IlpInstance,
-    LinearConstraint,
     SolveResult,
     _maximal_cliques,
-    _Rows,
     check_solution,
     extract_lineage,
     formulate,
@@ -53,31 +54,59 @@ from lineage_ilp.solve import (
 
 
 class TestConstraintValidation:
+    """IlpInstance.from_rows checks every row it is given."""
+
+    @staticmethod
+    def instance(*row):
+        return IlpInstance.from_rows(np.zeros(2), [row])
+
     def test_bad_sense(self):
         with pytest.raises(ValueError):
-            LinearConstraint((0,), (1,), ">=", 0)
+            self.instance((0,), (1,), ">=", 0)
 
     def test_bad_coeff(self):
         with pytest.raises(ValueError):
-            LinearConstraint((0, 1), (1, 2), "<=", 1)
+            self.instance((0, 1), (1, 2), "<=", 1)
 
     def test_duplicate_index(self):
         with pytest.raises(ValueError):
-            LinearConstraint((0, 0), (1, 1), "<=", 1)
+            self.instance((0, 0), (1, 1), "<=", 1)
 
     def test_empty(self):
         with pytest.raises(ValueError):
-            LinearConstraint((), (), "<=", 1)
+            self.instance((), (), "<=", 1)
+        with pytest.raises(ValueError):
+            self.instance((0, 1), (1,), "<=", 1)
 
     def test_instance_checks_range(self):
         with pytest.raises(ValueError):
-            IlpInstance(np.zeros(2), [LinearConstraint((5,), (1,), "<=", 1)])
+            self.instance((5,), (1,), "<=", 1)
+        with pytest.raises(ValueError):
+            self.instance((-1,), (1,), "<=", 1)
+
+    @pytest.mark.parametrize(
+        "row",
+        [((0,), (1,), "<=", 1.0), ((0,), (True,), "<=", 1), ((0.0,), (1,), "<=", 1)],
+        ids=["float-rhs", "bool-coeff", "float-index"],
+    )
+    def test_non_integers_refused(self, row):
+        with pytest.raises(ValueError, match="integers"):
+            self.instance(*row)
+
+    def test_rows_kept_in_order(self):
+        rows = [((1, 0), (1, -1), "==", 0), ((0, 1), (1, 1), "<=", 1)]
+        inst = IlpInstance.from_rows(np.zeros(2), rows)
+        assert len(inst.constraints) == 2
+        assert list(inst.constraints.tuples()) == [
+            ([1, 0], [1, -1], "==", 0),
+            ([0, 1], [1, 1], "<=", 1),
+        ]
 
 
 class TestBruteForce:
     def test_conflict_picks_cheaper(self):
-        inst = IlpInstance(
-            np.array([-1.0, -2.0]), [LinearConstraint((0, 1), (1, 1), "<=", 1)]
+        inst = IlpInstance.from_rows(
+            np.array([-1.0, -2.0]), [((0, 1), (1, 1), "<=", 1)]
         )
         res = solve_bruteforce(inst)
         assert res.status == "optimal"
@@ -85,31 +114,31 @@ class TestBruteForce:
         np.testing.assert_array_equal(res.x, [0, 1])
 
     def test_unconstrained_selects_negatives(self):
-        inst = IlpInstance(np.array([-1.0, 2.0, -0.5]), [])
+        inst = IlpInstance.from_rows(np.array([-1.0, 2.0, -0.5]), [])
         res = solve_bruteforce(inst)
         np.testing.assert_array_equal(res.x, [1, 0, 1])
         assert res.objective == -1.5
 
     def test_tie_prefers_lexicographically_smallest(self):
-        inst = IlpInstance(
-            np.array([-1.0, -1.0]), [LinearConstraint((0, 1), (1, 1), "<=", 1)]
+        inst = IlpInstance.from_rows(
+            np.array([-1.0, -1.0]), [((0, 1), (1, 1), "<=", 1)]
         )
         res = solve_bruteforce(inst)
         np.testing.assert_array_equal(res.x, [1, 0])
 
     def test_infeasible(self):
         cons = [
-            LinearConstraint((0,), (1,), "==", 1),
-            LinearConstraint((1,), (1,), "==", 1),
-            LinearConstraint((0, 1), (1, 1), "<=", 1),
+            ((0,), (1,), "==", 1),
+            ((1,), (1,), "==", 1),
+            ((0, 1), (1, 1), "<=", 1),
         ]
-        res = solve_bruteforce(IlpInstance(np.zeros(2), cons))
+        res = solve_bruteforce(IlpInstance.from_rows(np.zeros(2), cons))
         assert res.status == "infeasible"
         assert res.x is None
 
     def test_refuses_large_instances(self):
         with pytest.raises(ValueError):
-            solve_bruteforce(IlpInstance(np.zeros(25), []))
+            solve_bruteforce(IlpInstance.from_rows(np.zeros(25), []))
 
     def test_chunking_matches_single_pass(self):
         rng = np.random.default_rng(0)
@@ -122,11 +151,11 @@ class TestBruteForce:
 
 class TestCheckSolution:
     def test_reports_violations(self):
-        inst = IlpInstance(
+        inst = IlpInstance.from_rows(
             np.zeros(2),
             [
-                LinearConstraint((0, 1), (1, 1), "<=", 1),
-                LinearConstraint((0, 1), (1, -1), "==", 0),
+                ((0, 1), (1, 1), "<=", 1),
+                ((0, 1), (1, -1), "==", 0),
             ],
         )
         assert check_solution(inst, np.array([0, 0])) == []
@@ -138,7 +167,7 @@ class TestCheckSolution:
         assert check_solution(inst, np.array([1]))
 
     def test_objective_value(self):
-        inst = IlpInstance(np.array([1.5, -2.0]), [])
+        inst = IlpInstance.from_rows(np.array([1.5, -2.0]), [])
         assert objective_value(inst, np.array([1, 1])) == -0.5
 
 
@@ -153,9 +182,9 @@ class TestRowsFeasible:
             rng = np.random.default_rng(seed)
             inst = random_instance(rng, max_vars=12)
             if seed % 2:
-                inst = IlpInstance(inst.costs, [])
-            seen.add(repr((inst.costs.tolist(), inst.constraints)))
-            rows = _Rows.build(inst.constraints, inst.n_vars)
+                inst = IlpInstance.from_rows(inst.costs, [])
+            seen.add(repr((inst.costs.tolist(), list(inst.constraints.tuples()))))
+            rows = inst.constraints
             xs = [np.zeros(inst.n_vars, dtype=np.int8)]
             xs += [rng.integers(0, 2, size=inst.n_vars).astype(np.int8) for _ in range(20)]
             for x in xs:
@@ -205,14 +234,87 @@ class TestCliqueRows:
             ]
             g = replace(g, conflicts=[pair for pair in same_frame if rng.random() < 0.6])
             inst, vm = formulate(g)
-            rows = [c for c in inst.constraints if c.sense == "<="]
+            rows = [c for c in inst.constraints.tuples() if c[2] == "<="]
             pairs = [(vm.node_var[a], vm.node_var[b]) for a, b in g.conflicts]
-            assert [c.indices for c in rows] == brute_maximal_cliques(pairs), seed
-            assert all(c.coeffs == (1,) * len(c.indices) and c.rhs == 1 for c in rows)
+            assert [tuple(i) for i, _, _, _ in rows] == brute_maximal_cliques(pairs), seed
+            assert all(coeffs == [1] * len(coeffs) and rhs == 1 for _, coeffs, _, rhs in rows)
 
     def test_no_conflicts_no_clique_row(self):
         inst, _ = formulate(strict_gap_graph())
-        assert inst.constraints and all(c.sense == "==" for c in inst.constraints)
+        assert len(inst.constraints) and inst.constraints.is_eq.all()
+
+
+# Small scenes from each proposal generator.  The multi_threshold ladder is
+# the one that yields conflicts; its scene is large enough that a third of
+# the pair cliques left out changes the optimum.
+PIPELINE_SCENES = {
+    "truth": {
+        "frames": 5, "width": 96, "height": 96, "initial_cells": 6,
+        "corruption": {"drop_rate": 0.05, "clutter_rate": 0.1, "merge_rate": 0.05},
+    },
+    "multi_threshold": {"frames": 4, "width": 96, "height": 96, "initial_cells": 6},
+    "log": {"frames": 4, "width": 64, "height": 64, "initial_cells": 5},
+}
+
+
+def pipeline_graph(generator: str, seed: int, root):
+    cfg = config_from_dict(
+        {"seed": seed, "proposals": {"generator": generator}, "sim": PIPELINE_SCENES[generator]}
+    )
+    run_simulate(cfg, root / "ds")
+    run_propose(cfg, root / "ds", root / "p.jsonl")
+    run_train(cfg, root / "ds", root / "p.jsonl", root / "models")
+    return build_candidate_graph(
+        cfg,
+        load_dataset(root / "ds"),
+        read_proposals(root / "p.jsonl"),
+        load_models(root / "models"),
+    )
+
+
+class TestFormulateMatchesReference:
+    """formulate writes the rows as arrays straight from the graph; the
+    per-row reference gives the same costs, rows (entry by entry, in order)
+    and variable map, and the instance file holds the bytes the per-row
+    writer wrote."""
+
+    @staticmethod
+    def check(g: TrackingGraph) -> None:
+        inst, vm = formulate(g)
+        costs, rows, node_var = formulate_rows(g)
+        assert vm.node_var == node_var
+        assert inst.costs.tobytes() == costs.tobytes()
+        assert len(inst.constraints) == len(rows)
+        got = [(tuple(i), tuple(c), sense, rhs) for i, c, sense, rhs in inst.constraints.tuples()]
+        assert got == rows
+        per_row = {
+            "schema_version": 1,
+            "kind": "selection_instance",
+            "costs": costs.tolist(),
+            "constraints": [
+                {"indices": list(i), "coeffs": list(c), "sense": sense, "rhs": rhs}
+                for i, c, sense, rhs in rows
+            ],
+        }
+        assert dumps_json(instance_to_json(inst)) == dumps_json(per_row)
+
+    def test_generated_graphs(self):
+        for seed in range(100):
+            self.check(random_graph(np.random.default_rng(seed)))
+            self.check(random_joined_graph(np.random.default_rng(seed))[0])
+        self.check(strict_gap_graph())
+        self.check(TrackingGraph([], {}, {}, [], [], [], 0))
+
+    @pytest.mark.parametrize("generator", sorted(PIPELINE_SCENES))
+    def test_pipeline_graph(self, generator, tmp_path):
+        self.check(pipeline_graph(generator, 0, tmp_path))
+
+    def test_proposal_without_edges_refused(self):
+        g = strict_gap_graph()
+        kept = [e for e in g.edges if 2 not in (e.src, e.dst) and e.kind != "mitosis"]
+        g = replace(g, edges=kept, mitosis_sets=[])
+        with pytest.raises(ValueError, match="proposal 2 has no edge"):
+            formulate(g)
 
 
 class TestSolveMatchesBruteForce:
@@ -238,21 +340,21 @@ class TestSolveMatchesBruteForce:
 
     def test_infeasible_instance(self):
         cons = [
-            LinearConstraint((0,), (1,), "==", 1),
-            LinearConstraint((1,), (1,), "==", 1),
-            LinearConstraint((0, 1), (1, 1), "<=", 1),
+            ((0,), (1,), "==", 1),
+            ((1,), (1,), "==", 1),
+            ((0, 1), (1, 1), "<=", 1),
         ]
-        res = solve(IlpInstance(np.zeros(2), cons))
+        res = solve(IlpInstance.from_rows(np.zeros(2), cons))
         assert res.status == "infeasible"
 
     def test_flow_toy(self):
         # enter - node = 0 and enter - exit = 0; selecting all three is -2
         costs = np.array([-3.0, 0.5, 0.5])
         cons = [
-            LinearConstraint((1, 0), (1, -1), "==", 0),
-            LinearConstraint((1, 2), (1, -1), "==", 0),
+            ((1, 0), (1, -1), "==", 0),
+            ((1, 2), (1, -1), "==", 0),
         ]
-        res = solve(IlpInstance(costs, cons))
+        res = solve(IlpInstance.from_rows(costs, cons))
         assert res.status == "optimal"
         assert res.objective == pytest.approx(-2.0)
         np.testing.assert_array_equal(res.x, [1, 1, 1])
@@ -260,7 +362,7 @@ class TestSolveMatchesBruteForce:
     def test_no_constraints_takes_negative_costs_without_search(self):
         for seed in range(20):
             costs = np.random.default_rng(seed).uniform(-2.0, 2.0, size=seed % 5 + 1)
-            res = solve(IlpInstance(costs, []), max_nodes=1)
+            res = solve(IlpInstance.from_rows(costs, []), max_nodes=1)
             assert res.status == "optimal" and res.nodes == 0, seed
             np.testing.assert_array_equal(res.x, costs < 0)
             assert res.objective == pytest.approx(costs[costs < 0].sum())
@@ -299,41 +401,13 @@ class TestOnRandomGraphs:
             assert greedy.objective >= brute.objective - 1e-9, f"seed {seed}"
 
 
-# Small scenes from each proposal generator.  The multi_threshold ladder is
-# the one that yields conflicts; its scene is large enough that a third of
-# the pair cliques left out changes the optimum.
-PIPELINE_SCENES = {
-    "truth": {
-        "frames": 5, "width": 96, "height": 96, "initial_cells": 6,
-        "corruption": {"drop_rate": 0.05, "clutter_rate": 0.1, "merge_rate": 0.05},
-    },
-    "multi_threshold": {"frames": 4, "width": 96, "height": 96, "initial_cells": 6},
-    "log": {"frames": 4, "width": 64, "height": 64, "initial_cells": 5},
-}
-
-
-def pipeline_graph(generator: str, seed: int, root):
-    cfg = config_from_dict(
-        {"seed": seed, "proposals": {"generator": generator}, "sim": PIPELINE_SCENES[generator]}
-    )
-    run_simulate(cfg, root / "ds")
-    run_propose(cfg, root / "ds", root / "p.jsonl")
-    run_train(cfg, root / "ds", root / "p.jsonl", root / "models")
-    return build_candidate_graph(
-        cfg,
-        load_dataset(root / "ds"),
-        read_proposals(root / "p.jsonl"),
-        load_models(root / "models"),
-    )
-
-
 def pairwise_milp_optimum(inst: IlpInstance, graph, varmap) -> np.ndarray:
     """Optimum by scipy.optimize.milp over one row per conflicting pair and
     the equality rows of ``inst``."""
     from scipy.optimize import Bounds, milp
     from scipy.optimize import LinearConstraint as Rows
 
-    rows = [(c.indices, c.coeffs, c.rhs) for c in inst.constraints if c.sense == "=="]
+    rows = [(i, c, rhs) for i, c, sense, rhs in inst.constraints.tuples() if sense == "=="]
     n_eq = len(rows)
     rows += [((varmap.node_var[a], varmap.node_var[b]), (1, 1), 1) for a, b in graph.conflicts]
     A = np.zeros((len(rows), inst.n_vars))
@@ -513,7 +587,7 @@ class TestWarmStart:
             max_nodes = 1 + seed * 67 % 200
             g, parts = random_joined_graph(np.random.default_rng(seed))
             inst, vm = formulate(g)
-            seen.add(repr((inst.costs.tolist(), inst.constraints)))
+            seen.add(repr((inst.costs.tolist(), list(inst.constraints.tuples()))))
             assert len(constraint_components(inst)) >= len(parts)
             exact, _ = solve_graph(config_from_dict({"solve": {"max_nodes": max_nodes}}), g)
             assert check_solution(inst, exact.x) == []
@@ -586,9 +660,53 @@ class TestInstanceSerialization:
         obj = instance_to_json(inst)
         back = instance_from_json(obj)
         np.testing.assert_array_equal(back.costs, inst.costs)
-        assert back.constraints == inst.constraints
+        assert list(back.constraints.tuples()) == list(inst.constraints.tuples())
         path = tmp_path / "instance.json"
         save_instance(inst, path)
         loaded = load_instance(path)
-        assert loaded.constraints == inst.constraints
+        assert list(loaded.constraints.tuples()) == list(inst.constraints.tuples())
         np.testing.assert_array_equal(loaded.costs, inst.costs)
+
+
+class TestInstanceReaderIsStrict:
+    """Costs must be JSON numbers and indices, coefficients and rhs JSON
+    integers; the reader refuses anything else instead of coercing it."""
+
+    ROW = {"indices": [0, 1], "coeffs": [1, 1], "sense": "<=", "rhs": 1}
+
+    @staticmethod
+    def document(costs, row) -> str:
+        return json.dumps({
+            "schema_version": 1, "kind": "selection_instance", "costs": costs, "constraints": [row],
+        })
+
+    def test_well_formed_document_loads(self, tmp_path):
+        path = tmp_path / "i.json"
+        path.write_text(self.document([-1.0, -2], self.ROW))
+        assert solve(load_instance(path)).objective == -2.0
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("rhs", 1.9),
+            ("rhs", "1"),
+            ("rhs", True),
+            ("coeffs", [1, True]),
+            ("indices", [0, True]),
+            ("indices", [0.5, 1]),
+            ("costs", ["1.5", "-2"]),
+            ("costs", [True, -2.0]),
+        ],
+        ids=["rhs-float", "rhs-string", "rhs-bool", "coeff-bool", "index-bool", "index-float",
+             "cost-strings", "cost-bool"],
+    )
+    def test_non_integer_or_non_number_refused(self, key, value, tmp_path):
+        costs, row = [-1.0, -2.0], dict(self.ROW)
+        if key == "costs":
+            costs = value
+        else:
+            row[key] = value
+        path = tmp_path / "i.json"
+        path.write_text(self.document(costs, row))
+        with pytest.raises(FormatError, match="malformed selection_instance"):
+            load_instance(path)
