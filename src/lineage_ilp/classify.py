@@ -125,20 +125,15 @@ class RandomForest:
     trees: list[Tree] = field(default_factory=list)
 
 
-# A node of n rows (duplicates counted) takes the count search when
-# n * COUNT_SEARCH_SHARE >= N, with N the rows of the forest's training set;
-# smaller nodes sort.  The count search costs about k * N whatever n is, the
-# sort k * n * log n.  Timed node by node with both searches on the forests
-# of four mt-exact scenes, four truth-degraded scenes and a 40-frame 256x256
-# run (N 159 to 5,434; one core of a shared 2-CPU machine), the count
-# search breaks even at n / N of about 1/12 when N >= 2,000 and about 1/6
-# below, and at n >= N / 2 takes 0.37 and 0.68 of the sort's time.
-COUNT_SEARCH_SHARE = 8
+# (row, sampled feature) keys one split search counts at once, and column
+# values ranked at once: a key holds up to about 110 bytes of temporaries, and
+# a 5,434-row root is 76 k keys.  CHANGES.md has the timings that chose this.
+KEYS_PER_SEARCH = 1 << 16
 
 
-def _gini_score(nl, pl, n: int, total_pos: int) -> np.ndarray:
+def _gini_score(nl, pl, n, total_pos) -> np.ndarray:
     """Weighted child Gini of cuts with nl rows (float64) and pl positives
-    (int64) on the left of a node of n rows and total_pos positives."""
+    (int64) on the left of nodes of n rows and total_pos positives."""
     nr = n - nl
     pr = total_pos - pl
     gini_l = 1.0 - (pl / nl) ** 2 - ((nl - pl) / nl) ** 2
@@ -146,130 +141,139 @@ def _gini_score(nl, pl, n: int, total_pos: int) -> np.ndarray:
     return (nl * gini_l + nr * gini_r) / n
 
 
-class _TreeBuilder:
-    def __init__(self, X, y, order, rng, max_depth, min_leaf):
-        self.X = X
-        self.y = y
-        self.order = order  # (d, N): each column's stable argsort, see _presort
-        self.rng = rng
-        self.max_depth = max_depth
-        self.min_leaf = min_leaf
-        # ceil(sqrt(d)) candidate features per node
-        self.n_sub = math.isqrt(X.shape[1] - 1) + 1 if X.shape[1] > 1 else 1
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.value: list[float] = []
+class _ForestBuilder:
+    """Grows all trees of a forest in lockstep: each step scores the next node
+    that may split of every unfinished tree, ``KEYS_PER_SEARCH`` keys (or one
+    node) a batch.  A tree draws its bootstrap rows, then one ``rng.choice``
+    per such node in preorder, from its own generator, as if grown alone.
+    Its rows are ``rows[t * N:(t + 1) * N]``, split left child first."""
 
-    def build(self, idx: np.ndarray) -> Tree:
-        self._node(idx, 0)
-        return Tree(
-            feature=np.array(self.feature, dtype=np.int32),
-            threshold=np.array(self.threshold, dtype=np.float64),
-            left=np.array(self.left, dtype=np.int32),
-            right=np.array(self.right, dtype=np.int32),
-            value=np.array(self.value, dtype=np.float64),
-        )
+    def __init__(self, X: np.ndarray, y: np.ndarray, max_depth: int, min_leaf: int):
+        (N, d), self.y = X.shape, y
+        self.max_depth, self.min_leaf = max_depth, min_leaf
+        self.n_sub = min(math.isqrt(d - 1) + 1 if d > 1 else 1, d)  # ceil(sqrt(d))
+        self.column = X.T.ravel()  # X is column-major: column f at f * N
+        # each column's values ranked densely from one stable argsort: column f
+        # has size[f] ranks, rank r the value of row row_of[first[f] + r]; NaN
+        # is a rank after the finite ones (nan[f]), and -0.0 shares 0.0's
+        self.rank = np.empty((d, N), dtype=np.min_scalar_type(max(N - 1, 0)))
+        self.size, self.nan, firsts = np.empty(d, np.int64), np.empty(d, bool), []
+        width = max(1, KEYS_PER_SEARCH // N)
+        for lo in range(0, d, width):
+            block = X[:, lo : lo + width]
+            order = np.argsort(block, axis=0, kind="stable")
+            ascending = np.take_along_axis(block, order, axis=0)
+            nan = np.isnan(ascending)
+            new = np.ones(block.shape, dtype=bool)  # a rank's first row
+            new[1:] = (ascending[1:] > ascending[:-1]) | (nan[1:] & ~nan[:-1])
+            rank = np.cumsum(new, axis=0) - 1
+            np.put_along_axis(self.rank[lo : lo + width].T, order, rank, axis=0)
+            self.size[lo : lo + width], self.nan[lo : lo + width] = rank[-1] + 1, nan[-1]
+            firsts.append(order.T[new.T].astype(self.rank.dtype))
+        self.row_of = np.concatenate(firsts)
+        self.first = np.cumsum(self.size) - self.size
 
-    def _emit(self, feature, threshold, value) -> int:
-        i = len(self.feature)
-        self.feature.append(feature)
-        self.threshold.append(threshold)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(value)
-        return i
+    def build(self, rngs: list[np.random.Generator]) -> list[Tree]:
+        d, N = self.rank.shape
+        self.rows = np.concatenate([rng.integers(0, N, size=N).astype(self.rank.dtype) for rng in rngs])
+        roots = [int(self.y.take(self.rows[t * N : (t + 1) * N]).sum()) for t in range(len(rngs))]
+        # pending nodes as (first row, rows, depth, positives, the node whose right child it is
+        # or -1); tree t's nodes in preorder are nodes[t], as [feature, threshold, left, right, value]
+        stacks = [[(t * N, N, 0, pos, -1)] for t, pos in enumerate(roots)]
+        nodes = [[] for _ in rngs]
+        while any(stacks):
+            step = []
+            for t, (stack, tree) in enumerate(zip(stacks, nodes)):
+                while stack:
+                    lo, n, depth, pos, parent = stack.pop()
+                    if parent >= 0:
+                        tree[parent][3] = len(tree)
+                    tree.append([-1, 0.0, -1, -1, pos / n])
+                    if depth < self.max_depth and n >= 2 * self.min_leaf and 0 < pos < n:
+                        feats = rngs[t].choice(d, size=self.n_sub, replace=False)
+                        step.append((t, len(tree) - 1, lo, n, depth, pos, feats))
+                        break
+            while step:
+                keys = np.cumsum([self.n_sub * node[3] for node in step])
+                j = max(1, int(np.searchsorted(keys, KEYS_PER_SEARCH, side="right")))
+                self._split(step[:j], nodes, stacks)
+                step = step[j:]
+        dtypes = (np.int32, np.float64, np.int32, np.int32, np.float64)
+        return [Tree(*(np.array(c, dtype) for c, dtype in zip(zip(*tree), dtypes))) for tree in nodes]
 
-    def _node(self, idx: np.ndarray, depth: int) -> int:
-        y_sub = self.y[idx]
-        n = len(idx)
-        total = int(y_sub.sum())
-        mean = total / n  # equals y_sub.mean() on 0/1 labels
-        if (
-            depth >= self.max_depth
-            or n < 2 * self.min_leaf
-            or total == 0
-            or total == n
-        ):
-            return self._emit(-1, 0.0, mean)
-        feats = self.rng.choice(self.X.shape[1], size=min(self.n_sub, self.X.shape[1]), replace=False)
-        split = self._best_split(idx, y_sub, total, feats)
-        if split is None:
-            return self._emit(-1, 0.0, mean)
-        f, thr = split
-        i = self._emit(f, thr, mean)
-        go_left = self.X[idx, f] <= thr
-        self.left[i] = self._node(idx[go_left], depth + 1)
-        self.right[i] = self._node(idx[~go_left], depth + 1)
-        return i
+    def _split(self, batch, nodes, stacks) -> None:
+        """Split the batch's nodes that have a valid cut; push their children."""
+        lo, n, pos = (np.array([node[k] for node in batch]) for k in (2, 3, 5))
+        at = np.repeat(lo - np.cumsum(n) + n, n) + np.arange(n.sum())  # node after node
+        rows = self.rows.take(at)
+        feature, threshold = self._best_cuts(rows, n, pos, np.array([node[6] for node in batch]))
+        owner = np.repeat(np.arange(len(batch)), n)
+        split = feature.take(owner) >= 0
+        at, rows, owner = at[split], rows[split], owner[split]
+        left = self.column.take(feature.take(owner) * len(self.y) + rows) <= threshold.take(owner)
+        self.rows[at] = rows.take(np.argsort(2 * owner + ~left, kind="stable"))
+        n_left = np.bincount(owner[left], minlength=len(batch)).tolist()
+        pos_left = np.bincount(owner[left & (self.y.take(rows) == 1)], minlength=len(batch)).tolist()
+        cuts = zip(feature.tolist(), threshold.tolist(), n_left, pos_left)
+        for (t, i, lo, n, depth, pos, _), (f, thr, nl, pl) in zip(batch, cuts):
+            if f >= 0:  # the left child comes next in preorder
+                nodes[t][i][:3] = f, thr, i + 1
+                stacks[t] += [(lo + nl, n - nl, depth + 1, pos - pl, i), (lo, nl, depth + 1, pl, -1)]
 
-    def _best_split(self, idx, y_sub, total_pos, feats) -> tuple[int, float] | None:
-        """Minimum weighted child Gini over sampled features and cut points.
-
-        A cut puts every row whose value is at most the cut's on the left; it
-        must fall between two distinct values and leave at least min_leaf
-        rows on each side.  Ties keep the earliest sampled feature, then the
-        lowest cut.  Both searches below see the same cuts with the same
-        integer counts, so they return the same split bit for bit.
-        """
-        if len(idx) * COUNT_SEARCH_SHARE >= len(self.y):
-            return self._count_split(idx, total_pos, feats)
-        return self._sort_split(idx, y_sub, total_pos, feats)
-
-    def _sort_split(self, idx, y_sub, total_pos, feats) -> tuple[int, float] | None:
-        """Sorts the node's (k, n) block of sampled columns with one stable
-        argsort; cut c of row i puts the c + 1 smallest values of feature
-        feats[i] on the left."""
-        v = self.X[np.ix_(idx, feats)].T
-        order = np.argsort(v, axis=1, kind="stable")
-        vs = np.take_along_axis(v, order, axis=1)
-        pl = np.cumsum(y_sub[order], axis=1)[:, :-1]
-        return self._pick(len(idx), total_pos, feats, vs, np.arange(1, len(idx)), pl)
-
-    def _count_split(self, idx, total_pos, feats) -> tuple[int, float] | None:
-        """Reads the node's row counts in each sampled column's presorted
-        order.  Every row of the node appears once per column with its count,
-        so the cumulative count and positive count after a present row are
-        the left side of the cut that follows it; cuts lie between
-        consecutive present rows."""
-        cnt = np.bincount(idx, minlength=len(self.y))
-        order = self.order[feats]
-        # present rows by value; take and compress gather faster than indexing
-        rows = order.compress(cnt.take(order).ravel() > 0).reshape(len(feats), -1)
-        c = cnt.take(rows)
-        nl = c.cumsum(axis=1)[:, :-1]
-        pl = (cnt * self.y).take(rows).cumsum(axis=1)[:, :-1]
-        vs = self.X.T.take(feats[:, None] * len(self.y) + rows)  # X is column-major
-        return self._pick(len(idx), total_pos, feats, vs, nl, pl)
-
-    def _pick(self, n, total_pos, feats, vs, nl, pl) -> tuple[int, float] | None:
-        """The first minimum, in (sampled feature, cut) order, of the score of
-        the valid cuts, as (feature, midpoint of the values around the cut).
-
-        ``vs`` holds each sampled feature's values in ascending order and
-        ``nl``, ``pl`` the rows and positives left of the cut after each
-        value but the last; ``nl`` may be one row shared by all features.
-        A cut is valid between two distinct values with at least min_leaf
-        rows on each side, and only valid cuts are scored.
-        """
-        valid = (vs[:, 1:] > vs[:, :-1]) & (nl >= self.min_leaf) & (nl <= n - self.min_leaf)
-        row, cut = valid.nonzero()
-        if len(row) == 0:
-            return None
-        nl = (nl[cut] if nl.ndim == 1 else nl[row, cut]).astype(np.float64)
-        j = int(_gini_score(nl, pl[row, cut], n, total_pos).argmin())
-        row, cut = row[j], cut[j]
-        return int(feats[row]), float((vs[row, cut] + vs[row, cut + 1]) / 2.0)
-
-
-def _presort(X: np.ndarray) -> np.ndarray:
-    """(d, N) stable argsort of every column of X, in the smallest unsigned
-    dtype that holds a row index."""
-    order = np.empty((X.shape[1], X.shape[0]), dtype=np.min_scalar_type(max(X.shape[0] - 1, 0)))
-    for f in range(X.shape[1]):
-        order[f] = np.argsort(X[:, f], kind="stable")
-    return order
+    def _best_cuts(self, rows, n, pos, feats) -> tuple[np.ndarray, np.ndarray]:
+        """Each node's best cut as (feature, threshold), feature -1 if none is
+        valid; node j has the next n[j] ``rows``, pos[j] positives and samples
+        ``feats[j]``.  Each (node, feature) pair is a segment of a histogram
+        with a bin per rank; its present bins, and the rows and positives up
+        to each, come from bincounts of the keys, or from sorting them where
+        there are more bins than keys.  A cut follows a present bin and leaves
+        min_leaf rows each side and a finite value right.  A node takes its
+        first minimum score in (sampled feature, cut) order."""
+        k, min_leaf = feats.shape[1], self.min_leaf
+        size = self.size.take(feats)  # (node, slot) segments
+        offset = np.cumsum(size) - size.ravel()
+        key = offset.reshape(size.shape).repeat(n, axis=0)
+        cell = (feats * len(self.y)).repeat(n, axis=0)
+        cell += rows[:, None]
+        key += self.rank.take(cell)
+        label = self.y.take(rows)
+        if offset[-1] + size[-1, -1] <= key.size:
+            count = np.bincount(key.ravel(), minlength=offset[-1] + size[-1, -1])
+            rare = int(2 * pos.sum() < n.sum())  # the label fewer rows have
+            counted = np.bincount(key[label == rare].ravel(), minlength=count.size)
+            present = np.flatnonzero(count)
+            upto = np.cumsum(count.take(present))
+            pos_upto = np.cumsum((counted if rare else count - counted).take(present))
+        else:  # each key with its row's label in the low bit
+            keyed = np.sort((2 * key + label[:, None]).ravel())
+            run = np.flatnonzero(np.diff(keyed >> 1, prepend=-1))  # each present bin's first key
+            present, upto = keyed.take(run) >> 1, np.r_[run[1:], keyed.size]
+            pos_upto = np.cumsum(keyed & 1).take(upto - 1)
+        seg = np.searchsorted(offset, present, side="right") - 1
+        seg_n, seg_pos = n.repeat(k), pos.repeat(k)  # each segment's rows and positives
+        nl = upto - (np.cumsum(seg_n) - seg_n).take(seg)
+        cut = np.flatnonzero((nl >= min_leaf) & (nl <= (seg_n - max(min_leaf, 1)).take(seg)))
+        nan_bin = np.where(self.nan.take(feats.ravel()), offset + size.ravel() - 1, -1)  # -1: no NaN
+        cut = cut[present.take(cut + 1) != nan_bin.take(seg.take(cut))]  # a finite value follows
+        seg_cut = seg.take(cut)
+        node = seg_cut // k
+        pl = pos_upto.take(cut) - (np.cumsum(seg_pos) - seg_pos).take(seg_cut)
+        score = _gini_score(nl.take(cut).astype(np.float64), pl, n.take(node), pos.take(node))
+        starts = np.flatnonzero(np.diff(node, prepend=-1))
+        least = np.repeat(np.minimum.reduceat(score, starts), np.diff(np.r_[starts, cut.size]))
+        hit = np.flatnonzero(score == least)
+        best = cut.take(hit[np.diff(node.take(hit), prepend=-1) != 0])
+        seg_best = seg.take(best)
+        f = feats.ravel().take(seg_best)
+        a = present.take(best) + self.first.take(f) - offset.take(seg_best)
+        b = a + present.take(best + 1) - present.take(best)
+        low, high = (self.column.take(f * len(self.y) + self.row_of.take(r)) for r in (a, b))
+        with np.errstate(over="ignore", invalid="ignore"):  # an infinite sum, or -inf + inf
+            mid = (low + high) / 2.0
+        feature, threshold = np.full(len(n), -1), np.zeros(len(n))
+        # low where the midpoint leaves [low, high): adjacent floats, an infinity, an overflow
+        feature[seg_best // k], threshold[seg_best // k] = f, np.where((low <= mid) & (mid < high), mid, low)
+        return feature, threshold
 
 
 def _downsample(labels: np.ndarray, ratio: float, rng: np.random.Generator) -> np.ndarray:
@@ -295,6 +299,7 @@ def train_forest(
 
     Raises ValueError when the training set has a single class.  Negatives are
     capped at max_negative_ratio times the positive count before bagging.
+    Tree t grows from generator ``children[t + 1]`` of the seed's spawn.
     """
     if data.n_positive == 0 or data.n_positive == data.n_samples:
         raise ValueError("training set must contain both classes")
@@ -302,17 +307,11 @@ def train_forest(
     keep = _downsample(data.labels, max_negative_ratio, np.random.default_rng(children[0]))
     X = np.take(data.features.T, keep, axis=1).T  # column-major: each column contiguous
     y = data.labels[keep]
-    forest = RandomForest(
-        n_features=X.shape[1], max_depth=max_depth, min_leaf=min_leaf, seed=seed
+    builder = _ForestBuilder(X, y, max_depth, min_leaf)
+    trees = builder.build([np.random.default_rng(c) for c in children[1:]])
+    return RandomForest(
+        n_features=X.shape[1], max_depth=max_depth, min_leaf=min_leaf, seed=seed, trees=trees
     )
-    n = X.shape[0]
-    order = _presort(X)
-    for t in range(n_trees):
-        rng = np.random.default_rng(children[t + 1])
-        rows = rng.integers(0, n, size=n)
-        builder = _TreeBuilder(X, y, order, rng, max_depth, min_leaf)
-        forest.trees.append(builder.build(rows))
-    return forest
 
 
 @dataclass

@@ -201,6 +201,13 @@ def read_intensity_frames(directory) -> list[np.ndarray]:
     return out
 
 
+def read_frame_shapes(directory) -> list[tuple[int, int]]:
+    """The (h, w) of every frame of a sequence directory; each file is read
+    and checked as ``read_intensity_frames`` reads it, but its samples are
+    not kept or converted."""
+    return [read_pgm(path)[0].shape for path in list_frame_files(directory)]
+
+
 def read_label_grids(directory) -> list[np.ndarray]:
     return [read_pgm(path)[0].astype(np.int64) for path in list_frame_files(directory)]
 

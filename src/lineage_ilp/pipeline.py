@@ -67,6 +67,7 @@ from .graph import (
 from .io import (
     FormatError,
     TrackRow,
+    read_frame_shapes,
     read_intensity_frames,
     read_json_file,
     read_label_grids,
@@ -139,58 +140,67 @@ def write_dataset(directory, frames: list[np.ndarray], gt: GroundTruth) -> Datas
         write_label_grids(os.path.join(gt_dir, "seg"), gt.label_grids)
         grids = [np.asarray(g, dtype=np.int64) for g in gt.label_grids]
     tracks = sorted(gt.tracks, key=lambda row: row.label)
-    return _dataset_with_gt(stored, tracks, rows, grids, gt_dir)
+    truth = _ground_truth(tracks, rows, grids, [arr.shape for arr in stored], gt_dir)
+    return Dataset(frames=[Frame(t, arr) for t, arr in enumerate(stored)], gt=truth)
 
 
-def _check_label_grids(grids: list[np.ndarray], frames: list[Frame], path) -> None:
+def _check_label_grids(grids: list[np.ndarray], shapes: list[tuple[int, int]], path) -> None:
     """Raise ``FormatError`` unless there is one grid per frame, of its shape."""
-    if len(grids) != len(frames):
-        raise FormatError(f"{len(grids)} label grids for {len(frames)} frames", path=str(path))
-    for t, (grid, frame) in enumerate(zip(grids, frames)):
-        if grid.shape != frame.intensity.shape:
-            raise FormatError(
-                f"label grid {t} shape {grid.shape} differs from frame {frame.intensity.shape}",
-                path=str(path),
-            )
+    if len(grids) != len(shapes):
+        raise FormatError(f"{len(grids)} label grids for {len(shapes)} frames", path=str(path))
+    for t, (grid, shape) in enumerate(zip(grids, shapes)):
+        if grid.shape != shape:
+            raise FormatError(f"label grid {t} shape {grid.shape} differs from frame {shape}", path=str(path))
 
 
-def _dataset_with_gt(arrays, tracks, marker_rows, grids, gt_dir) -> Dataset:
-    """A dataset with ground truth from the contents of its files, in file
-    order; ground truth that does not fit the frames is a FormatError."""
-    frames = [Frame(t, arr) for t, arr in enumerate(arrays)]
+def _ground_truth(tracks, marker_rows, grids, shapes, gt_dir) -> GroundTruth:
+    """Ground truth from the contents of its files, in file order, for
+    frames of these shapes; ground truth that does not fit them is a
+    FormatError."""
     markers: dict[int, list[tuple[int, float, float]]] = {}
     for t, tid, x, y in marker_rows:
         markers.setdefault(t, []).append((tid, x, y))
-    last = len(frames) - 1
+    last = len(shapes) - 1
     late = [row.label for row in tracks if row.end > last]
     if late:
         raise FormatError(f"track {late[0]} ends past the last frame {last}", path=gt_dir)
     if grids is not None:
-        _check_label_grids(grids, frames, os.path.join(gt_dir, "seg"))
+        _check_label_grids(grids, shapes, os.path.join(gt_dir, "seg"))
     try:
-        gt = GroundTruth(tracks=tracks, markers=markers, label_grids=grids)
+        return GroundTruth(tracks=tracks, markers=markers, label_grids=grids)
     except ValueError as exc:
         raise FormatError(f"inconsistent ground truth: {exc}", path=gt_dir) from exc
-    return Dataset(frames=frames, gt=gt)
 
 
-def load_dataset(directory, *, need_gt: bool = False) -> Dataset:
-    arrays = read_intensity_frames(directory)
+def _read_ground_truth(directory, shapes: list[tuple[int, int]]) -> GroundTruth:
+    """The ground truth in a dataset directory's gt/, whose frames have these shapes."""
     gt_dir = os.path.join(directory, "gt")
     if not os.path.isdir(gt_dir):
-        if need_gt:
-            raise FormatError("dataset has no gt/ directory", path=str(directory))
-        return Dataset(frames=[Frame(t, arr) for t, arr in enumerate(arrays)], gt=None)
+        raise FormatError("dataset has no gt/ directory", path=str(directory))
     tracks = read_tracks(os.path.join(gt_dir, "tracks.txt"))
     marker_rows = read_markers(os.path.join(gt_dir, "markers.csv"))
     seg_dir = os.path.join(gt_dir, "seg")
     grids = read_label_grids(seg_dir) if os.path.isdir(seg_dir) else None
-    return _dataset_with_gt(arrays, tracks, marker_rows, grids, gt_dir)
+    return _ground_truth(tracks, marker_rows, grids, shapes, gt_dir)
+
+
+def load_dataset(directory, *, need_gt: bool = False) -> Dataset:
+    arrays = read_intensity_frames(directory)
+    frames = [Frame(t, arr) for t, arr in enumerate(arrays)]
+    if not need_gt and not os.path.isdir(os.path.join(directory, "gt")):
+        return Dataset(frames=frames, gt=None)
+    return Dataset(frames=frames, gt=_read_ground_truth(directory, [arr.shape for arr in arrays]))
 
 
 def _dataset(data, *, need_gt: bool = False) -> Dataset:
-    """``data`` itself when it is a Dataset, else the dataset directory it names, read."""
-    return data if isinstance(data, Dataset) else load_dataset(data, need_gt=need_gt)
+    """``data`` itself when it is a Dataset, else the dataset directory it
+    names, read; without ground truth where ``need_gt`` asks for it, a
+    FormatError in either form."""
+    if not isinstance(data, Dataset):
+        return load_dataset(data, need_gt=need_gt)
+    if need_gt and data.gt is None:
+        raise FormatError("dataset has no gt/ directory")
+    return data
 
 
 def _frames(data) -> Dataset:
@@ -710,12 +720,16 @@ def run_eval(
     ``data_dir`` may also be the Dataset and ``result_dir`` the TrackRun;
     either way the result is scored as its written files give it.
     """
-    ds = _dataset(data_dir, need_gt=True)
+    if isinstance(data_dir, Dataset):
+        gt, shapes = _dataset(data_dir, need_gt=True).gt, [f.intensity.shape for f in data_dir.frames]
+    else:  # the frames' shapes only: scoring never reads an intensity
+        shapes = read_frame_shapes(data_dir)
+        gt = _read_ground_truth(data_dir, shapes)
     rows, grids, where = _result_grids(result_dir)
-    _check_label_grids(grids, ds.frames, where)
+    _check_label_grids(grids, shapes, where)
     props, lineage = result_from_grids(rows, grids)
     weights = cfg.eval.weights if cfg is not None else None
-    report = evaluate_tracking(props, lineage, ds.gt, graph=graph, weights=weights)
+    report = evaluate_tracking(props, lineage, gt, graph=graph, weights=weights)
     if out_path is not None:
         write_json_file(out_path, report_to_json(report))
     return report

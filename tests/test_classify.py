@@ -1,10 +1,11 @@
 """Labeling rules, the random forest, and AUC."""
 from __future__ import annotations
 
-from unittest import mock
+import tracemalloc
 
 import numpy as np
 import pytest
+from forest_reference import reference_forest
 from lineage_ilp import classify
 from lineage_ilp.classify import (
     TrainingSet,
@@ -321,48 +322,6 @@ class TestForestWidePrediction:
         assert got.tolist() == [0.25, 1.0, 1.0, 0.25]
 
 
-class _ReferenceBuilder(classify._TreeBuilder):
-    """The split search as a loop over the sampled features, one sort each."""
-
-    def _best_split(self, idx, y_sub, total_pos, feats):
-        n = len(idx)
-        best = None
-        positions = np.arange(1, n)
-        for f in feats:
-            v = self.X[idx, f]
-            order = np.argsort(v, kind="stable")
-            vs = v[order]
-            ys = y_sub[order]
-            valid = (
-                (vs[1:] > vs[:-1])
-                & (positions >= self.min_leaf)
-                & (positions <= n - self.min_leaf)
-            )
-            ks = positions[valid]
-            if len(ks) == 0:
-                continue
-            pos_left = np.cumsum(ys)[ks - 1]
-            nl = ks.astype(np.float64)
-            nr = n - nl
-            pl = pos_left
-            pr = total_pos - pos_left
-            gini_l = 1.0 - (pl / nl) ** 2 - ((nl - pl) / nl) ** 2
-            gini_r = 1.0 - (pr / nr) ** 2 - ((nr - pr) / nr) ** 2
-            score = (nl * gini_l + nr * gini_r) / n
-            j = int(np.argmin(score))
-            if best is None or score[j] < best[0]:
-                k = ks[j]
-                best = (float(score[j]), int(f), float((vs[k - 1] + vs[k]) / 2.0))
-        if best is None:
-            return None
-        return best[1], best[2]
-
-
-def reference_forest(data, **kwargs):
-    with mock.patch.object(classify, "_TreeBuilder", _ReferenceBuilder):
-        return train_forest(data, **kwargs)
-
-
 def assert_same_trees(a, b):
     assert len(a.trees) == len(b.trees)
     for ta, tb in zip(a.trees, b.trees):
@@ -386,9 +345,20 @@ def random_training_set(rng, single_positive=False):
     return TrainingSet(X, y)
 
 
+def tied_training_set(seed):
+    """A few hundred rows with few distinct values per column and some
+    constant ones; bagging adds duplicate rows."""
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(200, 400)), int(rng.integers(4, 30))
+    levels = rng.integers(1, 9, size=d)
+    X = rng.integers(0, levels, size=(n, d)) * rng.uniform(0.1, 3.0, size=d)
+    y = (X[:, 0] + rng.normal(0.0, 1.0, size=n) > X[:, 0].mean()).astype(int)
+    return TrainingSet(X, y)
+
+
 class TestSplitSearchMatchesReference:
-    """The vectorised split search builds the trees the per-feature loop
-    builds, bit for bit, including its tie rule."""
+    """The lockstep builder grows the trees the recursive reference grows,
+    bit for bit, including its tie rule, in batches of any size."""
 
     def test_random_training_sets(self):
         """80 distinct training sets; every min_leaf from 1 to 4 with and
@@ -423,24 +393,121 @@ class TestSplitSearchMatchesReference:
             above = X[rows[labels == 1], first].min()
             assert tree.threshold[0] == (below + above) / 2.0
 
-
     @pytest.mark.parametrize("seed", range(6))
-    def test_count_and_sort_searches_in_one_forest(self, seed):
-        # a few hundred rows with few distinct values per column and some
-        # constant ones; bootstrap duplicates come from bagging
-        rng = np.random.default_rng(seed)
-        n, d = int(rng.integers(200, 400)), int(rng.integers(4, 30))
-        levels = rng.integers(1, 9, size=d)
-        X = rng.integers(0, levels, size=(n, d)) * rng.uniform(0.1, 3.0, size=d)
-        y = (X[:, 0] + rng.normal(0.0, 1.0, size=n) > X[:, 0].mean()).astype(int)
-        data = TrainingSet(X, y)
+    def test_hundreds_of_rows_with_ties_and_duplicates(self, seed):
+        data = tied_training_set(seed)
         kwargs = dict(n_trees=3, max_depth=10, min_leaf=1 + seed % 4, seed=seed)
-        builder = classify._TreeBuilder
-        with mock.patch.object(builder, "_count_split", autospec=True, side_effect=builder._count_split) as count, \
-                mock.patch.object(builder, "_sort_split", autospec=True, side_effect=builder._sort_split) as sort:
+        assert_same_trees(train_forest(data, **kwargs), reference_forest(data, **kwargs))
+
+    @pytest.mark.parametrize("keys", [1, 1 << 12, 1 << 30])
+    def test_any_batch_size(self, keys, monkeypatch):
+        """One node per batch, several batches per step, one whole step."""
+        monkeypatch.setattr(classify, "KEYS_PER_SEARCH", keys)
+        for seed in (0, 1):
+            data = tied_training_set(seed)
+            kwargs = dict(n_trees=12, max_depth=12, min_leaf=1 + seed, seed=seed)
+            assert_same_trees(train_forest(data, **kwargs), reference_forest(data, **kwargs))
+
+    def test_nan_signed_zeros_infinities_and_constant_columns(self):
+        """NaN rows go right with no cut next to them; -0.0 ties 0.0."""
+        specials = np.array([np.nan, -0.0, 0.0, np.inf, -np.inf, 1.0, -1.0, 2.5, 1.7e308, -1.5e308])
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            n, d = int(rng.integers(20, 120)), int(rng.integers(2, 9))
+            X = rng.choice(specials, size=(n, d))
+            X[:, 0] = 3.0  # a constant column
+            y = (rng.uniform(size=n) < 0.5).astype(int)
+            y[:2] = (0, 1)
+            data = TrainingSet(X, y)
+            kwargs = dict(n_trees=5, max_depth=8, min_leaf=1 + seed % 3, seed=seed)
             forest = train_forest(data, **kwargs)
-        assert count.call_count > 0 and sort.call_count > 0
-        assert_same_trees(forest, reference_forest(data, **kwargs))
+            assert_same_trees(forest, reference_forest(data, **kwargs))
+            assert any((t.feature >= 0).any() for t in forest.trees)
+
+    @pytest.mark.parametrize("decimals", [0, None])
+    def test_few_values_and_a_value_per_row(self, decimals):
+        """Few values per column make fewer histogram bins than keys in most
+        batches, which the search counts; a value per row makes more in all
+        but the first, which it sorts."""
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(300, 12))
+        X = X if decimals is None else np.round(X, decimals)
+        data = TrainingSet(X, (X[:, 0] + rng.normal(scale=0.5, size=300) > 0).astype(int))
+        kwargs = dict(n_trees=6, min_leaf=1, seed=4)
+        assert_same_trees(train_forest(data, **kwargs), reference_forest(data, **kwargs))
+
+    def test_one_feature(self):
+        rng = np.random.default_rng(3)
+        X = np.round(rng.normal(size=(150, 1)), 1)
+        y = (X[:, 0] + rng.normal(scale=0.5, size=150) > 0).astype(int)
+        data = TrainingSet(X, y)
+        for min_leaf in (1, 2, 5):
+            kwargs = dict(n_trees=8, min_leaf=min_leaf, seed=min_leaf)
+            assert_same_trees(train_forest(data, **kwargs), reference_forest(data, **kwargs))
+
+
+class TestCutThresholds:
+    """A split sends each row the way the cut it scored does, also where the
+    midpoint of the values around the cut rounds onto the upper one."""
+
+    @staticmethod
+    def assert_splits_as_cut(forest, X):
+        for tree in forest.trees:
+            for i in np.flatnonzero(tree.feature >= 0):
+                column = X[:, tree.feature[i]]
+                below = column[column <= tree.threshold[i]]
+                assert below.size and below.size < column.size
+
+    def test_adjacent_floats(self):
+        b = 0.1 + 0.2  # the float after 0.3
+        assert np.nextafter(0.3, 1.0) == b and (0.3 + b) / 2.0 == b
+        X = np.array([[0.3], [0.3], [b], [b], [2.0]])
+        data = TrainingSet(X, [0, 0, 1, 1, 1])
+        forest = train_forest(data, n_trees=3, min_leaf=1)
+        assert_same_trees(forest, reference_forest(data, n_trees=3, min_leaf=1))
+        thresholds = {float(t.threshold[0]) for t in forest.trees if t.feature[0] == 0}
+        assert 0.3 in thresholds
+        self.assert_splits_as_cut(forest, X)
+        assert predict_prob(forest, np.array([[0.3], [b]])).tolist() == [0.0, 1.0]
+
+    @pytest.mark.parametrize("low, high", [(1.0, np.inf), (1.5e308, 1.7e308), (-1.7e308, -1.5e308)])
+    def test_midpoint_out_of_range(self, low, high):
+        """An infinite upper value, and sums that overflow either way."""
+        X = np.array([[low], [low], [high], [high]])
+        data = TrainingSet(X, [0, 0, 1, 1])
+        forest = train_forest(data, n_trees=4, min_leaf=1)
+        assert_same_trees(forest, reference_forest(data, n_trees=4, min_leaf=1))
+        assert {float(t.threshold[0]) for t in forest.trees if t.feature[0] == 0} == {low}
+        self.assert_splits_as_cut(forest, X)
+        assert predict_prob(forest, X).tolist() == [0.0, 0.0, 1.0, 1.0]
+
+
+class TestBatchBoundAtScale:
+    """KEYS_PER_SEARCH bounds the fit's temporaries.  On 5,000 rows of 195
+    columns one root is 70 k keys, and a step of all roots at once holds
+    several."""
+
+    @staticmethod
+    def heap_peak(data, keys, monkeypatch):
+        monkeypatch.setattr(classify, "KEYS_PER_SEARCH", keys)
+        tracemalloc.start()
+        try:
+            train_forest(data, n_trees=4, max_depth=3, seed=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_heap_peak(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(5000, 195))
+        X[:, ::3] = np.round(X[:, ::3], 1)  # some tied columns
+        data = TrainingSet(X, (X[:, 0] + rng.normal(size=5000) > 0).astype(int))
+        keys = classify.KEYS_PER_SEARCH
+        # one node per batch holds the temporaries of the largest node alone;
+        # a batch may add at most 128 bytes a key
+        bound = self.heap_peak(data, 1, monkeypatch) + 128 * keys
+        assert self.heap_peak(data, keys, monkeypatch) <= bound
+        assert self.heap_peak(data, 1 << 30, monkeypatch) > bound  # unbounded batches break it
 
 
 def _forest_doc(**tree):

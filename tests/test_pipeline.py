@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -347,6 +348,55 @@ class TestStagesReadOnlyTheirInputs:
         assert sorted(set(gt_reads)) == sorted(self.GT_READERS)
 
 
+class TestStagesNeedGroundTruth:
+    """train and eval refuse a dataset without ground truth with one
+    FormatError, given its directory or the Dataset itself."""
+
+    @pytest.mark.parametrize("form", ["directory", "dataset"])
+    def test_train_and_eval(self, workspace, tmp_path, form):
+        cfg, root = workspace
+        run_track(cfg, root / "ds", root / "p.jsonl", root / "models", tmp_path / "res")
+        shutil.copytree(root / "ds", tmp_path / "ds")
+        shutil.rmtree(tmp_path / "ds" / "gt")
+        data = tmp_path / "ds" if form == "directory" else load_dataset(tmp_path / "ds")
+        with pytest.raises(FormatError, match="dataset has no gt/ directory"):
+            run_train(cfg, data, root / "p.jsonl", tmp_path / "models")
+        with pytest.raises(FormatError, match="dataset has no gt/ directory"):
+            run_eval(data, tmp_path / "res")
+        assert not os.path.exists(tmp_path / "models")
+
+
+class TestEvalReadsFrameShapesOnly:
+    """eval of a dataset directory keeps no intensity frame: it checks the
+    frame files as a full read does, and keeps their shapes."""
+
+    def test_same_report_without_intensities(self, workspace, tmp_path, monkeypatch):
+        cfg, root = workspace
+        run_track(cfg, root / "ds", root / "p.jsonl", root / "models", tmp_path / "res")
+        want = run_eval(load_dataset(root / "ds", need_gt=True), tmp_path / "res", cfg=cfg)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("eval read the intensity frames")
+
+        monkeypatch.setattr(pipeline_mod, "read_intensity_frames", refused)
+        assert run_eval(root / "ds", tmp_path / "res", cfg=cfg) == want
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda data: data[:-1], "truncated payload"),
+        (lambda data: b"P6" + data[2:], "bad magic"),
+    ], ids=["truncated", "magic"])
+    def test_frame_file_errors_stay(self, workspace, tmp_path, damage, message):
+        cfg, root = workspace
+        run_track(cfg, root / "ds", root / "p.jsonl", root / "models", tmp_path / "res")
+        shutil.copytree(root / "ds", tmp_path / "ds")
+        frame = tmp_path / "ds" / "t002.pgm"
+        frame.write_bytes(damage(frame.read_bytes()))
+        with pytest.raises(FormatError, match=message):
+            load_dataset(tmp_path / "ds")
+        with pytest.raises(FormatError, match=message):
+            run_eval(tmp_path / "ds", tmp_path / "res")
+
+
 class TestResultReconstruction:
     def test_round_trip_members(self):
         rows = [TrackRow(1, 0, 1, 0), TrackRow(2, 2, 2, 1), TrackRow(3, 2, 2, 1)]
@@ -533,7 +583,7 @@ class TestEndToEndMatchesStages:
 
 # the names the pipeline reads its files through
 READERS = (
-    "read_intensity_frames", "read_label_grids", "read_tracks", "read_markers",
+    "read_intensity_frames", "read_frame_shapes", "read_label_grids", "read_tracks", "read_markers",
     "read_proposals", "read_json_file", "load_model",
 )
 
