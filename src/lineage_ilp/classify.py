@@ -125,9 +125,10 @@ class RandomForest:
     trees: list[Tree] = field(default_factory=list)
 
 
-# (row, sampled feature) keys one split search counts at once, and column
-# values ranked at once: a key holds up to about 110 bytes of temporaries, and
-# a 5,434-row root is 76 k keys.  CHANGES.md has the timings that chose this.
+# (row, sampled feature) keys one split search counts at once, and column values ranked
+# at once; a key holds up to about 110 bytes of temporaries.  Fits of the bench's 27
+# seed-0 forests / the 6 of two 40-frame runs (2 shared CPUs, CHANGES.md): 1 << 14 keys
+# 0.43 / 2.31 s, 1 << 16 0.39 / 1.95 s, 1 << 18 0.42 / 1.66 s but a 10.4 MiB heap peak.
 KEYS_PER_SEARCH = 1 << 16
 
 
@@ -144,9 +145,8 @@ def _gini_score(nl, pl, n, total_pos) -> np.ndarray:
 class _ForestBuilder:
     """Grows all trees of a forest in lockstep: each step scores the next node
     that may split of every unfinished tree, ``KEYS_PER_SEARCH`` keys (or one
-    node) a batch.  A tree draws its bootstrap rows, then one ``rng.choice``
-    per such node in preorder, from its own generator, as if grown alone.
-    Its rows are ``rows[t * N:(t + 1) * N]``, split left child first."""
+    node) a batch.  Tree t draws its bootstrap rows ``rows[t * N:(t + 1) * N]``,
+    then one ``rng.choice`` per such node in preorder, as if grown alone."""
 
     def __init__(self, X: np.ndarray, y: np.ndarray, max_depth: int, min_leaf: int):
         (N, d), self.y = X.shape, y
