@@ -394,7 +394,9 @@ class TestSplitSearchMatchesReference:
             assert tree.threshold[0] == (below + above) / 2.0
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_hundreds_of_rows_with_ties_and_duplicates(self, seed):
+    def test_count_and_sort_searches_in_one_forest(self, seed):
+        """A few hundred tied rows with bootstrap duplicates: batches whose
+        histograms are counted and (seeds 0 and 4) one that sorts its keys."""
         data = tied_training_set(seed)
         kwargs = dict(n_trees=3, max_depth=10, min_leaf=1 + seed % 4, seed=seed)
         assert_same_trees(train_forest(data, **kwargs), reference_forest(data, **kwargs))
