@@ -11,12 +11,13 @@ objectives and tracking scores.
     python demos/exact_vs_greedy.py
 """
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 
 from lineage_ilp.config import config_from_dict
 from lineage_ilp.geometry import Mask
-from lineage_ilp.graph import Edge, MitosisSet, TrackingGraph
+from lineage_ilp.graph import TrackingGraph, build_graph
 from lineage_ilp.pipeline import run_e2e
 from lineage_ilp.proposals import Proposal
 from lineage_ilp.solve import extract_lineage, formulate, solve, solve_greedy
@@ -30,25 +31,14 @@ def toy_graph() -> TrackingGraph:
         Proposal(id=1, t=1, mask=Mask(3, 8, dot), raw_score=0.9),
         Proposal(id=2, t=1, mask=Mask(8, 8, dot), raw_score=0.9),
     ]
-    edges = [
-        Edge("enter", None, 0, 0.5, 0.1),
-        Edge("enter", None, 1, 0.5, 0.1),
-        Edge("enter", None, 2, 0.5, 0.1),
-        Edge("move", 0, 1, 0.5, -1.0),
-        Edge("exit", 0, None, 0.5, 0.1),
-        Edge("exit", 1, None, 0.5, 0.1),
-        Edge("exit", 2, None, 0.5, 0.1),
-        Edge("mitosis", 0, 1, 0.5, -2.0, set_id=0, k=1),
-        Edge("mitosis", 0, 2, 0.5, -2.0, set_id=0, k=2),
-    ]
-    return TrackingGraph(
-        proposals=props,
-        node_prob={0: 0.5, 1: 0.5, 2: 0.5},
-        node_cost={0: -4.0, 1: -4.0, 2: -4.0},
-        edges=edges,
-        conflicts=[],
-        mitosis_sets=[MitosisSet(0, 0, 1, 2, 0.5)],
-        n_frames=2,
+    graph = build_graph(
+        [props[:1], props[1:]], dict.fromkeys(range(3), 0.5), {(0, 1): 0.5}, {(0, 1, 2): 0.5},
+        p_enter=0.5, p_exit=0.5,
+    )
+    # the costs are set by hand: the graph holds them as plain arrays
+    return replace(
+        graph, node_cost=np.full(3, -4.0), enter_cost=np.full(3, 0.1), exit_cost=np.full(3, 0.1),
+        move_cost=np.array([-1.0]), mitosis_cost=np.array([-2.0]),  # -2.0 on each division edge
     )
 
 

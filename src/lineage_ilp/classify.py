@@ -305,7 +305,11 @@ def train_forest(
         raise ValueError("training set must contain both classes")
     children = np.random.SeedSequence(seed).spawn(n_trees + 1)
     keep = _downsample(data.labels, max_negative_ratio, np.random.default_rng(children[0]))
-    X = np.take(data.features.T, keep, axis=1).T  # column-major: each column contiguous
+    # column-major, gathered 16 columns at a time: one gather of the whole
+    # set would pass through a temporary as large as the result
+    X = np.empty((len(keep), data.features.shape[1]), order="F")
+    for j in range(0, X.shape[1], 16):
+        X[:, j:j + 16] = data.features[keep, j:j + 16]
     y = data.labels[keep]
     builder = _ForestBuilder(X, y, max_depth, min_leaf)
     trees = builder.build([np.random.default_rng(c) for c in children[1:]])

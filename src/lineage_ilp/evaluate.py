@@ -309,20 +309,20 @@ def graph_recall(graph: TrackingGraph, gt: GroundTruth) -> dict[str, float]:
     proposals for all its endpoints are connected by a candidate edge or
     division set.  Vacuous denominators give 1.0.
     """
-    single: dict[tuple[int, int], set[int]] = {}
+    single: dict[tuple[int, int], set[int]] = {}  # proposal indices per (t, track)
     any_hit: set[tuple[int, int]] = set()
-    for p, inside in zip(graph.proposals, markers_inside_each(graph.proposals, gt)):
+    for i, (p, inside) in enumerate(zip(graph.proposals, markers_inside_each(graph.proposals, gt))):
         for tid in inside:
             any_hit.add((p.t, tid))
         if len(inside) == 1:
-            single.setdefault((p.t, inside[0]), set()).add(p.id)
+            single.setdefault((p.t, inside[0]), set()).add(i)
 
     marker_keys = [(t, tid) for t, rows in sorted(gt.markers.items()) for tid, _, _ in rows]
     n = len(marker_keys)
     r = sum(1 for key in marker_keys if single.get(key)) / n if n else 1.0
     r_ns = sum(1 for key in marker_keys if key in any_hit) / n if n else 1.0
 
-    move_pairs = {(e.src, e.dst) for e in graph.edges if e.kind == "move"}
+    move_pairs = set(map(tuple, graph.moves.tolist()))
     moves = gt.move_edges()
     found = 0
     for tid, t in moves:
@@ -334,15 +334,15 @@ def graph_recall(graph: TrackingGraph, gt: GroundTruth) -> dict[str, float]:
 
     spans = {row.label: row for row in gt.tracks}
     divs = gt.divisions()
+    sets = graph.mitosis_sets.tolist()
     hit = 0
     for parent, d1, d2, tend in divs:
         ps = single.get((tend, parent), set())
         a = single.get((spans[d1].birth, d1), set())
         b = single.get((spans[d2].birth, d2), set())
         if any(
-            s.parent in ps
-            and ((s.d1 in a and s.d2 in b) or (s.d1 in b and s.d2 in a))
-            for s in graph.mitosis_sets
+            p in ps and ((s1 in a and s2 in b) or (s1 in b and s2 in a))
+            for p, s1, s2 in sets
         ):
             hit += 1
     mitosis_recall = hit / len(divs) if divs else 1.0

@@ -220,15 +220,27 @@ def proposal_feature_rows(props: list[Proposal], frame: Frame) -> np.ndarray:
     out[:, 15:23] = contrast
     out[:, 23:31] = contrast
 
-    out[:, 31:91] = _polar_hist(props, b_rows, b_cols, b_count)
+    out[:, 31:91] = _polar_hist(_centroids(props, m_k, m_rows, m_cols, area), b_rows, b_cols, b_count)
     out[:, 91] = area / float(width * height)
     return out
 
 
-def _polar_hist(props: list[Proposal], b_rows, b_cols, b_count) -> np.ndarray:
-    """12x5 histogram of boundary pixels around the centroid, radius scaled
+def _centroids(props: list[Proposal], m_k, m_rows, m_cols, area) -> np.ndarray:
+    """(n, 2) centroids of the proposals from their pixels, each also left in
+    its mask's centroid cache.  A sum of pixel coordinates is an integer, exact
+    in float64, so each mean has the bits ``Mask.centroid`` computes."""
+    origin = np.array([(p.mask.x0, p.mask.y0) for p in props], dtype=np.float64)
+    sums = np.column_stack([np.bincount(m_k, m_cols, len(props)), np.bincount(m_k, m_rows, len(props))])
+    centroids = origin + (sums - area[:, None] * origin) / area[:, None]
+    for p, c in zip(props, centroids.tolist()):
+        p.mask._centroid = tuple(c)  # the cache Mask.centroid fills on first use
+    return centroids
+
+
+def _polar_hist(centroids: np.ndarray, b_rows, b_cols, b_count) -> np.ndarray:
+    """12x5 histogram of boundary pixels around each centroid, radius scaled
     by each proposal's largest; one row per proposal."""
-    centroids = np.repeat(np.array([p.mask.centroid for p in props]), b_count, axis=0)
+    centroids = np.repeat(centroids, b_count, axis=0)
     dy = b_rows.astype(np.float64) - centroids[:, 1]
     dx = b_cols.astype(np.float64) - centroids[:, 0]
     radius = np.hypot(dx, dy)

@@ -4,11 +4,13 @@ Every proposal is a node between a virtual source and sink.  Edges carry
 probabilities turned into additive costs via the negative log odds, so
 selecting likely hypotheses lowers the objective.  Division candidates form
 two-edge sets (parent to each daughter) that the solver must pick atomically.
+The graph is a set of arrays built once; only its costs change when it is
+re-scored.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,10 +22,14 @@ GRAPH_SCHEMA_VERSION = 1
 PROB_CLAMP = 1e-6
 
 
-def log_odds_cost(p: float) -> float:
-    """-log(p / (1-p)) with p clamped away from 0 and 1."""
-    p = min(max(p, PROB_CLAMP), 1.0 - PROB_CLAMP)
-    return -math.log(p / (1.0 - p))
+def log_odds_cost(p):
+    """-log(p / (1-p)) with p clamped away from 0 and 1: a float for a float,
+    an array for an array.  Each log is math.log's, whose bits numpy's
+    vectorised log does not always match, so a cost has the same bits in
+    either form."""
+    q = np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    costs = [-math.log(v) for v in np.ravel(q / (1.0 - q)).tolist()]
+    return costs[0] if np.ndim(p) == 0 else np.array(costs, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -37,27 +43,59 @@ class Edge:
     k: int = 0  # 1 = first daughter edge, 2 = second
 
 
-@dataclass(frozen=True)
-class MitosisSet:
-    set_id: int
-    parent: int
-    d1: int
-    d2: int
-    prob: float
-
-
 @dataclass
 class TrackingGraph:
-    proposals: list[Proposal]
-    node_prob: dict[int, float]
-    node_cost: dict[int, float]
-    edges: list[Edge]
-    conflicts: list[tuple[int, int]]
-    mitosis_sets: list[MitosisSet] = field(default_factory=list)
-    n_frames: int = 0
+    """The candidate graph as arrays over proposal indices, the positions in
+    ``proposals``, which are in (t, id) order.
 
-    def proposal_by_id(self) -> dict[int, Proposal]:
-        return {p.id: p for p in self.proposals}
+    Per proposal: the probability and cost of the proposal itself, of its
+    enter edge and of its exit edge.  Per move, in (source id, destination
+    id) order: its (source, destination), probability and cost.  Per
+    division set, in (parent, d1, d2) id order with d1's id below d2's: its
+    (parent, d1, d2), probability and half cost; each of the set's two edges
+    carries the half, so selecting the pair adds the whole cost once.
+    ``conflicts`` holds the same-frame pairs that may not coexist, in id
+    order.  Only the cost arrays hold costs, so replacing them re-costs the
+    graph.
+    """
+
+    proposals: list[Proposal]
+    node_prob: np.ndarray
+    node_cost: np.ndarray
+    enter_prob: np.ndarray
+    enter_cost: np.ndarray
+    exit_prob: np.ndarray
+    exit_cost: np.ndarray
+    moves: np.ndarray  # (m, 2)
+    move_prob: np.ndarray
+    move_cost: np.ndarray
+    mitosis_sets: np.ndarray  # (s, 3)
+    mitosis_prob: np.ndarray
+    mitosis_cost: np.ndarray
+    conflicts: np.ndarray  # (c, 2)
+    n_frames: int
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        """Every edge as a record naming proposals by id, in variable order
+        (see ``solve.formulate``): an enter edge per proposal, the moves, an
+        exit edge per proposal, then each division set's first and second
+        daughter edge.  Built on each access; the arrays are the graph."""
+        ids = [p.id for p in self.proposals]
+        enters = zip(ids, self.enter_prob.tolist(), self.enter_cost.tolist())
+        moves = zip(self.moves.tolist(), self.move_prob.tolist(), self.move_cost.tolist())
+        exits = zip(ids, self.exit_prob.tolist(), self.exit_cost.tolist())
+        sets = zip(self.mitosis_sets.tolist(), self.mitosis_prob.tolist(), self.mitosis_cost.tolist())
+        return (
+            *(Edge("enter", None, i, p, c) for i, p, c in enters),
+            *(Edge("move", ids[a], ids[b], p, c) for (a, b), p, c in moves),
+            *(Edge("exit", i, None, p, c) for i, p, c in exits),
+            *(
+                Edge("mitosis", ids[parent], ids[d], p, c, set_id=s, k=k)
+                for s, ((parent, d1, d2), p, c) in enumerate(sets)
+                for k, d in ((1, d1), (2, d2))
+            ),
+        )
 
 
 MITOSIS_RADIUS_FACTOR = 1.5  # division search radius per unit of gating radius
@@ -147,96 +185,85 @@ def build_graph(
 
     move_probs is keyed by (src id, dst id) with dst one frame after src;
     mitosis_probs by (parent id, d1 id, d2 id) with d1 < d2.  Enter and exit
-    edges are attached to every proposal.
+    edges are attached to every proposal.  Every cost is the log odds of its
+    probability, computed in one pass over all of them.
     """
     flat = [p for frame in props_by_frame for p in frame]
     flat.sort(key=lambda p: (p.t, p.id))
-    by_id = {p.id: p for p in flat}
-    if len(by_id) != len(flat):
+    index = {p.id: i for i, p in enumerate(flat)}
+    if len(index) != len(flat):
         raise ValueError("duplicate proposal ids")
     missing = [p.id for p in flat if p.id not in node_probs]
     if missing:
         raise ValueError(f"missing node probabilities for ids {missing[:5]}")
+    t = np.array([p.t for p in flat], dtype=np.int64)
 
-    node_cost = {p.id: log_odds_cost(node_probs[p.id]) for p in flat}
-    edges: list[Edge] = []
+    def locate(keys: list[tuple], what: str) -> np.ndarray:
+        for key in keys:
+            for pid in key:
+                if pid not in index:
+                    raise ValueError(f"{what} {key} references unknown proposal {pid}")
+        return np.array([[index[pid] for pid in key] for key in keys], dtype=np.intp)
 
-    enter_cost = log_odds_cost(p_enter)
-    exit_cost = log_odds_cost(p_exit)
-    for p in flat:
-        edges.append(Edge("enter", None, p.id, p_enter, enter_cost))
+    move_keys, set_keys = sorted(move_probs), sorted(mitosis_probs)
+    moves = locate(move_keys, "move edge").reshape(-1, 2)
+    off = t[moves[:, 1]] != t[moves[:, 0]] + 1
+    if off.any():
+        raise ValueError(f"move edge {move_keys[int(np.argmax(off))]} does not span adjacent frames")
+    unordered = [key for key in set_keys if key[1] >= key[2]]
+    if unordered:
+        raise ValueError(f"mitosis daughters must be id-ordered, got {unordered[0][1:]}")
+    sets = locate(set_keys, "mitosis set").reshape(-1, 3)
+    off = (t[sets[:, 1:]] != t[sets[:, :1]] + 1).any(axis=1)
+    if off.any():
+        raise ValueError(f"mitosis set {set_keys[int(np.argmax(off))]} has daughters off frame")
 
-    for (src, dst) in sorted(move_probs):
-        if src not in by_id or dst not in by_id:
-            raise ValueError(f"move edge ({src}, {dst}) references unknown proposal")
-        if by_id[dst].t != by_id[src].t + 1:
-            raise ValueError(f"move edge ({src}, {dst}) does not span adjacent frames")
-        prob = move_probs[(src, dst)]
-        edges.append(Edge("move", src, dst, prob, log_odds_cost(prob)))
-
-    for p in flat:
-        edges.append(Edge("exit", p.id, None, p_exit, exit_cost))
-
-    sets: list[MitosisSet] = []
-    for (parent, d1, d2) in sorted(mitosis_probs):
-        if d1 >= d2:
-            raise ValueError(f"mitosis daughters must be id-ordered, got ({d1}, {d2})")
-        for pid in (parent, d1, d2):
-            if pid not in by_id:
-                raise ValueError(f"mitosis set references unknown proposal {pid}")
-        if by_id[d1].t != by_id[parent].t + 1 or by_id[d2].t != by_id[parent].t + 1:
-            raise ValueError(f"mitosis set ({parent}, {d1}, {d2}) has daughters off frame")
-        prob = mitosis_probs[(parent, d1, d2)]
-        set_id = len(sets)
-        sets.append(MitosisSet(set_id, parent, d1, d2, prob))
-        # The set cost is the log odds of the division; half sits on each
-        # edge so selecting the pair adds the full amount once.
-        half = log_odds_cost(prob) / 2.0
-        edges.append(Edge("mitosis", parent, d1, prob, half, set_id=set_id, k=1))
-        edges.append(Edge("mitosis", parent, d2, prob, half, set_id=set_id, k=2))
-
-    pair_list = []
-    for frame in props_by_frame:
-        pair_list.extend(conflicts(frame))
-
+    n = len(flat)
+    probs = np.array(
+        [node_probs[p.id] for p in flat] + [p_enter] * n + [p_exit] * n
+        + [move_probs[k] for k in move_keys] + [mitosis_probs[k] for k in set_keys],
+        dtype=np.float64,
+    )
+    # the node, enter, exit, move and division parts of ``probs``
+    parts = np.cumsum([n, n, n, len(moves)])
+    prob, cost = np.split(probs, parts), np.split(log_odds_cost(probs), parts)
+    pairs = [(index[a], index[b]) for a, b in conflicts(flat)]
     return TrackingGraph(
         proposals=flat,
-        node_prob=dict(node_probs),
-        node_cost=node_cost,
-        edges=edges,
-        conflicts=sorted(pair_list),
-        mitosis_sets=sets,
+        node_prob=prob[0], node_cost=cost[0],
+        enter_prob=prob[1], enter_cost=cost[1],
+        exit_prob=prob[2], exit_cost=cost[2],
+        moves=moves, move_prob=prob[3], move_cost=cost[3],
+        mitosis_sets=sets, mitosis_prob=prob[4], mitosis_cost=cost[4] / 2.0,
+        conflicts=np.array(pairs, dtype=np.intp).reshape(-1, 2),
         n_frames=len(props_by_frame),
     )
 
 
 def graph_stats(graph: TrackingGraph) -> dict:
-    kinds: dict[str, int] = {}
-    for e in graph.edges:
-        kinds[e.kind] = kinds.get(e.kind, 0) + 1
+    n, m, s = len(graph.proposals), len(graph.moves), len(graph.mitosis_sets)
+    kinds = {"enter": n, "exit": n, "mitosis": 2 * s, "move": m}
     return {
         "n_frames": graph.n_frames,
-        "n_proposals": len(graph.proposals),
-        "n_edges": len(graph.edges),
-        "edges_by_kind": {k: kinds[k] for k in sorted(kinds)},
+        "n_proposals": n,
+        "n_edges": 2 * n + m + 2 * s,
+        "edges_by_kind": {k: v for k, v in kinds.items() if v},
         "n_conflicts": len(graph.conflicts),
-        "n_mitosis_sets": len(graph.mitosis_sets),
+        "n_mitosis_sets": s,
     }
 
 
 def graph_to_json(graph: TrackingGraph) -> dict:
+    ids = [p.id for p in graph.proposals]
     return {
         "schema_version": GRAPH_SCHEMA_VERSION,
         "kind": "tracking_graph",
         "n_frames": graph.n_frames,
         "proposals": [
-            {
-                "id": p.id,
-                "t": p.t,
-                "prob": graph.node_prob[p.id],
-                "cost": graph.node_cost[p.id],
-            }
-            for p in graph.proposals
+            {"id": i, "t": p.t, "prob": prob, "cost": cost}
+            for i, p, prob, cost in zip(
+                ids, graph.proposals, graph.node_prob.tolist(), graph.node_cost.tolist()
+            )
         ],
         "edges": [
             {
@@ -250,9 +277,11 @@ def graph_to_json(graph: TrackingGraph) -> dict:
             }
             for e in graph.edges
         ],
-        "conflicts": [list(pair) for pair in graph.conflicts],
+        "conflicts": [[ids[a], ids[b]] for a, b in graph.conflicts.tolist()],
         "mitosis_sets": [
-            {"set_id": s.set_id, "parent": s.parent, "d1": s.d1, "d2": s.d2, "prob": s.prob}
-            for s in graph.mitosis_sets
+            {"set_id": k, "parent": ids[parent], "d1": ids[d1], "d2": ids[d2], "prob": prob}
+            for k, ((parent, d1, d2), prob) in enumerate(
+                zip(graph.mitosis_sets.tolist(), graph.mitosis_prob.tolist())
+            )
         ],
     }

@@ -545,34 +545,28 @@ def build_candidate_graph(
             divisions=models.mitosis is not None,
         )
 
-    move_probs: dict[tuple[int, int], float] = {}
-    if rows.pairs:
-        mp = predict_prob(models.move, rows.move_rows)
-        move_probs = {(a.id, b.id): float(mp[i]) for i, (a, b) in enumerate(rows.pairs)}
-
-    mitosis_probs: dict[tuple[int, int, int], float] = {}
-    if models.mitosis is not None and rows.triples:
-        tp = predict_prob(models.mitosis, rows.mitosis_rows)
-        mitosis_probs = {
-            (p.id, d1.id, d2.id): float(tp[i]) for i, (p, d1, d2) in enumerate(rows.triples)
-        }
-    node_probs = rows.node_probs
-    del rows  # the feature rows are not needed past scoring
-
     # Dominance pruning: a move never taken in any optimal selection is one
     # costing more than routing the flow through an exit and an enter; same
     # for a division against one exit and two enters.  Dropping those keeps
     # the optimum while cutting the candidate set drastically.
     enter_cost = log_odds_cost(cfg.graph.p_enter)
     exit_cost = log_odds_cost(cfg.graph.p_exit)
-    move_probs = {
-        k: v for k, v in move_probs.items() if log_odds_cost(v) <= enter_cost + exit_cost
-    }
-    mitosis_probs = {
-        k: v
-        for k, v in mitosis_probs.items()
-        if log_odds_cost(v) <= exit_cost + 2.0 * enter_cost
-    }
+    move_probs: dict[tuple[int, int], float] = {}
+    if rows.pairs:
+        mp = predict_prob(models.move, rows.move_rows)
+        keep = log_odds_cost(mp) <= enter_cost + exit_cost
+        move_probs = {
+            (a.id, b.id): p for (a, b), p, k in zip(rows.pairs, mp.tolist(), keep) if k
+        }
+    mitosis_probs: dict[tuple[int, int, int], float] = {}
+    if models.mitosis is not None and rows.triples:
+        tp = predict_prob(models.mitosis, rows.mitosis_rows)
+        keep = log_odds_cost(tp) <= exit_cost + 2.0 * enter_cost
+        mitosis_probs = {
+            (p.id, d1.id, d2.id): q for (p, d1, d2), q, k in zip(rows.triples, tp.tolist(), keep) if k
+        }
+    node_probs = rows.node_probs
+    del rows  # the feature rows are not needed past scoring
 
     graph = build_graph(
         by_frame,
@@ -582,7 +576,8 @@ def build_candidate_graph(
         p_enter=cfg.graph.p_enter,
         p_exit=cfg.graph.p_exit,
     )
-    log.info("graph: %s", graph_stats(graph))
+    if log.isEnabledFor(logging.INFO):
+        log.info("graph: %s", graph_stats(graph))
     return graph
 
 
@@ -593,9 +588,12 @@ def solve_graph(cfg: PipelineConfig, graph: TrackingGraph) -> tuple[SolveResult,
     if cfg.solve.backend == "greedy":
         result = solve_greedy(graph, varmap)
     else:
+        # a warm start can win only when a budget stops HiGHS before its
+        # proof: without one, HiGHS's selection is kept on a tie
+        budget = cfg.solve.time_limit is not None or cfg.solve.max_nodes is not None
         result = solve(
             instance,
-            start=solve_greedy(graph, varmap).x,
+            start=solve_greedy(graph, varmap).x if budget else None,
             time_limit=cfg.solve.time_limit,
             max_nodes=cfg.solve.max_nodes,
         )

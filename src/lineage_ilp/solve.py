@@ -9,8 +9,8 @@ solve() proves optimality with HiGHS (Huangfu & Hall 2018, shipped with
 scipy): the conflicts enter as one row per maximal clique (Padberg 1973), the
 LP relaxation of that form has been integral on every pipeline graph measured,
 and HiGHS branch and bound runs only when it is not.  A feasible warm start (the
-pipeline passes the greedy selection) is kept when nothing better is found,
-so solve() is never worse than that start.  solve_greedy() repeatedly applies
+pipeline passes the greedy selection under a time or node limit) is kept when
+nothing better is found, so solve() is never worse than that start.  solve_greedy() repeatedly applies
 the cheapest feasible extension and serves as the fast approximation.
 solve_bruteforce() enumerates every assignment and anchors the tests.
 """
@@ -130,8 +130,8 @@ class IlpInstance:
 
 @dataclass
 class VarMap:
-    """Variable layout: proposals first in (t, id) order, then the edges in
-    graph order, so the edge block of a selection x is
+    """Variable layout: proposal i of the graph is variable i, and the edges
+    follow in ``graph.edges`` order, so the edge block of a selection x is
     x[len(graph.proposals):]."""
 
     node_var: dict[int, int]
@@ -149,6 +149,22 @@ class SolveResult:
     timed_out: bool = False
 
 
+def _edge_blocks(graph: TrackingGraph) -> tuple[int, int, int, int]:
+    """The first variable of the enter, move, exit and division edge blocks:
+    an enter edge per proposal, the moves, an exit edge per proposal, then
+    the first and second daughter edge of each division set."""
+    n, m = len(graph.proposals), len(graph.moves)
+    return n, 2 * n, 2 * n + m, 3 * n + m
+
+
+def _costs(graph: TrackingGraph) -> np.ndarray:
+    """The cost of every variable, in variable order."""
+    return np.concatenate([
+        graph.node_cost, graph.enter_cost, graph.move_cost, graph.exit_cost,
+        np.repeat(graph.mitosis_cost, 2),
+    ])
+
+
 def formulate(graph: TrackingGraph) -> tuple[IlpInstance, VarMap]:
     """Build the selection problem for a tracking graph.
 
@@ -162,34 +178,22 @@ def formulate(graph: TrackingGraph) -> tuple[IlpInstance, VarMap]:
     incoming edges come first, in edge order, then the proposal or its
     outgoing edges.
     """
-    node_var = {p.id: i for i, p in enumerate(graph.proposals)}
-    n_props = len(graph.proposals)
-    ins: list[tuple[int, int]] = []  # (proposal, edge variable) per edge into a proposal
-    outs: list[tuple[int, int]] = []  # the same per edge out of a proposal
-    set_edges: dict[int, dict[int, int]] = {}
-    for v, e in enumerate(graph.edges, start=n_props):
-        if e.kind not in ("enter", "move", "exit", "mitosis"):
-            raise ValueError(f"unknown edge kind {e.kind!r}")
-        if e.kind != "exit":
-            ins.append((node_var[e.dst], v))
-        # the second daughter edge does not count as outflow
-        if e.kind in ("move", "exit") or (e.kind == "mitosis" and e.k == 1):
-            outs.append((node_var[e.src], v))
-        if e.kind == "mitosis":
-            set_edges.setdefault(e.set_id, {})[e.k] = v
+    n, m, s = len(graph.proposals), len(graph.moves), len(graph.mitosis_sets)
+    enter, move, exit_, divide_var = _edge_blocks(graph)
+    nodes, moves, halves = np.arange(n), np.arange(m), np.arange(2 * s)
+    src, dst = graph.moves.T
+    # (proposal, edge variable) per edge into and out of a proposal, in edge
+    # order; the second daughter edge does not count as outflow
+    in_at = np.concatenate([nodes, dst, graph.mitosis_sets[:, 1:].ravel()])
+    in_var = np.concatenate([enter + nodes, move + moves, divide_var + halves])
+    out_at = np.concatenate([src, nodes, graph.mitosis_sets[:, 0]])
+    out_var = np.concatenate([move + moves, exit_ + nodes, divide_var + halves[::2]])
 
-    cliques = _maximal_cliques((node_var[a], node_var[b]) for a, b in graph.conflicts)
-    pairs = np.array([(s[1], s[2]) for s in map(set_edges.get, sorted(set_edges))], dtype=np.intp)
-    in_at, in_var = np.array(ins, dtype=np.intp).reshape(-1, 2).T
-    out_at, out_var = np.array(outs, dtype=np.intp).reshape(-1, 2).T
-    bare = np.bincount(np.concatenate([in_at, out_at]), minlength=n_props) == 0
-    if bare.any():  # its flow row would be empty
-        raise ValueError(f"proposal {graph.proposals[int(np.argmax(bare))].id} has no edge")
-    nodes = np.arange(n_props)
+    cliques = _maximal_cliques(graph.conflicts.tolist())
     # the first rows of the explanation, flow and division blocks
     explain = len(cliques)
-    flow = explain + n_props
-    divide = flow + n_props
+    flow = explain + n
+    divide = flow + n
     clique_rows = np.repeat(np.arange(explain), [len(c) for c in cliques])
     # (rows, variables, coefficient) per block; a stable sort by row keeps
     # each row's entries in block order
@@ -199,20 +203,16 @@ def formulate(graph: TrackingGraph) -> tuple[IlpInstance, VarMap]:
         (explain + nodes, nodes, -1),
         (flow + in_at, in_var, 1),
         (flow + out_at, out_var, -1),
-        (np.repeat(divide + np.arange(len(pairs)), 2), pairs.ravel(), np.tile([1, -1], len(pairs))),
+        (np.repeat(divide + np.arange(s), 2), divide_var + halves, np.tile([1, -1], s)),
     ]
     row = np.concatenate([np.asarray(r, dtype=np.intp) for r, _, _ in blocks])
     order = np.argsort(row, kind="stable")
     col = np.concatenate([np.asarray(c, dtype=np.intp) for _, c, _ in blocks])
     coef = np.concatenate([np.broadcast_to(k, np.shape(r)) for r, _, k in blocks]).astype(np.int8)
-    is_eq = np.arange(divide + len(pairs)) >= explain  # clique rows are <= 1, the rest == 0
+    is_eq = np.arange(divide + s) >= explain  # clique rows are <= 1, the rest == 0
     rows = Rows(row[order], col[order], coef[order], (~is_eq).astype(np.int64), is_eq)
-
-    costs = np.array(
-        [graph.node_cost[p.id] for p in graph.proposals] + [e.cost for e in graph.edges],
-        dtype=np.float64,
-    )
-    return IlpInstance(costs, rows), VarMap(node_var=node_var)
+    node_var = {p.id: i for i, p in enumerate(graph.proposals)}
+    return IlpInstance(_costs(graph), rows), VarMap(node_var=node_var)
 
 
 def _maximal_cliques(edges) -> list[tuple[int, ...]]:
@@ -237,8 +237,8 @@ def _maximal_cliques(edges) -> list[tuple[int, ...]]:
         pivot = max(sorted(p | x), key=lambda u: len(p & adj[u]))
         for v in sorted(p - adj[pivot]):
             extend(r + [v], p & adj[v], x & adj[v])
-            p = p - {v}
-            x = x | {v}
+            p.remove(v)  # p and x are this call's own sets
+            x.add(v)
 
     if adj:  # with no edge the empty clique would be the only maximal one
         extend([], set(adj), set())
@@ -551,188 +551,138 @@ def solve_greedy(graph: TrackingGraph, varmap: VarMap) -> SolveResult:
     unblocked proposals against the best division graft onto an already
     selected track, applying whichever lowers the objective more.  Stops when
     nothing is negative.  The result is always feasible; its objective is an
-    upper bound for the exact solver's.
+    upper bound for the exact solver's.  Ties go to the chain; among chains
+    to the last proposal first in graph order, and within a chain to the
+    enter edge, then to the move first in graph order; among divisions to the
+    parent with the lowest id, then to the set first in graph order.  The
+    selection is laid out as ``varmap`` describes.
     """
     t0 = time.monotonic()
-    props = graph.proposals
-    by_frame: dict[int, list[int]] = {}
-    for p in props:
-        by_frame.setdefault(p.t, []).append(p.id)
-    for lst in by_frame.values():
-        lst.sort()
-    frames = sorted(by_frame)
-    node_cost = graph.node_cost
+    n = len(graph.proposals)
+    enter, move, exit_, divide = _edge_blocks(graph)
+    ids = [p.id for p in graph.proposals]
+    node_cost, exit_cost = graph.node_cost.tolist(), graph.exit_cost.tolist()
+    start_cost = (graph.enter_cost + graph.node_cost).tolist()
+    # per proposal its moves in and out as (other end, cost, move), in graph
+    # order: by source, then destination, both in the same frame by index
+    into: list[list[tuple[int, float, int]]] = [[] for _ in range(n)]
+    out: list[list[tuple[int, float, int]]] = [[] for _ in range(n)]
+    move_src = graph.moves[:, 0].tolist()
+    for j, ((a, b), c) in enumerate(zip(graph.moves.tolist(), graph.move_cost.tolist())):
+        into[b].append((a, c, j))
+        out[a].append((b, c, j))
+    sets_of: list[list[int]] = [[] for _ in range(n)]  # division sets by parent
+    for k, parent in enumerate(graph.mitosis_sets[:, 0].tolist()):
+        sets_of[parent].append(k)
+    sets, half = graph.mitosis_sets.tolist(), graph.mitosis_cost.tolist()
+    rivals: list[list[int]] = [[] for _ in range(n)]
+    for a, b in graph.conflicts.tolist():
+        rivals[a].append(b)
+        rivals[b].append(a)
+    conflicting = set(map(tuple, graph.conflicts.tolist()))
 
-    enter_edge: dict[int, tuple[float, int]] = {}
-    exit_edge: dict[int, tuple[float, int]] = {}
-    in_moves: dict[int, list[tuple[int, float, int]]] = {pid: [] for pid in node_cost}
-    out_moves: dict[int, list[tuple[int, float, int]]] = {pid: [] for pid in node_cost}
-    for i, e in enumerate(graph.edges):
-        if e.kind == "enter":
-            enter_edge[e.dst] = (e.cost, i)
-        elif e.kind == "exit":
-            exit_edge[e.src] = (e.cost, i)
-        elif e.kind == "move":
-            in_moves[e.dst].append((e.src, e.cost, i))
-            out_moves[e.src].append((e.dst, e.cost, i))
-    for lst in in_moves.values():
-        lst.sort(key=lambda item: item[0])
-    for lst in out_moves.values():
-        lst.sort(key=lambda item: item[0])
+    available = [True] * n
+    used = np.zeros(n, dtype=bool)
+    chosen: set[int] = set()  # selected edge variables
+    tails: set[int] = set()  # the last proposal of each selected track that exits
 
-    set_edges: dict[int, dict[int, int]] = {}
-    for i, e in enumerate(graph.edges):
-        if e.kind == "mitosis":
-            set_edges.setdefault(e.set_id, {})[e.k] = i
-    sets_by_parent: dict[int, list] = {}
-    for s in graph.mitosis_sets:
-        sets_by_parent.setdefault(s.parent, []).append(s)
-    conflict_pairs = set(map(tuple, graph.conflicts))
-    conflict_adj: dict[int, list[int]] = {}
-    for a, b in graph.conflicts:
-        conflict_adj.setdefault(a, []).append(b)
-        conflict_adj.setdefault(b, []).append(a)
-
-    available = {pid: True for pid in node_cost}
-    used: set[int] = set()
-    chosen_edges: set[int] = set()
-    chain_end_term: dict[int, int] = {}  # selected track tail pid -> terminal edge idx
-    divided: set[int] = set()
-    actions = 0
-
-    def claim(pid: int) -> None:
-        available[pid] = False
-        used.add(pid)
-        for other in conflict_adj.get(pid, []):
+    def claim(i: int) -> None:
+        available[i] = False
+        used[i] = True
+        for other in rivals[i]:
             available[other] = False
 
-    def best_chain():
-        dist: dict[int, float] = {}
-        pred: dict[int, tuple] = {}
-        best = (np.inf, None)
-        for t in frames:
-            for pid in by_frame[t]:
-                if not available[pid]:
-                    continue
-                cost = enter_edge[pid][0] + node_cost[pid]
-                how = ("enter",)
-                for src, mcost, eidx in in_moves[pid]:
-                    d = dist.get(src)
-                    if d is not None and d + mcost + node_cost[pid] < cost:
-                        cost = d + mcost + node_cost[pid]
-                        how = ("move", src, eidx)
-                dist[pid] = cost
-                pred[pid] = how
-                total = cost + exit_edge[pid][0]
-                if total < best[0]:
-                    best = (total, pid)
-        if best[1] is None:
-            return np.inf, None
-        path = []
-        cur = best[1]
-        while True:
-            path.append(cur)
-            how = pred[cur]
-            if how[0] == "enter":
-                break
-            cur = how[1]
-        path.reverse()
-        return best[0], path
+    def best_chain() -> tuple[float, list[tuple[int, int]]]:
+        """The cheapest chain over available proposals and its (proposal,
+        move into it or -1) steps; inf and no steps when none is left."""
+        dist = [np.inf] * n
+        how = [-1] * n
+        best, end = np.inf, -1
+        for i in range(n):  # frames in order, each proposal after its sources
+            if not available[i]:
+                continue
+            cost = start_cost[i]
+            for a, c, j in into[i]:
+                if dist[a] + c + node_cost[i] < cost:
+                    cost = dist[a] + c + node_cost[i]
+                    how[i] = j
+            dist[i] = cost
+            if cost + exit_cost[i] < best:
+                best, end = cost + exit_cost[i], i
+        steps = []
+        while end >= 0:
+            steps.append((end, how[end]))
+            end = -1 if how[end] < 0 else move_src[how[end]]
+        return best, steps[::-1]
 
-    def tail_costs() -> dict[int, float]:
-        tail: dict[int, float] = {}
-        for t in reversed(frames):
-            for pid in by_frame[t]:
-                if not available[pid]:
-                    continue
-                best = exit_edge[pid][0]
-                for dst, mcost, eidx in out_moves[pid]:
-                    d = tail.get(dst)
-                    if d is not None and mcost + d < best:
-                        best = mcost + d
-                tail[pid] = node_cost[pid] + best
+    def tail_costs() -> list[float]:
+        """Per available proposal the cheapest way to finish a track from
+        it, inf for the others."""
+        tail = [np.inf] * n
+        for i in reversed(range(n)):
+            if available[i]:
+                best = exit_cost[i]
+                for b, c, _ in out[i]:
+                    if c + tail[b] < best:
+                        best = c + tail[b]
+                tail[i] = node_cost[i] + best
         return tail
 
-    def walk_tail(start: int) -> None:
-        """Claim a chain from start, choosing the cheapest continuation at
-        every step with tail costs refreshed after each claim."""
-        cur = start
-        claim(cur)
-        while True:
-            tail = tail_costs()
-            best_cost = exit_edge[cur][0]
-            best_next = None
-            for dst, mcost, eidx in out_moves[cur]:
-                d = tail.get(dst)
-                if d is not None and mcost + d < best_cost:
-                    best_cost = mcost + d
-                    best_next = (dst, eidx)
-            if best_next is None:
-                chosen_edges.add(exit_edge[cur][1])
-                chain_end_term[cur] = exit_edge[cur][1]
-                return
-            dst, eidx = best_next
-            chosen_edges.add(eidx)
-            claim(dst)
-            cur = dst
-
-    while True:
-        chain_cost, chain_path = best_chain()
-
+    def walk_tail(i: int) -> None:
+        """Claim a chain from i, taking the cheapest continuation at every
+        step.  A claim changes no tail cost past its own frame, so one
+        computation serves the whole walk."""
+        claim(i)
         tail = tail_costs()
-        best_div = (np.inf, None)
-        for parent in sorted(chain_end_term):
-            if parent in divided:
-                continue
-            for s in sets_by_parent.get(parent, []):
-                if not (available.get(s.d1) and available.get(s.d2)):
-                    continue
-                if (s.d1, s.d2) in conflict_pairs:
-                    continue
-                e1 = graph.edges[set_edges[s.set_id][1]]
-                e2 = graph.edges[set_edges[s.set_id][2]]
-                term_cost = graph.edges[chain_end_term[parent]].cost
-                delta = -term_cost + e1.cost + e2.cost + tail[s.d1] + tail[s.d2]
-                if delta < best_div[0]:
-                    best_div = (delta, s)
+        while True:
+            best, step = exit_cost[i], None
+            for b, c, j in out[i]:
+                if c + tail[b] < best:
+                    best, step = c + tail[b], (b, j)
+            if step is None:
+                chosen.add(exit_ + i)
+                tails.add(i)
+                return
+            i, j = step
+            chosen.add(move + j)
+            claim(i)
 
-        best_cost = min(chain_cost, best_div[0])
-        if not (best_cost < 0.0):
+    actions = 0
+    while True:
+        chain_cost, steps = best_chain()
+        tail = None
+        best_div, div = np.inf, -1
+        for parent in sorted(tails, key=ids.__getitem__):
+            for k in sets_of[parent]:
+                _, d1, d2 = sets[k]
+                if not (available[d1] and available[d2]) or (d1, d2) in conflicting:
+                    continue
+                tail = tail or tail_costs()
+                delta = -exit_cost[parent] + half[k] + half[k] + tail[d1] + tail[d2]
+                if delta < best_div:
+                    best_div, div = delta, k
+        if not (min(chain_cost, best_div) < 0.0):
             break
         actions += 1
-        if chain_cost <= best_div[0]:
-            path = chain_path
-            chosen_edges.add(enter_edge[path[0]][1])
-            claim(path[0])
-            prev = path[0]
-            for pid in path[1:]:
-                eidx = next(i for (dst, _, i) in out_moves[prev] if dst == pid)
-                chosen_edges.add(eidx)
-                claim(pid)
-                prev = pid
-            chosen_edges.add(exit_edge[prev][1])
-            chain_end_term[prev] = exit_edge[prev][1]
+        if chain_cost <= best_div:
+            for i, j in steps:
+                chosen.add(enter + i if j < 0 else move + j)
+                claim(i)
+            chosen.add(exit_ + steps[-1][0])
+            tails.add(steps[-1][0])
         else:
-            s = best_div[1]
-            parent_term = chain_end_term.pop(s.parent)
-            chosen_edges.discard(parent_term)
-            divided.add(s.parent)
-            chosen_edges.add(set_edges[s.set_id][1])
-            chosen_edges.add(set_edges[s.set_id][2])
-            walk_tail(s.d1)
-            walk_tail(s.d2)
+            parent, d1, d2 = sets[div]
+            tails.remove(parent)
+            chosen.discard(exit_ + parent)
+            chosen.update((divide + 2 * div, divide + 2 * div + 1))
+            walk_tail(d1)
+            walk_tail(d2)
 
-    x = np.zeros(len(props) + len(graph.edges), dtype=np.int8)
-    for pid in used:
-        x[varmap.node_var[pid]] = 1
-    edge_x = x[len(props):]
-    edge_x[list(chosen_edges)] = 1
-    objective = float(sum(node_cost[pid] for pid in used)) + float(
-        sum(graph.edges[i].cost for i in chosen_edges)
-    )
-    return SolveResult(
-        "feasible", x, objective, None, None, actions, time.monotonic() - t0
-    )
+    costs = _costs(graph)
+    x = np.zeros(len(costs), dtype=np.int8)
+    x[:n] = used
+    x[sorted(chosen)] = 1
+    return SolveResult("feasible", x, float(costs @ x), None, None, actions, time.monotonic() - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -747,99 +697,65 @@ class Lineage:
 
 
 def extract_lineage(graph: TrackingGraph, varmap: VarMap, x: np.ndarray) -> Lineage:
-    """Turn a feasible selection into tracks with parent links.
+    """Turn a feasible selection, laid out as ``varmap`` describes, into
+    tracks with parent links.
 
     Track ids are assigned in order of (birth frame, first proposal id).
     End reasons are "exit" or "division".
     """
-    x = np.asarray(x)
-    selected = {pid for pid, vi in varmap.node_var.items() if x[vi] == 1}
-    edge_x = x[len(graph.proposals):]
-    by_id = graph.proposal_by_id()
+    n, s = len(graph.proposals), len(graph.mitosis_sets)
+    enter, move, exit_, divide = _edge_blocks(graph)
+    on = np.asarray(x) == 1
+    nodes, (src, dst), sets = np.arange(n), graph.moves.T, graph.mitosis_sets
+    selected = on[:n]
+    enters, moves, exits = on[enter:move], on[move:exit_], on[exit_:divide]
+    halves = on[divide:].reshape(s, 2)
+    divides = halves[:, 0] & halves[:, 1]
+    ids = [p.id for p in graph.proposals]
 
-    in_kind: dict[int, str] = {}
-    move_next: dict[int, tuple[int, int]] = {}
-    exits: set[int] = set()
-    div_out: dict[int, list[int | None]] = {}  # parent pid -> [d1, d2]
-    for i, e in enumerate(graph.edges):
-        if edge_x[i] != 1:
-            continue
-        for endpoint in (e.src, e.dst):
-            if endpoint is not None and endpoint not in selected:
-                raise ValueError(
-                    f"selected {e.kind} edge touches unselected proposal {endpoint}"
-                )
-        if e.kind == "enter":
-            _set_once(in_kind, e.dst, "enter")
-        elif e.kind == "move":
-            _set_once(in_kind, e.dst, "move")
-            if e.src in move_next:
-                raise ValueError(f"proposal {e.src} has two outgoing moves")
-            move_next[e.src] = (e.dst, i)
-        elif e.kind == "exit":
-            if e.src in exits:
-                raise ValueError(f"proposal {e.src} has two exit edges")
-            exits.add(e.src)
-        elif e.kind == "mitosis":
-            _set_once(in_kind, e.dst, "mitosis")
-            pair = div_out.setdefault(e.src, [None, None])
-            pair[e.k - 1] = e.dst
+    def refuse(bad: np.ndarray, at: np.ndarray, message: str) -> None:
+        if bad.any():
+            raise ValueError(message.format(ids[int(at[np.argmax(bad)])]))
 
-    for pid in selected:
-        if pid not in in_kind:
-            raise ValueError(f"selected proposal {pid} has no incoming edge")
+    for kind, edge_on, ends in (
+        ("enter", enters, nodes), ("move", moves, src), ("move", moves, dst),
+        ("exit", exits, nodes), ("mitosis", halves.any(axis=1), sets[:, 0]),
+        ("mitosis", halves[:, 0], sets[:, 1]), ("mitosis", halves[:, 1], sets[:, 2]),
+    ):
+        refuse(edge_on & ~selected[ends], ends, f"selected {kind} edge touches unselected proposal {{}}")
+    refuse(halves[:, 0] != halves[:, 1], sets[:, 0], "division at {} is missing a daughter edge")
+    refuse(np.bincount(src[moves], minlength=n) > 1, nodes, "proposal {} has two outgoing moves")
+    daughters = sets[divides, 1:].ravel()
+    incoming = enters + np.bincount(np.concatenate([dst[moves], daughters]), minlength=n)
+    refuse(incoming > 1, nodes, "proposal {} has more than one incoming edge")
+    refuse(selected & (incoming == 0), nodes, "selected proposal {} has no incoming edge")
 
-    daughter_parent: dict[int, int] = {}
-    for parent, pair in div_out.items():
-        if pair[0] is None or pair[1] is None:
-            raise ValueError(f"division at {parent} is missing a daughter edge")
-        for d in pair:
-            daughter_parent[d] = parent
-
-    starts = sorted(
-        (by_id[pid].t, pid)
-        for pid, kind in in_kind.items()
-        if kind in ("enter", "mitosis")
-    )
+    move_next = dict(zip(src[moves].tolist(), dst[moves].tolist()))
+    parent_of = dict(zip(daughters.tolist(), np.repeat(sets[divides, 0], 2).tolist()))
+    dividing = set(sets[divides, 0].tolist())
     lineage = Lineage()
-    track_of_pid: dict[int, int] = {}
-    for track_id, (_, start) in enumerate(starts, start=1):
+    track_of: dict[int, int] = {}
+    # proposals are in (t, id) order, so track starts come in (birth, id) order
+    starts = np.flatnonzero(enters | np.isin(nodes, daughters)).tolist()
+    for track_id, start in enumerate(starts, start=1):
         members = [start]
-        cur = start
-        while cur in move_next:
-            cur = move_next[cur][0]
-            members.append(cur)
-        for pid in members:
-            track_of_pid[pid] = track_id
-        if cur in div_out:
+        while members[-1] in move_next:
+            members.append(move_next[members[-1]])
+        cur = members[-1]
+        if cur in dividing:
             reason = "division"
-        elif cur in exits:
+        elif exits[cur]:
             reason = "exit"
         else:
-            raise ValueError(f"track ending at {cur} has no terminal edge")
-        lineage.members[track_id] = members
+            raise ValueError(f"track ending at {ids[cur]} has no terminal edge")
+        track_of.update(dict.fromkeys(members, track_id))
+        lineage.members[track_id] = [ids[i] for i in members]
         lineage.end_reason[track_id] = reason
-
-    for track_id, (_, start) in enumerate(starts, start=1):
-        members = lineage.members[track_id]
-        parent_track = 0
-        if start in daughter_parent:
-            parent_track = track_of_pid[daughter_parent[start]]
-        lineage.tracks.append(
-            TrackRow(
-                label=track_id,
-                birth=by_id[members[0]].t,
-                end=by_id[members[-1]].t,
-                parent=parent_track,
-            )
-        )
+        parent = track_of[parent_of[start]] if start in parent_of else 0
+        lineage.tracks.append(TrackRow(
+            label=track_id, birth=graph.proposals[start].t, end=graph.proposals[cur].t, parent=parent,
+        ))
     return lineage
-
-
-def _set_once(d: dict, key, value) -> None:
-    if key in d:
-        raise ValueError(f"proposal {key} has more than one incoming edge")
-    d[key] = value
 
 
 # ---------------------------------------------------------------------------

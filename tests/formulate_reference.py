@@ -41,7 +41,7 @@ def formulate_rows(graph: TrackingGraph) -> tuple[np.ndarray, list[tuple], dict[
 
     rows = [
         (clique, (1,) * len(clique), "<=", 1)
-        for clique in _maximal_cliques((node_var[a], node_var[b]) for a, b in graph.conflicts)
+        for clique in _maximal_cliques(graph.conflicts.tolist())  # proposal i is variable i
     ]
     for p in graph.proposals:
         ins = in_vars[p.id]
@@ -58,8 +58,8 @@ def formulate_rows(graph: TrackingGraph) -> tuple[np.ndarray, list[tuple], dict[
         rows.append(((pair[1], pair[2]), (1, -1), "==", 0))
 
     costs = np.zeros(n_props + len(graph.edges))
-    for p in graph.proposals:
-        costs[node_var[p.id]] = graph.node_cost[p.id]
+    for i, p in enumerate(graph.proposals):
+        costs[node_var[p.id]] = graph.node_cost[i]
     for i, e in enumerate(graph.edges):
         costs[edge_var[i]] = e.cost
     return costs, rows, node_var

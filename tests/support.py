@@ -10,8 +10,6 @@ import numpy as np
 
 from lineage_ilp.geometry import Mask
 from lineage_ilp.graph import (
-    Edge,
-    MitosisSet,
     TrackingGraph,
     build_graph,
     enumerate_mitoses,
@@ -84,8 +82,10 @@ def _square(pid: int, t: int, x: int, y: int, size: int) -> Proposal:
     )
 
 
-def random_graph(rng: np.random.Generator) -> TrackingGraph:
-    """Small two-frame graph whose instance stays within brute-force range."""
+def random_graph_inputs(rng: np.random.Generator) -> tuple[list, dict, dict, dict, dict]:
+    """``build_graph``'s arguments for a small two-frame graph whose
+    instance stays within brute-force range: the frames, the node, move and
+    division probabilities, and the keyword arguments."""
     shapes = [(2, 2), (1, 3), (3, 1), (2, 1)]
     n0, n1 = shapes[int(rng.integers(0, len(shapes)))]
     frames: list[list[Proposal]] = [[], []]
@@ -106,47 +106,51 @@ def random_graph(rng: np.random.Generator) -> TrackingGraph:
     mitosis_probs = {
         (p.id, a.id, b.id): float(rng.uniform(0.05, 0.95)) for p, a, b in triples
     }
-    return build_graph(
-        frames,
-        node_probs,
-        move_probs,
-        mitosis_probs,
-        p_enter=float(rng.uniform(0.05, 0.5)),
-        p_exit=float(rng.uniform(0.05, 0.5)),
-    )
+    kwargs = {"p_enter": float(rng.uniform(0.05, 0.5)), "p_exit": float(rng.uniform(0.05, 0.5))}
+    return frames, node_probs, move_probs, mitosis_probs, kwargs
+
+
+def random_graph(rng: np.random.Generator) -> TrackingGraph:
+    """Small two-frame graph whose instance stays within brute-force range."""
+    *args, kwargs = random_graph_inputs(rng)
+    return build_graph(*args, **kwargs)
 
 
 def join_graphs(graphs: list[TrackingGraph]) -> TrackingGraph:
-    """The disjoint union of ``graphs``: proposal ids and division set ids of
-    each graph are offset past those of the graphs before it, and no edge or
-    conflict joins two of them, so the instance splits into at least one
-    constraint component per graph."""
-    joined = TrackingGraph([], {}, {}, [], [], [], 0)
-    id_off = set_off = 0
-
-    def shift(pid):
-        return None if pid is None else pid + id_off
-
+    """The disjoint union of ``graphs``: proposal ids of each graph are
+    offset past those of the graphs before it, and no edge or conflict joins
+    two of them, so the instance splits into at least one constraint
+    component per graph."""
+    props: list[Proposal] = []
+    starts = []  # each graph's first proposal in props
     for g in graphs:
-        joined.proposals += [replace(p, id=p.id + id_off) for p in g.proposals]
-        joined.node_prob.update({pid + id_off: v for pid, v in g.node_prob.items()})
-        joined.node_cost.update({pid + id_off: v for pid, v in g.node_cost.items()})
-        joined.edges += [
-            replace(
-                e, src=shift(e.src), dst=shift(e.dst),
-                set_id=e.set_id + set_off if e.set_id >= 0 else e.set_id,
-            )
-            for e in g.edges
-        ]
-        joined.conflicts += [(a + id_off, b + id_off) for a, b in g.conflicts]
-        joined.mitosis_sets += [
-            MitosisSet(m.set_id + set_off, m.parent + id_off, m.d1 + id_off, m.d2 + id_off, m.prob)
-            for m in g.mitosis_sets
-        ]
-        joined.n_frames = max(joined.n_frames, g.n_frames)
-        id_off += max(p.id for p in g.proposals) + 1
-        set_off += len(g.mitosis_sets)
-    return joined
+        id_off = max(p.id for p in props) + 1 if props else 0
+        starts.append(len(props))
+        props += [replace(p, id=p.id + id_off) for p in g.proposals]
+    # the union in (t, id) order; ids grow from graph to graph, so the moves,
+    # division sets and conflicts stay in id order when stacked
+    order = sorted(range(len(props)), key=lambda i: (props[i].t, props[i].id))
+    moved_to = np.argsort(order)
+
+    def stacked(name: str) -> np.ndarray:
+        return np.concatenate([getattr(g, name) for g in graphs])
+
+    def linked(name: str) -> np.ndarray:
+        return moved_to[np.concatenate([getattr(g, name) + s for g, s in zip(graphs, starts)])]
+
+    per_proposal = {
+        f"{kind}_{what}": stacked(f"{kind}_{what}")[order]
+        for kind in ("node", "enter", "exit") for what in ("prob", "cost")
+    }
+    return TrackingGraph(
+        proposals=[props[i] for i in order],
+        **per_proposal,
+        moves=linked("moves"), move_prob=stacked("move_prob"), move_cost=stacked("move_cost"),
+        mitosis_sets=linked("mitosis_sets"), mitosis_prob=stacked("mitosis_prob"),
+        mitosis_cost=stacked("mitosis_cost"),
+        conflicts=linked("conflicts"),
+        n_frames=max(g.n_frames for g in graphs),
+    )
 
 
 def random_joined_graph(rng: np.random.Generator) -> tuple[TrackingGraph, list[TrackingGraph]]:
@@ -162,23 +166,12 @@ def strict_gap_graph() -> TrackingGraph:
     p = _square(0, 0, 5, 5, 1)
     d1 = _square(1, 1, 3, 8, 1)
     d2 = _square(2, 1, 8, 8, 1)
-    edges = [
-        Edge("enter", None, 0, 0.5, 0.1),
-        Edge("enter", None, 1, 0.5, 0.1),
-        Edge("enter", None, 2, 0.5, 0.1),
-        Edge("move", 0, 1, 0.5, -1.0),
-        Edge("exit", 0, None, 0.5, 0.1),
-        Edge("exit", 1, None, 0.5, 0.1),
-        Edge("exit", 2, None, 0.5, 0.1),
-        Edge("mitosis", 0, 1, 0.5, -2.0, set_id=0, k=1),
-        Edge("mitosis", 0, 2, 0.5, -2.0, set_id=0, k=2),
-    ]
-    return TrackingGraph(
-        proposals=[p, d1, d2],
-        node_prob={0: 0.5, 1: 0.5, 2: 0.5},
-        node_cost={0: -4.0, 1: -4.0, 2: -4.0},
-        edges=edges,
-        conflicts=[],
-        mitosis_sets=[MitosisSet(0, 0, 1, 2, 0.5)],
-        n_frames=2,
+    g = build_graph(
+        [[p], [d1, d2]], dict.fromkeys(range(3), 0.5), {(0, 1): 0.5}, {(0, 1, 2): 0.5},
+        p_enter=0.5, p_exit=0.5,
+    )
+    # costs set by hand, not the log odds of the probabilities
+    return replace(
+        g, node_cost=np.full(3, -4.0), enter_cost=np.full(3, 0.1), exit_cost=np.full(3, 0.1),
+        move_cost=np.array([-1.0]), mitosis_cost=np.array([-2.0]),
     )

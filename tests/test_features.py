@@ -185,6 +185,11 @@ def _reference_proposal_features(p: Proposal, frame: Frame) -> np.ndarray:
 
 def assert_rows_match_reference(props, frame):
     got = proposal_feature_rows(props, frame)
+    # the pass leaves each mask's centroid in its cache, bit for bit the one
+    # a fresh mask computes from its own pixels
+    for p in props:
+        fresh = Mask(p.mask.x0, p.mask.y0, p.mask.bits).centroid
+        assert [c.hex() for c in p.mask._centroid] == [c.hex() for c in fresh]
     want = np.stack([_reference_proposal_features(p, frame) for p in props])
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)

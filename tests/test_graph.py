@@ -221,17 +221,16 @@ class TestBuildGraph:
         assert pair[0].set_id == pair[1].set_id == 0
         total = pair[0].cost + pair[1].cost
         assert total == pytest.approx(log_odds_cost(0.3))
-        assert len(g.mitosis_sets) == 1
-        assert (g.mitosis_sets[0].d1, g.mitosis_sets[0].d2) == (1, 2)
+        assert g.mitosis_sets.tolist() == [[0, 1, 2]]  # proposal indices, here the ids
 
     def test_conflicts_found_for_overlapping(self):
         g = self.simple_graph()
         # proposals 1 and 2 are 3x3 squares offset by (1, 1): IoU 4/14 < 0.5
         # and cover 4/9 < 0.8, so no conflict
-        assert g.conflicts == []
+        assert g.conflicts.tolist() == []
         frames = [[prop(5, 0, 10, 10), prop(6, 0, 10, 10)]]
         g2 = build_graph(frames, {5: 0.5, 6: 0.5}, {}, {})
-        assert g2.conflicts == [(5, 6)]
+        assert g2.conflicts.tolist() == [[0, 1]]  # the proposals with ids 5 and 6
 
     def test_rejects_unknown_ids(self):
         frames = [[prop(0, 0, 10, 10)], [prop(1, 1, 12, 10)]]

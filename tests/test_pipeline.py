@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import os
 import shutil
 import subprocess
@@ -291,8 +292,19 @@ class TestTrainAndTrack:
         models = load_models(root / "models")
         g1 = build_candidate_graph(cfg, ds, props, models)
         g2 = build_candidate_graph(cfg, ds, props, load_models(root / "models"))
-        assert g1.node_cost == g2.node_cost
+        assert g1.node_cost.tobytes() == g2.node_cost.tobytes()
         assert [e.cost for e in g1.edges] == [e.cost for e in g2.edges]
+
+    @pytest.mark.parametrize("level, calls", [(logging.WARNING, 0), (logging.INFO, 1)])
+    def test_graph_stats_only_when_logged(self, workspace, monkeypatch, caplog, level, calls):
+        cfg, root = workspace
+        seen = []
+        stats = pipeline_mod.graph_stats
+        monkeypatch.setattr(pipeline_mod, "graph_stats", lambda g: seen.append(1) or stats(g))
+        caplog.set_level(level, logger="lineage_ilp")
+        props = read_proposals(root / "p.jsonl")
+        build_candidate_graph(cfg, load_dataset(root / "ds"), props, load_models(root / "models"))
+        assert len(seen) == calls
 
     def test_missing_model_dir(self, workspace):
         _, root = workspace

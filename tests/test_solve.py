@@ -10,11 +10,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import graph_reference
 from formulate_reference import formulate_rows
 from support import (
     component_instance,
     constraint_components,
     random_graph,
+    random_graph_inputs,
     random_instance,
     random_joined_graph,
     strict_gap_graph,
@@ -22,7 +24,7 @@ from support import (
 
 import lineage_ilp.solve as solve_mod
 from lineage_ilp.config import config_from_dict
-from lineage_ilp.graph import TrackingGraph
+from lineage_ilp.graph import Edge, TrackingGraph, build_graph
 from lineage_ilp.io import FormatError, dumps_json, validate_tracks
 from lineage_ilp.pipeline import (
     build_candidate_graph,
@@ -230,13 +232,16 @@ class TestCliqueRows:
             g = random_graph(rng)
             # random same-frame conflicts in place of the few that overlap
             same_frame = [
-                (a.id, b.id) for a, b in itertools.combinations(g.proposals, 2) if a.t == b.t
+                (i, j)
+                for (i, a), (j, b) in itertools.combinations(enumerate(g.proposals), 2)
+                if a.t == b.t
             ]
-            g = replace(g, conflicts=[pair for pair in same_frame if rng.random() < 0.6])
-            inst, vm = formulate(g)
+            kept = [pair for pair in same_frame if rng.random() < 0.6]
+            g = replace(g, conflicts=np.array(kept, dtype=np.intp).reshape(-1, 2))
+            inst, _ = formulate(g)
             rows = [c for c in inst.constraints.tuples() if c[2] == "<="]
-            pairs = [(vm.node_var[a], vm.node_var[b]) for a, b in g.conflicts]
-            assert [tuple(i) for i, _, _, _ in rows] == brute_maximal_cliques(pairs), seed
+            # proposal i is variable i
+            assert [tuple(i) for i, _, _, _ in rows] == brute_maximal_cliques(kept), seed
             assert all(coeffs == [1] * len(coeffs) and rhs == 1 for _, coeffs, _, rhs in rows)
 
     def test_no_conflicts_no_clique_row(self):
@@ -303,18 +308,11 @@ class TestFormulateMatchesReference:
             self.check(random_graph(np.random.default_rng(seed)))
             self.check(random_joined_graph(np.random.default_rng(seed))[0])
         self.check(strict_gap_graph())
-        self.check(TrackingGraph([], {}, {}, [], [], [], 0))
+        self.check(build_graph([], {}, {}, {}))
 
     @pytest.mark.parametrize("generator", sorted(PIPELINE_SCENES))
     def test_pipeline_graph(self, generator, tmp_path):
         self.check(pipeline_graph(generator, 0, tmp_path))
-
-    def test_proposal_without_edges_refused(self):
-        g = strict_gap_graph()
-        kept = [e for e in g.edges if 2 not in (e.src, e.dst) and e.kind != "mitosis"]
-        g = replace(g, edges=kept, mitosis_sets=[])
-        with pytest.raises(ValueError, match="proposal 2 has no edge"):
-            formulate(g)
 
 
 class TestSolveMatchesBruteForce:
@@ -401,15 +399,15 @@ class TestOnRandomGraphs:
             assert greedy.objective >= brute.objective - 1e-9, f"seed {seed}"
 
 
-def pairwise_milp_optimum(inst: IlpInstance, graph, varmap) -> np.ndarray:
+def pairwise_milp_optimum(inst: IlpInstance, graph) -> np.ndarray:
     """Optimum by scipy.optimize.milp over one row per conflicting pair and
-    the equality rows of ``inst``."""
+    the equality rows of ``inst``; proposal i of the graph is variable i."""
     from scipy.optimize import Bounds, milp
     from scipy.optimize import LinearConstraint as Rows
 
     rows = [(i, c, rhs) for i, c, sense, rhs in inst.constraints.tuples() if sense == "=="]
     n_eq = len(rows)
-    rows += [((varmap.node_var[a], varmap.node_var[b]), (1, 1), 1) for a, b in graph.conflicts]
+    rows += [((a, b), (1, 1), 1) for a, b in graph.conflicts.tolist()]
     A = np.zeros((len(rows), inst.n_vars))
     for r, (indices, coeffs, _) in enumerate(rows):
         A[r, list(indices)] = coeffs
@@ -451,7 +449,7 @@ class TestDifferentialAtPipelineScale:
             compared += 1
         assert compared > 0 or generator == "multi_threshold"
 
-        ref = pairwise_milp_optimum(inst, g, vm)
+        ref = pairwise_milp_optimum(inst, g)
         assert check_solution(inst, ref) == []
         assert exact.objective == pytest.approx(objective_value(inst, ref), rel=1e-9, abs=1e-12)
 
@@ -541,8 +539,9 @@ class TestBoundIsSound:
 
 class TestWarmStart:
     """The exact solver keeps a feasible warm start as a candidate incumbent
-    and ignores an infeasible one; the pipeline passes the greedy selection,
-    so exact is never worse than greedy at any node budget."""
+    and ignores an infeasible one; under a node or time budget the pipeline
+    passes the greedy selection, so exact is never worse than greedy at any
+    node budget."""
 
     def test_any_start_keeps_the_optimum(self):
         for seed in range(60):
@@ -597,6 +596,99 @@ class TestWarmStart:
         assert len(seen) == 60
 
 
+class TestWarmStartOnlyUnderBudget:
+    """Without a time or node limit HiGHS runs to its proof and keeps its
+    own selection on a tie, so solve_graph builds no greedy start."""
+
+    @pytest.mark.parametrize(
+        "limits, calls", [({}, 0), ({"max_nodes": 50}, 1), ({"time_limit": 60.0}, 1)]
+    )
+    def test_greedy_runs_only_under_a_budget(self, limits, calls, monkeypatch):
+        import lineage_ilp.pipeline as pipeline_mod
+
+        seen = []
+        greedy = pipeline_mod.solve_greedy
+        monkeypatch.setattr(
+            pipeline_mod, "solve_greedy", lambda graph, varmap: seen.append(1) or greedy(graph, varmap)
+        )
+        for g in [strict_gap_graph()] + [random_graph(np.random.default_rng(s)) for s in range(5)]:
+            seen.clear()
+            exact, _ = solve_graph(config_from_dict({"solve": limits}), g)
+            assert exact.status == "optimal"
+            assert len(seen) == calls
+
+
+def _fields(edges) -> list[tuple]:
+    """Each edge's fields, floats as hex so that every bit counts."""
+    return [(e.kind, e.src, e.dst, e.prob.hex(), e.cost.hex(), e.set_id, e.k) for e in edges]
+
+
+def pipeline_graph_inputs(generator: str, seed: int, root, monkeypatch):
+    """pipeline_graph's graph and the arguments its build_graph call got."""
+    import lineage_ilp.pipeline as pipeline_mod
+
+    calls = []
+    build = pipeline_mod.build_graph
+    monkeypatch.setattr(
+        pipeline_mod, "build_graph", lambda *a, **k: calls.append((a, k)) or build(*a, **k)
+    )
+    g = pipeline_graph(generator, seed, root)
+    monkeypatch.undo()
+    return g, calls[-1]
+
+
+class TestGraphArraysMatchReference:
+    """The graph's edge records, the greedy selection and the lineage, read
+    from the arrays, equal those of the object-walking reference: the
+    edges as build_graph listed them (field by field, in order), and
+    ``graph_reference.solve_greedy`` and ``extract_lineage`` over them."""
+
+    @staticmethod
+    def check_selection(g: TrackingGraph) -> None:
+        inst, vm = formulate(g)
+        got, want = solve_greedy(g, vm), graph_reference.solve_greedy(g, vm)
+        np.testing.assert_array_equal(got.x, want.x)
+        assert got.nodes == want.nodes
+        # the reference adds the costs up in set order, the array form in one
+        # dot product; both are the objective of the same x
+        assert got.objective == objective_value(inst, got.x)
+        assert got.objective == pytest.approx(want.objective, rel=1e-12, abs=1e-12)
+        for x in (got.x, solve(inst).x):
+            lin, ref = extract_lineage(g, vm, x), graph_reference.extract_lineage(g, vm, x)
+            assert (lin.tracks, lin.members, lin.end_reason) == (ref.tracks, ref.members, ref.end_reason)
+
+    def test_generated_graphs(self):
+        for seed in range(100):
+            *args, kwargs = random_graph_inputs(np.random.default_rng(seed))
+            g = build_graph(*args, **kwargs)
+            assert _fields(g.edges) == _fields(graph_reference.edge_list(*args, **kwargs)), seed
+            self.check_selection(g)
+            self.check_selection(random_joined_graph(np.random.default_rng(seed))[0])
+
+    def test_strict_gap_graph(self):
+        g = strict_gap_graph()
+        want = [
+            Edge("enter", None, 0, 0.5, 0.1),
+            Edge("enter", None, 1, 0.5, 0.1),
+            Edge("enter", None, 2, 0.5, 0.1),
+            Edge("move", 0, 1, 0.5, -1.0),
+            Edge("exit", 0, None, 0.5, 0.1),
+            Edge("exit", 1, None, 0.5, 0.1),
+            Edge("exit", 2, None, 0.5, 0.1),
+            Edge("mitosis", 0, 1, 0.5, -2.0, set_id=0, k=1),
+            Edge("mitosis", 0, 2, 0.5, -2.0, set_id=0, k=2),
+        ]
+        assert _fields(g.edges) == _fields(want)
+        self.check_selection(g)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("generator", sorted(PIPELINE_SCENES))
+    def test_pipeline_graph(self, generator, seed, tmp_path, monkeypatch):
+        g, (args, kwargs) = pipeline_graph_inputs(generator, seed, tmp_path, monkeypatch)
+        assert _fields(g.edges) == _fields(graph_reference.edge_list(*args, **kwargs))
+        self.check_selection(g)
+
+
 class TestSolveGraphChecksSelection:
     """solve_graph checks the selection of either backend against the
     constraints before using it, outside the test-suite audit too."""
@@ -644,6 +736,19 @@ class TestStrictGapFixture:
         assert glin.members[1] == [0, 1]
         assert glin.end_reason[1] == "exit"
         assert glin.members[2] == [2]
+
+    def test_no_division_onto_conflicting_daughters(self):
+        # a division worth -20 whose daughters conflict: greedy keeps the
+        # parent's track, as the exact solver does
+        g = replace(
+            strict_gap_graph(), node_cost=np.array([-4.0, 1.0, 1.0]), move_cost=np.array([5.0]),
+            mitosis_cost=np.array([-10.0]), conflicts=np.array([[1, 2]]),
+        )
+        inst, vm = formulate(g)
+        greedy = solve_greedy(g, vm)
+        assert check_solution(inst, greedy.x) == []
+        np.testing.assert_array_equal(greedy.x, graph_reference.solve_greedy(g, vm).x)
+        assert greedy.objective == pytest.approx(solve(inst).objective) == pytest.approx(-3.8)
 
     def test_extract_rejects_inconsistent_selection(self):
         g = strict_gap_graph()
