@@ -32,8 +32,7 @@ def toy_graph() -> TrackingGraph:
         Proposal(id=2, t=1, mask=Mask(8, 8, dot), raw_score=0.9),
     ]
     graph = build_graph(
-        [props[:1], props[1:]], dict.fromkeys(range(3), 0.5), {(0, 1): 0.5}, {(0, 1, 2): 0.5},
-        p_enter=0.5, p_exit=0.5,
+        props, np.full(3, 0.5), [[0, 1]], [0.5], [[0, 1, 2]], [0.5], 2, p_enter=0.5, p_exit=0.5,
     )
     # the costs are set by hand: the graph holds them as plain arrays
     return replace(
@@ -42,8 +41,8 @@ def toy_graph() -> TrackingGraph:
     )
 
 
-def describe(name: str, graph: TrackingGraph, result, varmap) -> None:
-    lineage = extract_lineage(graph, varmap, result.x)
+def describe(name: str, graph: TrackingGraph, result) -> None:
+    lineage = extract_lineage(graph, result.x)
     edge_x = result.x[len(graph.proposals):]
     chosen = [
         f"{e.kind}({e.src}->{e.dst})" for e, on in zip(graph.edges, edge_x) if on == 1
@@ -59,9 +58,9 @@ def describe(name: str, graph: TrackingGraph, result, varmap) -> None:
 def main() -> None:
     print("Part 1: the pinned toy fixture")
     graph = toy_graph()
-    instance, varmap = formulate(graph)
-    describe("exact ", graph, solve(instance), varmap)
-    describe("greedy", graph, solve_greedy(graph, varmap), varmap)
+    instance, _ = formulate(graph)
+    describe("exact ", graph, solve(instance))
+    describe("greedy", graph, solve_greedy(graph))
     print("  The move at -1.0 is the single cheapest extension, so the greedy")
     print("  pass grabs it and the division (two edges, -2.0 each) is gone.")
     print()

@@ -30,8 +30,8 @@ def main() -> None:
 
     pairs = conflicts(props)
     print(f"\n{len(pairs)} conflicting pairs (overlapping or nested alternatives):")
-    for i, j in pairs[:10]:
-        print(f"  {i} x {j}")
+    for i, j in pairs[:10].tolist():
+        print(f"  {props[i].id} x {props[j].id}")
     if len(pairs) > 10:
         print(f"  ... and {len(pairs) - 10} more")
     print("the solver may pick at most one proposal from each pair")

@@ -13,7 +13,7 @@ from itertools import chain
 
 import numpy as np
 
-from .evaluate import GroundTruth, captured_markers
+from .evaluate import GroundTruth
 from .io import FormatError, read_json_file, write_json_file
 from .proposals import Proposal
 
@@ -44,58 +44,48 @@ class TrainingSet:
         return int(self.labels.sum())
 
 
-def _captured_by_identity(props, gt: GroundTruth) -> dict[int, int | None]:
-    """``captured_markers`` of each distinct proposal object, keyed by ``id``;
-    a proposal held by many pairs or triples is looked up once."""
-    distinct = list({id(p): p for p in props}.values())
-    return {id(p): m for p, m in zip(distinct, captured_markers(distinct, gt))}
+def label_proposals(captured: list[int | None], features: np.ndarray) -> TrainingSet:
+    """Positive iff the proposal captures exactly one ground-truth marker;
+    ``captured`` is ``captured_markers`` of the proposals, in row order."""
+    return TrainingSet(features, [1 if m is not None else 0 for m in captured])
 
 
-def label_proposals(
-    props: list[Proposal], gt: GroundTruth, features: np.ndarray
-) -> TrainingSet:
-    """Positive iff the proposal captures exactly one ground-truth marker."""
-    labels = [1 if m is not None else 0 for m in captured_markers(props, gt)]
-    return TrainingSet(features, labels)
-
-
-def label_move_edges(
-    pairs: list[tuple[Proposal, Proposal]], gt: GroundTruth, features: np.ndarray
-) -> TrainingSet:
-    """Positive iff both endpoints capture exactly one marker of the same track."""
-    marker = _captured_by_identity([p for pair in pairs for p in pair], gt)
-    labels = []
-    for p_i, p_j in pairs:
-        a = marker[id(p_i)]
-        b = marker[id(p_j)]
-        labels.append(1 if a is not None and a == b else 0)
+def label_move_edges(captured: list[int | None], moves: np.ndarray, features: np.ndarray) -> TrainingSet:
+    """Positive iff both endpoints capture exactly one marker of the same
+    track; ``moves`` holds (source, destination) positions in the proposals
+    whose ``captured_markers`` are ``captured``."""
+    labels = [
+        1 if captured[a] is not None and captured[a] == captured[b] else 0
+        for a, b in np.asarray(moves).tolist()
+    ]
     return TrainingSet(features, labels)
 
 
 def label_mitosis_sets(
-    triples: list[tuple[Proposal, Proposal, Proposal]],
+    captured: list[int | None],
+    sets: np.ndarray,
+    props: list[Proposal],
     gt: GroundTruth,
     features: np.ndarray,
 ) -> TrainingSet:
     """Positive iff the three captured markers form a recorded division.
 
-    The parent proposal must capture the dividing track in its final frame and
-    the two daughter proposals must capture that track's two children.
+    ``sets`` holds (parent, d1, d2) positions in ``props``, whose
+    ``captured_markers`` are ``captured``.  The parent proposal must capture
+    the dividing track in its final frame and the two daughter proposals
+    must capture that track's two children.
     """
     by_parent = {
         (parent, t_end): {c1, c2} for parent, c1, c2, t_end in gt.divisions()
     }
-    marker = _captured_by_identity([p for triple in triples for p in triple], gt)
     labels = []
-    for p, d1, d2 in triples:
-        mp = marker[id(p)]
-        m1 = marker[id(d1)]
-        m2 = marker[id(d2)]
+    for p, d1, d2 in np.asarray(sets).tolist():
+        mp, m1, m2 = captured[p], captured[d1], captured[d2]
         ok = (
             mp is not None
             and m1 is not None
             and m2 is not None
-            and by_parent.get((mp, p.t)) == {m1, m2}
+            and by_parent.get((mp, props[p].t)) == {m1, m2}
         )
         labels.append(1 if ok else 0)
     return TrainingSet(features, labels)

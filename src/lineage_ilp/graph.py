@@ -9,6 +9,7 @@ re-scored.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -128,115 +129,124 @@ def _near(src: np.ndarray, dst: np.ndarray, radius: float) -> np.ndarray:
     return (d * d).sum(axis=2) <= radius * radius * (1.0 + 1e-9)
 
 
-def enumerate_moves(
-    props_by_frame: list[list[Proposal]], gating_radius: float
-) -> list[tuple[Proposal, Proposal]]:
+def _frame_positions(props_by_frame: list[list[Proposal]]) -> tuple[list[Proposal], list[np.ndarray]]:
+    """The proposals listed frame after frame, and per frame the positions
+    of its proposals in that list, in id order."""
+    flat = [p for frame in props_by_frame for p in frame]
+    starts = np.cumsum([0] + [len(frame) for frame in props_by_frame])
+    return flat, [
+        start + np.argsort([p.id for p in frame], kind="stable").astype(np.intp)
+        for start, frame in zip(starts.tolist(), props_by_frame)
+    ]
+
+
+def enumerate_moves(props_by_frame: list[list[Proposal]], gating_radius: float) -> np.ndarray:
     """Candidate frame-to-frame links: centroid distance at most the radius.
 
-    Pairs come by source id, then destination id.
+    Returns (m, 2) (source, destination) positions in the proposals listed
+    frame after frame (the pipeline's list, in (t, id) order), by frame,
+    then source id, then destination id.
     """
-    out = []
-    frames = [sorted(frame, key=lambda p: p.id) for frame in props_by_frame]
-    xy = [_centroids(frame) for frame in frames]
-    for t in range(len(frames) - 1):
-        src, dst = frames[t], frames[t + 1]
-        for i, j in zip(*np.nonzero(_near(xy[t], xy[t + 1], gating_radius))):
-            if centroid_distance(src[i], dst[j]) <= gating_radius:
-                out.append((src[i], dst[j]))
-    return out
+    flat, frames = _frame_positions(props_by_frame)
+    xy = _centroids(flat)
+    out = [np.zeros((0, 2), dtype=np.intp)]
+    for src, dst in zip(frames, frames[1:]):
+        i, j = np.nonzero(_near(xy[src], xy[dst], gating_radius))
+        pairs = np.column_stack([src[i], dst[j]])
+        keep = [centroid_distance(flat[a], flat[b]) <= gating_radius for a, b in pairs.tolist()]
+        out.append(pairs[np.array(keep, dtype=bool)])
+    return np.concatenate(out)
 
 
 def enumerate_mitoses(
     props_by_frame: list[list[Proposal]],
     mitosis_radius: float,
     n_neighbors: int = 3,
-) -> list[tuple[Proposal, Proposal, Proposal]]:
+) -> np.ndarray:
     """Division candidates: the n nearest next-frame proposals, all pairs.
 
-    Daughters are ordered by ascending id within each triple.
+    Returns (s, 3) (parent, d1, d2) positions as ``enumerate_moves`` gives
+    them, by frame, then parent id; d1's id is below d2's.
     """
+    flat, frames = _frame_positions(props_by_frame)
+    xy = _centroids(flat)
     out = []
-    for t in range(len(props_by_frame) - 1):
-        nxt = props_by_frame[t + 1]
-        parents = sorted(props_by_frame[t], key=lambda p: p.id)
-        gate = _near(_centroids(parents), _centroids(nxt), mitosis_radius)
-        for parent, row in zip(parents, gate):
-            dists = ((nxt[j], centroid_distance(parent, nxt[j])) for j in np.flatnonzero(row))
-            near = [(d, r) for d, r in dists if r <= mitosis_radius]
-            near.sort(key=lambda item: (item[1], item[0].id))
-            chosen = [d for d, _ in near[:n_neighbors]]
-            chosen.sort(key=lambda p: p.id)
-            for a in range(len(chosen)):
-                for b in range(a + 1, len(chosen)):
-                    out.append((parent, chosen[a], chosen[b]))
-    return out
+    for parents, nxt in zip(frames, frames[1:]):
+        gate = _near(xy[parents], xy[nxt], mitosis_radius)
+        for parent, row in zip(parents.tolist(), gate):
+            dists = ((centroid_distance(flat[parent], flat[j]), flat[j].id, j) for j in nxt[row].tolist())
+            near = sorted(item for item in dists if item[0] <= mitosis_radius)[:n_neighbors]
+            chosen = [j for _, _, j in sorted(near, key=lambda item: item[1])]
+            out += [(parent, a, b) for a, b in itertools.combinations(chosen, 2)]
+    return np.array(out, dtype=np.intp).reshape(-1, 3)
 
 
 def build_graph(
-    props_by_frame: list[list[Proposal]],
-    node_probs: dict[int, float],
-    move_probs: dict[tuple[int, int], float],
-    mitosis_probs: dict[tuple[int, int, int], float],
+    proposals: list[Proposal],
+    node_prob: np.ndarray,
+    moves: np.ndarray,
+    move_prob: np.ndarray,
+    mitosis_sets: np.ndarray,
+    mitosis_prob: np.ndarray,
+    n_frames: int,
     *,
     p_enter: float = 0.01,
     p_exit: float = 0.01,
 ) -> TrackingGraph:
     """Assemble the graph from scored proposals and scored candidates.
 
-    move_probs is keyed by (src id, dst id) with dst one frame after src;
-    mitosis_probs by (parent id, d1 id, d2 id) with d1 < d2.  Enter and exit
-    edges are attached to every proposal.  Every cost is the log odds of its
-    probability, computed in one pass over all of them.
+    ``proposals`` are in (t, id) order with distinct ids, and ``node_prob``
+    holds their probabilities.  ``moves`` holds (source, destination)
+    positions in ``proposals`` with the destination one frame after the
+    source, and ``mitosis_sets`` (parent, d1, d2) positions with both
+    daughters one frame after the parent and d1's id below d2's;
+    ``move_prob`` and ``mitosis_prob`` hold their probabilities.  Both are
+    put into id order.  Enter and exit edges are attached to every proposal.
+    Every cost is the log odds of its probability, computed in one pass
+    over all of them.
     """
-    flat = [p for frame in props_by_frame for p in frame]
-    flat.sort(key=lambda p: (p.t, p.id))
-    index = {p.id: i for i, p in enumerate(flat)}
-    if len(index) != len(flat):
+    n = len(proposals)
+    ids = np.array([p.id for p in proposals], dtype=np.int64)
+    t = np.array([p.t for p in proposals], dtype=np.int64)
+    if np.any((t[1:] < t[:-1]) | ((t[1:] == t[:-1]) & (ids[1:] < ids[:-1]))):
+        raise ValueError("proposals must be in (t, id) order")
+    if len(np.unique(ids)) != n:
         raise ValueError("duplicate proposal ids")
-    missing = [p.id for p in flat if p.id not in node_probs]
-    if missing:
-        raise ValueError(f"missing node probabilities for ids {missing[:5]}")
-    t = np.array([p.t for p in flat], dtype=np.int64)
+    moves = np.asarray(moves, dtype=np.intp).reshape(-1, 2)
+    sets = np.asarray(mitosis_sets, dtype=np.intp).reshape(-1, 3)
+    node_prob, move_prob, mitosis_prob = given = [
+        np.asarray(v, dtype=np.float64) for v in (node_prob, move_prob, mitosis_prob)
+    ]
+    for what, prob, want in zip(("node", "move", "mitosis"), given, (n, len(moves), len(sets))):
+        if prob.shape != (want,):
+            raise ValueError(f"{what} probabilities have shape {prob.shape}, need ({want},)")
 
-    def locate(keys: list[tuple], what: str) -> np.ndarray:
-        for key in keys:
-            for pid in key:
-                if pid not in index:
-                    raise ValueError(f"{what} {key} references unknown proposal {pid}")
-        return np.array([[index[pid] for pid in key] for key in keys], dtype=np.intp)
+    def refuse(bad: np.ndarray, rows: np.ndarray, message: str) -> None:
+        if bad.any():
+            raise ValueError(message.format(rows[np.argmax(bad)].tolist()))
 
-    move_keys, set_keys = sorted(move_probs), sorted(mitosis_probs)
-    moves = locate(move_keys, "move edge").reshape(-1, 2)
-    off = t[moves[:, 1]] != t[moves[:, 0]] + 1
-    if off.any():
-        raise ValueError(f"move edge {move_keys[int(np.argmax(off))]} does not span adjacent frames")
-    unordered = [key for key in set_keys if key[1] >= key[2]]
-    if unordered:
-        raise ValueError(f"mitosis daughters must be id-ordered, got {unordered[0][1:]}")
-    sets = locate(set_keys, "mitosis set").reshape(-1, 3)
-    off = (t[sets[:, 1:]] != t[sets[:, :1]] + 1).any(axis=1)
-    if off.any():
-        raise ValueError(f"mitosis set {set_keys[int(np.argmax(off))]} has daughters off frame")
+    for what, at in (("move edge", moves), ("mitosis set", sets)):
+        refuse(((at < 0) | (at >= n)).any(axis=1), at, f"{what} {{}} references a position outside 0..{n - 1}")
+        refuse((t[at[:, 1:]] != t[at[:, :1]] + 1).any(axis=1), ids[at], f"{what} {{}} does not span adjacent frames")
+    refuse(ids[sets[:, 1]] >= ids[sets[:, 2]], ids[sets], "mitosis daughters must be id-ordered, got {}")
 
-    n = len(flat)
-    probs = np.array(
-        [node_probs[p.id] for p in flat] + [p_enter] * n + [p_exit] * n
-        + [move_probs[k] for k in move_keys] + [mitosis_probs[k] for k in set_keys],
-        dtype=np.float64,
-    )
+    move_order = np.lexsort(ids[moves].T[::-1])
+    set_order = np.lexsort(ids[sets].T[::-1])
+    probs = np.concatenate([
+        node_prob, np.full(n, p_enter), np.full(n, p_exit), move_prob[move_order], mitosis_prob[set_order],
+    ])
     # the node, enter, exit, move and division parts of ``probs``
     parts = np.cumsum([n, n, n, len(moves)])
     prob, cost = np.split(probs, parts), np.split(log_odds_cost(probs), parts)
-    pairs = [(index[a], index[b]) for a, b in conflicts(flat)]
     return TrackingGraph(
-        proposals=flat,
+        proposals=list(proposals),
         node_prob=prob[0], node_cost=cost[0],
         enter_prob=prob[1], enter_cost=cost[1],
         exit_prob=prob[2], exit_cost=cost[2],
-        moves=moves, move_prob=prob[3], move_cost=cost[3],
-        mitosis_sets=sets, mitosis_prob=prob[4], mitosis_cost=cost[4] / 2.0,
-        conflicts=np.array(pairs, dtype=np.intp).reshape(-1, 2),
-        n_frames=len(props_by_frame),
+        moves=moves[move_order], move_prob=prob[3], move_cost=cost[3],
+        mitosis_sets=sets[set_order], mitosis_prob=prob[4], mitosis_cost=cost[4] / 2.0,
+        conflicts=conflicts(proposals),
+        n_frames=n_frames,
     )
 
 

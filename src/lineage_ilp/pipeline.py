@@ -40,6 +40,7 @@ from .config import (
 from .evaluate import (
     EvalReport,
     GroundTruth,
+    captured_markers,
     evaluate_tracking,
     report_text,
     report_to_json,
@@ -270,22 +271,24 @@ def run_propose(cfg: PipelineConfig, data_dir, out_path) -> list[Proposal]:
 
 
 def _proposals(props) -> list[Proposal]:
-    """``props`` itself when it is a list of proposals, else the proposal file it names, read."""
-    return props if isinstance(props, list) else read_proposals(props)
+    """The proposals in ``props`` when it is a list of them, else in the
+    proposal file it names, in (t, id) order: the order every candidate
+    position refers to."""
+    return sorted(props if isinstance(props, list) else read_proposals(props), key=lambda p: (p.t, p.id))
 
 
 def _group_by_frame(props: list[Proposal], frames: list[Frame]) -> list[list[Proposal]]:
-    """Proposals by frame; one outside the frames, or whose mask extends past
-    its frame's right or bottom edge, is a FormatError."""
+    """Proposals by frame, in list order; one outside the frames, or whose
+    mask extends past its frame's edges, is a FormatError."""
     out: list[list[Proposal]] = [[] for _ in frames]
     for p in props:
-        if p.t >= len(frames):
+        if not 0 <= p.t < len(frames):
             raise FormatError(
                 f"proposal {p.id} references frame {p.t}, dataset has {len(frames)} frames"
             )
         height, width = frames[p.t].intensity.shape
         h, w = p.mask.bits.shape
-        if p.mask.x0 + w > width or p.mask.y0 + h > height:
+        if p.mask.x0 < 0 or p.mask.y0 < 0 or p.mask.x0 + w > width or p.mask.y0 + h > height:
             raise FormatError(
                 f"proposal {p.id} extends past frame {p.t}, which is {width}x{height} pixels"
             )
@@ -304,49 +307,35 @@ def proposal_feature_matrix(props: list[Proposal], frames_by_t: dict[int, Frame]
     return out
 
 
-def _link_members(links, node_probs: dict[int, float], feats_by_pid: dict[int, np.ndarray]):
-    """The distinct proposals of ``links`` with their vectors and
-    probabilities, and one index array per link position into them."""
-    index: dict[int, int] = {}
-    members = [index.setdefault(p.id, len(index)) for link in links for p in link]
-    props = list({p.id: p for link in links for p in link}.values())
-    feats = np.stack([feats_by_pid[p.id] for p in props])
-    probs = np.array([node_probs[p.id] for p in props], dtype=np.float64)
-    return props, feats, probs, np.array(members, dtype=np.intp).reshape(len(links), -1).T
-
-
 def move_feature_matrix(
-    pairs: list[tuple[Proposal, Proposal]],
-    node_probs: dict[int, float],
-    feats_by_pid: dict[int, np.ndarray],
+    props: list[Proposal], feats: np.ndarray, node_prob: np.ndarray, moves: np.ndarray
 ) -> np.ndarray:
-    """Move rows of ``pairs`` from their members' vectors in ``feats_by_pid``."""
-    if not pairs:
+    """Move rows of ``moves``, (source, destination) positions in ``props``,
+    whose vectors and probabilities are ``feats`` and ``node_prob``."""
+    if not len(moves):
         return np.zeros((0, MOVE_DIM))
-    props, feats, probs, (src, dst) = _link_members(pairs, node_probs, feats_by_pid)
-    return move_feature_rows(props, feats, probs, src, dst)
+    return move_feature_rows(props, feats, node_prob, moves[:, 0], moves[:, 1])
 
 
 def mitosis_feature_matrix(
-    triples: list[tuple[Proposal, Proposal, Proposal]],
-    node_probs: dict[int, float],
-    feats_by_pid: dict[int, np.ndarray],
+    props: list[Proposal], feats: np.ndarray, node_prob: np.ndarray, sets: np.ndarray
 ) -> np.ndarray:
-    """Division rows of ``triples``, as ``move_feature_matrix`` builds moves."""
-    if not triples:
+    """Division rows of ``sets``, (parent, d1, d2) positions in ``props``, as
+    ``move_feature_matrix`` builds moves."""
+    if not len(sets):
         return np.zeros((0, MITOSIS_DIM))
-    props, feats, probs, (parent, d1, d2) = _link_members(triples, node_probs, feats_by_pid)
-    return mitosis_feature_rows(props, feats, probs, parent, d1, d2)
+    return mitosis_feature_rows(props, feats, node_prob, sets[:, 0], sets[:, 1], sets[:, 2])
 
 
 @dataclass
 class CandidateRows:
-    """Classifier inputs of one proposal set, in enumeration order."""
+    """Classifier inputs of one proposal list, the candidates as positions
+    in it, in enumeration order."""
 
-    node_probs: dict[int, float]
-    pairs: list[tuple[Proposal, Proposal]]
+    node_prob: np.ndarray
+    moves: np.ndarray  # (m, 2)
     move_rows: np.ndarray
-    triples: list[tuple[Proposal, Proposal, Proposal]] | None  # None: not enumerated
+    mitosis_sets: np.ndarray | None  # (s, 3); None: not enumerated
     mitosis_rows: np.ndarray | None
 
 
@@ -357,23 +346,22 @@ def candidate_rows(
     proposal_model: RandomForest | ConstantModel,
     *, gating_radius: float, mitosis_radius: float, mitosis_n: int, divisions: bool,
 ) -> CandidateRows:
-    """Node probabilities, move pairs and division triples with their rows.
+    """Node probabilities, moves and division sets with their rows.
 
-    ``feats`` is the proposal feature matrix of ``props``; the move and
-    division rows take the proposal model's probabilities as features.
-    Division triples are enumerated only when ``divisions`` is set.
+    ``props`` are in (t, id) order and ``feats`` is their proposal feature
+    matrix; the move and division rows take the proposal model's
+    probabilities as features.  Division sets are enumerated only when
+    ``divisions`` is set.
     """
     by_frame = _group_by_frame(props, frames)
     node_prob = predict_prob(proposal_model, feats)
-    node_probs = {p.id: float(node_prob[i]) for i, p in enumerate(props)}
-    feats_by_pid = {p.id: feats[i] for i, p in enumerate(props)}
-    pairs = enumerate_moves(by_frame, gating_radius)
-    move_rows = move_feature_matrix(pairs, node_probs, feats_by_pid)
-    triples = mitosis_rows = None
+    moves = enumerate_moves(by_frame, gating_radius)
+    move_rows = move_feature_matrix(props, feats, node_prob, moves)
+    sets = mitosis_rows = None
     if divisions:
-        triples = enumerate_mitoses(by_frame, mitosis_radius, mitosis_n)
-        mitosis_rows = mitosis_feature_matrix(triples, node_probs, feats_by_pid)
-    return CandidateRows(node_probs, pairs, move_rows, triples, mitosis_rows)
+        sets = enumerate_mitoses(by_frame, mitosis_radius, mitosis_n)
+        mitosis_rows = mitosis_feature_matrix(props, feats, node_prob, sets)
+    return CandidateRows(node_prob, moves, move_rows, sets, mitosis_rows)
 
 
 @dataclass
@@ -410,7 +398,8 @@ def run_train(cfg: PipelineConfig, data_dir, proposals_path, model_dir) -> Train
     _group_by_frame(props, ds.frames)  # a proposal outside the frames is a FormatError
 
     feats = proposal_feature_matrix(props, {f.t: f for f in ds.frames})
-    pset = label_proposals(props, ds.gt, feats)
+    captured = captured_markers(props, ds.gt)
+    pset = label_proposals(captured, feats)
     n_trees = cfg.classify.n_trees
     node_model = fit_model(pset, n_trees=n_trees, seed=stage_seed(cfg.seed, STAGE_PROPOSAL_MODEL))
 
@@ -425,10 +414,10 @@ def run_train(cfg: PipelineConfig, data_dir, proposals_path, model_dir) -> Train
         gating_radius=gating, mitosis_radius=mitosis_radius, mitosis_n=g.mitosis_n,
         divisions=True,
     )
-    mset = label_move_edges(rows.pairs, ds.gt, rows.move_rows)
+    mset = label_move_edges(captured, rows.moves, rows.move_rows)
     move_model = fit_model(mset, n_trees=n_trees, seed=stage_seed(cfg.seed, STAGE_MOVE_MODEL))
 
-    tset = label_mitosis_sets(rows.triples, ds.gt, rows.mitosis_rows)
+    tset = label_mitosis_sets(captured, rows.mitosis_sets, props, ds.gt, rows.mitosis_rows)
     if tset.n_positive == 0:
         log.warning("training data contains no division example; division scoring disabled")
         mitosis_model = None
@@ -529,11 +518,11 @@ def build_candidate_graph(
 ) -> TrackingGraph:
     """Score the candidates with the models and build the tracking graph.
 
-    ``rows`` are feature rows already computed for ``props`` under these
-    models' radii (training's, in ``run_e2e``); without them the rows are
-    computed here.
+    ``props`` are in (t, id) order.  ``rows`` are feature rows already
+    computed for ``props`` under these models' radii (training's, in
+    ``run_e2e``); without them the rows are computed here.
     """
-    by_frame = _group_by_frame(props, ds.frames)
+    _group_by_frame(props, ds.frames)  # a proposal outside the frames is a FormatError
     if rows is None:
         rows = candidate_rows(
             ds.frames, props,
@@ -551,30 +540,22 @@ def build_candidate_graph(
     # the optimum while cutting the candidate set drastically.
     enter_cost = log_odds_cost(cfg.graph.p_enter)
     exit_cost = log_odds_cost(cfg.graph.p_exit)
-    move_probs: dict[tuple[int, int], float] = {}
-    if rows.pairs:
-        mp = predict_prob(models.move, rows.move_rows)
-        keep = log_odds_cost(mp) <= enter_cost + exit_cost
-        move_probs = {
-            (a.id, b.id): p for (a, b), p, k in zip(rows.pairs, mp.tolist(), keep) if k
-        }
-    mitosis_probs: dict[tuple[int, int, int], float] = {}
-    if models.mitosis is not None and rows.triples:
-        tp = predict_prob(models.mitosis, rows.mitosis_rows)
-        keep = log_odds_cost(tp) <= exit_cost + 2.0 * enter_cost
-        mitosis_probs = {
-            (p.id, d1.id, d2.id): q for (p, d1, d2), q, k in zip(rows.triples, tp.tolist(), keep) if k
-        }
-    node_probs = rows.node_probs
+    moves, move_prob = rows.moves, np.zeros(0)
+    if len(moves):
+        move_prob = predict_prob(models.move, rows.move_rows)
+        keep = log_odds_cost(move_prob) <= enter_cost + exit_cost
+        moves, move_prob = moves[keep], move_prob[keep]
+    sets, set_prob = np.zeros((0, 3), dtype=np.intp), np.zeros(0)
+    if models.mitosis is not None and rows.mitosis_sets is not None and len(rows.mitosis_sets):
+        set_prob = predict_prob(models.mitosis, rows.mitosis_rows)
+        keep = log_odds_cost(set_prob) <= exit_cost + 2.0 * enter_cost
+        sets, set_prob = rows.mitosis_sets[keep], set_prob[keep]
+    node_prob = rows.node_prob
     del rows  # the feature rows are not needed past scoring
 
     graph = build_graph(
-        by_frame,
-        node_probs,
-        move_probs,
-        mitosis_probs,
-        p_enter=cfg.graph.p_enter,
-        p_exit=cfg.graph.p_exit,
+        props, node_prob, moves, move_prob, sets, set_prob, len(ds.frames),
+        p_enter=cfg.graph.p_enter, p_exit=cfg.graph.p_exit,
     )
     if log.isEnabledFor(logging.INFO):
         log.info("graph: %s", graph_stats(graph))
@@ -584,16 +565,16 @@ def build_candidate_graph(
 def solve_graph(cfg: PipelineConfig, graph: TrackingGraph) -> tuple[SolveResult, Lineage]:
     """Select with the configured backend; every selection is checked
     against the constraints and a violation raises RuntimeError."""
-    instance, varmap = formulate(graph)
+    instance, _ = formulate(graph)
     if cfg.solve.backend == "greedy":
-        result = solve_greedy(graph, varmap)
+        result = solve_greedy(graph)
     else:
         # a warm start can win only when a budget stops HiGHS before its
         # proof: without one, HiGHS's selection is kept on a tie
         budget = cfg.solve.time_limit is not None or cfg.solve.max_nodes is not None
         result = solve(
             instance,
-            start=solve_greedy(graph, varmap).x if budget else None,
+            start=solve_greedy(graph).x if budget else None,
             time_limit=cfg.solve.time_limit,
             max_nodes=cfg.solve.max_nodes,
         )
@@ -612,7 +593,7 @@ def solve_graph(cfg: PipelineConfig, graph: TrackingGraph) -> tuple[SolveResult,
         "solved: status=%s objective=%s nodes=%d time=%.2fs",
         result.status, result.objective, result.nodes, result.runtime,
     )
-    lineage = extract_lineage(graph, varmap, result.x)
+    lineage = extract_lineage(graph, result.x)
     return result, lineage
 
 

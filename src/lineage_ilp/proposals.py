@@ -412,33 +412,36 @@ def _box_pairs(masks: list[Mask]) -> tuple[np.ndarray, np.ndarray]:
     return np.minimum(i, j)[near], np.maximum(i, j)[near]
 
 
-def conflicts(props: list[Proposal]) -> list[tuple[int, int]]:
-    """Same-frame pairs that may not coexist in a solution.
+def conflicts(props: list[Proposal]) -> np.ndarray:
+    """Same-frame pairs that may not coexist in a solution, as (c, 2)
+    positions in ``props``.
 
     A pair conflicts when mask IoU exceeds ``CONFLICT_IOU`` or when either
     mask's covered fraction |i & j| / |i| (or / |j|) exceeds
     ``CONFLICT_COVER``.  Each frame's pairs whose boxes overlap are counted
     by one ``mask_intersections`` call, and a frame with none makes no call.
-    Pairs come back sorted with id_i < id_j.
+    Each pair names the lower id first, and pairs come in id order.
     """
-    by_frame: dict[int, list[Proposal]] = {}
-    for p in props:
-        by_frame.setdefault(p.t, []).append(p)
-    pairs: list[tuple[int, int]] = []
+    by_frame: dict[int, list[int]] = {}
+    for k, p in enumerate(props):
+        by_frame.setdefault(p.t, []).append(k)
+    pairs = [np.zeros((0, 2), dtype=np.intp)]
     for group in by_frame.values():
-        group.sort(key=lambda p: p.id)
-        masks = [p.mask for p in group]
+        group.sort(key=lambda k: props[k].id)
+        masks = [props[k].mask for k in group]
         i, j = _box_pairs(masks)
         if len(i) == 0:
             continue
         inter = mask_intersections(masks, i, j, np.zeros_like(i), np.zeros_like(i))
-        area = np.array([p.area for p in group])
+        area = np.array([m.area for m in masks])
         a_i, a_j = area[i], area[j]
         hit = (
             (inter / (a_i + a_j - inter) > CONFLICT_IOU)
             | (inter / a_i > CONFLICT_COVER)
             | (inter / a_j > CONFLICT_COVER)
         )
-        ids = np.array([p.id for p in group])
-        pairs.extend(zip(ids[i[hit]].tolist(), ids[j[hit]].tolist()))
-    return sorted(pairs)
+        at = np.array(group, dtype=np.intp)
+        pairs.append(np.column_stack([at[i[hit]], at[j[hit]]]))
+    pairs = np.concatenate(pairs)
+    ids = np.array([p.id for p in props], dtype=np.int64)
+    return pairs[np.lexsort(ids[pairs].T[::-1])]

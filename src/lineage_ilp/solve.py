@@ -544,7 +544,7 @@ def solve(
 # Greedy approximation
 
 
-def solve_greedy(graph: TrackingGraph, varmap: VarMap) -> SolveResult:
+def solve_greedy(graph: TrackingGraph) -> SolveResult:
     """Repeated cheapest extension: whole tracks first, then divisions.
 
     Each iteration compares the best source-to-sink chain over unused,
@@ -555,7 +555,7 @@ def solve_greedy(graph: TrackingGraph, varmap: VarMap) -> SolveResult:
     to the last proposal first in graph order, and within a chain to the
     enter edge, then to the move first in graph order; among divisions to the
     parent with the lowest id, then to the set first in graph order.  The
-    selection is laid out as ``varmap`` describes.
+    selection is laid out as ``formulate`` lays out the variables.
     """
     t0 = time.monotonic()
     n = len(graph.proposals)
@@ -696,9 +696,9 @@ class Lineage:
     end_reason: dict[int, str] = field(default_factory=dict)
 
 
-def extract_lineage(graph: TrackingGraph, varmap: VarMap, x: np.ndarray) -> Lineage:
-    """Turn a feasible selection, laid out as ``varmap`` describes, into
-    tracks with parent links.
+def extract_lineage(graph: TrackingGraph, x: np.ndarray) -> Lineage:
+    """Turn a feasible selection, laid out as ``formulate`` lays out the
+    variables, into tracks with parent links.
 
     Track ids are assigned in order of (birth frame, first proposal id).
     End reasons are "exit" or "division".

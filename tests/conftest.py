@@ -54,8 +54,8 @@ def _checked_solve(instance, **kwargs):
     return result
 
 
-def _checked_greedy(graph, varmap):
-    result = _greedy(graph, varmap)
+def _checked_greedy(graph):
+    result = _greedy(graph)
     instance, _ = solve_mod.formulate(graph)
     _audit(instance, result, "greedy")
     return result

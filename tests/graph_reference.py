@@ -1,27 +1,124 @@
-"""The tracking graph as records, walked one object at a time: a reference
-for ``graph.build_graph``'s edge order and for ``solve.solve_greedy`` and
-``solve.extract_lineage``, which read the graph's arrays.
+"""The tracking graph with candidates named by proposal id and walked one
+object at a time: a reference for ``graph.enumerate_moves``,
+``graph.enumerate_mitoses`` and ``graph.build_graph``, which name candidates
+by position, and for ``solve.solve_greedy`` and ``solve.extract_lineage``,
+which read the graph's arrays.
 
-``edge_list`` lists the edges as ``build_graph`` assembled them when the
-graph was a list of ``Edge`` records.  ``solve_greedy`` and
-``extract_lineage`` walk the ``graph.edges`` records with proposals keyed by
-id; only their first lines, which key the graph's arrays by id, are new.
+``enumerate_moves`` and ``enumerate_mitoses`` return proposal tuples, and
+``build_graph`` takes probabilities keyed by id, as the package did before
+it named candidates by position; ``build_graph`` takes its conflicts from
+``overlap_reference``.  ``edge_list`` lists the edges as ``build_graph``
+assembled them when the graph was a list of ``Edge`` records.
+``solve_greedy`` and ``extract_lineage`` walk the ``graph.edges`` records
+with proposals keyed by id; only their first lines, which key the graph's
+arrays by id, are new.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
+import overlap_reference
 
-from lineage_ilp.graph import PROB_CLAMP, Edge, TrackingGraph
+from lineage_ilp.features import centroid_distance
+from lineage_ilp.graph import PROB_CLAMP, Edge, TrackingGraph, _centroids, _near
 from lineage_ilp.io import TrackRow
-from lineage_ilp.solve import Lineage, SolveResult, VarMap
+from lineage_ilp.proposals import CONFLICT_COVER, CONFLICT_IOU
+from lineage_ilp.solve import Lineage, SolveResult
 
 
 def log_odds_cost(p: float) -> float:
     """-log(p / (1-p)) with p clamped away from 0 and 1, one float at a time."""
     p = min(max(p, PROB_CLAMP), 1.0 - PROB_CLAMP)
     return -math.log(p / (1.0 - p))
+
+
+def enumerate_moves(props_by_frame, gating_radius: float) -> list[tuple]:
+    """Candidate frame-to-frame links, centroid distance at most the radius,
+    as (source, destination) proposals, by source id, then destination id."""
+    out = []
+    frames = [sorted(frame, key=lambda p: p.id) for frame in props_by_frame]
+    xy = [_centroids(frame) for frame in frames]
+    for t in range(len(frames) - 1):
+        src, dst = frames[t], frames[t + 1]
+        for i, j in zip(*np.nonzero(_near(xy[t], xy[t + 1], gating_radius))):
+            if centroid_distance(src[i], dst[j]) <= gating_radius:
+                out.append((src[i], dst[j]))
+    return out
+
+
+def enumerate_mitoses(props_by_frame, mitosis_radius: float, n_neighbors: int = 3) -> list[tuple]:
+    """Division candidates, the n nearest next-frame proposals and all pairs
+    of them, as (parent, d1, d2) proposals with d1's id below d2's."""
+    out = []
+    for t in range(len(props_by_frame) - 1):
+        nxt = props_by_frame[t + 1]
+        parents = sorted(props_by_frame[t], key=lambda p: p.id)
+        gate = _near(_centroids(parents), _centroids(nxt), mitosis_radius)
+        for parent, row in zip(parents, gate):
+            dists = ((nxt[j], centroid_distance(parent, nxt[j])) for j in np.flatnonzero(row))
+            near = [(d, r) for d, r in dists if r <= mitosis_radius]
+            near.sort(key=lambda item: (item[1], item[0].id))
+            chosen = [d for d, _ in near[:n_neighbors]]
+            chosen.sort(key=lambda p: p.id)
+            for a in range(len(chosen)):
+                for b in range(a + 1, len(chosen)):
+                    out.append((parent, chosen[a], chosen[b]))
+    return out
+
+
+def build_graph(props_by_frame, node_probs, move_probs, mitosis_probs, *, p_enter=0.01, p_exit=0.01):
+    """The graph from probabilities keyed by id: moves by (src id, dst id)
+    with dst one frame after src, division sets by (parent id, d1 id, d2 id)
+    with d1 < d2.  Moves, sets and conflicts go in id order."""
+    flat = sorted((p for frame in props_by_frame for p in frame), key=lambda p: (p.t, p.id))
+    index = {p.id: i for i, p in enumerate(flat)}
+    if len(index) != len(flat):
+        raise ValueError("duplicate proposal ids")
+    move_keys, set_keys = sorted(move_probs), sorted(mitosis_probs)
+    for key in move_keys:
+        if flat[index[key[1]]].t != flat[index[key[0]]].t + 1:
+            raise ValueError(f"move edge {key} does not span adjacent frames")
+    for key in set_keys:
+        if key[1] >= key[2] or any(flat[index[d]].t != flat[index[key[0]]].t + 1 for d in key[1:]):
+            raise ValueError(f"mitosis set {key} is out of order or off frame")
+
+    def split(prob: list[float]) -> tuple[np.ndarray, np.ndarray]:
+        return np.array(prob, dtype=np.float64), np.array([log_odds_cost(p) for p in prob], dtype=np.float64)
+
+    def at(keys: list[tuple], width: int) -> np.ndarray:
+        return np.array([[index[pid] for pid in key] for key in keys], dtype=np.intp).reshape(-1, width)
+
+    n = len(flat)
+    node_prob, node_cost = split([node_probs[p.id] for p in flat])
+    enter_prob, enter_cost = split([p_enter] * n)
+    exit_prob, exit_cost = split([p_exit] * n)
+    move_prob, move_cost = split([move_probs[k] for k in move_keys])
+    mitosis_prob, mitosis_cost = split([mitosis_probs[k] for k in set_keys])
+    pairs = overlap_reference.conflicts(flat, CONFLICT_IOU, CONFLICT_COVER)
+    return TrackingGraph(
+        proposals=flat,
+        node_prob=node_prob, node_cost=node_cost,
+        enter_prob=enter_prob, enter_cost=enter_cost,
+        exit_prob=exit_prob, exit_cost=exit_cost,
+        moves=at(move_keys, 2), move_prob=move_prob, move_cost=move_cost,
+        mitosis_sets=at(set_keys, 3), mitosis_prob=mitosis_prob, mitosis_cost=mitosis_cost / 2.0,
+        conflicts=at(pairs, 2),
+        n_frames=len(props_by_frame),
+    )
+
+
+def id_keyed(proposals, node_prob, moves, move_prob, mitosis_sets, mitosis_prob, n_frames, **kwargs):
+    """``build_graph``'s arguments by position (the package's form) as the
+    id-keyed arguments of this module's ``build_graph`` and ``edge_list``."""
+    ids = [p.id for p in proposals]
+    frames = [[p for p in proposals if p.t == t] for t in range(n_frames)]
+    node_probs = dict(zip(ids, np.asarray(node_prob).tolist()))
+
+    def keyed(at, prob) -> dict[tuple, float]:
+        return {tuple(ids[k] for k in key): p for key, p in zip(np.asarray(at).tolist(), np.asarray(prob).tolist())}
+
+    return (frames, node_probs, keyed(moves, move_prob), keyed(mitosis_sets, mitosis_prob)), kwargs
 
 
 def edge_list(props_by_frame, node_probs, move_probs, mitosis_probs, *, p_enter=0.01, p_exit=0.01):
@@ -51,7 +148,7 @@ def _keyed(graph: TrackingGraph):
     return list(graph.edges), node_cost, sets, conflicts
 
 
-def solve_greedy(graph: TrackingGraph, varmap: VarMap) -> SolveResult:
+def solve_greedy(graph: TrackingGraph) -> SolveResult:
     """Repeated cheapest extension: whole tracks first, then divisions."""
     edges, node_cost, mitosis_sets, graph_conflicts = _keyed(graph)
     props = graph.proposals
@@ -221,8 +318,9 @@ def solve_greedy(graph: TrackingGraph, varmap: VarMap) -> SolveResult:
             walk_tail(d2)
 
     x = np.zeros(len(props) + len(edges), dtype=np.int8)
+    var = {p.id: i for i, p in enumerate(props)}  # proposal i is variable i
     for pid in used:
-        x[varmap.node_var[pid]] = 1
+        x[var[pid]] = 1
     edge_x = x[len(props):]
     edge_x[list(chosen_edges)] = 1
     objective = float(sum(node_cost[pid] for pid in used)) + float(
@@ -231,11 +329,11 @@ def solve_greedy(graph: TrackingGraph, varmap: VarMap) -> SolveResult:
     return SolveResult("feasible", x, objective, None, None, actions, 0.0)
 
 
-def extract_lineage(graph: TrackingGraph, varmap: VarMap, x: np.ndarray) -> Lineage:
+def extract_lineage(graph: TrackingGraph, x: np.ndarray) -> Lineage:
     """Turn a feasible selection into tracks with parent links."""
     edges = list(graph.edges)
     x = np.asarray(x)
-    selected = {pid for pid, vi in varmap.node_var.items() if x[vi] == 1}
+    selected = {p.id for i, p in enumerate(graph.proposals) if x[i] == 1}
     edge_x = x[len(graph.proposals):]
     by_id = {p.id: p for p in graph.proposals}
 

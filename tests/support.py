@@ -1,7 +1,8 @@
 """Shared generators for solver tests: random instances, random small graphs
 (alone or joined side by side), the pinned fixture where the greedy
 heuristic strictly trails the exact solver, and the split of an instance
-into its constraint components."""
+into its constraint components; and the conversion of candidates named by
+proposal id into the positions the package takes."""
 from __future__ import annotations
 
 from dataclasses import replace
@@ -76,6 +77,26 @@ def component_instance(instance: IlpInstance, members: list[int]) -> IlpInstance
     return IlpInstance.from_rows(instance.costs[members], cons)
 
 
+def positions(props: list[Proposal], keys) -> np.ndarray:
+    """Each of ``keys``, a tuple of proposal ids, as the positions of those
+    proposals in ``props``: one row per key, in key order."""
+    at = {p.id: k for k, p in enumerate(props)}
+    return np.array([[at[pid] for pid in key] for key in keys], dtype=np.intp)
+
+
+def keyed_graph(props_by_frame, node_probs, move_probs, mitosis_probs, **kwargs) -> TrackingGraph:
+    """``build_graph`` over the frames' proposals in (t, id) order, with
+    probabilities keyed by proposal id, moves by (source id, destination id)
+    and division sets by (parent id, d1 id, d2 id)."""
+    props = sorted((p for frame in props_by_frame for p in frame), key=lambda p: (p.t, p.id))
+    return build_graph(
+        props, [node_probs[p.id] for p in props],
+        positions(props, move_probs), list(move_probs.values()),
+        positions(props, mitosis_probs), list(mitosis_probs.values()),
+        len(props_by_frame), **kwargs,
+    )
+
+
 def _square(pid: int, t: int, x: int, y: int, size: int) -> Proposal:
     return Proposal(
         id=pid, t=t, mask=Mask(x, y, np.ones((size, size), bool)), raw_score=0.5
@@ -83,9 +104,9 @@ def _square(pid: int, t: int, x: int, y: int, size: int) -> Proposal:
 
 
 def random_graph_inputs(rng: np.random.Generator) -> tuple[list, dict, dict, dict, dict]:
-    """``build_graph``'s arguments for a small two-frame graph whose
+    """``keyed_graph``'s arguments for a small two-frame graph whose
     instance stays within brute-force range: the frames, the node, move and
-    division probabilities, and the keyword arguments."""
+    division probabilities keyed by id, and the keyword arguments."""
     shapes = [(2, 2), (1, 3), (3, 1), (2, 1)]
     n0, n1 = shapes[int(rng.integers(0, len(shapes)))]
     frames: list[list[Proposal]] = [[], []]
@@ -98,13 +119,14 @@ def random_graph_inputs(rng: np.random.Generator) -> tuple[list, dict, dict, dic
             frames[t].append(_square(pid, t, x, y, size))
             pid += 1
     node_probs = {p.id: float(rng.uniform(0.05, 0.95)) for f in frames for p in f}
+    ids = [p.id for f in frames for p in f]
     moves = enumerate_moves(frames, gating_radius=100.0)
     move_probs = {
-        (a.id, b.id): float(rng.uniform(0.05, 0.95)) for a, b in moves
+        (ids[a], ids[b]): float(rng.uniform(0.05, 0.95)) for a, b in moves.tolist()
     }
     triples = enumerate_mitoses(frames, mitosis_radius=100.0, n_neighbors=3)
     mitosis_probs = {
-        (p.id, a.id, b.id): float(rng.uniform(0.05, 0.95)) for p, a, b in triples
+        (ids[p], ids[a], ids[b]): float(rng.uniform(0.05, 0.95)) for p, a, b in triples.tolist()
     }
     kwargs = {"p_enter": float(rng.uniform(0.05, 0.5)), "p_exit": float(rng.uniform(0.05, 0.5))}
     return frames, node_probs, move_probs, mitosis_probs, kwargs
@@ -113,7 +135,7 @@ def random_graph_inputs(rng: np.random.Generator) -> tuple[list, dict, dict, dic
 def random_graph(rng: np.random.Generator) -> TrackingGraph:
     """Small two-frame graph whose instance stays within brute-force range."""
     *args, kwargs = random_graph_inputs(rng)
-    return build_graph(*args, **kwargs)
+    return keyed_graph(*args, **kwargs)
 
 
 def join_graphs(graphs: list[TrackingGraph]) -> TrackingGraph:
@@ -167,8 +189,7 @@ def strict_gap_graph() -> TrackingGraph:
     d1 = _square(1, 1, 3, 8, 1)
     d2 = _square(2, 1, 8, 8, 1)
     g = build_graph(
-        [[p], [d1, d2]], dict.fromkeys(range(3), 0.5), {(0, 1): 0.5}, {(0, 1, 2): 0.5},
-        p_enter=0.5, p_exit=0.5,
+        [p, d1, d2], np.full(3, 0.5), [[0, 1]], [0.5], [[0, 1, 2]], [0.5], 2, p_enter=0.5, p_exit=0.5,
     )
     # costs set by hand, not the log odds of the probabilities
     return replace(

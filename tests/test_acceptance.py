@@ -155,8 +155,8 @@ def test_02_every_solution_is_checked():
     rng = np.random.default_rng(7)
     for _ in range(50):
         graph = random_graph(rng)
-        inst, varmap = formulate(graph)
-        for result in (solve(inst), solve_greedy(graph, varmap)):
+        inst, _ = formulate(graph)
+        for result in (solve(inst), solve_greedy(graph)):
             assert result.x is not None
             assert check_solution(inst, result.x) == []
 
@@ -227,15 +227,15 @@ def test_05_greedy_never_beats_exact():
     rng = np.random.default_rng(55)
     for i in range(200):
         graph = random_graph(rng)
-        inst, varmap = formulate(graph)
+        inst, _ = formulate(graph)
         exact = solve(inst)
-        greedy = solve_greedy(graph, varmap)
+        greedy = solve_greedy(graph)
         assert greedy.objective >= exact.objective - DOMINANCE_SLACK, f"graph {i}"
 
     gap_graph = strict_gap_graph()
-    inst, varmap = formulate(gap_graph)
+    inst, _ = formulate(gap_graph)
     exact = solve(inst)
-    greedy = solve_greedy(gap_graph, varmap)
+    greedy = solve_greedy(gap_graph)
     assert exact.objective == pytest.approx(-15.7)
     assert greedy.objective == pytest.approx(-12.6)
     assert greedy.objective - exact.objective > 3.0

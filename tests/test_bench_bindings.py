@@ -8,10 +8,17 @@ import os
 import sys
 from types import SimpleNamespace
 
+import graph_reference
 import numpy as np
 import pytest
 from support import random_graph
 
+from lineage_ilp.classify import TrainingSet, label_mitosis_sets
+from lineage_ilp.evaluate import captured_markers
+from lineage_ilp.graph import enumerate_mitoses, enumerate_moves
+from lineage_ilp.pipeline import proposal_feature_matrix
+from lineage_ilp.proposals import Frame, Proposal
+from lineage_ilp.sim import SimConfig, ideal_proposals, simulate
 from lineage_ilp.solve import formulate, solve
 
 BENCH = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
@@ -67,3 +74,48 @@ def test_correctness_gate_checks_a_selection(bench_module):
     assert workloads.check_op(out) == []
     result.x = np.ones_like(result.x)  # every proposal and edge: infeasible
     assert workloads.check_op(out)
+
+
+def test_counters_read_candidate_positions(bench_module):
+    """The counters of the candidate stages read what those stages return
+    now that candidates are positions: pairs and triples as (m, 2) and
+    (s, 3) arrays, division positives of the training set, and the rows of
+    the feature matrix, the fit and the prediction.  Each count equals the
+    one the object form gives."""
+    spans = bench_module("spans")
+    res = simulate(SimConfig(frames=6, width=96, height=96, initial_cells=6, division_rate=0.3), 3)
+    frames = [
+        [Proposal(id=1000 * t + k, t=t, mask=mask, raw_score=0.9) for k, (_, mask) in enumerate(regions)]
+        for t, regions in enumerate(ideal_proposals(res.gt))
+    ]
+    props = [p for frame in frames for p in frame]
+    moves, sets = enumerate_moves(frames, 20.0), enumerate_mitoses(frames, 20.0)
+    feats = proposal_feature_matrix(props, {t: Frame(t, f.intensity) for t, f in enumerate(res.frames)})
+    tset = label_mitosis_sets(captured_markers(props, res.gt), sets, props, res.gt, np.zeros((len(sets), 1)))
+    # positives the object form counts: triples whose markers form a recorded division
+    captured = dict(zip([p.id for p in props], captured_markers(props, res.gt)))
+    divisions = {(parent, t): {c1, c2} for parent, c1, c2, t in res.gt.divisions()}
+    positives = sum(
+        divisions.get((captured[p.id], p.t)) == {captured[d1.id], captured[d2.id]} and captured[p.id] is not None
+        for p, d1, d2 in graph_reference.enumerate_mitoses(frames, 20.0)
+    )
+    assert positives > 0
+
+    tr = spans.Tracer()
+    tr.op = 0
+    tr._stack.append(spans.Span(0, -1, 0, "pipeline.graph", 0.0))  # as inside build_candidate_graph
+    spans._count_pairs(tr, moves, ())
+    spans._count_triples(tr, sets, ())
+    spans._count_mitosis_labels(tr, tset, ())
+    lambdas = {name: count for _, _, name, count in spans.WRAPPED if count is not None}
+    lambdas["features.proposal"](tr, feats, (props,))
+    lambdas["classify.fit"](tr, None, (TrainingSet(feats, np.zeros(len(feats))),))
+    lambdas["classify.predict"](tr, None, (None, feats))
+    assert tr.counts[0] == {
+        "graph.move_pairs": len(graph_reference.enumerate_moves(frames, 20.0)),
+        "graph.mitosis_triples": len(graph_reference.enumerate_mitoses(frames, 20.0)),
+        "classify.division_positives": positives,
+        "features.vectors": len(props),
+        "classify.fit_samples": len(props),
+        "classify.predict_rows": len(props),
+    }

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from forest_reference import reference_forest
+from support import positions
 from lineage_ilp import classify
 from lineage_ilp.classify import (
     TrainingSet,
@@ -20,7 +21,7 @@ from lineage_ilp.classify import (
     save_model,
     train_forest,
 )
-from lineage_ilp.evaluate import GroundTruth, markers_inside, markers_inside_each
+from lineage_ilp.evaluate import GroundTruth, captured_markers, markers_inside, markers_inside_each
 from lineage_ilp.features import move_features, proposal_features
 from lineage_ilp.geometry import Mask
 from lineage_ilp.io import FormatError, TrackRow
@@ -60,7 +61,7 @@ class TestLabeling:
             square(1, 0, 0, 0, 30),   # two markers
             square(2, 0, 40, 40, 5),  # none
         ]
-        ts = label_proposals(props, division_gt, np.zeros((3, 2)))
+        ts = label_proposals(captured_markers(props, division_gt), np.zeros((3, 2)))
         np.testing.assert_array_equal(ts.labels, [1, 0, 0])
 
     def test_label_move_edges(self, division_gt):
@@ -68,8 +69,9 @@ class TestLabeling:
         b = square(1, 1, 4, 3, 5)        # track 1 at t=1
         c = square(2, 1, 16, 16, 5)      # track 3 at t=1
         double = square(3, 0, 0, 0, 30)  # both markers at t=0
-        pairs = [(a, b), (a, c), (double, b)]
-        ts = label_move_edges(pairs, division_gt, np.zeros((3, 2)))
+        props = [a, b, c, double]
+        moves = positions(props, [(0, 1), (0, 2), (3, 1)])
+        ts = label_move_edges(captured_markers(props, division_gt), moves, np.zeros((3, 2)))
         np.testing.assert_array_equal(ts.labels, [1, 0, 0])
 
     def test_label_mitosis_sets(self, division_gt):
@@ -77,13 +79,9 @@ class TestLabeling:
         d1 = square(1, 1, 16, 16, 5)      # track 3
         d2 = square(2, 1, 21, 20, 5)      # track 4
         not_parent = square(3, 0, 3, 3, 5)  # track 1, which does not divide
-        triples = [
-            (parent, d1, d2),
-            (parent, d2, d1),
-            (not_parent, d1, d2),
-            (parent, d1, d1),
-        ]
-        ts = label_mitosis_sets(triples, division_gt, np.zeros((4, 2)))
+        props = [parent, d1, d2, not_parent]
+        sets = positions(props, [(0, 1, 2), (0, 2, 1), (3, 1, 2), (0, 1, 1)])
+        ts = label_mitosis_sets(captured_markers(props, division_gt), sets, props, division_gt, np.zeros((4, 2)))
         np.testing.assert_array_equal(ts.labels, [1, 1, 0, 0])
 
 
@@ -125,13 +123,15 @@ class TestLabelsByLookup:
             seen.add(repr(gt.markers) + repr([(p.t, p.mask.x0, p.mask.y0, p.mask.bits.tolist()) for p in props]))
             assert markers_inside_each(props, gt) == [markers_inside(p, gt.markers_at(p.t)) for p in props]
             want = [1 if _reference_captured(p, gt) is not None else 0 for p in props]
-            assert label_proposals(props, gt, np.zeros((len(props), 1))).labels.tolist() == want
-            pairs = [(props[i], props[j]) for i, j in rng.integers(0, len(props), size=(20, 2))]
+            captured = captured_markers(props, gt)
+            assert label_proposals(captured, np.zeros((len(props), 1))).labels.tolist() == want
+            moves = rng.integers(0, len(props), size=(20, 2))
+            pairs = [(props[i], props[j]) for i, j in moves]
             want = []
             for a, b in pairs:
                 ma, mb = _reference_captured(a, gt), _reference_captured(b, gt)
                 want.append(1 if ma is not None and ma == mb else 0)
-            assert label_move_edges(pairs, gt, np.zeros((20, 1))).labels.tolist() == want
+            assert label_move_edges(captured, moves, np.zeros((20, 1))).labels.tolist() == want
         assert len(seen) == 60
 
 
@@ -638,7 +638,9 @@ class TestMoveClassifierOnSimulation:
                             feat_j=member_feats[p_j.id],
                         )
                     )
-        ts = label_move_edges(pairs, res.gt, np.array(rows))
+        props = [p for lst in props_by_t.values() for p in lst]
+        moves = positions(props, [(p_i.id, p_j.id) for p_i, p_j in pairs])
+        ts = label_move_edges(captured_markers(props, res.gt), moves, np.array(rows))
         split = np.array([p_i.t < 10 for p_i, _ in pairs])
         train = TrainingSet(ts.features[split], ts.labels[split])
         forest = train_forest(train, n_trees=40, seed=2)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from support import keyed_graph
 
 from lineage_ilp import evaluate as evaluate_mod
 from lineage_ilp.evaluate import (
@@ -23,7 +24,6 @@ from lineage_ilp.evaluate import (
     tra_score,
 )
 from lineage_ilp.geometry import Mask
-from lineage_ilp.graph import build_graph
 from lineage_ilp.io import TrackRow, dumps_json
 from lineage_ilp.proposals import Proposal
 from lineage_ilp.sim import SimConfig, ideal_proposals, simulate
@@ -505,14 +505,14 @@ class TestGraphRecall:
     def test_full_coverage(self):
         gt, frames = self.moving_pair()
         node_probs = {i: 0.9 for i in range(4)}
-        graph = build_graph(frames, node_probs, {(0, 2): 0.9, (1, 3): 0.9}, {})
+        graph = keyed_graph(frames, node_probs, {(0, 2): 0.9, (1, 3): 0.9}, {})
         rec = graph_recall(graph, gt)
         assert rec == {"R": 1.0, "R_NS": 1.0, "move_recall": 1.0, "mitosis_recall": 1.0}
 
     def test_missing_link(self):
         gt, frames = self.moving_pair()
         node_probs = {i: 0.9 for i in range(4)}
-        graph = build_graph(frames, node_probs, {(0, 2): 0.9}, {})
+        graph = keyed_graph(frames, node_probs, {(0, 2): 0.9}, {})
         rec = graph_recall(graph, gt)
         assert rec["move_recall"] == 0.5
         assert rec["R"] == 1.0
@@ -521,7 +521,7 @@ class TestGraphRecall:
         gt, frames = self.moving_pair()
         frames[0] = [square(0, 0, 0, 0, size=16)]  # one blob over both markers
         node_probs = {0: 0.9, 2: 0.9, 3: 0.9}
-        graph = build_graph(frames, node_probs, {}, {})
+        graph = keyed_graph(frames, node_probs, {}, {})
         rec = graph_recall(graph, gt)
         assert rec["R"] == pytest.approx(0.5)  # only frame-1 singles
         assert rec["R_NS"] == 1.0
@@ -531,9 +531,9 @@ class TestGraphRecall:
         gt, props = division_scene()
         frames = [[props[0]], [props[1], props[2]]]
         node_probs = {0: 0.9, 1: 0.9, 2: 0.9}
-        with_set = build_graph(frames, node_probs, {}, {(0, 1, 2): 0.8})
+        with_set = keyed_graph(frames, node_probs, {}, {(0, 1, 2): 0.8})
         assert graph_recall(with_set, gt)["mitosis_recall"] == 1.0
-        without = build_graph(frames, node_probs, {}, {})
+        without = keyed_graph(frames, node_probs, {}, {})
         assert graph_recall(without, gt)["mitosis_recall"] == 0.0
 
 
@@ -563,7 +563,7 @@ class TestReport:
         gt, props = division_scene()
         frames = [[props[0]], [props[1], props[2]]]
         node_probs = {0: 0.9, 1: 0.9, 2: 0.9}
-        graph = build_graph(frames, node_probs, {}, {(0, 1, 2): 0.8})
+        graph = keyed_graph(frames, node_probs, {}, {(0, 1, 2): 0.8})
         ln = Lineage(
             tracks=[TrackRow(1, 0, 0, 0), TrackRow(2, 1, 1, 1), TrackRow(3, 1, 1, 1)],
             members={1: [0], 2: [1], 3: [2]},

@@ -567,8 +567,6 @@ class TestLinkRowsMatchReference:
     def check_links(self, rng, n_props, n_links) -> bytes:
         """Check one scene; returns its masks, vectors and links as bytes."""
         props, feats, probs = _link_scene(rng, n_props)
-        node_probs = {p.id: float(probs[k]) for k, p in enumerate(props)}
-        feats_by_pid = {p.id: feats[k] for k, p in enumerate(props)}
 
         src, dst = rng.integers(0, n_props, size=(2, n_links))
         want = np.stack([
@@ -576,8 +574,8 @@ class TestLinkRowsMatchReference:
             for i, j in zip(src.tolist(), dst.tolist())
         ])
         assert move_feature_rows(props, feats, probs, src, dst).tobytes() == want.tobytes()
-        pairs = [(props[i], props[j]) for i, j in zip(src.tolist(), dst.tolist())]
-        assert move_feature_matrix(pairs, node_probs, feats_by_pid).tobytes() == want.tobytes()
+        moves = np.column_stack([src, dst])
+        assert move_feature_matrix(props, feats, probs, moves).tobytes() == want.tobytes()
         i, j = int(src[0]), int(dst[0])
         one = move_features(props[i], props[j], probs[i], probs[j], None, None, feat_i=feats[i], feat_j=feats[j])
         assert one.tobytes() == want[0].tobytes()
@@ -589,8 +587,8 @@ class TestLinkRowsMatchReference:
             for i, j, k in zip(parent.tolist(), d1.tolist(), d2.tolist())
         ])
         assert mitosis_feature_rows(props, feats, probs, parent, d1, d2).tobytes() == want.tobytes()
-        triples = [(props[i], props[j], props[k]) for i, j, k in zip(parent.tolist(), d1.tolist(), d2.tolist())]
-        assert mitosis_feature_matrix(triples, node_probs, feats_by_pid).tobytes() == want.tobytes()
+        sets = np.column_stack([parent, d1, d2])
+        assert mitosis_feature_matrix(props, feats, probs, sets).tobytes() == want.tobytes()
         i, j, k = int(parent[0]), int(d1[0]), int(d2[0])
         one = mitosis_features(
             props[i], props[j], props[k], probs[i], probs[j], probs[k], None, None,
@@ -611,8 +609,9 @@ class TestLinkRowsMatchReference:
         assert np.array_equal(rows[0, 92:184], feats[lo])
 
     def test_no_links(self):
-        assert move_feature_matrix([], {}, {}).shape == (0, MOVE_DIM)
-        assert mitosis_feature_matrix([], {}, {}).shape == (0, MITOSIS_DIM)
+        feats, probs = np.zeros((0, PROPOSAL_DIM)), np.zeros(0)
+        assert move_feature_matrix([], feats, probs, np.zeros((0, 2), dtype=np.intp)).shape == (0, MOVE_DIM)
+        assert mitosis_feature_matrix([], feats, probs, np.zeros((0, 3), dtype=np.intp)).shape == (0, MITOSIS_DIM)
 
 
 class TestAlignedIou:

@@ -1,10 +1,15 @@
 """Graph assembly: costs, gating, division candidates, conflicts."""
 from __future__ import annotations
 
+import dataclasses
 import math
 
+import graph_reference
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from support import keyed_graph, positions
 
 from lineage_ilp.evaluate import GroundTruth
 from lineage_ilp.features import centroid_distance
@@ -20,6 +25,10 @@ from lineage_ilp.graph import (
 )
 from lineage_ilp.io import TrackRow, dumps_json
 from lineage_ilp.proposals import Proposal
+
+
+def flat(frames):
+    return [p for frame in frames for p in frame]
 
 
 def prop(pid, t, x, y, size=3):
@@ -51,12 +60,12 @@ class TestEnumerateMoves:
         frames = [[prop(0, 0, 10, 10)], [prop(1, 1, 15, 10), prop(2, 1, 30, 10)]]
         # centroids are at x+1 for a 3x3 mask, distances 5 and 20
         pairs = enumerate_moves(frames, gating_radius=5.0)
-        assert [(a.id, b.id) for a, b in pairs] == [(0, 1)]
+        assert pairs.tolist() == positions(flat(frames), [(0, 1)]).tolist()
         pairs = enumerate_moves(frames, gating_radius=20.0)
-        assert [(a.id, b.id) for a, b in pairs] == [(0, 1), (0, 2)]
+        assert pairs.tolist() == positions(flat(frames), [(0, 1), (0, 2)]).tolist()
 
     def test_single_frame_no_moves(self):
-        assert enumerate_moves([[prop(0, 0, 5, 5)]], 10.0) == []
+        assert enumerate_moves([[prop(0, 0, 5, 5)]], 10.0).shape == (0, 2)
 
 
 class TestEnumerateMitoses:
@@ -71,13 +80,12 @@ class TestEnumerateMitoses:
             ],
         ]
         triples = enumerate_mitoses(frames, mitosis_radius=15.0, n_neighbors=3)
-        got = [(p.id, a.id, b.id) for p, a, b in triples]
-        assert got == [(0, 1, 2), (0, 1, 3), (0, 2, 3)]
+        assert triples.tolist() == positions(flat(frames), [(0, 1, 2), (0, 1, 3), (0, 2, 3)]).tolist()
 
     def test_fewer_candidates_than_neighbors(self):
         frames = [[prop(0, 0, 20, 20)], [prop(1, 1, 22, 20), prop(2, 1, 18, 20)]]
         triples = enumerate_mitoses(frames, mitosis_radius=15.0)
-        assert [(p.id, a.id, b.id) for p, a, b in triples] == [(0, 1, 2)]
+        assert triples.tolist() == positions(flat(frames), [(0, 1, 2)]).tolist()
 
     def test_nearest_selection_prefers_closer(self):
         frames = [
@@ -90,7 +98,7 @@ class TestEnumerateMitoses:
             ],
         ]
         triples = enumerate_mitoses(frames, mitosis_radius=30.0, n_neighbors=2)
-        assert [(p.id, a.id, b.id) for p, a, b in triples] == [(0, 1, 2)]
+        assert triples.tolist() == positions(flat(frames), [(0, 1, 2)]).tolist()
 
 
 def reference_moves(props_by_frame, radius):
@@ -147,18 +155,17 @@ class TestGatingMatchesPairwiseLoop:
             frames = random_frames(rng)
             radius = float(rng.uniform(0.0, 30.0))
             moves = enumerate_moves(frames, radius)
-            assert [(a.id, b.id) for a, b in moves] == reference_moves(frames, radius)
+            assert moves.tolist() == positions(flat(frames), reference_moves(frames, radius)).tolist()
             n = int(rng.integers(1, 5))
             triples = enumerate_mitoses(frames, radius, n_neighbors=n)
-            got = [(p.id, a.id, b.id) for p, a, b in triples]
-            assert got == reference_mitoses(frames, radius, n)
+            assert triples.tolist() == positions(flat(frames), reference_mitoses(frames, radius, n)).tolist()
 
     def test_pair_exactly_at_radius(self):
         frames = [[prop(0, 0, 0, 0, size=1)], [prop(1, 1, 3, 4, size=1), prop(2, 1, 7, 1, size=1)]]
         radius = centroid_distance(frames[0][0], frames[1][0])
         assert radius == 5.0
-        assert [(a.id, b.id) for a, b in enumerate_moves(frames, radius)] == [(0, 1)]
-        assert [(a.id, b.id) for a, b in enumerate_moves(frames, math.nextafter(radius, 0.0))] == []
+        assert enumerate_moves(frames, radius).tolist() == [[0, 1]]  # the proposals with ids 0 and 1
+        assert enumerate_moves(frames, math.nextafter(radius, 0.0)).tolist() == []
         # fractional centroids: squared distances round differently from
         # math.hypot, and a pair at exactly the radius must still be kept
         rng = np.random.default_rng(2)
@@ -167,9 +174,9 @@ class TestGatingMatchesPairwiseLoop:
             for p_i in frames[0]:
                 for p_j in frames[1]:
                     r = centroid_distance(p_i, p_j)
-                    got = [(a.id, b.id) for a, b in enumerate_moves(frames, r)]
-                    assert got == reference_moves(frames, r)
-                    assert (p_i.id, p_j.id) in got
+                    got = enumerate_moves(frames, r).tolist()
+                    assert got == positions(flat(frames), reference_moves(frames, r)).tolist()
+                    assert positions(flat(frames), [(p_i.id, p_j.id)]).tolist()[0] in got
 
     def test_equal_distance_daughters_tie_broken_by_id(self):
         parent = prop(0, 0, 20, 20, size=1)
@@ -182,8 +189,85 @@ class TestGatingMatchesPairwiseLoop:
         ]
         frames = [[parent], daughters]
         triples = enumerate_mitoses(frames, mitosis_radius=5.0, n_neighbors=2)
-        assert [(p.id, a.id, b.id) for p, a, b in triples] == [(0, 3, 5)]
+        assert triples.tolist() == positions(flat(frames), [(0, 3, 5)]).tolist()
         assert reference_mitoses(frames, 5.0, 2) == [(0, 3, 5)]
+
+
+@st.composite
+def scenes(draw):
+    """Frames of square proposals with integer centroids on a small grid, so
+    that many centroid distances tie and masks overlap; frames may be empty
+    or hold one proposal, list order is not id order, and ids are a random
+    permutation, so they may fall from one frame to the next.  Then a
+    radius, often exactly a distance between two adjacent-frame centroids,
+    a neighbour count and a seed for the probabilities."""
+    sizes = draw(st.lists(st.integers(0, 5), min_size=1, max_size=4))
+    ids = iter(draw(st.permutations(range(sum(sizes)))))
+    frames = [
+        [
+            Proposal(
+                id=next(ids), t=t, raw_score=0.5,
+                mask=Mask(draw(st.integers(0, 12)), draw(st.integers(0, 12)), np.ones((side, side), bool)),
+            )
+            for side in draw(st.lists(st.sampled_from([1, 3]), min_size=size, max_size=size))
+        ]
+        for t, size in enumerate(sizes)
+    ]
+    ties = sorted({centroid_distance(a, b) for f, g in zip(frames, frames[1:]) for a in f for b in g})
+    radius = draw(st.sampled_from(ties) if ties and draw(st.booleans()) else st.floats(0.0, 20.0))
+    return frames, radius, draw(st.integers(1, 4)), draw(st.integers(0, 2**32 - 1))
+
+
+def _fields(graph) -> dict:
+    """Every field of a graph: proposals by id, int arrays as lists with
+    their shape, floats as ``float.hex``."""
+    out = {}
+    for field in dataclasses.fields(graph):
+        v = getattr(graph, field.name)
+        if field.name == "proposals":
+            v = [p.id for p in v]
+        elif isinstance(v, np.ndarray):
+            v = (v.shape, [x.hex() for x in v.tolist()] if v.dtype.kind == "f" else v.tolist())
+        out[field.name] = v
+    return out
+
+
+class TestPositionsMatchReference:
+    """Enumeration and assembly by position name the same candidates, in the
+    same order, and give the same graph, bit for bit, as the id-keyed
+    object form in ``graph_reference``."""
+
+    @settings(max_examples=300)
+    @given(scenes())
+    def test_random_frames(self, scene):
+        frames, radius, n, seed = scene
+        flat = [p for frame in frames for p in frame]
+        moves = enumerate_moves(frames, radius)
+        want = graph_reference.enumerate_moves(frames, radius)
+        assert [[flat[k].id for k in row] for row in moves.tolist()] == [[p.id for p in key] for key in want]
+        sets = enumerate_mitoses(frames, radius, n)
+        want = graph_reference.enumerate_mitoses(frames, radius, n)
+        assert [[flat[k].id for k in row] for row in sets.tolist()] == [[p.id for p in key] for key in want]
+
+        # the pipeline's proposal list, in (t, id) order
+        frames = [sorted(frame, key=lambda p: p.id) for frame in frames]
+        props = [p for frame in frames for p in frame]
+        moves, sets = enumerate_moves(frames, radius), enumerate_mitoses(frames, radius, n)
+        rng = np.random.default_rng(seed)
+        node_prob, move_prob, set_prob = (
+            np.where(rng.random(k) < 0.2, rng.choice([0.0, 0.5, 1.0], size=k), rng.random(k))
+            for k in (len(props), len(moves), len(sets))
+        )
+        kwargs = {"p_enter": float(rng.uniform(0.01, 0.5)), "p_exit": float(rng.uniform(0.01, 0.5))}
+        got = build_graph(props, node_prob, moves, move_prob, sets, set_prob, len(frames), **kwargs)
+        ids = [p.id for p in props]
+        want = graph_reference.build_graph(
+            frames, dict(zip(ids, node_prob.tolist())),
+            {(ids[a], ids[b]): p for (a, b), p in zip(moves.tolist(), move_prob.tolist())},
+            {tuple(ids[k] for k in key): p for key, p in zip(sets.tolist(), set_prob.tolist())},
+            **kwargs,
+        )
+        assert _fields(got) == _fields(want)
 
 
 class TestBuildGraph:
@@ -195,7 +279,7 @@ class TestBuildGraph:
         node_probs = {0: 0.9, 1: 0.8, 2: 0.6}
         move_probs = {(0, 1): 0.7, (0, 2): 0.4}
         mitosis_probs = {(0, 1, 2): 0.3}
-        return build_graph(
+        return keyed_graph(
             frames, node_probs, move_probs, mitosis_probs,
             p_enter=0.01, p_exit=0.02,
         )
@@ -229,25 +313,55 @@ class TestBuildGraph:
         # and cover 4/9 < 0.8, so no conflict
         assert g.conflicts.tolist() == []
         frames = [[prop(5, 0, 10, 10), prop(6, 0, 10, 10)]]
-        g2 = build_graph(frames, {5: 0.5, 6: 0.5}, {}, {})
+        g2 = keyed_graph(frames, {5: 0.5, 6: 0.5}, {}, {})
         assert g2.conflicts.tolist() == [[0, 1]]  # the proposals with ids 5 and 6
 
+    @staticmethod
+    def build(props, node_prob, moves=(), move_prob=(), sets=(), set_prob=()):
+        return build_graph(props, node_prob, moves, move_prob, sets, set_prob, 3)
+
+    a, b, c = prop(0, 0, 10, 10), prop(1, 1, 12, 10), prop(2, 1, 8, 10)
+
+    def test_accepts_positions(self):
+        g = self.build([self.a, self.b, self.c], [0.5] * 3, [[0, 1]], [0.5], [[0, 1, 2]], [0.5])
+        assert (g.moves.tolist(), g.mitosis_sets.tolist()) == ([[0, 1]], [[0, 1, 2]])
+
     def test_rejects_unknown_ids(self):
-        frames = [[prop(0, 0, 10, 10)], [prop(1, 1, 12, 10)]]
-        with pytest.raises(ValueError):
-            build_graph(frames, {0: 0.5, 1: 0.5}, {(0, 9): 0.5}, {})
-        with pytest.raises(ValueError):
-            build_graph(frames, {0: 0.5}, {}, {})
+        """Positions outside the proposal list."""
+        a, b, c = self.a, self.b, self.c
+        with pytest.raises(ValueError, match="position"):
+            self.build([a, b], [0.5] * 2, [[0, 9]], [0.5])
+        with pytest.raises(ValueError, match="position"):
+            self.build([a, b], [0.5] * 2, [[-1, 1]], [0.5])
+        with pytest.raises(ValueError, match="position"):
+            self.build([a, b, c], [0.5] * 3, sets=[[0, 1, 3]], set_prob=[0.5])
 
     def test_rejects_non_adjacent_move(self):
-        frames = [[prop(0, 0, 10, 10)], [], [prop(1, 2, 12, 10)]]
-        with pytest.raises(ValueError):
-            build_graph(frames, {0: 0.5, 1: 0.5}, {(0, 1): 0.5}, {})
+        with pytest.raises(ValueError, match="adjacent"):
+            self.build([self.a, prop(1, 2, 12, 10)], [0.5] * 2, [[0, 1]], [0.5])
+        with pytest.raises(ValueError, match="mitosis set .* adjacent"):
+            self.build([self.a, self.b, prop(2, 2, 8, 10)], [0.5] * 3, sets=[[0, 1, 2]], set_prob=[0.5])
 
     def test_rejects_unordered_daughters(self):
-        frames = [[prop(0, 0, 10, 10)], [prop(1, 1, 12, 10), prop(2, 1, 8, 10)]]
-        with pytest.raises(ValueError):
-            build_graph(frames, {0: 0.5, 1: 0.5, 2: 0.5}, {}, {(0, 2, 1): 0.5})
+        with pytest.raises(ValueError, match="id-ordered"):
+            self.build([self.a, self.b, self.c], [0.5] * 3, sets=[[0, 2, 1]], set_prob=[0.5])
+
+    def test_rejects_probabilities_of_the_wrong_length(self):
+        a, b, c = self.a, self.b, self.c
+        with pytest.raises(ValueError, match="node probabilities"):
+            self.build([a, b], [0.5])
+        with pytest.raises(ValueError, match="move probabilities"):
+            self.build([a, b], [0.5] * 2, [[0, 1]], [])
+        with pytest.raises(ValueError, match="mitosis probabilities"):
+            self.build([a, b, c], [0.5] * 3, sets=[[0, 1, 2]], set_prob=[0.5, 0.5])
+
+    def test_rejects_proposals_out_of_order(self):
+        with pytest.raises(ValueError, match=r"\(t, id\) order"):
+            self.build([self.b, self.a], [0.5] * 2)
+        with pytest.raises(ValueError, match=r"\(t, id\) order"):
+            self.build([self.c, self.b], [0.5] * 2)
+        with pytest.raises(ValueError, match="duplicate"):
+            self.build([self.a, prop(0, 1, 12, 10)], [0.5] * 2)
 
     def test_stats_and_json(self):
         g = self.simple_graph()

@@ -141,6 +141,30 @@ class TestProposalStage:
         with pytest.raises(FormatError, match="proposal 4 extends past frame 1, which is 8x6 pixels"):
             _group_by_frame([inside, past], frames)
 
+    @pytest.mark.parametrize("t, x0, y0", [(-1, 0, 0), (1, -1, 0), (1, 0, -1)])
+    def test_group_by_frame_checks_first_frame_and_left_and_top_edges(self, t, x0, y0):
+        from lineage_ilp.geometry import Mask
+
+        past = Proposal(id=4, t=t, mask=Mask(x0, y0, np.ones((2, 2), dtype=bool)), raw_score=0.5)
+        message = "references frame -1" if t < 0 else "proposal 4 extends past frame 1, which is 8x6 pixels"
+        with pytest.raises(FormatError, match=message):
+            _group_by_frame([past], _frames(2, height=6, width=8))
+
+    @pytest.mark.parametrize("t, x0, y0", [(-1, 0, 0), (1, -1, 0), (1, 0, -1)])
+    def test_stages_refuse_objects_before_the_first_frame_or_edges(self, workspace, tmp_path, t, x0, y0):
+        """A proposal list and dataset handed over as objects, not files,
+        get the checks a proposal file gets: a FormatError, never an
+        IndexError, KeyError or ValueError from inside the feature pass."""
+        from lineage_ilp.geometry import Mask
+
+        cfg, root = workspace
+        ds, props = load_dataset(root / "ds"), read_proposals(root / "p.jsonl")
+        past = Proposal(id=len(props), t=t, mask=Mask(x0, y0, np.ones((2, 2), dtype=bool)), raw_score=0.5)
+        with pytest.raises(FormatError, match=f"proposal {past.id} "):
+            run_train(cfg, ds, props + [past], tmp_path / "models")
+        with pytest.raises(FormatError, match=f"proposal {past.id} "):
+            run_track(cfg, ds, props + [past], root / "models", tmp_path / "res")
+
 
 def _frames(n, height=4, width=4):
     return [Frame(t=t, intensity=np.zeros((height, width))) for t in range(n)]

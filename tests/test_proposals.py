@@ -30,6 +30,7 @@ from lineage_ilp.proposals import (
 from lineage_ilp.sim import SimConfig, simulate
 import log_reference
 import overlap_reference
+from support import positions
 
 
 @pytest.fixture(scope="module")
@@ -110,7 +111,7 @@ class TestMultiThreshold:
 
     def test_surviving_nested_pairs_are_conflicts(self, separated_scene):
         props = multi_threshold_proposals(separated_scene.frames[0])
-        pairs = set(conflicts(props))
+        pairs = set(map(tuple, conflicts(props).tolist()))
         by_id = {p.id: p for p in props}
         for a in props:
             for b in props:
@@ -118,7 +119,7 @@ class TestMultiThreshold:
                     continue
                 inter = overlap_reference.mask_intersection_area(by_id[a.id].mask, by_id[b.id].mask)
                 if inter == min(a.area, b.area):  # strict nesting or equality
-                    assert (a.id, b.id) in pairs
+                    assert tuple(positions(props, [(a.id, b.id)])[0].tolist()) in pairs
 
 
 def _reference_components(binary):
@@ -753,33 +754,33 @@ class TestConflicts:
     def test_nested_flagged_by_containment(self):
         outer = box_prop(1, 0, 0, 0, 10, 10)
         inner = box_prop(2, 0, 2, 2, 4, 4)  # IoU 0.16 but fully contained
-        assert conflicts([outer, inner]) == [(1, 2)]
+        assert conflicts([outer, inner]).tolist() == [[0, 1]]
 
     def test_high_iou_flagged(self):
         a = box_prop(1, 0, 0, 0, 10, 10)
         b = box_prop(2, 0, 1, 0, 10, 10)  # IoU 90/110 ~ 0.82
-        assert conflicts([a, b]) == [(1, 2)]
+        assert conflicts([a, b]).tolist() == [[0, 1]]
 
     def test_mild_overlap_not_flagged(self):
         a = box_prop(1, 0, 0, 0, 10, 10)
         b = box_prop(2, 0, 6, 0, 10, 10)  # IoU 40/160 = 0.25, cover 0.4
-        assert conflicts([a, b]) == []
+        assert conflicts([a, b]).tolist() == []
 
     def test_different_frames_never_conflict(self):
         a = box_prop(1, 0, 0, 0, 10, 10)
         b = box_prop(2, 1, 0, 0, 10, 10)
-        assert conflicts([a, b]) == []
+        assert conflicts([a, b]).tolist() == []
 
     def test_thresholds_are_strict(self):
         assert (CONFLICT_IOU, CONFLICT_COVER) == (0.5, 0.8)
         # two 3x10 boxes one column apart: IoU exactly 0.5, cover 2/3
         a = box_prop(1, 0, 0, 0, 3, 10)
-        assert conflicts([a, box_prop(2, 0, 1, 0, 3, 10)]) == []
-        assert conflicts([a, box_prop(2, 0, 0, 0, 3, 10)]) == [(1, 2)]
+        assert conflicts([a, box_prop(2, 0, 1, 0, 3, 10)]).tolist() == []
+        assert conflicts([a, box_prop(2, 0, 0, 0, 3, 10)]).tolist() == [[0, 1]]
         # a 5x10 box hanging one column outside a 10x10 box: cover exactly 0.8, IoU 40/110
         outer = box_prop(1, 0, 0, 0, 10, 10)
-        assert conflicts([outer, box_prop(2, 0, 6, 0, 5, 10)]) == []
-        assert conflicts([outer, box_prop(2, 0, 5, 0, 5, 10)]) == [(1, 2)]
+        assert conflicts([outer, box_prop(2, 0, 6, 0, 5, 10)]).tolist() == []
+        assert conflicts([outer, box_prop(2, 0, 5, 0, 5, 10)]).tolist() == [[0, 1]]
 
 
 def _random_bits(rng, h, w):
@@ -836,12 +837,12 @@ class TestConflictsMatchReference:
             rng.shuffle(props)
             seen.add(repr([(p.id, p.t, p.mask.x0, p.mask.y0, p.mask.bits.tobytes()) for p in props]))
             want = overlap_reference.conflicts(props, CONFLICT_IOU, CONFLICT_COVER)
-            assert conflicts(props) == want
+            assert conflicts(props).tolist() == positions(props, want).tolist()
             flagged += len(want)
             overlapping += len(overlap_reference.conflicts(props, 0.0, 0.0))
         assert len(seen) == 80
         assert 100 < flagged < overlapping - 100  # pairs both flagged and overlapping unflagged
-        assert conflicts([]) == []
+        assert conflicts([]).shape == (0, 2)
 
 
 def _grids_share_a_pixel(a, b):
@@ -866,7 +867,8 @@ class TestBoxPairs:
             i, j = _box_pairs([a.mask, b.mask])
             assert (len(i) == 1) == shared == _grids_share_a_pixel(a.mask, b.mask)
             assert (overlap_reference.mask_intersection_area(a.mask, b.mask) > 0) == shared
-            assert conflicts([a, b]) == overlap_reference.conflicts([a, b], CONFLICT_IOU, CONFLICT_COVER)
+            want = overlap_reference.conflicts([a, b], CONFLICT_IOU, CONFLICT_COVER)
+            assert conflicts([a, b]).tolist() == positions([a, b], want).tolist()
 
     def test_random_lists_against_every_pair(self):
         """60 lists of up to 40 masks, nested, shifted, disjoint and touching

@@ -15,6 +15,7 @@ from formulate_reference import formulate_rows
 from support import (
     component_instance,
     constraint_components,
+    keyed_graph,
     random_graph,
     random_graph_inputs,
     random_instance,
@@ -308,7 +309,7 @@ class TestFormulateMatchesReference:
             self.check(random_graph(np.random.default_rng(seed)))
             self.check(random_joined_graph(np.random.default_rng(seed))[0])
         self.check(strict_gap_graph())
-        self.check(build_graph([], {}, {}, {}))
+        self.check(build_graph([], [], [], [], [], [], 0))
 
     @pytest.mark.parametrize("generator", sorted(PIPELINE_SCENES))
     def test_pipeline_graph(self, generator, tmp_path):
@@ -386,11 +387,11 @@ class TestOnRandomGraphs:
     def test_exact_greedy_and_checker(self):
         for seed in range(40):
             g = random_graph(np.random.default_rng(seed))
-            inst, vm = formulate(g)
+            inst, _ = formulate(g)
             assert inst.n_vars <= 24
             brute = solve_bruteforce(inst)
             exact = solve(inst)
-            greedy = solve_greedy(g, vm)
+            greedy = solve_greedy(g)
             assert exact.objective == pytest.approx(brute.objective, abs=1e-9), (
                 f"seed {seed}"
             )
@@ -434,8 +435,8 @@ class TestDifferentialAtPipelineScale:
     @pytest.mark.parametrize("generator", sorted(PIPELINE_SCENES))
     def test_agrees_with_bruteforce_and_pairwise_milp(self, generator, seed, tmp_path):
         g = pipeline_graph(generator, seed, tmp_path)
-        inst, vm = formulate(g)
-        exact = solve(inst, start=solve_greedy(g, vm).x)
+        inst, _ = formulate(g)
+        exact = solve(inst, start=solve_greedy(g).x)
         assert exact.status == "optimal"
         assert check_solution(inst, exact.x) == []
 
@@ -575,7 +576,7 @@ class TestWarmStart:
         ]
         for k, g in enumerate(graphs):
             exact, _ = solve_graph(cfg, g)
-            greedy = solve_greedy(g, formulate(g)[1])
+            greedy = solve_greedy(g)
             assert exact.objective <= greedy.objective + 1e-9, k
 
     def test_property_checked_bounded_and_no_worse_than_greedy(self):
@@ -585,13 +586,13 @@ class TestWarmStart:
         for seed in range(60):
             max_nodes = 1 + seed * 67 % 200
             g, parts = random_joined_graph(np.random.default_rng(seed))
-            inst, vm = formulate(g)
+            inst, _ = formulate(g)
             seen.add(repr((inst.costs.tolist(), list(inst.constraints.tuples()))))
             assert len(constraint_components(inst)) >= len(parts)
             exact, _ = solve_graph(config_from_dict({"solve": {"max_nodes": max_nodes}}), g)
             assert check_solution(inst, exact.x) == []
             assert exact.bound <= exact.objective
-            assert exact.objective <= solve_greedy(g, vm).objective + 1e-9
+            assert exact.objective <= solve_greedy(g).objective + 1e-9
             assert exact.nodes <= max_nodes
         assert len(seen) == 60
 
@@ -609,7 +610,7 @@ class TestWarmStartOnlyUnderBudget:
         seen = []
         greedy = pipeline_mod.solve_greedy
         monkeypatch.setattr(
-            pipeline_mod, "solve_greedy", lambda graph, varmap: seen.append(1) or greedy(graph, varmap)
+            pipeline_mod, "solve_greedy", lambda graph: seen.append(1) or greedy(graph)
         )
         for g in [strict_gap_graph()] + [random_graph(np.random.default_rng(s)) for s in range(5)]:
             seen.clear()
@@ -645,8 +646,8 @@ class TestGraphArraysMatchReference:
 
     @staticmethod
     def check_selection(g: TrackingGraph) -> None:
-        inst, vm = formulate(g)
-        got, want = solve_greedy(g, vm), graph_reference.solve_greedy(g, vm)
+        inst, _ = formulate(g)
+        got, want = solve_greedy(g), graph_reference.solve_greedy(g)
         np.testing.assert_array_equal(got.x, want.x)
         assert got.nodes == want.nodes
         # the reference adds the costs up in set order, the array form in one
@@ -654,13 +655,13 @@ class TestGraphArraysMatchReference:
         assert got.objective == objective_value(inst, got.x)
         assert got.objective == pytest.approx(want.objective, rel=1e-12, abs=1e-12)
         for x in (got.x, solve(inst).x):
-            lin, ref = extract_lineage(g, vm, x), graph_reference.extract_lineage(g, vm, x)
+            lin, ref = extract_lineage(g, x), graph_reference.extract_lineage(g, x)
             assert (lin.tracks, lin.members, lin.end_reason) == (ref.tracks, ref.members, ref.end_reason)
 
     def test_generated_graphs(self):
         for seed in range(100):
             *args, kwargs = random_graph_inputs(np.random.default_rng(seed))
-            g = build_graph(*args, **kwargs)
+            g = keyed_graph(*args, **kwargs)
             assert _fields(g.edges) == _fields(graph_reference.edge_list(*args, **kwargs)), seed
             self.check_selection(g)
             self.check_selection(random_joined_graph(np.random.default_rng(seed))[0])
@@ -685,6 +686,7 @@ class TestGraphArraysMatchReference:
     @pytest.mark.parametrize("generator", sorted(PIPELINE_SCENES))
     def test_pipeline_graph(self, generator, seed, tmp_path, monkeypatch):
         g, (args, kwargs) = pipeline_graph_inputs(generator, seed, tmp_path, monkeypatch)
+        args, kwargs = graph_reference.id_keyed(*args, **kwargs)
         assert _fields(g.edges) == _fields(graph_reference.edge_list(*args, **kwargs))
         self.check_selection(g)
 
@@ -701,7 +703,7 @@ class TestSolveGraphChecksSelection:
         everything = np.ones(formulate(g)[0].n_vars, dtype=np.int8)
         bad = SolveResult("optimal", everything, 0.0, 0.0, 0.0, 0, 0.0)
         monkeypatch.setattr(pipeline_mod, "solve", lambda instance, **kwargs: bad)
-        monkeypatch.setattr(pipeline_mod, "solve_greedy", lambda graph, varmap: bad)
+        monkeypatch.setattr(pipeline_mod, "solve_greedy", lambda graph: bad)
         with pytest.raises(RuntimeError, match="infeasible selection"):
             solve_graph(config_from_dict({"solve": {"backend": backend}}), g)
 
@@ -709,9 +711,9 @@ class TestSolveGraphChecksSelection:
 class TestStrictGapFixture:
     def test_exact_beats_greedy(self):
         g = strict_gap_graph()
-        inst, vm = formulate(g)
+        inst, _ = formulate(g)
         exact = solve(inst)
-        greedy = solve_greedy(g, vm)
+        greedy = solve_greedy(g)
         brute = solve_bruteforce(inst)
         assert brute.objective == pytest.approx(-15.7)
         assert exact.objective == pytest.approx(-15.7)
@@ -720,9 +722,9 @@ class TestStrictGapFixture:
 
     def test_lineages(self):
         g = strict_gap_graph()
-        inst, vm = formulate(g)
+        inst, _ = formulate(g)
         exact = solve(inst)
-        lin = extract_lineage(g, vm, exact.x)
+        lin = extract_lineage(g, exact.x)
         assert len(lin.tracks) == 3
         validate_tracks(lin.tracks)
         assert lin.end_reason[1] == "division"
@@ -730,8 +732,8 @@ class TestStrictGapFixture:
         assert {lin.tracks[1].parent, lin.tracks[2].parent} == {1}
         assert sorted([lin.members[2], lin.members[3]]) == [[1], [2]]
 
-        greedy = solve_greedy(g, vm)
-        glin = extract_lineage(g, vm, greedy.x)
+        greedy = solve_greedy(g)
+        glin = extract_lineage(g, greedy.x)
         assert len(glin.tracks) == 2
         assert glin.members[1] == [0, 1]
         assert glin.end_reason[1] == "exit"
@@ -744,10 +746,10 @@ class TestStrictGapFixture:
             strict_gap_graph(), node_cost=np.array([-4.0, 1.0, 1.0]), move_cost=np.array([5.0]),
             mitosis_cost=np.array([-10.0]), conflicts=np.array([[1, 2]]),
         )
-        inst, vm = formulate(g)
-        greedy = solve_greedy(g, vm)
+        inst, _ = formulate(g)
+        greedy = solve_greedy(g)
         assert check_solution(inst, greedy.x) == []
-        np.testing.assert_array_equal(greedy.x, graph_reference.solve_greedy(g, vm).x)
+        np.testing.assert_array_equal(greedy.x, graph_reference.solve_greedy(g).x)
         assert greedy.objective == pytest.approx(solve(inst).objective) == pytest.approx(-3.8)
 
     def test_extract_rejects_inconsistent_selection(self):
@@ -756,7 +758,7 @@ class TestStrictGapFixture:
         x = np.zeros(inst.n_vars, dtype=np.int8)
         x[vm.node_var[0]] = 1  # selected proposal with no incoming edge
         with pytest.raises(ValueError):
-            extract_lineage(g, vm, x)
+            extract_lineage(g, x)
 
 
 class TestInstanceSerialization:
