@@ -1,11 +1,13 @@
 """Axis-aligned boxes, pixel masks, and the raster primitives built on them."""
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
+
+from .compiled import load_compiled
 
 
 @dataclass(frozen=True)
@@ -270,6 +272,33 @@ def anchor_decode(d: BoxDelta, anchor: BBox) -> BBox:
     )
 
 
+@functools.cache
+def _ndimage():
+    """(label into a given grid, find_objects): scipy.ndimage's compiled
+    routines, loaded on first use (see ``compiled``), or its public ones,
+    which take the same arguments, when either module cannot be loaded."""
+    labels = load_compiled("ndimage._ni_label", ("_label",))
+    objects = load_compiled("ndimage._nd_image", ("find_objects",))
+    if labels and objects:
+        return labels._label, objects.find_objects
+    from scipy import ndimage
+    return ndimage.label, ndimage.find_objects
+
+
+def label(binary: np.ndarray, structure: np.ndarray) -> tuple[np.ndarray, int]:
+    """``scipy.ndimage.label(binary, structure)`` for a boolean array and a
+    boolean structure of its rank: the label grid, int32 below 2**31 - 2
+    cells as scipy's, and the number of components."""
+    out = np.empty(binary.shape, np.intp if binary.size >= 2**31 - 2 else np.int32)
+    return out, _ndimage()[0](binary, structure, out) if binary.size else 0
+
+
+def find_objects(labels: np.ndarray, count: int) -> list:
+    """``scipy.ndimage.find_objects(labels, count)``, given the count the
+    caller holds, so that no pass over ``labels`` looks for its maximum."""
+    return _ndimage()[1](labels, count)
+
+
 def label_masks(grid: np.ndarray) -> dict[int, Mask]:
     """Positive label -> tight mask of its pixels, in ascending label order.
 
@@ -284,7 +313,7 @@ def label_masks(grid: np.ndarray) -> dict[int, Mask]:
     dense = np.zeros(grid.shape, dtype=np.int32)
     dense[fg] = np.searchsorted(labels, values) + 1
     return {
-        int(label): Mask(sl[1].start, sl[0].start, dense[sl] == idx)
-        for idx, (label, sl) in enumerate(zip(labels, ndimage.find_objects(dense)), start=1)
+        int(value): Mask(sl[1].start, sl[0].start, dense[sl] == idx)
+        for idx, (value, sl) in enumerate(zip(labels, find_objects(dense, len(labels))), start=1)
     }
 

@@ -6,9 +6,8 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
-from .geometry import Mask, _expand, mask_intersections
+from .geometry import Mask, _expand, find_objects, label, mask_intersections
 
 # Overlap threshold for candidate pruning.
 MASK_NMS_IOU = 0.7
@@ -26,7 +25,7 @@ _EIGHT = np.ones((3, 3), dtype=bool)
 # 8-connectivity within each plane of a 3-d block, and none across planes
 _PLANES = np.zeros((3, 3, 3), dtype=bool)
 _PLANES[1] = True
-# Frame cells of the peak windows grown per ndimage.label call.
+# Frame cells of the peak windows grown per label call.
 _GROW_BLOCK_CELLS = 1 << 18
 # Same-frame pairs above either limit may not both be selected (strictly above).
 CONFLICT_IOU = 0.5
@@ -149,11 +148,11 @@ def multi_threshold_proposals(
     objects: dict[int, list] = {}
     out = []
     for rank, k in enumerate(kept):
-        l, label = int(level_of[k]), int(label_of[k])
+        l, lab = int(level_of[k]), int(label_of[k])
         if l not in objects:
-            objects[l] = ndimage.find_objects(ladder[l].labels)
-        sl = objects[l][label - 1]
-        mask = Mask(sl[1].start, sl[0].start, ladder[l].labels[sl] == label)
+            objects[l] = find_objects(ladder[l].labels, len(ladder[l].area))
+        sl = objects[l][lab - 1]
+        mask = Mask(sl[1].start, sl[0].start, ladder[l].labels[sl] == lab)
         out.append(Proposal(id=start_id + rank, t=frame.t, mask=mask, raw_score=float(score[k])))
     return out
 
@@ -183,12 +182,12 @@ class _Components:
     """8-connected components of one threshold level: the label grid, each
     component's area and one of its pixels (flat index), by label - 1.
 
-    ``ndimage.label`` numbers components in raster order of their first
+    ``label`` numbers components in raster order of their first
     pixel, so label order is the row-major scan order of the components.
     """
 
     def __init__(self, binary: np.ndarray):
-        self.labels, count = ndimage.label(binary, structure=_EIGHT)
+        self.labels, count = label(binary, _EIGHT)
         flat = self.labels.ravel()
         fg = np.flatnonzero(flat)
         self.area = np.bincount(flat[fg], minlength=count + 1)[1:]
@@ -219,17 +218,24 @@ def _log_grid(shape: tuple[int, ...], sigmas: tuple[float, ...]) -> tuple[int, t
 def _log_spectra(shape: tuple[int, ...], sigmas: tuple[float, ...]) -> np.ndarray:
     """Half-spectra of the kernels ``-(s**2) * LoG_s`` for frames of ``shape``.
 
-    Each kernel is scipy's own: its response to a centred delta, rolled so
-    the centre sits at the origin of the FFT grid.  Read-only, because the
-    cache hands the same array to every caller.
+    Each kernel is scipy's own by value: its ``gaussian_laplace`` of a delta
+    is two outer products of its 1-d kernels, one rounding each, summed.  It
+    is rolled so its centre sits at the origin of the FFT grid.  Read-only,
+    because the cache hands the same array to every caller.
     """
     radius, size = _log_grid(shape, sigmas)
-    width = 2 * radius + 1
-    delta = np.zeros((width, width))
-    delta[radius, radius] = 1.0
     kernels = np.zeros((len(sigmas),) + size)
     for k, s in enumerate(sigmas):
-        kernels[k, :width, :width] = -(s ** 2) * ndimage.gaussian_laplace(delta, sigma=s, mode="constant")
+        # scipy's 1-d kernels of order 0 and 2 by the operations of its
+        # _gaussian_kernel1d: g2 = q(x) * g0, q = 1 stepped twice by q' - q * x / s**2
+        r = int(4.0 * s + 0.5)
+        x = np.arange(-r, r + 1)
+        g0 = np.exp(-0.5 / (s * s) * x ** 2)
+        g0 = g0 / g0.sum()
+        q_deriv = np.diag(np.arange(1, 3), 1) + np.diag(np.ones(2) / -(s * s), -1)
+        g2 = (x[:, None] ** np.arange(3)).dot(q_deriv.dot(q_deriv.dot([1.0, 0.0, 0.0]))) * g0
+        window = slice(radius - r, radius + r + 1)
+        kernels[k, window, window] = -(s ** 2) * (np.outer(g2, g0) + np.outer(g0, g2))
     spectra = np.fft.rfft2(np.roll(kernels, (-radius, -radius), axis=(1, 2)))
     spectra.flags.writeable = False
     return spectra
@@ -310,7 +316,7 @@ def log_blob_proposals(
     least each of its 26 (scale, row, col) neighbours, edges nearest; only the
     responses that can clear the threshold are tested.  Scores are responses
     normalized by the frame's strongest response.  Peaks are grown strongest
-    first, a block of a few hundred per ``ndimage.label`` call, and only the
+    first, a block of a few hundred per ``label`` call, and only the
     candidates whose boxes overlap are compared for suppression.
     """
     if not sigmas:
@@ -364,7 +370,7 @@ def _grow_peaks(
 
     Each peak's clipped window is cut from the frame into one plane of a
     ``(P, 2R+1, 2R+1)`` block, R the widest window, centred on the plane,
-    with False outside the window; one ``ndimage.label`` call, whose
+    with False outside the window; one ``label`` call, whose
     structure joins no two planes, labels every plane at once.
     """
     h, w = img.shape
@@ -378,9 +384,9 @@ def _grow_peaks(
     patch = img[np.clip(r, 0, h - 1)[:, :, None], np.clip(c, 0, w - 1)[:, None, :]]
     block = patch >= (img[rows, cols] / 2.0)[:, None, None]
     block &= in_r[:, :, None] & in_c[:, None, :]
-    labels, count = ndimage.label(block, structure=_PLANES)
+    labels, count = label(block, _PLANES)
     area = np.bincount(labels.ravel(), minlength=count + 1)
-    objects = ndimage.find_objects(labels)
+    objects = find_objects(labels, count)
     out: list[tuple[Mask, int] | None] = []
     for p, lab in enumerate(labels[:, half, half].tolist()):
         if lab == 0:

@@ -16,14 +16,12 @@ solve_bruteforce() enumerates every assignment and anchors the tests.
 """
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
-import os
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .compiled import load_compiled
 from .graph import TrackingGraph
 from .io import FormatError, TrackRow, read_json_file, write_json_file
 
@@ -339,31 +337,12 @@ class _Run:
 
 
 def _highs_extension():
-    """scipy's compiled HiGHS module, loaded by file path on first use, or
-    None when this scipy has no usable one.
-
-    Importing scipy.optimize to reach HiGHS costs about 20 MiB of peak
-    memory; the compiled module alone costs about 2 MiB.  It is private scipy
-    API, so the names the backend reads are checked, and the caller falls
-    back to scipy.optimize.milp when this returns None.
-    """
+    """scipy's compiled HiGHS module, loaded on first use (see ``compiled``),
+    or None when this scipy has no usable one: the caller then falls back to
+    scipy.optimize.milp."""
     global _highs_module
     if _highs_module is None:
-        _highs_module = False
-        import scipy
-
-        stem = os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy", "_core")
-        suffixes = importlib.machinery.EXTENSION_SUFFIXES
-        paths = [stem + s for s in suffixes if os.path.exists(stem + s)]
-        if paths:
-            spec = importlib.util.spec_from_file_location("scipy.optimize._highspy._core", paths[0])
-            try:
-                module = importlib.util.module_from_spec(spec)
-                spec.loader.exec_module(module)
-            except ImportError:
-                return None
-            if all(hasattr(module, name) for name in _HIGHS_NAMES):
-                _highs_module = module
+        _highs_module = load_compiled("optimize._highspy._core", _HIGHS_NAMES) or False
     return _highs_module or None
 
 

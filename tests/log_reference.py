@@ -1,7 +1,8 @@
 """The LoG generator written plainly: one batched inverse FFT over every
 sigma at once, each peak grown by its own ``ndimage.label`` call, and the
-suppression over every candidate pair.  References for
-``proposals._log_stack`` and ``proposals.log_blob_proposals``."""
+suppression over every candidate pair; and the kernel spectra from
+scipy's own ``gaussian_laplace``.  References for ``proposals._log_stack``,
+``proposals._log_spectra`` and ``proposals.log_blob_proposals``."""
 from __future__ import annotations
 
 import math
@@ -22,6 +23,20 @@ from lineage_ilp.proposals import (
 )
 
 _EIGHT = np.ones((3, 3), dtype=bool)
+
+
+def log_spectra(shape: tuple[int, ...], sigmas: tuple[float, ...]) -> np.ndarray:
+    """Half-spectra of the kernels ``-(s**2) * LoG_s``, each kernel scipy's
+    response to a centred delta in the widest kernel's grid, rolled so the
+    centre sits at the origin of the FFT grid."""
+    radius, size = _log_grid(shape, sigmas)
+    width = 2 * radius + 1
+    delta = np.zeros((width, width))
+    delta[radius, radius] = 1.0
+    kernels = np.zeros((len(sigmas),) + size)
+    for k, s in enumerate(sigmas):
+        kernels[k, :width, :width] = -(s ** 2) * ndimage.gaussian_laplace(delta, sigma=s, mode="constant")
+    return np.fft.rfft2(np.roll(kernels, (-radius, -radius), axis=(1, 2)))
 
 
 def batched_log_stack(img: np.ndarray, sigmas: tuple[float, ...]) -> np.ndarray:

@@ -1,23 +1,29 @@
+import importlib.util
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
+from lineage_ilp.compiled import load_compiled
 from lineage_ilp.geometry import (
     BBox,
     BoxDelta,
     Mask,
     anchor_decode,
     anchor_encode,
+    find_objects,
     iou_box,
     iou_mask,
+    label,
     label_masks,
     mask_intersections,
     nms,
 )
 from lineage_ilp.features import _frame_pixels
-from lineage_ilp.proposals import Proposal
+from lineage_ilp.proposals import _EIGHT, _PLANES, Proposal
 from overlap_reference import mask_intersection_area
 
 
@@ -427,3 +433,82 @@ class TestLabelMasks:
         for _ in range(20):
             grid = rng.integers(0, 6, size=(9, 11)) * rng.integers(0, 2, size=(9, 11))
             self.assert_matches_reference(grid)
+
+
+def _binary_arrays(shape, seeds=range(12)):
+    """Random boolean arrays of ``shape`` from sparse to dense, and all-False."""
+    arrays = [np.zeros(shape, dtype=bool)]
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        arrays.append(rng.random(shape) < rng.uniform(0.05, 0.95))
+    return arrays
+
+
+class TestLabelWrappersMatchScipy:
+    """``label`` and ``find_objects`` call scipy's compiled routines directly
+    and return what scipy.ndimage returns: the same grid, dtype, count and
+    slices."""
+
+    def assert_same(self, binary, structure):
+        got, count = label(binary, structure)
+        want, want_count = ndimage.label(binary, structure=structure)
+        assert got.dtype == want.dtype == np.int32
+        assert np.array_equal(got, want)
+        assert count == want_count
+        assert find_objects(got, count) == ndimage.find_objects(want)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 40), (33, 1), (40, 50), (128, 128)])
+    def test_frames_with_eight_connectivity(self, shape):
+        for binary in _binary_arrays(shape):
+            self.assert_same(binary, _EIGHT)
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (5, 13, 13), (40, 7, 7), (3, 25, 25)])
+    def test_blocks_with_planes_apart(self, shape):
+        for binary in _binary_arrays(shape):
+            self.assert_same(binary, _PLANES)
+
+    def test_planes_never_join(self):
+        binary = np.ones((4, 5, 5), dtype=bool)
+        labels, count = label(binary, _PLANES)
+        assert count == 4
+        assert [sl[0] for sl in find_objects(labels, count)] == [slice(p, p + 1) for p in range(4)]
+
+    def test_empty_array(self):
+        labels, count = label(np.zeros((0, 6), dtype=bool), _EIGHT)
+        assert (labels.shape, labels.dtype, count) == ((0, 6), np.int32, 0)
+        assert find_objects(labels, count) == []
+
+
+class TestCompiledLoader:
+    def test_missing_module_or_name_gives_none(self):
+        assert load_compiled("ndimage._no_such_module", ("find_objects",)) is None
+        assert load_compiled("ndimage._nd_image", ("find_objects", "no_such_name")) is None
+
+    def test_loads_take_turns(self, monkeypatch):
+        # proposal frames label on threads; a module loaded by two threads at
+        # once can come back half initialised, or raise, so loads are serial
+        real = importlib.util.module_from_spec
+        active, peak = [], []
+
+        def slow(spec):
+            active.append(spec.name)
+            peak.append(len(active))
+            time.sleep(0.02)
+            try:
+                return real(spec)
+            finally:
+                active.pop()
+
+        monkeypatch.setattr(importlib.util, "module_from_spec", slow)
+        loaded = []
+        threads = [
+            threading.Thread(target=lambda: loaded.append(load_compiled("ndimage._nd_image", ("find_objects",))))
+            for _ in range(4)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert len(loaded) == 4 and None not in loaded
+        assert max(peak) == 1

@@ -761,6 +761,47 @@ class TestImportCost:
         )
         assert self.run_python(code) == "False"
 
+    # scipy.ndimage's Python layer adds about 25 MiB of peak memory (its
+    # array-API shims import scipy.special, numpy.testing and more); the
+    # package loads scipy's two compiled labelling modules alone, on first use
+    NDIMAGE_ABSENT = "print([m for m in ('scipy.ndimage', 'scipy.special') if m in sys.modules]); "
+
+    def test_pipeline_and_cli_leave_scipy_ndimage_unimported(self):
+        code = "import sys, lineage_ilp.pipeline, lineage_ilp.cli; " + self.NDIMAGE_ABSENT
+        assert self.run_python(code) == "[]"
+
+    @pytest.mark.parametrize("generator", ["truth", "multi_threshold", "log"])
+    def test_e2e_runs_leave_scipy_ndimage_unimported(self, generator, tmp_path):
+        doc = {
+            "seed": 3,
+            "proposals": {"generator": generator},
+            "sim": {"frames": 4, "width": 64, "height": 64, "initial_cells": 4},
+        }
+        code = (
+            "import sys; from lineage_ilp.config import config_from_dict; "
+            "from lineage_ilp.pipeline import run_e2e; "
+            f"run_e2e(config_from_dict({doc!r}), {str(tmp_path)!r}); "
+            "from lineage_ilp.geometry import _ndimage; print(_ndimage.cache_info().currsize); "
+            + self.NDIMAGE_ABSENT
+        )
+        assert self.run_python(code).split("\n") == ["1", "[]"]  # labelled, and scipy.ndimage not imported
+        assert os.path.exists(tmp_path / "report.json")
+
+    @pytest.mark.parametrize("ndimage_first", [False, True])
+    def test_labels_and_scipy_ndimage_load_in_either_order(self, ndimage_first):
+        package = (
+            "from lineage_ilp.geometry import find_objects, label; "
+            "r = label(a, s); r_obj = find_objects(*r); "
+        )
+        public = "from scipy import ndimage; p = ndimage.label(a, s); p_obj = ndimage.find_objects(p[0]); "
+        first, second = (public, package) if ndimage_first else (package, public)
+        code = (
+            "import numpy as np; a = np.random.default_rng(1).random((60, 70)) < 0.45; "
+            "s = np.ones((3, 3), dtype=bool); " + first + second
+            + "print(r[0].dtype == p[0].dtype, np.array_equal(r[0], p[0]), r[1] == p[1] > 1, r_obj == p_obj)"
+        )
+        assert self.run_python(code) == "True True True True"
+
     SMALL_SOLVE = (
         "import numpy as np; from lineage_ilp.solve import IlpInstance, solve; "
         "r = solve(IlpInstance.from_rows(np.array([-1.0, -2.0, -1.5]), "

@@ -1,13 +1,19 @@
+import importlib.machinery
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 
+from lineage_ilp import geometry as geometry_mod
 from lineage_ilp import proposals as proposals_mod
-from lineage_ilp.geometry import Mask
+from lineage_ilp.geometry import Mask, find_objects, label, label_masks
 from lineage_ilp.io import write_proposals
 from lineage_ilp.proposals import (
+    _EIGHT,
+    _PLANES,
     CONFLICT_COVER,
     CONFLICT_IOU,
     DEFAULT_AREA_BOUNDS,
@@ -329,6 +335,73 @@ class TestLogStackMatchesReference:
             outputs.append(path.read_bytes())
         assert len(outputs[0]) > 0
         assert outputs[0] == outputs[1]
+
+
+class TestLogSpectraMatchReference:
+    """The kernels built in numpy give bit for bit the spectra of the kernels
+    scipy's ``gaussian_laplace`` makes from a delta.  Spectra are compared,
+    not kernel grids: the grids are equal by value, but scipy leaves -0.0 in
+    many zero cells of each kernel smaller than the widest, where the numpy
+    build holds +0.0."""
+
+    @staticmethod
+    def assert_bitwise(shape, sigmas):
+        got = _log_spectra(shape, sigmas)
+        want = log_reference.log_spectra(shape, sigmas)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("shape", [(200, 200), (128, 128)])
+    def test_default_sigmas(self, shape):
+        self.assert_bitwise(shape, DEFAULT_SIGMAS)
+
+    @settings(max_examples=80)
+    @given(
+        sigmas=st.lists(st.floats(0.3, 12.0), min_size=1, max_size=5).map(tuple),
+        shape=st.tuples(st.integers(1, 90), st.integers(1, 90)),
+    )
+    def test_drawn_sigmas_and_shapes(self, sigmas, shape):
+        self.assert_bitwise(shape, sigmas)
+
+
+class TestNdimageFallback:
+    """With scipy's compiled labelling modules not loadable, the wrappers
+    call scipy.ndimage, and every label, slice and proposal stays the same."""
+
+    @staticmethod
+    def outputs():
+        rng = np.random.default_rng(4)
+        labelled = []
+        for binary, structure in [
+            (rng.random((40, 50)) < 0.4, _EIGHT),
+            (np.zeros((9, 7), dtype=bool), _EIGHT),
+            (rng.random((6, 11, 11)) < 0.5, _PLANES),
+            (np.zeros((3, 5, 5), dtype=bool), _PLANES),
+        ]:
+            grid, count = label(binary, structure)
+            labelled.append((grid.dtype, grid.tobytes(), count, find_objects(grid, count)))
+        masks = label_masks(rng.integers(0, 9, size=(30, 30)) * (rng.random((30, 30)) < 0.5))
+        frames = simulate(SimConfig(frames=2, width=64, height=64, initial_cells=6), 2).frames
+        props = [multi_threshold_proposals(f, start_id=10 * f.t) for f in frames]
+        props += [log_blob_proposals(f, start_id=10 * f.t) for f in frames]
+        return labelled, masks, props
+
+    def test_same_labels_slices_and_proposals(self, monkeypatch):
+        compiled = self.outputs()
+        assert geometry_mod._ndimage()[0] is not ndimage.label
+        # with no extension suffix to try, the loader finds no module
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
+        geometry_mod._ndimage.cache_clear()
+        try:
+            assert geometry_mod._ndimage() == (ndimage.label, ndimage.find_objects)
+            public = self.outputs()
+        finally:
+            geometry_mod._ndimage.cache_clear()  # loaded again once the patch is undone
+        assert compiled[0] == public[0]
+        assert compiled[1] == public[1] and len(compiled[1]) == 8
+        assert sum(map(len, compiled[2])) > 0
+        for got, want in zip(compiled[2], public[2]):
+            assert_same_proposals(got, want)
 
 
 def _reference_log_blobs(frame, start_id=0, **kwargs):
