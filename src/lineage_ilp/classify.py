@@ -321,25 +321,21 @@ class ConstantModel:
 
 
 def predict_prob(model: RandomForest | ConstantModel, features: np.ndarray) -> np.ndarray:
-    """Mean positive fraction over trees; accepts (n, d) or a single (d,) row."""
+    """Mean positive fraction over trees of each row of the (n, d) ``features``."""
     X = np.asarray(features, dtype=np.float64)
-    single = X.ndim == 1
-    if single:
-        X = X[None, :]
     if X.ndim != 2 or X.shape[1] != model.n_features:
         raise ValueError(
             f"expected {model.n_features} features, got shape {X.shape}"
         )
     if isinstance(model, ConstantModel):
-        acc = np.full(X.shape[0], model.p)
-        return acc[0] if single else acc
+        return np.full(X.shape[0], model.p)
     acc = np.zeros(X.shape[0])
     step = max(1, PAIRS_PER_WALK // max(X.shape[0], 1))
     for lo in range(0, len(model.trees), step):
         for leaf_values in _forest_leaf_values(model.trees[lo : lo + step], X):
             acc += leaf_values  # in tree order, as a tree-by-tree sum adds them
     acc /= len(model.trees)
-    return acc[0] if single else acc
+    return acc
 
 
 # (tree, row) pairs walked at once: the whole forest on a few hundred rows,

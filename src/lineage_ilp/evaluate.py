@@ -36,7 +36,11 @@ class GroundTruth:
         validate_tracks(self.tracks)
         spans = {row.label: row for row in self.tracks}
         for t, rows in self.markers.items():
+            seen: set[int] = set()
             for track_id, _x, _y in rows:
+                if track_id in seen:
+                    raise ValueError(f"second marker for track {track_id} at frame {t}")
+                seen.add(track_id)
                 row = spans.get(track_id)
                 if row is None:
                     raise ValueError(f"marker references unknown track {track_id}")

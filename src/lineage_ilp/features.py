@@ -28,8 +28,14 @@ are gathered by index, the difference statistics are axis reductions, and
 the plain and centroid-aligned mask IoUs of every pair come from one call
 of ``geometry.mask_intersections``.  Only centroid distances, alignment
 shifts and the parent's distance to the daughters' line are worked out link
-by link, as Python floats.  ``move_features`` and ``mitosis_features`` are
-one-row calls of the same code.
+by link, as Python floats.
+
+Each vector kind has one batch call over what the pipeline stages hold:
+``proposal_feature_matrix`` over the proposals and the frames,
+``move_feature_matrix`` and ``mitosis_feature_matrix`` over the proposal
+vectors and probabilities and the (m, 2) and (s, 3) position arrays the
+graph's enumerators return.  ``proposal_features`` and ``mitosis_features``
+are one-row calls of the same code.
 """
 from __future__ import annotations
 
@@ -187,8 +193,23 @@ def _frame_pixels(props: list[Proposal], intensity: np.ndarray):
     return (m_k, m_rows, m_cols), (b_k, b_rows, b_cols), near
 
 
-def proposal_feature_rows(props: list[Proposal], frame: Frame) -> np.ndarray:
-    """``proposal_features`` of each proposal of one frame, one row each.
+def proposal_feature_matrix(props: list[Proposal], frames: list[Frame]) -> np.ndarray:
+    """Proposal vectors in the order of ``props``, proposal ``p`` of frame
+    ``frames[p.t]``; one pass per frame.  A proposal of no given frame is a
+    ValueError."""
+    by_t: dict[int, list[int]] = {}
+    for i, p in enumerate(props):
+        if not 0 <= p.t < len(frames):
+            raise ValueError(f"proposal {p.id} references frame {p.t} of {len(frames)}")
+        by_t.setdefault(p.t, []).append(i)
+    out = np.zeros((len(props), PROPOSAL_DIM))
+    for t, idx in by_t.items():
+        out[idx] = _frame_rows([props[i] for i in idx], frames[t])
+    return out
+
+
+def _frame_rows(props: list[Proposal], frame: Frame) -> np.ndarray:
+    """``proposal_features`` of one or more proposals of one frame, one row each.
 
     Only the masks' pixels are binned; their boundaries and the nearest
     outside means come from one stack per run of proposals, and every
@@ -197,8 +218,6 @@ def proposal_feature_rows(props: list[Proposal], frame: Frame) -> np.ndarray:
     """
     n = len(props)
     out = np.zeros((n, PROPOSAL_DIM))
-    if n == 0:
-        return out
     intensity = frame.intensity
     height, width = intensity.shape
     for p in props:
@@ -256,7 +275,7 @@ def _polar_hist(centroids: np.ndarray, b_rows, b_cols, b_count) -> np.ndarray:
 
 def proposal_features(p: Proposal, frame: Frame) -> np.ndarray:
     """92-entry appearance vector; invariant to joint translation of mask and image."""
-    return proposal_feature_rows([p], frame)[0]
+    return _frame_rows([p], frame)[0]
 
 
 def centroid_distance(a: Proposal, b: Proposal) -> float:
@@ -298,13 +317,14 @@ def _link_geometry(props: list[Proposal], a: np.ndarray, b: np.ndarray):
     return np.array(dist, dtype=np.float64), iou[:n], iou[n:]
 
 
-def move_feature_rows(props: list[Proposal], feats: np.ndarray, probs: np.ndarray, src, dst) -> np.ndarray:
-    """``move_features`` of each pair ``(props[src[k]], props[dst[k]])``, one
-    row each; ``feats`` and ``probs`` hold each proposal's vector and
-    probability, in the order of ``props``."""
-    src, dst = np.asarray(src, dtype=np.intp), np.asarray(dst, dtype=np.intp)
+def move_feature_matrix(props: list[Proposal], feats: np.ndarray, probs: np.ndarray, moves: np.ndarray) -> np.ndarray:
+    """195-entry link vector of each move ``(props[src], props[dst])`` of the
+    (m, 2) position array ``moves``, from frame t to t+1; ``feats`` and
+    ``probs`` hold each proposal's vector and probability, in the order of
+    ``props``."""
+    src, dst = moves.T
     f_i, f_j = feats[src], feats[dst]
-    out = np.empty((len(src), MOVE_DIM))
+    out = np.empty((len(moves), MOVE_DIM))
     out[:, 0:92] = f_i
     out[:, 92:184] = f_j
     out[:, 184], out[:, 185], out[:, 186] = _link_geometry(props, src, dst)
@@ -314,15 +334,19 @@ def move_feature_rows(props: list[Proposal], feats: np.ndarray, probs: np.ndarra
     return out
 
 
-def mitosis_feature_rows(props: list[Proposal], feats: np.ndarray, probs: np.ndarray, parent, d1, d2) -> np.ndarray:
-    """``mitosis_features`` of each triple ``(props[parent[k]], props[d1[k]],
-    props[d2[k]])``, one row each; ``feats`` and ``probs`` as for
-    ``move_feature_rows``.  Each triple's daughters go in ascending id."""
-    parent, d1, d2 = (np.asarray(v, dtype=np.intp) for v in (parent, d1, d2))
+def mitosis_feature_matrix(props: list[Proposal], feats: np.ndarray, probs: np.ndarray, sets: np.ndarray) -> np.ndarray:
+    """290-entry division vector of each triple ``(props[parent], props[d1],
+    props[d2])`` of the (s, 3) position array ``sets``; ``feats`` and
+    ``probs`` as for ``move_feature_matrix``.
+
+    The vector does not depend on the order the daughters are given in:
+    they go in ascending id, and the pairwise-distance block is sorted.
+    """
+    parent, d1, d2 = sets.T
     ids = np.array([p.id for p in props])
     swap = ids[d1] > ids[d2]
     d1, d2 = np.where(swap, d2, d1), np.where(swap, d1, d2)
-    n = len(parent)
+    n = len(sets)
     dist, iou, aligned = _link_geometry(props, np.concatenate([parent, parent, d1]), np.concatenate([d1, d2, d2]))
     d_pd1, d_pd2, d_dd = dist.reshape(3, n)
     out = np.empty((n, MITOSIS_DIM))
@@ -343,25 +367,6 @@ def mitosis_feature_rows(props: list[Proposal], feats: np.ndarray, probs: np.nda
     return out
 
 
-def move_features(
-    p_i: Proposal,
-    p_j: Proposal,
-    prob_i: float,
-    prob_j: float,
-    frame_i: Frame,
-    frame_j: Frame,
-    feat_i: np.ndarray | None = None,
-    feat_j: np.ndarray | None = None,
-) -> np.ndarray:
-    """195-entry link vector for a candidate move from p_i (frame t) to p_j (t+1)."""
-    if feat_i is None:
-        feat_i = proposal_features(p_i, frame_i)
-    if feat_j is None:
-        feat_j = proposal_features(p_j, frame_j)
-    feats = np.stack([feat_i, feat_j])
-    return move_feature_rows([p_i, p_j], feats, np.array([prob_i, prob_j], dtype=np.float64), [0], [1])[0]
-
-
 def mitosis_features(
     p: Proposal,
     d1: Proposal,
@@ -371,24 +376,11 @@ def mitosis_features(
     prob_d2: float,
     frame_parent: Frame,
     frame_daughters: Frame,
-    feat_p: np.ndarray | None = None,
-    feat_d1: np.ndarray | None = None,
-    feat_d2: np.ndarray | None = None,
 ) -> np.ndarray:
-    """290-entry division vector; invariant to the order the daughters are given in.
-
-    Daughters are canonicalized to ascending id, and the pairwise-distance
-    block is sorted.
-    """
-    if feat_p is None:
-        feat_p = proposal_features(p, frame_parent)
-    if feat_d1 is None:
-        feat_d1 = proposal_features(d1, frame_daughters)
-    if feat_d2 is None:
-        feat_d2 = proposal_features(d2, frame_daughters)
-    feats = np.stack([feat_p, feat_d1, feat_d2])
+    """``mitosis_feature_matrix`` of the one triple (p, d1, d2)."""
+    feats = np.stack([proposal_features(p, frame_parent), *_frame_rows([d1, d2], frame_daughters)])
     probs = np.array([prob_p, prob_d1, prob_d2], dtype=np.float64)
-    return mitosis_feature_rows([p, d1, d2], feats, probs, [0], [1], [2])[0]
+    return mitosis_feature_matrix([p, d1, d2], feats, probs, np.array([[0, 1, 2]]))[0]
 
 
 def _point_to_line(pt, a, b) -> float:

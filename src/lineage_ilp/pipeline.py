@@ -49,9 +49,9 @@ from .features import (
     MITOSIS_DIM,
     MOVE_DIM,
     PROPOSAL_DIM,
-    mitosis_feature_rows,
-    move_feature_rows,
-    proposal_feature_rows,
+    mitosis_feature_matrix,
+    move_feature_matrix,
+    proposal_feature_matrix,
 )
 from .geometry import label_masks
 from .graph import (
@@ -193,13 +193,12 @@ def load_dataset(directory, *, need_gt: bool = False) -> Dataset:
     return Dataset(frames=frames, gt=_read_ground_truth(directory, [arr.shape for arr in arrays]))
 
 
-def _dataset(data, *, need_gt: bool = False) -> Dataset:
+def _dataset(data) -> Dataset:
     """``data`` itself when it is a Dataset, else the dataset directory it
-    names, read; without ground truth where ``need_gt`` asks for it, a
-    FormatError in either form."""
+    names, read; without ground truth, a FormatError in either form."""
     if not isinstance(data, Dataset):
-        return load_dataset(data, need_gt=need_gt)
-    if need_gt and data.gt is None:
+        return load_dataset(data, need_gt=True)
+    if data.gt is None:
         raise FormatError("dataset has no gt/ directory")
     return data
 
@@ -262,7 +261,7 @@ def _proposal_threads(n_frames: int) -> int:
 def run_propose(cfg: PipelineConfig, data_dir, out_path) -> list[Proposal]:
     """Generate proposals and write them; returns them in ``(t, id)`` order,
     as ``read_proposals`` reads them back."""
-    ds = _dataset(data_dir, need_gt=True) if cfg.proposals.generator == "truth" else _frames(data_dir)
+    ds = _dataset(data_dir) if cfg.proposals.generator == "truth" else _frames(data_dir)
     props = generate_proposals(cfg, ds)
     props.sort(key=lambda p: (p.t, p.id))
     write_proposals(out_path, props)
@@ -296,37 +295,6 @@ def _group_by_frame(props: list[Proposal], frames: list[Frame]) -> list[list[Pro
     return out
 
 
-def proposal_feature_matrix(props: list[Proposal], frames_by_t: dict[int, Frame]) -> np.ndarray:
-    """Proposal feature rows in the order of ``props``, one pass per frame."""
-    by_t: dict[int, list[int]] = {}
-    for i, p in enumerate(props):
-        by_t.setdefault(p.t, []).append(i)
-    out = np.zeros((len(props), PROPOSAL_DIM))
-    for t, idx in by_t.items():
-        out[idx] = proposal_feature_rows([props[i] for i in idx], frames_by_t[t])
-    return out
-
-
-def move_feature_matrix(
-    props: list[Proposal], feats: np.ndarray, node_prob: np.ndarray, moves: np.ndarray
-) -> np.ndarray:
-    """Move rows of ``moves``, (source, destination) positions in ``props``,
-    whose vectors and probabilities are ``feats`` and ``node_prob``."""
-    if not len(moves):
-        return np.zeros((0, MOVE_DIM))
-    return move_feature_rows(props, feats, node_prob, moves[:, 0], moves[:, 1])
-
-
-def mitosis_feature_matrix(
-    props: list[Proposal], feats: np.ndarray, node_prob: np.ndarray, sets: np.ndarray
-) -> np.ndarray:
-    """Division rows of ``sets``, (parent, d1, d2) positions in ``props``, as
-    ``move_feature_matrix`` builds moves."""
-    if not len(sets):
-        return np.zeros((0, MITOSIS_DIM))
-    return mitosis_feature_rows(props, feats, node_prob, sets[:, 0], sets[:, 1], sets[:, 2])
-
-
 @dataclass
 class CandidateRows:
     """Classifier inputs of one proposal list, the candidates as positions
@@ -340,7 +308,7 @@ class CandidateRows:
 
 
 def candidate_rows(
-    frames: list[Frame],
+    by_frame: list[list[Proposal]],
     props: list[Proposal],
     feats: np.ndarray,
     proposal_model: RandomForest | ConstantModel,
@@ -348,12 +316,11 @@ def candidate_rows(
 ) -> CandidateRows:
     """Node probabilities, moves and division sets with their rows.
 
-    ``props`` are in (t, id) order and ``feats`` is their proposal feature
-    matrix; the move and division rows take the proposal model's
-    probabilities as features.  Division sets are enumerated only when
-    ``divisions`` is set.
+    ``props`` are in (t, id) order, ``by_frame`` is their
+    ``_group_by_frame`` and ``feats`` their proposal feature matrix; the
+    move and division rows take the proposal model's probabilities as
+    features.  Division sets are enumerated only when ``divisions`` is set.
     """
-    by_frame = _group_by_frame(props, frames)
     node_prob = predict_prob(proposal_model, feats)
     moves = enumerate_moves(by_frame, gating_radius)
     move_rows = move_feature_matrix(props, feats, node_prob, moves)
@@ -393,11 +360,11 @@ def run_train(cfg: PipelineConfig, data_dir, proposals_path, model_dir) -> Train
     ``run_e2e`` hands both to ``run_track``, so an end-to-end run computes
     every feature row once; ``track`` on its own computes them.
     """
-    ds = _dataset(data_dir, need_gt=True)
+    ds = _dataset(data_dir)
     props = _proposals(proposals_path)
-    _group_by_frame(props, ds.frames)  # a proposal outside the frames is a FormatError
+    by_frame = _group_by_frame(props, ds.frames)  # a proposal outside the frames is a FormatError
 
-    feats = proposal_feature_matrix(props, {f.t: f for f in ds.frames})
+    feats = proposal_feature_matrix(props, ds.frames)
     captured = captured_markers(props, ds.gt)
     pset = label_proposals(captured, feats)
     n_trees = cfg.classify.n_trees
@@ -410,7 +377,7 @@ def run_train(cfg: PipelineConfig, data_dir, proposals_path, model_dir) -> Train
     )
 
     rows = candidate_rows(
-        ds.frames, props, feats, node_model,
+        by_frame, props, feats, node_model,
         gating_radius=gating, mitosis_radius=mitosis_radius, mitosis_n=g.mitosis_n,
         divisions=True,
     )
@@ -522,11 +489,11 @@ def build_candidate_graph(
     computed for ``props`` under these models' radii (training's, in
     ``run_e2e``); without them the rows are computed here.
     """
-    _group_by_frame(props, ds.frames)  # a proposal outside the frames is a FormatError
+    by_frame = _group_by_frame(props, ds.frames)  # a proposal outside the frames is a FormatError
     if rows is None:
         rows = candidate_rows(
-            ds.frames, props,
-            proposal_feature_matrix(props, {f.t: f for f in ds.frames}),
+            by_frame, props,
+            proposal_feature_matrix(props, ds.frames),
             models.proposal,
             gating_radius=models.gating_radius,
             mitosis_radius=models.mitosis_radius,
@@ -598,24 +565,27 @@ def solve_graph(cfg: PipelineConfig, graph: TrackingGraph) -> tuple[SolveResult,
 
 
 def paint_lineage(
-    lineage: Lineage, by_id: dict[int, Proposal], shape: tuple[int, int], n_frames: int
+    lineage: Lineage, by_id: dict[int, Proposal], shapes: list[tuple[int, int]]
 ) -> list[np.ndarray]:
-    """Label grids with each track's masks; ascending track id wins overlaps."""
-    grids = [np.zeros(shape, dtype=np.int32) for _ in range(n_frames)]
+    """Label grids of these shapes, one per frame, with each track's masks;
+    ascending track id wins overlaps."""
+    grids = [np.zeros(shape, dtype=np.int32) for shape in shapes]
     for track_id in sorted(lineage.members):
         for pid in lineage.members[track_id]:
             p = by_id[pid]
+            height, width = shapes[p.t]
             rows, cols = p.mask.pixels()
-            keep = (rows >= 0) & (rows < shape[0]) & (cols >= 0) & (cols < shape[1])
+            keep = (rows >= 0) & (rows < height) & (cols >= 0) & (cols < width)
             grids[p.t][rows[keep], cols[keep]] = track_id
     return grids
 
 
-def write_result(out_dir, lineage: Lineage, props: list[Proposal], shape, n_frames: int) -> None:
+def write_result(out_dir, lineage: Lineage, props: list[Proposal], shapes: list[tuple[int, int]]) -> None:
+    """Write the lineage's tracks and one label grid per frame, of that frame's shape."""
     os.makedirs(out_dir, exist_ok=True)
     write_tracks(os.path.join(out_dir, "tracks.txt"), lineage.tracks)
     by_id = {p.id: p for p in props}
-    write_label_grids(os.path.join(out_dir, "seg"), paint_lineage(lineage, by_id, shape, n_frames))
+    write_label_grids(os.path.join(out_dir, "seg"), paint_lineage(lineage, by_id, shapes))
 
 
 @dataclass
@@ -644,8 +614,7 @@ def run_track(
     graph = build_candidate_graph(cfg, ds, props, models, rows)
     del rows  # training's arrays do not live through the solve
     result, lineage = solve_graph(cfg, graph)
-    shape = ds.frames[0].intensity.shape
-    write_result(out_dir, lineage, props, shape, len(ds.frames))
+    write_result(out_dir, lineage, props, [f.intensity.shape for f in ds.frames])
     log.info("tracked %d lineage tracks", len(lineage.tracks))
     return TrackRun(dataset=ds, props=props, graph=graph, result=result, lineage=lineage)
 
@@ -678,9 +647,8 @@ def _result_grids(result) -> tuple[list[TrackRow], list[np.ndarray], str]:
     from: a TrackRun's repainted as ``write_result`` paints them, else the
     result directory's, read."""
     if isinstance(result, TrackRun):
-        frames = result.dataset.frames
         by_id = {p.id: p for p in result.props}
-        grids = paint_lineage(result.lineage, by_id, frames[0].intensity.shape, len(frames))
+        grids = paint_lineage(result.lineage, by_id, [f.intensity.shape for f in result.dataset.frames])
         return sorted(result.lineage.tracks, key=lambda row: row.label), grids, "tracking result"
     seg_dir = os.path.join(result, "seg")
     return read_tracks(os.path.join(result, "tracks.txt")), read_label_grids(seg_dir), seg_dir
@@ -700,7 +668,7 @@ def run_eval(
     either way the result is scored as its written files give it.
     """
     if isinstance(data_dir, Dataset):
-        gt, shapes = _dataset(data_dir, need_gt=True).gt, [f.intensity.shape for f in data_dir.frames]
+        gt, shapes = _dataset(data_dir).gt, [f.intensity.shape for f in data_dir.frames]
     else:  # the frames' shapes only: scoring never reads an intensity
         shapes = read_frame_shapes(data_dir)
         gt = _read_ground_truth(data_dir, shapes)

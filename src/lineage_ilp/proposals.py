@@ -91,7 +91,6 @@ def multi_threshold_proposals(
     levels: int = 8,
     span: tuple[float, float] = (0.5, 1.5),
     area_bounds: tuple[int, int] = DEFAULT_AREA_BOUNDS,
-    start_id: int = 0,
 ) -> list[Proposal]:
     """Components over a ladder of thresholds around Otsu's level.
 
@@ -153,7 +152,7 @@ def multi_threshold_proposals(
             objects[l] = find_objects(ladder[l].labels, len(ladder[l].area))
         sl = objects[l][lab - 1]
         mask = Mask(sl[1].start, sl[0].start, ladder[l].labels[sl] == lab)
-        out.append(Proposal(id=start_id + rank, t=frame.t, mask=mask, raw_score=float(score[k])))
+        out.append(Proposal(id=rank, t=frame.t, mask=mask, raw_score=float(score[k])))
     return out
 
 
@@ -307,7 +306,6 @@ def log_blob_proposals(
     *,
     sigmas: tuple[float, ...] = (1.5, 2.0, 3.0, 4.0, 6.0),
     area_bounds: tuple[int, int] = DEFAULT_AREA_BOUNDS,
-    start_id: int = 0,
 ) -> list[Proposal]:
     """Scale-normalized Laplacian-of-Gaussian extrema grown to the half-peak level.
 
@@ -355,7 +353,7 @@ def log_blob_proposals(
     over = inter / (area[i] + area[j] - inter) > MASK_NMS_IOU
     kept = _suppress(np.array(scores), i[over], j[over])
     return [
-        Proposal(id=start_id + rank, t=frame.t, mask=candidates[idx], raw_score=scores[idx])
+        Proposal(id=rank, t=frame.t, mask=candidates[idx], raw_score=scores[idx])
         for rank, idx in enumerate(kept)
     ]
 

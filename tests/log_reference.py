@@ -67,7 +67,6 @@ def log_blob_proposals(
     *,
     sigmas: tuple[float, ...] = (1.5, 2.0, 3.0, 4.0, 6.0),
     area_bounds: tuple[int, int] = DEFAULT_AREA_BOUNDS,
-    start_id: int = 0,
 ) -> list[Proposal]:
     """Peaks of ``batched_log_stack`` strongest first, each grown by
     ``grow_peak``, then every candidate pair's IoU from one kernel call."""
@@ -93,6 +92,6 @@ def log_blob_proposals(
     over = inter / (area[i] + area[j] - inter) > MASK_NMS_IOU
     kept = _suppress(np.array(scores), i[over], j[over])
     return [
-        Proposal(id=start_id + rank, t=frame.t, mask=candidates[idx], raw_score=scores[idx])
+        Proposal(id=rank, t=frame.t, mask=candidates[idx], raw_score=scores[idx])
         for rank, idx in enumerate(kept)
     ]

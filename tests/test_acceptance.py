@@ -205,12 +205,12 @@ def test_04_degraded_data_stays_accurate_and_beats_greedy(tmp_path):
         root.mkdir()
         cfg, data_dir, ds, props, models = run_stages(degraded_doc(seed), str(root))
         graph = build_candidate_graph(cfg, ds, props, models)
-        shape = ds.frames[0].intensity.shape
+        shapes = [f.intensity.shape for f in ds.frames]
         for backend, sink in (("exact", exact_tras), ("greedy", greedy_tras)):
             bcfg = config_from_dict({**degraded_doc(seed), "solve": {"backend": backend}})
             _result, lineage = solve_graph(bcfg, graph)
             result_dir = str(root / f"result_{backend}")
-            write_result(result_dir, lineage, props, shape, len(ds.frames))
+            write_result(result_dir, lineage, props, shapes)
             sink.append(run_eval(data_dir, result_dir).tra.tra)
     mean_exact = float(np.mean(exact_tras))
     mean_greedy = float(np.mean(greedy_tras))

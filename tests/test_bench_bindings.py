@@ -14,10 +14,13 @@ import pytest
 from support import random_graph
 
 from lineage_ilp.classify import TrainingSet, label_mitosis_sets
+from lineage_ilp.config import config_from_dict
 from lineage_ilp.evaluate import captured_markers
+from lineage_ilp.features import proposal_feature_matrix
 from lineage_ilp.graph import enumerate_mitoses, enumerate_moves
-from lineage_ilp.pipeline import proposal_feature_matrix
-from lineage_ilp.proposals import Frame, Proposal
+from lineage_ilp.io import read_proposals
+from lineage_ilp.pipeline import run_e2e
+from lineage_ilp.proposals import Proposal
 from lineage_ilp.sim import SimConfig, ideal_proposals, simulate
 from lineage_ilp.solve import formulate, solve
 
@@ -90,7 +93,7 @@ def test_counters_read_candidate_positions(bench_module):
     ]
     props = [p for frame in frames for p in frame]
     moves, sets = enumerate_moves(frames, 20.0), enumerate_mitoses(frames, 20.0)
-    feats = proposal_feature_matrix(props, {t: Frame(t, f.intensity) for t, f in enumerate(res.frames)})
+    feats = proposal_feature_matrix(props, res.frames)
     tset = label_mitosis_sets(captured_markers(props, res.gt), sets, props, res.gt, np.zeros((len(sets), 1)))
     # positives the object form counts: triples whose markers form a recorded division
     captured = dict(zip([p.id for p in props], captured_markers(props, res.gt)))
@@ -119,3 +122,18 @@ def test_counters_read_candidate_positions(bench_module):
         "classify.fit_samples": len(props),
         "classify.predict_rows": len(props),
     }
+
+
+def test_tracer_sees_the_feature_layer(bench_module, tmp_path):
+    """The pipeline calls the feature matrices through the names the tracer
+    wraps: a tiny e2e run records the three feature spans and one proposal
+    vector per proposal.  A call that went round those names would leave the
+    ``features.*`` numbers at zero."""
+    spans = bench_module("spans")
+    cfg = config_from_dict({"seed": 2, "sim": {"frames": 4, "width": 64, "height": 64, "initial_cells": 4}})
+    tr = spans.Tracer()
+    with tr.installed(0):
+        run_e2e(cfg, tmp_path)
+    names = {s.name for s in tr.op_spans(0)}
+    assert {"features.proposal", "features.move", "features.mitosis"} <= names
+    assert tr.counts[0]["features.vectors"] == len(read_proposals(tmp_path / "proposals.jsonl")) > 0

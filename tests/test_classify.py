@@ -22,7 +22,7 @@ from lineage_ilp.classify import (
     train_forest,
 )
 from lineage_ilp.evaluate import GroundTruth, captured_markers, markers_inside, markers_inside_each
-from lineage_ilp.features import move_features, proposal_features
+from lineage_ilp.features import move_feature_matrix, proposal_feature_matrix
 from lineage_ilp.geometry import Mask
 from lineage_ilp.io import FormatError, TrackRow
 from lineage_ilp.proposals import Proposal
@@ -188,9 +188,10 @@ class TestForest:
     def test_single_row_predict(self):
         ts = separable_set()
         forest = train_forest(ts, n_trees=10, seed=0)
-        p = predict_prob(forest, ts.features[0])
-        assert np.isscalar(p) or p.ndim == 0
-        assert 0.0 <= float(p) <= 1.0
+        p = predict_prob(forest, ts.features[:1])
+        assert p.shape == (1,) and 0.0 <= p[0] <= 1.0
+        with pytest.raises(ValueError, match="expected 2 features, got shape"):
+            predict_prob(forest, ts.features[0])  # a (d,) row, not an (n, d) matrix
 
     def test_roundtrip_bit_exact(self, tmp_path):
         ts = separable_set()
@@ -282,7 +283,7 @@ class TestForestWidePrediction:
     @pytest.mark.parametrize("shape", SHAPES)
     def test_matches_the_tree_by_tree_walk(self, shape):
         """12 distinct forests: fresh rows, rows on thresholds, rows with NaN,
-        no rows, and single (d,) rows."""
+        no rows, and one row."""
         seen, depths = set(), set()
         for seed in range(12):
             rng = np.random.default_rng(seed)
@@ -293,12 +294,9 @@ class TestForestWidePrediction:
             fresh = np.round(rng.normal(size=(200, forest.n_features)), 2)
             nan = fresh[:50].copy()
             nan[rng.uniform(size=nan.shape) < 0.2] = np.nan
-            for X in (fresh, on_thresholds(forest, rng, 200), nan, fresh[:0], data.features):
+            for X in (fresh, on_thresholds(forest, rng, 200), nan, fresh[:0], fresh[:1], data.features):
                 got = predict_prob(forest, X)
                 assert got.dtype == np.float64 and np.array_equal(got, reference_predict(forest, X))
-            for row in fresh[:5]:
-                got = predict_prob(forest, row)
-                assert np.ndim(got) == 0 and got == reference_predict(forest, row[None, :])[0]
         assert len(seen) == 12
         assert max(depths) == self.SHAPES[shape]["max_depth"]
 
@@ -619,28 +617,17 @@ class TestMoveClassifierOnSimulation:
                 lst.append(Proposal(id=pid, t=t, mask=mask, raw_score=0.9))
                 pid += 1
             props_by_t[t] = lst
-        member_feats = {
-            p.id: proposal_features(p, res.frames[t])
-            for t, lst in props_by_t.items()
-            for p in lst
-        }
-        pairs = []
-        rows = []
-        for t in range(cfg.frames - 1):
-            for p_i in props_by_t[t]:
-                for p_j in props_by_t.get(t + 1, []):
-                    pairs.append((p_i, p_j))
-                    rows.append(
-                        move_features(
-                            p_i, p_j, 0.9, 0.9,
-                            res.frames[t], res.frames[t + 1],
-                            feat_i=member_feats[p_i.id],
-                            feat_j=member_feats[p_j.id],
-                        )
-                    )
+        pairs = [
+            (p_i, p_j)
+            for t in range(cfg.frames - 1)
+            for p_i in props_by_t[t]
+            for p_j in props_by_t.get(t + 1, [])
+        ]
         props = [p for lst in props_by_t.values() for p in lst]
         moves = positions(props, [(p_i.id, p_j.id) for p_i, p_j in pairs])
-        ts = label_move_edges(captured_markers(props, res.gt), moves, np.array(rows))
+        feats = proposal_feature_matrix(props, res.frames)
+        rows = move_feature_matrix(props, feats, np.full(len(props), 0.9), moves)
+        ts = label_move_edges(captured_markers(props, res.gt), moves, rows)
         split = np.array([p_i.t < 10 for p_i, _ in pairs])
         train = TrainingSet(ts.features[split], ts.labels[split])
         forest = train_forest(train, n_trees=40, seed=2)

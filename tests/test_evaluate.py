@@ -65,6 +65,13 @@ class TestMarkerMatching:
             markers={0: [(1, 2.0, 2.0), (2, 10.0, 10.0)]},
         )
 
+    def test_second_marker_for_a_cell_in_one_frame_is_refused(self, gt):
+        # a repeated row would make two markers of one cell: a proposal holding
+        # them counts as a merge, and a perfect result loses TRA
+        markers = {0: [(1, 2.0, 2.0), (2, 10.0, 10.0), (1, 2.0, 2.0)]}
+        with pytest.raises(ValueError, match="second marker for track 1 at frame 0"):
+            GroundTruth(tracks=gt.tracks, markers=markers)
+
     def test_containment_helpers(self, gt):
         big = square(0, 0, 0, 0, size=14)
         lone = square(1, 0, 1, 1, size=3)

@@ -18,18 +18,16 @@ from lineage_ilp.features import (
     PROPOSAL_DIM,
     _bin_index,
     centroid_distance,
-    mitosis_feature_rows,
+    mitosis_feature_matrix,
     mitosis_features,
-    move_feature_rows,
-    move_features,
-    proposal_feature_rows,
+    move_feature_matrix,
+    proposal_feature_matrix,
     proposal_features,
 )
 from lineage_ilp.geometry import Mask
 from lineage_ilp.proposals import Frame, Proposal
 from link_reference import aligned_iou, mitosis_row, move_row
 from test_geometry import disk_offsets
-from lineage_ilp.pipeline import mitosis_feature_matrix, move_feature_matrix
 
 
 def blob_frame(width=40, height=40, seed=3):
@@ -184,7 +182,7 @@ def _reference_proposal_features(p: Proposal, frame: Frame) -> np.ndarray:
 
 
 def assert_rows_match_reference(props, frame):
-    got = proposal_feature_rows(props, frame)
+    got = proposal_feature_matrix(props, [frame])
     # the pass leaves each mask's centroid in its cache, bit for bit the one
     # a fresh mask computes from its own pixels
     for p in props:
@@ -290,18 +288,37 @@ class TestFramePassMatchesReference:
         monkeypatch.setattr(
             features_mod, "_stack_pixels", lambda masks, *args: runs.append(len(masks)) or stack_pixels(masks, *args)
         )
-        proposal_feature_rows(props, frame)
+        proposal_feature_matrix(props, [frame])
         assert sum(runs) == len(props)
         assert len(runs) == len(props) if cells == 1 else 1 < len(runs) < len(props)
         assert_rows_match_reference(props, frame)
 
     def test_no_proposals(self):
-        assert proposal_feature_rows([], Frame(t=0, intensity=np.zeros((3, 3)))).shape == (0, PROPOSAL_DIM)
+        assert proposal_feature_matrix([], [Frame(t=0, intensity=np.zeros((3, 3)))]).shape == (0, PROPOSAL_DIM)
 
     def test_mask_past_the_frame_is_refused(self):
         p = Proposal(id=7, t=0, mask=Mask(3, 0, np.ones((1, 2), dtype=bool)), raw_score=0.5)
         with pytest.raises(ValueError, match="proposal 7 extends past its 4x3 frame"):
-            proposal_feature_rows([p], Frame(t=0, intensity=np.zeros((3, 4))))
+            proposal_feature_matrix([p], [Frame(t=0, intensity=np.zeros((3, 4)))])
+
+    @pytest.mark.parametrize("t", [-1, 2])
+    def test_proposal_of_no_given_frame_is_refused(self, t):
+        # frame -1 would otherwise be the last frame of the list
+        frames = [Frame(t=k, intensity=np.zeros((3, 4))) for k in range(2)]
+        p = Proposal(id=7, t=t, mask=Mask(0, 0, np.ones((1, 1), dtype=bool)), raw_score=0.5)
+        with pytest.raises(ValueError, match=f"proposal 7 references frame {t} of 2"):
+            proposal_feature_matrix([p], frames)
+
+    def test_frames_in_proposal_order(self):
+        # rows follow the proposals, whatever frames they interleave
+        rng = np.random.default_rng(4)
+        frames = [Frame(t=t, intensity=rng.random((12, 10))) for t in range(3)]
+        props = [
+            Proposal(id=i, t=t, mask=_random_mask(rng, 12, 10, "box"), raw_score=0.5)
+            for i, t in enumerate([2, 0, 1, 2, 0])
+        ]
+        got = proposal_feature_matrix(props, frames)
+        assert np.array_equal(got, np.stack([proposal_features(p, frames[p.t]) for p in props]))
 
 
 def _stored_frame(rng, height, width) -> Frame:
@@ -459,7 +476,7 @@ class TestNearestOutsidePixels:
                 bits[int(rng.integers(0, height)), int(rng.integers(0, width))] = False
                 masks.append(Mask(0, 0, bits))
             seen.add(_check_scene(frame, masks))
-            rows = proposal_feature_rows(_proposals(masks), frame)
+            rows = proposal_feature_matrix(_proposals(masks), [frame])
             assert not rows[0, 15:31].any()
             if len(masks) > 1:
                 assert rows[1, 15:23].sum() == pytest.approx(1.0)
@@ -484,6 +501,12 @@ class TestBinIndex:
             assert np.array_equal(got, want), (v, i)
 
 
+def one_move(p_i, p_j, prob_i, prob_j, frame_i, frame_j) -> np.ndarray:
+    """The move vector of the one pair (p_i, p_j), from the matrix code."""
+    feats = np.stack([proposal_features(p_i, frame_i), proposal_features(p_j, frame_j)])
+    return move_feature_matrix([p_i, p_j], feats, np.array([prob_i, prob_j]), np.array([[0, 1]]))[0]
+
+
 class TestMoveFeatures:
     def setup_method(self):
         patch, bits = blob_frame(seed=7)
@@ -492,35 +515,26 @@ class TestMoveFeatures:
         self.frame_j, self.p_j = embed(patch2, bits2, 13, 11, pid=2, t=1)
 
     def test_length(self):
-        f = move_features(self.p_i, self.p_j, 0.8, 0.7, self.frame_i, self.frame_j)
+        f = one_move(self.p_i, self.p_j, 0.8, 0.7, self.frame_i, self.frame_j)
         assert f.shape == (MOVE_DIM,)
 
     def test_member_blocks_and_probs(self):
         fi = proposal_features(self.p_i, self.frame_i)
         fj = proposal_features(self.p_j, self.frame_j)
-        f = move_features(self.p_i, self.p_j, 0.8, 0.7, self.frame_i, self.frame_j)
+        f = one_move(self.p_i, self.p_j, 0.8, 0.7, self.frame_i, self.frame_j)
         np.testing.assert_array_equal(f[0:92], fi)
         np.testing.assert_array_equal(f[92:184], fj)
         assert f[193] == 0.8
         assert f[194] == 0.7
 
     def test_relational_entries(self):
-        f = move_features(self.p_i, self.p_j, 0.8, 0.7, self.frame_i, self.frame_j)
+        f = one_move(self.p_i, self.p_j, 0.8, 0.7, self.frame_i, self.frame_j)
         assert f[184] == pytest.approx(centroid_distance(self.p_i, self.p_j))
         assert 0.0 <= f[185] <= 1.0
         assert 0.0 <= f[186] <= 1.0
 
-    def test_precomputed_vectors_match(self):
-        fi = proposal_features(self.p_i, self.frame_i)
-        fj = proposal_features(self.p_j, self.frame_j)
-        a = move_features(self.p_i, self.p_j, 0.8, 0.7, self.frame_i, self.frame_j)
-        b = move_features(
-            self.p_i, self.p_j, 0.8, 0.7, self.frame_i, self.frame_j, feat_i=fi, feat_j=fj
-        )
-        np.testing.assert_array_equal(a, b)
-
     def test_identical_proposals_zero_diff(self):
-        f = move_features(self.p_i, self.p_i, 0.5, 0.5, self.frame_i, self.frame_i)
+        f = one_move(self.p_i, self.p_i, 0.5, 0.5, self.frame_i, self.frame_i)
         assert f[184] == 0.0
         assert f[185] == 1.0
         assert f[186] == 1.0
@@ -573,12 +587,8 @@ class TestLinkRowsMatchReference:
             move_row(props[i], props[j], probs[i], probs[j], feats[i], feats[j])
             for i, j in zip(src.tolist(), dst.tolist())
         ])
-        assert move_feature_rows(props, feats, probs, src, dst).tobytes() == want.tobytes()
         moves = np.column_stack([src, dst])
         assert move_feature_matrix(props, feats, probs, moves).tobytes() == want.tobytes()
-        i, j = int(src[0]), int(dst[0])
-        one = move_features(props[i], props[j], probs[i], probs[j], None, None, feat_i=feats[i], feat_j=feats[j])
-        assert one.tobytes() == want[0].tobytes()
 
         # daughters in either order, a parent may be one of them
         parent, d1, d2 = rng.integers(0, n_props, size=(3, n_links))
@@ -586,15 +596,8 @@ class TestLinkRowsMatchReference:
             mitosis_row(props[i], props[j], props[k], probs[i], probs[j], probs[k], feats[i], feats[j], feats[k])
             for i, j, k in zip(parent.tolist(), d1.tolist(), d2.tolist())
         ])
-        assert mitosis_feature_rows(props, feats, probs, parent, d1, d2).tobytes() == want.tobytes()
         sets = np.column_stack([parent, d1, d2])
         assert mitosis_feature_matrix(props, feats, probs, sets).tobytes() == want.tobytes()
-        i, j, k = int(parent[0]), int(d1[0]), int(d2[0])
-        one = mitosis_features(
-            props[i], props[j], props[k], probs[i], probs[j], probs[k], None, None,
-            feat_p=feats[i], feat_d1=feats[j], feat_d2=feats[k],
-        )
-        assert one.tobytes() == want[0].tobytes()
         masks = b"".join(p.mask.bits.tobytes() + bytes(p.mask.bits.shape) for p in props)
         return masks + feats.tobytes() + probs.tobytes() + np.stack([src, dst, parent, d1, d2]).tobytes()
 
@@ -603,7 +606,7 @@ class TestLinkRowsMatchReference:
         props, feats, probs = _link_scene(rng, 6)
         order = np.argsort([p.id for p in props])
         lo, hi, parent = int(order[0]), int(order[-1]), int(order[2])
-        rows = mitosis_feature_rows(props, feats, probs, [parent, parent], [hi, lo], [lo, hi])
+        rows = mitosis_feature_matrix(props, feats, probs, np.array([[parent, hi, lo], [parent, lo, hi]]))
         want = mitosis_row(props[parent], props[lo], props[hi], *probs[[parent, lo, hi]], *feats[[parent, lo, hi]])
         assert rows[0].tobytes() == rows[1].tobytes() == want.tobytes()
         assert np.array_equal(rows[0, 92:184], feats[lo])
@@ -682,6 +685,8 @@ class TestMitosisFeatures:
         np.testing.assert_array_equal(f[92:184], f1)
         np.testing.assert_array_equal(f[184:276], f2)
         np.testing.assert_array_equal(f[287:290], [0.9, 0.8, 0.7])
+        want = mitosis_row(self.p, self.d1, self.d2, 0.9, 0.8, 0.7, fp, f1, f2)
+        assert f.tobytes() == want.tobytes()
 
     def test_collinearity_entries(self):
         # Parent exactly between its daughters: zero line distance and the

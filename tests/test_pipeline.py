@@ -17,7 +17,7 @@ import lineage_ilp.pipeline as pipeline_mod
 from lineage_ilp.config import config_from_dict
 from lineage_ilp.evaluate import GroundTruth
 from lineage_ilp.graph import MITOSIS_RADIUS_FACTOR
-from lineage_ilp.io import FormatError, read_json_file, read_proposals, read_tracks, TrackRow
+from lineage_ilp.io import FormatError, TrackRow, read_json_file, read_label_grids, read_proposals, read_tracks
 from lineage_ilp.pipeline import (
     Dataset,
     SolverTimeout,
@@ -101,6 +101,16 @@ class TestDatasetIO:
         with open(tmp_path / "gt" / "markers.csv", "a") as fh:
             fh.write(marker + "\n")
         with pytest.raises(FormatError, match=message):
+            load_dataset(tmp_path)
+
+    def test_second_marker_for_a_cell_is_refused(self, tmp_path):
+        res = simulate(SimConfig(frames=4, width=64, height=64, initial_cells=3), 1)
+        write_dataset(tmp_path, [f.intensity for f in res.frames], res.gt)
+        path = tmp_path / "gt" / "markers.csv"
+        rows = path.read_text().splitlines()
+        t, tid = rows[3].split(",")[:2]
+        path.write_text("\n".join([*rows, rows[3]]) + "\n")
+        with pytest.raises(FormatError, match=f"second marker for track {tid} at frame {t}"):
             load_dataset(tmp_path)
 
 
@@ -206,11 +216,12 @@ class TestProposalThreads:
         props = []
         for frame in frames:
             if p.generator == "log":
-                props += log_blob_proposals(frame, sigmas=p.sigmas, area_bounds=bounds, start_id=len(props))
+                new = log_blob_proposals(frame, sigmas=p.sigmas, area_bounds=bounds)
             else:
-                props += multi_threshold_proposals(
-                    frame, levels=p.levels, span=p.span, area_bounds=bounds, start_id=len(props)
-                )
+                new = multi_threshold_proposals(frame, levels=p.levels, span=p.span, area_bounds=bounds)
+            for q in new:
+                q.id += len(props)
+            props += new
         return props
 
     @staticmethod
@@ -480,6 +491,23 @@ class TestEndToEnd:
             b2 = (tmp_path / "b" / rel).read_bytes()
             assert b1 == b2, rel
 
+    def test_result_grids_take_each_frames_size(self, tmp_path):
+        cfg = tiny_config(sim={"frames": 6, "width": 64, "height": 64, "initial_cells": 4})
+        res = simulate(cfg.sim, 3)
+        frames = [f.intensity for f in res.frames]
+        frames[5] = frames[5][:, :60]
+        res.gt.label_grids[5] = res.gt.label_grids[5][:, :60]
+        data, props, models = tmp_path / "ds", tmp_path / "p.jsonl", tmp_path / "models"
+        write_dataset(data, frames, res.gt)
+        run_propose(cfg, data, props)
+        run_train(cfg, data, props, models)
+        tracked = run_track(cfg, data, props, models, tmp_path / "res")
+        shapes = [(64, 64)] * 5 + [(64, 60)]
+        assert [g.shape for g in read_label_grids(tmp_path / "res" / "seg")] == shapes
+        # the tracker's own result scores, from its files and from the TrackRun
+        assert run_eval(data, tmp_path / "res").tra.tra > 0.5
+        assert run_eval(data, tracked) == run_eval(data, tmp_path / "res")
+
     def test_report_txt_written(self, tmp_path):
         cfg = tiny_config()
         run_e2e(cfg, tmp_path)
@@ -591,9 +619,9 @@ class TestEndToEndMatchesStages:
         vectors = []
         matrix = pipeline_mod.proposal_feature_matrix
 
-        def counted(props, frames_by_t):
+        def counted(props, frames):
             vectors.append(len(props))
-            return matrix(props, frames_by_t)
+            return matrix(props, frames)
 
         monkeypatch.setattr(pipeline_mod, "proposal_feature_matrix", counted)
         e2e = tmp_path / "e2e"

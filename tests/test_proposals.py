@@ -104,8 +104,8 @@ class TestMultiThreshold:
             assert pa.id == pb.id and pa.mask == pb.mask and pa.raw_score == pb.raw_score
 
     def test_ids_sequential_from_start(self, separated_scene):
-        props = multi_threshold_proposals(separated_scene.frames[0], start_id=100)
-        assert [p.id for p in props] == list(range(100, 100 + len(props)))
+        props = multi_threshold_proposals(separated_scene.frames[0])
+        assert [p.id for p in props] == list(range(len(props)))
 
     def test_area_bounds_respected(self, separated_scene):
         props = multi_threshold_proposals(separated_scene.frames[0], area_bounds=(9, 10000))
@@ -216,11 +216,8 @@ class TestMultiThresholdMatchesReference:
     def test_simulated_frames(self, levels, span):
         cfg = SimConfig(frames=2, width=64, height=64, initial_cells=6, division_rate=0.1)
         for frame in simulate(cfg, levels).frames:
-            got = multi_threshold_proposals(frame, levels=levels, span=span, start_id=40)
-            want = _reference_multi_threshold(frame, levels=levels, span=span)
-            assert_same_proposals(got, [
-                Proposal(id=40 + p.id, t=p.t, mask=p.mask, raw_score=p.raw_score) for p in want
-            ])
+            got = multi_threshold_proposals(frame, levels=levels, span=span)
+            assert_same_proposals(got, _reference_multi_threshold(frame, levels=levels, span=span))
 
 
 class TestReferenceComponents:
@@ -301,9 +298,9 @@ class TestLogStackMatchesReference:
     @pytest.mark.parametrize("sigmas", [(2.0,), DEFAULT_SIGMAS])
     def test_generator_on_separated_scene(self, separated_scene, monkeypatch, sigmas):
         frame = separated_scene.frames[0]
-        got = log_blob_proposals(frame, sigmas=sigmas, start_id=5)
+        got = log_blob_proposals(frame, sigmas=sigmas)
         monkeypatch.setattr(proposals_mod, "_log_stack", _reference_log_stack)
-        want = log_blob_proposals(frame, sigmas=sigmas, start_id=5)
+        want = log_blob_proposals(frame, sigmas=sigmas)
         assert len(got) > 0
         assert_close_proposals(got, want)
 
@@ -329,7 +326,10 @@ class TestLogStackMatchesReference:
         for run in range(2):
             props = []
             for frame in frames:
-                props += log_blob_proposals(frame, start_id=len(props))
+                new = log_blob_proposals(frame)
+                for q in new:
+                    q.id += len(props)  # ids run on across frames, as the pipeline numbers them
+                props += new
             path = tmp_path / f"run{run}.jsonl"
             write_proposals(path, props)
             outputs.append(path.read_bytes())
@@ -382,8 +382,8 @@ class TestNdimageFallback:
             labelled.append((grid.dtype, grid.tobytes(), count, find_objects(grid, count)))
         masks = label_masks(rng.integers(0, 9, size=(30, 30)) * (rng.random((30, 30)) < 0.5))
         frames = simulate(SimConfig(frames=2, width=64, height=64, initial_cells=6), 2).frames
-        props = [multi_threshold_proposals(f, start_id=10 * f.t) for f in frames]
-        props += [log_blob_proposals(f, start_id=10 * f.t) for f in frames]
+        props = [multi_threshold_proposals(f) for f in frames]
+        props += [log_blob_proposals(f) for f in frames]
         return labelled, masks, props
 
     def test_same_labels_slices_and_proposals(self, monkeypatch):
@@ -404,7 +404,7 @@ class TestNdimageFallback:
             assert_same_proposals(got, want)
 
 
-def _reference_log_blobs(frame, start_id=0, **kwargs):
+def _reference_log_blobs(frame, **kwargs):
     """``log_blob_proposals`` with its suppression left out, then the
     candidates suppressed by the pairwise mask NMS of ``overlap_reference``;
     also returns the number of candidates."""
@@ -414,7 +414,7 @@ def _reference_log_blobs(frame, start_id=0, **kwargs):
     items = [(k, p.raw_score, p.mask) for k, p in enumerate(candidates)]
     kept = sorted(overlap_reference.mask_nms(items, MASK_NMS_IOU))
     out = [
-        Proposal(id=start_id + rank, t=frame.t, mask=candidates[k].mask, raw_score=candidates[k].raw_score)
+        Proposal(id=rank, t=frame.t, mask=candidates[k].mask, raw_score=candidates[k].raw_score)
         for rank, k in enumerate(kept)
     ]
     return out, len(candidates)
@@ -427,9 +427,9 @@ class TestLogNmsMatchesReference:
     @pytest.mark.parametrize("sigmas", [(2.0,), DEFAULT_SIGMAS])
     def test_separated_scene(self, separated_scene, sigmas):
         frame = separated_scene.frames[0]
-        want, _ = _reference_log_blobs(frame, sigmas=sigmas, start_id=5)
+        want, _ = _reference_log_blobs(frame, sigmas=sigmas)
         assert len(want) > 0
-        assert_same_proposals(log_blob_proposals(frame, sigmas=sigmas, start_id=5), want)
+        assert_same_proposals(log_blob_proposals(frame, sigmas=sigmas), want)
 
     def test_plateau_frames(self):
         """60 distinct quantised frames, every size from 8 to 72."""
@@ -453,8 +453,8 @@ class TestLogNmsMatchesReference:
             )
             for frame in simulate(cfg, seed).frames:
                 seen.add(frame.intensity.tobytes())
-                want, n = _reference_log_blobs(frame, start_id=3)
-                assert_same_proposals(log_blob_proposals(frame, start_id=3), want)
+                want, n = _reference_log_blobs(frame)
+                assert_same_proposals(log_blob_proposals(frame), want)
                 dropped += n - len(want)
         assert len(seen) == 12
         assert dropped > 0
@@ -536,7 +536,7 @@ class TestLogGrowthMatchesReference:
     def test_simulated_log_frames(self):
         frames = _log_frames()
         assert len({f.intensity.tobytes() for f in frames}) == len(frames)
-        assert sum(len(self.assert_same_as_reference(f, start_id=4)) for f in frames) > 100
+        assert sum(len(self.assert_same_as_reference(f)) for f in frames) > 100
 
     def test_plateau_frames(self):
         """60 distinct quantised frames, every size from 8 to 72."""
