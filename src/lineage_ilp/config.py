@@ -176,7 +176,7 @@ def validate_config(cfg: PipelineConfig) -> None:
         p.generator in ("multi_threshold", "log", "truth"),
         f"proposals.generator: unknown generator {p.generator!r}",
     )
-    _require(p.levels >= 2, "proposals.levels: need at least 2")
+    _require(p.levels >= 1, "proposals.levels: need at least 1")
     _require(len(p.span) == 2 and 0 < p.span[0] < p.span[1], "proposals.span: need 0 < lo < hi")
     _require(len(p.sigmas) >= 1 and all(s > 0 for s in p.sigmas), "proposals.sigmas: need positive values")
     _require(1 <= p.min_area <= p.max_area, "proposals.min_area/max_area: need 1 <= min <= max")

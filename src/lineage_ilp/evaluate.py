@@ -8,7 +8,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .geometry import Mask
+from .geometry import Mask, masks_pixels
 from .io import TrackRow, validate_tracks
 from .proposals import Proposal
 
@@ -146,7 +146,9 @@ def captured_markers(props: list[Proposal], gt: GroundTruth) -> list[int | None]
 def _cell_overlap(
     gt: GroundTruth, t: int, masks: list[Mask]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The reference cells of frame ``t`` against ``masks``, in one count.
+    """The reference cells of frame ``t`` against ``masks``, in one count:
+    the masks' pixels from one ``masks_pixels`` call, their cells by one
+    ``bincount``.
 
     Returns the frame's labels in ascending order, each cell's area, the
     (mask, cell) intersection table and which mask majority-covers which
@@ -162,15 +164,10 @@ def _cell_overlap(
     n = len(labels) + 1  # column 0 is background
     column = np.zeros(len(counts), dtype=np.intp)
     column[labels] = np.arange(1, n)
-    keys = [np.empty(0, dtype=np.intp)]
-    for k, m in enumerate(masks):
-        y0, x0 = max(m.y0, 0), max(m.x0, 0)  # the mask's box cut to the grid
-        y1 = min(m.y0 + m.bits.shape[0], grid.shape[0])
-        x1 = min(m.x0 + m.bits.shape[1], grid.shape[1])
-        if y0 < y1 and x0 < x1:
-            bits = m.bits[y0 - m.y0 : y1 - m.y0, x0 - m.x0 : x1 - m.x0]
-            keys.append(column[grid[y0:y1, x0:x1][bits]] + k * n)
-    inter = np.bincount(np.concatenate(keys), minlength=len(masks) * n)
+    k, rows, cols = masks_pixels(masks)
+    keep = (rows >= 0) & (rows < grid.shape[0]) & (cols >= 0) & (cols < grid.shape[1])
+    keys = column[grid[rows[keep], cols[keep]]] + k[keep] * n
+    inter = np.bincount(keys, minlength=len(masks) * n)
     inter = inter.reshape(len(masks), n)[:, 1:]
     area = counts[labels]
     return labels, area, inter, 2 * inter > area

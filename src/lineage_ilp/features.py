@@ -15,9 +15,10 @@ hence in the radius-3 ring.  Both rings therefore have exactly U's nearest
 pixels as their own.  They are empty only when the mask is the whole frame,
 and then both blocks stay zero.
 
-Proposal vectors are computed one frame at a time: the frame's intensities
-are binned once, the masks' boundaries come from one stack of the frame's
-masks, and each histogram block of all the frame's proposals is one
+Proposal vectors are computed for all proposals of a sequence in one pass,
+whatever frames they lie in: the masks' boundaries come from stacks of
+consecutive masks, every pixel reads its own frame's shape and
+intensities, and each histogram block of all the proposals is one
 ``bincount``, counted by numpy's own histogram edge rule so the vectors
 equal per-proposal ``np.histogram`` bit for bit.  The nearest pixels of U
 are p's unset in-frame 4-neighbours when it has any, and otherwise the
@@ -89,32 +90,44 @@ def _segment_counts(bins: np.ndarray, counts: np.ndarray, n_bins: int) -> np.nda
     return total.reshape(len(counts), n_bins + 1)[:, :n_bins]
 
 
-# Cells of one mask stack (one byte each): a frame's masks go through
+# Cells of one mask stack (one byte each): the masks go through
 # _stack_pixels in runs whose stack stays within this size, so its few
 # same-sized grids stay within a few MiB when one mask's box is large.  A
 # mask too large for it goes alone.
 STACK_CELLS = 1 << 20
 
 
-def _stack_pixels(masks: list[Mask], intensity: np.ndarray):
-    """Mask and boundary pixels of each mask, from one stack, and the mean
-    intensity of each boundary pixel's nearest in-frame pixels outside its
-    mask.
+def _read(frames: list[np.ndarray], t: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """``frames[t[k]]`` at flat index ``at[k]`` (a row of ``at`` when it is
+    2-d), an index past either end of the frame clipped to it: one ``take``
+    per run of equal ``t``, so no frame is copied.  ``t`` is non-negative."""
+    out = np.empty(at.shape)
+    starts = np.flatnonzero(np.diff(t, prepend=-1)).tolist()
+    for a, b in zip(starts, starts[1:] + [len(t)]):
+        out[a:b] = frames[t[a]].take(at[a:b], mode="clip")
+    return out
+
+
+def _stack_pixels(masks: list[Mask], frame_of: np.ndarray, frames: list[np.ndarray]):
+    """Mask and boundary pixels of each mask, from one stack, with their
+    intensities, and the mean intensity of each boundary pixel's nearest
+    in-frame pixels outside its mask; mask k lies in ``frames[frame_of[k]]``.
 
     Each mask is placed, padded by 1, in one slice of a zero boolean stack;
     the boundary is the set pixels with an unset 4-neighbour.  Returns the
-    mask's and the boundary's (slice, rows, cols), in absolute coordinates,
-    by slice and then row-major within it, which is each mask's own
-    row-major order whatever padding the stack adds; then the means, one per
-    boundary pixel, 0 on a mask that fills the frame.
+    mask's and the boundary's (slice, rows, cols, intensities), in absolute
+    coordinates, by slice and then row-major within it, which is each
+    mask's own row-major order whatever padding the stack adds; then the
+    means, one per boundary pixel, 0 on a mask that fills its frame.
 
     A boundary pixel's unset in-frame 4-neighbours are its nearest pixels
     outside the mask when it has any: four gathers over the stack.  A pixel
     whose unset 4-neighbours all lie off the frame finds its nearest among
     its mask's in-frame radius-1 ring, which holds them (module docstring),
-    all such pixels of the stack at once.
+    all such pixels of the stack at once.  Every pixel reads its own
+    frame's shape and intensities (``_read``).
     """
-    height, width = intensity.shape
+    shape = np.array([f.shape for f in frames], dtype=np.intp).reshape(-1, 2)[frame_of]  # per mask
     x0 = np.array([m.x0 for m in masks]) - 1
     y0 = np.array([m.y0 for m in masks]) - 1
     stack = np.zeros(
@@ -129,17 +142,21 @@ def _stack_pixels(masks: list[Mask], intensity: np.ndarray):
         stack[:, 1:-1, 1:-1] & stack[:, :-2, 1:-1] & stack[:, 2:, 1:-1] & stack[:, 1:-1, :-2] & stack[:, 1:-1, 2:]
     )
     m_k, rows, cols = np.nonzero(stack)
+    rows, cols = rows + y0[m_k], cols + x0[m_k]
+    m_values = _read(frames, frame_of[m_k], rows * shape[m_k, 1] + cols)
     b_k, b_i, b_j = np.nonzero(boundary)
     b_rows, b_cols = b_i + y0[b_k], b_j + x0[b_k]
 
-    flat = intensity.ravel()
+    height, width = shape[b_k].T
     at = b_rows * width + b_cols
+    # each boundary pixel, then its 4-neighbours in row-major order
+    around = _read(frames, frame_of[b_k], np.column_stack([at, at - width, at - 1, at + 1, at + width]))
     total = np.zeros(len(at))
     count = np.zeros(len(at), dtype=np.intp)
     steps = ((-1, 0, b_rows > 0), (0, -1, b_cols > 0), (0, 1, b_cols < width - 1), (1, 0, b_rows < height - 1))
-    for di, dj, in_frame in steps:  # the 4-neighbours in row-major order
+    for s, (di, dj, in_frame) in enumerate(steps, start=1):
         take = in_frame & ~stack[b_k, b_i + di, b_j + dj]
-        total += np.where(take, flat.take(at + di * width + dj, mode="clip"), 0.0)
+        total += np.where(take, around[:, s], 0.0)
         count += take
 
     edge = np.flatnonzero(count == 0)
@@ -154,93 +171,96 @@ def _stack_pixels(masks: list[Mask], intensity: np.ndarray):
         r_k, r_rows, r_cols = np.nonzero(ring & ~grid)
         r_k = owners[r_k]
         r_rows, r_cols = r_rows + y0[r_k], r_cols + x0[r_k]
-        keep = (r_rows >= 0) & (r_rows < height) & (r_cols >= 0) & (r_cols < width)
-        r_at = r_rows[keep] * width + r_cols[keep]
-        r_count = np.bincount(r_k[keep], minlength=len(masks))
-        edge = edge[r_count[b_k[edge]] > 0]  # a mask that fills the frame has no ring
+        keep = (r_rows >= 0) & (r_rows < shape[r_k, 0]) & (r_cols >= 0) & (r_cols < shape[r_k, 1])
+        r_k, r_rows, r_cols = r_k[keep], r_rows[keep], r_cols[keep]
+        r_count = np.bincount(r_k, minlength=len(masks))
+        edge = edge[r_count[b_k[edge]] > 0]  # a mask that fills its frame has no ring
         # each such pixel against every ring pixel of its mask, in ring order
         per = r_count[b_k[edge]]
         pixel = np.repeat(np.arange(len(edge)), per)
         first = np.cumsum(per) - per
         r_first = np.cumsum(r_count) - r_count
-        q = r_at[np.arange(len(pixel)) + np.repeat(r_first[b_k[edge]] - first, per)]
-        d2 = (b_rows[edge][pixel] - q // width) ** 2 + (b_cols[edge][pixel] - q % width) ** 2
+        q = np.arange(len(pixel)) + np.repeat(r_first[b_k[edge]] - first, per)
+        d2 = (b_rows[edge][pixel] - r_rows[q]) ** 2 + (b_cols[edge][pixel] - r_cols[q]) ** 2
         nearest = d2 == np.repeat(np.minimum.reduceat(d2, first), per)
-        total[edge] = np.bincount(pixel[nearest], weights=flat[q[nearest]], minlength=len(edge))
+        q = q[nearest]
+        values = _read(frames, frame_of[r_k[q]], r_rows[q] * shape[r_k[q], 1] + r_cols[q])
+        total[edge] = np.bincount(pixel[nearest], weights=values, minlength=len(edge))
         count[edge] = np.bincount(pixel[nearest], minlength=len(edge))
     near = np.divide(total, count, out=np.zeros(len(at)), where=count > 0)
-    return (m_k, rows + y0[m_k], cols + x0[m_k]), (b_k, b_rows, b_cols), near
+    return (m_k, rows, cols, m_values), (b_k, b_rows, b_cols, around[:, 0]), near
 
 
-def _frame_pixels(props: list[Proposal], intensity: np.ndarray):
-    """``_stack_pixels`` of every proposal of one frame, stacked in runs of
-    consecutive proposals of at most ``STACK_CELLS`` cells each, with the
-    slice index counting proposals."""
+def _pixels(masks: list[Mask], frame_of: np.ndarray, frames: list[np.ndarray]):
+    """``_stack_pixels`` of all the masks, stacked in runs of consecutive
+    masks of at most ``STACK_CELLS`` cells each, with the slice index
+    counting masks."""
     runs, start, h, w = [], 0, 0, 0
-    for k, p in enumerate(props):
-        ph, pw = p.mask.bits.shape
+    for k, m in enumerate(masks):
+        ph, pw = m.bits.shape
         h2, w2 = max(h, ph + 2), max(w, pw + 2)
         if k > start and (k + 1 - start) * h2 * w2 > STACK_CELLS:
             runs.append((start, k))
             start, h2, w2 = k, ph + 2, pw + 2
         h, w = h2, w2
-    runs.append((start, len(props)))
+    runs.append((start, len(masks)))
     parts = []
     for lo, hi in runs:
-        (m_k, m_rows, m_cols), (b_k, b_rows, b_cols), near = _stack_pixels([p.mask for p in props[lo:hi]], intensity)
-        parts.append((m_k + lo, m_rows, m_cols, b_k + lo, b_rows, b_cols, near))
-    m_k, m_rows, m_cols, b_k, b_rows, b_cols, near = (np.concatenate(col) for col in zip(*parts))
-    return (m_k, m_rows, m_cols), (b_k, b_rows, b_cols), near
+        (m_k, *mask), (b_k, *bound), near = _stack_pixels(masks[lo:hi], frame_of[lo:hi], frames)
+        parts.append((m_k + lo, *mask, b_k + lo, *bound, near))
+    return tuple(np.concatenate(col) for col in zip(*parts))
 
 
 def proposal_feature_matrix(props: list[Proposal], frames: list[Frame]) -> np.ndarray:
     """Proposal vectors in the order of ``props``, proposal ``p`` of frame
-    ``frames[p.t]``; one pass per frame.  A proposal of no given frame is a
-    ValueError."""
-    by_t: dict[int, list[int]] = {}
-    for i, p in enumerate(props):
-        if not 0 <= p.t < len(frames):
-            raise ValueError(f"proposal {p.id} references frame {p.t} of {len(frames)}")
-        by_t.setdefault(p.t, []).append(i)
-    out = np.zeros((len(props), PROPOSAL_DIM))
-    for t, idx in by_t.items():
-        out[idx] = _frame_rows([props[i] for i in idx], frames[t])
-    return out
+    ``frames[p.t]``, in one pass over all of them.  A proposal of no given
+    frame, or whose mask extends past its frame, is a ValueError."""
+    t = np.array([p.t for p in props], dtype=np.intp)
+    bad = np.flatnonzero((t < 0) | (t >= len(frames)))
+    if len(bad):
+        p = props[bad[0]]
+        raise ValueError(f"proposal {p.id} references frame {p.t} of {len(frames)}")
+    return _proposal_rows(props, t, [f.intensity for f in frames])
 
 
-def _frame_rows(props: list[Proposal], frame: Frame) -> np.ndarray:
-    """``proposal_features`` of one or more proposals of one frame, one row each.
+def _proposal_rows(props: list[Proposal], frame_of: np.ndarray, frames: list[np.ndarray]) -> np.ndarray:
+    """``proposal_features`` of the proposals, one row each, proposal k of
+    the frame ``frames[frame_of[k]]``.
 
     Only the masks' pixels are binned; their boundaries and the nearest
     outside means come from one stack per run of proposals, and every
     histogram of every proposal comes from one ``bincount``.  A mask must
-    lie inside the frame.
+    lie inside its frame.
     """
     n = len(props)
     out = np.zeros((n, PROPOSAL_DIM))
-    intensity = frame.intensity
-    height, width = intensity.shape
-    for p in props:
-        m = p.mask
-        h, w = m.bits.shape
-        if m.x0 < 0 or m.y0 < 0 or m.x0 + w > width or m.y0 + h > height:
-            raise ValueError(f"proposal {p.id} extends past its {width}x{height} frame")
-    (m_k, m_rows, m_cols), (b_k, b_rows, b_cols), near = _frame_pixels(props, intensity)
+    if n == 0:
+        return out
+    masks = [p.mask for p in props]
+    shapes = np.array([f.shape for f in frames], dtype=np.intp).reshape(-1, 2)
+    height, width = shapes[frame_of].T
+    x0, y0 = np.array([(m.x0, m.y0) for m in masks], dtype=np.intp).T
+    h, w = np.array([m.bits.shape for m in masks], dtype=np.intp).T
+    bad = np.flatnonzero((x0 < 0) | (y0 < 0) | (x0 + w > width) | (y0 + h > height))
+    if len(bad):
+        k = bad[0]
+        raise ValueError(f"proposal {props[k].id} extends past its {width[k]}x{height[k]} frame")
+    m_k, m_rows, m_cols, m_values, b_k, b_rows, b_cols, b_values, near = _pixels(masks, frame_of, frames)
     area = np.bincount(m_k, minlength=n)
-    int_bins = _bin_index(intensity[m_rows, m_cols], 0.0, 1.0, N_INTENSITY_BINS)
+    int_bins = _bin_index(m_values, 0.0, 1.0, N_INTENSITY_BINS)
     out[:, 0:15] = _segment_counts(int_bins, area, N_INTENSITY_BINS) / area[:, None]
 
     b_count = np.bincount(b_k, minlength=n)
     has_ring = area < height * width  # False: the mask is the whole frame, and the blocks stay zero
     on_ring = np.repeat(has_ring, b_count)
-    diffs = near[on_ring] - intensity[b_rows[on_ring], b_cols[on_ring]]
+    diffs = near[on_ring] - b_values[on_ring]
     bins = _bin_index(np.clip(diffs, -0.5, 0.5), -0.5, 0.5, N_CONTRAST_BINS)
     contrast = _segment_counts(bins, np.where(has_ring, b_count, 0), N_CONTRAST_BINS) / b_count[:, None]
     out[:, 15:23] = contrast
     out[:, 23:31] = contrast
 
     out[:, 31:91] = _polar_hist(_centroids(props, m_k, m_rows, m_cols, area), b_rows, b_cols, b_count)
-    out[:, 91] = area / float(width * height)
+    out[:, 91] = area / (width * height).astype(np.float64)
     return out
 
 
@@ -275,7 +295,7 @@ def _polar_hist(centroids: np.ndarray, b_rows, b_cols, b_count) -> np.ndarray:
 
 def proposal_features(p: Proposal, frame: Frame) -> np.ndarray:
     """92-entry appearance vector; invariant to joint translation of mask and image."""
-    return _frame_rows([p], frame)[0]
+    return _proposal_rows([p], np.zeros(1, dtype=np.intp), [frame.intensity])[0]
 
 
 def centroid_distance(a: Proposal, b: Proposal) -> float:
@@ -378,7 +398,7 @@ def mitosis_features(
     frame_daughters: Frame,
 ) -> np.ndarray:
     """``mitosis_feature_matrix`` of the one triple (p, d1, d2)."""
-    feats = np.stack([proposal_features(p, frame_parent), *_frame_rows([d1, d2], frame_daughters)])
+    feats = _proposal_rows([p, d1, d2], np.array([0, 1, 1]), [frame_parent.intensity, frame_daughters.intensity])
     probs = np.array([prob_p, prob_d1, prob_d2], dtype=np.float64)
     return mitosis_feature_matrix([p, d1, d2], feats, probs, np.array([[0, 1, 2]]))[0]
 

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import functools
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,6 +125,23 @@ class Mask:
         return f"Mask(x0={self.x0}, y0={self.y0}, shape={self.bits.shape}, area={self.area})"
 
 
+def masks_pixels(masks: list[Mask]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The set pixels of every mask from one ``nonzero`` over their bits
+    laid end to end: each pixel's mask index and its absolute row and
+    column, by mask and then row-major within it."""
+    if not masks:
+        empty = np.zeros(0, dtype=np.intp)
+        return empty, empty, empty
+    h, w = np.array([m.bits.shape for m in masks], dtype=np.intp).T
+    end = np.cumsum(h * w)
+    at = np.flatnonzero(np.concatenate([m.bits.ravel() for m in masks]))
+    k = np.searchsorted(end, at, side="right")
+    local = at - (end - h * w)[k]
+    rows = local // w[k] + np.array([m.y0 for m in masks], dtype=np.intp)[k]
+    cols = local % w[k] + np.array([m.x0 for m in masks], dtype=np.intp)[k]
+    return k, rows, cols
+
+
 def iou_box(a: BBox, b: BBox) -> float:
     """Continuous intersection over union of two boxes."""
     ix = min(a.x2, b.x2) - max(a.x, b.x)
@@ -188,20 +207,48 @@ def _pack_strips(masks: list[Mask]):
     )
 
 
+# (masks, [their strips, once packed]) of the innermost ``packed_once``
+# block; a context variable, so each thread sees its own blocks only
+_PACKED: ContextVar[tuple[list[Mask], list] | None] = ContextVar("packed_masks", default=None)
+
+
+@contextmanager
+def packed_once(masks: list[Mask]):
+    """Within the block, every ``mask_intersections`` call on these masks
+    (the same objects in the same order) reads one ``_pack_strips`` of
+    them, made by the first such call.  Masks are immutable, so the same
+    objects hold the same pixels."""
+    token = _PACKED.set((list(masks), []))
+    try:
+        yield
+    finally:
+        _PACKED.reset(token)
+
+
+def _strips(masks: list[Mask]):
+    """``_pack_strips(masks)``, packed once per ``packed_once`` block."""
+    held = _PACKED.get()
+    if held is None or len(held[0]) != len(masks) or not all(a is b for a, b in zip(held[0], masks)):
+        return _pack_strips(masks)
+    if not held[1]:
+        held[1].append(_pack_strips(masks))
+    return held[1][0]
+
+
 def mask_intersections(masks: list[Mask], a, b, dx, dy) -> np.ndarray:
     """The number of pixels that ``masks[a[k]]`` shares with ``masks[b[k]]``
     translated by ``(dx[k], dy[k])``, for every k at once.
 
     The masks are packed into 64-px column strips of one uint64 word per row
-    (``_pack_strips``).  Two strips share pixels only in shared rows and
-    where less than 64 columns part their left edges; per shared row, the
-    pair's count grows by the set bits of a's word AND b's word shifted onto
-    a's columns.
+    (``_pack_strips``; once per ``packed_once`` block).  Two strips share
+    pixels only in shared rows and where less than 64 columns part their
+    left edges; per shared row, the pair's count grows by the set bits of
+    a's word AND b's word shifted onto a's columns.
     """
     a, b, dx, dy = (np.asarray(v, dtype=np.intp) for v in (a, b, dx, dy))
     if len(a) == 0:
         return np.zeros(0, dtype=np.int64)
-    words, sx, sy, sh, start, step, first, count = _pack_strips(masks)
+    words, sx, sy, sh, start, step, first, count = _strips(masks)
     # every strip of a's mask against every strip of b's mask
     pair, rank = _expand(count[a] * count[b])
     per_b = count[b][pair]

@@ -373,21 +373,27 @@ def _encode_rles(masks: list[np.ndarray]) -> list[list[int]]:
     ]
 
 
+def _proposal_line(p, runs: list[int]) -> str:
+    """``dumps_json`` of the proposal's line object, one line.  When id and
+    t are ints and the score a finite float, what the generators and the
+    reader give, the line is formatted here as ``json`` formats them."""
+    m = p.mask
+    h, w = m.bits.shape
+    score = p.raw_score
+    if type(p.id) is int and type(p.t) is int and type(score) is float and math.isfinite(score):
+        return (
+            f'{{"id":{p.id},"t":{p.t},"bbox":[{m.x0},{m.y0},{w},{h}],"score":{score!r},'
+            f'"mask_rle":[{",".join(map(str, runs))}]}}'
+        )
+    obj = {"id": p.id, "t": p.t, "bbox": [m.x0, m.y0, w, h], "score": score, "mask_rle": runs}
+    return dumps_json(obj, indent=None)
+
+
 def write_proposals(path, props) -> None:
     """Write proposals (objects with id, t, mask, raw_score) as JSON lines."""
     props = sorted(props, key=lambda p: (p.t, p.id))
     lines = [
-        dumps_json(
-            {
-                "id": p.id,
-                "t": p.t,
-                "bbox": [p.mask.x0, p.mask.y0, p.mask.bits.shape[1], p.mask.bits.shape[0]],
-                "score": p.raw_score,
-                "mask_rle": runs,
-            },
-            indent=None,
-        ) + "\n"
-        for p, runs in zip(props, _encode_rles([p.mask.bits for p in props]))
+        _proposal_line(p, runs) + "\n" for p, runs in zip(props, _encode_rles([p.mask.bits for p in props]))
     ]
     with open(path, "w", encoding="ascii") as fh:
         fh.write("".join(lines))
@@ -434,17 +440,40 @@ def _decode_rles(rles: list[list[int]], shapes: list[tuple[int, int]]) -> tuple[
     return masks, tight
 
 
+def _proposal_objects(text: str, path: str):
+    """(line number, parsed object) of every non-blank line, in order.
+
+    The lines are parsed by one ``json.loads`` as the elements of one array.
+    That parse gives each line's own object when it yields one object per
+    line and every line holds exactly one ``{`` and one ``}``: each object
+    then owns one line's two braces, so none nests, spans two lines or
+    shares a line.  Otherwise the lines are parsed one by one, each when its
+    turn comes, so that the first bad line is the one named.
+    """
+    numbered = [(lineno, line) for lineno, line in enumerate(text.splitlines(), start=1) if line.strip()]
+    try:
+        objs = loads_json("[" + ",".join(line for _, line in numbered) + "]")
+    except FormatError:
+        objs = None
+    if (
+        objs is not None
+        and len(objs) == len(numbered)
+        and all(type(obj) is dict for obj in objs)
+        and all(line.count("{") == 1 == line.count("}") for _, line in numbered)
+    ):
+        return [(lineno, obj) for (lineno, _), obj in zip(numbered, objs)]
+    return ((lineno, loads_json(line, path=path, line=lineno)) for lineno, line in numbered)
+
+
 def read_proposals(path) -> list[Proposal]:
     """Proposals in ``(t, id)`` order.  Lines are checked in order and the
-    first bad line raises; masks are decoded and checked all at once."""
-    lines = read_ascii(path).splitlines()
+    first bad line raises; the file is parsed in one call
+    (``_proposal_objects``), and masks are decoded and checked all at once."""
+    text = read_ascii(path)
     fields, rles, shapes, linenos = [], [], [], []
     seen = set()
     try:
-        for lineno, text in enumerate(lines, start=1):
-            if not text.strip():
-                continue
-            obj = loads_json(text, path=str(path), line=lineno)
+        for lineno, obj in _proposal_objects(text, str(path)):
             if not isinstance(obj, dict):
                 raise FormatError("proposal line is not an object", path=str(path), line=lineno)
             keys = set(obj)

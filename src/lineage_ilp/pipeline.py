@@ -20,6 +20,7 @@ import numpy as np
 from .classify import (
     ConstantModel,
     RandomForest,
+    TrainingSet,
     fit_model,
     label_mitosis_sets,
     label_move_edges,
@@ -53,7 +54,7 @@ from .features import (
     move_feature_matrix,
     proposal_feature_matrix,
 )
-from .geometry import label_masks
+from .geometry import label_masks, masks_pixels, packed_once
 from .graph import (
     MITOSIS_RADIUS_FACTOR,
     TrackingGraph,
@@ -68,6 +69,7 @@ from .graph import (
 from .io import (
     FormatError,
     TrackRow,
+    read_ascii,
     read_frame_shapes,
     read_intensity_frames,
     read_json_file,
@@ -168,9 +170,35 @@ def _ground_truth(tracks, marker_rows, grids, shapes, gt_dir) -> GroundTruth:
     if grids is not None:
         _check_label_grids(grids, shapes, os.path.join(gt_dir, "seg"))
     try:
-        return GroundTruth(tracks=tracks, markers=markers, label_grids=grids)
+        gt = GroundTruth(tracks=tracks, markers=markers, label_grids=grids)
     except ValueError as exc:
         raise FormatError(f"inconsistent ground truth: {exc}", path=gt_dir) from exc
+    _check_marker_pixels(marker_rows, shapes, gt_dir)
+    return gt
+
+
+def _check_marker_pixels(marker_rows, shapes: list[tuple[int, int]], gt_dir) -> None:
+    """Raise ``FormatError`` at the markers.csv line of the first marker
+    whose pixel, ``(floor(x + 0.5), floor(y + 0.5))``, lies outside its
+    frame.  Every marker's frame is one of ``shapes`` (its track's span
+    lies within them)."""
+    if not marker_rows:
+        return
+    t, tid, x, y = (np.array(col) for col in zip(*marker_rows))
+    height, width = np.array(shapes, dtype=np.intp)[t].T
+    col, row = np.floor(x + 0.5), np.floor(y + 0.5)
+    bad = np.flatnonzero((col < 0) | (col >= width) | (row < 0) | (row >= height))
+    if len(bad):
+        k = int(bad[0])
+        path = os.path.join(gt_dir, "markers.csv")
+        # the rows are the file's non-blank lines after the header, in order
+        lines = read_ascii(path).splitlines()
+        lineno = [n for n, line in enumerate(lines[1:], start=2) if line.strip()][k]
+        raise FormatError(
+            f"marker for track {tid[k]} at frame {t[k]} lies on pixel ({int(col[k])}, {int(row[k])}),"
+            f" outside the {width[k]}x{height[k]} frame",
+            path=path, line=lineno,
+        )
 
 
 def _read_ground_truth(directory, shapes: list[tuple[int, int]]) -> GroundTruth:
@@ -303,7 +331,7 @@ class CandidateRows:
     node_prob: np.ndarray
     moves: np.ndarray  # (m, 2)
     move_rows: np.ndarray
-    mitosis_sets: np.ndarray | None  # (s, 3); None: not enumerated
+    mitosis_sets: np.ndarray | None  # (s, 3); None: no division rows
     mitosis_rows: np.ndarray | None
 
 
@@ -312,22 +340,21 @@ def candidate_rows(
     props: list[Proposal],
     feats: np.ndarray,
     proposal_model: RandomForest | ConstantModel,
-    *, gating_radius: float, mitosis_radius: float, mitosis_n: int, divisions: bool,
+    *, gating_radius: float, sets: np.ndarray | None,
 ) -> CandidateRows:
-    """Node probabilities, moves and division sets with their rows.
+    """Node probabilities, moves and their rows, and the rows of the
+    division ``sets`` when there are any (None: no division rows).
 
     ``props`` are in (t, id) order, ``by_frame`` is their
     ``_group_by_frame`` and ``feats`` their proposal feature matrix; the
     move and division rows take the proposal model's probabilities as
-    features.  Division sets are enumerated only when ``divisions`` is set.
+    features, and both read one packing of the proposals' masks.
     """
     node_prob = predict_prob(proposal_model, feats)
     moves = enumerate_moves(by_frame, gating_radius)
-    move_rows = move_feature_matrix(props, feats, node_prob, moves)
-    sets = mitosis_rows = None
-    if divisions:
-        sets = enumerate_mitoses(by_frame, mitosis_radius, mitosis_n)
-        mitosis_rows = mitosis_feature_matrix(props, feats, node_prob, sets)
+    with packed_once([p.mask for p in props]):
+        move_rows = move_feature_matrix(props, feats, node_prob, moves)
+        mitosis_rows = None if sets is None else mitosis_feature_matrix(props, feats, node_prob, sets)
     return CandidateRows(node_prob, moves, move_rows, sets, mitosis_rows)
 
 
@@ -376,21 +403,24 @@ def run_train(cfg: PipelineConfig, data_dir, proposals_path, model_dir) -> Train
         g.mitosis_radius if g.mitosis_radius is not None else gating * MITOSIS_RADIUS_FACTOR
     )
 
+    # the division labels need only the sets; rows are computed for the
+    # sets a model fits on, so for none when no set is a division
+    sets = enumerate_mitoses(by_frame, mitosis_radius, g.mitosis_n)
+    tset = label_mitosis_sets(captured, sets, props, ds.gt, np.zeros((len(sets), 0)))
     rows = candidate_rows(
         by_frame, props, feats, node_model,
-        gating_radius=gating, mitosis_radius=mitosis_radius, mitosis_n=g.mitosis_n,
-        divisions=True,
+        gating_radius=gating, sets=sets if tset.n_positive else sets[:0],
     )
     mset = label_move_edges(captured, rows.moves, rows.move_rows)
     move_model = fit_model(mset, n_trees=n_trees, seed=stage_seed(cfg.seed, STAGE_MOVE_MODEL))
 
-    tset = label_mitosis_sets(captured, rows.mitosis_sets, props, ds.gt, rows.mitosis_rows)
     if tset.n_positive == 0:
         log.warning("training data contains no division example; division scoring disabled")
         mitosis_model = None
     else:
         mitosis_model = fit_model(
-            tset, n_trees=n_trees, seed=stage_seed(cfg.seed, STAGE_MITOSIS_MODEL)
+            TrainingSet(rows.mitosis_rows, tset.labels),
+            n_trees=n_trees, seed=stage_seed(cfg.seed, STAGE_MITOSIS_MODEL),
         )
 
     log.info(
@@ -496,9 +526,10 @@ def build_candidate_graph(
             proposal_feature_matrix(props, ds.frames),
             models.proposal,
             gating_radius=models.gating_radius,
-            mitosis_radius=models.mitosis_radius,
-            mitosis_n=models.mitosis_n,
-            divisions=models.mitosis is not None,
+            sets=(
+                enumerate_mitoses(by_frame, models.mitosis_radius, models.mitosis_n)
+                if models.mitosis is not None else None
+            ),
         )
 
     # Dominance pruning: a move never taken in any optimal selection is one
@@ -568,16 +599,27 @@ def paint_lineage(
     lineage: Lineage, by_id: dict[int, Proposal], shapes: list[tuple[int, int]]
 ) -> list[np.ndarray]:
     """Label grids of these shapes, one per frame, with each track's masks;
-    ascending track id wins overlaps."""
-    grids = [np.zeros(shape, dtype=np.int32) for shape in shapes]
-    for track_id in sorted(lineage.members):
-        for pid in lineage.members[track_id]:
-            p = by_id[pid]
-            height, width = shapes[p.t]
-            rows, cols = p.mask.pixels()
-            keep = (rows >= 0) & (rows < height) & (cols >= 0) & (cols < width)
-            grids[p.t][rows[keep], cols[keep]] = track_id
-    return grids
+    the highest track id wins where selected masks overlap (ids are
+    positive, so a maximum over them).
+
+    The grids are views of one buffer, the frames laid end to end: the
+    members' pixels come from one ``masks_pixels`` call, pixels outside
+    their frame are dropped, and one ``maximum.at`` scatter writes every
+    track id.
+    """
+    sizes = [h * w for h, w in shapes]
+    flat = np.zeros(sum(sizes), dtype=np.int32)
+    members = [(tid, by_id[pid]) for tid, pids in lineage.members.items() for pid in pids]
+    if members:
+        k, rows, cols = masks_pixels([p.mask for _, p in members])
+        t = np.array([p.t for _, p in members], dtype=np.intp)[k]
+        height, width = np.array(shapes, dtype=np.intp).reshape(-1, 2)[t].T
+        keep = (rows >= 0) & (rows < height) & (cols >= 0) & (cols < width)
+        base = np.cumsum(sizes) - sizes
+        tids = np.array([tid for tid, _ in members], dtype=np.int32)[k]
+        np.maximum.at(flat, (base[t] + rows * width + cols)[keep], tids[keep])
+    bounds = np.cumsum([0] + sizes).tolist()
+    return [flat[a:b].reshape(shape) for a, b, shape in zip(bounds, bounds[1:], shapes)]
 
 
 def write_result(out_dir, lineage: Lineage, props: list[Proposal], shapes: list[tuple[int, int]]) -> None:

@@ -92,7 +92,9 @@ def multi_threshold_proposals(
     span: tuple[float, float] = (0.5, 1.5),
     area_bounds: tuple[int, int] = DEFAULT_AREA_BOUNDS,
 ) -> list[Proposal]:
-    """Components over a ladder of thresholds around Otsu's level.
+    """Components over a ladder of thresholds around Otsu's level; with
+    ``levels`` 1, the components above Otsu's threshold alone (``span``
+    unused), each scored 1.
 
     A candidate's raw score is the fraction of threshold levels at which a
     component recurs with IoU above ``STABILITY_IOU``; near-duplicates are
@@ -105,10 +107,10 @@ def multi_threshold_proposals(
     their IoU is ``area_small / area_big``.  Scoring and NMS read only the
     component areas and this containment map, never a pair of masks.
     """
-    if levels < 2:
-        raise ValueError("need at least 2 threshold levels")
+    if levels < 1:
+        raise ValueError("need at least 1 threshold level")
     theta = otsu_threshold(frame.intensity)
-    thresholds = np.linspace(span[0] * theta, span[1] * theta, levels)
+    thresholds = np.linspace(span[0] * theta, span[1] * theta, levels) if levels > 1 else np.array([theta])
     ladder = [_Components(frame.intensity > thr) for thr in thresholds]
 
     # candidates are the components within the area bounds, level by level;
@@ -124,7 +126,8 @@ def multi_threshold_proposals(
         return []
 
     hits = [np.ones(len(lv.area), dtype=np.int64) for lv in ladder]  # each recurs at its own level
-    near_a, near_b = [], []  # candidate pairs above the NMS IoU
+    none = np.zeros(0, dtype=np.intp)
+    near_a, near_b = [none], [none]  # candidate pairs above the NMS IoU: none with one level
     for l, j in itertools.permutations(range(levels), 2):
         if thresholds[j] > thresholds[l]:
             continue
@@ -396,15 +399,16 @@ def _grow_peaks(
     return out
 
 
-def _box_pairs(masks: list[Mask]) -> tuple[np.ndarray, np.ndarray]:
+def _box_pairs(masks: list[Mask], x_shift=0) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs i < j of the masks whose grids share a pixel: the only
-    pairs whose masks can.
+    pairs whose masks can.  The grids are first moved right by ``x_shift``
+    columns (one shift per grid, or one for all).
 
     A sweep over the grids sorted by left column pairs each grid with the
     ones after it that start left of its right edge, so only the pairs that
     share columns are ever listed.
     """
-    x0 = np.array([m.x0 for m in masks], dtype=np.intp)
+    x0 = np.array([m.x0 for m in masks], dtype=np.intp) + x_shift
     y0 = np.array([m.y0 for m in masks], dtype=np.intp)
     h, w = np.array([m.bits.shape for m in masks], dtype=np.intp).reshape(-1, 2).T
     by_x = np.argsort(x0, kind="stable")
@@ -422,30 +426,34 @@ def conflicts(props: list[Proposal]) -> np.ndarray:
 
     A pair conflicts when mask IoU exceeds ``CONFLICT_IOU`` or when either
     mask's covered fraction |i & j| / |i| (or / |j|) exceeds
-    ``CONFLICT_COVER``.  Each frame's pairs whose boxes overlap are counted
-    by one ``mask_intersections`` call, and a frame with none makes no call.
-    Each pair names the lower id first, and pairs come in id order.
+    ``CONFLICT_COVER``.  The frames are laid side by side on x, so one
+    ``_box_pairs`` sweep finds every same-frame pair whose boxes overlap,
+    and one ``mask_intersections`` call, over the masks of those pairs
+    alone, counts them; with no such pair there is no call.  Each pair
+    names the lower id first, and pairs come in id order, ties in the
+    order the frames first appear.
     """
-    by_frame: dict[int, list[int]] = {}
-    for k, p in enumerate(props):
-        by_frame.setdefault(p.t, []).append(k)
-    pairs = [np.zeros((0, 2), dtype=np.intp)]
-    for group in by_frame.values():
-        group.sort(key=lambda k: props[k].id)
-        masks = [props[k].mask for k in group]
-        i, j = _box_pairs(masks)
-        if len(i) == 0:
-            continue
-        inter = mask_intersections(masks, i, j, np.zeros_like(i), np.zeros_like(i))
-        area = np.array([m.area for m in masks])
-        a_i, a_j = area[i], area[j]
-        hit = (
-            (inter / (a_i + a_j - inter) > CONFLICT_IOU)
-            | (inter / a_i > CONFLICT_COVER)
-            | (inter / a_j > CONFLICT_COVER)
-        )
-        at = np.array(group, dtype=np.intp)
-        pairs.append(np.column_stack([at[i[hit]], at[j[hit]]]))
-    pairs = np.concatenate(pairs)
+    if not props:
+        return np.zeros((0, 2), dtype=np.intp)
+    masks = [p.mask for p in props]
+    _, first, slot = np.unique([p.t for p in props], return_index=True, return_inverse=True)
+    rank = np.argsort(np.argsort(first))[slot]  # each proposal's frame, by first appearance
+    width = max(m.x0 + m.bits.shape[1] for m in masks) - min(m.x0 for m in masks)
+    i, j = _box_pairs(masks, rank * width)
+    if len(i) == 0:
+        return np.zeros((0, 2), dtype=np.intp)
     ids = np.array([p.id for p in props], dtype=np.int64)
-    return pairs[np.lexsort(ids[pairs].T[::-1])]
+    used, pair = np.unique(np.concatenate([i, j]), return_inverse=True)
+    still = np.zeros_like(i)
+    inter = mask_intersections([masks[k] for k in used.tolist()], pair[: len(i)], pair[len(i) :], still, still)
+    area = np.array([m.area for m in masks])
+    a_i, a_j = area[i], area[j]
+    hit = (
+        (inter / (a_i + a_j - inter) > CONFLICT_IOU)
+        | (inter / a_i > CONFLICT_COVER)
+        | (inter / a_j > CONFLICT_COVER)
+    )
+    i, j = i[hit], j[hit]
+    swap = ids[i] > ids[j]  # positions are i < j: the lower id first, ties to the lower position
+    pairs = np.column_stack([np.where(swap, j, i), np.where(swap, i, j)])
+    return pairs[np.lexsort((rank[pairs[:, 0]], ids[pairs[:, 1]], ids[pairs[:, 0]]))]

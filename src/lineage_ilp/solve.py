@@ -248,20 +248,27 @@ def objective_value(instance: IlpInstance, x: np.ndarray) -> float:
 
 
 def check_solution(instance: IlpInstance, x: np.ndarray) -> list[str]:
-    """Independent feasibility check; returns human-readable violations."""
+    """Independent feasibility check; returns human-readable violations.
+
+    Every row's value comes from one ``bincount`` over the constraint
+    entries, computed here and not by the solvers' own ``Rows.feasible``;
+    each violated row is named with its value, sense and rhs, in row
+    order."""
     x = np.asarray(x)
     if x.shape != (instance.n_vars,):
         return [f"solution length {x.shape} does not match {instance.n_vars} variables"]
-    out = []
     if not np.isin(x, (0, 1)).all():
-        out.append("solution contains non-binary entries")
-        return out
-    for ci, (indices, coeffs, sense, rhs) in enumerate(instance.constraints.tuples()):
-        val = sum(co * int(x[i]) for i, co in zip(indices, coeffs))
-        ok = val <= rhs if sense == "<=" else val == rhs
-        if not ok:
-            out.append(f"constraint {ci}: value {val} violates {sense} {rhs}")
-    return out
+        return ["solution contains non-binary entries"]
+    rows = instance.constraints
+    picked = x.astype(np.int64)[rows.col]
+    vals = np.bincount(rows.row, weights=rows.coef * picked, minlength=len(rows)).astype(np.int64)
+    bad = np.flatnonzero(np.where(rows.is_eq, vals != rows.rhs, vals > rows.rhs))
+    return [
+        f"constraint {ci}: value {val} violates {'==' if eq else '<='} {rhs}"
+        for ci, val, eq, rhs in zip(
+            bad.tolist(), vals[bad].tolist(), rows.is_eq[bad].tolist(), rows.rhs[bad].tolist()
+        )
+    ]
 
 
 def solve_bruteforce(instance: IlpInstance, chunk_bits: int = 16) -> SolveResult:

@@ -130,7 +130,7 @@ class TestValidation:
             {"seed": -1},
             {"threads": 0},
             {"proposals": {"generator": "magic"}},
-            {"proposals": {"levels": 1}},
+            {"proposals": {"levels": 0}},
             {"proposals": {"span": [1.5, 0.5]}},
             {"proposals": {"nms_iou": 0.0}},
             {"proposals": {"min_area": 0}},

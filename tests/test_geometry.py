@@ -22,7 +22,7 @@ from lineage_ilp.geometry import (
     mask_intersections,
     nms,
 )
-from lineage_ilp.features import _frame_pixels
+from lineage_ilp.features import _pixels
 from lineage_ilp.proposals import _EIGHT, _PLANES, Proposal
 from overlap_reference import mask_intersection_area
 
@@ -370,8 +370,9 @@ class TestBoundaryAndDilations:
             bits = rng.random((h, w)) < 0.6
             bits[0, 0] = True
             masks.append(Mask(int(rng.integers(0, width - w + 1)), int(rng.integers(0, height - h + 1)), bits))
-        props = [Proposal(id=i, t=0, mask=m, raw_score=0.5) for i, m in enumerate(masks)]
-        (m_k, m_rows, m_cols), (b_k, b_rows, b_cols), _ = _frame_pixels(props, np.zeros((height, width)))
+        m_k, m_rows, m_cols, _, b_k, b_rows, b_cols, _, _ = _pixels(
+            masks, np.zeros(len(masks), dtype=np.intp), [np.zeros((height, width))]
+        )
         for k, m in enumerate(masks):
             for (kk, rows, cols), want in [((m_k, m_rows, m_cols), m), ((b_k, b_rows, b_cols), boundary_mask(m))]:
                 assert np.array_equal(rows[kk == k], want.pixels()[0])
