@@ -101,8 +101,10 @@ log = logging.getLogger("lineage_ilp")
 MODEL_META_VERSION = 1
 # At most this many threads generate proposals, one frame each.  A thread
 # holds one frame's LoG scale stack and its FFT temporaries, a 5.3 MiB peak on
-# a 200x200 frame that grows with frame area; the Python part of a frame
-# (about a fifth) holds the GIL, which caps the speed-up near 4-5x anyway.
+# a 200x200 frame that grows with frame area, or one frame's threshold-ladder
+# stack, a boolean and an int32 label plane per level (a 1.8 MiB peak at 8
+# levels of 200x200).  The Python part of a frame (about a fifth) holds the
+# GIL, which caps the speed-up near 4-5x anyway.
 MAX_PROPOSAL_THREADS = 4
 # the feature vector lengths a model directory's meta.json must name
 FEATURE_DIMS = {"proposal": PROPOSAL_DIM, "move": MOVE_DIM, "mitosis": MITOSIS_DIM}
@@ -174,7 +176,25 @@ def _ground_truth(tracks, marker_rows, grids, shapes, gt_dir) -> GroundTruth:
     except ValueError as exc:
         raise FormatError(f"inconsistent ground truth: {exc}", path=gt_dir) from exc
     _check_marker_pixels(marker_rows, shapes, gt_dir)
+    if grids is not None:
+        _check_grid_labels(grids, tracks, os.path.join(gt_dir, "seg"))
     return gt
+
+
+def _check_grid_labels(grids: list[np.ndarray], tracks: list[TrackRow], seg_dir) -> None:
+    """Raise ``FormatError`` at the first gt/seg label that names no track,
+    or names a track in a frame outside its ``[birth, end]``.  A grid's
+    labels come from one ``bincount`` over its positive samples."""
+    spans = {row.label: row for row in tracks}
+    for t, grid in enumerate(grids):
+        for value in np.flatnonzero(np.bincount(grid[grid > 0])).tolist():
+            row = spans.get(value)
+            if row is None:
+                raise FormatError(f"gt/seg frame {t} holds label {value}, which names no track", path=seg_dir)
+            if not row.birth <= t <= row.end:
+                raise FormatError(
+                    f"gt/seg frame {t} holds track {value} outside its frames [{row.birth}, {row.end}]", path=seg_dir
+                )
 
 
 def _check_marker_pixels(marker_rows, shapes: list[tuple[int, int]], gt_dir) -> None:

@@ -21,7 +21,6 @@ LOG_RESPONSE_THRESHOLD = 0.02
 LOG_RESPONSE_GRID = 2.0 ** -36
 
 DEFAULT_AREA_BOUNDS = (9, 10000)
-_EIGHT = np.ones((3, 3), dtype=bool)
 # 8-connectivity within each plane of a 3-d block, and none across planes
 _PLANES = np.zeros((3, 3, 3), dtype=bool)
 _PLANES[1] = True
@@ -63,26 +62,36 @@ class Proposal:
         return self.mask.area
 
 
+# Centres of the 256 equal bins of [0, 1] that Otsu's threshold is chosen among.
+_OTSU_CENTERS = (np.arange(256) + 0.5) / 256.0
+
+
 def otsu_threshold(intensity: np.ndarray) -> float:
-    """Between-class variance maximizer over a 256-bin histogram of [0, 1]."""
-    hist, edges = np.histogram(np.asarray(intensity, dtype=np.float64), bins=256, range=(0.0, 1.0))
-    total = hist.sum()
-    if total == 0:
+    """Between-class variance maximizer over a 256-bin histogram of [0, 1].
+
+    The histogram is ``np.histogram(intensity, 256, (0.0, 1.0))``'s, by one
+    ``bincount``: for x in [0, 1], ``x * 256`` is exact, so its floor is x's
+    bin, and 1.0 goes in the last bin.  NaN and values outside [0, 1] are
+    dropped.
+    """
+    x = np.asarray(intensity, dtype=np.float64).ravel()
+    x = x[(x >= 0.0) & (x <= 1.0)]
+    if len(x) == 0:
         return 0.5
-    centers = (edges[:-1] + edges[1:]) / 2.0
-    p = hist / total
+    hist = np.bincount(np.minimum((x * 256.0).astype(np.intp), 255), minlength=256)
+    p = hist / len(x)
     omega = np.cumsum(p)
-    mu = np.cumsum(p * centers)
+    mu = np.cumsum(p * _OTSU_CENTERS)
     mu_total = mu[-1]
     with np.errstate(divide="ignore", invalid="ignore"):
         sigma_b = (mu_total * omega - mu) ** 2 / (omega * (1.0 - omega))
     sigma_b = np.nan_to_num(sigma_b, nan=-1.0, posinf=-1.0, neginf=-1.0)
     if sigma_b.max() < 0:
-        return float(centers[int(np.argmax(hist))])
+        return float(_OTSU_CENTERS[int(np.argmax(hist))])
     # The criterion is flat wherever the histogram is empty; take the middle
     # of the plateau so the threshold sits between the modes.
     plateau = np.flatnonzero(sigma_b == sigma_b.max())
-    return float(centers[int(plateau[(len(plateau) - 1) // 2])])
+    return float(_OTSU_CENTERS[int(plateau[(len(plateau) - 1) // 2])])
 
 
 def multi_threshold_proposals(
@@ -106,56 +115,68 @@ def multi_threshold_proposals(
     components therefore overlap only when one contains the other, and then
     their IoU is ``area_small / area_big``.  Scoring and NMS read only the
     component areas and this containment map, never a pair of masks.
+
+    One ``label`` call labels every level, a plane each.  Every level's
+    foreground lies inside the lowest threshold's, so the areas, the
+    containment map and the boxes of the kept components are read from
+    those pixels alone, and every ordered pair of levels is scored at once.
     """
     if levels < 1:
         raise ValueError("need at least 1 threshold level")
-    theta = otsu_threshold(frame.intensity)
+    img = frame.intensity
+    theta = otsu_threshold(img)
     thresholds = np.linspace(span[0] * theta, span[1] * theta, levels) if levels > 1 else np.array([theta])
-    ladder = [_Components(frame.intensity > thr) for thr in thresholds]
-
-    # candidates are the components within the area bounds, level by level;
-    # index[l] maps each component of level l to its candidate number or -1
-    members, index, n = [], [], 0
-    for lv in ladder:
-        ok = np.flatnonzero((lv.area >= area_bounds[0]) & (lv.area <= area_bounds[1]))
-        index.append(np.full(len(lv.area), -1))
-        index[-1][ok] = np.arange(n, n + len(ok))
-        members.append(ok)
-        n += len(ok)
-    if n == 0:
+    fg = np.flatnonzero(img > thresholds.min())
+    if len(fg) == 0:
         return []
+    # planes are labelled in order, each in raster order, so the components
+    # are numbered level by level and, within a level, in scan order
+    labels, count = label(img > thresholds[:, None, None], _PLANES)
+    on = labels.reshape(levels, -1)[:, fg]  # every level's labels on the lowest foreground
+    flat = on.ravel()
+    area = np.bincount(flat, minlength=count + 1)[1:]
+    seen = np.flatnonzero(flat)
+    at = np.empty(count, dtype=np.intp)
+    at[flat[seen] - 1] = seen  # any pixel of a component will do
+    level_of, pixel = np.divmod(at, len(fg))
 
-    hits = [np.ones(len(lv.area), dtype=np.int64) for lv in ladder]  # each recurs at its own level
-    none = np.zeros(0, dtype=np.intp)
-    near_a, near_b = [none], [none]  # candidate pairs above the NMS IoU: none with one level
-    for l, j in itertools.permutations(range(levels), 2):
-        if thresholds[j] > thresholds[l]:
-            continue
-        fine, coarse = ladder[l], ladder[j]
-        up = coarse.labels.ravel()[fine.pixel] - 1  # the component of level j holding each of level l
-        iou = fine.area / coarse.area[up]
-        hits[l] += iou > STABILITY_IOU
-        if thresholds[j] < thresholds[l]:
-            largest = np.zeros(len(coarse.area), dtype=np.int64)
-            np.maximum.at(largest, up, fine.area)
-            hits[j] += largest / coarse.area > STABILITY_IOU
-        pairs = (index[l] >= 0) & (index[j][up] >= 0) & (iou > MASK_NMS_IOU)
-        near_a.append(index[l][pairs])
-        near_b.append(index[j][up[pairs]])
-    score = np.concatenate([hit[ok] for hit, ok in zip(hits, members)]) / levels
-    kept = _suppress(score, np.concatenate(near_a), np.concatenate(near_b))
+    # containment map: up[j, c] is the component of level j holding
+    # component c, for each level j whose threshold is at most c's own
+    up = on[:, pixel] - 1
+    own = thresholds[level_of]
+    j, c = np.nonzero((thresholds[:, None] <= own) & (np.arange(levels)[:, None] != level_of))
+    u = up[j, c]
+    iou = area[c] / area[u]
+    stable = iou > STABILITY_IOU
+    # a container recurs at a higher level when one of that level's
+    # components fills more than half of it; being disjoint, at most one can
+    hits = 1 + np.bincount(c[stable], minlength=count)
+    hits += np.bincount(u[stable & (thresholds[j] < own[c])], minlength=count)
 
-    level_of = np.repeat(np.arange(levels), [len(ok) for ok in members])
-    label_of = np.concatenate(members) + 1
-    objects: dict[int, list] = {}
+    # candidates are the components within the area bounds, in label order
+    ok = (area >= area_bounds[0]) & (area <= area_bounds[1])
+    members = np.flatnonzero(ok)
+    if len(members) == 0:
+        return []
+    index = np.cumsum(ok) - 1
+    near = ok[c] & ok[u] & (iou > MASK_NMS_IOU)
+    score = hits[members] / levels
+    kept = members[_suppress(score, index[c[near]], index[u[near]])]
+
+    # the boxes of the kept components, from their pixels in scan order
+    slot = np.full(count + 1, -1)
+    slot[kept + 1] = np.arange(len(kept))
+    mine = np.flatnonzero(slot[flat] >= 0)
+    mine = mine[np.argsort(slot[flat[mine]], kind="stable")]
+    rows, cols = np.divmod(fg[mine % len(fg)], img.shape[1])
+    first = np.cumsum(area[kept]) - area[kept]
+    top, bottom = rows[first], rows[first + area[kept] - 1] + 1
+    left, right = np.minimum.reduceat(cols, first), np.maximum.reduceat(cols, first) + 1
+    boxes = zip(kept.tolist(), level_of[kept].tolist(), top.tolist(), bottom.tolist(), left.tolist(), right.tolist())
     out = []
-    for rank, k in enumerate(kept):
-        l, lab = int(level_of[k]), int(label_of[k])
-        if l not in objects:
-            objects[l] = find_objects(ladder[l].labels, len(ladder[l].area))
-        sl = objects[l][lab - 1]
-        mask = Mask(sl[1].start, sl[0].start, ladder[l].labels[sl] == lab)
-        out.append(Proposal(id=rank, t=frame.t, mask=mask, raw_score=float(score[k])))
+    for rank, (k, lv, y0, y1, x0, x1) in enumerate(boxes):
+        mask = Mask(x0, y0, labels[lv, y0:y1, x0:x1] == k + 1)
+        out.append(Proposal(id=rank, t=frame.t, mask=mask, raw_score=float(score[index[k]])))
     return out
 
 
@@ -178,23 +199,6 @@ def _suppress(score: np.ndarray, a: np.ndarray, b: np.ndarray) -> list[int]:
             for other in partners[k]:
                 dropped[other] = True
     return sorted(kept)
-
-
-class _Components:
-    """8-connected components of one threshold level: the label grid, each
-    component's area and one of its pixels (flat index), by label - 1.
-
-    ``label`` numbers components in raster order of their first
-    pixel, so label order is the row-major scan order of the components.
-    """
-
-    def __init__(self, binary: np.ndarray):
-        self.labels, count = label(binary, _EIGHT)
-        flat = self.labels.ravel()
-        fg = np.flatnonzero(flat)
-        self.area = np.bincount(flat[fg], minlength=count + 1)[1:]
-        self.pixel = np.empty(count, dtype=np.intp)
-        self.pixel[flat[fg] - 1] = fg  # any pixel of a component will do
 
 
 def _fft_size(n: int) -> int:

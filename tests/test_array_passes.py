@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import array_pass_reference as reference
 import io_reference
+import otsu_reference
 import numpy as np
 import overlap_reference
 import pytest
@@ -31,7 +32,6 @@ from lineage_ilp.proposals import (
     conflicts,
     log_blob_proposals,
     multi_threshold_proposals,
-    otsu_threshold,
 )
 from lineage_ilp.sim import simulate
 from lineage_ilp.solve import IlpInstance, Lineage, check_solution
@@ -238,7 +238,8 @@ def test_marker_outside_its_frame_is_refused(tmp_path, x, y, inside):
 def test_one_threshold_level_is_otsus_components(seed):
     frame = simulate(SimConfig(frames=1, width=64, height=56, initial_cells=6), seed).frames[0]
     bounds = (9, 60)
-    labels, count = ndimage.label(frame.intensity > otsu_threshold(frame.intensity), np.ones((3, 3), dtype=bool))
+    binary = frame.intensity > otsu_reference.otsu_threshold(frame.intensity)
+    labels, count = ndimage.label(binary, np.ones((3, 3), dtype=bool))
     want = []
     for lab, sl in enumerate(ndimage.find_objects(labels, count), start=1):
         bits = labels[sl] == lab

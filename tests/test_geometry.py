@@ -23,7 +23,8 @@ from lineage_ilp.geometry import (
     nms,
 )
 from lineage_ilp.features import _pixels
-from lineage_ilp.proposals import _EIGHT, _PLANES, Proposal
+from lineage_ilp.proposals import _PLANES, Proposal
+from log_reference import _EIGHT
 from overlap_reference import mask_intersection_area
 
 

@@ -17,7 +17,15 @@ import lineage_ilp.pipeline as pipeline_mod
 from lineage_ilp.config import config_from_dict
 from lineage_ilp.evaluate import GroundTruth
 from lineage_ilp.graph import MITOSIS_RADIUS_FACTOR
-from lineage_ilp.io import FormatError, TrackRow, read_json_file, read_label_grids, read_proposals, read_tracks
+from lineage_ilp.io import (
+    FormatError,
+    TrackRow,
+    read_json_file,
+    read_label_grids,
+    read_proposals,
+    read_tracks,
+    write_pgm,
+)
 from lineage_ilp.pipeline import (
     Dataset,
     SolverTimeout,
@@ -102,6 +110,29 @@ class TestDatasetIO:
             fh.write(marker + "\n")
         with pytest.raises(FormatError, match=message):
             load_dataset(tmp_path)
+
+    @pytest.mark.parametrize(
+        "track, message",
+        [
+            (None, "gt/seg frame 0 holds label 99, which names no track"),
+            ("99 2 3 0", r"gt/seg frame 0 holds track 99 outside its frames \[2, 3\]"),
+        ],
+    )
+    def test_seg_label_must_name_a_track_in_its_frame(self, tmp_path, track, message):
+        res = simulate(SimConfig(frames=4, width=64, height=64, initial_cells=3), 1)
+        write_dataset(tmp_path, [f.intensity for f in res.frames], res.gt)
+        if track is not None:
+            with open(tmp_path / "gt" / "tracks.txt", "a") as fh:
+                fh.write(track + "\n")
+        grid = res.gt.label_grids[0].copy()
+        grid[0, :3] = 99
+        write_pgm(tmp_path / "gt" / "seg" / "t000.pgm", grid, 65535)
+        with pytest.raises(FormatError, match=message):
+            load_dataset(tmp_path)
+        tracks = read_tracks(tmp_path / "gt" / "tracks.txt")
+        gt = dataclasses.replace(res.gt, tracks=tracks, label_grids=[grid, *res.gt.label_grids[1:]])
+        with pytest.raises(FormatError, match=message):
+            write_dataset(tmp_path / "again", [f.intensity for f in res.frames], gt)
 
     def test_second_marker_for_a_cell_is_refused(self, tmp_path):
         res = simulate(SimConfig(frames=4, width=64, height=64, initial_cells=3), 1)

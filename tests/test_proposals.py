@@ -12,7 +12,6 @@ from lineage_ilp import proposals as proposals_mod
 from lineage_ilp.geometry import Mask, find_objects, label, label_masks
 from lineage_ilp.io import write_proposals
 from lineage_ilp.proposals import (
-    _EIGHT,
     _PLANES,
     CONFLICT_COVER,
     CONFLICT_IOU,
@@ -35,7 +34,9 @@ from lineage_ilp.proposals import (
 )
 from lineage_ilp.sim import SimConfig, simulate
 import log_reference
+import otsu_reference
 import overlap_reference
+from log_reference import _EIGHT
 from support import positions
 
 
@@ -69,6 +70,17 @@ def single_marker_recall(props, markers):
     return found / len(markers)
 
 
+# values whose bin is easy to get wrong: NaN, infinities, values outside
+# [0, 1], both zeros, 1.0 and its neighbours, and every bin edge
+OTSU_VALUES = st.one_of(
+    st.sampled_from(
+        [np.nan, np.inf, -np.inf, -1.0, -0.0, 0.0, 1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0), 2.0]
+    ),
+    st.integers(0, 256).map(lambda k: k / 256.0),
+    st.floats(-0.25, 1.25),
+)
+
+
 class TestOtsu:
     def test_separates_bimodal(self):
         rng = np.random.default_rng(0)
@@ -82,6 +94,20 @@ class TestOtsu:
     def test_constant_image(self):
         thr = otsu_threshold(np.full((8, 8), 0.25))
         assert 0.0 <= thr <= 1.0
+
+    @settings(max_examples=300)
+    @given(st.lists(OTSU_VALUES, max_size=48), st.integers(1, 6))
+    def test_matches_histogram_reference(self, values, rows):
+        """NaN, infinities, values outside [0, 1], both zeros, 1.0 and bin
+        edges are binned as ``np.histogram`` bins them."""
+        grid = np.array(values, dtype=np.float64)[: len(values) // rows * rows].reshape(rows, -1)
+        assert otsu_threshold(grid) == otsu_reference.otsu_threshold(grid)
+
+    @settings(max_examples=100)
+    @given(OTSU_VALUES, st.integers(0, 5), st.integers(0, 5))
+    def test_constant_and_empty_frames_match_reference(self, value, h, w):
+        grid = np.full((h, w), value)
+        assert otsu_threshold(grid) == otsu_reference.otsu_threshold(grid)
 
 
 class TestMultiThreshold:
@@ -144,9 +170,10 @@ def _reference_components(binary):
 
 def _reference_multi_threshold(frame, *, levels=8, span=(0.5, 1.5), area_bounds=DEFAULT_AREA_BOUNDS):
     """The ladder scored and suppressed pair by pair: the IoU of a candidate
-    with every component of every level, then mask NMS over all pairs."""
-    theta = otsu_threshold(frame.intensity)
-    thresholds = np.linspace(span[0] * theta, span[1] * theta, levels)
+    with every component of every level, then mask NMS over all pairs.
+    With one level, the threshold is Otsu's own."""
+    theta = otsu_reference.otsu_threshold(frame.intensity)
+    thresholds = np.linspace(span[0] * theta, span[1] * theta, levels) if levels > 1 else [theta]
     per_level = [_reference_components(frame.intensity > thr) for thr in thresholds]
     candidates = [m for comps in per_level for m in comps if area_bounds[0] <= m.area <= area_bounds[1]]
     scores = [
@@ -210,6 +237,34 @@ class TestMultiThresholdMatchesReference:
             want = _reference_multi_threshold(frame, levels=levels, span=span, area_bounds=bounds)
             assert_same_proposals(got, want)
         assert len(seen) == 80
+
+    @pytest.mark.parametrize("kind", ["unclean", "none_clear", "all_clear"])
+    @pytest.mark.parametrize("levels", [1, 2, 8])
+    def test_edge_frames(self, kind, levels):
+        """Frames whose foreground reads are easy to get wrong: NaN, infinite
+        and out-of-range intensities; no pixel above the lowest level; every
+        pixel above the highest.  Every span, the equal and the reversed one
+        too."""
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            img = plateau_image(rng, 24)
+            if kind == "unclean":
+                specials = np.array([np.nan, np.inf, -np.inf, -0.5, -0.0, 1.0, 1.5])
+                spots = rng.random(img.shape) < 0.15
+                img[spots] = rng.choice(specials, int(spots.sum()))
+            elif kind == "none_clear":
+                img = np.where(rng.random(img.shape) < 0.3, np.nan, -img)  # Otsu's 0.5 of no binned value
+            else:
+                img = 1.5 + img  # above 1.9 * Otsu's 0.5 of no binned value
+            frame = Frame(t=1, intensity=img)
+            for span in SPANS:
+                got = multi_threshold_proposals(frame, levels=levels, span=span, area_bounds=(1, 10000))
+                want = _reference_multi_threshold(frame, levels=levels, span=span, area_bounds=(1, 10000))
+                assert_same_proposals(got, want)
+                if kind == "none_clear":
+                    assert got == []
+                if kind == "all_clear":
+                    assert [p.area for p in got] == [img.size]
 
     @pytest.mark.parametrize("levels", [2, 5, 8, 10])
     @pytest.mark.parametrize("span", SPANS[:4])
